@@ -2,9 +2,10 @@
 
 Measures the tentpole claim of the `repro.traces` subsystem: the streaming
 path (`Simulator.run_stream` fed by a generator `JobSource`) produces
-byte-identical results to materializing the whole trace first, while keeping
-only O(active jobs) resident in the engine tables — the
-``peak_resident_jobs`` counter — instead of O(total jobs).
+byte-identical results to materializing the whole trace first, and both
+drivers keep only O(active jobs) resident in the engine tables — the
+``peak_resident_jobs`` counter — instead of O(total jobs); what
+materializing costs is the spec list itself.
 
 Scale knob: ``REPRO_BENCH_SCALE=quick`` runs a 20k-job trace; the default
 runs the 100k- and 1M-job sweep from the issue (the 1M-job pair takes a few
@@ -80,7 +81,6 @@ def test_streaming_vs_materialized_intake(report_artifact):
         assert streamed.makespan == materialized.makespan
         assert streamed.idle_node_seconds == materialized.idle_node_seconds
         # ... with O(active jobs) instead of O(total jobs) resident state.
-        assert materialized_sim.peak_resident_jobs == num_jobs
         assert streaming_sim.peak_resident_jobs < num_jobs / 100
 
         rows.append(

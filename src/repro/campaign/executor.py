@@ -501,14 +501,6 @@ class Campaign:
                 "{axis} placeholders from the platform block or run without "
                 "streaming"
             )
-        if scenario.legacy_event_loop:
-            # run_stream would reject this inside every pool worker; fail
-            # fast with the same style of error the other preconditions get.
-            raise ConfigurationError(
-                "streaming campaigns need the O(active jobs) event loop; "
-                "drop legacy_event_loop from the scenario or run without "
-                "streaming"
-            )
         sources = scenario.source.streaming_sources(scenario.cluster)
         if sources is None:
             raise ConfigurationError(

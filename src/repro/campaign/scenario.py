@@ -621,7 +621,6 @@ class Scenario:
     penalty_seconds: float = 0.0
     sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     collectors: Tuple[CollectorSpec, ...] = (CollectorSpec("stretch"),)
-    legacy_event_loop: bool = False
     record_scheduler_times: bool = True
     #: Forward :attr:`repro.core.engine.SimulationConfig.repack_on_failure`:
     #: periodic schedulers repack immediately on a node failure instead of
@@ -1037,7 +1036,6 @@ class Scenario:
         return SimulationConfig(
             penalty_model=ReschedulingPenaltyModel(self.penalty_seconds),
             record_scheduler_times=self.record_scheduler_times,
-            legacy_event_loop=self.legacy_event_loop,
             repack_on_failure=self.repack_on_failure,
             **extra,
         )
@@ -1094,7 +1092,8 @@ class Scenario:
                 "sweep": [[axis, list(values)] for axis, values in self.sweep],
                 "collectors": [spec.to_dict() for spec in self.collectors],
                 "engine": {
-                    "legacy_event_loop": self.legacy_event_loop,
+                    # Hash compatibility: the loop it selected is gone.
+                    "legacy_event_loop": False,
                     "record_scheduler_times": self.record_scheduler_times,
                 },
             }
@@ -1164,8 +1163,13 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
     if unknown_engine:
         raise ConfigurationError(
             f"unknown engine spec fields: {', '.join(sorted(unknown_engine))} "
-            "(known: legacy_event_loop, record_scheduler_times, "
-            "repack_on_failure)"
+            "(known: record_scheduler_times, repack_on_failure)"
+        )
+    if engine.get("legacy_event_loop", False):
+        raise ConfigurationError(
+            "engine.legacy_event_loop is no longer supported: the full-scan "
+            "event loop was removed in PR 12 (its outputs are frozen in "
+            "tests/core/golden/engine_reference.json); drop the field"
         )
     return Scenario(
         name=payload.get("name", "scenario"),
@@ -1180,7 +1184,6 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
             CollectorSpec.of(spec)
             for spec in payload.get("collectors", ("stretch",))
         ),
-        legacy_event_loop=bool(engine.get("legacy_event_loop", False)),
         record_scheduler_times=bool(engine.get("record_scheduler_times", True)),
         repack_on_failure=bool(engine.get("repack_on_failure", False)),
         platform=platform_spec,

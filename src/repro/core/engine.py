@@ -10,13 +10,16 @@ event queue never needs invalidation.
 Complexity contract
 -------------------
 
-Per-event work is ``O(active jobs · log n)``: the engine never iterates jobs
-that have completed (or jobs submitted in the far future that have not yet
-arrived).  Three pieces of incremental state make this possible:
+Per-event work is ``O(active jobs · log n)`` and resident state is
+``O(active jobs)``: specs are admitted lazily, one ahead of simulated time,
+and a job leaves every engine table the moment it completes.  ``run``,
+``run_stream`` and the ``online_*`` API are three drivers over one stepping
+core (``_begin``/``_step``/``_finalize``).  Three pieces of incremental
+state keep the per-event work bounded:
 
 * an **active-job table** (``_active``) holding exactly the arrived,
-  not-yet-completed jobs, iterated in submission-spec order so scheduler
-  visible ordering is identical to a full scan of every job;
+  not-yet-completed jobs in arrival order, which is the order schedulers
+  see them in;
 * a **min-heap of predicted completion times** (``_completion_heap``) with
   *lazy invalidation*: every (re)allocation bumps the job's allocation
   version and pushes a fresh entry; stale entries are discarded when they
@@ -25,10 +28,10 @@ arrived).  Three pieces of incremental state make this possible:
   updated at every allocation change, so idle-node-seconds accounting does
   not rebuild a busy-node set per event.
 
-``SimulationConfig(legacy_event_loop=True)`` selects the original
-full-dictionary-scan implementation (kept verbatim as the reference
-semantics); equivalence tests assert both modes produce byte-identical
-results and ``benchmarks/test_bench_engine_scaling.py`` measures the gap.
+The reference semantics are those of the seed's full-dictionary-scan loop
+(removed in PR 12); its outputs across the paper's nine algorithms are frozen
+in ``tests/core/golden/engine_reference.json`` and
+``tests/core/test_engine_equivalence.py`` holds this loop to them exactly.
 
 Cost accounting rules (paper §IV-A, Table II):
 
@@ -87,9 +90,6 @@ class SimulationConfig:
     max_events: int = _DEFAULT_MAX_EVENTS
     #: Record per-invocation scheduler wall-clock times (§V timing study).
     record_scheduler_times: bool = True
-    #: Use the original O(all jobs)-per-event full-scan loop (reference
-    #: semantics for equivalence tests and the scaling benchmark baseline).
-    legacy_event_loop: bool = False
     #: Accumulate per-job outcomes into mergeable online statistics
     #: (:class:`repro.metrics.JobMetricsAccumulator`) instead of keeping one
     #: :class:`~repro.core.records.JobRecord` per job: the result carries
@@ -217,8 +217,9 @@ class Simulator:
         self.config = config or SimulationConfig()
         self._clock: Clock = clock if clock is not None else SimulatedClock()
         self._observers: List[SimulationObserver] = list(observers or [])
+        #: Resident jobs: admitted (submission queued, or arrived and in
+        #: ``_active``) and not yet completed; empty means the run is idle.
         self._jobs: Dict[int, Job] = {}
-        self._arrived: Dict[int, bool] = {}
         self._queue = EventQueue()
         self._costs = CostSummary()
         self._records: List[JobRecord] = []
@@ -305,14 +306,9 @@ class Simulator:
 
             self._observers.append(FlightObserver(self._telemetry.flight))
         self._now = 0.0
-        self._pending_submissions = 0
         # -- O(active) event-loop state ------------------------------------
-        #: Arrived, not-yet-completed jobs, keyed by job id.
+        #: Arrived, not-yet-completed jobs, keyed by job id, in arrival order.
         self._active: Dict[int, Job] = {}
-        #: job id -> position in the submitted spec sequence; iteration over
-        #: active jobs is sorted by this so scheduler-visible ordering is
-        #: identical to the legacy full scan of ``_jobs``.
-        self._seq: Dict[int, int] = {}
         #: Min-heap of ``(predicted completion, job id, allocation version)``.
         self._completion_heap: List[Tuple[float, int, int]] = []
         #: job id -> allocation version; bumped whenever a change invalidates
@@ -322,22 +318,14 @@ class Simulator:
         self._node_refcount: Dict[int, int] = {}
         #: Number of nodes with a non-zero reference count.
         self._busy_count = 0
-        #: True when the spec sequence is submit-time sorted, in which case
-        #: the active table's insertion order *is* spec order (submissions
-        #: pop in (time, spec-position) order) and iteration needs no sort.
-        self._specs_time_sorted = True
-        # -- streaming intake state ----------------------------------------
-        #: True while running in streaming mode (``run_stream``): specs are
-        #: admitted lazily from an iterator and completed jobs are evicted.
-        self._streaming = False
-        #: The spec iterator of a streaming run (None once exhausted).
+        # -- intake state --------------------------------------------------
+        #: The spec iterator of a ``run``/``run_stream`` run (None once
+        #: exhausted, and for the whole of an online run).
         self._stream: Optional[Iterator[JobSpec]] = None
         #: job ids ever admitted (duplicate detection across the stream).
         self._seen_job_ids: set = set()
         #: Submit time of the most recently admitted spec (order enforcement).
         self._last_admitted_submit = -math.inf
-        #: Spec-sequence position of the next streamed admission.
-        self._next_stream_index = 0
         #: Submit time of the first job (makespan baseline).
         self._first_submit = 0.0
         # -- dynamic platform state ----------------------------------------
@@ -355,9 +343,8 @@ class Simulator:
         #: Job ids cancelled through :meth:`online_cancel` before their
         #: submission event fired; the event is dropped when it surfaces.
         self._cancelled_pending: set = set()
-        #: High-water mark of jobs resident in the engine's tables at once.
-        #: In streaming mode this stays O(active jobs); materialized runs
-        #: register every spec up front so it equals the workload size.
+        #: High-water mark of jobs resident in the engine's tables at once:
+        #: O(active jobs) under every driver, never the workload size.
         self.peak_resident_jobs = 0
 
     @property
@@ -372,17 +359,12 @@ class Simulator:
 
     # ------------------------------------------------------------------ run --
     def run(self, specs: Sequence[JobSpec]) -> SimulationResult:
-        """Simulate the full (materialized) workload and return the results."""
-        if not specs:
-            raise SimulationError("cannot simulate an empty workload")
-        for index, spec in enumerate(specs):
-            self._register_spec(spec, index)
-        self._specs_time_sorted = all(
-            specs[i].submit_time <= specs[i + 1].submit_time
-            for i in range(len(specs) - 1)
-        )
-        self._pending_submissions = len(specs)
-        return self._run_event_loop(min(spec.submit_time for spec in specs))
+        """Simulate a materialized workload: ``run_stream`` in arrival order.
+
+        The sort is stable and keyed on submit time only, so an already
+        arrival-ordered workload runs in exactly the order given.
+        """
+        return self.run_stream(sorted(specs, key=lambda spec: spec.submit_time))
 
     def run_stream(self, specs: Iterable[JobSpec]) -> SimulationResult:
         """Simulate a streaming workload with lazy job admission.
@@ -392,19 +374,12 @@ class Simulator:
         the iterator one ahead of simulated time and evicted from every
         engine table on completion, so the resident job count — tracked by
         :attr:`peak_resident_jobs` — stays ``O(active jobs)`` instead of
-        ``O(total jobs)``.  Results are byte-identical to ``run(list(specs))``.
+        ``O(total jobs)``.
         """
-        if self.config.legacy_event_loop:
-            raise SimulationError(
-                "streaming intake requires the O(active jobs) event loop "
-                "(legacy_event_loop=False)"
-            )
-        self._streaming = True
         self._stream = iter(specs)
         first = next(self._stream, None)
         if first is None:
             raise SimulationError("cannot simulate an empty workload")
-        self._specs_time_sorted = True
         self._admit_spec(first)
         return self._run_event_loop(first.submit_time)
 
@@ -423,10 +398,10 @@ class Simulator:
 
     def _run_event_loop_inner(self, first_submit: float) -> SimulationResult:
         self._begin(first_submit)
-        while self._has_active_jobs() or self._pending_submissions > 0:
+        while self._jobs:
             next_time = self._next_event_time()
             if math.isinf(next_time):
-                stuck = [job.job_id for job in self._iter_jobs() if job.is_active()]
+                stuck = list(self._active)
                 raise SimulationError(
                     f"simulation deadlock at t={self._now:.1f}: jobs {stuck} are "
                     "active but no event will ever occur (scheduler left them "
@@ -481,7 +456,7 @@ class Simulator:
             self._advance_to(next_time)
             submitted, completed, is_wakeup = self._collect_triggers(next_time)
             tel.record_phase("engine.advance", t0, tel.now())
-        if not self._has_active_jobs() and self._pending_submissions == 0:
+        if not self._jobs:
             return
         decision = self._invoke_scheduler(submitted, completed, is_wakeup)
         if tel is None:
@@ -533,15 +508,9 @@ class Simulator:
     def online_begin(self, start_time: float) -> None:
         """Start an open-ended online run at simulated ``start_time``.
 
-        Runs in streaming mode: completed jobs are evicted from every table,
-        so resident state stays O(active jobs) over an unbounded lifetime.
+        Completed jobs are evicted from every table, so resident state stays
+        O(active jobs) over an unbounded lifetime.
         """
-        if self.config.legacy_event_loop:
-            raise SimulationError(
-                "online driving requires the O(active jobs) event loop "
-                "(legacy_event_loop=False)"
-            )
-        self._streaming = True
         self._begin(start_time)
 
     def online_submit(self, spec: JobSpec) -> None:
@@ -565,7 +534,7 @@ class Simulator:
         here: a future submission or cancellation can still unblock them, so
         the online driver waits for external input instead of raising.
         """
-        if not self._has_active_jobs() and self._pending_submissions == 0:
+        if not self._jobs:
             return math.inf
         return self._next_event_time()
 
@@ -585,28 +554,25 @@ class Simulator:
         """Cancel a not-yet-completed job; True if anything was removed.
 
         A running victim releases its nodes immediately; a queued submission
-        is dropped when its event surfaces.  A scheduler wake-up is queued so
-        freed capacity is redistributed at the next step.
+        is dropped when its event surfaces (cancelling it again returns
+        False).  A scheduler wake-up is queued so freed capacity is
+        redistributed at the next step.
         """
         job = self._jobs.get(job_id)
         if job is None:
             return False
-        if not self._arrived.get(job_id, False):
+        if job_id not in self._active:
             # Submission still queued: mark it; _collect_triggers drops it.
+            if job_id in self._cancelled_pending:
+                return False
             self._cancelled_pending.add(job_id)
             return True
-        if job.state is JobState.COMPLETED:
-            return False
         if job.state is JobState.RUNNING and job.assignment is not None:
             self._release_nodes(job.assignment)
         job.state = JobState.COMPLETED
         job.assignment = None
         job.current_yield = 0.0
-        self._deactivate(job_id)
-        del self._jobs[job_id]
-        del self._arrived[job_id]
-        self._seq.pop(job_id, None)
-        self._alloc_version.pop(job_id, None)
+        self._evict(job_id)
         self._queue.push(Event(self._now, EventType.SCHEDULER_WAKEUP))
         return True
 
@@ -619,14 +585,12 @@ class Simulator:
 
         One pass over the active table — O(active jobs), like every other
         per-event operation.  The oldest pending job is the first PENDING
-        job in submission-spec order.
+        job in arrival order.
         """
         pending = running = paused = 0
         total_cpu_need = 0.0
         oldest_pending: Optional[int] = None
-        for job in self._iter_jobs():
-            if not self._arrived.get(job.job_id, False) or not job.is_active():
-                continue
+        for job in self._active.values():
             total_cpu_need += job.spec.total_cpu_need
             if job.state is JobState.PENDING:
                 pending += 1
@@ -656,11 +620,6 @@ class Simulator:
         source = self.config.node_events
         if source is None:
             return
-        if self.config.legacy_event_loop:
-            raise SimulationError(
-                "node availability events require the O(active jobs) event "
-                "loop (legacy_event_loop=False)"
-            )
         if self.config.failure_policy not in ("resubmit", "migrate"):
             raise SimulationError(
                 f"unknown failure_policy {self.config.failure_policy!r} "
@@ -699,7 +658,7 @@ class Simulator:
         self._costs.record_node_failure()
         penalty = self.config.penalty_model
         resubmit = self.config.failure_policy == "resubmit"
-        for job in list(self._iter_jobs()):
+        for job in self._iter_jobs():
             if job.state is not JobState.RUNNING or job.assignment is None:
                 continue
             if node not in job.assignment:
@@ -737,8 +696,16 @@ class Simulator:
             self._power_current -= self._node_power[node][1]
 
     # -------------------------------------------------------- spec admission --
-    def _register_spec(self, spec: JobSpec, index: int) -> None:
-        """Create the engine-side state of one spec and queue its submission."""
+    def _admit_spec(self, spec: JobSpec) -> None:
+        """Admit one spec: enforce arrival order and feasibility, create the
+        engine-side job state and queue its submission event."""
+        if spec.submit_time < self._last_admitted_submit:
+            raise SimulationError(
+                f"streaming intake requires arrival-ordered specs: job "
+                f"{spec.job_id} submitted at {spec.submit_time:.3f} after a "
+                f"job submitted at {self._last_admitted_submit:.3f}"
+            )
+        self._last_admitted_submit = spec.submit_time
         if spec.job_id in self._seen_job_ids:
             raise SimulationError(f"duplicate job id {spec.job_id} in workload")
         self._seen_job_ids.add(spec.job_id)
@@ -783,8 +750,6 @@ class Simulator:
                 job.work_scale = multiplier
                 job.remaining_work = job.scaled_work()
         self._jobs[spec.job_id] = job
-        self._arrived[spec.job_id] = False
-        self._seq[spec.job_id] = index
         self._alloc_version[spec.job_id] = 0
         self._queue.push(
             Event(spec.submit_time, EventType.JOB_SUBMISSION, spec.job_id)
@@ -792,19 +757,6 @@ class Simulator:
         resident = len(self._jobs)
         if resident > self.peak_resident_jobs:
             self.peak_resident_jobs = resident
-
-    def _admit_spec(self, spec: JobSpec) -> None:
-        """Streaming intake of one spec, enforcing arrival order."""
-        if spec.submit_time < self._last_admitted_submit:
-            raise SimulationError(
-                f"streaming intake requires arrival-ordered specs: job "
-                f"{spec.job_id} submitted at {spec.submit_time:.3f} after a "
-                f"job submitted at {self._last_admitted_submit:.3f}"
-            )
-        self._last_admitted_submit = spec.submit_time
-        self._register_spec(spec, self._next_stream_index)
-        self._next_stream_index += 1
-        self._pending_submissions += 1
 
     def _admit_next_from_stream(self) -> None:
         """Pull the next spec (if any) from the streaming source."""
@@ -823,27 +775,22 @@ class Simulator:
         self._admit_spec(spec)
 
     # ------------------------------------------------- active-job iteration --
-    def _iter_jobs(self) -> Iterable[Job]:
-        """Arrived active jobs in submission-spec order.
+    def _iter_jobs(self) -> List[Job]:
+        """Snapshot of the active jobs in arrival order (callers may complete
+        or cancel jobs while walking it)."""
+        return list(self._active.values())
 
-        In legacy mode this is the original scan over *every* job ever
-        submitted; the fast path walks only the active table, sorted by spec
-        position so both modes present jobs in the same order everywhere
-        (contexts, completion detection, decision application).
+    def _evict(self, job_id: int) -> None:
+        """Drop a finished, cancelled or withdrawn job from every per-job
+        table, keeping resident state O(active jobs).
+
+        Safe: schedulers only see active jobs, and a stale completion-heap
+        entry is discarded on the ``_active`` miss before its version is
+        consulted (job ids are never reused, see ``_seen_job_ids``).
         """
-        if self.config.legacy_event_loop:
-            return self._jobs.values()
-        if self._specs_time_sorted:
-            return list(self._active.values())
-        return sorted(self._active.values(), key=lambda job: self._seq[job.job_id])
-
-    def _activate(self, job_id: int) -> None:
-        self._arrived[job_id] = True
-        self._active[job_id] = self._jobs[job_id]
-
-    def _deactivate(self, job_id: int) -> None:
         self._active.pop(job_id, None)
-        self._alloc_version[job_id] += 1
+        del self._jobs[job_id]
+        del self._alloc_version[job_id]
 
     # ------------------------------------------- busy-node refcount tracking --
     def _acquire_nodes(self, nodes: Tuple[int, ...]) -> None:
@@ -893,9 +840,9 @@ class Simulator:
         ``Job.advance`` re-derives the same instant with slightly different
         floating-point operations, so keys within rounding noise of the
         minimum are *recomputed from live job state* and the true minimum
-        returned — exactly the arithmetic of the legacy full scan, keeping
-        the two modes byte-identical even when two jobs' completions tie to
-        within accumulated ulp drift.
+        returned — exactly the arithmetic of a full scan over the running
+        jobs (the reference semantics), even when two jobs' completions tie
+        to within accumulated ulp drift.
         """
         heap = self._completion_heap
         tied: List[Tuple[float, int, int]] = []
@@ -922,18 +869,7 @@ class Simulator:
         return best
 
     # ----------------------------------------------------------- event loop --
-    def _has_active_jobs(self) -> bool:
-        if self.config.legacy_event_loop:
-            return any(job.is_active() for job in self._jobs.values())
-        return bool(self._active)
-
     def _next_event_time(self) -> float:
-        if self.config.legacy_event_loop:
-            next_time = self._queue.peek_time()
-            for job in self._jobs.values():
-                if job.state is JobState.RUNNING:
-                    next_time = min(next_time, job.predicted_completion(self._now))
-            return next_time
         return min(self._queue.peek_time(), self._next_completion_time())
 
     def _advance_to(self, next_time: float) -> None:
@@ -944,30 +880,14 @@ class Simulator:
             )
         duration = max(0.0, duration)
         if duration > 0.0:
-            if self.config.legacy_event_loop:
-                busy_nodes = set()
-                for job in self._jobs.values():
-                    if job.state is JobState.RUNNING and job.assignment is not None:
-                        busy_nodes.update(job.assignment)
-                idle = self.cluster.num_nodes - len(busy_nodes)
-                self._idle_node_seconds += idle * duration
-                if self._busy_node_stats is not None:
-                    self._busy_node_stats.add_segment(
-                        float(len(busy_nodes)), duration
-                    )
-                for job in self._jobs.values():
-                    job.advance(duration)
-            else:
-                # Down nodes are neither busy nor idle: they draw no power
-                # and host no work, so they drop out of the idle integral.
-                idle = self.cluster.num_nodes - self._busy_count - len(self._down_nodes)
-                self._idle_node_seconds += idle * duration
-                if self._busy_node_stats is not None:
-                    self._busy_node_stats.add_segment(
-                        float(self._busy_count), duration
-                    )
-                for job in self._active.values():
-                    job.advance(duration)
+            # Down nodes are neither busy nor idle: they draw no power and
+            # host no work, so they drop out of the idle integral.
+            idle = self.cluster.num_nodes - self._busy_count - len(self._down_nodes)
+            self._idle_node_seconds += idle * duration
+            if self._busy_node_stats is not None:
+                self._busy_node_stats.add_segment(float(self._busy_count), duration)
+            for job in self._active.values():
+                job.advance(duration)
             if self._avail_node_stats is not None:
                 up_cpu = self._up_cpu_capacity()
                 self._avail_node_stats.add_segment(up_cpu, duration)
@@ -1028,22 +948,16 @@ class Simulator:
                         # withdrawn before it ever arrived, so drop the event
                         # and its tables without invoking the scheduler.
                         self._cancelled_pending.discard(event.job_id)
-                        self._pending_submissions -= 1
-                        del self._jobs[event.job_id]
-                        del self._arrived[event.job_id]
-                        self._seq.pop(event.job_id, None)
-                        self._alloc_version.pop(event.job_id, None)
+                        self._evict(event.job_id)
                         continue
-                    self._activate(event.job_id)
-                    self._pending_submissions -= 1
+                    self._active[event.job_id] = self._jobs[event.job_id]
                     submitted.append(event.job_id)
                     for observer in self._observers:
                         observer.on_job_submitted(now, self._jobs[event.job_id].spec)
-                    if self._streaming:
-                        # Lazy admission keeps exactly one unarrived spec
-                        # queued; replacing it may queue another event <= now
-                        # (same-timestamp submissions), hence the outer loop.
-                        self._admit_next_from_stream()
+                    # Lazy admission keeps exactly one unarrived spec of the
+                    # stream queued; replacing it may queue another event <= now
+                    # (same-timestamp submissions), hence the outer loop.
+                    self._admit_next_from_stream()
                 elif event.event_type is EventType.NODE_DOWN:
                     assert event.node is not None
                     self._apply_node_down(event.node)
@@ -1063,7 +977,7 @@ class Simulator:
                         observer.on_node_up(now, event.node)
                 elif event.event_type is EventType.SCHEDULER_WAKEUP:
                     is_wakeup = True
-            events = self._queue.pop_until(now) if self._streaming else []
+            events = self._queue.pop_until(now)
         return submitted, completed, is_wakeup
 
     def _complete_job(self, job: Job) -> None:
@@ -1073,7 +987,7 @@ class Simulator:
         job.completion_time = self._now
         job.assignment = None
         job.current_yield = 0.0
-        self._deactivate(job.job_id)
+        self._evict(job.job_id)
         self._last_completion = max(self._last_completion, self._now)
         record = JobRecord(
             spec=job.spec,
@@ -1109,17 +1023,6 @@ class Simulator:
                 )
         else:
             self._records.append(record)
-        if self._streaming:
-            # Evict the finished job from every per-job table so streaming
-            # runs keep O(active jobs) state resident.  Safe: schedulers only
-            # see active jobs, stale completion-heap entries are discarded
-            # before their version is consulted, and the record above already
-            # captured everything the results need.
-            job_id = job.job_id
-            del self._jobs[job_id]
-            del self._arrived[job_id]
-            self._seq.pop(job_id, None)
-            self._alloc_version.pop(job_id, None)
         for observer in self._observers:
             observer.on_job_completed(self._now, job.spec)
 
@@ -1129,10 +1032,7 @@ class Simulator:
     ) -> SchedulingContext:
         clairvoyant = bool(getattr(self.scheduler, "requires_runtime_estimates", False))
         views: Dict[int, JobView] = {}
-        for job in self._iter_jobs():
-            job_id = job.job_id
-            if not self._arrived[job_id] or not job.is_active():
-                continue
+        for job_id, job in self._active.items():
             views[job_id] = JobView(
                 job_id=job_id,
                 num_tasks=job.spec.num_tasks,
@@ -1213,11 +1113,6 @@ class Simulator:
             self.cluster.usage(self._down_nodes) if self._down_nodes else None
         )
         validate_decision(decision, specs, self.cluster, usage=usage)
-        for job_id in decision.running:
-            if self._jobs[job_id].state is JobState.COMPLETED:
-                raise SimulationError(
-                    f"scheduler allocated resources to completed job {job_id}"
-                )
         return decision
 
     def _charge_overhead(self, event: str, job: Job) -> None:
@@ -1245,10 +1140,7 @@ class Simulator:
 
     def _apply_decision(self, decision: AllocationDecision) -> None:
         penalty = self.config.penalty_model
-        for job in self._iter_jobs():
-            job_id = job.job_id
-            if not self._arrived[job_id] or not job.is_active():
-                continue
+        for job_id, job in self._active.items():
             new_alloc = decision.running.get(job_id)
             if job.state is JobState.RUNNING:
                 assert job.assignment is not None

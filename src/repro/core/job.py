@@ -177,10 +177,6 @@ class Job:
         """Time elapsed since submission (paper: "flow time")."""
         return max(0.0, now - self.spec.submit_time)
 
-    def is_active(self) -> bool:
-        """True while the job still has work to perform."""
-        return self.state in (JobState.PENDING, JobState.RUNNING, JobState.PAUSED)
-
     def predicted_completion(self, now: float) -> float:
         """Completion instant under the current allocation, or ``+inf``.
 

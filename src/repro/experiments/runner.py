@@ -55,8 +55,8 @@ def resolve_simulation_config(
     """Engine configuration for one run.
 
     An explicit ``simulation_config`` wins wholesale (its own penalty model
-    included) so per-scenario engine options such as ``legacy_event_loop``
-    reach single-run paths; otherwise a default configuration carrying
+    included) so per-scenario engine options such as
+    ``record_scheduler_times`` reach single-run paths; otherwise a default configuration carrying
     ``penalty_seconds`` is built.
     """
     if simulation_config is not None:

@@ -208,7 +208,7 @@ class TestDictRoundTrip:
     def test_scenario_round_trips_through_dict(self):
         scenario = tiny_scenario(
             collectors=("stretch", {"name": "utilization", "options": {"busy_watts": 250.0}}),
-            legacy_event_loop=True,
+            record_scheduler_times=False,
         )
         rebuilt = scenario_from_dict(scenario.to_dict())
         assert rebuilt == scenario
@@ -240,6 +240,16 @@ class TestDictRoundTrip:
         with pytest.raises(ConfigurationError):
             scenario_from_dict(payload)
 
+    def test_removed_legacy_event_loop_accepts_false_rejects_true(self):
+        # The constant stays in the engine block so hashes written before
+        # PR 12 (which removed the loop) are unchanged; only `true` is gone.
+        payload = tiny_scenario().to_dict()
+        assert payload["engine"]["legacy_event_loop"] is False
+        assert scenario_from_dict(payload) == tiny_scenario()
+        payload["engine"]["legacy_event_loop"] = True
+        with pytest.raises(ConfigurationError, match="removed in PR 12"):
+            scenario_from_dict(payload)
+
     def test_repack_on_failure_round_trips(self):
         scenario = tiny_scenario(repack_on_failure=True)
         payload = scenario.to_dict()
@@ -264,6 +274,11 @@ class TestDictRoundTrip:
 
 
 class TestHash:
+    def test_hash_is_pinned_across_releases(self):
+        # Literal from commit 461bd72: cache keys and artifact names of
+        # existing campaigns must survive engine-option removals.
+        assert scenario_hash(tiny_scenario()) == "72794392a31e4e88"
+
     def test_hash_is_16_hex_chars(self):
         digest = scenario_hash(tiny_scenario())
         assert len(digest) == 16
@@ -275,9 +290,6 @@ class TestHash:
         )
         assert scenario_hash(tiny_scenario()) != scenario_hash(
             tiny_scenario(algorithms=("fcfs",))
-        )
-        assert scenario_hash(tiny_scenario()) != scenario_hash(
-            tiny_scenario(legacy_event_loop=True)
         )
         assert scenario_hash(tiny_scenario()) != scenario_hash(
             tiny_scenario(repack_on_failure=True)

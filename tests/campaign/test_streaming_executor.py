@@ -151,11 +151,6 @@ class TestStreamingExecution:
         assert len(outcome.rows) == 2
         assert all(row.instance_index >= 0 for row in outcome.rows)
 
-    def test_legacy_event_loop_rejected_up_front(self):
-        scenario = _scenario(legacy_event_loop=True)
-        with pytest.raises(ConfigurationError, match="legacy_event_loop"):
-            Campaign(streaming=True).run(scenario)
-
     def test_worst_job_id_is_the_exact_max(self):
         scenario = _scenario()
         streamed = Campaign(streaming=True).run(scenario)

@@ -12,7 +12,7 @@ from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.core.job import JobState
 from repro.core.penalties import ReschedulingPenaltyModel
-from repro.exceptions import SimulationError
+from repro.exceptions import AllocationError, SimulationError
 from repro.schedulers.base import Scheduler
 
 from ..conftest import make_job
@@ -166,7 +166,9 @@ class TestSchedulerInteraction:
             return decision
 
         jobs = [make_job(0, runtime=10.0), make_job(1, submit=100.0, runtime=10.0)]
-        with pytest.raises(Exception):
+        # Finished jobs leave the context, so decision validation is what
+        # catches this (the engine has no second check of its own).
+        with pytest.raises(AllocationError, match="unknown job 0"):
             run_everything_once(stubborn, jobs)
 
     def test_clairvoyant_flag_controls_runtime_estimates(self):
@@ -327,6 +329,19 @@ class TestGuards:
             [make_job(0, tasks=4, cpu=1.0, mem=0.4, runtime=100.0)]
         )
         assert result.jobs[0].completion_time == pytest.approx(200.0)
+
+
+class TestOnlineCancel:
+    def test_cancelling_a_queued_submission_twice_reports_once(self):
+        simulator = Simulator(Cluster(num_nodes=2), ScriptedScheduler(always_run_alone))
+        simulator.online_begin(0.0)
+        simulator.online_submit(make_job(0, submit=50.0, runtime=10.0))
+        assert simulator.online_cancel(0) is True
+        # Still queued until its event surfaces, but already withdrawn.
+        assert simulator.online_cancel(0) is False
+        assert simulator.online_step() == 50.0
+        assert simulator.online_cancel(0) is False
+        assert simulator.online_finalize().jobs == []
 
 
 class TestIdleAccounting:

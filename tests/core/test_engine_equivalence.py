@@ -1,18 +1,21 @@
-"""Equivalence of the O(active)-event-loop engine and the legacy full scan.
+"""Equivalence of the engine's event loop and the seed's full-scan loop.
 
-The refactored engine (active-job table + lazily invalidated completion-time
-min-heap + busy-node refcounts) must be *byte-identical* to the seed
-semantics, which are preserved verbatim behind
-``SimulationConfig(legacy_event_loop=True)``.  These property-style tests
-run both modes over seeded Lublin traces under the paper's algorithm
-families and compare every externally observable quantity without any
-tolerance; further cases exercise the lazy heap invalidation on migration
-and preemption directly.
+The engine (active-job table + lazily invalidated completion-time min-heap +
+busy-node refcounts) must be *byte-identical* to the seed semantics.  The
+seed's full-dictionary-scan loop lived on behind
+``SimulationConfig(legacy_event_loop=True)`` until PR 12 removed it; its
+outputs over seeded Lublin traces under all nine paper algorithms were
+frozen, at commit 461bd72, in ``golden/engine_reference.json``.  The single
+remaining loop is held to that file without any tolerance; further cases
+exercise the lazy heap invalidation on migration and preemption directly.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,24 +25,42 @@ from repro.core.engine import SimulationConfig, Simulator
 from repro.core.job import JobState
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.schedulers.base import Scheduler
-from repro.schedulers.registry import create_scheduler
+from repro.schedulers.registry import (
+    BATCH_ALGORITHMS,
+    PAPER_ALGORITHMS,
+    create_scheduler,
+)
 from repro.workloads.lublin import LublinWorkloadGenerator
 
 from ..conftest import make_job
 
-#: (algorithm, cluster nodes, trace length) — DFRS schedulers are far more
-#: expensive per event than the batch ones, so they get smaller traces to
-#: keep the tier-1 suite fast.
-ALGORITHM_SCALES = [
-    ("fcfs", 32, 120),
-    ("easy", 32, 120),
-    ("greedy", 16, 60),
-    ("dynmcb8-asap-per-600", 16, 60),
+#: sha256 of each case's canonical fingerprint, produced by the removed
+#: reference loop.  There is deliberately no regeneration script: the fast
+#: loop is not its own reference.
+REFERENCE = json.loads(
+    (Path(__file__).parent / "golden" / "engine_reference.json").read_text(
+        encoding="utf-8"
+    )
+)["cases"]
+
+#: (algorithm, cluster nodes, trace length, seed, penalty seconds) — DFRS
+#: schedulers are far more expensive per event than the batch ones, so they
+#: get smaller traces to keep the tier-1 suite fast.
+REFERENCE_CASES = [
+    (algorithm, nodes, num_jobs, seed, 300.0)
+    for algorithm in PAPER_ALGORITHMS
+    for nodes, num_jobs in [(32, 120) if algorithm in BATCH_ALGORITHMS else (16, 60)]
+    for seed in (11, 42)
+] + [
+    ("easy", 16, 50, 7, 0.0),
+    ("dynmcb8-asap-per-600", 16, 50, 7, 0.0),
+    ("greedy", 16, 60, 3, 300.0),
 ]
 
 
 def _fingerprint(result):
-    """Every externally observable field of a SimulationResult, exactly."""
+    """Every externally observable field of a SimulationResult, exactly
+    (never the wall-clock ``scheduler_times``)."""
     return (
         result.algorithm,
         result.makespan,
@@ -64,55 +85,20 @@ def _fingerprint(result):
     )
 
 
-def _simulate(workload, algorithm, *, legacy, penalty=300.0):
+@pytest.mark.parametrize("algorithm,nodes,num_jobs,seed,penalty", REFERENCE_CASES)
+def test_byte_identical_to_reference_loop(algorithm, nodes, num_jobs, seed, penalty):
+    cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
+    workload = LublinWorkloadGenerator(cluster).generate(num_jobs, seed=seed)
     simulator = Simulator(
-        workload.cluster,
+        cluster,
         create_scheduler(algorithm),
-        SimulationConfig(
-            penalty_model=ReschedulingPenaltyModel(penalty),
-            legacy_event_loop=legacy,
-        ),
+        SimulationConfig(penalty_model=ReschedulingPenaltyModel(penalty)),
     )
-    return simulator.run(workload.jobs)
-
-
-class TestLegacyFastEquivalence:
-    @pytest.mark.parametrize("algorithm,nodes,num_jobs", ALGORITHM_SCALES)
-    @pytest.mark.parametrize("seed", [11, 42])
-    def test_byte_identical_on_lublin_traces(self, algorithm, nodes, num_jobs, seed):
-        cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
-        workload = LublinWorkloadGenerator(cluster).generate(num_jobs, seed=seed)
-        legacy = _simulate(workload, algorithm, legacy=True)
-        fast = _simulate(workload, algorithm, legacy=False)
-        assert _fingerprint(fast) == _fingerprint(legacy)
-
-    @pytest.mark.parametrize("algorithm", ["easy", "dynmcb8-asap-per-600"])
-    def test_byte_identical_without_penalty(self, algorithm):
-        cluster = Cluster(num_nodes=16, cores_per_node=4, node_memory_gb=8.0)
-        workload = LublinWorkloadGenerator(cluster).generate(50, seed=7)
-        legacy = _simulate(workload, algorithm, legacy=True, penalty=0.0)
-        fast = _simulate(workload, algorithm, legacy=False, penalty=0.0)
-        assert _fingerprint(fast) == _fingerprint(legacy)
-
-    def test_byte_identical_on_unsorted_submissions(self):
-        """The sorted-spec fast path must not be assumed: out-of-order
-        submit times fall back to explicit spec-order iteration."""
-        jobs = [
-            make_job(0, submit=50.0, runtime=80.0, mem=0.2),
-            make_job(1, submit=0.0, runtime=120.0, mem=0.2),
-            make_job(2, submit=25.0, runtime=60.0, mem=0.2),
-            make_job(3, submit=0.0, runtime=40.0, mem=0.2),
-        ]
-        results = {}
-        for legacy in (True, False):
-            cluster = Cluster(num_nodes=4, cores_per_node=4, node_memory_gb=8.0)
-            simulator = Simulator(
-                cluster,
-                create_scheduler("fcfs"),
-                SimulationConfig(legacy_event_loop=legacy),
-            )
-            results[legacy] = simulator.run(jobs)
-        assert _fingerprint(results[False]) == _fingerprint(results[True])
+    canonical = json.dumps(
+        _fingerprint(simulator.run(workload.jobs)), separators=(",", ":")
+    )
+    key = f"{algorithm}/nodes{nodes}/jobs{num_jobs}/seed{seed}/penalty{penalty:g}"
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == REFERENCE[key]
 
 
 class ScriptedScheduler(Scheduler):
@@ -223,13 +209,6 @@ class TestLazyHeapInvalidation:
 
 
 class TestIncrementalBusyNodes:
-    def test_idle_node_seconds_matches_legacy(self):
-        cluster = Cluster(num_nodes=16, cores_per_node=4, node_memory_gb=8.0)
-        workload = LublinWorkloadGenerator(cluster).generate(60, seed=3)
-        legacy = _simulate(workload, "greedy", legacy=True)
-        fast = _simulate(workload, "greedy", legacy=False)
-        assert fast.idle_node_seconds == legacy.idle_node_seconds
-
     def test_refcounts_drain_to_zero(self):
         def run_all(context):
             decision = AllocationDecision()

@@ -1,8 +1,8 @@
 """Satellite regression: ``run_algorithm`` forwards a full SimulationConfig.
 
 The seed implementation hardcoded the engine configuration inside
-``run_algorithm``, so per-scenario engine options (``legacy_event_loop``,
-``record_scheduler_times``) could never reach single-run paths.  These tests
+``run_algorithm``, so per-scenario engine options
+(``record_scheduler_times``) could never reach single-run paths.  These tests
 pin the forwarding through ``run_algorithm``, ``run_instance``, and
 ``run_instances`` (serial and pooled), and through campaign scenarios.
 """
@@ -36,29 +36,17 @@ class TestResolveSimulationConfig:
     def test_default_builds_penalty_model(self):
         config = resolve_simulation_config(300.0)
         assert config.penalty_model == ReschedulingPenaltyModel(300.0)
-        assert not config.legacy_event_loop
+        assert config.record_scheduler_times
 
     def test_explicit_config_wins_wholesale(self):
         explicit = SimulationConfig(
-            penalty_model=ReschedulingPenaltyModel(42.0), legacy_event_loop=True
+            penalty_model=ReschedulingPenaltyModel(42.0),
+            record_scheduler_times=False,
         )
         assert resolve_simulation_config(300.0, explicit) is explicit
 
 
 class TestForwarding:
-    def test_legacy_event_loop_reaches_single_run(self, workload):
-        config = SimulationConfig(
-            penalty_model=ReschedulingPenaltyModel(300.0), legacy_event_loop=True
-        )
-        legacy = run_algorithm(
-            workload, "greedy-pmtn", simulation_config=config
-        )
-        modern = run_algorithm(workload, "greedy-pmtn", penalty_seconds=300.0)
-        # The two event loops must agree bit-for-bit (engine contract), which
-        # also proves the flag actually reached the engine on both paths.
-        assert legacy.max_stretch == modern.max_stretch
-        assert legacy.summary() == modern.summary()
-
     def test_record_scheduler_times_toggle_forwarded(self, workload):
         config = SimulationConfig(
             penalty_model=ReschedulingPenaltyModel(0.0),
@@ -92,21 +80,6 @@ class TestForwarding:
 
 
 class TestScenarioEngineOptions:
-    def test_scenario_legacy_event_loop_matches_modern(self):
-        common = dict(
-            source=LublinSource(num_traces=1, num_jobs=20, seed_base=5),
-            cluster=CLUSTER,
-            algorithms=("greedy-pmtn",),
-            penalty_seconds=300.0,
-        )
-        modern = Campaign().run(Scenario(name="modern", **common))
-        legacy = Campaign().run(
-            Scenario(name="legacy", legacy_event_loop=True, **common)
-        )
-        assert [row.metrics for row in legacy.rows] == [
-            row.metrics for row in modern.rows
-        ]
-
     def test_scenario_can_disable_scheduler_times(self):
         scenario = Scenario(
             name="no-times",

@@ -105,14 +105,6 @@ class TestMigratePolicy:
 
 
 class TestEngineGuards:
-    def test_legacy_loop_rejects_node_events(self):
-        config = SimulationConfig(
-            node_events=_trace((1.0, 0, "down")), legacy_event_loop=True
-        )
-        simulator = Simulator(Cluster(2), create_scheduler("greedy"), config)
-        with pytest.raises(SimulationError, match="legacy_event_loop"):
-            simulator.run([JobSpec(0, 0.0, 1, 0.5, 0.4, 10.0)])
-
     def test_migrate_policy_needs_a_resuming_scheduler(self):
         # Plain greedy (and the batch baselines) never resume paused jobs;
         # checkpointed failure victims would starve, so the run must fail

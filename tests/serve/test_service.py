@@ -132,14 +132,18 @@ class TestLiveLifecycle:
                 await service.submit(submit_time=0.0, **SATURATING)
             queued = await service.submit(submit_time=0.0, **SATURATING)
             cancelled = await service.cancel(queued["job_id"])
+            again = await service.cancel(queued["job_id"])
             missing = await service.cancel(999)
             status = await service.status(queued["job_id"])
             await service.drain()
             await service.shutdown()
-            return cancelled, missing, status, service
+            return cancelled, again, missing, status, service
 
-        cancelled, missing, status, service = asyncio.run(scenario())
+        cancelled, again, missing, status, service = asyncio.run(scenario())
         assert cancelled == {"job_id": 2, "cancelled": True}
+        # The submission is still queued in the engine; a second cancel must
+        # not be counted (or trimmed from the ledger) twice.
+        assert again == {"job_id": 2, "cancelled": False}
         assert missing == {"job_id": 999, "cancelled": False}
         assert status["state"] == "cancelled"
         assert service.metrics.cancelled == 1

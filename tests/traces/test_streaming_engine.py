@@ -1,7 +1,9 @@
-"""Streaming intake of the simulation engine: byte-identical results and
-O(active jobs) resident state."""
+"""Streaming intake of the simulation engine: ``run`` is ``run_stream`` of the
+arrival-ordered workload, and resident state is O(active jobs)."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -38,57 +40,35 @@ def _results_identical(a, b):
     assert a.scheduler_job_counts == b.scheduler_job_counts
 
 
-@pytest.mark.parametrize(
-    "algorithm,num_jobs",
-    [
-        ("easy", 150),
-        ("fcfs", 150),
-        ("greedy-pmtn", 150),
-        # MCB8 vector packing is costly per event; a shorter trace keeps the
-        # equivalence check meaningful without dominating the tier-1 run.
-        ("dynmcb8-stretch-per-600", 60),
-    ],
-)
-def test_streaming_results_byte_identical(algorithm, num_jobs):
-    workload = _workload(num_jobs=num_jobs)
-    materialized = Simulator(CLUSTER, create_scheduler(algorithm), CONFIG).run(
-        workload.jobs
-    )
-    streaming = Simulator(CLUSTER, create_scheduler(algorithm), CONFIG)
-    result = streaming.run_stream(iter(workload.jobs))
-    _results_identical(materialized, result)
-
-
-def test_streaming_from_generator_source():
+def test_run_of_shuffled_list_equals_run_stream_of_generator():
+    """``run`` owes nothing to the order of its list: it sorts by submit time
+    and streams, so a shuffled materialized trace and the lazily generated
+    one give identical results (spec order used to leak into the
+    scheduler-visible job order)."""
     source = DiurnalPoissonTraceSource(
         num_jobs=200, seed=5, mean_interarrival_seconds=900.0
     )
-    materialized = Simulator(CLUSTER, create_scheduler("easy"), CONFIG).run(
-        source.materialize(CLUSTER).jobs
+    shuffled = list(source.materialize(CLUSTER).jobs)
+    random.Random(0).shuffle(shuffled)
+    materialized = Simulator(CLUSTER, create_scheduler("greedy-pmtn"), CONFIG).run(
+        shuffled
     )
-    simulator = Simulator(CLUSTER, create_scheduler("easy"), CONFIG)
+    simulator = Simulator(CLUSTER, create_scheduler("greedy-pmtn"), CONFIG)
     result = simulator.run_stream(source.jobs(CLUSTER))
     _results_identical(materialized, result)
 
 
-def test_peak_resident_jobs_is_bounded():
+@pytest.mark.parametrize("driver", ["run", "run_stream"])
+def test_peak_resident_jobs_is_bounded(driver):
     workload = _workload(num_jobs=300)
-    materialized = Simulator(CLUSTER, create_scheduler("easy"), CONFIG)
-    materialized.run(workload.jobs)
-    assert materialized.peak_resident_jobs == 300
-
-    streaming = Simulator(CLUSTER, create_scheduler("easy"), CONFIG)
-    streaming.run_stream(iter(workload.jobs))
+    simulator = Simulator(CLUSTER, create_scheduler("easy"), CONFIG)
+    if driver == "run":
+        simulator.run(workload.jobs)
+    else:
+        simulator.run_stream(iter(workload.jobs))
     # Lazy admission + completion eviction: resident state tracks the number
     # of concurrently active jobs, not the trace length.
-    assert streaming.peak_resident_jobs < 300
-
-
-def test_streaming_rejects_legacy_event_loop():
-    config = SimulationConfig(legacy_event_loop=True)
-    simulator = Simulator(CLUSTER, create_scheduler("easy"), config)
-    with pytest.raises(SimulationError, match="legacy"):
-        simulator.run_stream(iter(_workload(num_jobs=5).jobs))
+    assert simulator.peak_resident_jobs < 300
 
 
 def test_streaming_rejects_empty_stream():
