@@ -24,13 +24,13 @@ byte-identical.
 mutable tally used by the engine and the schedulers to validate and construct
 allocations.  A usage tally may additionally mark nodes *unavailable* (down
 under a :mod:`repro.platform` failure trace): unavailable nodes refuse
-placements and drop out of the load-ordered candidate list.
+placements and are never candidates for the least-loaded node choice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,8 +182,8 @@ class Cluster:
         """Return a fresh, empty usage tally for this cluster.
 
         ``unavailable`` marks nodes that are currently down (see
-        :mod:`repro.platform`): they refuse placements and drop out of the
-        candidate orderings.
+        :mod:`repro.platform`): they refuse placements and are never
+        placement candidates.
         """
         return ClusterUsage(self, unavailable)
 
@@ -313,21 +313,59 @@ class ClusterUsage:
         """Copy of the per-node allocated CPU fraction vector."""
         return self._cpu_alloc.copy()
 
-    # -- mutation -------------------------------------------------------------
-    def can_fit_memory(self, node: int, mem_requirement: float) -> bool:
-        """True if a task of the given memory requirement fits on ``node``.
+    # -- placement queries ---------------------------------------------------
+    def _memory_fits(self, memory: np.ndarray, mem_requirement: float) -> np.ndarray:
+        """Mask of available nodes whose ``memory`` leaves room for one task.
 
-        Down nodes never fit anything.
+        The elementwise float64 ``+`` and ``<=`` are the very operations
+        :meth:`add_task` checks per node, so the mask and the checked commit
+        can never disagree.
         """
-        if self._down is not None and node in self._down:
-            return False
-        if self._mem_cap is None:
-            return self._memory[node] + mem_requirement <= 1.0 + CAPACITY_EPSILON
-        return (
-            self._memory[node] + mem_requirement
-            <= self._mem_cap[node] + CAPACITY_EPSILON
-        )
+        limit = 1.0 if self._mem_cap is None else self._mem_cap
+        fits = memory + mem_requirement <= limit + CAPACITY_EPSILON
+        if self._down is not None:
+            fits[sorted(self._down)] = False
+        return fits
 
+    def least_loaded_fitting(self, mem_requirement: float) -> int:
+        """Least CPU-loaded available node with room for one task, else ``-1``.
+
+        Ties go to the lowest node index.  On heterogeneous clusters the key
+        is the *speed-normalised* load (``load / cpu_capacity``), so a fast
+        node half as loaded per unit of capacity wins over a slow node — the
+        natural generalisation of the paper's least-loaded rule — and memory
+        is checked against each node's own capacity.  Down nodes never fit
+        anything.
+        """
+        fits = self._memory_fits(self._memory, mem_requirement)
+        keys = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
+        node = int(np.where(fits, keys, np.inf).argmin())
+        return node if fits[node] else -1
+
+    def memory_slots(self, mem_requirement: float, limit: int) -> int:
+        """How many tasks of ``mem_requirement`` the available nodes can
+        still take, counted up to ``limit``.
+
+        Whether a job fits depends on memory alone (CPU load only orders the
+        candidates), so this answers "would placing ``limit`` tasks succeed?"
+        without placing anything.  Slots are counted with the same sequential
+        float additions a real placement performs on each node, which keeps
+        the answer exact at the capacity boundary.
+        """
+        memory = self._memory.copy()
+        count = 0
+        while count < limit:
+            fits = self._memory_fits(memory, mem_requirement)
+            fitting = int(np.count_nonzero(fits))
+            if not fitting:
+                break
+            if mem_requirement <= 0.0:
+                return limit
+            count += fitting
+            memory[fits] += mem_requirement
+        return min(count, limit)
+
+    # -- mutation -------------------------------------------------------------
     def add_task(
         self,
         node: int,
@@ -406,29 +444,16 @@ class ClusterUsage:
                 self.remove_task(node, cpu_need, mem_requirement, yield_value)
             raise
 
-    def nodes_by_cpu_load(self) -> List[int]:
-        """Available node indices sorted by increasing CPU load, ties by index.
-
-        On heterogeneous clusters the sort key is the *speed-normalised* load
-        (``load / cpu_capacity``), so a fast node half as loaded per unit of
-        capacity sorts ahead of a slow node — the natural generalisation of
-        the paper's least-loaded rule.  Down nodes are excluded.
-        """
-        if self._cpu_cap is None:
-            keys = self._cpu_load
-        else:
-            keys = self._cpu_load / self._cpu_cap
-        order = np.lexsort((np.arange(self.cluster.num_nodes), keys))
-        if self._down is None:
-            return [int(i) for i in order]
-        return [int(i) for i in order if int(i) not in self._down]
-
     def snapshot(self) -> "ClusterUsage":
         """Deep copy of this usage tally."""
         clone = ClusterUsage(self.cluster)
-        clone._cpu_alloc[:] = self._cpu_alloc
-        clone._cpu_load[:] = self._cpu_load
-        clone._memory[:] = self._memory
-        clone._tasks[:] = self._tasks
-        clone._down = self._down
+        clone.copy_from(self)
         return clone
+
+    def copy_from(self, other: "ClusterUsage") -> None:
+        """Overwrite this tally with ``other``'s (same cluster) in place."""
+        self._cpu_alloc[:] = other._cpu_alloc
+        self._cpu_load[:] = other._cpu_load
+        self._memory[:] = other._memory
+        self._tasks[:] = other._tasks
+        self._down = other._down

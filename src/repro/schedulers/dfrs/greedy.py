@@ -69,6 +69,14 @@ class GreedyScheduler(Scheduler):
         self._retry_counts.pop(job_id, None)
         self._retry_times.pop(job_id, None)
 
+    def _drop_departed(self, context: SchedulingContext) -> None:
+        """Forget the back-off of jobs that left while postponed (cancelled)."""
+        departed = [
+            job_id for job_id in self._retry_counts if job_id not in context.jobs
+        ]
+        for job_id in departed:
+            self._forget(job_id)
+
     def _finalize(
         self,
         placements: Dict[int, Tuple[int, ...]],
@@ -85,6 +93,7 @@ class GreedyScheduler(Scheduler):
 
     # -- policy ----------------------------------------------------------------
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        self._drop_departed(context)
         decision = AllocationDecision()
         placements: Dict[int, Tuple[int, ...]] = {
             view.job_id: view.assignment  # type: ignore[misc]

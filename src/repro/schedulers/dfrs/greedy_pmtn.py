@@ -22,7 +22,7 @@ from ...core.allocation import AllocationDecision
 from ...core.cluster import ClusterUsage
 from ...core.context import JobView, SchedulingContext
 from .greedy import GreedyScheduler
-from .placement import greedy_place_job
+from .placement import can_place_job, greedy_place_job, usage_from_placements
 from .priority import sort_by_decreasing_priority, sort_by_increasing_priority
 
 __all__ = ["GreedyPmtnScheduler", "GreedyPmtnMigrScheduler"]
@@ -38,12 +38,16 @@ class GreedyPmtnScheduler(GreedyScheduler):
     resume_within_event = False
 
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        self._drop_departed(context)
         decision = AllocationDecision()
         placements: Dict[int, Tuple[int, ...]] = {
             view.job_id: view.assignment  # type: ignore[misc]
             for view in context.running_jobs()
         }
-        usage = self._usage_of(placements, context)
+        usage = usage_from_placements(
+            placements, context.jobs, context.cluster,
+            unavailable=context.down_nodes,
+        )
         #: Jobs that were running before this event (eligible for pausing).
         previously_running: Set[int] = set(placements)
         paused_now: List[JobView] = []
@@ -71,18 +75,6 @@ class GreedyPmtnScheduler(GreedyScheduler):
         return self._finalize(placements, context, decision)
 
     # -- internals ---------------------------------------------------------
-    def _usage_of(
-        self, placements: Dict[int, Tuple[int, ...]], context: SchedulingContext
-    ) -> ClusterUsage:
-        usage = context.scratch_usage()
-        for job_id, nodes in placements.items():
-            view = context.jobs[job_id]
-            for node in nodes:
-                usage.add_task(
-                    node, view.cpu_need, view.mem_requirement, 0.0, check=False
-                )
-        return usage
-
     def _remove_from_usage(
         self, view: JobView, nodes: Tuple[int, ...], usage: ClusterUsage
     ) -> None:
@@ -127,8 +119,7 @@ class GreedyPmtnScheduler(GreedyScheduler):
         for candidate in sort_by_increasing_priority(pausable):
             self._remove_from_usage(candidate, placements[candidate.job_id], scratch)
             marked.append(candidate)
-            probe = scratch.snapshot()
-            if greedy_place_job(view, probe) is not None:
+            if can_place_job(view, scratch):
                 feasible = True
                 break
         if not feasible:
@@ -136,14 +127,14 @@ class GreedyPmtnScheduler(GreedyScheduler):
 
         # Second pass: keep running any marked job whose presence still lets
         # the incoming job start, most deserving first.
-        kept: List[JobView] = []
+        kept: Set[int] = set()
         for candidate in sort_by_decreasing_priority(marked):
             probe = scratch.snapshot()
             self._add_to_usage(candidate, placements[candidate.job_id], probe)
-            if greedy_place_job(view, probe.snapshot()) is not None:
-                self._add_to_usage(candidate, placements[candidate.job_id], scratch)
-                kept.append(candidate)
-        to_pause = [c for c in marked if c not in kept]
+            if can_place_job(view, probe):
+                scratch = probe
+                kept.add(candidate.job_id)
+        to_pause = [c for c in marked if c.job_id not in kept]
 
         for candidate in to_pause:
             del placements[candidate.job_id]
@@ -154,16 +145,8 @@ class GreedyPmtnScheduler(GreedyScheduler):
             return False
         placements[view.job_id] = tuple(nodes)
         # Adopt the scratch tally (it reflects pauses and the new placement).
-        self._copy_usage(scratch, usage)
+        usage.copy_from(scratch)
         return True
-
-    @staticmethod
-    def _copy_usage(source: ClusterUsage, target: ClusterUsage) -> None:
-        target._cpu_alloc[:] = source._cpu_alloc
-        target._cpu_load[:] = source._cpu_load
-        target._memory[:] = source._memory
-        target._tasks[:] = source._tasks
-        target._down = source._down
 
 
 class GreedyPmtnMigrScheduler(GreedyPmtnScheduler):

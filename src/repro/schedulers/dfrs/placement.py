@@ -6,11 +6,15 @@ chosen.  A node whose remaining memory can no longer host another task drops
 out of consideration automatically.  The helper operates on a scratch
 :class:`~repro.core.cluster.ClusterUsage` so callers can chain placements of
 several jobs and roll back on failure.
+
+Cost: each task is a handful of O(nodes) vector operations inside
+:meth:`ClusterUsage.least_loaded_fitting` (no per-node Python work); the
+"would it fit?" question of :func:`can_place_job` looks at memory only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from ...core.cluster import ClusterUsage
 from ...core.context import JobView
@@ -23,36 +27,37 @@ def greedy_place_job(view: JobView, usage: ClusterUsage) -> Optional[List[int]]:
 
     On success the placement is committed to ``usage`` (CPU load and memory
     are updated; no CPU fraction is reserved since yields are decided later)
-    and the list of node indices is returned.  On failure ``usage`` is left
-    untouched and ``None`` is returned.
+    and the list of node indices is returned.  On failure the tasks placed so
+    far are removed again and ``None`` is returned.
 
     Capacity and availability awareness live entirely in the usage tally:
-    ``nodes_by_cpu_load`` orders candidates by speed-normalised load and
-    skips down nodes, and ``can_fit_memory`` checks against each node's own
-    memory capacity — on a homogeneous, fully-up cluster both reduce to the
-    paper's original rule exactly.
+    ``least_loaded_fitting`` compares speed-normalised loads, checks memory
+    against each node's own capacity and never returns a down node — on a
+    homogeneous, fully-up cluster it is the paper's original rule exactly.
     """
     placed: List[int] = []
     for _ in range(view.num_tasks):
-        candidates = [
-            node
-            for node in usage.nodes_by_cpu_load()
-            if usage.can_fit_memory(node, view.mem_requirement)
-        ]
-        if not candidates:
+        node = usage.least_loaded_fitting(view.mem_requirement)
+        if node < 0:
+            # Task-by-task removal, not a restore: later tie-breaks see the
+            # (a + b) - b rounding this leaves, and the pinned placement logs
+            # were produced with it.
             for node in placed:
                 usage.remove_task(node, view.cpu_need, view.mem_requirement, 0.0)
             return None
-        node = candidates[0]
         usage.add_task(node, view.cpu_need, view.mem_requirement, 0.0)
         placed.append(node)
     return placed
 
 
 def can_place_job(view: JobView, usage: ClusterUsage) -> bool:
-    """True if :func:`greedy_place_job` would succeed (without committing)."""
-    scratch = usage.snapshot()
-    return greedy_place_job(view, scratch) is not None
+    """True if :func:`greedy_place_job` would succeed; ``usage`` is not touched.
+
+    Greedy placement fails only when no available node has room for the next
+    task, so it succeeds exactly when the available nodes hold at least
+    ``num_tasks`` memory slots — CPU load decides *where*, never *whether*.
+    """
+    return usage.memory_slots(view.mem_requirement, view.num_tasks) >= view.num_tasks
 
 
 def usage_from_placements(

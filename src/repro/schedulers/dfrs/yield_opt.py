@@ -10,7 +10,8 @@ Two steps are composed by every DFRS algorithm except DYNMCB8-STRETCH-PER
 2. :func:`improve_average_yield` — repeatedly pick, among the jobs whose
    nodes all have spare CPU capacity, the one with the smallest total CPU
    need (best improvement of the average yield per unit of CPU consumed) and
-   raise its yield as much as possible.  This never decreases any yield.
+   raise its yield as much as possible.  This never decreases any yield, so
+   it is a single pass over the jobs in increasing total CPU need.
 
 Placements are expressed as a mapping ``job_id -> tuple of node indices`` and
 job characteristics are read from :class:`~repro.core.context.JobView`
@@ -20,7 +21,7 @@ hypothetical packings.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -85,9 +86,10 @@ def improve_average_yield(
 
     # Allocated CPU fraction per node under the current yields, and each
     # node's CPU capacity (the literal 1.0 of the paper's model on
-    # homogeneous clusters; the per-node vector otherwise).
-    allocated = np.zeros(cluster.num_nodes, dtype=float)
-    capacity = cluster.cpu_capacity_vector()
+    # homogeneous clusters; the per-node vector otherwise).  Plain Python
+    # floats: the same IEEE doubles as numpy's, without the scalar boxing.
+    allocated = [0.0] * cluster.num_nodes
+    capacity = cluster.cpu_capacity_vector().tolist()
     tasks_per_node: Dict[int, Dict[int, int]] = {}
     for job_id, nodes in placements.items():
         need = jobs[job_id].cpu_need
@@ -98,39 +100,30 @@ def improve_average_yield(
         for node, count in counts.items():
             allocated[node] += count * need * improved[job_id]
 
-    while True:
-        best_job = None
-        best_need = float("inf")
-        for job_id, nodes in placements.items():
-            if improved[job_id] >= 1.0 - 1e-9:
+    # Allocations and yields only grow, so a job that cannot be raised now
+    # never can be later, and a raised job ends saturated.  "Repeatedly pick
+    # the eligible job with the smallest total CPU need" is therefore one
+    # pass in that order; the stable sort keeps placement order among equals.
+    for job_id in sorted(placements, key=lambda job_id: jobs[job_id].total_cpu_need):
+        counts = tasks_per_node[job_id]
+        need = jobs[job_id].cpu_need
+        # Eligible: yield below 1 and spare CPU on every node hosting the job.
+        while improved[job_id] < 1.0 - 1e-9 and all(
+            allocated[node] < capacity[node] - CAPACITY_EPSILON for node in counts
+        ):
+            # Largest yield increase that keeps every hosting node within capacity.
+            delta = min(
+                (capacity[node] - allocated[node]) / (count * need)
+                for node, count in counts.items()
+            )
+            delta = min(delta, 1.0 - improved[job_id])
+            if delta <= 1e-9:
+                # Numerical corner: nudge the job towards saturation and retry.
+                improved[job_id] = min(1.0, improved[job_id] + 1e-9)
                 continue
-            counts = tasks_per_node[job_id]
-            # Every node hosting this job must have spare CPU capacity.
-            if all(
-                allocated[node] < capacity[node] - CAPACITY_EPSILON
-                for node in counts
-            ):
-                total_need = jobs[job_id].total_cpu_need
-                if total_need < best_need:
-                    best_need = total_need
-                    best_job = job_id
-        if best_job is None:
-            break
-        counts = tasks_per_node[best_job]
-        need = jobs[best_job].cpu_need
-        # Largest yield increase that keeps every hosting node within capacity.
-        delta = min(
-            (capacity[node] - allocated[node]) / (count * need)
-            for node, count in counts.items()
-        )
-        delta = min(delta, 1.0 - improved[best_job])
-        if delta <= 1e-9:
-            # Numerical corner: mark the job as saturated and continue.
-            improved[best_job] = min(1.0, improved[best_job] + 1e-9)
-            continue
-        improved[best_job] += delta
-        for node, count in counts.items():
-            allocated[node] += count * need * delta
+            improved[job_id] += delta
+            for node, count in counts.items():
+                allocated[node] += count * need * delta
     return improved
 
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
 from repro.exceptions import ConfigurationError, InfeasibleAllocationError
@@ -76,12 +77,18 @@ class TestClusterUsage:
         assert usage.memory_used(1) == pytest.approx(0.0)
         assert usage.task_count(1) == 0
 
-    def test_nodes_by_cpu_load_orders_ties_by_index(self, small_cluster):
+    def test_least_loaded_fitting_breaks_ties_by_index(self, small_cluster):
         usage = small_cluster.usage()
         usage.add_task(3, 0.5, 0.1, 1.0)
-        order = usage.nodes_by_cpu_load()
-        assert order[0] == 0
-        assert order[-1] == 3
+        assert usage.least_loaded_fitting(0.1) == 0
+        usage.add_task(0, 0.5, 0.1, 1.0)
+        assert usage.least_loaded_fitting(0.1) == 1
+        # The loaded nodes come last: 3 only once every other node is full.
+        for node in (1, 2, 4, 5, 6, 7):
+            usage.add_task(node, 0.1, 0.9, 0.0)
+        assert usage.least_loaded_fitting(0.2) == 0
+        usage.add_task(0, 0.1, 0.8, 0.0)
+        assert usage.least_loaded_fitting(0.2) == 3
 
     def test_snapshot_is_independent(self, small_cluster):
         usage = small_cluster.usage()
@@ -91,11 +98,38 @@ class TestClusterUsage:
         assert usage.task_count(0) == 1
         assert clone.task_count(0) == 2
 
-    def test_can_fit_memory(self, small_cluster):
+    def test_copy_from_adopts_the_other_tally(self, small_cluster):
+        source = small_cluster.usage(unavailable=(2,))
+        source.add_task(0, 0.5, 0.5, 0.8)
+        target = small_cluster.usage()
+        target.add_task(1, 0.1, 0.1, 1.0)
+        target.copy_from(source)
+        assert target.task_count(0) == 1 and target.task_count(1) == 0
+        assert target.cpu_allocated(0) == source.cpu_allocated(0)
+        assert target.unavailable_nodes() == frozenset({2})
+        source.add_task(0, 0.1, 0.1, 0.0)
+        assert target.task_count(0) == 1  # a copy, not an alias
+
+    def test_least_loaded_fitting_skips_full_nodes(self, small_cluster):
         usage = small_cluster.usage()
+        for node in range(1, small_cluster.num_nodes):
+            usage.add_task(node, 0.5, 0.1, 0.0)
         usage.add_task(0, 0.1, 0.95, 1.0)
-        assert not usage.can_fit_memory(0, 0.1)
-        assert usage.can_fit_memory(1, 0.1)
+        # Node 0 is the least loaded but has no room for 10% more memory.
+        assert usage.least_loaded_fitting(0.1) == 1
+        assert usage.least_loaded_fitting(0.05) == 0
+        assert usage.least_loaded_fitting(0.95) == -1
+
+    def test_memory_slots_counts_up_to_the_limit(self, small_cluster):
+        usage = small_cluster.usage(unavailable=(7,))
+        usage.add_task(0, 0.1, 0.95, 1.0)
+        # Six empty nodes take three 30% tasks each; node 0 and node 7 none.
+        assert usage.memory_slots(0.3, 100) == 18
+        assert usage.memory_slots(0.3, 5) == 5
+        assert usage.memory_slots(0.3, 0) == 0
+        assert usage.memory_slots(0.0, 100) == 100
+        assert usage.memory_slots(1.5, 1) == 0
+        assert usage.memory_used(1) == 0.0  # nothing was placed
 
     @given(
         placements=st.lists(
@@ -127,3 +161,76 @@ class TestClusterUsage:
             assert usage.task_count(node) == 0
             assert usage.memory_used(node) == pytest.approx(0.0, abs=1e-6)
             assert usage.cpu_allocated(node) == pytest.approx(0.0, abs=1e-6)
+
+
+def _reference_least_loaded_fitting(usage: ClusterUsage, mem_requirement: float) -> int:
+    """The rule ``least_loaded_fitting`` replaced: sort every node by
+    (load, index), drop down and full nodes one scalar check at a time, keep
+    the first."""
+    cluster = usage.cluster
+    keys = usage.cpu_load_vector()
+    if cluster.cpu_capacities is not None:
+        keys = keys / cluster.cpu_capacity_vector()
+    memory = usage.memory_vector()
+    for node in np.lexsort((np.arange(cluster.num_nodes), keys)):
+        if not usage.is_available(int(node)):
+            continue
+        limit = 1.0 if cluster.mem_capacities is None else usage.mem_capacity(int(node))
+        if memory[node] + mem_requirement <= limit + CAPACITY_EPSILON:
+            return int(node)
+    return -1
+
+
+#: A few loads only, so equal keys (ties) are the rule rather than the exception.
+_LOADS = st.sampled_from([0.0, 0.25, 0.5, 0.1 + 0.2, 0.3, 1.0])
+#: Distance from "exactly full" once the probed task is added.
+_EDGE_OFFSETS = st.sampled_from(
+    [-2e-6, -CAPACITY_EPSILON, -5e-7, 0.0, 5e-7, CAPACITY_EPSILON, 2e-6]
+)
+_CAPACITIES = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@st.composite
+def _usage_and_probe(draw):
+    """A loaded (possibly heterogeneous, partly or wholly down) tally and a
+    memory requirement that sits within ±epsilon of full on some nodes."""
+    num_nodes = draw(st.integers(min_value=1, max_value=8))
+    per_node = st.lists(_CAPACITIES, min_size=num_nodes, max_size=num_nodes)
+    cluster = Cluster(
+        num_nodes,
+        cpu_capacities=draw(st.none() | per_node),
+        mem_capacities=draw(st.none() | per_node),
+    )
+    down = draw(
+        st.sets(st.integers(min_value=0, max_value=num_nodes - 1))
+        | st.just(set(range(num_nodes)))
+    )
+    usage = cluster.usage(unavailable=down)
+    mem_requirement = draw(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5]))
+    for node in range(num_nodes):
+        load = draw(_LOADS)
+        if draw(st.booleans()):
+            # Leave this node within +-epsilon of exactly full for the probe.
+            memory = cluster.mem_capacity(node) - mem_requirement + draw(_EDGE_OFFSETS)
+        else:
+            memory = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+        usage.add_task(node, load, max(0.0, memory), 0.0, check=False)
+    return usage, mem_requirement
+
+
+class TestLeastLoadedFittingMatchesTheSortedScan:
+    @given(case=_usage_and_probe())
+    @settings(max_examples=300, deadline=None)
+    def test_same_node_as_lexsort_filter_first(self, case):
+        usage, mem_requirement = case
+        before = (usage.memory_vector(), usage.cpu_load_vector())
+        expected = _reference_least_loaded_fitting(usage, mem_requirement)
+        assert usage.least_loaded_fitting(mem_requirement) == expected
+        assert (usage.memory_vector() == before[0]).all()
+        assert (usage.cpu_load_vector() == before[1]).all()
+
+    def test_all_nodes_down_is_minus_one(self):
+        usage = Cluster(3).usage(unavailable=(0, 1, 2))
+        assert usage.least_loaded_fitting(0.0) == -1
+        assert _reference_least_loaded_fitting(usage, 0.0) == -1
+        assert usage.memory_slots(0.0, 4) == 0

@@ -47,14 +47,23 @@ class TestClusterCapacities:
     def test_usage_respects_memory_capacity(self):
         cluster = Cluster(2, mem_capacities=(1.0, 0.5))
         usage = cluster.usage()
-        assert usage.can_fit_memory(0, 0.8)
-        assert not usage.can_fit_memory(1, 0.8)
+        # Only node 0 is big enough for an 80% task; both take a 40% one.
+        assert usage.least_loaded_fitting(0.8) == 0
+        assert usage.memory_slots(0.8, 4) == 1
+        assert usage.memory_slots(0.4, 4) == 3
+        usage.add_task(0, 0.5, 0.1, 0.0)
+        assert usage.least_loaded_fitting(0.4) == 1
+        assert usage.least_loaded_fitting(0.8) == 0
         assert usage.memory_free(1) == 0.5
 
     def test_usage_unavailable_nodes(self):
         usage = Cluster(3).usage(unavailable=(1,))
-        assert not usage.can_fit_memory(1, 0.1)
-        assert usage.nodes_by_cpu_load() == [0, 2]
+        # Down node 1 is never chosen, however lightly loaded it is.
+        usage.add_task(0, 0.5, 0.1, 0.0)
+        assert usage.least_loaded_fitting(0.1) == 2
+        usage.add_task(2, 0.7, 0.1, 0.0)
+        assert usage.least_loaded_fitting(0.1) == 0
+        assert usage.memory_slots(0.5, 10) == 2
         snapshot = usage.snapshot()
         assert snapshot.unavailable_nodes() == frozenset({1})
 
@@ -64,8 +73,13 @@ class TestClusterCapacities:
         # Same absolute load, but node 0 is twice as fast: it sorts first.
         usage.add_task(0, 0.5, 0.1, 0.0, check=False)
         usage.add_task(1, 0.5, 0.1, 0.0, check=False)
-        assert usage.nodes_by_cpu_load() == [0, 1]
+        assert usage.least_loaded_fitting(0.1) == 0
         assert usage.max_cpu_load() == 0.5  # normalised by speed
+        # Node 0 stays ahead until its load per unit of speed passes node 1's.
+        usage.add_task(0, 0.4, 0.1, 0.0, check=False)
+        assert usage.least_loaded_fitting(0.1) == 0
+        usage.add_task(0, 0.2, 0.1, 0.0, check=False)
+        assert usage.least_loaded_fitting(0.1) == 1
 
 
 class TestHomogeneousPlatform:

@@ -64,6 +64,27 @@ class TestGreedy:
             last_delay = decision.wakeups[0] - ctx.time
         assert last_delay == pytest.approx(MAX_BACKOFF_SECONDS)
 
+    @pytest.mark.parametrize(
+        "scheduler_class", [GreedyScheduler, GreedyPmtnScheduler, GreedyPmtnMigrScheduler]
+    )
+    def test_backoff_of_a_job_that_left_is_dropped(self, scheduler_class):
+        """A postponed job that is cancelled never reaches ``_forget``."""
+        scheduler = scheduler_class()
+        cluster = Cluster(1)
+        scheduler.start(cluster, 0.0)
+        # Two 60% tasks never fit one node, with or without preemption.
+        too_wide = view(1, tasks=2, cpu=0.5, mem=0.6)
+        other = view(2, cpu=0.5, mem=0.1)
+        decision = scheduler.schedule(context([too_wide, other], cluster=cluster))
+        assert 1 not in decision.running
+        assert set(scheduler._retry_counts) == set(scheduler._retry_times) == {1}
+        running = view(
+            2, cpu=0.5, mem=0.1, state=JobState.RUNNING, assignment=(0,), current_yield=1.0
+        )
+        scheduler.schedule(context([running], cluster=cluster, time=1.0))
+        assert scheduler._retry_counts == {}
+        assert scheduler._retry_times == {}
+
     def test_never_preempts_running_jobs(self):
         scheduler = GreedyScheduler()
         cluster = Cluster(1)

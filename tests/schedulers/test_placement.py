@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import Cluster
 from repro.core.job import JobState
@@ -71,3 +72,67 @@ class TestGreedyPlacement:
         assert usage.cpu_load(0) == pytest.approx(1.5)
         assert usage.memory_used(0) == pytest.approx(0.4)
         assert usage.task_count(1) == 1
+
+
+@st.composite
+def _loaded_usage_and_job(draw):
+    """A partly filled (possibly heterogeneous, partly down) cluster and a job
+    whose tasks often fill the remaining memory exactly."""
+    num_nodes = draw(st.integers(min_value=1, max_value=6))
+    mem_capacities = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from([0.5, 1.0, 1.5]), min_size=num_nodes, max_size=num_nodes
+        )
+    )
+    cluster = Cluster(num_nodes, mem_capacities=mem_capacities)
+    down = draw(st.sets(st.integers(min_value=0, max_value=num_nodes - 1)))
+    usage = cluster.usage(unavailable=down)
+    fractions = st.sampled_from([0.0, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 1.0])
+    for node in range(num_nodes):
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            usage.add_task(
+                node, draw(st.sampled_from([0.25, 0.5, 1.0])), draw(fractions), 0.0,
+                check=False,
+            )
+    job = view(
+        9,
+        tasks=draw(st.integers(min_value=1, max_value=12)),
+        cpu=draw(st.sampled_from([0.25, 0.5, 1.0])),
+        mem=draw(fractions),
+    )
+    return usage, job
+
+
+class TestCanPlaceMatchesARealPlacement:
+    @given(case=_loaded_usage_and_job())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_placing_on_a_copy_and_leaves_usage_alone(self, case):
+        usage, job = case
+        before = (
+            usage.memory_vector(),
+            usage.cpu_load_vector(),
+            usage.cpu_alloc_vector(),
+            [usage.task_count(node) for node in usage.cluster.node_ids],
+            usage.unavailable_nodes(),
+        )
+        placed = greedy_place_job(job, usage.snapshot())
+        assert can_place_job(job, usage) == (placed is not None)
+        assert (usage.memory_vector() == before[0]).all()
+        assert (usage.cpu_load_vector() == before[1]).all()
+        assert (usage.cpu_alloc_vector() == before[2]).all()
+        assert [usage.task_count(node) for node in usage.cluster.node_ids] == before[3]
+        assert usage.unavailable_nodes() == before[4]
+
+    def test_tasks_that_fill_the_nodes_exactly(self):
+        usage = Cluster(3).usage(unavailable=(2,))
+        # Two up nodes x ten 10% slots; 0.1 * 10 lands within epsilon of 1.
+        assert can_place_job(view(9, tasks=20, cpu=0.1, mem=0.1), usage)
+        assert not can_place_job(view(9, tasks=21, cpu=0.1, mem=0.1), usage)
+        assert greedy_place_job(view(9, tasks=20, cpu=0.1, mem=0.1), usage.snapshot())
+        assert greedy_place_job(view(9, tasks=21, cpu=0.1, mem=0.1), usage) is None
+
+    def test_zero_memory_job_needs_one_available_node(self):
+        job = view(9, tasks=50, cpu=0.1, mem=0.0)
+        assert can_place_job(job, Cluster(2).usage(unavailable=(0,)))
+        assert not can_place_job(job, Cluster(2).usage(unavailable=(0, 1)))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cluster import Cluster
+import numpy as np
+
+from repro.core.cluster import CAPACITY_EPSILON, Cluster
 from repro.core.job import MINIMUM_YIELD
 from repro.schedulers.dfrs.yield_opt import (
     build_allocations,
@@ -110,6 +112,115 @@ class TestImproveAverageYield:
         assert per_node[1] <= 1.0 + 1e-6
         for job_id in jobs:
             assert improved[job_id] <= 1.0 + 1e-9
+
+
+def _reference_improve_average_yield(placements, yields, jobs, cluster):
+    """``improve_average_yield`` as it was before the single ordered pass,
+    verbatim: rescan every job for the eligible minimum after each raise."""
+    improved = dict(yields)
+    if not placements:
+        return improved
+
+    allocated = np.zeros(cluster.num_nodes, dtype=float)
+    capacity = cluster.cpu_capacity_vector()
+    tasks_per_node = {}
+    for job_id, nodes in placements.items():
+        need = jobs[job_id].cpu_need
+        counts = {}
+        for node in nodes:
+            counts[node] = counts.get(node, 0) + 1
+        tasks_per_node[job_id] = counts
+        for node, count in counts.items():
+            allocated[node] += count * need * improved[job_id]
+
+    while True:
+        best_job = None
+        best_need = float("inf")
+        for job_id, nodes in placements.items():
+            if improved[job_id] >= 1.0 - 1e-9:
+                continue
+            counts = tasks_per_node[job_id]
+            # Every node hosting this job must have spare CPU capacity.
+            if all(
+                allocated[node] < capacity[node] - CAPACITY_EPSILON
+                for node in counts
+            ):
+                total_need = jobs[job_id].total_cpu_need
+                if total_need < best_need:
+                    best_need = total_need
+                    best_job = job_id
+        if best_job is None:
+            break
+        counts = tasks_per_node[best_job]
+        need = jobs[best_job].cpu_need
+        # Largest yield increase that keeps every hosting node within capacity.
+        delta = min(
+            (capacity[node] - allocated[node]) / (count * need)
+            for node, count in counts.items()
+        )
+        delta = min(delta, 1.0 - improved[best_job])
+        if delta <= 1e-9:
+            # Numerical corner: mark the job as saturated and continue.
+            improved[best_job] = min(1.0, improved[best_job] + 1e-9)
+            continue
+        improved[best_job] += delta
+        for node, count in counts.items():
+            allocated[node] += count * need * delta
+    return improved
+
+
+@st.composite
+def _placed_jobs(draw):
+    """Random multi-task placements with few distinct needs (so equal
+    ``total_cpu_need``s are common), on homogeneous or mixed-speed nodes."""
+    num_nodes = draw(st.integers(min_value=1, max_value=5))
+    cpu_capacities = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from([0.5, 1.0, 2.0]), min_size=num_nodes, max_size=num_nodes
+        )
+    )
+    cluster = Cluster(num_nodes, cpu_capacities=cpu_capacities)
+    jobs, placements = {}, {}
+    job_ids = draw(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=9, unique=True)
+    )
+    for job_id in job_ids:  # unsorted ids: placement order != id order
+        tasks = draw(st.integers(min_value=1, max_value=4))
+        jobs[job_id] = view(
+            job_id, tasks=tasks, cpu=draw(st.sampled_from([0.1, 0.2, 0.25, 0.4, 0.5, 1.0]))
+        )
+        placements[job_id] = tuple(
+            draw(st.integers(min_value=0, max_value=num_nodes - 1)) for _ in range(tasks)
+        )
+    return cluster, jobs, placements
+
+
+class TestSinglePassMatchesTheRepeatedScan:
+    @given(case=_placed_jobs(), scale=st.sampled_from([1.0, 0.5, 0.999999999]))
+    @settings(max_examples=300, deadline=None)
+    def test_identical_yields_from_the_fair_start(self, case, scale):
+        cluster, jobs, placements = case
+        yields = {
+            job_id: value * scale
+            for job_id, value in fair_yields(placements, jobs, cluster).items()
+        }
+        expected = _reference_improve_average_yield(placements, yields, jobs, cluster)
+        improved = improve_average_yield(placements, yields, jobs, cluster)
+        assert improved == expected  # bit for bit, not approximately
+        assert list(improved) == list(expected)
+
+    def test_equal_needs_are_raised_in_placement_order(self):
+        """Two jobs with the same total need share a node: the first placed wins."""
+        cluster = Cluster(1)
+        jobs = {7: view(7, cpu=0.8), 3: view(3, cpu=0.8)}
+        placements = {7: (0,), 3: (0,)}
+        yields = {7: 0.5, 3: 0.5}
+        improved = improve_average_yield(placements, yields, jobs, cluster)
+        assert improved == _reference_improve_average_yield(
+            placements, yields, jobs, cluster
+        )
+        assert improved[7] > improved[3] == 0.5
 
 
 class TestBuildAllocations:
