@@ -16,6 +16,11 @@ a job as ``num_tasks`` identical (CPU-need, memory) items, exactly as in
 ``capacities`` (the :meth:`repro.core.cluster.Cluster.node_capacities`
 pairs): the aggregate bounds then sum real capacities instead of counting
 unit nodes.
+
+The packers' bins accept ``capacity + BIN_EPSILON`` against a *rounded*
+running sum, so every infeasibility test here grants one epsilon per bin and
+a rounding allowance: an instance some packer can pack is never called
+infeasible.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
-from .item import PackingItem
+from .item import BIN_EPSILON, PackingItem
 from .yield_search import PackingJob
 
 __all__ = [
@@ -35,6 +40,17 @@ __all__ = [
     "memory_feasible",
     "infeasibility_reasons",
 ]
+
+
+def _rounding_allowance(operations: int) -> float:
+    """Factor covering ``operations`` float roundings on either side of a test.
+
+    A bin admits items against its *rounded* running sum and the totals here
+    are rounded sums too; each rounding moves a non-negative sum by at most
+    one part in 2**53, so scaling a limit by this factor keeps "exceeds the
+    limit" a proof whatever the order of additions.
+    """
+    return 1.0 + (operations + 4) * 2.0**-51
 
 
 def total_cpu_need(jobs: Sequence[PackingJob]) -> float:
@@ -84,8 +100,10 @@ def memory_lower_bound_bins(items: Sequence[PackingItem]) -> int:
     """
     if not items:
         return 0
-    volume = sum(item.memory for item in items)
-    volume_bound = int(math.ceil(volume - 1e-9))
+    # n bins hold at most n × (1 + epsilon), up to rounding; dividing by the
+    # padded per-bin limit can only lower the bound, never overshoot it.
+    per_bin = (1.0 + BIN_EPSILON) * _rounding_allowance(len(items))
+    volume_bound = int(math.ceil(sum(item.memory for item in items) / per_bin))
     pairing_bound = sum(1 for item in items if item.memory > 0.5 + 1e-9)
     return max(1, volume_bound, pairing_bound)
 
@@ -133,7 +151,7 @@ def infeasibility_reasons(
     oversized = [
         job.job_id
         for job in jobs
-        if job.mem_requirement > largest_node + 1e-9
+        if job.mem_requirement > largest_node + BIN_EPSILON
     ]
     if oversized:
         reasons["task-memory"] = (
@@ -141,7 +159,11 @@ def infeasibility_reasons(
             "the largest node"
         )
     volume = total_memory_requirement(jobs)
-    if volume > total_memory_capacity + 1e-9:
+    # Each bin accepts its capacity plus epsilon, so the cluster accepts one
+    # epsilon per node — not one overall.
+    tasks = sum(job.num_tasks for job in jobs)
+    accepted = total_memory_capacity + num_nodes * BIN_EPSILON
+    if volume > accepted * _rounding_allowance(tasks + num_nodes):
         reasons["volume"] = (
             f"total memory requirement {volume:.2f} node-units exceeds the "
             f"{total_memory_capacity:g} node-units available"
@@ -154,7 +176,10 @@ def infeasibility_reasons(
         # nodes (m_min > 0.5 so floor(1/m_min) = 1) this is exactly the
         # classical two-big-items-cannot-share pairing bound.
         smallest = min(job.mem_requirement for job in big)
-        hosting_slots = sum(int((cap + 1e-9) / smallest) for cap in mem_caps)
+        allowance = _rounding_allowance(big_tasks)
+        hosting_slots = sum(
+            int((cap + BIN_EPSILON) / smallest * allowance) for cap in mem_caps
+        )
         if big_tasks > hosting_slots:
             reasons["pairing"] = (
                 f"{big_tasks} tasks each need more than half a reference "

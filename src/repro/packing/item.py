@@ -10,11 +10,15 @@ that may land on the same or different bins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..exceptions import AllocationError
 
 __all__ = ["PackingItem", "Bin", "PackingResult", "job_items"]
+
+#: What a bin accepts beyond its nominal capacity, per dimension.
+#: :mod:`repro.packing.bounds` pads its proofs by the same amount per bin.
+BIN_EPSILON = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,7 @@ class Bin:
     def __init__(
         self,
         index: int,
-        epsilon: float = 1e-9,
+        epsilon: float = BIN_EPSILON,
         cpu_capacity: float = 1.0,
         memory_capacity: float = 1.0,
     ) -> None:
@@ -143,21 +147,3 @@ def job_items(
         for i in range(num_tasks)
     ]
 
-
-def assignments_from_bins(bins: Sequence[Bin]) -> Dict[int, List[Optional[int]]]:
-    """Group bin contents back into per-job task assignments.
-
-    Returns a mapping job id -> list indexed by task_index containing the bin
-    index of each task (``None`` for unplaced tasks, which callers treat as a
-    failure).
-    """
-    per_job: Dict[int, Dict[int, int]] = {}
-    sizes: Dict[int, int] = {}
-    for bin_ in bins:
-        for item in bin_.items:
-            per_job.setdefault(item.job_id, {})[item.task_index] = bin_.index
-            sizes[item.job_id] = max(sizes.get(item.job_id, 0), item.task_index + 1)
-    result: Dict[int, List[Optional[int]]] = {}
-    for job_id, mapping in per_job.items():
-        result[job_id] = [mapping.get(i) for i in range(sizes[job_id])]
-    return result

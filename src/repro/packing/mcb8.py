@@ -19,11 +19,28 @@ using virtual clusters", CCGrid 2009).  The heuristic:
 The goal of step 3 is to keep the consumption of both resources balanced on
 every node so that neither dimension is exhausted while the other is still
 underutilized.
+
+"First fitting item" is found without walking the items.  Two invariants make
+the shortcut exact, not approximate:
+
+* *Identical neighbours.*  ``Bin.fits`` reads only an item's ``(cpu,
+  memory)``, and the tasks of a job are identical items that sort next to
+  each other.  Each sorted list is held as *runs* of such neighbours and only
+  a run's head is tested: if it does not fit, nothing in the run does; if it
+  does, it is the run's first item in list order.
+* *A bin only fills.*  Requirements are non-negative and float addition is
+  monotone, so once ``used + requirement <= capacity + epsilon`` is false for
+  a bin it stays false.  Each list keeps one cursor per bin and never rescans
+  the runs the bin already refused.
+
+One fill then costs O(bins × runs + items) fit tests instead of
+O(bins × items) *per placed item*; :func:`repro.packing.variants.mcb_family_pack`
+runs the same loop under other sort values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
 from ..obs.telemetry import timed_phase
@@ -74,63 +91,159 @@ def _count_used_bins(bins: List[Bin]) -> int:
     return sum(1 for bin_ in bins if bin_.items)
 
 
-def _pop_largest_fitting_by(
-    bin_: Bin,
-    cpu_list: List[PackingItem],
-    mem_list: List[PackingItem],
-    sort_value,
-) -> Optional[PackingItem]:
-    """Remove and return the largest remaining item that fits ``bin_``.
+def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
+    """Cut ``items`` into runs of consecutive identical tasks of one job.
 
-    The heterogeneous seeding rule: where unit bins seed with the globally
-    largest item (which fits any empty unit bin or no bin at all), a
-    variable-capacity bin seeds with the largest item *it can host* — a bin
-    too small for every remaining item is simply skipped.  "Largest" is
-    measured by ``sort_value`` (the list ordering key), with CPU-heavy items
-    winning ties like the unit-bin seed rule.
+    A run's items share ``job_id`` and ``(cpu, memory)`` and count
+    ``task_index`` up by one — what ``PackingJob.items`` emits per job.
     """
-    cpu_index = _first_fitting(bin_, cpu_list)
-    mem_index = _first_fitting(bin_, mem_list)
-    if cpu_index is None and mem_index is None:
-        return None
-    if mem_index is None:
-        return cpu_list.pop(cpu_index)
-    if cpu_index is None:
-        return mem_list.pop(mem_index)
-    if sort_value(cpu_list[cpu_index]) >= sort_value(mem_list[mem_index]):
-        return cpu_list.pop(cpu_index)
-    return mem_list.pop(mem_index)
+    runs: List[List[PackingItem]] = []
+    last = None
+    for item in items:
+        if (
+            last is not None
+            and item.job_id == last.job_id
+            and item.task_index == last.task_index + 1
+            and item.cpu == last.cpu
+            and item.memory == last.memory
+        ):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+        last = item
+    return runs
 
 
-def _pop_largest_fitting(
-    bin_: Bin, cpu_list: List[PackingItem], mem_list: List[PackingItem]
-) -> Optional[PackingItem]:
-    """MCB8's heterogeneous seed: largest fitting item by max requirement."""
-    return _pop_largest_fitting_by(
-        bin_, cpu_list, mem_list, lambda item: item.max_requirement
+class _Runs:
+    """One sorted MCB list, held as runs of identical neighbouring items.
+
+    ``runs[i]`` lists the run's items in *reverse* list order, so ``pop()``
+    yields its head.  ``cursor`` is the per-bin scan position: every run
+    before it has already been refused by the bin being filled.
+    """
+
+    __slots__ = ("runs", "cursor")
+
+    def __init__(self, runs: List[List[PackingItem]]) -> None:
+        self.runs = runs
+        self.cursor = 0
+
+    def head(self) -> PackingItem:
+        """First remaining item, in list order, at or after the cursor."""
+        return self.runs[self.cursor][-1]
+
+    def seek(self, bin_: Bin) -> bool:
+        """Move the cursor to the first item that fits ``bin_``, if any.
+
+        Only run heads from the cursor on are tested: ``Bin.fits`` reads
+        nothing but ``(cpu, memory)``, and a bin that refused an item once
+        refuses it for good (it only fills, and float addition is monotone).
+        """
+        runs = self.runs
+        for index in range(self.cursor, len(runs)):
+            if bin_.fits(runs[index][-1]):
+                self.cursor = index
+                return True
+        self.cursor = len(runs)
+        return False
+
+    def pop(self) -> PackingItem:
+        """Remove and return :meth:`head`."""
+        run = self.runs[self.cursor]
+        item = run.pop()
+        if not run:
+            del self.runs[self.cursor]
+        return item
+
+
+def _mcb_pack(
+    items: Sequence[PackingItem],
+    num_bins: int,
+    sort_value: Callable[[PackingItem], float],
+    capacities: BinCapacities,
+) -> PackingResult:
+    """The MCB fill loop, shared by MCB8 and the rest of the family.
+
+    ``sort_value`` — a function of an item's ``(cpu, memory)`` — orders the
+    two lists (non-increasing) and ranks the seed candidates.
+    """
+    if not items:
+        return PackingResult(success=True, assignments={}, bins_used=0)
+    if num_bins <= 0:
+        return PackingResult.failure()
+    _check_capacities(capacities, num_bins)
+
+    # Both lists in non-increasing sort value; ties broken by job/task id so
+    # that packing is fully deterministic.
+    key = lambda item: (-sort_value(item), item.job_id, item.task_index)
+    # Sorting whole runs of the input sorts the items whenever the result is
+    # strictly increasing (always, for distinct task ids); otherwise sort item
+    # by item and cut the runs afterwards.
+    runs = _runs(items)
+    runs.sort(key=lambda run: key(run[0]))
+    if any(key(a[-1]) >= key(b[0]) for a, b in zip(runs, runs[1:])):
+        runs = _runs(sorted(items, key=key))
+    for run in runs:
+        run.reverse()
+    cpu_list = _Runs([run for run in runs if run[0].cpu_dominant])
+    mem_list = _Runs([run for run in runs if not run[0].cpu_dominant])
+    bins: List[Bin] = []
+    bin_index = 0
+
+    while cpu_list.runs or mem_list.runs:
+        if bin_index >= num_bins:
+            return PackingResult.failure()
+        bin_ = _make_bin(bin_index, capacities)
+        bin_index += 1
+        cpu_list.cursor = mem_list.cursor = 0
+
+        # Seed the fresh node with the largest remaining item (CPU-heavy wins
+        # ties): overall on unit bins, where it fits any empty node or none
+        # ever; among those the node can host on variable-capacity bins.
+        if capacities is None:
+            has_cpu, has_mem = bool(cpu_list.runs), bool(mem_list.runs)
+        else:
+            has_cpu, has_mem = cpu_list.seek(bin_), mem_list.seek(bin_)
+            if not (has_cpu or has_mem):
+                # Nothing fits this (possibly zero-capacity) bin; try the next.
+                continue
+        if has_cpu and (
+            not has_mem
+            or sort_value(cpu_list.head()) >= sort_value(mem_list.head())
+        ):
+            seed = cpu_list.pop()
+        else:
+            seed = mem_list.pop()
+        if not bin_.fits(seed):
+            # Unit bins only (a sought seed fits): an item that does not fit
+            # in an empty node can never be placed.
+            return PackingResult.failure()
+        bins.append(bin_)
+        bin_.add(seed)
+
+        # Fill the node, balancing the two resource dimensions.
+        while True:
+            if bin_.imbalance_favors_memory():
+                primary, secondary = mem_list, cpu_list
+            else:
+                primary, secondary = cpu_list, mem_list
+            if primary.seek(bin_):
+                bin_.add(primary.pop())
+            elif secondary.seek(bin_):
+                bin_.add(secondary.pop())
+            else:
+                break
+
+    assignments = _collect_assignments(bins)
+    if assignments is None:
+        return PackingResult.failure()
+    return PackingResult(
+        success=True, assignments=assignments, bins_used=len(bins)
     )
 
 
-def _sorted_lists(
-    items: Sequence[PackingItem],
-) -> Tuple[List[PackingItem], List[PackingItem]]:
-    """Split and sort items as required by MCB8 (step 1 and 2)."""
-    cpu_heavy = [item for item in items if item.cpu_dominant]
-    mem_heavy = [item for item in items if not item.cpu_dominant]
-    # Stable sort by decreasing max requirement; ties broken by job/task id so
-    # that packing is fully deterministic.
-    key = lambda item: (-item.max_requirement, item.job_id, item.task_index)
-    cpu_heavy.sort(key=key)
-    mem_heavy.sort(key=key)
-    return cpu_heavy, mem_heavy
-
-
-def _first_fitting(bin_: Bin, items: List[PackingItem]) -> Optional[int]:
-    """Index of the first item of ``items`` that fits in ``bin_``, or None."""
-    for index, item in enumerate(items):
-        if bin_.fits(item):
-            return index
-    return None
+def _max_requirement(item: PackingItem) -> float:
+    return item.max_requirement
 
 
 @timed_phase("packing.mcb8")
@@ -154,76 +267,7 @@ def mcb8_pack(
     id to the tuple of bin (node) indices assigned to its tasks in task-index
     order.
     """
-    if not items:
-        return PackingResult(success=True, assignments={}, bins_used=0)
-    if num_bins <= 0:
-        return PackingResult.failure()
-    _check_capacities(capacities, num_bins)
-
-    cpu_list, mem_list = _sorted_lists(items)
-    bins: List[Bin] = []
-    bin_index = 0
-
-    while cpu_list or mem_list:
-        if bin_index >= num_bins:
-            return PackingResult.failure()
-        bin_ = _make_bin(bin_index, capacities)
-        bin_index += 1
-
-        if capacities is None:
-            # Seed the fresh node with the largest remaining item overall.
-            seed_list = _pick_seed_list(cpu_list, mem_list)
-            if seed_list is None:
-                return PackingResult.failure()
-            seed = seed_list.pop(0)
-            if not bin_.fits(seed):
-                # An item that does not fit in an empty node can never be placed.
-                return PackingResult.failure()
-        else:
-            seed = _pop_largest_fitting(bin_, cpu_list, mem_list)
-            if seed is None:
-                # Nothing fits this (possibly zero-capacity) bin; try the next.
-                continue
-        bins.append(bin_)
-        bin_.add(seed)
-
-        # Fill the node, balancing the two resource dimensions.
-        while True:
-            if bin_.imbalance_favors_memory():
-                primary, secondary = mem_list, cpu_list
-            else:
-                primary, secondary = cpu_list, mem_list
-            index = _first_fitting(bin_, primary)
-            if index is not None:
-                bin_.add(primary.pop(index))
-                continue
-            index = _first_fitting(bin_, secondary)
-            if index is not None:
-                bin_.add(secondary.pop(index))
-                continue
-            break
-
-    assignments = _collect_assignments(bins)
-    if assignments is None:
-        return PackingResult.failure()
-    return PackingResult(
-        success=True, assignments=assignments, bins_used=len(bins)
-    )
-
-
-def _pick_seed_list(
-    cpu_list: List[PackingItem], mem_list: List[PackingItem]
-) -> Optional[List[PackingItem]]:
-    """List whose head is the largest remaining item (paper: arbitrary pick)."""
-    if not cpu_list and not mem_list:
-        return None
-    if not cpu_list:
-        return mem_list
-    if not mem_list:
-        return cpu_list
-    if cpu_list[0].max_requirement >= mem_list[0].max_requirement:
-        return cpu_list
-    return mem_list
+    return _mcb_pack(items, num_bins, _max_requirement, capacities)
 
 
 def _collect_assignments(

@@ -25,9 +25,9 @@ from .mcb8 import (
     _check_capacities,
     _collect_assignments,
     _count_used_bins,
-    _make_bin,
+    _max_requirement,
+    _mcb_pack,
     _open_until_fits,
-    _pop_largest_fitting_by,
     mcb8_pack,
 )
 
@@ -42,7 +42,7 @@ __all__ = [
 #: are considered in non-increasing order of that value.
 _ORDERINGS: Dict[str, Callable[[PackingItem], float]] = {
     # MCB8: order by the largest of the two requirements (the paper's choice).
-    "max": lambda item: item.max_requirement,
+    "max": _max_requirement,
     # MCB6-style: order by the sum of the requirements.
     "sum": lambda item: item.cpu + item.memory,
     # Single-dimension orderings (MCB2/MCB4-style degenerate variants).
@@ -63,90 +63,18 @@ def mcb_family_pack(
 ) -> PackingResult:
     """Multi-capacity balancing pack with a configurable item ordering.
 
-    The algorithm is the same as :func:`repro.packing.mcb8.mcb8_pack` — split
-    items into CPU-heavy and memory-heavy lists, fill one node at a time,
-    always drawing from the list that goes against the node's current
-    imbalance — but the two lists are sorted by the requested ``ordering``
-    key instead of MCB8's largest-component key.
+    The same fill loop as :func:`repro.packing.mcb8.mcb8_pack` — split items
+    into CPU-heavy and memory-heavy lists, fill one node at a time, always
+    drawing from the list that goes against the node's current imbalance —
+    with the two lists sorted by the requested ``ordering`` key instead of
+    MCB8's largest-component key (``"max"`` *is* MCB8).
     """
     if ordering not in _ORDERINGS:
         raise ConfigurationError(
             f"unknown MCB ordering {ordering!r}; known orderings: "
             f"{', '.join(sorted(_ORDERINGS))}"
         )
-    if not items:
-        return PackingResult(success=True, assignments={}, bins_used=0)
-    if num_bins <= 0:
-        return PackingResult.failure()
-    _check_capacities(capacities, num_bins)
-
-    sort_value = _ORDERINGS[ordering]
-    key = lambda item: (-sort_value(item), item.job_id, item.task_index)
-    cpu_list = sorted((item for item in items if item.cpu_dominant), key=key)
-    mem_list = sorted((item for item in items if not item.cpu_dominant), key=key)
-
-    bins: List[Bin] = []
-    bin_index = 0
-    while cpu_list or mem_list:
-        if bin_index >= num_bins:
-            return PackingResult.failure()
-        bin_ = _make_bin(bin_index, capacities)
-        bin_index += 1
-
-        if capacities is None:
-            seed_list = _seed_list(cpu_list, mem_list, sort_value)
-            seed = seed_list.pop(0)
-            if not bin_.fits(seed):
-                return PackingResult.failure()
-        else:
-            seed = _pop_largest_fitting_by(bin_, cpu_list, mem_list, sort_value)
-            if seed is None:
-                # Nothing fits this (possibly zero-capacity) bin; try the next.
-                continue
-        bins.append(bin_)
-        bin_.add(seed)
-
-        while True:
-            if bin_.imbalance_favors_memory():
-                primary, secondary = mem_list, cpu_list
-            else:
-                primary, secondary = cpu_list, mem_list
-            index = _first_fitting_index(bin_, primary)
-            if index is not None:
-                bin_.add(primary.pop(index))
-                continue
-            index = _first_fitting_index(bin_, secondary)
-            if index is not None:
-                bin_.add(secondary.pop(index))
-                continue
-            break
-
-    assignments = _collect_assignments(bins)
-    if assignments is None:
-        return PackingResult.failure()
-    return PackingResult(success=True, assignments=assignments, bins_used=len(bins))
-
-
-def _seed_list(
-    cpu_list: List[PackingItem],
-    mem_list: List[PackingItem],
-    sort_value: Callable[[PackingItem], float],
-) -> List[PackingItem]:
-    """The list whose head has the larger ordering value."""
-    if not cpu_list:
-        return mem_list
-    if not mem_list:
-        return cpu_list
-    if sort_value(cpu_list[0]) >= sort_value(mem_list[0]):
-        return cpu_list
-    return mem_list
-
-
-def _first_fitting_index(bin_: Bin, items: List[PackingItem]) -> Optional[int]:
-    for index, item in enumerate(items):
-        if bin_.fits(item):
-            return index
-    return None
+    return _mcb_pack(items, num_bins, _ORDERINGS[ordering], capacities)
 
 
 @timed_phase("packing.worst_fit_decreasing")

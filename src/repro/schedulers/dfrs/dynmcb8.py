@@ -15,10 +15,11 @@ lose to the periodic variants once a realistic penalty is charged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...core.allocation import AllocationDecision
 from ...core.context import JobView, SchedulingContext
+from ...packing.bounds import memory_feasible
 from ...packing.yield_search import PackingJob, maximize_min_yield
 from ..base import Scheduler
 from .priority import sort_by_increasing_priority
@@ -51,30 +52,45 @@ class DynMcb8Scheduler(Scheduler):
         becomes feasible.  Returns the per-job placements and the achieved
         minimum yield.
         """
+        result = self._search_evicting(context, candidates, maximize_min_yield)
+        if result is None:
+            return {}, 1.0
+        return dict(result.assignments), result.yield_value
+
+    @staticmethod
+    def _search_evicting(
+        context: SchedulingContext,
+        candidates: List[JobView],
+        search: Callable[..., Any],
+    ) -> Optional[Any]:
+        """First successful ``search`` while evicting lowest-priority jobs.
+
+        ``search(jobs, num_nodes, capacities=...)`` is one of the binary
+        searches of :mod:`repro.packing.yield_search`.  Rounds whose memory
+        footprint provably cannot fit are skipped without packing.
+        """
         # Evict lowest-priority jobs first, so process a mutable list sorted
         # from most to least deserving (we pop from the end).
-        ordered = list(reversed(sort_by_increasing_priority(candidates)))
-        while ordered:
-            packing_jobs = [
-                PackingJob(
-                    job_id=view.job_id,
-                    num_tasks=view.num_tasks,
-                    cpu_need=view.cpu_need,
-                    mem_requirement=view.mem_requirement,
-                    flow_time=view.flow_time,
-                    virtual_time=view.virtual_time,
-                )
-                for view in ordered
-            ]
-            result = maximize_min_yield(
-                packing_jobs,
-                context.cluster.num_nodes,
-                # None on homogeneous, fully-up clusters (the unit-bin fast
-                # path); per-node (cpu, mem) capacities otherwise, with down
-                # nodes as zero-capacity bins no packing can land on.
-                capacities=context.packing_capacities(),
+        packing_jobs = [
+            PackingJob(
+                job_id=view.job_id,
+                num_tasks=view.num_tasks,
+                cpu_need=view.cpu_need,
+                mem_requirement=view.mem_requirement,
+                flow_time=view.flow_time,
+                virtual_time=view.virtual_time,
             )
-            if result.success:
-                return dict(result.assignments), result.yield_value
-            ordered.pop()
-        return {}, 1.0
+            for view in reversed(sort_by_increasing_priority(candidates))
+        ]
+        num_nodes = context.cluster.num_nodes
+        # None on homogeneous, fully-up clusters (the unit-bin fast path);
+        # per-node (cpu, mem) capacities otherwise, with down nodes as
+        # zero-capacity bins no packing can land on.
+        capacities = context.packing_capacities()
+        while packing_jobs:
+            if memory_feasible(packing_jobs, num_nodes, capacities=capacities):
+                result = search(packing_jobs, num_nodes, capacities=capacities)
+                if result.success:
+                    return result
+            packing_jobs.pop()
+        return None

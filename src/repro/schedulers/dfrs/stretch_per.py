@@ -17,6 +17,7 @@ worst among those that can still be sped up.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -24,9 +25,8 @@ import numpy as np
 from ...core.allocation import AllocationDecision
 from ...core.cluster import CAPACITY_EPSILON
 from ...core.context import JobView, SchedulingContext
-from ...packing.yield_search import PackingJob, minimize_estimated_stretch
+from ...packing.yield_search import minimize_estimated_stretch
 from .periodic import DEFAULT_PERIOD, DynMcb8PeriodicScheduler
-from .priority import sort_by_increasing_priority
 from .yield_opt import build_allocations
 
 __all__ = ["DynMcb8StretchPeriodicScheduler"]
@@ -57,29 +57,12 @@ class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
         self, context: SchedulingContext, candidates: List[JobView]
     ) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, float]]:
         """Pack candidates minimizing the estimated max stretch, evicting by priority."""
-        ordered = list(reversed(sort_by_increasing_priority(candidates)))
-        while ordered:
-            packing_jobs = [
-                PackingJob(
-                    job_id=view.job_id,
-                    num_tasks=view.num_tasks,
-                    cpu_need=view.cpu_need,
-                    mem_requirement=view.mem_requirement,
-                    flow_time=view.flow_time,
-                    virtual_time=view.virtual_time,
-                )
-                for view in ordered
-            ]
-            result = minimize_estimated_stretch(
-                packing_jobs,
-                context.cluster.num_nodes,
-                self.period,
-                capacities=context.packing_capacities(),
-            )
-            if result.success:
-                return dict(result.assignments), dict(result.yields)
-            ordered.pop()
-        return {}, {}
+        result = self._search_evicting(
+            context, candidates, partial(minimize_estimated_stretch, period=self.period)
+        )
+        if result is None:
+            return {}, {}
+        return dict(result.assignments), dict(result.yields)
 
     def _improve_average_stretch(
         self,

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ReproError
 from repro.packing import (
+    PACKER_NAMES,
     PackingJob,
     cpu_capacity_yield_bound,
+    get_packer,
     infeasibility_reasons,
     job_items,
     maximize_min_yield,
@@ -150,3 +152,58 @@ class TestFeasibility:
         jobs = [_job(i, tasks=1, cpu=0.5, mem=0.45) for i in range(8)]
         assert memory_feasible(jobs, 4)
         assert maximize_min_yield(jobs, 4).success
+
+
+class TestBoundsAreProofsAgainstTheBinTolerance:
+    """Every bin accepts capacity + epsilon, so n bins accept n epsilons."""
+
+    def test_four_just_over_half_tasks_pack_on_two_nodes(self):
+        jobs = [_job(i, mem=0.5 + 4e-10) for i in range(4)]
+        result = maximize_min_yield(jobs, 2)
+        assert result.success and result.yield_value == 1.0
+        assert memory_feasible(jobs, 2)
+        items = [item for job in jobs for item in job.items(1.0)]
+        assert memory_lower_bound_bins(items) <= mcb8_pack(items, 2).bins_used
+
+    def test_clear_violations_are_still_reported(self):
+        assert "volume" in infeasibility_reasons([_job(0, tasks=5, mem=0.45)], 2)
+        wide = [(1.0, 2.0), (1.0, 1.0)]
+        assert "pairing" in infeasibility_reasons(
+            [_job(0, tasks=4, mem=0.9)], 2, capacities=wide
+        )
+        assert memory_feasible([_job(0, tasks=3, mem=0.9)], 2, capacities=wide)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.sampled_from([0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0]),
+                st.sampled_from([0.0, 2.5e-10, 4e-10, 5e-10, 1e-9, -4e-10]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.one_of(
+            st.integers(1, 6).map(lambda n: (n, None)),
+            st.lists(
+                st.sampled_from([(1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (1.0, 2.0)]),
+                min_size=1,
+                max_size=5,
+            ).map(lambda caps: (len(caps), caps)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_packer_succeeding_implies_memory_feasible(self, shapes, platform):
+        num_nodes, capacities = platform
+        jobs = [
+            _job(job_id, tasks=tasks, cpu=0.1, mem=min(1.0, mem + nudge))
+            for job_id, (tasks, mem, nudge) in enumerate(shapes)
+        ]
+        kwargs = {} if capacities is None else {"capacities": capacities}
+        items = [item for job in jobs for item in job.items(0.01)]
+        for name in PACKER_NAMES:
+            result = get_packer(name)(items, num_nodes, **kwargs)
+            if result.success:
+                assert memory_feasible(jobs, num_nodes, **kwargs), name
+                if capacities is None:
+                    assert memory_lower_bound_bins(items) <= result.bins_used, name
