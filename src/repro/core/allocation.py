@@ -103,7 +103,11 @@ def validate_decision(
     Returns the :class:`ClusterUsage` implied by the decision.  Raises
     :class:`AllocationError` for structural problems (unknown job, wrong task
     count, out-of-range node) and :class:`InfeasibleAllocationError` when a
-    node's memory or allocated CPU capacity is exceeded.
+    node's memory or allocated CPU capacity is exceeded — the capacity
+    errors name the offending job (``job {id}: node ...``) like the
+    structural ones beside them.  ``specs`` may map to anything
+    carrying ``num_tasks`` / ``cpu_need`` / ``mem_requirement`` (the engine
+    passes its :class:`~repro.core.context.JobView` snapshots).
     """
     tally = usage if usage is not None else cluster.usage()
     for job_id, alloc in decision.running.items():
@@ -121,7 +125,10 @@ def validate_decision(
                     f"job {job_id}: node index {node} out of range "
                     f"[0, {cluster.num_nodes})"
                 )
-        tally.add_job(
-            alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value
-        )
+        try:
+            tally.add_job(
+                alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value
+            )
+        except InfeasibleAllocationError as exc:
+            raise InfeasibleAllocationError(f"job {job_id}: {exc}") from exc
     return tally

@@ -7,12 +7,19 @@ engine state) and lets us enforce the paper's clairvoyance rules: the
 ``runtime_estimate`` and ``remaining_runtime_estimate`` fields are populated
 only for schedulers that declare ``requires_runtime_estimates`` (the batch
 baselines, §IV-B); DFRS schedulers receive ``None`` there.
+
+Views are *per-event immutable snapshots*: every event gets a fresh
+tuple-backed :class:`JobView` per active job (nothing is cached or reused
+across events), so a context a scheduler or observer keeps reads the same
+after the run has moved on.  A context's running/paused/pending partition is
+computed once, on first use, and cached on the context — ``jobs`` is not
+meant to be edited after a partition accessor has been called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .allocation import JobAllocation
 from .cluster import Cluster, ClusterUsage
@@ -21,9 +28,13 @@ from .job import JobState
 __all__ = ["JobView", "SchedulingContext"]
 
 
-@dataclass(frozen=True)
-class JobView:
-    """Snapshot of one active job as seen by a scheduler."""
+class JobView(NamedTuple):
+    """Immutable snapshot of one active job as seen by a scheduler.
+
+    Tuple-backed (the engine builds one per active job per event, so
+    construction cost is the engine's per-event tax); fields are read by
+    name and keyword construction works as for a dataclass.
+    """
 
     job_id: int
     num_tasks: int
@@ -33,7 +44,6 @@ class JobView:
     state: JobState
     virtual_time: float
     flow_time: float
-    backoff_count: int
     #: Current placement (one node per task) if the job is RUNNING.
     assignment: Optional[Tuple[int, ...]]
     #: Current yield if the job is RUNNING, 0.0 otherwise.
@@ -96,18 +106,42 @@ class SchedulingContext:
     #: ``SimulationConfig(repack_on_failure=True)``.  Event-driven
     #: schedulers (which repack at every event anyway) may ignore it.
     repack_requested: bool = False
+    #: ``(running, paused, pending)`` views in ``jobs`` order; filled by the
+    #: first partition accessor called.
+    _partition: Optional[Tuple[List[JobView], List[JobView], List[JobView]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _by_state(self) -> Tuple[List[JobView], List[JobView], List[JobView]]:
+        """Split ``jobs`` by state in one pass (cached)."""
+        partition = self._partition
+        if partition is None:
+            running: List[JobView] = []
+            paused: List[JobView] = []
+            pending: List[JobView] = []
+            for view in self.jobs.values():
+                state = view.state
+                if state is JobState.RUNNING:
+                    running.append(view)
+                elif state is JobState.PENDING:
+                    pending.append(view)
+                elif state is JobState.PAUSED:
+                    paused.append(view)
+            partition = self._partition = (running, paused, pending)
+        return partition
 
     def running_jobs(self) -> List[JobView]:
-        """Views of currently running jobs."""
-        return [view for view in self.jobs.values() if view.is_running]
+        """Views of currently running jobs (a fresh list, in ``jobs`` order)."""
+        return list(self._by_state()[0])
 
     def paused_jobs(self) -> List[JobView]:
-        """Views of currently paused jobs."""
-        return [view for view in self.jobs.values() if view.is_paused]
+        """Views of currently paused jobs (a fresh list, in ``jobs`` order)."""
+        return list(self._by_state()[1])
 
     def pending_jobs(self) -> List[JobView]:
-        """Views of jobs that have never been started."""
-        return [view for view in self.jobs.values() if view.is_pending]
+        """Views of jobs that have never been started (a fresh list, in
+        ``jobs`` order)."""
+        return list(self._by_state()[2])
 
     def scratch_usage(self) -> ClusterUsage:
         """Fresh, empty usage tally with the down nodes already marked."""

@@ -887,7 +887,8 @@ class Simulator:
             if self._busy_node_stats is not None:
                 self._busy_node_stats.add_segment(float(self._busy_count), duration)
             for job in self._active.values():
-                job.advance(duration)
+                if job.state is JobState.RUNNING:  # only running jobs progress
+                    job.advance(duration)
             if self._avail_node_stats is not None:
                 up_cpu = self._up_cpu_capacity()
                 self._avail_node_stats.add_segment(up_cpu, duration)
@@ -1030,29 +1031,36 @@ class Simulator:
     def _build_context(
         self, submitted: List[int], completed: List[int], is_wakeup: bool
     ) -> SchedulingContext:
+        """Snapshot the active jobs: one fresh immutable view per job.
+
+        O(active) per event, so the loop is kept lean: positional fill of
+        the tuple-backed view, everything loop-invariant hoisted.
+        """
         clairvoyant = bool(getattr(self.scheduler, "requires_runtime_estimates", False))
+        now = self._now
+        make_view = JobView._make
         views: Dict[int, JobView] = {}
         for job_id, job in self._active.items():
-            views[job_id] = JobView(
-                job_id=job_id,
-                num_tasks=job.spec.num_tasks,
-                cpu_need=job.spec.cpu_need,
-                mem_requirement=job.spec.mem_requirement,
-                submit_time=job.spec.submit_time,
-                state=job.state,
-                virtual_time=job.virtual_time,
-                flow_time=job.flow_time(self._now),
-                backoff_count=job.backoff_count,
-                assignment=job.assignment,
-                current_yield=job.current_yield,
-                last_assignment=job.last_assignment,
-                runtime_estimate=job.spec.execution_time if clairvoyant else None,
-                remaining_runtime_estimate=(
-                    job.remaining_work + job.penalty_remaining if clairvoyant else None
-                ),
+            spec = job.spec
+            views[job_id] = make_view(
+                (
+                    job_id,
+                    spec.num_tasks,
+                    spec.cpu_need,
+                    spec.mem_requirement,
+                    spec.submit_time,
+                    job.state,
+                    job.virtual_time,
+                    max(0.0, now - spec.submit_time),  # Job.flow_time(now)
+                    job.assignment,
+                    job.current_yield,
+                    job.last_assignment,
+                    spec.execution_time if clairvoyant else None,
+                    job.remaining_work + job.penalty_remaining if clairvoyant else None,
+                )
             )
         return SchedulingContext(
-            time=self._now,
+            time=now,
             cluster=self.cluster,
             jobs=views,
             submitted=[j for j in submitted if j in views],
@@ -1105,15 +1113,55 @@ class Simulator:
                 self._scheduler_job_counts.append(len(context.jobs))
         if decision is None:
             decision = AllocationDecision()
-        specs = {job_id: self._jobs[job_id].spec for job_id in context.jobs}
-        # With down nodes marked in the validation tally, an allocation on a
-        # failed node raises the same InfeasibleAllocationError a capacity
-        # violation would — schedulers cannot place work on dead nodes.
-        usage = (
-            self.cluster.usage(self._down_nodes) if self._down_nodes else None
-        )
-        validate_decision(decision, specs, self.cluster, usage=usage)
+        if not self._keeps_validated_allocations(decision):
+            # With down nodes marked in the validation tally, an allocation
+            # on a failed node raises the same InfeasibleAllocationError a
+            # capacity violation would — schedulers cannot place work on
+            # dead nodes.  The views carry the three spec fields the
+            # validator reads.
+            usage = (
+                self.cluster.usage(self._down_nodes) if self._down_nodes else None
+            )
+            validate_decision(decision, context.jobs, self.cluster, usage=usage)
         return decision
+
+    def _keeps_validated_allocations(self, decision: AllocationDecision) -> bool:
+        """True when ``decision`` only keeps allocations that are live now.
+
+        Validate-on-change: if every entry of ``decision.running`` equals the
+        applied ``(assignment, current_yield)`` of a job that is RUNNING
+        right now, the decision needs no capacity tally.  The argument is
+        monotonicity.  Only ``_apply_decision`` gives a job an allocation,
+        and it only ever applies a decision that passed this gate, so the
+        allocations live after it are exactly that decision's entries (up to
+        task order within a job, which no per-node sum sees).
+        Until the next decision the live set can only *shrink* (completion,
+        cancellation, eviction from a failed node — which also means no
+        RUNNING job has a task on a down node; a repair only adds capacity).
+        By induction the live allocations are a sub-multiset of the tasks of
+        the last fully tallied decision, and so is any decision that merely
+        keeps some of them: per node it sums a subset of non-negative terms
+        whose full sum was within capacity, and arities and node ranges were
+        checked when the allocations were first admitted.  A subset is summed
+        in a different order than the original tally, so the two sums can
+        differ by rounding (ulps, ~1e-16 per term); that — not a real
+        overcommit — is what ``CAPACITY_EPSILON`` (1e-6) absorbs.
+
+        Anything else — a start, a resume, a migration (even a reordering of
+        the same nodes), a yield change, an unknown or non-running job —
+        returns False and takes the full ``validate_decision``.
+        """
+        active = self._active
+        for job_id, alloc in decision.running.items():
+            job = active.get(job_id)
+            if (
+                job is None
+                or job.state is not JobState.RUNNING
+                or alloc.nodes != job.assignment
+                or alloc.yield_value != job.current_yield
+            ):
+                return False
+        return True
 
     def _charge_overhead(self, event: str, job: Job) -> None:
         """Charge the configured overhead model for ``event`` on ``job``.
@@ -1161,7 +1209,10 @@ class Simulator:
                     self._note_allocation_change(job)
                     for observer in self._observers:
                         observer.on_job_preempted(self._now, job.spec)
-                elif sorted(new_alloc.nodes) != sorted(job.assignment):
+                elif (
+                    new_alloc.nodes != job.assignment
+                    and sorted(new_alloc.nodes) != sorted(job.assignment)
+                ):
                     # migration: pause/resume through storage within this event
                     self._costs.record_migration(
                         penalty.migration_bytes_gb(job.spec, self.cluster)

@@ -147,8 +147,6 @@ class Job:
     completion_time: Optional[float] = None
     preemption_count: int = 0
     migration_count: int = 0
-    #: Number of failed scheduling attempts (greedy bounded backoff).
-    backoff_count: int = 0
     #: Execution-time-model multiplier on the dedicated work (1.0 = the
     #: trace is exact); set once at admission, before any progress is made.
     work_scale: float = 1.0

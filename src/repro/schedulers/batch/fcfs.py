@@ -8,6 +8,7 @@ the queue, which is what EASY backfilling later relaxes.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Set, Tuple
 
 from ...core.allocation import AllocationDecision
@@ -16,6 +17,10 @@ from ...core.context import JobView, SchedulingContext
 from ..base import Scheduler
 
 __all__ = ["FcfsScheduler"]
+
+#: Submission order with the job id as tie-break (C-level key: the queue is
+#: re-sorted at every event, over the whole backlog).
+_SUBMISSION_ORDER = attrgetter("submit_time", "job_id")
 
 
 class FcfsScheduler(Scheduler):
@@ -50,9 +55,7 @@ class FcfsScheduler(Scheduler):
 
     def waiting_queue(self, context: SchedulingContext) -> List[JobView]:
         """Pending jobs in submission order (batch jobs are never paused)."""
-        return sorted(
-            context.pending_jobs(), key=lambda v: (v.submit_time, v.job_id)
-        )
+        return sorted(context.pending_jobs(), key=_SUBMISSION_ORDER)
 
     def keep_running(self, context: SchedulingContext) -> Dict[int, "JobAllocation"]:
         """Running jobs keep their nodes untouched."""

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.allocation import AllocationDecision, JobAllocation, validate_decision
-from repro.core.job import MINIMUM_YIELD
+from repro.core.job import MINIMUM_YIELD, JobState
 from repro.exceptions import AllocationError, InfeasibleAllocationError
 
 from ..conftest import make_job
+from .test_context import make_view
 
 
 class TestJobAllocation:
@@ -112,3 +113,45 @@ class TestValidateDecision:
         decision.set(2, [0], 0.5)
         usage = validate_decision(decision, specs, small_cluster)
         assert usage.cpu_allocated(0) == pytest.approx(1.0)
+
+    def test_memory_violation_names_the_job(self, small_cluster):
+        specs = {
+            1: make_job(1, tasks=1, mem=0.7),
+            2: make_job(2, tasks=1, mem=0.7),
+        }
+        decision = AllocationDecision()
+        decision.set(1, [5], 0.5)
+        decision.set(2, [5], 0.5)
+        with pytest.raises(InfeasibleAllocationError) as caught:
+            validate_decision(decision, specs, small_cluster)
+        # ``job {id}:`` like the structural errors, original text kept.
+        assert str(caught.value) == (
+            "job 2: node 5: memory 0.7000 + 0.7000 exceeds capacity"
+        )
+        assert isinstance(caught.value.__cause__, InfeasibleAllocationError)
+
+    def test_cpu_violation_names_the_job(self, small_cluster):
+        specs = {
+            1: make_job(1, tasks=1, cpu=1.0, mem=0.1),
+            2: make_job(2, tasks=1, cpu=1.0, mem=0.1),
+        }
+        decision = AllocationDecision()
+        decision.set(1, [3], 0.8)
+        decision.set(2, [3], 0.8)
+        with pytest.raises(InfeasibleAllocationError) as caught:
+            validate_decision(decision, specs, small_cluster)
+        assert str(caught.value) == (
+            "job 2: node 3: CPU allocation 0.8000 + 0.8000 exceeds capacity"
+        )
+
+    def test_job_views_stand_in_for_specs(self, small_cluster):
+        # The engine validates against its per-event JobView snapshots: the
+        # validator only reads num_tasks / cpu_need / mem_requirement.
+        views = {1: make_view(1, JobState.PENDING, num_tasks=2, cpu_need=0.5)}
+        decision = AllocationDecision()
+        decision.set(1, [0, 1], 1.0)
+        usage = validate_decision(decision, views, small_cluster)
+        assert usage.cpu_allocated(0) == pytest.approx(0.5)
+        decision.set(1, [0], 1.0)
+        with pytest.raises(AllocationError, match="job 1: allocation places 1"):
+            validate_decision(decision, views, small_cluster)

@@ -1,0 +1,404 @@
+"""The engine's per-event snapshot and its validate-on-change gate.
+
+Both replaced slower code with the same behaviour, so the old rules are kept
+here as oracles:
+
+* ``_reference_views`` is the field-by-field ``_build_context`` body the
+  engine had before views became tuple-backed; at every event of the nine
+  paper algorithms the engine's ``context.jobs`` must equal it field for
+  field;
+* a plain ``validate_decision`` over the real specs is what the engine ran
+  on every decision before validate-on-change; a scripted scheduler replays
+  hypothesis-drawn decisions and the engine must raise iff that call does.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocation import (
+    AllocationDecision,
+    JobAllocation,
+    validate_decision,
+)
+from repro.core.cluster import Cluster
+from repro.core.context import JobView, SchedulingContext
+from repro.core.engine import SimulationConfig, Simulator
+from repro.core.job import JobSpec, JobState
+from repro.core.penalties import ReschedulingPenaltyModel
+from repro.exceptions import AllocationError
+from repro.platform.events import TraceNodeEventSource
+from repro.schedulers.base import Scheduler
+from repro.schedulers.registry import PAPER_ALGORITHMS, create_scheduler
+from repro.workloads.lublin import LublinWorkloadGenerator
+
+
+# --------------------------------------------------------------------------- #
+# (a) the snapshot against the old field-by-field rule                         #
+# --------------------------------------------------------------------------- #
+def _reference_views(simulator: Simulator) -> Dict[int, JobView]:
+    """The pre-tuple ``Simulator._build_context`` loop, verbatim (minus the
+    deleted ``backoff_count`` field)."""
+    self = simulator
+    clairvoyant = bool(getattr(self.scheduler, "requires_runtime_estimates", False))
+    views: Dict[int, JobView] = {}
+    for job_id, job in self._active.items():
+        views[job_id] = JobView(
+            job_id=job_id,
+            num_tasks=job.spec.num_tasks,
+            cpu_need=job.spec.cpu_need,
+            mem_requirement=job.spec.mem_requirement,
+            submit_time=job.spec.submit_time,
+            state=job.state,
+            virtual_time=job.virtual_time,
+            flow_time=job.flow_time(self._now),
+            assignment=job.assignment,
+            current_yield=job.current_yield,
+            last_assignment=job.last_assignment,
+            runtime_estimate=job.spec.execution_time if clairvoyant else None,
+            remaining_runtime_estimate=(
+                job.remaining_work + job.penalty_remaining if clairvoyant else None
+            ),
+        )
+    return views
+
+
+def _bits(value):
+    """Floats by bit pattern (tells 0.0 from -0.0), everything else as is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+class _Spy:
+    """Transparent scheduler proxy calling ``on_context`` before each
+    ``schedule`` (the engine reads every other attribute off the inner
+    scheduler, so it cannot tell the difference)."""
+
+    def __init__(self, inner, on_context) -> None:
+        self._inner = inner
+        self._on_context = on_context
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def start(self, cluster, start_time) -> None:
+        self._inner.start(cluster, start_time)
+
+    def schedule(self, context):
+        self._on_context(context)
+        return self._inner.schedule(context)
+
+
+def _lublin_run(algorithm: str, on_context, *, nodes: int = 16, num_jobs: int = 40) -> None:
+    cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
+    workload = LublinWorkloadGenerator(cluster).generate(num_jobs, seed=23)
+    simulator = Simulator(
+        cluster,
+        _Spy(create_scheduler(algorithm), lambda context: on_context(simulator, context)),
+        SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0)),
+    )
+    assert simulator.run(workload.jobs).num_jobs == num_jobs
+
+
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+def test_snapshot_equals_the_field_by_field_rule_at_every_event(algorithm):
+    clairvoyant = create_scheduler(algorithm).requires_runtime_estimates
+    events = 0
+
+    def check(simulator, context):
+        nonlocal events
+        events += 1
+        expected = _reference_views(simulator)
+        assert list(context.jobs) == list(expected)  # same ids, same order
+        for job_id, view in context.jobs.items():
+            reference = expected[job_id]
+            assert type(view) is JobView
+            for name in JobView._fields:
+                got, want = getattr(view, name), getattr(reference, name)
+                assert type(got) is type(want), (job_id, name)
+                assert _bits(got) == _bits(want), (job_id, name)
+            assert (view.runtime_estimate is None) == (not clairvoyant)
+            assert (view.remaining_runtime_estimate is None) == (not clairvoyant)
+        assert context.time == simulator.online_now()
+
+    _lublin_run(algorithm, check)
+    assert events >= 40
+
+
+# --------------------------------------------------------------------------- #
+# (c) contexts are snapshots: what was read during the run reads the same      #
+#     after it (bench/probes.py replays captured contexts after the run)       #
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("algorithm", ["fcfs", "greedy-pmtn-migr", "dynmcb8-per-600"])
+def test_captured_contexts_read_the_same_after_the_run(algorithm):
+    captured: List[Tuple[SchedulingContext, tuple]] = []
+
+    def read(context: SchedulingContext) -> tuple:
+        return (
+            context.time,
+            [(job_id, tuple(view)) for job_id, view in context.jobs.items()],
+            [view.job_id for view in context.running_jobs()],
+            [view.job_id for view in context.paused_jobs()],
+            [view.job_id for view in context.pending_jobs()],
+            list(context.submitted),
+            list(context.completed),
+            sorted(context.current_allocations().items()),
+        )
+
+    _lublin_run(algorithm, lambda _simulator, context: captured.append((context, read(context))))
+    assert len(captured) >= 40
+    states = set()
+    for context, seen in captured:
+        assert read(context) == seen
+        states.update(view.state for view in context.jobs.values())
+    # The run is over and every job completed, yet no captured view says so.
+    assert JobState.RUNNING in states and JobState.COMPLETED not in states
+
+
+# --------------------------------------------------------------------------- #
+# (d) validate-on-change against a plain validate_decision                     #
+# --------------------------------------------------------------------------- #
+_NODES = 4
+_CLUSTER = Cluster(num_nodes=_NODES, cores_per_node=4, node_memory_gb=8.0)
+
+#: Four two-task jobs fill every node's memory (2 x 0.5) and, at yield 0.8,
+#: nearly all of its CPU (2 x 0.6 x 0.8 = 0.96): any extra task overcommits
+#: memory, any yield nudged up overcommits CPU.  Two one-task jobs wait.
+_SPECS = {
+    spec.job_id: spec
+    for spec in [
+        JobSpec(0, 0.0, 2, 0.6, 0.5, 1e6),
+        JobSpec(1, 0.0, 2, 0.6, 0.5, 1e6),
+        JobSpec(2, 0.0, 2, 0.6, 0.5, 1e6),
+        JobSpec(3, 0.0, 2, 0.6, 0.5, 1e6),
+        JobSpec(4, 0.0, 1, 0.6, 0.5, 1e6),
+        JobSpec(5, 0.0, 1, 0.3, 0.25, 1e6),
+    ]
+}
+_BASE_YIELD = 0.8
+_BASE = {0: (0, 1), 1: (0, 1), 2: (2, 3), 3: (2, 3)}
+
+_KINDS = [
+    "keep",
+    "subset",
+    "reverse-entries",
+    "reverse-nodes",
+    "nudge-yield",
+    "migrate",
+    "start",
+    "resume-on-old-nodes",
+    "unknown-job",
+    "extra-task",
+    "out-of-range",
+]
+_YIELDS = [_BASE_YIELD, _BASE_YIELD, 0.4, 1.0, 0.8000001, 0.85]
+
+_OPS = st.tuples(
+    st.sampled_from(_KINDS),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.sampled_from(_YIELDS),
+)
+
+
+def _mutated(context: SchedulingContext, op) -> AllocationDecision:
+    """The running allocations of ``context`` with one drawn edit applied."""
+    kind, i, j, yield_value = op
+    running = context.running_jobs()
+    others = [view for view in context.jobs.values() if not view.is_running]
+    allocations = {
+        view.job_id: JobAllocation(view.assignment, view.current_yield)
+        for view in running
+    }
+    victim = running[i % len(running)] if running else None
+    if kind == "subset" and victim is not None:
+        del allocations[victim.job_id]
+    elif kind == "reverse-entries":
+        allocations = dict(reversed(list(allocations.items())))
+    elif kind == "reverse-nodes" and victim is not None:
+        allocations[victim.job_id] = JobAllocation(
+            victim.assignment[::-1], victim.current_yield
+        )
+    elif kind == "nudge-yield" and victim is not None:
+        allocations[victim.job_id] = JobAllocation(victim.assignment, yield_value)
+    elif kind == "migrate" and victim is not None:
+        nodes = tuple((node + 1 + j) % _NODES for node in victim.assignment)
+        allocations[victim.job_id] = JobAllocation(nodes, victim.current_yield)
+    elif kind == "start" and others:
+        view = others[i % len(others)]
+        nodes = tuple((j + k) % _NODES for k in range(view.num_tasks))
+        allocations[view.job_id] = JobAllocation(nodes, yield_value)
+    elif kind == "resume-on-old-nodes":
+        # A job that ran before (PAUSED, or PENDING again after a failure
+        # kill) handed back exactly what it held — possibly on a node that
+        # is down now, possibly next to whoever took its place.
+        stopped = [view for view in others if view.last_assignment is not None]
+        if stopped:
+            view = stopped[i % len(stopped)]
+            allocations[view.job_id] = JobAllocation(view.last_assignment, _BASE_YIELD)
+    elif kind == "unknown-job":
+        allocations[999] = JobAllocation((j % _NODES,), yield_value)
+    elif kind == "extra-task" and victim is not None:
+        allocations[victim.job_id] = JobAllocation(
+            victim.assignment + (j % _NODES,), victim.current_yield
+        )
+    elif kind == "out-of-range" and victim is not None:
+        nodes = (_NODES + j,) + victim.assignment[1:]
+        allocations[victim.job_id] = JobAllocation(nodes, victim.current_yield)
+    return AllocationDecision(running=allocations)
+
+
+class _ReplayScheduler(Scheduler):
+    """Starts the base allocation, then applies one drawn edit per event.
+
+    Before returning a decision it runs the oracle — the unconditional
+    ``validate_decision`` the engine used to make, over the real specs and a
+    tally with the down nodes marked — and keeps what it raised.
+    """
+
+    name = "replay"
+
+    def __init__(self) -> None:
+        self.op = None
+        self.oracle_error: Optional[AllocationError] = None
+        self.last_decision: Optional[AllocationDecision] = None
+
+    def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        if self.op is None:
+            decision = AllocationDecision(
+                running={
+                    job_id: JobAllocation(nodes, _BASE_YIELD)
+                    for job_id, nodes in _BASE.items()
+                }
+            )
+        else:
+            decision = _mutated(context, self.op)
+        decision.request_wakeup(context.time + 1.0)
+        specs = {job_id: _SPECS[job_id] for job_id in context.jobs}
+        usage = _CLUSTER.usage(context.down_nodes) if context.down_nodes else None
+        self.oracle_error = None
+        try:
+            validate_decision(decision, specs, _CLUSTER, usage=usage)
+        except AllocationError as error:
+            self.oracle_error = error
+        self.last_decision = decision
+        return decision
+
+
+def _replay(ops, failure_policy: str, fail_at: Optional[float]) -> int:
+    """Drive the engine through ``ops``; returns how many decisions it took."""
+    scheduler = _ReplayScheduler()
+    node_events = None
+    if fail_at is not None:
+        node_events = TraceNodeEventSource(
+            events_list=((fail_at, 1, "down"), (fail_at + 3.0, 1, "up"))
+        )
+    simulator = Simulator(
+        _CLUSTER,
+        scheduler,
+        SimulationConfig(
+            penalty_model=ReschedulingPenaltyModel(0.0),
+            node_events=node_events,
+            failure_policy=failure_policy,
+        ),
+    )
+    simulator.online_begin(0.0)
+    for spec in _SPECS.values():
+        simulator.online_submit(spec)
+    simulator.online_step()  # t=0: the base allocation, fully validated
+    assert scheduler.oracle_error is None
+    accepted = 1
+    for op in ops:
+        scheduler.op = op
+        scheduler.last_decision = None
+        try:
+            simulator.online_step()
+        except AllocationError as error:
+            raised: Optional[AllocationError] = error
+        else:
+            raised = None
+        if scheduler.last_decision is None:
+            continue  # a node event with nothing left to schedule
+        expected = scheduler.oracle_error
+        if expected is None:
+            assert raised is None, (op, raised)
+            accepted += 1
+        else:
+            assert raised is not None, (op, expected)
+            assert type(raised) is type(expected) and str(raised) == str(expected)
+            break  # the engine is mid-event; a real run ends here too
+    return accepted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(_OPS, min_size=1, max_size=10),
+    failure_policy=st.sampled_from(["resubmit", "migrate"]),
+    fail_at=st.sampled_from([None, 0.5, 2.5, 4.5]),
+)
+def test_engine_raises_iff_plain_validation_raises(ops, failure_policy, fail_at):
+    _replay(ops, failure_policy, fail_at)
+
+
+@pytest.mark.parametrize(
+    "ops, raises",
+    [
+        # unchanged / subset / reordered entries: nothing to tally, no error
+        ([("keep", 0, 0, 0.8), ("reverse-entries", 0, 0, 0.8), ("subset", 1, 0, 0.8)], False),
+        # same nodes in another order is a change (validated), not an error
+        ([("reverse-nodes", 0, 0, 0.8), ("keep", 0, 0, 0.8)], False),
+        # one yield nudged up: 0.6 x 0.8 + 0.6 x 1.0 > 1 on both nodes
+        ([("keep", 0, 0, 0.8), ("nudge-yield", 2, 0, 1.0)], True),
+        # one yield nudged down is fine
+        ([("nudge-yield", 2, 0, 0.4)], False),
+        # one extra task on a full node: job 4 (memory 0.5) started on node 0
+        ([("keep", 0, 0, 0.8), ("start", 0, 0, 0.8)], True),
+        # a PAUSED job handed back its old nodes after job 4 took a slot there
+        ([("subset", 0, 0, 0.8), ("start", 1, 0, 0.8), ("resume-on-old-nodes", 0, 0, 0.8)], True),
+        # ... and with the slot still free it simply resumes
+        ([("subset", 0, 0, 0.8), ("resume-on-old-nodes", 0, 0, 0.8)], False),
+    ],
+)
+def test_replay_named_cases(ops, raises):
+    accepted = _replay(ops, "migrate", None)
+    assert accepted == (len(ops) if raises else len(ops) + 1)
+
+
+@pytest.mark.parametrize("failure_policy", ["resubmit", "migrate"])
+def test_job_on_a_down_node_is_rejected(failure_policy):
+    # Node 1 fails at t=0.5 (jobs 0 and 1 are evicted) and is repaired at
+    # t=3.5; the scheduler is woken every 0.5 s.  While the node is down,
+    # handing job 0 its old nodes back must raise; once it is up again (the
+    # ninth step, t=4.5) the same decision is fine.
+    down = [("keep", 0, 0, 0.8), ("resume-on-old-nodes", 0, 0, 0.8)]
+    assert _replay(down, failure_policy, 0.5) == len(down)
+    repaired = [("keep", 0, 0, 0.8)] * 8 + [("resume-on-old-nodes", 0, 0, 0.8)]
+    assert _replay(repaired, failure_policy, 0.5) == len(repaired) + 1
+
+
+def test_unchanged_decisions_skip_the_tally(monkeypatch):
+    """The point of the gate: a decision that only keeps live allocations is
+    not tallied; anything else still is."""
+    import repro.core.engine as engine_module
+
+    calls = []
+
+    def counting(decision, specs, cluster, *, usage=None):
+        calls.append(sorted(decision.running))
+        return validate_decision(decision, specs, cluster, usage=usage)
+
+    monkeypatch.setattr(engine_module, "validate_decision", counting)
+    ops = [
+        ("keep", 0, 0, 0.8),
+        ("reverse-entries", 0, 0, 0.8),
+        ("subset", 3, 0, 0.8),  # job 3 paused: still only live allocations
+        ("keep", 0, 0, 0.8),
+        ("nudge-yield", 0, 0, 0.4),  # a change: tallied
+        ("keep", 0, 0, 0.8),
+        ("resume-on-old-nodes", 0, 0, 0.8),  # a resume: tallied
+    ]
+    assert _replay(ops, "migrate", None) == len(ops) + 1
+    assert calls == [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]]

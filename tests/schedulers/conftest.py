@@ -36,7 +36,6 @@ def view(
         state=state,
         virtual_time=vt,
         flow_time=flow,
-        backoff_count=0,
         assignment=assignment,
         current_yield=current_yield,
         last_assignment=assignment,

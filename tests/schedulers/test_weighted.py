@@ -28,7 +28,6 @@ def _view(job_id, tasks=1, cpu=0.5, mem=0.2):
         state=JobState.PENDING,
         virtual_time=0.0,
         flow_time=0.0,
-        backoff_count=0,
         assignment=None,
         current_yield=0.0,
         last_assignment=None,
