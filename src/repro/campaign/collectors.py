@@ -28,13 +28,14 @@ and p95).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..core.observers import SimulationObserver, UtilizationRecorder
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..metrics import Accumulator, JobMetricsAccumulator, Moments, SumAccumulator
 from ..workloads.model import Workload
 
@@ -561,44 +562,17 @@ class AvailabilityCollector(MetricCollector):
         }
 
 
-_COLLECTOR_FACTORIES: Dict[str, Callable[..., MetricCollector]] = {
-    "stretch": StretchCollector,
-    "costs": CostCollector,
-    "timing": TimingCollector,
-    "fairness": FairnessCollector,
-    "utilization": UtilizationCollector,
-    "availability": AvailabilityCollector,
-}
+COLLECTORS: Registry[MetricCollector] = Registry("metric collector")
+register_collector = COLLECTORS.register
+available_collectors = COLLECTORS.available
+create_collector = COLLECTORS.create
 
-
-def available_collectors() -> List[str]:
-    """Names accepted by :func:`create_collector`."""
-    return sorted(_COLLECTOR_FACTORIES)
-
-
-def register_collector(name: str, factory: Callable[..., MetricCollector]) -> None:
-    """Register a collector factory under a short name (idempotent per factory)."""
-    existing = _COLLECTOR_FACTORIES.get(name)
-    if existing is not None and existing is not factory:
-        raise ConfigurationError(f"collector name {name!r} is already registered")
-    _COLLECTOR_FACTORIES[name] = factory
-
-
-def create_collector(name: str, **options: Any) -> MetricCollector:
-    """Instantiate a registered collector from its name and options."""
-    try:
-        factory = _COLLECTOR_FACTORIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown metric collector {name!r}; known collectors: "
-            f"{', '.join(available_collectors())}"
-        ) from None
-    try:
-        return factory(**options)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for collector {name!r}: {error}"
-        ) from None
+register_collector("stretch", StretchCollector)
+register_collector("costs", CostCollector)
+register_collector("timing", TimingCollector)
+register_collector("fairness", FairnessCollector)
+register_collector("utilization", UtilizationCollector)
+register_collector("availability", AvailabilityCollector)
 
 
 # The SLO/goodput collectors live with the observability layer but register

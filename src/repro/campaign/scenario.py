@@ -35,6 +35,7 @@ from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..workloads.model import Workload
 
 if TYPE_CHECKING:  # imported lazily at runtime inside _trace_source
@@ -354,6 +355,11 @@ class GeneratorSource(WorkloadSource):
                 "generator options must not set 'seed'; use 'seed_base' "
                 "(instance i runs with seed_base + i)"
             )
+        if "type" in dict(self.options):
+            raise ConfigurationError(
+                "generator options must not set 'type'; 'model' names the "
+                "trace source type"
+            )
         # Build instance 0 eagerly so bad models/options fail at spec-load
         # time, not mid-campaign.
         self._trace_source(0)
@@ -450,49 +456,28 @@ def _transform_source_from_spec(**payload: Any) -> TransformSource:
     )
 
 
-#: Source types a spec file can express.  ``custom`` deliberately has no
-#: entry: its factory callable cannot be serialised (see CustomSource).
-_SOURCE_TYPES: Dict[str, Callable[..., WorkloadSource]] = {
-    "lublin": LublinSource,
-    "hpc2n-like": Hpc2nLikeSource,
-    "swf": SwfSource,
-    "generator": GeneratorSource,
-    "transform": _transform_source_from_spec,
-}
-
-#: Known-but-not-expressible source kinds, for a targeted error message.
-_CODE_ONLY_SOURCE_TYPES = ("custom",)
+def _custom_source_from_spec(**payload: Any) -> WorkloadSource:
+    raise ConfigurationError(
+        "workload source type 'custom' is not spec-expressible (its "
+        "factory is a Python callable); build the scenario in code, or "
+        "describe the workload declaratively with the 'generator' or "
+        "'transform' source types (see repro.traces)"
+    )
 
 
-def source_from_dict(data: Mapping[str, Any]) -> WorkloadSource:
-    """Build a workload source from its spec dictionary."""
-    payload = dict(data)
-    # The SWF content fingerprint is derived state (see SwfSource.to_dict),
-    # not a constructor argument.
-    payload.pop("content", None)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("workload source spec needs a 'type' field")
-    if kind in _CODE_ONLY_SOURCE_TYPES:
-        raise ConfigurationError(
-            f"workload source type {kind!r} is not spec-expressible (its "
-            "factory is a Python callable); build the scenario in code, or "
-            "describe the workload declaratively with the 'generator' or "
-            "'transform' source types (see repro.traces)"
-        )
-    try:
-        factory = _SOURCE_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload source type {kind!r}; known types: "
-            f"{', '.join(sorted(_SOURCE_TYPES))}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for workload source {kind!r}: {error}"
-        ) from None
+# The SWF ``content`` fingerprint is derived state (see SwfSource.to_dict),
+# not a constructor argument.
+SOURCES: Registry[WorkloadSource] = Registry(
+    "workload source", base=WorkloadSource, derived_keys=("content",)
+)
+source_from_dict = SOURCES.from_dict
+
+SOURCES.register("lublin", LublinSource)
+SOURCES.register("hpc2n-like", Hpc2nLikeSource)
+SOURCES.register("swf", SwfSource)
+SOURCES.register("generator", GeneratorSource)
+SOURCES.register("transform", _transform_source_from_spec)
+SOURCES.register("custom", _custom_source_from_spec)
 
 
 # --------------------------------------------------------------------------- #
@@ -869,8 +854,8 @@ class Scenario:
         if isinstance(telemetry, TelemetryConfig):
             spec = telemetry.to_dict()
         elif isinstance(telemetry, Mapping):
-            # Round-trip through the registry so unknown types and bad
-            # fields fail at build time, not mid-campaign.
+            # Round-trip through the registry so an unknown type or a bad
+            # field fails at build time, not mid-campaign.
             spec = telemetry_config_from_dict(telemetry).to_dict()
         else:
             raise ConfigurationError(
@@ -897,22 +882,12 @@ class Scenario:
         overhead_spec = spec.get("overhead")
         overhead_model = None
         if overhead_spec is not None:
-            if not isinstance(overhead_spec, Mapping):
-                raise ConfigurationError(
-                    "models 'overhead' must be an overhead-model spec "
-                    f"mapping, got {type(overhead_spec).__name__}"
-                )
             overhead_model = overhead_model_from_dict(overhead_spec)
             if overhead_model.kind == "none":
                 overhead_model = None
         execution_spec = spec.get("execution_time")
         execution_model = None
         if execution_spec is not None:
-            if not isinstance(execution_spec, Mapping):
-                raise ConfigurationError(
-                    "models 'execution_time' must be an execution-time "
-                    f"model spec mapping, got {type(execution_spec).__name__}"
-                )
             execution_model = execution_time_model_from_dict(execution_spec)
             if execution_model.kind == "exact":
                 execution_model = None

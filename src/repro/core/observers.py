@@ -24,9 +24,9 @@ immutable specs/allocations and copies of aggregate counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .allocation import JobAllocation
 from .cluster import Cluster
 from .job import JobSpec
@@ -491,34 +491,12 @@ class AvailabilityRecorder(SimulationObserver):
 #: Name-constructible recorders.  The campaign layer ships recorder *names*
 #: (not instances) to worker processes, so anything pluggable into a
 #: :class:`repro.campaign.collectors.MetricCollector` must be registered here.
-_RECORDER_FACTORIES: Dict[str, Callable[[], SimulationObserver]] = {
-    "event-log": EventLogRecorder,
-    "allocation-trace": AllocationTraceRecorder,
-    "utilization": UtilizationRecorder,
-    "availability": AvailabilityRecorder,
-}
+RECORDERS: Registry[SimulationObserver] = Registry("recorder")
+register_recorder = RECORDERS.register
+available_recorders = RECORDERS.available
+create_recorder = RECORDERS.create
 
-
-def available_recorders() -> List[str]:
-    """Names accepted by :func:`create_recorder`."""
-    return sorted(_RECORDER_FACTORIES)
-
-
-def register_recorder(name: str, factory: Callable[[], SimulationObserver]) -> None:
-    """Register a recorder factory under a short name (idempotent per factory)."""
-    existing = _RECORDER_FACTORIES.get(name)
-    if existing is not None and existing is not factory:
-        raise ConfigurationError(f"recorder name {name!r} is already registered")
-    _RECORDER_FACTORIES[name] = factory
-
-
-def create_recorder(name: str) -> SimulationObserver:
-    """Instantiate a registered recorder from its name."""
-    try:
-        factory = _RECORDER_FACTORIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown recorder {name!r}; known recorders: "
-            f"{', '.join(available_recorders())}"
-        ) from None
-    return factory()
+register_recorder("event-log", EventLogRecorder)
+register_recorder("allocation-trace", AllocationTraceRecorder)
+register_recorder("utilization", UtilizationRecorder)
+register_recorder("availability", AvailabilityRecorder)

@@ -15,142 +15,34 @@ import ast
 import importlib
 import inspect
 import pkgutil
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Type
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Type
 
+from ..registry import Registry, all_registries
 from .findings import Finding
 from .rules import FileContext, Rule, register_rule
 
-__all__ = ["RegistryAudit", "RegistryCompletenessRule", "subsystem_audits"]
+__all__ = ["RegistryCompletenessRule"]
 
 
-@dataclass(frozen=True)
-class RegistryAudit:
-    """One subsystem's registry contract.
-
-    ``registry()`` returns the live name → factory mapping; ``packages``
-    are scanned for concrete subclasses of ``base()``.
-    """
-
-    label: str
-    base_module: str
-    base_name: str
-    registry_module: str
-    registry_name: str
-    packages: Tuple[str, ...]
-
-    def base(self) -> Type[Any]:
-        return getattr(importlib.import_module(self.base_module), self.base_name)
-
-    def registry(self) -> Mapping[str, Callable[..., Any]]:
-        return getattr(importlib.import_module(self.registry_module), self.registry_name)
+def _import_every_module() -> None:
+    """Import all of ``repro`` so every registry and spec class exists."""
+    package = importlib.import_module("repro")
+    for info in pkgutil.walk_packages(package.__path__, "repro."):
+        importlib.import_module(info.name)
 
 
-def subsystem_audits() -> List[RegistryAudit]:
-    """The ``kind``-class registries established by PRs 3–9."""
-    return [
-        RegistryAudit(
-            label="trace source",
-            base_module="repro.traces.source",
-            base_name="JobSource",
-            registry_module="repro.traces.source",
-            registry_name="_TRACE_SOURCE_TYPES",
-            packages=("repro.traces",),
-        ),
-        RegistryAudit(
-            label="trace transform",
-            base_module="repro.traces.transforms",
-            base_name="TraceTransform",
-            registry_module="repro.traces.transforms",
-            registry_name="_TRANSFORM_TYPES",
-            packages=("repro.traces",),
-        ),
-        RegistryAudit(
-            label="accumulator",
-            base_module="repro.metrics.accumulators",
-            base_name="Accumulator",
-            registry_module="repro.metrics.accumulators",
-            registry_name="_ACCUMULATOR_TYPES",
-            packages=("repro.metrics",),
-        ),
-        RegistryAudit(
-            label="platform",
-            base_module="repro.platform.base",
-            base_name="Platform",
-            registry_module="repro.platform.base",
-            registry_name="_PLATFORM_TYPES",
-            packages=("repro.platform",),
-        ),
-        RegistryAudit(
-            label="node event source",
-            base_module="repro.platform.events",
-            base_name="NodeEventSource",
-            registry_module="repro.platform.events",
-            registry_name="_NODE_EVENT_TYPES",
-            packages=("repro.platform",),
-        ),
-        RegistryAudit(
-            label="admission policy",
-            base_module="repro.serve.admission",
-            base_name="AdmissionPolicy",
-            registry_module="repro.serve.admission",
-            registry_name="_ADMISSION_POLICY_TYPES",
-            packages=("repro.serve",),
-        ),
-        RegistryAudit(
-            label="overhead model",
-            base_module="repro.models.overheads",
-            base_name="OverheadModel",
-            registry_module="repro.models.overheads",
-            registry_name="_OVERHEAD_MODEL_TYPES",
-            packages=("repro.models",),
-        ),
-        RegistryAudit(
-            label="execution-time model",
-            base_module="repro.models.etm",
-            base_name="ExecutionTimeModel",
-            registry_module="repro.models.etm",
-            registry_name="_ETM_TYPES",
-            packages=("repro.models",),
-        ),
-        RegistryAudit(
-            label="telemetry spec",
-            base_module="repro.obs.telemetry",
-            base_name="TelemetryConfig",
-            registry_module="repro.obs.telemetry",
-            registry_name="_TELEMETRY_TYPES",
-            packages=("repro.obs",),
-        ),
-    ]
+def _subclasses(base: Type[Any]) -> Iterator[Type[Any]]:
+    """Every direct and indirect subclass of ``base`` defined so far."""
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _subclasses(cls)
 
 
-def _iter_package_classes(package_name: str, base: Type[Any]) -> Iterator[Type[Any]]:
-    """Concrete classes of ``base`` defined anywhere under ``package_name``."""
-    package = importlib.import_module(package_name)
-    module_names = [package_name]
-    search_paths = getattr(package, "__path__", None)
-    if search_paths is not None:
-        for info in pkgutil.iter_modules(search_paths):
-            module_names.append(f"{package_name}.{info.name}")
-    seen: set = set()
-    for module_name in sorted(module_names):
-        module = importlib.import_module(module_name)
-        for value in vars(module).values():
-            if not (isinstance(value, type) and issubclass(value, base)):
-                continue
-            if not value.__module__.startswith(package_name):
-                continue
-            if value in seen:
-                continue
-            seen.add(value)
-            yield value
-
-
-def _spec_classes(audit: RegistryAudit) -> Iterator[Type[Any]]:
+def _spec_classes(base: Type[Any]) -> List[Type[Any]]:
     """Classes bound by the registry contract: concrete ``kind`` + ``to_dict``."""
-    base = audit.base()
-    for cls in _iter_package_classes(audit.packages[0], base):
+    bound = set()
+    for cls in _subclasses(base):
         kind = inspect.getattr_static(cls, "kind", None)
         if not isinstance(kind, str) or kind == "abstract":
             continue
@@ -160,12 +52,16 @@ def _spec_classes(audit: RegistryAudit) -> Iterator[Type[Any]]:
             # Escape hatches (in-memory/callable sources) opt out of the
             # spec form entirely; they are not required to register.
             continue
-        yield cls
+        bound.add(cls)
+    return sorted(bound, key=lambda cls: (cls.__module__, cls.__qualname__))
 
 
 def _class_location(cls: Type[Any]) -> Tuple[str, int]:
     """(absolute source path, 1-based class statement line) of ``cls``."""
-    source_file = inspect.getsourcefile(cls) or ""
+    try:
+        source_file = inspect.getsourcefile(cls) or ""
+    except TypeError:  # the defining module is no longer loaded
+        source_file = ""
     try:
         _, lineno = inspect.getsourcelines(cls)
     except (OSError, TypeError):
@@ -190,52 +86,53 @@ class RegistryCompletenessRule(Rule):
         by_abspath: Dict[str, FileContext] = {
             str(context.path.resolve()): context for context in contexts
         }
+        _import_every_module()
         findings: List[Finding] = []
-        for audit in subsystem_audits():
-            try:
-                registry = audit.registry()
-            except (ImportError, AttributeError) as error:
-                raise RuntimeError(
-                    f"registry audit for {audit.label} could not import its "
-                    f"registry: {error}"
-                ) from error
-            for cls in _spec_classes(audit):
-                kind = inspect.getattr_static(cls, "kind")
-                if kind in registry:
-                    continue
-                abspath, lineno = _class_location(cls)
-                context = by_abspath.get(abspath)
-                if context is None:
-                    continue
-                findings.append(
-                    context.finding(
-                        _ClassAnchor(lineno),
-                        self.code,
-                        f"{audit.label} class {cls.__name__} declares "
-                        f"kind={kind!r} and a to_dict spec form but is not "
-                        f"registered in the {audit.label} registry",
-                    )
-                )
-            # Registered class factories must answer to their registered name.
-            for name, factory in sorted(registry.items()):
-                if not isinstance(factory, type):
-                    continue  # wrapper functions own their own naming
-                abspath, lineno = _class_location(factory)
-                context = by_abspath.get(abspath)
-                if context is None:
-                    continue
-                declared = inspect.getattr_static(factory, "kind", None)
-                if isinstance(declared, str) and declared != name:
-                    findings.append(
-                        context.finding(
-                            _ClassAnchor(lineno),
-                            self.code,
-                            f"{audit.label} registry name {name!r} resolves to "
-                            f"{factory.__name__}, which declares "
-                            f"kind={declared!r}; the names must agree",
-                        )
-                    )
+        for registry in all_registries():
+            if registry.base is not None:
+                findings.extend(self._audit(registry, registry.base, by_abspath))
         return findings
+
+    def _audit(
+        self,
+        registry: Registry[Any],
+        base: Type[Any],
+        by_abspath: Dict[str, FileContext],
+    ) -> Iterator[Finding]:
+        label = registry.label
+        registered = dict(registry.items())
+        for cls in _spec_classes(base):
+            kind = inspect.getattr_static(cls, "kind")
+            if kind in registered:
+                continue
+            abspath, lineno = _class_location(cls)
+            context = by_abspath.get(abspath)
+            if context is None:
+                continue
+            yield context.finding(
+                _ClassAnchor(lineno),
+                self.code,
+                f"{label} class {cls.__name__} declares kind={kind!r} and a "
+                f"to_dict spec form but is not registered in the {label} "
+                "registry",
+            )
+        # Registered class factories must answer to their registered name.
+        for name, factory in registered.items():
+            if not isinstance(factory, type):
+                continue  # wrapper functions own their own naming
+            abspath, lineno = _class_location(factory)
+            context = by_abspath.get(abspath)
+            if context is None:
+                continue
+            declared = inspect.getattr_static(factory, "kind", None)
+            if isinstance(declared, str) and declared != name:
+                yield context.finding(
+                    _ClassAnchor(lineno),
+                    self.code,
+                    f"{label} registry name {name!r} resolves to "
+                    f"{factory.__name__}, which declares kind={declared!r}; "
+                    "the names must agree",
+                )
 
 
 class _ClassAnchor(ast.AST):

@@ -1,9 +1,8 @@
 """The :class:`Rule` contract and its registry.
 
-Mirrors the project's ``type``-registry idiom (see
-:mod:`repro.traces.source`, :mod:`repro.metrics.accumulators`,
-:mod:`repro.platform.base`): every rule has a stable code, registers itself
-at import time, and duplicate registration is a configuration error.
+Rules live in a :class:`repro.registry.Registry` like every other seam:
+every rule has a stable code, registers itself at import time, and duplicate
+registration is a configuration error.
 
 Two rule scopes exist:
 
@@ -19,9 +18,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Iterable, List, Optional, Sequence, Tuple, Type
 
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .findings import Finding
 
 __all__ = [
@@ -110,28 +110,20 @@ class Rule:
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_RULE_TYPES: Dict[str, Type[Rule]] = {}
+RULES: Registry[Rule] = Registry("rule")
+available_rules = RULES.available
 
 
 def register_rule(rule_class: Type[Rule]) -> Type[Rule]:
     """Register a rule class under its ``code`` (usable as a decorator)."""
-    code = rule_class.code
-    if not code:
+    if not rule_class.code:
         raise ConfigurationError(f"rule {rule_class.__name__} has no code")
-    if code in _RULE_TYPES:
-        raise ConfigurationError(f"rule code {code!r} already registered")
-    _RULE_TYPES[code] = rule_class
-    return rule_class
-
-
-def available_rules() -> List[str]:
-    """Registered rule codes, sorted."""
-    return sorted(_RULE_TYPES)
+    return RULES.register(rule_class.code, rule_class)
 
 
 def rule_catalog() -> List[Rule]:
     """One instance of every registered rule, sorted by code."""
-    return [_RULE_TYPES[code]() for code in available_rules()]
+    return [RULES.create(code) for code in available_rules()]
 
 
 def _match_selector(code: str, selector: str) -> bool:
@@ -149,7 +141,7 @@ def create_rules(
     Unknown selectors are configuration errors so typos fail loudly.
     """
     for selector in list(select or []) + list(ignore or []):
-        if not any(_match_selector(code, selector) for code in _RULE_TYPES):
+        if not any(_match_selector(code, selector) for code in available_rules()):
             raise ConfigurationError(
                 f"unknown rule selector {selector!r}; known rules: "
                 f"{', '.join(available_rules())}"
@@ -160,5 +152,5 @@ def create_rules(
             continue
         if ignore and any(_match_selector(code, sel) for sel in ignore):
             continue
-        chosen.append(_RULE_TYPES[code]())
+        chosen.append(RULES.create(code))
     return chosen

@@ -26,11 +26,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReproError
+from ..registry import Registry
 
 __all__ = [
     "Accumulator",
@@ -95,34 +96,15 @@ class Accumulator:
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_ACCUMULATOR_TYPES: Dict[str, Callable[[Mapping[str, Any]], Accumulator]] = {}
-
-
-def register_accumulator(kind: str, loader: Callable[[Mapping[str, Any]], Accumulator]) -> None:
-    """Register an accumulator type under its spec ``type`` name."""
-    if kind in _ACCUMULATOR_TYPES:
-        raise ConfigurationError(f"accumulator type {kind!r} already registered")
-    _ACCUMULATOR_TYPES[kind] = loader
-
-
-def available_accumulators() -> List[str]:
-    """Registered accumulator type names, sorted."""
-    return sorted(_ACCUMULATOR_TYPES)
+# Loaders take the whole ``to_dict`` mapping (state included), not options.
+ACCUMULATORS: Registry[Accumulator] = Registry("accumulator", base=Accumulator)
+register_accumulator = ACCUMULATORS.register
+available_accumulators = ACCUMULATORS.available
 
 
 def accumulator_from_dict(data: Mapping[str, Any]) -> Accumulator:
     """Rebuild an accumulator from its ``to_dict`` form (state included)."""
-    kind = data.get("type")
-    if kind is None:
-        raise ConfigurationError("accumulator spec needs a 'type' field")
-    try:
-        loader = _ACCUMULATOR_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown accumulator type {kind!r}; known types: "
-            f"{', '.join(available_accumulators())}"
-        ) from None
-    return loader(data)
+    return ACCUMULATORS.lookup(ACCUMULATORS.kind_of(data))(data)
 
 
 def merge_accumulators(parts: Sequence[Accumulator]) -> Accumulator:

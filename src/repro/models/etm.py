@@ -31,10 +31,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 
 __all__ = [
     "ExecutionTimeModel",
@@ -204,48 +205,12 @@ class StochasticExecutionTimeModel(ExecutionTimeModel):
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_ETM_TYPES: Dict[str, Callable[..., ExecutionTimeModel]] = {}
-
-
-def register_execution_time_model(
-    kind: str, factory: Callable[..., ExecutionTimeModel]
-) -> None:
-    """Register an execution-time-model type under its spec ``type`` name."""
-    if kind in _ETM_TYPES:
-        raise ConfigurationError(
-            f"execution-time model type {kind!r} already registered"
-        )
-    _ETM_TYPES[kind] = factory
-
-
-def available_execution_time_models() -> List[str]:
-    """Registered spec-expressible execution-time model names, sorted."""
-    return sorted(_ETM_TYPES)
-
-
-def execution_time_model_from_dict(
-    data: Mapping[str, Any]
-) -> ExecutionTimeModel:
-    """Build an execution-time model from its spec dictionary."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError(
-            "execution-time model spec needs a 'type' field"
-        )
-    try:
-        factory = _ETM_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown execution-time model type {kind!r}; known types: "
-            f"{', '.join(available_execution_time_models())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for execution-time model {kind!r}: {error}"
-        ) from None
+EXECUTION_TIME_MODELS: Registry[ExecutionTimeModel] = Registry(
+    "execution-time model", base=ExecutionTimeModel
+)
+register_execution_time_model = EXECUTION_TIME_MODELS.register
+available_execution_time_models = EXECUTION_TIME_MODELS.available
+execution_time_model_from_dict = EXECUTION_TIME_MODELS.from_dict
 
 
 def _table_from_spec(

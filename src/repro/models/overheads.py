@@ -35,9 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -47,6 +45,7 @@ from typing import (
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 
 __all__ = [
     "OVERHEAD_EVENTS",
@@ -346,44 +345,10 @@ class CheckpointBandwidthOverheadModel(OverheadModel):
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_OVERHEAD_MODEL_TYPES: Dict[str, Callable[..., OverheadModel]] = {}
-
-
-def register_overhead_model(
-    kind: str, factory: Callable[..., OverheadModel]
-) -> None:
-    """Register an overhead-model type under its spec ``type`` name."""
-    if kind in _OVERHEAD_MODEL_TYPES:
-        raise ConfigurationError(
-            f"overhead model type {kind!r} already registered"
-        )
-    _OVERHEAD_MODEL_TYPES[kind] = factory
-
-
-def available_overhead_models() -> List[str]:
-    """Registered spec-expressible overhead-model type names, sorted."""
-    return sorted(_OVERHEAD_MODEL_TYPES)
-
-
-def overhead_model_from_dict(data: Mapping[str, Any]) -> OverheadModel:
-    """Build an overhead model from its spec dict (inverse of ``to_dict``)."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("overhead model spec needs a 'type' field")
-    try:
-        factory = _OVERHEAD_MODEL_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown overhead model type {kind!r}; known types: "
-            f"{', '.join(available_overhead_models())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for overhead model {kind!r}: {error}"
-        ) from None
+OVERHEAD_MODELS: Registry[OverheadModel] = Registry("overhead model", base=OverheadModel)
+register_overhead_model = OVERHEAD_MODELS.register
+available_overhead_models = OVERHEAD_MODELS.available
+overhead_model_from_dict = OVERHEAD_MODELS.from_dict
 
 
 def _memory_linear_from_spec(

@@ -60,6 +60,7 @@ from typing import (
 )
 
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..metrics import Accumulator, Moments, SumAccumulator, accumulator_from_dict
 from .timing import perf_counter
 
@@ -543,39 +544,18 @@ class TracingTelemetry(TelemetryConfig):
         )
 
 
-#: kind -> spec class; the REG601-audited registry of this subsystem.
-_TELEMETRY_TYPES: Dict[str, Any] = {}
-
-
-def register_telemetry_config(kind: str, loader: Any) -> None:
-    """Register a telemetry spec class under its ``kind`` (idempotent)."""
-    existing = _TELEMETRY_TYPES.get(kind)
-    if existing is not None and existing is not loader:
-        raise ConfigurationError(
-            f"telemetry spec kind {kind!r} is already registered"
-        )
-    _TELEMETRY_TYPES[kind] = loader
-
-
-def available_telemetry_configs() -> List[str]:
-    """Kinds accepted by :func:`telemetry_config_from_dict`."""
-    return sorted(_TELEMETRY_TYPES)
+#: kind -> spec class, built through its ``from_dict`` (which names the
+#: unknown fields it rejects).
+TELEMETRY_CONFIGS: Registry[TelemetryConfig] = Registry(
+    "telemetry spec", base=TelemetryConfig
+)
+register_telemetry_config = TELEMETRY_CONFIGS.register
+available_telemetry_configs = TELEMETRY_CONFIGS.available
 
 
 def telemetry_config_from_dict(data: Mapping[str, Any]) -> TelemetryConfig:
     """Build a telemetry spec from its canonical dict form."""
-    if not isinstance(data, Mapping) or "type" not in data:
-        raise ConfigurationError(
-            "telemetry spec must be an object with a 'type' field, got "
-            f"{data!r}"
-        )
-    kind = data["type"]
-    loader = _TELEMETRY_TYPES.get(kind)
-    if loader is None:
-        raise ConfigurationError(
-            f"unknown telemetry spec type {kind!r}; known types: "
-            f"{', '.join(available_telemetry_configs())}"
-        )
+    loader: Any = TELEMETRY_CONFIGS.lookup(TELEMETRY_CONFIGS.kind_of(data))
     result = loader.from_dict(data)
     assert isinstance(result, TelemetryConfig)
     return result

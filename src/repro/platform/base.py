@@ -35,10 +35,11 @@ the tasks of a failed node:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .events import NodeEventSource, node_event_source_from_dict
 
 __all__ = [
@@ -131,40 +132,10 @@ def _coerce_events(events: Any) -> Optional[NodeEventSource]:
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_PLATFORM_TYPES: Dict[str, Callable[..., Platform]] = {}
-
-
-def register_platform(kind: str, factory: Callable[..., Platform]) -> None:
-    """Register a platform type under its spec ``type`` name."""
-    if kind in _PLATFORM_TYPES:
-        raise ConfigurationError(f"platform type {kind!r} already registered")
-    _PLATFORM_TYPES[kind] = factory
-
-
-def available_platforms() -> List[str]:
-    """Registered spec-expressible platform type names, sorted."""
-    return sorted(_PLATFORM_TYPES)
-
-
-def platform_from_dict(data: Mapping[str, Any]) -> Platform:
-    """Build a platform from its spec dictionary (inverse of ``to_dict``)."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("platform spec needs a 'type' field")
-    try:
-        factory = _PLATFORM_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown platform type {kind!r}; known types: "
-            f"{', '.join(available_platforms())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for platform {kind!r}: {error}"
-        ) from None
+PLATFORMS: Registry[Platform] = Registry("platform", base=Platform)
+register_platform = PLATFORMS.register
+available_platforms = PLATFORMS.available
+platform_from_dict = PLATFORMS.from_dict
 
 
 # --------------------------------------------------------------------------- #

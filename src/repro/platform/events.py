@@ -53,6 +53,7 @@ import numpy as np
 
 from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 
 __all__ = [
     "NodeEvent",
@@ -139,46 +140,13 @@ def _check_stream(
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_NODE_EVENT_TYPES: Dict[str, Callable[..., NodeEventSource]] = {}
-
-
-def register_node_event_source(
-    kind: str, factory: Callable[..., NodeEventSource]
-) -> None:
-    """Register an event-source type under its spec ``type`` name."""
-    if kind in _NODE_EVENT_TYPES:
-        raise ConfigurationError(
-            f"node event source type {kind!r} already registered"
-        )
-    _NODE_EVENT_TYPES[kind] = factory
-
-
-def available_node_event_sources() -> List[str]:
-    """Registered spec-expressible event-source type names, sorted."""
-    return sorted(_NODE_EVENT_TYPES)
-
-
-def node_event_source_from_dict(data: Mapping[str, Any]) -> NodeEventSource:
-    """Build an event source from its spec dictionary (inverse of ``to_dict``)."""
-    payload = dict(data)
-    # Content fingerprints are derived state, not constructor arguments.
-    payload.pop("content", None)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("node event source spec needs a 'type' field")
-    try:
-        factory = _NODE_EVENT_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown node event source type {kind!r}; known types: "
-            f"{', '.join(available_node_event_sources())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for node event source {kind!r}: {error}"
-        ) from None
+# ``content`` fingerprints are derived state, not constructor arguments.
+NODE_EVENT_SOURCES: Registry[NodeEventSource] = Registry(
+    "node event source", base=NodeEventSource, derived_keys=("content",)
+)
+register_node_event_source = NODE_EVENT_SOURCES.register
+available_node_event_sources = NODE_EVENT_SOURCES.available
+node_event_source_from_dict = NODE_EVENT_SOURCES.from_dict
 
 
 # --------------------------------------------------------------------------- #

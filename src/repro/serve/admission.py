@@ -29,10 +29,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 
 __all__ = [
     "ServiceLoad",
@@ -105,42 +106,12 @@ class AdmissionPolicy(abc.ABC):
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_ADMISSION_POLICY_TYPES: Dict[str, Callable[..., AdmissionPolicy]] = {}
-
-
-def register_admission_policy(
-    kind: str, factory: Callable[..., AdmissionPolicy]
-) -> None:
-    """Register a policy type under its spec ``type`` name."""
-    if kind in _ADMISSION_POLICY_TYPES:
-        raise ConfigurationError(f"admission policy type {kind!r} already registered")
-    _ADMISSION_POLICY_TYPES[kind] = factory
-
-
-def available_admission_policies() -> List[str]:
-    """Registered spec-expressible policy type names, sorted."""
-    return sorted(_ADMISSION_POLICY_TYPES)
-
-
-def admission_policy_from_dict(data: Mapping[str, Any]) -> AdmissionPolicy:
-    """Build a policy from its spec dictionary (inverse of ``to_dict``)."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("admission policy spec needs a 'type' field")
-    try:
-        factory = _ADMISSION_POLICY_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown admission policy type {kind!r}; known types: "
-            f"{', '.join(available_admission_policies())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for admission policy {kind!r}: {error}"
-        ) from None
+ADMISSION_POLICIES: Registry[AdmissionPolicy] = Registry(
+    "admission policy", base=AdmissionPolicy
+)
+register_admission_policy = ADMISSION_POLICIES.register
+available_admission_policies = ADMISSION_POLICIES.available
+admission_policy_from_dict = ADMISSION_POLICIES.from_dict
 
 
 # --------------------------------------------------------------------------- #

@@ -39,7 +39,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Tuple,
@@ -48,6 +47,7 @@ from typing import (
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..workloads.model import Workload
 
 if TYPE_CHECKING:  # circular at runtime: transforms imports this module
@@ -109,40 +109,10 @@ class JobSource:
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_TRACE_SOURCE_TYPES: Dict[str, Callable[..., JobSource]] = {}
-
-
-def register_trace_source(kind: str, factory: Callable[..., JobSource]) -> None:
-    """Register a source type under its spec ``type`` name."""
-    if kind in _TRACE_SOURCE_TYPES:
-        raise ConfigurationError(f"trace source type {kind!r} already registered")
-    _TRACE_SOURCE_TYPES[kind] = factory
-
-
-def available_trace_sources() -> List[str]:
-    """Registered spec-expressible source type names, sorted."""
-    return sorted(_TRACE_SOURCE_TYPES)
-
-
-def trace_source_from_dict(data: Mapping[str, Any]) -> JobSource:
-    """Build a trace source from its spec dictionary (inverse of ``to_dict``)."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("trace source spec needs a 'type' field")
-    try:
-        factory = _TRACE_SOURCE_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown trace source type {kind!r}; known types: "
-            f"{', '.join(available_trace_sources())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for trace source {kind!r}: {error}"
-        ) from None
+TRACE_SOURCES: Registry[JobSource] = Registry("trace source", base=JobSource)
+register_trace_source = TRACE_SOURCES.register
+available_trace_sources = TRACE_SOURCES.available
+trace_source_from_dict = TRACE_SOURCES.from_dict
 
 
 # --------------------------------------------------------------------------- #

@@ -41,6 +41,7 @@ import numpy as np
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..workloads.model import offered_load
 from .source import JobSource, register_trace_source, trace_source_from_dict
 
@@ -80,40 +81,10 @@ class TraceTransform:
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
-_TRANSFORM_TYPES: Dict[str, Callable[..., TraceTransform]] = {}
-
-
-def register_transform(kind: str, factory: Callable[..., TraceTransform]) -> None:
-    """Register a transform type under its spec ``type`` name."""
-    if kind in _TRANSFORM_TYPES:
-        raise ConfigurationError(f"trace transform type {kind!r} already registered")
-    _TRANSFORM_TYPES[kind] = factory
-
-
-def available_transforms() -> List[str]:
-    """Registered transform type names, sorted."""
-    return sorted(_TRANSFORM_TYPES)
-
-
-def transform_from_dict(data: Mapping[str, Any]) -> TraceTransform:
-    """Build a transform from its spec dictionary (inverse of ``to_dict``)."""
-    payload = dict(data)
-    kind = payload.pop("type", None)
-    if kind is None:
-        raise ConfigurationError("trace transform spec needs a 'type' field")
-    try:
-        factory = _TRANSFORM_TYPES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown trace transform type {kind!r}; known types: "
-            f"{', '.join(available_transforms())}"
-        ) from None
-    try:
-        return factory(**payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"invalid options for trace transform {kind!r}: {error}"
-        ) from None
+TRANSFORMS: Registry[TraceTransform] = Registry("trace transform", base=TraceTransform)
+register_transform = TRANSFORMS.register
+available_transforms = TRANSFORMS.available
+transform_from_dict = TRANSFORMS.from_dict
 
 
 def _sorted_buffer(stream: Iterator[JobSpec]) -> List[JobSpec]:

@@ -54,8 +54,10 @@ class TestRecorderRegistry:
         with pytest.raises(ConfigurationError):
             create_recorder("nonexistent")
 
-    def test_reregistering_same_factory_is_idempotent(self):
-        register_recorder("utilization", UtilizationRecorder)
+    def test_reregistering_same_factory_rejected(self):
+        # One strict duplicate-name rule for every registry (tests/test_registry.py).
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register_recorder("utilization", UtilizationRecorder)
 
     def test_name_collision_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -58,6 +58,14 @@ class TestGeneratorSource:
         with pytest.raises(ConfigurationError, match="invalid options"):
             GeneratorSource(model="downey", options={"bogus": 1})
 
+    def test_options_cannot_override_the_model(self):
+        # 'type' in options used to win over 'model' while to_dict() (and so
+        # the scenario hash and run cache) kept saying 'downey'.
+        with pytest.raises(ConfigurationError, match="must not set 'type'"):
+            GeneratorSource(
+                model="downey", options={"type": "lublin", "num_jobs": 5}
+            )
+
     def test_seed_option_rejected(self):
         with pytest.raises(ConfigurationError, match="seed_base"):
             GeneratorSource(model="downey", options={"seed": 1})

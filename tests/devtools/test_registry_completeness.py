@@ -7,7 +7,9 @@ proves every *registered* name is live — constructible, serialisable, and
 dangling name nor drift from the ``type`` field its factories emit.
 """
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from repro.core.cluster import Cluster
 from repro.core.observers import available_recorders, create_recorder
 from repro.campaign.collectors import available_collectors, create_collector
 from repro.devtools import check_paths
-from repro.devtools.registry_audit import RegistryCompletenessRule, subsystem_audits
+from repro.devtools.registry_audit import RegistryCompletenessRule
+from repro.registry import all_registries
 from repro.metrics import (
     ExactDistribution,
     FixedHistogram,
@@ -359,8 +362,11 @@ def test_no_dangling_collector_or_recorder_names():
 
 
 def test_audit_covers_every_kind_registry():
-    audits = {audit.label: audit for audit in subsystem_audits()}
-    assert set(audits) == {
+    RegistryCompletenessRule().check_project([])  # imports every seam
+    audited = {
+        registry.label for registry in all_registries() if registry.base is not None
+    }
+    assert audited == {
         "trace source",
         "trace transform",
         "accumulator",
@@ -370,7 +376,37 @@ def test_audit_covers_every_kind_registry():
         "overhead model",
         "execution-time model",
         "telemetry spec",
+        "workload source",
     }
+
+
+ROGUE_SOURCE = """
+from repro.campaign.scenario import WorkloadSource
+
+
+class RogueSource(WorkloadSource):
+    kind = "rogue"
+
+    def to_dict(self):
+        return {"type": self.kind}
+"""
+
+
+def test_reg_rule_flags_unregistered_scenario_source(tmp_path, monkeypatch):
+    # Scenario sources had no audit before the generic Registry.
+    path = tmp_path / "rogue_source.py"
+    path.write_text(ROGUE_SOURCE)
+    spec = importlib.util.spec_from_file_location("rogue_source", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "rogue_source", module)  # inspect needs it
+    spec.loader.exec_module(module)
+    result = check_paths(
+        [str(path)], project_root=str(tmp_path), rules=[RegistryCompletenessRule()]
+    )
+    assert [finding.code for finding in result.findings] == ["REG601"]
+    message = result.findings[0].message
+    assert "workload source class RogueSource" in message and "'rogue'" in message
+    assert result.findings[0].line == 5
 
 
 def test_reg_rule_finds_nothing_in_tree():
