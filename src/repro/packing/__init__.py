@@ -2,6 +2,7 @@
 
 from .bounds import (
     cpu_capacity_yield_bound,
+    cpu_volume_exceeded,
     infeasibility_reasons,
     memory_feasible,
     memory_lower_bound_bins,
@@ -9,7 +10,7 @@ from .bounds import (
     total_memory_requirement,
 )
 from .first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
-from .item import Bin, PackingItem, PackingResult, job_items
+from .item import Bin, PackingItem, PackingJob, PackingResult, job_items
 from .mcb8 import mcb8_pack
 from .variants import (
     PACKER_NAMES,
@@ -19,7 +20,6 @@ from .variants import (
 )
 from .yield_search import (
     YIELD_SEARCH_ACCURACY,
-    PackingJob,
     StretchSearchResult,
     YieldSearchResult,
     maximize_min_yield,
@@ -29,6 +29,7 @@ from .yield_search import (
 
 __all__ = [
     "cpu_capacity_yield_bound",
+    "cpu_volume_exceeded",
     "infeasibility_reasons",
     "memory_feasible",
     "memory_lower_bound_bins",

@@ -8,7 +8,8 @@ module are heuristic-independent necessary conditions; they are used
   aggregate CPU capacity allows;
 * in the packing ablation experiments, to report how close each heuristic
   gets to the capacity bound;
-* by schedulers, as a cheap early-exit test before running a full search.
+* by schedulers and the yield searches, as a cheap early-exit test before
+  running a full search (or one of its packs).
 
 All bounds treat the cluster as ``num_nodes`` bins of capacity 1.0 × 1.0 and
 a job as ``num_tasks`` identical (CPU-need, memory) items, exactly as in
@@ -18,9 +19,10 @@ pairs): the aggregate bounds then sum real capacities instead of counting
 unit nodes.
 
 The packers' bins accept ``capacity + BIN_EPSILON`` against a *rounded*
-running sum, so every infeasibility test here grants one epsilon per bin and
-a rounding allowance: an instance some packer can pack is never called
-infeasible.
+running sum, so every *infeasibility* test here grants one epsilon per bin
+and a rounding allowance: an instance some packer can pack is never called
+infeasible.  (:func:`cpu_capacity_yield_bound` is an unpadded ratio for
+reporting, not such a test.)
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import math
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
-from .item import BIN_EPSILON, PackingItem
-from .yield_search import PackingJob
+from .item import BIN_EPSILON, PackingItem, PackingJob
 
 __all__ = [
     "total_cpu_need",
@@ -39,6 +40,7 @@ __all__ = [
     "memory_lower_bound_bins",
     "memory_feasible",
     "infeasibility_reasons",
+    "cpu_volume_exceeded",
 ]
 
 
@@ -51,6 +53,16 @@ def _rounding_allowance(operations: int) -> float:
     limit" a proof whatever the order of additions.
     """
     return 1.0 + (operations + 4) * 2.0**-51
+
+
+def _volume_exceeded(
+    volume: float, tasks: int, total_capacity: float, num_nodes: int
+) -> bool:
+    """Proof that ``tasks`` items summing to ``volume`` overfill the bins."""
+    # Each bin accepts its capacity plus epsilon, so the cluster accepts one
+    # epsilon per node — not one overall.
+    accepted = total_capacity + num_nodes * BIN_EPSILON
+    return volume > accepted * _rounding_allowance(tasks + num_nodes)
 
 
 def total_cpu_need(jobs: Sequence[PackingJob]) -> float:
@@ -76,6 +88,9 @@ def cpu_capacity_yield_bound(
     CPU capacity (``num_nodes`` units when homogeneous, the sum of per-node
     CPU capacities otherwise).  Hence ``Y ≤ capacity / Σ need`` (and never
     above 1).  An empty job set has a bound of 1.0 by convention.
+
+    Not a proof: the ratio ignores the bin tolerance and rounding, so a packer
+    may land a hair above it.  To *refuse* a pack use :func:`cpu_volume_exceeded`.
     """
     if num_nodes < 1:
         raise ReproError(f"num_nodes must be >= 1, got {num_nodes}")
@@ -123,6 +138,24 @@ def memory_feasible(
     return not infeasibility_reasons(jobs, num_nodes, capacities=capacities)
 
 
+def cpu_volume_exceeded(
+    demand: float,
+    tasks: int,
+    num_nodes: int,
+    capacities: Optional[Sequence[Tuple[float, float]]] = None,
+) -> bool:
+    """Proof that no packer can place ``tasks`` items needing ``demand`` CPU.
+
+    ``demand`` must sum the requirements the items *carry* — for a yield
+    search ``tasks × min(1, need × Y)`` per job, clamp included.  Padded like
+    the memory volume test of :func:`infeasibility_reasons` (a down node is a
+    zero-capacity bin that still grants its epsilon); the only test a search
+    may skip a pack on.
+    """
+    total = float(num_nodes) if capacities is None else sum(c for c, _ in capacities)
+    return _volume_exceeded(demand, tasks, total, num_nodes)
+
+
 def infeasibility_reasons(
     jobs: Sequence[PackingJob],
     num_nodes: int,
@@ -159,11 +192,8 @@ def infeasibility_reasons(
             "the largest node"
         )
     volume = total_memory_requirement(jobs)
-    # Each bin accepts its capacity plus epsilon, so the cluster accepts one
-    # epsilon per node — not one overall.
     tasks = sum(job.num_tasks for job in jobs)
-    accepted = total_memory_capacity + num_nodes * BIN_EPSILON
-    if volume > accepted * _rounding_allowance(tasks + num_nodes):
+    if _volume_exceeded(volume, tasks, total_memory_capacity, num_nodes):
         reasons["volume"] = (
             f"total memory requirement {volume:.2f} node-units exceeds the "
             f"{total_memory_capacity:g} node-units available"

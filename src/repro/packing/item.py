@@ -10,40 +10,48 @@ that may land on the same or different bins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..exceptions import AllocationError
 
-__all__ = ["PackingItem", "Bin", "PackingResult", "job_items"]
+__all__ = ["PackingItem", "Bin", "PackingResult", "job_items", "PackingJob"]
 
 #: What a bin accepts beyond its nominal capacity, per dimension.
 #: :mod:`repro.packing.bounds` pads its proofs by the same amount per bin.
 BIN_EPSILON = 1e-9
 
 
-@dataclass(frozen=True)
-class PackingItem:
-    """One task to be placed on a node.
-
-    ``job_id``/``task_index`` identify the task; ``cpu`` and ``memory`` are
-    the resource requirements as fractions of one node.
-    """
-
+class _ItemFields(NamedTuple):
     job_id: int
     task_index: int
     cpu: float
     memory: float
 
-    def __post_init__(self) -> None:
-        if self.cpu < 0 or self.memory < 0:
+
+class PackingItem(_ItemFields):
+    """One task to be placed on a node.
+
+    ``job_id``/``task_index`` identify the task; ``cpu`` and ``memory`` are
+    the resource requirements as fractions of one node.  Tuple-backed (a
+    yield search builds one per task per probe); construction validates, and
+    :func:`job_items` validates one of a job's identical tasks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, job_id: int, task_index: int, cpu: float, memory: float
+    ) -> "PackingItem":
+        if cpu < 0 or memory < 0:
             raise AllocationError(
-                f"item ({self.job_id}, {self.task_index}): requirements must be >= 0"
+                f"item ({job_id}, {task_index}): requirements must be >= 0"
             )
-        if self.memory > 1.0 + 1e-9:
+        if memory > 1.0 + 1e-9:
             raise AllocationError(
-                f"item ({self.job_id}, {self.task_index}): memory requirement "
-                f"{self.memory} exceeds a full node"
+                f"item ({job_id}, {task_index}): memory requirement "
+                f"{memory} exceeds a full node"
             )
+        return tuple.__new__(cls, (job_id, task_index, cpu, memory))
 
     @property
     def max_requirement(self) -> float:
@@ -142,8 +150,31 @@ def job_items(
     """Build the ``num_tasks`` identical items of one job."""
     if num_tasks < 1:
         raise AllocationError(f"job {job_id}: num_tasks must be >= 1")
-    return [
-        PackingItem(job_id=job_id, task_index=i, cpu=cpu, memory=memory)
-        for i in range(num_tasks)
+    # The tasks differ only in their index: validate one, stamp the rest.
+    stamp = tuple.__new__
+    return [PackingItem(job_id, 0, cpu, memory)] + [
+        stamp(PackingItem, (job_id, i, cpu, memory)) for i in range(1, num_tasks)
     ]
 
+
+@dataclass(frozen=True)
+class PackingJob:
+    """Job description used by the binary searches (no execution time!)."""
+
+    job_id: int
+    num_tasks: int
+    cpu_need: float
+    mem_requirement: float
+    #: Time since submission; only used by the stretch-oriented search.
+    flow_time: float = 0.0
+    #: Accumulated virtual time; only used by the stretch-oriented search.
+    virtual_time: float = 0.0
+
+    def items(self, yield_value: float) -> List[PackingItem]:
+        """Items of this job when each task requires ``cpu_need × yield``."""
+        return job_items(
+            self.job_id,
+            self.num_tasks,
+            min(1.0, self.cpu_need * yield_value),
+            self.mem_requirement,
+        )

@@ -9,15 +9,22 @@ the largest feasible ``Y`` with the paper's 0.01 accuracy.
 DYNMCB8-STRETCH-PER: it looks for the smallest achievable maximum *estimated
 stretch* at the next scheduling event, where the per-job yield needed to hit
 a target stretch is derived from the job's flow time and virtual time.
+
+Both searches probe through :func:`_probe`, which fails a probe without
+packing it when :func:`repro.packing.bounds.cpu_volume_exceeded` proves no
+packer could succeed.  The probe *sequence* is untouched, so results are the
+same as packing every probe, for every packer that honours bin capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.job import MINIMUM_YIELD
-from .item import PackingItem, PackingResult, job_items
+from ..obs.telemetry import current_telemetry
+from .bounds import cpu_volume_exceeded
+from .item import PackingItem, PackingJob, PackingResult
 from .mcb8 import BinCapacities, mcb8_pack
 
 __all__ = [
@@ -40,29 +47,6 @@ Packer = Callable[..., PackingResult]
 
 
 @dataclass(frozen=True)
-class PackingJob:
-    """Job description used by the binary searches (no execution time!)."""
-
-    job_id: int
-    num_tasks: int
-    cpu_need: float
-    mem_requirement: float
-    #: Time since submission; only used by the stretch-oriented search.
-    flow_time: float = 0.0
-    #: Accumulated virtual time; only used by the stretch-oriented search.
-    virtual_time: float = 0.0
-
-    def items(self, yield_value: float) -> List[PackingItem]:
-        """Items of this job when each task requires ``cpu_need × yield``."""
-        return job_items(
-            self.job_id,
-            self.num_tasks,
-            min(1.0, self.cpu_need * yield_value),
-            self.mem_requirement,
-        )
-
-
-@dataclass(frozen=True)
 class YieldSearchResult:
     """Outcome of :func:`maximize_min_yield`."""
 
@@ -81,16 +65,30 @@ class StretchSearchResult:
     assignments: Dict[int, Tuple[int, ...]]
 
 
-def _pack_at_yield(
+def _probe(
     jobs: Sequence[PackingJob],
-    yield_value: float,
+    yields: Mapping[int, float],
     num_nodes: int,
     packer: Packer,
-    capacities: BinCapacities = None,
+    capacities: BinCapacities,
 ) -> PackingResult:
+    """Pack every job at ``yields[job_id]`` — unless arithmetic refuses first."""
+    demand = 0.0
+    tasks = 0
+    for job in jobs:
+        # The CPU requirement PackingJob.items gives each task, clamp included.
+        demand += job.num_tasks * min(1.0, job.cpu_need * yields[job.job_id])
+        tasks += job.num_tasks
+    pruned = cpu_volume_exceeded(demand, tasks, num_nodes, capacities)
+    telemetry = current_telemetry()
+    if telemetry is not None:
+        telemetry.count("packing.probes")
+        telemetry.count("packing.probes_pruned", int(pruned))
+    if pruned:
+        return PackingResult.failure()
     items: List[PackingItem] = []
     for job in jobs:
-        items.extend(job.items(yield_value))
+        items.extend(job.items(yields[job.job_id]))
     if capacities is None:
         return packer(items, num_nodes)
     return packer(items, num_nodes, capacities=capacities)
@@ -116,12 +114,18 @@ def maximize_min_yield(
     if not jobs:
         return YieldSearchResult(True, 1.0, {})
 
-    baseline = _pack_at_yield(jobs, min_yield, num_nodes, packer, capacities)
+    job_ids = [job.job_id for job in jobs]
+
+    def probe(yield_value: float) -> PackingResult:
+        common = dict.fromkeys(job_ids, yield_value)
+        return _probe(jobs, common, num_nodes, packer, capacities)
+
+    baseline = probe(min_yield)
     if not baseline.success:
         return YieldSearchResult(False, 0.0, {})
 
     # Try full yield first: under light load the search is then free.
-    full = _pack_at_yield(jobs, 1.0, num_nodes, packer, capacities)
+    full = probe(1.0)
     if full.success:
         return YieldSearchResult(True, 1.0, full.assignments)
 
@@ -129,7 +133,7 @@ def maximize_min_yield(
     best_yield, best_assignments = min_yield, baseline.assignments
     while high - low > accuracy:
         mid = (low + high) / 2.0
-        attempt = _pack_at_yield(jobs, mid, num_nodes, packer, capacities)
+        attempt = probe(mid)
         if attempt.success:
             low = mid
             best_yield, best_assignments = mid, attempt.assignments
@@ -188,16 +192,8 @@ def minimize_estimated_stretch(
 
     def attempt(target: float) -> Optional[Tuple[Dict[int, float], PackingResult]]:
         yields = stretch_target_yields(jobs, target, period, min_yield=min_yield)
-        items: List[PackingItem] = []
-        for job in jobs:
-            items.extend(job.items(yields[job.job_id]))
-        if capacities is None:
-            result = packer(items, num_nodes)
-        else:
-            result = packer(items, num_nodes, capacities=capacities)
-        if result.success:
-            return yields, result
-        return None
+        result = _probe(jobs, yields, num_nodes, packer, capacities)
+        return (yields, result) if result.success else None
 
     # The most permissive target: every job at the minimum yield.
     ceiling = attempt(max_stretch_bound)

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.cluster import Cluster
 from repro.core.job import JobSpec
 from repro.workloads.lublin import LublinWorkloadGenerator
 from repro.workloads.model import Workload
+
+# Hypothesis profiles, inherited by every property test that does not pin its
+# own settings.  ``default`` is what tier-1 runs; ``ci`` is the longer run
+# selected with ``pytest --hypothesis-profile=ci``.  Neither sets a deadline:
+# shared CI boxes swing too much for a per-example wall-clock limit.
+settings.register_profile("default", max_examples=100, deadline=None)
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile("default")
 
 
 @pytest.fixture

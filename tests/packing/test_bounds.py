@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.packing import (
     PACKER_NAMES,
     PackingJob,
     cpu_capacity_yield_bound,
+    cpu_volume_exceeded,
     get_packer,
     infeasibility_reasons,
     job_items,
@@ -21,6 +24,7 @@ from repro.packing import (
     total_cpu_need,
     total_memory_requirement,
 )
+from repro.packing.bounds import BIN_EPSILON, _rounding_allowance
 
 
 def _job(job_id, tasks=1, cpu=0.5, mem=0.2):
@@ -207,3 +211,55 @@ class TestBoundsAreProofsAgainstTheBinTolerance:
                 assert memory_feasible(jobs, num_nodes, **kwargs), name
                 if capacities is None:
                     assert memory_lower_bound_bins(items) <= result.bins_used, name
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.sampled_from([0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.5]),
+                st.sampled_from([0.0, 2.5e-10, 4e-10, 5e-10, 1e-9, -4e-10]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.one_of(
+            st.integers(1, 6).map(lambda n: (n, None)),
+            st.lists(
+                st.sampled_from([(0.0, 0.0), (0.05, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0)]),
+                min_size=1,
+                max_size=5,
+            ).map(lambda caps: (len(caps), caps)),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cpu_volume_exceeded_implies_every_packer_fails(self, shapes, platform):
+        num_nodes, capacities = platform
+        jobs = [
+            _job(job_id, tasks=tasks, cpu=cpu + nudge, mem=0.01)
+            for job_id, (tasks, cpu, nudge) in enumerate(shapes)
+        ]
+        kwargs = {} if capacities is None else {"capacities": capacities}
+        items = [item for job in jobs for item in job.items(1.0)]
+        demand = sum(job.num_tasks * min(1.0, job.cpu_need) for job in jobs)
+        if cpu_volume_exceeded(demand, len(items), num_nodes, capacities):
+            for name in PACKER_NAMES:
+                assert not get_packer(name)(items, num_nodes, **kwargs).success, name
+
+    def test_cpu_volume_limit_is_the_padded_capacity_exactly(self):
+        # 3 nodes, 7 tasks: the limit itself still fits (strict comparison),
+        # the next float above it is refused; down nodes keep their epsilon.
+        limit = (3.0 + 3 * BIN_EPSILON) * _rounding_allowance(7 + 3)
+        assert limit > 3.0 + 3 * BIN_EPSILON > 3.0 + BIN_EPSILON
+        assert not cpu_volume_exceeded(limit, 7, 3)
+        assert cpu_volume_exceeded(math.nextafter(limit, math.inf), 7, 3)
+        down = [(0.0, 0.0), (2.0, 1.0), (1.0, 1.0)]
+        assert not cpu_volume_exceeded(limit, 7, 3, down)
+        assert cpu_volume_exceeded(math.nextafter(limit, math.inf), 7, 3, down)
+
+    def test_the_capacity_yield_bound_is_a_ratio_not_a_proof(self):
+        # Two nodes each holding 0.5 and 0.5 + 1e-9: the unpadded ratio says
+        # "below 1", the packers (rightly) reach 1 through the bin tolerance.
+        jobs = [_job(0, tasks=2, cpu=0.5, mem=0.1), _job(1, tasks=2, cpu=0.5 + 1e-9, mem=0.1)]
+        assert cpu_capacity_yield_bound(jobs, 2) < 1.0
+        assert maximize_min_yield(jobs, 2).yield_value == 1.0
+        assert not cpu_volume_exceeded(total_cpu_need(jobs), 4, 2)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import pickle
+
 import pytest
 
+import repro.packing.item as item_module
 from repro.exceptions import AllocationError
 from repro.packing.item import Bin, PackingItem, PackingResult, job_items
 
@@ -36,6 +40,56 @@ class TestPackingItem:
     def test_job_items_invalid_count(self):
         with pytest.raises(AllocationError):
             job_items(7, 0, cpu=0.5, memory=0.2)
+
+
+class TestPackingItemContract:
+    """Tuple-backed, but still the validated immutable value it always was."""
+
+    BAD_SHAPES = [(-0.1, 0.1), (0.1, -0.1), (0.1, 1.5), (0.1, 1.0 + 2e-9)]
+
+    @pytest.mark.parametrize("cpu, memory", BAD_SHAPES)
+    def test_bad_requirements_rejected_on_both_paths(self, cpu, memory):
+        with pytest.raises(AllocationError):
+            PackingItem(3, 0, cpu, memory)
+        with pytest.raises(AllocationError):
+            PackingItem(job_id=3, task_index=0, cpu=cpu, memory=memory)
+        for num_tasks in (1, 4):
+            with pytest.raises(AllocationError):
+                job_items(3, num_tasks, cpu, memory)
+
+    def test_memory_within_the_tolerance_of_a_full_node_is_accepted(self):
+        assert PackingItem(1, 0, cpu=0.0, memory=1.0 + 1e-9).memory > 1.0
+
+    def test_job_items_stamps_equal_validated_items(self):
+        items = job_items(7, 3, cpu=0.5, memory=0.2)
+        assert items == [PackingItem(7, index, 0.5, 0.2) for index in range(3)]
+        assert all(type(item) is PackingItem for item in items)
+
+    def test_immutable(self):
+        for item in job_items(1, 2, cpu=0.5, memory=0.2):
+            with pytest.raises(AttributeError):
+                item.cpu = 0.9
+            with pytest.raises(AttributeError):
+                item.note = "x"
+
+    def test_keywords_equality_and_hash(self):
+        item = PackingItem(job_id=1, task_index=2, cpu=0.5, memory=0.2)
+        assert item == PackingItem(1, 2, 0.5, 0.2)
+        assert hash(item) == hash(PackingItem(1, 2, 0.5, 0.2))
+        assert item != PackingItem(1, 2, 0.5, 0.25)
+        assert (item.job_id, item.task_index, item.cpu, item.memory) == (1, 2, 0.5, 0.2)
+        assert len({item, PackingItem(1, 2, 0.5, 0.2), PackingItem(1, 3, 0.5, 0.2)}) == 2
+
+    def test_pickle_round_trip(self):
+        items = job_items(7, 3, cpu=0.5, memory=0.2)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(items, protocol))
+            assert restored == items
+            assert all(type(item) is PackingItem for item in restored)
+
+    def test_module_parses_under_the_python_3_9_grammar(self):
+        with open(item_module.__file__, encoding="utf-8") as handle:
+            ast.parse(handle.read(), feature_version=(3, 9))
 
 
 class TestBin:

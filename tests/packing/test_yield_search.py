@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.job import MINIMUM_YIELD
+from repro.obs.telemetry import Telemetry, push_telemetry
+from repro.packing.mcb8 import mcb8_pack
 from repro.packing.yield_search import (
     PackingJob,
     YIELD_SEARCH_ACCURACY,
@@ -141,3 +143,33 @@ class TestMinimizeEstimatedStretch:
         result = minimize_estimated_stretch(jobs, 1, 600.0)
         assert result.success
         assert result.yields[1] > result.yields[0]
+
+
+class TestProbeCounters:
+    """Probes and arithmetic refusals are counted on the ambient sink."""
+
+    @staticmethod
+    def _searches():
+        # 12 full-CPU tasks on 4 nodes: the full-yield probe and the upper
+        # bisection probes ask for more CPU than the cluster owns.
+        jobs = [job(i, tasks=3, cpu=1.0, mem=0.05, flow=100.0 * i) for i in range(4)]
+        packs = []
+
+        def counting(items, num_bins, **kwargs):
+            packs.append(len(items))
+            return mcb8_pack(items, num_bins, **kwargs)
+
+        maximize_min_yield(jobs, 4, packer=counting)
+        minimize_estimated_stretch(jobs, 4, 600.0, packer=counting)
+        return len(packs)
+
+    def test_counts_probes_and_pruned_probes(self):
+        sink = Telemetry()
+        previous = push_telemetry(sink)
+        try:
+            packs = self._searches()
+        finally:
+            push_telemetry(previous)
+        probes = sink.counters["packing.probes"]
+        pruned = sink.counters["packing.probes_pruned"]
+        assert pruned >= 2 and probes - pruned == packs
