@@ -10,9 +10,9 @@ decisions to detect starts, preemptions, resumes, and migrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..exceptions import AllocationError, InfeasibleAllocationError
+from ..exceptions import AllocationError
 from .cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
 from .job import MINIMUM_YIELD, JobSpec
 
@@ -48,7 +48,7 @@ class JobAllocation:
     def create(nodes: Sequence[int], yield_value: float) -> "JobAllocation":
         """Build an allocation, clamping the yield into ``[MINIMUM_YIELD, 1]``."""
         clamped = min(1.0, max(MINIMUM_YIELD, yield_value))
-        return JobAllocation(tuple(int(n) for n in nodes), clamped)
+        return JobAllocation(tuple(map(int, nodes)), clamped)
 
     def with_yield(self, yield_value: float) -> "JobAllocation":
         """Copy of this allocation with a different yield."""
@@ -110,25 +110,29 @@ def validate_decision(
     passes its :class:`~repro.core.context.JobView` snapshots).
     """
     tally = usage if usage is not None else cluster.usage()
-    for job_id, alloc in decision.running.items():
-        if job_id not in specs:
-            raise AllocationError(f"decision references unknown job {job_id}")
-        spec = specs[job_id]
-        if len(alloc.nodes) != spec.num_tasks:
-            raise AllocationError(
-                f"job {job_id}: allocation places {len(alloc.nodes)} tasks but "
-                f"the job has {spec.num_tasks}"
-            )
-        for node in alloc.nodes:
-            if not (0 <= node < cluster.num_nodes):
+    #: The job whose tasks the tally is working on; None while the checks
+    #: below, whose errors carry their own text, look at the next one.
+    current: Optional[int] = None
+
+    def entries() -> Iterator[Tuple[Tuple[int, ...], float, float, float]]:
+        nonlocal current
+        for job_id, alloc in decision.running.items():
+            current = None
+            if job_id not in specs:
+                raise AllocationError(f"decision references unknown job {job_id}")
+            spec = specs[job_id]
+            if len(alloc.nodes) != spec.num_tasks:
                 raise AllocationError(
-                    f"job {job_id}: node index {node} out of range "
-                    f"[0, {cluster.num_nodes})"
+                    f"job {job_id}: allocation places {len(alloc.nodes)} tasks but "
+                    f"the job has {spec.num_tasks}"
                 )
-        try:
-            tally.add_job(
-                alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value
-            )
-        except InfeasibleAllocationError as exc:
-            raise InfeasibleAllocationError(f"job {job_id}: {exc}") from exc
+            current = job_id
+            yield alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value
+
+    try:
+        tally.add_jobs(entries())
+    except AllocationError as exc:
+        if current is None:
+            raise
+        raise type(exc)(f"job {current}: {exc}") from exc
     return tally

@@ -30,11 +30,11 @@ placements and are never candidates for the least-loaded node choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, InfeasibleAllocationError
+from ..exceptions import AllocationError, ConfigurationError, InfeasibleAllocationError
 
 __all__ = ["Cluster", "ClusterUsage", "CAPACITY_EPSILON"]
 
@@ -188,6 +188,16 @@ class Cluster:
         return ClusterUsage(self, unavailable)
 
 
+def _node_down(node: int) -> InfeasibleAllocationError:
+    return InfeasibleAllocationError(f"node {node} is unavailable (down)")
+
+
+def _exceeded(node: int, what: str, used: float, extra: float) -> InfeasibleAllocationError:
+    return InfeasibleAllocationError(
+        f"node {node}: {what} {used:.4f} + {extra:.4f} exceeds capacity"
+    )
+
+
 class ClusterUsage:
     """Mutable per-node CPU and memory usage tally.
 
@@ -207,6 +217,7 @@ class ClusterUsage:
         "_cpu_cap",
         "_mem_cap",
         "_down",
+        "_views",
     )
 
     def __init__(self, cluster: Cluster, unavailable: Iterable[int] = ()) -> None:
@@ -230,6 +241,18 @@ class ClusterUsage:
         )
         down = frozenset(int(node) for node in unavailable)
         self._down: Optional[FrozenSet[int]] = down or None
+        # Scalar access goes through memoryviews of the arrays' own buffers:
+        # the same doubles as Python floats, without numpy's scalar boxing,
+        # so the vector operations see every write.  The arrays are only ever
+        # assigned in place (``copy_from``), which keeps the views valid.
+        self._views = (
+            self._memory.data,
+            self._cpu_alloc.data,
+            self._cpu_load.data,
+            self._tasks.data,
+            None if self._mem_cap is None else self._mem_cap.data,
+            None if self._cpu_cap is None else self._cpu_cap.data,
+        )
 
     # -- inspection -----------------------------------------------------------
     def cpu_allocated(self, node: int) -> float:
@@ -366,6 +389,11 @@ class ClusterUsage:
         return min(count, limit)
 
     # -- mutation -------------------------------------------------------------
+    def _out_of_range(self, nodes: Iterable[int]) -> AllocationError:
+        n = self.cluster.num_nodes
+        node = next(node for node in nodes if not 0 <= node < n)
+        return AllocationError(f"node index {node} out of range [0, {n})")
+
     def add_task(
         self,
         node: int,
@@ -379,47 +407,89 @@ class ClusterUsage:
 
         With ``check=True`` (default) the memory and allocated-CPU capacity
         constraints (and node availability) are enforced and
-        :class:`InfeasibleAllocationError` is raised on violation.
+        :class:`InfeasibleAllocationError` is raised on violation.  A node
+        index outside the cluster raises :class:`AllocationError` either way.
         """
+        if not 0 <= node < self.cluster.num_nodes:
+            raise self._out_of_range((node,))
+        memory, cpu_alloc, cpu_load, tasks, mem_cap, cpu_cap = self._views
         cpu_fraction = cpu_need * yield_value
+        new_memory = memory[node] + mem_requirement
+        new_cpu_alloc = cpu_alloc[node] + cpu_fraction
         if check:
             if self._down is not None and node in self._down:
-                raise InfeasibleAllocationError(
-                    f"node {node} is unavailable (down)"
-                )
-            mem_limit = 1.0 if self._mem_cap is None else self._mem_cap[node]
-            if self._memory[node] + mem_requirement > mem_limit + CAPACITY_EPSILON:
-                raise InfeasibleAllocationError(
-                    f"node {node}: memory {self._memory[node]:.4f} + "
-                    f"{mem_requirement:.4f} exceeds capacity"
-                )
-            cpu_limit = 1.0 if self._cpu_cap is None else self._cpu_cap[node]
-            if self._cpu_alloc[node] + cpu_fraction > cpu_limit + CAPACITY_EPSILON:
-                raise InfeasibleAllocationError(
-                    f"node {node}: CPU allocation {self._cpu_alloc[node]:.4f} + "
-                    f"{cpu_fraction:.4f} exceeds capacity"
-                )
-        self._memory[node] += mem_requirement
-        self._cpu_alloc[node] += cpu_fraction
-        self._cpu_load[node] += cpu_need
-        self._tasks[node] += 1
+                raise _node_down(node)
+            mem_limit = 1.0 if mem_cap is None else mem_cap[node]
+            if new_memory > mem_limit + CAPACITY_EPSILON:
+                raise _exceeded(node, "memory", memory[node], mem_requirement)
+            cpu_limit = 1.0 if cpu_cap is None else cpu_cap[node]
+            if new_cpu_alloc > cpu_limit + CAPACITY_EPSILON:
+                raise _exceeded(node, "CPU allocation", cpu_alloc[node], cpu_fraction)
+        memory[node] = new_memory
+        cpu_alloc[node] = new_cpu_alloc
+        cpu_load[node] += cpu_need
+        tasks[node] += 1
+
+    def add_jobs(
+        self,
+        entries: Iterable[Tuple[Sequence[int], float, float, float]],
+        *,
+        check: bool = True,
+    ) -> None:
+        """Place the tasks of many jobs: :meth:`add_task` for every node of
+        every ``(nodes, cpu_need, mem_requirement, yield_value)`` entry, in
+        the order given, as one loop.
+
+        Every test :meth:`add_task` makes is made here per task, before that
+        task is stored, on the same operands — so the tally, the first task
+        refused and the error text are those of the task-by-task calls.  Node
+        indices are range-checked per entry, before any of its tasks is
+        stored.  Tasks stored before an error stay stored.
+        """
+        memory, cpu_alloc, cpu_load, tasks, mem_cap, cpu_cap = self._views
+        down = self._down
+        num_nodes = self.cluster.num_nodes
+        mem_limit = cpu_limit = 1.0 + CAPACITY_EPSILON
+        for nodes, cpu_need, mem_requirement, yield_value in entries:
+            if nodes and (min(nodes) < 0 or max(nodes) >= num_nodes):
+                raise self._out_of_range(nodes)
+            cpu_fraction = cpu_need * yield_value
+            for node in nodes:
+                new_memory = memory[node] + mem_requirement
+                new_cpu_alloc = cpu_alloc[node] + cpu_fraction
+                if check:
+                    if down is not None and node in down:
+                        raise _node_down(node)
+                    if mem_cap is not None:
+                        mem_limit = mem_cap[node] + CAPACITY_EPSILON
+                    if new_memory > mem_limit:
+                        raise _exceeded(node, "memory", memory[node], mem_requirement)
+                    if cpu_cap is not None:
+                        cpu_limit = cpu_cap[node] + CAPACITY_EPSILON
+                    if new_cpu_alloc > cpu_limit:
+                        raise _exceeded(node, "CPU allocation", cpu_alloc[node], cpu_fraction)
+                memory[node] = new_memory
+                cpu_alloc[node] = new_cpu_alloc
+                cpu_load[node] += cpu_need
+                tasks[node] += 1
 
     def remove_task(
         self, node: int, cpu_need: float, mem_requirement: float, yield_value: float
     ) -> None:
         """Remove one previously placed task from ``node``."""
-        self._memory[node] -= mem_requirement
-        self._cpu_alloc[node] -= cpu_need * yield_value
-        self._cpu_load[node] -= cpu_need
-        self._tasks[node] -= 1
+        memory, cpu_alloc, cpu_load, tasks, _, _ = self._views
+        memory[node] -= mem_requirement
+        cpu_alloc[node] -= cpu_need * yield_value
+        cpu_load[node] -= cpu_need
+        tasks[node] -= 1
         # Clamp tiny negative residues from floating point arithmetic.
-        if -1e-9 < self._memory[node] < 0.0:
-            self._memory[node] = 0.0
-        if -1e-9 < self._cpu_alloc[node] < 0.0:
-            self._cpu_alloc[node] = 0.0
-        if -1e-9 < self._cpu_load[node] < 0.0:
-            self._cpu_load[node] = 0.0
-        if self._tasks[node] < 0:
+        if -1e-9 < memory[node] < 0.0:
+            memory[node] = 0.0
+        if -1e-9 < cpu_alloc[node] < 0.0:
+            cpu_alloc[node] = 0.0
+        if -1e-9 < cpu_load[node] < 0.0:
+            cpu_load[node] = 0.0
+        if tasks[node] < 0:
             raise InfeasibleAllocationError(
                 f"node {node}: removed more tasks than were placed"
             )
@@ -433,14 +503,13 @@ class ClusterUsage:
         *,
         check: bool = True,
     ) -> None:
-        """Place all tasks of a job according to ``assignment``."""
-        placed: List[int] = []
+        """Place all tasks of a job according to ``assignment``, or none."""
+        nodes = tuple(assignment)
+        before = self._tasks.sum()
         try:
-            for node in assignment:
-                self.add_task(node, cpu_need, mem_requirement, yield_value, check=check)
-                placed.append(node)
-        except InfeasibleAllocationError:
-            for node in placed:
+            self.add_jobs(((nodes, cpu_need, mem_requirement, yield_value),), check=check)
+        except BaseException:
+            for node in nodes[: self._tasks.sum() - before]:
                 self.remove_task(node, cpu_need, mem_requirement, yield_value)
             raise
 

@@ -166,15 +166,13 @@ class SchedulingContext:
     def usage_from_running(self) -> ClusterUsage:
         """Cluster usage implied by the currently running jobs."""
         usage = self.cluster.usage(self.down_nodes)
-        for view in self.running_jobs():
-            assert view.assignment is not None
-            usage.add_job(
-                view.assignment,
-                view.cpu_need,
-                view.mem_requirement,
-                view.current_yield,
-                check=False,
-            )
+        usage.add_jobs(
+            (
+                (view.assignment, view.cpu_need, view.mem_requirement, view.current_yield)
+                for view in self._by_state()[0]
+            ),
+            check=False,
+        )
         return usage
 
     def current_allocations(self) -> Dict[int, JobAllocation]:

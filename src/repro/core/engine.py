@@ -1123,6 +1123,12 @@ class Simulator:
                 self.cluster.usage(self._down_nodes) if self._down_nodes else None
             )
             validate_decision(decision, context.jobs, self.cluster, usage=usage)
+            if tel is not None:
+                tel.count("engine.decisions_validated")
+                tasks = sum(len(alloc.nodes) for alloc in decision.running.values())
+                tel.count("engine.tasks_tallied", tasks)
+        elif tel is not None:
+            tel.count("engine.decisions_kept")
         return decision
 
     def _keeps_validated_allocations(self, decision: AllocationDecision) -> bool:

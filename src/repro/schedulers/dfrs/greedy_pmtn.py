@@ -84,8 +84,7 @@ class GreedyPmtnScheduler(GreedyScheduler):
     def _add_to_usage(
         self, view: JobView, nodes: Tuple[int, ...], usage: ClusterUsage
     ) -> None:
-        for node in nodes:
-            usage.add_task(node, view.cpu_need, view.mem_requirement, 0.0, check=False)
+        usage.add_jobs(((nodes, view.cpu_need, view.mem_requirement, 0.0),), check=False)
 
     def _admit(
         self,

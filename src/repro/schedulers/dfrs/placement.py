@@ -72,8 +72,11 @@ def usage_from_placements(
     ``unavailable`` marks down nodes so subsequent placements skip them.
     """
     usage = cluster.usage(unavailable)
-    for job_id, nodes in placements.items():
-        view = jobs[job_id]
-        for node in nodes:
-            usage.add_task(node, view.cpu_need, view.mem_requirement, 0.0, check=False)
+    usage.add_jobs(
+        (
+            (nodes, jobs[job_id].cpu_need, jobs[job_id].mem_requirement, 0.0)
+            for job_id, nodes in placements.items()
+        ),
+        check=False,
+    )
     return usage

@@ -23,28 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-import numpy as np
-
 from ...core.allocation import JobAllocation
 from ...core.cluster import CAPACITY_EPSILON, Cluster
 from ...core.context import JobView
 from ...core.job import MINIMUM_YIELD
 
 __all__ = ["fair_yields", "improve_average_yield", "build_allocations"]
-
-
-def _node_loads(
-    placements: Mapping[int, Tuple[int, ...]],
-    jobs: Mapping[int, JobView],
-    num_nodes: int,
-) -> np.ndarray:
-    """Per-node sum of CPU needs implied by ``placements``."""
-    loads = np.zeros(num_nodes, dtype=float)
-    for job_id, nodes in placements.items():
-        need = jobs[job_id].cpu_need
-        for node in nodes:
-            loads[node] += need
-    return loads
 
 
 def fair_yields(
@@ -60,11 +44,17 @@ def fair_yields(
     """
     if not placements:
         return {}
-    loads = _node_loads(placements, jobs, cluster.num_nodes)
+    # Per-node sum of CPU needs in placement order.  Only its maximum is
+    # wanted, so it is summed in a plain list (the same IEEE doubles, see
+    # ``improve_average_yield``) and not in a four-vector ``ClusterUsage``.
+    loads = [0.0] * cluster.num_nodes
+    for job_id, nodes in placements.items():
+        need = jobs[job_id].cpu_need
+        for node in nodes:
+            loads[node] += need
     if cluster.cpu_capacities is not None:
-        loads = loads / cluster.cpu_capacity_vector()
-    max_load = float(loads.max()) if loads.size else 0.0
-    value = 1.0 / max(1.0, max_load)
+        loads = [load / speed for load, speed in zip(loads, cluster.cpu_capacities)]
+    value = 1.0 / max(1.0, max(loads))
     value = min(1.0, max(MINIMUM_YIELD, value))
     return {job_id: value for job_id in placements}
 

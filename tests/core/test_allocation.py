@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core.allocation import AllocationDecision, JobAllocation, validate_decision
@@ -19,9 +22,20 @@ class TestJobAllocation:
         alloc = JobAllocation.create([0], 0.0001)
         assert alloc.yield_value == pytest.approx(MINIMUM_YIELD)
 
+    def test_create_normalises_numpy_integers_to_python_ints(self):
+        """The placement log is JSON: ``np.int64`` nodes would not serialise."""
+        for nodes in (np.array([3, 1, 3]), [np.int64(3), np.int32(1), 3], (3, 1, 3)):
+            alloc = JobAllocation.create(nodes, 0.5)
+            assert alloc.nodes == (3, 1, 3)
+            assert all(type(node) is int for node in alloc.nodes)
+            assert json.dumps(alloc.nodes) == "[3, 1, 3]"
+        assert JobAllocation.create(iter([2, 0]), 0.5).nodes == (2, 0)
+
     def test_empty_nodes_rejected(self):
         with pytest.raises(AllocationError):
             JobAllocation(tuple(), 1.0)
+        with pytest.raises(AllocationError):
+            JobAllocation.create([], 1.0)
 
     def test_bad_yield_rejected(self):
         with pytest.raises(AllocationError):

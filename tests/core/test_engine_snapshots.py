@@ -402,3 +402,34 @@ def test_unchanged_decisions_skip_the_tally(monkeypatch):
     ]
     assert _replay(ops, "migrate", None) == len(ops) + 1
     assert calls == [[0, 1, 2, 3], [0, 1, 2], [0, 1, 2, 3]]
+
+
+def test_telemetry_counts_validated_and_kept_decisions(monkeypatch):
+    """``decisions_validated + decisions_kept == scheduler_invocations`` and
+    ``tasks_tallied`` is the number of tasks the validated decisions placed."""
+    import repro.core.engine as engine_module
+    from repro.obs import Telemetry
+
+    tallied = []
+
+    def counting(decision, specs, cluster, *, usage=None):
+        tallied.append(sum(len(alloc.nodes) for alloc in decision.running.values()))
+        return validate_decision(decision, specs, cluster, usage=usage)
+
+    monkeypatch.setattr(engine_module, "validate_decision", counting)
+    cluster = Cluster(8, 4, 8.0)
+    telemetry = Telemetry()
+    simulator = Simulator(
+        cluster,
+        create_scheduler("greedy-pmtn-migr"),
+        SimulationConfig(telemetry=telemetry),
+    )
+    simulator.run(LublinWorkloadGenerator(cluster).generate(40, seed=5).jobs)
+    counters = telemetry.counters
+    assert counters["engine.decisions_validated"] == len(tallied) > 0
+    assert counters["engine.decisions_kept"] > 0
+    assert (
+        counters["engine.decisions_validated"] + counters["engine.decisions_kept"]
+        == counters["engine.scheduler_invocations"]
+    )
+    assert counters["engine.tasks_tallied"] == sum(tallied) > 0

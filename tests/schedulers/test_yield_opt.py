@@ -196,6 +196,36 @@ def _placed_jobs(draw):
     return cluster, jobs, placements
 
 
+def _reference_fair_yields(placements, jobs, cluster):
+    """``fair_yields`` as it stood while the loads were tallied in a numpy
+    vector, one boxed scalar ``+=`` per task — kept verbatim as the oracle."""
+    if not placements:
+        return {}
+    loads = np.zeros(cluster.num_nodes, dtype=float)
+    for job_id, nodes in placements.items():
+        need = jobs[job_id].cpu_need
+        for node in nodes:
+            loads[node] += need
+    if cluster.cpu_capacities is not None:
+        loads = loads / cluster.cpu_capacity_vector()
+    max_load = float(loads.max()) if loads.size else 0.0
+    value = 1.0 / max(1.0, max_load)
+    value = min(1.0, max(MINIMUM_YIELD, value))
+    return {job_id: value for job_id in placements}
+
+
+class TestListTallyMatchesTheNumpyTally:
+    @given(case=_placed_jobs())
+    @settings(max_examples=300, deadline=None)
+    def test_identical_fair_yields(self, case):
+        cluster, jobs, placements = case
+        live = fair_yields(placements, jobs, cluster)
+        expected = _reference_fair_yields(placements, jobs, cluster)
+        assert live == expected  # bit for bit, not approximately
+        assert list(live) == list(expected)
+        assert all(type(value) is float for value in live.values())
+
+
 class TestSinglePassMatchesTheRepeatedScan:
     @given(case=_placed_jobs(), scale=st.sampled_from([1.0, 0.5, 0.999999999]))
     @settings(max_examples=300, deadline=None)
