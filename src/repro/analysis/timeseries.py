@@ -120,7 +120,8 @@ class StepSeries:
         """Time-weighted mean over the domain (0 for a zero-length domain)."""
         if self.duration <= 0:
             return float(self.values[-1])
-        return self.integral() / self.duration
+        # Clamped: on a subnormal domain the rounded integral overshoots.
+        return min(max(self.integral() / self.duration, self.min()), self.max())
 
     def max(self) -> float:
         return float(np.max(self.values))

@@ -477,6 +477,8 @@ class ClusterUsage:
         self, node: int, cpu_need: float, mem_requirement: float, yield_value: float
     ) -> None:
         """Remove one previously placed task from ``node``."""
+        if not 0 <= node < self.cluster.num_nodes:
+            raise self._out_of_range((node,))
         memory, cpu_alloc, cpu_load, tasks, _, _ = self._views
         memory[node] -= mem_requirement
         cpu_alloc[node] -= cpu_need * yield_value

@@ -23,19 +23,22 @@ underutilized.
 "First fitting item" is found without walking the items.  Two invariants make
 the shortcut exact, not approximate:
 
-* *Identical neighbours.*  ``Bin.fits`` reads only an item's ``(cpu,
+* *Identical neighbours.*  The fit test reads only an item's ``(cpu,
   memory)``, and the tasks of a job are identical items that sort next to
-  each other.  Each sorted list is held as *runs* of such neighbours and only
-  a run's head is tested: if it does not fit, nothing in the run does; if it
-  does, it is the run's first item in list order.
+  each other.  Each sorted list is held as *runs* of such neighbours — one
+  small record per run — and only a run's head is tested: if it does not fit,
+  nothing in the run does; if it does, it is the run's first item in list
+  order.
 * *A bin only fills.*  Requirements are non-negative and float addition is
   monotone, so once ``used + requirement <= capacity + epsilon`` is false for
   a bin it stays false.  Each list keeps one cursor per bin and never rescans
   the runs the bin already refused.
 
 One fill then costs O(bins × runs + items) fit tests instead of
-O(bins × items) *per placed item*; :func:`repro.packing.variants.mcb_family_pack`
-runs the same loop under other sort values.
+O(bins × items) *per placed item*, each a comparison of local floats, and an
+item's bin is written down as it is placed;
+:func:`repro.packing.variants.mcb_family_pack` runs the same loop under other
+sort values.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
-from ..obs.telemetry import timed_phase
-from .item import Bin, PackingItem, PackingResult
+from ..obs.telemetry import current_telemetry, timed_phase
+from .item import BIN_EPSILON, Bin, PackingItem, PackingResult
 
 __all__ = ["mcb8_pack"]
 
@@ -114,46 +117,16 @@ def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
     return runs
 
 
-class _Runs:
-    """One sorted MCB list, held as runs of identical neighbouring items.
-
-    ``runs[i]`` lists the run's items in *reverse* list order, so ``pop()``
-    yields its head.  ``cursor`` is the per-bin scan position: every run
-    before it has already been refused by the bin being filled.
-    """
-
-    __slots__ = ("runs", "cursor")
-
-    def __init__(self, runs: List[List[PackingItem]]) -> None:
-        self.runs = runs
-        self.cursor = 0
-
-    def head(self) -> PackingItem:
-        """First remaining item, in list order, at or after the cursor."""
-        return self.runs[self.cursor][-1]
-
-    def seek(self, bin_: Bin) -> bool:
-        """Move the cursor to the first item that fits ``bin_``, if any.
-
-        Only run heads from the cursor on are tested: ``Bin.fits`` reads
-        nothing but ``(cpu, memory)``, and a bin that refused an item once
-        refuses it for good (it only fills, and float addition is monotone).
-        """
-        runs = self.runs
-        for index in range(self.cursor, len(runs)):
-            if bin_.fits(runs[index][-1]):
-                self.cursor = index
-                return True
-        self.cursor = len(runs)
-        return False
-
-    def pop(self) -> PackingItem:
-        """Remove and return :meth:`head`."""
-        run = self.runs[self.cursor]
-        item = run.pop()
-        if not run:
-            del self.runs[self.cursor]
-        return item
+def _counted(result: PackingResult, num_items: int, num_runs: int) -> PackingResult:
+    """Tell the telemetry sink, when one is installed, what one pack did."""
+    telemetry = current_telemetry()
+    if telemetry is not None:
+        telemetry.count("packing.packs")
+        telemetry.count("packing.pack_failures", int(not result.success))
+        telemetry.count("packing.items", num_items)
+        telemetry.count("packing.runs", num_runs)
+        telemetry.count("packing.bins_used", result.bins_used)
+    return result
 
 
 def _mcb_pack(
@@ -162,15 +135,15 @@ def _mcb_pack(
     sort_value: Callable[[PackingItem], float],
     capacities: BinCapacities,
 ) -> PackingResult:
-    """The MCB fill loop, shared by MCB8 and the rest of the family.
+    """The MCB packer, shared by MCB8 and the rest of the family.
 
     ``sort_value`` — a function of an item's ``(cpu, memory)`` — orders the
     two lists (non-increasing) and ranks the seed candidates.
     """
     if not items:
-        return PackingResult(success=True, assignments={}, bins_used=0)
+        return _counted(PackingResult(success=True, assignments={}, bins_used=0), 0, 0)
     if num_bins <= 0:
-        return PackingResult.failure()
+        return _counted(PackingResult.failure(), len(items), 0)
     _check_capacities(capacities, num_bins)
 
     # Both lists in non-increasing sort value; ties broken by job/task id so
@@ -183,63 +156,120 @@ def _mcb_pack(
     runs.sort(key=lambda run: key(run[0]))
     if any(key(a[-1]) >= key(b[0]) for a, b in zip(runs, runs[1:])):
         runs = _runs(sorted(items, key=key))
+    # The fill reads and writes one record per run and no item:
+    # [cpu, memory, job_id, next task_index, items left, sort value].
+    lists: Tuple[List[list], List[list]] = ([], [])
     for run in runs:
-        run.reverse()
-    cpu_list = _Runs([run for run in runs if run[0].cpu_dominant])
-    mem_list = _Runs([run for run in runs if not run[0].cpu_dominant])
-    bins: List[Bin] = []
-    bin_index = 0
+        job_id, task_index, cpu, memory = head = run[0]
+        lists[0 if head.cpu_dominant else 1].append(
+            [cpu, memory, job_id, task_index, len(run), sort_value(head)]
+        )
+    return _counted(_fill(lists, num_bins, capacities), len(items), len(runs))
 
-    while cpu_list.runs or mem_list.runs:
+
+def _fill(
+    lists: Tuple[List[list], List[list]], num_bins: int, capacities: BinCapacities
+) -> PackingResult:
+    """Fill bins in index order from the (CPU-dominant, memory-dominant) lists.
+
+    The bin being filled is a few local floats, and ``cursors[which]`` is its
+    scan position in ``lists[which]``: every run before it has been refused.
+    A run's head is stored only straight after ``used + requirement <=
+    capacity + epsilon`` held in both dimensions — :meth:`Bin.fits`' own two
+    sums, so every comparison has the operands it would have there.
+    """
+    cpu_runs, mem_runs = lists
+    per_job: Dict[int, Dict[int, int]] = {}
+    bins_used = 0
+    cpu_capacity = memory_capacity = 1.0
+    bin_index = -1
+    while cpu_runs or mem_runs:
+        bin_index += 1
         if bin_index >= num_bins:
             return PackingResult.failure()
-        bin_ = _make_bin(bin_index, capacities)
-        bin_index += 1
-        cpu_list.cursor = mem_list.cursor = 0
+        if capacities is not None:
+            cpu_capacity, memory_capacity = capacities[bin_index]
+        cpu_limit = cpu_capacity + BIN_EPSILON
+        mem_limit = memory_capacity + BIN_EPSILON
+        cpu_used = mem_used = 0.0
+        cursors = [0, 0]
 
         # Seed the fresh node with the largest remaining item (CPU-heavy wins
         # ties): overall on unit bins, where it fits any empty node or none
         # ever; among those the node can host on variable-capacity bins.
-        if capacities is None:
-            has_cpu, has_mem = bool(cpu_list.runs), bool(mem_list.runs)
-        else:
-            has_cpu, has_mem = cpu_list.seek(bin_), mem_list.seek(bin_)
-            if not (has_cpu or has_mem):
-                # Nothing fits this (possibly zero-capacity) bin; try the next.
-                continue
+        if capacities is not None:
+            for which in (0, 1):
+                cursors[which] = len(lists[which])
+                for index, record in enumerate(lists[which]):
+                    if (
+                        cpu_used + record[0] <= cpu_limit
+                        and mem_used + record[1] <= mem_limit
+                    ):
+                        cursors[which] = index
+                        break
+        has_cpu, has_mem = cursors[0] < len(cpu_runs), cursors[1] < len(mem_runs)
+        if not (has_cpu or has_mem):
+            # Nothing fits this (possibly zero-capacity) bin; try the next.
+            continue
         if has_cpu and (
-            not has_mem
-            or sort_value(cpu_list.head()) >= sort_value(mem_list.head())
+            not has_mem or cpu_runs[cursors[0]][5] >= mem_runs[cursors[1]][5]
         ):
-            seed = cpu_list.pop()
+            which = 0
         else:
-            seed = mem_list.pop()
-        if not bin_.fits(seed):
+            which = 1
+        record = lists[which][cursors[which]]
+        if not (
+            cpu_used + record[0] <= cpu_limit and mem_used + record[1] <= mem_limit
+        ):
             # Unit bins only (a sought seed fits): an item that does not fit
             # in an empty node can never be placed.
             return PackingResult.failure()
-        bins.append(bin_)
-        bin_.add(seed)
+        bins_used += 1
 
-        # Fill the node, balancing the two resource dimensions.
         while True:
-            if bin_.imbalance_favors_memory():
-                primary, secondary = mem_list, cpu_list
+            # ``record`` heads the run at ``cursors[which]`` of ``lists[which]``
+            # and has just passed the fit test: place its next task here.
+            cpu_used += record[0]
+            mem_used += record[1]
+            job_id = record[2]
+            if job_id in per_job:
+                per_job[job_id][record[3]] = bin_index
             else:
-                primary, secondary = cpu_list, mem_list
-            if primary.seek(bin_):
-                bin_.add(primary.pop())
-            elif secondary.seek(bin_):
-                bin_.add(secondary.pop())
+                per_job[job_id] = {record[3]: bin_index}
+            record[3] += 1
+            record[4] -= 1
+            if not record[4]:
+                del lists[which][cursors[which]]
+
+            # Balance the two dimensions: next comes the first fitting item of
+            # the list that goes against the node's imbalance, else of the
+            # other list; the node is done when neither has one.
+            if memory_capacity - mem_used > cpu_capacity - cpu_used:
+                order = (1, 0)
+            else:
+                order = (0, 1)
+            for which in order:
+                runs = lists[which]
+                index = cursors[which]
+                count = len(runs)
+                while index < count:
+                    record = runs[index]
+                    if (
+                        cpu_used + record[0] <= cpu_limit
+                        and mem_used + record[1] <= mem_limit
+                    ):
+                        break
+                    index += 1
+                cursors[which] = index
+                if index < count:
+                    break
             else:
                 break
 
-    assignments = _collect_assignments(bins)
+    assignments = _assemble_assignments(per_job)
     if assignments is None:
         return PackingResult.failure()
-    return PackingResult(
-        success=True, assignments=assignments, bins_used=len(bins)
-    )
+    return PackingResult(success=True, assignments=assignments, bins_used=bins_used)
 
 
 def _max_requirement(item: PackingItem) -> float:
@@ -278,6 +308,13 @@ def _collect_assignments(
     for bin_ in bins:
         for item in bin_.items:
             per_job.setdefault(item.job_id, {})[item.task_index] = bin_.index
+    return _assemble_assignments(per_job)
+
+
+def _assemble_assignments(
+    per_job: Dict[int, Dict[int, int]],
+) -> Optional[Dict[int, Tuple[int, ...]]]:
+    """Per-job bin tuples in task order; None unless indices run 0..n-1."""
     assignments: Dict[int, Tuple[int, ...]] = {}
     for job_id, mapping in per_job.items():
         num_tasks = max(mapping) + 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -67,6 +67,12 @@ class TestStepSeriesStatistics:
         series = StepSeries((0.0,), (3.5,), 10.0)
         assert series.mean() == pytest.approx(3.5)
         assert series.integral() == pytest.approx(35.0)
+
+    def test_mean_on_a_subnormal_domain_stays_the_constant(self):
+        # 1.5 * 5e-324 rounds to 1e-323, and 1e-323 / 5e-324 is 2.0.
+        series = StepSeries((0.0,), (1.5,), 5e-324)
+        assert series.integral() == 1e-323
+        assert series.mean() == 1.5
 
     def test_two_segment_mean_is_time_weighted(self):
         # value 1 on [0, 2), value 3 on [2, 10] -> mean = (2*1 + 8*3) / 10
@@ -167,6 +173,7 @@ def step_series(draw):
 
 class TestStepSeriesProperties:
     @given(step_series())
+    @example(StepSeries((0.0,), (1.5,), 5e-324))
     @settings(max_examples=60, deadline=None)
     def test_mean_between_min_and_max(self, series):
         assert series.min() - 1e-9 <= series.mean() <= series.max() + 1e-9

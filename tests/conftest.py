@@ -11,11 +11,16 @@ from repro.workloads.lublin import LublinWorkloadGenerator
 from repro.workloads.model import Workload
 
 # Hypothesis profiles, inherited by every property test that does not pin its
-# own settings.  ``default`` is what tier-1 runs; ``ci`` is the longer run
-# selected with ``pytest --hypothesis-profile=ci``.  Neither sets a deadline:
+# own settings.  ``default`` is what tier-1 runs: derandomized, so it draws the
+# same examples on every checkout and neither reads nor writes ``.hypothesis/``
+# (a counter-example belongs in the test as an ``@example``).  ``ci`` is the
+# longer, random run selected with ``pytest --hypothesis-profile=ci``; a
+# failure there prints the blob that reproduces it.  Neither sets a deadline:
 # shared CI boxes swing too much for a per-example wall-clock limit.
-settings.register_profile("default", max_examples=100, deadline=None)
-settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.register_profile(
+    "default", max_examples=100, deadline=None, derandomize=True, database=None
+)
+settings.register_profile("ci", max_examples=1000, deadline=None, print_blob=True)
 settings.load_profile("default")
 
 

@@ -338,6 +338,17 @@ class TestNodeRange:
         assert not isinstance(info.value, InfeasibleAllocationError)
         assert _vectors(usage) == _vectors(Cluster(4).usage())
 
+    @pytest.mark.parametrize("node", [-1, 4, -5, 400])
+    def test_remove_task_refuses_and_debits_nothing(self, node):
+        """-1 used to wrap around and debit the last node."""
+        usage, untouched = Cluster(4).usage(), Cluster(4).usage()
+        for each in (usage, untouched):
+            each.add_task(3, 0.5, 0.5, 1.0)
+        with pytest.raises(AllocationError, match=rf"^node index {node} out of range \[0, 4\)$") as info:
+            usage.remove_task(node, 0.5, 0.5, 1.0)
+        assert not isinstance(info.value, InfeasibleAllocationError)
+        assert _vectors(usage) == _vectors(untouched)
+
     @pytest.mark.parametrize("check", [True, False])
     def test_add_job_refuses_before_charging_any_node(self, check):
         usage = Cluster(4).usage()

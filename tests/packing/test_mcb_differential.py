@@ -8,11 +8,15 @@ the shortcut could get wrong: identical ``(cpu, memory)`` across different
 jobs, equal sort values, bins filled to within ``epsilon`` of full, zero-CPU
 items, one job carrying differently-shaped tasks, shuffled input, gaps and
 duplicates in the task indices, and variable capacities with zero-capacity
-and too-small bins.
+and too-small bins.  Results are compared with ``==`` *and* by the order of
+their ``assignments`` keys, which the schedulers turn into decision order.
 """
 
 from __future__ import annotations
 
+import math
+import random
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from repro.packing import (
     PackingItem,
     PackingJob,
+    PackingResult,
     maximize_min_yield,
     mcb8_pack,
     mcb_family_pack,
@@ -89,6 +94,12 @@ def _pack_kwargs(capacities: Optional[Sequence[Tuple[float, float]]]) -> dict:
     return {} if capacities is None else {"capacities": capacities}
 
 
+def _assert_same(actual: PackingResult, expected: PackingResult) -> None:
+    assert actual == expected
+    # dict equality ignores insertion order; the schedulers do not.
+    assert list(actual.assignments) == list(expected.assignments)
+
+
 class TestPackersMatchTheOracle:
     @given(item_lists(), st.integers(0, 12), bin_capacities())
     @settings(max_examples=400, deadline=None)
@@ -97,7 +108,7 @@ class TestPackersMatchTheOracle:
             num_bins = len(capacities)
         kwargs = _pack_kwargs(capacities)
         expected = reference_mcb.mcb8_pack(list(items), num_bins, **kwargs)
-        assert mcb8_pack(items, num_bins, **kwargs) == expected
+        _assert_same(mcb8_pack(items, num_bins, **kwargs), expected)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     @given(item_lists(), st.integers(0, 12), bin_capacities())
@@ -109,7 +120,9 @@ class TestPackersMatchTheOracle:
         expected = reference_mcb.mcb_family_pack(
             list(items), num_bins, ordering=ordering, **kwargs
         )
-        assert mcb_family_pack(items, num_bins, ordering=ordering, **kwargs) == expected
+        _assert_same(
+            mcb_family_pack(items, num_bins, ordering=ordering, **kwargs), expected
+        )
 
     @pytest.mark.parametrize(
         "shapes, num_bins",
@@ -128,7 +141,7 @@ class TestPackersMatchTheOracle:
     def test_twin_ids_before_their_run(self, shapes, num_bins):
         items = [PackingItem(*shape) for shape in shapes]
         expected = reference_mcb.mcb_family_pack(list(items), num_bins, ordering="memory")
-        assert mcb_family_pack(items, num_bins, ordering="memory") == expected
+        _assert_same(mcb_family_pack(items, num_bins, ordering="memory"), expected)
 
     @given(item_lists(), st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
@@ -136,6 +149,152 @@ class TestPackersMatchTheOracle:
         before = list(items)
         mcb8_pack(items, num_bins)
         assert items == before
+
+
+def _engine_scale_instances(count: int):
+    """What a DYNMCB8 repack hands the packer: 20-40 jobs of 1-32 tasks on
+    16-128 nodes, a third of the time with uneven and down nodes."""
+    rng = random.Random(20100419)
+    memories = [0.0, 0.01, 0.03125, 0.05, 0.05, 0.1, 0.1, 0.125, 0.2, 0.25, 0.3, 0.5]
+    sizes = [(0.0, 0.0), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.0), (2.0, 1.5)]
+    for index in range(count):
+        jobs = [
+            PackingJob(
+                job_id=job_id,
+                num_tasks=rng.randint(1, 32),
+                cpu_need=rng.choice([0.05, 0.05, 0.1, 0.25, 0.25, 0.5, 1.0]),
+                mem_requirement=rng.choice(memories),
+            )
+            for job_id in rng.sample(range(100), rng.randint(20, 40))
+        ]
+        num_bins = rng.choice([16, 64, 128, 128])
+        capacities = None
+        if index % 3 == 2:
+            capacities = [(0.0, 0.0)] + [rng.choice(sizes) for _ in range(num_bins - 1)]
+        yield jobs, num_bins, capacities
+
+
+class TestEngineScale:
+    """Fixed instances at the size the schedulers pack (no hypothesis: the
+    property tests above shrink towards a handful of items and bins)."""
+
+    @staticmethod
+    def _sweep(count: int, live, oracle) -> set:
+        """Compare on ``count`` instances at three yields; the outcomes seen."""
+        outcomes = set()
+        for jobs, num_bins, capacities in _engine_scale_instances(count):
+            kwargs = _pack_kwargs(capacities)
+            for yield_value in (0.01, 0.5, 1.0):
+                items = [item for job in jobs for item in job.items(yield_value)]
+                expected = oracle(list(items), num_bins, **kwargs)
+                _assert_same(live(items, num_bins, **kwargs), expected)
+                outcomes.add((expected.success, capacities is None, yield_value))
+        return outcomes
+
+    def test_sweep_matches_the_oracle(self):
+        outcomes = self._sweep(210, mcb8_pack, reference_mcb.mcb8_pack)
+        # not 630 easy successes: both outcomes, on both kinds of bins
+        assert {outcome[:2] for outcome in outcomes} == {
+            (True, True), (False, True), (True, False), (False, False)
+        }
+        assert {outcome[2] for outcome in outcomes if outcome[0]} == {0.01, 0.5, 1.0}
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_family_sweep_matches_the_oracle(self, ordering):
+        self._sweep(
+            30,
+            partial(mcb_family_pack, ordering=ordering),
+            partial(reference_mcb.mcb_family_pack, ordering=ordering),
+        )
+
+
+def _items(*shapes: Tuple[int, int, float, float]) -> List[PackingItem]:
+    """``(job_id, num_tasks, cpu, memory)`` per job, in the order given."""
+    return [
+        PackingItem(job_id, task_index, cpu, memory)
+        for job_id, num_tasks, cpu, memory in shapes
+        for task_index in range(num_tasks)
+    ]
+
+
+class TestNamedFills:
+    """Hand-walked fills, one per thing the loop keeps in a local variable.
+    Every requirement is a binary fraction, so every sum below is exact."""
+
+    @staticmethod
+    def _pack(items, num_bins, ordering="max", capacities=None) -> PackingResult:
+        kwargs = _pack_kwargs(capacities)
+        expected = reference_mcb.mcb_family_pack(
+            list(items), num_bins, ordering=ordering, **kwargs
+        )
+        actual = mcb_family_pack(items, num_bins, ordering=ordering, **kwargs)
+        _assert_same(actual, expected)
+        if ordering == "max":
+            _assert_same(mcb8_pack(items, num_bins, **kwargs), expected)
+        return actual
+
+    def test_run_exhausted_mid_bin_with_the_other_cursor_past_its_start(self):
+        items = _items(
+            (0, 1, 0.625, 0.125),  # seeds bin 0; free memory now exceeds free CPU
+            (1, 2, 0.0625, 0.03125),
+            (2, 2, 0.03125, 0.03125),
+            (3, 2, 0.125, 0.5),  # one fits, its twin is refused: cursor moves on
+            (4, 1, 0.03125, 0.25),  # ... to this run, which fits and is used up
+        )
+        result = self._pack(items, 2)
+        # Then the CPU list: job 1 runs out mid-bin and job 2 takes its slot,
+        # filling memory to exactly 1.0.  Bin 1 must rewind to job 3's twin.
+        assert result.assignments == {0: (0,), 3: (0, 1), 4: (0,), 1: (0, 0), 2: (0, 0)}
+        assert list(result.assignments) == [0, 3, 4, 1, 2]
+        assert result.bins_used == 2
+
+    @pytest.mark.parametrize("ordering", ["max", "sum", "difference"])
+    def test_seed_tie_goes_to_the_cpu_list(self, ordering):
+        # Equal sort values under all three orderings; one bin hosts both, so
+        # only the key order tells which list seeded it.
+        result = self._pack(_items((1, 1, 0.25, 0.5), (0, 1, 0.5, 0.25)), 1, ordering)
+        assert list(result.assignments) == [0, 1]
+
+    def test_larger_memory_item_seeds_from_the_memory_list(self):
+        result = self._pack(_items((0, 1, 0.5, 0.25), (1, 1, 0.25, 0.5625)), 1)
+        assert list(result.assignments) == [1, 0]
+
+    def test_balance_tie_draws_from_the_cpu_list(self):
+        # After the seed, free CPU == free memory: not "favours memory".
+        items = _items((0, 1, 0.5, 0.5), (2, 1, 0.125, 0.25), (1, 1, 0.25, 0.125))
+        assert list(self._pack(items, 1).assignments) == [0, 1, 2]
+
+    def test_secondary_list_is_tried_when_the_primary_refuses(self):
+        # Free memory (0.5) exceeds free CPU (0.25), the memory item needs
+        # 0.625 of it, and the CPU item fits.
+        items = _items((0, 1, 0.75, 0.5), (1, 1, 0.125, 0.625), (2, 1, 0.25, 0.125))
+        result = self._pack(items, 2)
+        assert result.assignments == {0: (0,), 2: (0,), 1: (1,)}
+
+    @pytest.mark.parametrize("dimension", ["cpu", "memory"])
+    def test_bin_filled_to_exactly_one_plus_epsilon_and_one_ulp_above(self, dimension):
+        limit = 1.0 + 1e-9  # what a unit bin accepts
+        at_limit = limit - 0.5
+        above = math.nextafter(limit, math.inf) - 0.5
+        assert 0.5 + at_limit == limit and 0.5 + above > limit
+
+        def pack(second: float) -> PackingResult:
+            shapes = [(0, 1, 0.5, 0.125), (1, 1, second, 0.125)]
+            if dimension == "memory":
+                shapes = [(job, n, memory, cpu) for job, n, cpu, memory in shapes]
+            return self._pack(_items(*shapes), 2)
+
+        # (the second job is the larger one, so it seeds)
+        assert pack(at_limit).assignments == {1: (0,), 0: (0,)}
+        assert pack(above).assignments == {1: (0,), 0: (1,)}
+
+    def test_zero_capacity_first_bin_refuses_everything(self):
+        items = _items((0, 2, 0.5, 0.25), (1, 1, 0.125, 0.5))
+        capacities = [(0.0, 0.0), (0.0, 0.0), (2.0, 1.0)]
+        result = self._pack(items, 3, capacities=capacities)
+        assert result.assignments == {0: (2, 2), 1: (2,)}
+        assert result.bins_used == 1
+        assert not self._pack(items, 2, capacities=capacities[:2]).success
 
 
 @st.composite

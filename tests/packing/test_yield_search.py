@@ -156,12 +156,13 @@ class TestProbeCounters:
         packs = []
 
         def counting(items, num_bins, **kwargs):
-            packs.append(len(items))
-            return mcb8_pack(items, num_bins, **kwargs)
+            result = mcb8_pack(items, num_bins, **kwargs)
+            packs.append(result)
+            return result
 
         maximize_min_yield(jobs, 4, packer=counting)
         minimize_estimated_stretch(jobs, 4, 600.0, packer=counting)
-        return len(packs)
+        return packs
 
     def test_counts_probes_and_pruned_probes(self):
         sink = Telemetry()
@@ -172,4 +173,26 @@ class TestProbeCounters:
             push_telemetry(previous)
         probes = sink.counters["packing.probes"]
         pruned = sink.counters["packing.probes_pruned"]
-        assert pruned >= 2 and probes - pruned == packs
+        assert pruned >= 2 and probes - pruned == len(packs)
+        # One tally per pack that ran: every probe is either refused by
+        # arithmetic or packed.
+        assert sink.counters["packing.packs"] == probes - pruned
+        failures = sum(not result.success for result in packs)
+        assert 0 < failures < len(packs)
+        assert sink.counters["packing.pack_failures"] == failures
+        assert sink.counters["packing.items"] == 12 * len(packs)
+        assert sink.counters["packing.runs"] == 4 * len(packs)
+        assert sink.counters["packing.bins_used"] == sum(r.bins_used for r in packs)
+
+    def test_degenerate_packs_are_counted_too(self):
+        sink = Telemetry()
+        previous = push_telemetry(sink)
+        try:
+            assert mcb8_pack([], 4).success
+            assert not mcb8_pack(job(0, tasks=3).items(1.0), 0).success
+        finally:
+            push_telemetry(previous)
+        assert sink.counters["packing.packs"] == 2
+        assert sink.counters["packing.pack_failures"] == 1
+        assert sink.counters["packing.items"] == 3
+        assert sink.counters["packing.runs"] == sink.counters["packing.bins_used"] == 0
