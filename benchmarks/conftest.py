@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.studies import ExperimentConfig, paper_scale
 from repro.core.cluster import Cluster
-from repro.experiments.config import ExperimentConfig, paper_scale
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -23,15 +23,17 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
+from repro.analysis.report import format_table
+from repro.campaign.studies import lublin_source
 from repro.core.cluster import Cluster
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import generate_synthetic_instances, run_instance
+from repro.experiments.runner import run_instance
 from repro.packing.first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
 from repro.packing.mcb8 import mcb8_pack
 from repro.packing.yield_search import PackingJob, maximize_min_yield
 from repro.schedulers.dfrs import priority as priority_module
 from repro.workloads.lublin import LublinWorkloadGenerator
 from repro.workloads.memory import MemoryRequirementModel
+from repro.workloads.scaling import scale_to_load
 
 
 def _packing_instances(num_instances: int, jobs_per_instance: int, seed: int):
@@ -121,6 +123,13 @@ def test_ablation_priority_exponent(benchmark, bench_config, report_artifact):
         assert value >= 1.0
 
 
+def _instances_at_load(config, load: float):
+    return [
+        scale_to_load(workload, load)
+        for workload in lublin_source(config).workloads(config.cluster)
+    ]
+
+
 def _run_priority_ablation(config, exponent: float) -> float:
     """Mean max stretch of GREEDY-PMTN with a patched priority exponent."""
     import repro.schedulers.dfrs.greedy_pmtn as greedy_pmtn_module
@@ -139,7 +148,7 @@ def _run_priority_ablation(config, exponent: float) -> float:
             )
         )
         stretches = []
-        for workload in generate_synthetic_instances(config, load=0.7):
+        for workload in _instances_at_load(config, 0.7):
             outcome = run_instance(workload, config.algorithms, penalty_seconds=300.0)
             stretches.append(outcome.results["greedy-pmtn"].max_stretch)
         return float(np.mean(stretches))
@@ -164,7 +173,7 @@ def test_ablation_scheduling_period(benchmark, bench_config, report_artifact):
 
     def run_all():
         stretches: Dict[str, List[float]] = {name: [] for name in config.algorithms}
-        for workload in generate_synthetic_instances(config, load=0.7):
+        for workload in _instances_at_load(config, 0.7):
             outcome = run_instance(workload, config.algorithms, penalty_seconds=300.0)
             for name, result in outcome.results.items():
                 stretches[name].append(result.max_stretch)

@@ -26,9 +26,9 @@ from time import perf_counter
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
-from repro.experiments.reporting import format_table
 from repro.schedulers import create_scheduler
 from repro.traces import DiurnalPoissonTraceSource
 

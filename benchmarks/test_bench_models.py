@@ -24,9 +24,9 @@ import time
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
-from repro.experiments.reporting import format_table
 from repro.models import (
     ExactExecutionTimeModel,
     MemoryLinearOverheadModel,

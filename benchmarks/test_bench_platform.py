@@ -26,9 +26,9 @@ import time
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
-from repro.experiments.reporting import format_table
 from repro.platform import NodeClass, NodeClassesPlatform
 from repro.schedulers.registry import create_scheduler
 from repro.workloads.lublin import LublinWorkloadGenerator

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
-from repro.experiments.reporting import format_table
 from repro.serve import bench_payload, run_loadtest
 from repro.traces import DiurnalPoissonTraceSource
 

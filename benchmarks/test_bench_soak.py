@@ -22,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig
-from repro.experiments.reporting import format_table
 from repro.obs.soak import SoakConfig, run_soak
 from repro.traces import DiurnalPoissonTraceSource
 

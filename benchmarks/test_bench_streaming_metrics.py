@@ -25,10 +25,10 @@ import time
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.campaign import Campaign
 from repro.campaign.scenario import CollectorSpec, GeneratorSource, Scenario
 from repro.core.cluster import Cluster
-from repro.experiments.reporting import format_table
 
 pytestmark = pytest.mark.bench
 

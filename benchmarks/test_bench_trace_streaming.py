@@ -22,9 +22,9 @@ import time
 
 import pytest
 
+from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
-from repro.experiments.reporting import format_table
 from repro.schedulers.registry import create_scheduler
 from repro.traces import DiurnalPoissonTraceSource
 

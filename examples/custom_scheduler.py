@@ -27,10 +27,10 @@ from __future__ import annotations
 import argparse
 
 from repro import Cluster, LublinWorkloadGenerator, scale_to_load
+from repro.analysis.report import format_table
 from repro.core import SimulationConfig, Simulator, ReschedulingPenaltyModel
 from repro.core.allocation import AllocationDecision
 from repro.core.context import SchedulingContext
-from repro.experiments.reporting import format_table
 from repro.schedulers import create_scheduler
 from repro.schedulers.base import Scheduler
 from repro.schedulers.dfrs.placement import greedy_place_job, usage_from_placements

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 from repro import Cluster
-from repro.experiments.config import ExperimentConfig
+from repro.campaign.studies import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
 from repro.schedulers.registry import PAPER_ALGORITHMS
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 
 from repro import Cluster, run_instance, scale_to_load
-from repro.experiments.reporting import format_table
+from repro.analysis.report import format_table
 from repro.workloads.lublin import LublinWorkloadGenerator
 from repro.workloads.memory import MemoryRequirementModel
 

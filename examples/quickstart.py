@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 
 from repro import Cluster, LublinWorkloadGenerator, run_instance, scale_to_load
-from repro.experiments.reporting import format_table
+from repro.analysis.report import format_table
 
 
 def main() -> None:

@@ -49,11 +49,13 @@ from .exceptions import (
     TraceFormatError,
     WorkloadError,
 )
-from .experiments import (
+from .campaign.studies import (
     ExperimentConfig,
     default_scale,
     paper_scale,
     quick_scale,
+)
+from .experiments import (
     run_algorithm,
     run_extensions_comparison,
     run_figure1,
@@ -115,7 +117,7 @@ __all__ = [
     "SimulationError",
     "TraceFormatError",
     "WorkloadError",
-    # experiments
+    # campaign studies / experiments
     "ExperimentConfig",
     "default_scale",
     "paper_scale",

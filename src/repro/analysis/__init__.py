@@ -14,7 +14,8 @@ per-instance metric mappings — and produces derived statistics:
   savings under a simple node power model (paper §II-B2);
 * :mod:`repro.analysis.compare` — head-to-head algorithm comparisons
   (win fractions, dominance ratios, degradation summaries);
-* :mod:`repro.analysis.report` — Markdown rendering of the above.
+* :mod:`repro.analysis.report` — plain-text and Markdown rendering of the
+  above and of the experiment drivers' tables and figure series.
 
 This package never imports from :mod:`repro.experiments`, so the experiment
 harness is free to build on it.
@@ -41,6 +42,8 @@ from .report import (
     comparison_report,
     energy_report_table,
     fairness_report_table,
+    format_figure_series,
+    format_table,
     markdown_table,
 )
 from .stats import (
@@ -88,6 +91,8 @@ __all__ = [
     "comparison_report",
     "energy_report_table",
     "fairness_report_table",
+    "format_figure_series",
+    "format_table",
     "markdown_table",
     # stats
     "SummaryStatistics",

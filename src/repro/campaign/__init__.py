@@ -10,7 +10,7 @@ shape *data*:
   source, cluster, algorithms, penalty, sweep axes, metric collectors,
   engine options);
 * :class:`Campaign` — the executor: expands a scenario into its run grid,
-  fans it out over the :mod:`repro.experiments.parallel` pool, attaches the
+  fans it out over its process pool (``executor.map_tasks``), attaches the
   requested metric collectors (backed by :mod:`repro.core.observers`
   recorders), and returns a typed :class:`CampaignResult`;
 * :class:`CampaignResult` — tidy per-run rows plus aggregation helpers, with

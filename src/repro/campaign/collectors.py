@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.invariants import InvariantCheckingObserver
 from ..core.observers import SimulationObserver, UtilizationRecorder
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
@@ -47,6 +48,7 @@ __all__ = [
     "FairnessCollector",
     "UtilizationCollector",
     "AvailabilityCollector",
+    "InvariantsCollector",
     "available_collectors",
     "create_collector",
     "register_collector",
@@ -562,6 +564,29 @@ class AvailabilityCollector(MetricCollector):
         }
 
 
+class InvariantsCollector(MetricCollector):
+    """Run the cell under :class:`~repro.core.invariants.InvariantCheckingObserver`.
+
+    The observer raises on the first capacity / lifecycle / yield / clock
+    violation, so a finished row means every event passed; the one column
+    says how many were checked.  Materialized campaigns only: the checker
+    keeps every submitted spec.
+    """
+
+    name = "invariants"
+    recorders = ("invariants",)
+
+    def collect(
+        self,
+        result: SimulationResult,
+        recorders: Mapping[str, SimulationObserver],
+        workload: Workload,
+    ) -> Dict[str, Any]:
+        checker = recorders["invariants"]
+        assert isinstance(checker, InvariantCheckingObserver)
+        return {"invariant_events_checked": checker.checked_events}
+
+
 COLLECTORS: Registry[MetricCollector] = Registry("metric collector")
 register_collector = COLLECTORS.register
 available_collectors = COLLECTORS.available
@@ -573,6 +598,7 @@ register_collector("timing", TimingCollector)
 register_collector("fairness", FairnessCollector)
 register_collector("utilization", UtilizationCollector)
 register_collector("availability", AvailabilityCollector)
+register_collector("invariants", InvariantsCollector)
 
 
 # The SLO/goodput collectors live with the observability layer but register

@@ -1,11 +1,13 @@
 """Campaign executor: expand a scenario, fan it out, collect tidy rows.
 
 The executor turns a :class:`~repro.campaign.scenario.Scenario` into the
-``cells × instances × algorithms`` run grid and pushes it through the
-process pool of :mod:`repro.experiments.parallel` (``map_tasks``).  Each
-worker builds its recorders locally, simulates, evaluates the scenario's
-metric collectors, and ships back only a plain metrics dictionary — so the
-grid parallelises even when collectors need observers attached.
+``cells × instances × algorithms`` run grid and pushes it through a
+process pool (:func:`map_tasks`, the one fan-out primitive of the
+repository: every simulation is deterministic given its task, so
+``workers=N`` is bit-for-bit equal to ``workers=1``).  Each worker builds
+its recorders locally, simulates, evaluates the scenario's metric
+collectors, and ships back only a plain metrics dictionary — so the grid
+parallelises even when collectors need observers attached.
 
 With a ``cache_dir``, finished runs are persisted under the stable
 :func:`~repro.campaign.scenario.scenario_hash` after every cell; a rerun of
@@ -31,6 +33,9 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+import multiprocessing.pool
+import os
 import re
 import warnings
 from dataclasses import replace as dataclasses_replace
@@ -38,6 +43,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -45,6 +51,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -64,7 +71,7 @@ from .scenario import CollectorSpec, Scenario, payload_hash, scenario_hash
 if TYPE_CHECKING:  # imported lazily at runtime to keep worker pickling light
     from ..traces.source import JobSource
 
-__all__ = ["Campaign", "export_campaign_artifacts"]
+__all__ = ["Campaign", "export_campaign_artifacts", "map_tasks", "resolve_workers"]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -80,6 +87,48 @@ _RunTask = Tuple[Workload, str, SimulationConfig, Tuple[CollectorSpec, ...]]
 #: One unit of streaming pool work: (job source, cluster, algorithm,
 #: engine config, collector specs, inter-arrival rescale factor or None).
 _StreamTask = Tuple[Any, Cluster, str, SimulationConfig, Tuple[CollectorSpec, ...], Optional[float]]
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a worker-count request: ``None``/``1`` serial, ``<=0`` all CPUs."""
+    if workers is None:
+        return 1
+    if workers <= 0:
+        return os.cpu_count() or 1
+    return workers
+
+
+def _pool(workers: int) -> multiprocessing.pool.Pool:
+    # fork keeps the warm interpreter (and is the only start method that
+    # does not require the callables to be importable from __main__ on
+    # every platform); fall back to the default context where missing.
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    return context.Pool(processes=workers)
+
+
+def map_tasks(
+    fn: Callable[[_T], _R], tasks: Sequence[_T], *, workers: Optional[int] = None
+) -> List[_R]:
+    """Map a picklable, deterministic function over tasks, possibly in parallel.
+
+    Results come back in task order, and ``workers=1`` (or a single task)
+    degenerates to an in-process loop with simple stack traces.  ``fn`` must
+    be importable at module level (pool workers pickle it by reference) and
+    must not read global RNG state: all randomness lives in seeded task
+    payloads, which is what makes the pool invisible in the results.
+    """
+    workers = resolve_workers(workers)
+    if workers == 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    _LOGGER.debug("running %d tasks on %d workers", len(tasks), workers)
+    with _pool(workers) as pool:
+        return pool.map(fn, tasks, chunksize=1)
 
 
 def _execute_run(task: _RunTask) -> Dict[str, Any]:
@@ -190,6 +239,248 @@ def _execute_streaming_run(task: _StreamTask) -> Dict[str, Any]:
         # the metric partials, so per-worker sinks merge exactly.
         outcome["telemetry"] = bundle_to_dict(simulator.telemetry.bundle())
     return outcome
+
+
+class _Plan:
+    """What an execution mode tells the one grid loop, ``Campaign._run_cells``.
+
+    Which ``worker`` simulates a task, which tasks a row needs (``count``
+    instances per cell, ``merged`` into one row or not; one ``task`` per
+    instance and algorithm), and how a row's outcomes ``fold`` into its entry.
+    """
+
+    merged = False
+    worker: Callable[[Any], Dict[str, Any]]
+
+    def configure(self, config: SimulationConfig) -> SimulationConfig:
+        return config
+
+    def before_first_run(self) -> None:
+        """Called before any cell's pending tasks are simulated."""
+
+    def count(self, cluster: Cluster) -> int:
+        raise NotImplementedError
+
+    def task(
+        self, instance: int, algorithm: str, cluster: Cluster, load: Any,
+        config: SimulationConfig,
+    ) -> Any:
+        raise NotImplementedError
+
+    def fold(
+        self, tasks: Sequence[Any], outcomes: Sequence[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        raise NotImplementedError
+
+
+class _MaterializedPlan(_Plan):
+    """Whole instances in memory: one task and one row per (instance, algorithm).
+
+    Workloads are generated once per *distinct cluster*, so sweeping only the
+    failure model of a templated platform still generates every instance
+    exactly once; the ``load`` axis rescales them with ``scale_to_load``.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.worker = _execute_run
+        self._raw: Dict[Cluster, List[Workload]] = {}
+        # Memoised per (cluster, load) value, not per cell: in a cross sweep
+        # many cells share a load, and rescaling every instance once per cell
+        # would repeat identical work.
+        self._scaled: Dict[Tuple[Cluster, Any], List[Workload]] = {}
+
+    def count(self, cluster: Cluster) -> int:
+        return len(self._workloads(cluster, None))
+
+    def _workloads(self, cluster: Cluster, load: Any) -> List[Workload]:
+        if load is None:
+            if cluster not in self._raw:
+                workloads = self.scenario.source.workloads(cluster)
+                if not workloads:
+                    raise ReproError(
+                        f"scenario {self.scenario.name!r}: workload source "
+                        "produced no instances"
+                    )
+                self._raw[cluster] = workloads
+            return self._raw[cluster]
+        key = (cluster, load)
+        if key not in self._scaled:
+            self._scaled[key] = [
+                scale_to_load(workload, float(load))
+                for workload in self._workloads(cluster, None)
+            ]
+        return self._scaled[key]
+
+    def task(
+        self, instance: int, algorithm: str, cluster: Cluster, load: Any,
+        config: SimulationConfig,
+    ) -> _RunTask:
+        workload = self._workloads(cluster, load)[instance]
+        return (workload, algorithm, config, self.scenario.collectors)
+
+    def fold(
+        self, tasks: Sequence[Any], outcomes: Sequence[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        (task,) = tasks
+        return {"workload": task[0].name, "metrics": outcomes[0]}
+
+
+class _StreamingPlan(_Plan):
+    """Bounded memory: instances stream, a row folds accumulator partials.
+
+    ``merged`` rows fold every instance of a cell; per-instance rows fold a
+    group of one (``merge_bundles`` of one bundle is the identity).
+    """
+
+    def __init__(
+        self, scenario: Scenario, metrics_relative_error: float, merged: bool
+    ) -> None:
+        if scenario.has_platform_template:
+            raise ConfigurationError(
+                "platform sweep templating resolves one platform per cell, "
+                "which the streaming executor does not support; drop the "
+                "{axis} placeholders from the platform block or run without "
+                "streaming"
+            )
+        sources = scenario.source.streaming_sources(scenario.cluster)
+        if sources is None:
+            raise ConfigurationError(
+                f"workload source {scenario.source.kind!r} cannot stream "
+                "(no per-instance JobSources); use a generator/transform/"
+                "swf source or run without streaming"
+            )
+        if not sources:
+            raise ConfigurationError(
+                f"scenario {scenario.name!r}: workload source produced no "
+                "streaming instances"
+            )
+        # Built once and reused for validation and every row's finalize —
+        # collectors are stateless between runs by contract.
+        collectors = [
+            create_collector(spec.name, **spec.options_dict())
+            for spec in scenario.collectors
+        ]
+        for collector in collectors:
+            if not collector.streaming_capable:
+                raise ConfigurationError(
+                    f"metric collector {collector.name!r} needs the full "
+                    "per-job population and cannot run in a streaming "
+                    "campaign; drop it or run without streaming"
+                )
+        # Collectors measuring windowed availability need the engine to
+        # split the up-capacity integral at their window width; two
+        # collectors asking for different widths cannot share one run.
+        window_seconds: Optional[float] = None
+        for collector in collectors:
+            if getattr(collector, "needs_engine_windows", False):
+                width = float(collector.window_seconds)
+                if window_seconds is not None and window_seconds != width:
+                    raise ConfigurationError(
+                        "conflicting availability window widths in one "
+                        f"scenario: {window_seconds:g}s vs {width:g}s"
+                    )
+                window_seconds = width
+
+        self.scenario = scenario
+        self.merged = merged
+        self.worker = _execute_streaming_run
+        self._sources = sources
+        self._collectors = collectors
+        self._engine_options: Dict[str, Any] = {
+            "streaming_metrics": True,
+            "metrics_relative_error": metrics_relative_error,
+            "availability_window_seconds": window_seconds,
+        }
+        # Offered load is a per-instance constant: measured lazily, once per
+        # instance, with a single O(1)-memory pass — not once per
+        # (cell × algorithm × load) worker task.
+        self._measured_loads: List[Optional[float]] = [None] * len(sources)
+        self._order_checked = False
+
+    def configure(self, config: SimulationConfig) -> SimulationConfig:
+        return dataclasses_replace(config, **self._engine_options)
+
+    def count(self, cluster: Cluster) -> int:
+        return len(self._sources)
+
+    def _rescale_factor(self, instance: int, load: Any) -> Optional[float]:
+        if load is None:
+            return None
+        # Same guard (and error style) as the materialized path's
+        # scale_to_load — not a ZeroDivisionError three layers deep.
+        if float(load) <= 0:
+            raise ConfigurationError(
+                f"load axis values must be > 0, got {load!r}"
+            )
+        measured = self._measured_loads[instance]
+        if measured is None:
+            measured = self._measured_loads[instance] = _streaming_offered_load(
+                self._sources[instance], self.scenario.cluster
+            )
+        return measured / float(load)
+
+    def task(
+        self, instance: int, algorithm: str, cluster: Cluster, load: Any,
+        config: SimulationConfig,
+    ) -> _StreamTask:
+        return (
+            self._sources[instance],
+            cluster,
+            algorithm,
+            config,
+            self.scenario.collectors,
+            self._rescale_factor(instance, load),
+        )
+
+    def before_first_run(self) -> None:
+        """Order-check convention-ordered streams before the first simulation.
+
+        SWF archives (directly or under transforms/concat) are arrival-ordered
+        by convention only, so a stray out-of-order record should fail in
+        seconds instead of aborting a potentially hours-long run — but
+        lazily, only when some row actually needs simulating: a fully cached
+        rerun must not re-parse a gigabyte archive just to resume.
+        """
+        if self._order_checked:
+            return
+        self._order_checked = True
+        for source in self._sources:
+            # The JobSource protocol flag: SWF archives set it, wrapper
+            # sources propagate it from their bases; the check runs on the
+            # outer stream so order-restoring buffering transforms
+            # correctly pass.
+            if getattr(source, "order_by_convention", False):
+                _check_arrival_order(source, self.scenario.cluster)
+
+    def fold(
+        self, tasks: Sequence[Any], outcomes: Sequence[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        metrics: Dict[str, Any] = {}
+        for collector in self._collectors:
+            merged = merge_bundles(
+                [
+                    bundle_from_dict(outcome["partials"][collector.name])
+                    for outcome in outcomes
+                ]
+            )
+            metrics.update(collector.stream_finalize(merged))
+        telemetry_bundles = [
+            outcome["telemetry"] for outcome in outcomes if outcome.get("telemetry")
+        ]
+        if telemetry_bundles:
+            # Union-wise merge: instrument sets legitimately differ between
+            # shards (see merge_telemetry_bundles).
+            metrics["telemetry"] = summarize_bundle(
+                merge_telemetry_bundles(telemetry_bundles)
+            )
+        metrics["peak_resident_jobs"] = max(
+            outcome["peak_resident_jobs"] for outcome in outcomes
+        )
+        workload_name = str(outcomes[0]["workload"])
+        if any(str(outcome["workload"]) != workload_name for outcome in outcomes):
+            workload_name = f"{workload_name}(+{len(outcomes) - 1})"
+        return {"workload": workload_name, "metrics": metrics}
 
 
 class Campaign:
@@ -327,117 +618,86 @@ class Campaign:
 
         Workload generation is lazy: a rerun whose runs are all cached reads
         everything (metrics and workload names) from the cache file and never
-        touches the workload source.  A sweep-templated platform spec makes
-        the cluster (and engine failure trace) a per-cell quantity: workloads
-        are then generated once per *distinct cluster*, so sweeping only the
-        failure model still generates every instance exactly once.
+        touches the workload source.
         """
-        from ..experiments.parallel import map_tasks
+        plan: _Plan
+        if self.streaming and not self._must_materialize_stream(scenario):
+            plan = _StreamingPlan(
+                scenario, self.metrics_relative_error, self.merge_instances
+            )
+            digest = self._streaming_digest(scenario)
+        else:
+            plan = _MaterializedPlan(scenario)
+            digest = scenario_hash(scenario)
+        return self._run_cells(scenario, digest, plan)
 
-        if self.streaming:
-            if self._must_materialize_stream(scenario):
-                # Fall through to the materialized path (warning emitted).
-                pass
-            else:
-                return self._run_streaming(scenario)
+    def _run_cells(
+        self, scenario: Scenario, digest: str, plan: _Plan
+    ) -> CampaignResult:
+        """The one grid loop: cells × row groups × algorithms, through the cache.
 
-        digest = scenario_hash(scenario)
+        A sweep-templated platform makes the cluster (and the engine's
+        failure trace) a per-cell quantity, sweep-templated models the engine
+        config; static blocks resolve to the same values for every cell.
+        Instance counts are cached — scenario-wide, or per cell when clusters
+        differ — so a fully cached rerun never asks the plan for instances.
+        """
         cached, num_instances, cell_counts = self._load_cache(digest)
-        cells = scenario.expand()
         templated = scenario.has_platform_template
-        models_templated = scenario.has_models_template
-        simulation_config = scenario.simulation_config()
-
-        raw_cache: Dict[Cluster, List[Workload]] = {}
-
-        def raw(cluster: Cluster) -> List[Workload]:
-            if cluster not in raw_cache:
-                workloads = scenario.source.workloads(cluster, workers=self.workers)
-                if not workloads:
-                    raise ReproError(
-                        f"scenario {scenario.name!r}: workload source produced "
-                        "no instances"
-                    )
-                raw_cache[cluster] = workloads
-            return raw_cache[cluster]
-
-        if num_instances is None and not templated:
-            num_instances = len(raw(scenario.cluster))
-
-        # Memoised per (cluster, load) value, not per cell: in a cross sweep
-        # many cells share a load, and rescaling every instance once per cell
-        # would repeat identical work.
-        scaled_cache: Dict[Tuple[Cluster, Any], List[Workload]] = {}
-
-        def workloads_at(load: Any, cluster: Cluster) -> List[Workload]:
-            if load is None:
-                return raw(cluster)
-            key = (cluster, load)
-            if key not in scaled_cache:
-                scaled_cache[key] = [
-                    scale_to_load(workload, float(load))
-                    for workload in raw(cluster)
-                ]
-            return scaled_cache[key]
-
         rows: List[RunRecord] = []
-        for cell in cells:
+        for cell in scenario.expand():
             params = cell.params_dict()
             load = params.get("load")
             algorithms = scenario.resolved_algorithms(params)
-            # Sweep-templated models make the engine config (but not the
-            # cluster or the workloads) a per-cell quantity.
-            cell_models = (
-                scenario.resolved_models(params) if models_templated else None
-            )
+            platform = scenario.resolved_platform(params)
+            cluster = platform.build_cluster() if templated else scenario.cluster
             if templated:
-                cell_platform = scenario.resolved_platform(params)
-                cell_cluster = cell_platform.build_cluster()
-                cell_config = scenario.simulation_config(
-                    platform=cell_platform, models=cell_models
-                )
-                # The cached per-cell count lets a fully cached rerun skip
-                # workload generation, mirroring num_instances on the
-                # single-cluster path.
-                cell_instances = cell_counts.get(str(cell.index))
-                if cell_instances is None:
-                    cell_instances = len(raw(cell_cluster))
-                cell_counts[str(cell.index)] = cell_instances
+                count = cell_counts.get(str(cell.index))
+                if count is None:
+                    count = plan.count(cluster)
+                cell_counts[str(cell.index)] = count
             else:
-                cell_cluster = scenario.cluster
-                if models_templated:
-                    cell_config = scenario.simulation_config(models=cell_models)
-                else:
-                    cell_config = simulation_config
-                cell_instances = num_instances
+                if num_instances is None:
+                    num_instances = plan.count(cluster)
+                count = num_instances
 
-            pending: List[_RunTask] = []
-            pending_keys: List[str] = []
-            cell_keys: List[Tuple[str, int, str]] = []
-            for instance_index in range(cell_instances):
-                for algorithm in algorithms:
-                    key = f"{cell.index}/{instance_index}/{algorithm}"
-                    cell_keys.append((key, instance_index, algorithm))
-                    if key not in cached:
-                        workload = workloads_at(load, cell_cluster)[instance_index]
-                        pending.append(
-                            (workload, algorithm, cell_config,
-                             scenario.collectors)
-                        )
-                        pending_keys.append(key)
-
+            # One row per (group, algorithm); a group is the instances whose
+            # outcomes fold into that row — all of them (instance_index -1
+            # marks "merged across every instance of the cell") or just one.
+            groups: List[Tuple[str, int, List[int]]] = (
+                [("merged", -1, list(range(count)))]
+                if plan.merged
+                else [(str(index), index, [index]) for index in range(count)]
+            )
+            row_keys = [
+                (f"{cell.index}/{label}/{algorithm}", instance_index, members, algorithm)
+                for label, instance_index, members in groups
+                for algorithm in algorithms
+            ]
+            pending = [row for row in row_keys if row[0] not in cached]
             if pending:
-                _LOGGER.debug(
-                    "scenario %s cell %d: running %d of %d cells",
-                    scenario.name, cell.index, len(pending), len(cell_keys),
+                config = plan.configure(
+                    scenario.simulation_config(
+                        platform=platform, models=scenario.resolved_models(params)
+                    )
                 )
-                outcomes = map_tasks(_execute_run, pending, workers=self.workers)
-                for key, metrics in zip(pending_keys, outcomes):
-                    instance_index = int(key.split("/", 2)[1])
-                    cached[key] = {
-                        "workload": workloads_at(load, cell_cluster)[instance_index].name,
-                        "metrics": metrics,
-                    }
+                tasks = [
+                    plan.task(instance, algorithm, cluster, load, config)
+                    for _, _, members, algorithm in pending
+                    for instance in members
+                ]
+                plan.before_first_run()
+                _LOGGER.debug(
+                    "scenario %s cell %d: running %d tasks for %d of %d rows",
+                    scenario.name, cell.index, len(tasks), len(pending),
+                    len(row_keys),
+                )
+                outcomes = map_tasks(plan.worker, tasks, workers=self.workers)
+                start = 0
+                for key, _, members, _ in pending:
+                    stop = start + len(members)
+                    cached[key] = plan.fold(tasks[start:stop], outcomes[start:stop])
+                    start = stop
                 # Persist after every cell so an interrupted campaign resumes
                 # from the last finished cell instead of from scratch.  The
                 # scenario-wide instance count only holds when every cell
@@ -449,7 +709,7 @@ class Campaign:
                     cell_counts if templated else None,
                 )
 
-            for key, instance_index, algorithm in cell_keys:
+            for key, instance_index, _, algorithm in row_keys:
                 entry = cached[key]
                 rows.append(
                     RunRecord(
@@ -490,56 +750,7 @@ class Campaign:
         )
         return True
 
-    def _run_streaming(self, scenario: Scenario) -> CampaignResult:
-        """Bounded-memory execution: stream instances, merge partials per cell."""
-        from ..experiments.parallel import map_tasks
-
-        if scenario.has_platform_template:
-            raise ConfigurationError(
-                "platform sweep templating resolves one platform per cell, "
-                "which the streaming executor does not support; drop the "
-                "{axis} placeholders from the platform block or run without "
-                "streaming"
-            )
-        sources = scenario.source.streaming_sources(scenario.cluster)
-        if sources is None:
-            raise ConfigurationError(
-                f"workload source {scenario.source.kind!r} cannot stream "
-                "(no per-instance JobSources); use a generator/transform/"
-                "swf source or run without streaming"
-            )
-        if not sources:
-            raise ConfigurationError(
-                f"scenario {scenario.name!r}: workload source produced no "
-                "streaming instances"
-            )
-        # Built once and reused for validation and every cell's finalize —
-        # collectors are stateless between runs by contract.
-        collectors = [
-            create_collector(spec.name, **spec.options_dict())
-            for spec in scenario.collectors
-        ]
-        for collector in collectors:
-            if not collector.streaming_capable:
-                raise ConfigurationError(
-                    f"metric collector {collector.name!r} needs the full "
-                    "per-job population and cannot run in a streaming "
-                    "campaign; drop it or run without streaming"
-                )
-        # Collectors measuring windowed availability need the engine to
-        # split the up-capacity integral at their window width; two
-        # collectors asking for different widths cannot share one run.
-        window_seconds: Optional[float] = None
-        for collector in collectors:
-            if getattr(collector, "needs_engine_windows", False):
-                width = float(collector.window_seconds)
-                if window_seconds is not None and window_seconds != width:
-                    raise ConfigurationError(
-                        "conflicting availability window widths in one "
-                        f"scenario: {window_seconds:g}s vs {width:g}s"
-                    )
-                window_seconds = width
-
+    def _streaming_digest(self, scenario: Scenario) -> str:
         # The streaming rows are a different shape (merged per cell, sketched
         # quantile columns), so the cache must never be shared with the
         # materialized path: fold the execution mode into the digest.  The
@@ -554,268 +765,7 @@ class Campaign:
         }
         if not self.merge_instances:
             digest_payload["merge_instances"] = False
-        digest = payload_hash(digest_payload)
-        cached, _, _ = self._load_cache(digest)
-        cells = scenario.expand()
-        simulation_config = dataclasses_replace(
-            scenario.simulation_config(),
-            streaming_metrics=True,
-            metrics_relative_error=self.metrics_relative_error,
-            availability_window_seconds=window_seconds,
-        )
-        models_templated = scenario.has_models_template
-
-        def config_for(params: Mapping[str, Any]) -> SimulationConfig:
-            # Sweep-templated models resolve per cell; the cluster and the
-            # streaming sources are unaffected, so only the engine config
-            # needs rebuilding.
-            if not models_templated:
-                return simulation_config
-            return dataclasses_replace(
-                scenario.simulation_config(
-                    models=scenario.resolved_models(params)
-                ),
-                streaming_metrics=True,
-                metrics_relative_error=self.metrics_relative_error,
-                availability_window_seconds=window_seconds,
-            )
-
-        # Offered load is a per-instance constant: measure it lazily, once
-        # per instance, with a single O(1)-memory pass — not once per
-        # (cell × algorithm × load) worker task.  Mirrors the materialized
-        # path's per-load scaled-workload memoisation.
-        measured_loads: List[Optional[float]] = [None] * len(sources)
-
-        # Convention-ordered streams (SWF archives, directly or under
-        # transforms/concat) are order-checked before the first simulation,
-        # so a stray out-of-order record fails in seconds instead of
-        # aborting a potentially hours-long run — but lazily, only when
-        # some cell actually needs simulating: a fully cached rerun must
-        # not re-parse a gigabyte archive just to resume.
-        order_checked = False
-
-        def check_order_once() -> None:
-            nonlocal order_checked
-            if order_checked:
-                return
-            order_checked = True
-            for source in sources:
-                # The JobSource protocol flag: SWF archives set it, wrapper
-                # sources propagate it from their bases; the check runs on
-                # the outer stream so order-restoring buffering transforms
-                # correctly pass.
-                if getattr(source, "order_by_convention", False):
-                    _check_arrival_order(source, scenario.cluster)
-
-        def rescale_factor(instance: int, load: Any) -> Optional[float]:
-            if load is None:
-                return None
-            # Same guard (and error style) as the materialized path's
-            # scale_to_load — not a ZeroDivisionError three layers deep.
-            if float(load) <= 0:
-                raise ConfigurationError(
-                    f"load axis values must be > 0, got {load!r}"
-                )
-            if measured_loads[instance] is None:
-                measured_loads[instance] = _streaming_offered_load(
-                    sources[instance], scenario.cluster
-                )
-            return measured_loads[instance] / float(load)
-
-        if not self.merge_instances:
-            return self._run_streaming_per_instance(
-                scenario, digest, cached, cells, config_for,
-                sources, collectors, check_order_once, rescale_factor,
-            )
-
-        rows: List[RunRecord] = []
-        for cell in cells:
-            params = cell.params_dict()
-            load = params.get("load")
-            algorithms = scenario.resolved_algorithms(params)
-            cell_config = config_for(params)
-
-            pending: List[_StreamTask] = []
-            pending_algorithms: List[str] = []
-            for algorithm in algorithms:
-                key = f"{cell.index}/merged/{algorithm}"
-                if key in cached:
-                    continue
-                for instance, source in enumerate(sources):
-                    pending.append(
-                        (
-                            source,
-                            scenario.cluster,
-                            algorithm,
-                            cell_config,
-                            scenario.collectors,
-                            rescale_factor(instance, load),
-                        )
-                    )
-                pending_algorithms.append(algorithm)
-
-            if pending:
-                check_order_once()
-                _LOGGER.debug(
-                    "scenario %s cell %d: streaming %d runs (%d algorithms x "
-                    "%d instances)",
-                    scenario.name, cell.index, len(pending),
-                    len(pending_algorithms), len(sources),
-                )
-                outcomes = map_tasks(
-                    _execute_streaming_run, pending, workers=self.workers
-                )
-                cursor = iter(outcomes)
-                for algorithm in pending_algorithms:
-                    per_instance = [next(cursor) for _ in sources]
-                    metrics: Dict[str, Any] = {}
-                    for collector in collectors:
-                        merged = merge_bundles(
-                            [
-                                bundle_from_dict(outcome["partials"][collector.name])
-                                for outcome in per_instance
-                            ]
-                        )
-                        metrics.update(collector.stream_finalize(merged))
-                    telemetry_bundles = [
-                        outcome["telemetry"]
-                        for outcome in per_instance
-                        if outcome.get("telemetry")
-                    ]
-                    if telemetry_bundles:
-                        # Union-wise merge: instrument sets legitimately
-                        # differ between shards (see merge_telemetry_bundles).
-                        metrics["telemetry"] = summarize_bundle(
-                            merge_telemetry_bundles(telemetry_bundles)
-                        )
-                    metrics["peak_resident_jobs"] = max(
-                        outcome["peak_resident_jobs"] for outcome in per_instance
-                    )
-                    first_workload = str(per_instance[0]["workload"])
-                    if all(
-                        str(outcome["workload"]) == first_workload
-                        for outcome in per_instance
-                    ):
-                        workload_name = first_workload
-                    else:
-                        workload_name = (
-                            f"{per_instance[0]['workload']}"
-                            f"(+{len(per_instance) - 1})"
-                        )
-                    key = f"{cell.index}/merged/{algorithm}"
-                    cached[key] = {"workload": workload_name, "metrics": metrics}
-                self._store_cache(digest, scenario, cached, len(sources))
-
-            for algorithm in algorithms:
-                entry = cached[f"{cell.index}/merged/{algorithm}"]
-                rows.append(
-                    RunRecord(
-                        cell_index=cell.index,
-                        # -1 marks "merged across every instance of the cell".
-                        instance_index=-1,
-                        workload=str(entry["workload"]),
-                        algorithm=algorithm,
-                        params=cell.params,
-                        metrics=entry["metrics"],
-                    )
-                )
-
-        return CampaignResult(
-            scenario=scenario.to_dict(), scenario_hash=digest, rows=rows
-        )
-
-    def _run_streaming_per_instance(
-        self,
-        scenario: Scenario,
-        digest: str,
-        cached: Dict[str, Dict[str, Any]],
-        cells: Sequence[Any],
-        config_for: Any,
-        sources: Sequence[Any],
-        collectors: Sequence[Any],
-        check_order_once: Any,
-        rescale_factor: Any,
-    ) -> CampaignResult:
-        """Streaming execution with ``merge_instances=False``: one row per
-        ``(cell, instance, algorithm)``, each instance's accumulator bundle
-        finalized on its own (no cross-instance merge).  Cache keys carry the
-        real instance index, mirroring the materialized path's key shape."""
-        from ..experiments.parallel import map_tasks
-
-        rows: List[RunRecord] = []
-        for cell in cells:
-            params = cell.params_dict()
-            load = params.get("load")
-            algorithms = scenario.resolved_algorithms(params)
-            cell_config = config_for(params)
-
-            pending: List[_StreamTask] = []
-            pending_keys: List[str] = []
-            cell_keys: List[Tuple[str, int, str]] = []
-            for instance, source in enumerate(sources):
-                for algorithm in algorithms:
-                    key = f"{cell.index}/{instance}/{algorithm}"
-                    cell_keys.append((key, instance, algorithm))
-                    if key in cached:
-                        continue
-                    pending.append(
-                        (
-                            source,
-                            scenario.cluster,
-                            algorithm,
-                            cell_config,
-                            scenario.collectors,
-                            rescale_factor(instance, load),
-                        )
-                    )
-                    pending_keys.append(key)
-
-            if pending:
-                check_order_once()
-                _LOGGER.debug(
-                    "scenario %s cell %d: streaming %d per-instance runs",
-                    scenario.name, cell.index, len(pending),
-                )
-                outcomes = map_tasks(
-                    _execute_streaming_run, pending, workers=self.workers
-                )
-                for key, outcome in zip(pending_keys, outcomes):
-                    metrics: Dict[str, Any] = {}
-                    for collector in collectors:
-                        metrics.update(
-                            collector.stream_finalize(
-                                bundle_from_dict(
-                                    outcome["partials"][collector.name]
-                                )
-                            )
-                        )
-                    if outcome.get("telemetry"):
-                        metrics["telemetry"] = summarize_bundle(
-                            merge_telemetry_bundles([outcome["telemetry"]])
-                        )
-                    metrics["peak_resident_jobs"] = outcome["peak_resident_jobs"]
-                    cached[key] = {
-                        "workload": str(outcome["workload"]),
-                        "metrics": metrics,
-                    }
-                self._store_cache(digest, scenario, cached, len(sources))
-
-            for key, instance, algorithm in cell_keys:
-                entry = cached[key]
-                rows.append(
-                    RunRecord(
-                        cell_index=cell.index,
-                        instance_index=instance,
-                        workload=str(entry["workload"]),
-                        algorithm=algorithm,
-                        params=cell.params,
-                        metrics=entry["metrics"],
-                    )
-                )
-
-        return CampaignResult(
-            scenario=scenario.to_dict(), scenario_hash=digest, rows=rows
-        )
+        return payload_hash(digest_payload)
 
     def run_many(self, scenarios: Iterable[Scenario]) -> Dict[str, CampaignResult]:
         """Run several scenarios, returned as a name-keyed mapping."""

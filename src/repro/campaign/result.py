@@ -27,6 +27,7 @@ from typing import (
 
 import numpy as np
 
+from ..analysis.report import format_table
 from ..core.metrics import DegradationStats, aggregate_degradation, degradation_factors
 from ..exceptions import ConfigurationError, ReproError
 
@@ -218,8 +219,6 @@ class CampaignResult:
     # -- presentation ----------------------------------------------------------
     def format_summary(self) -> str:
         """Generic per-algorithm summary table of every scalar metric."""
-        from ..experiments.reporting import format_table
-
         algorithms = self.algorithms()
         if not algorithms:
             return f"Campaign {self.name!r} ({self.scenario_hash}): no runs"

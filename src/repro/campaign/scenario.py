@@ -84,10 +84,14 @@ class WorkloadSource:
     kind: str = "abstract"
     spec_expressible: bool = True
 
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
-        raise NotImplementedError
+    def workloads(self, cluster: Cluster) -> List[Workload]:
+        """The materialized instances: by default the collected
+        :meth:`streaming_sources`, so the two executions cannot drift apart;
+        sources that only exist materialized (``swf``, ``custom``) override it."""
+        sources = self.streaming_sources(cluster)
+        if sources is None:
+            raise NotImplementedError
+        return [source.materialize(cluster) for source in sources]
 
     def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
         """Per-instance :class:`repro.traces.JobSource` streams, or ``None``.
@@ -95,8 +99,7 @@ class WorkloadSource:
         The streaming campaign executor feeds these straight into
         :meth:`repro.core.engine.Simulator.run_stream`, so sources that can
         express their instances as arrival-ordered lazy streams should
-        return one :class:`~repro.traces.JobSource` per instance (same
-        instance count, same jobs, same order as :meth:`workloads`).
+        return one :class:`~repro.traces.JobSource` per instance.
         ``None`` (the default) means the source only exists materialized and
         cannot back a ``--streaming-metrics`` campaign.
         """
@@ -128,27 +131,17 @@ class LublinSource(WorkloadSource):
 
     kind = "lublin"
 
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
-        # Delegate to the canonical per-trace seeding/naming scheme so that
-        # campaign traces are bit-identical to the legacy drivers'.
-        from ..experiments.config import ExperimentConfig
-        from ..experiments.parallel import generate_instances
+    def workloads(self, cluster: Cluster) -> List[Workload]:
+        # The same streams, under the paper's instance names.
+        return [
+            source.materialize(cluster, name=f"lublin-{index:03d}")
+            for index, source in enumerate(self.streaming_sources(cluster))
+        ]
 
-        config = ExperimentConfig(
-            cluster=cluster,
-            num_traces=self.num_traces,
-            num_jobs=self.num_jobs,
-            seed_base=self.seed_base,
-        )
-        return generate_instances(config, load=None, workers=workers)
-
-    def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
+    def streaming_sources(self, cluster: Cluster) -> List[Any]:
         from ..traces import LublinTraceSource
 
-        # Same per-trace seeding as generate_instances (trace i uses
-        # seed_base + i), so streaming instances carry identical jobs.
+        # Trace i always uses seed_base + i, whichever process builds it.
         return [
             LublinTraceSource(num_jobs=self.num_jobs, seed=self.seed_base + index)
             for index in range(self.num_traces)
@@ -179,17 +172,6 @@ class Hpc2nLikeSource(WorkloadSource):
     seed_base: int = 2010
 
     kind = "hpc2n-like"
-
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
-        from ..workloads.hpc2n import Hpc2nLikeTraceGenerator
-
-        generator = Hpc2nLikeTraceGenerator(cluster, jobs_per_week=self.jobs_per_week)
-        return [
-            generator.generate_workload(1, seed=self.seed_base + week)
-            for week in range(self.weeks)
-        ]
 
     def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
         from ..traces import Hpc2nLikeTraceSource
@@ -228,9 +210,7 @@ class SwfSource(WorkloadSource):
         if not self.path:
             raise ConfigurationError("SwfSource needs a trace file path")
 
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
+    def workloads(self, cluster: Cluster) -> List[Workload]:
         from ..workloads.hpc2n import swf_to_dfrs_jobs
         from ..workloads.swf import parse_swf
 
@@ -311,9 +291,7 @@ class CustomSource(WorkloadSource):
         if self.factory is None:
             raise ConfigurationError("CustomSource needs a factory callable")
 
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
+    def workloads(self, cluster: Cluster) -> List[Workload]:
         return list(self.factory(cluster))
 
     def to_dict(self) -> Dict[str, Any]:
@@ -375,14 +353,6 @@ class GeneratorSource(WorkloadSource):
             }
         )
 
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
-        return [
-            self._trace_source(instance).materialize(cluster)
-            for instance in range(self.instances)
-        ]
-
     def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
         return [self._trace_source(instance) for instance in range(self.instances)]
 
@@ -435,11 +405,6 @@ class TransformSource(WorkloadSource):
                 "code-only source or step) and cannot back a TransformSource; "
                 "wrap it with CustomSource in code instead"
             )
-
-    def workloads(
-        self, cluster: Cluster, *, workers: Optional[int] = None
-    ) -> List[Workload]:
-        return [self.source.materialize(cluster)]
 
     def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
         return [self.source]

@@ -3,21 +3,33 @@
 Every experiment driver in :mod:`repro.experiments` is a thin wrapper that
 builds its scenario(s) here, runs them through a
 :class:`~repro.campaign.executor.Campaign`, and formats the rows.  The
-builders take the familiar :class:`~repro.experiments.config.ExperimentConfig`
-so that scale knobs (traces, jobs, loads, seeds) stay in one place.
+builders take an :class:`ExperimentConfig` so that scale knobs (traces,
+jobs, loads, seeds) stay in one place.
+
+The paper's full campaign (100 traces × 1,000 jobs × 9 load levels × 9
+algorithms × 2 penalty settings, plus 182 HPC2N weeks) takes CPU-days; the
+:class:`ExperimentConfig` defaults are deliberately small so that the whole
+benchmark suite runs in minutes on a laptop, while :func:`paper_scale`
+returns the full-size configuration for users who want to spend the time.
+The reproduced claims are about *relative* behaviour (who wins, by how much,
+where crossovers fall), which is already visible at reduced scale.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Sequence, Tuple
 
+from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
+from ..schedulers.registry import PAPER_ALGORITHMS
 from .scenario import CollectorSpec, Hpc2nLikeSource, LublinSource, Scenario
 
-if TYPE_CHECKING:  # runtime import would cycle through the driver package
-    from ..experiments.config import ExperimentConfig
-
 __all__ = [
+    "ExperimentConfig",
+    "quick_scale",
+    "default_scale",
+    "paper_scale",
     "lublin_source",
     "scaled_scenario",
     "unscaled_scenario",
@@ -32,11 +44,95 @@ __all__ = [
     "compare_scenario",
 ]
 
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Scale and content of a reproduction campaign."""
+
+    #: Cluster simulated for the synthetic (Lublin) experiments.
+    cluster: Cluster = field(default_factory=lambda: Cluster(128, 4, 8.0))
+    #: Number of independent synthetic traces per load level.
+    num_traces: int = 3
+    #: Number of jobs per synthetic trace.
+    num_jobs: int = 150
+    #: Offered-load levels for the scaled-trace experiments (Figure 1).
+    load_levels: Tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
+    #: Algorithms to evaluate, by registry name.
+    algorithms: Tuple[str, ...] = tuple(PAPER_ALGORITHMS)
+    #: Rescheduling penalty in seconds (0 or 300 in the paper).
+    penalty_seconds: float = 300.0
+    #: Base random seed; trace ``i`` uses ``seed_base + i``.
+    seed_base: int = 2010
+    #: Number of 1-week HPC2N-like segments for the real-world column.
+    hpc2n_weeks: int = 2
+    #: Jobs per HPC2N-like week (the real trace averages ~1,100).
+    hpc2n_jobs_per_week: int = 400
+    #: Worker processes for instance x algorithm fan-out (1 = serial,
+    #: 0 or negative = one worker per CPU); results are identical either way.
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.num_traces < 1:
+            raise ConfigurationError("num_traces must be >= 1")
+        if self.num_jobs < 2:
+            raise ConfigurationError("num_jobs must be >= 2")
+        if not self.load_levels:
+            raise ConfigurationError("load_levels must not be empty")
+        for level in self.load_levels:
+            if not (0.0 < level):
+                raise ConfigurationError(f"invalid load level {level}")
+        if not self.algorithms:
+            raise ConfigurationError("algorithms must not be empty")
+        if self.penalty_seconds < 0:
+            raise ConfigurationError("penalty_seconds must be >= 0")
+        if self.hpc2n_weeks < 1:
+            raise ConfigurationError("hpc2n_weeks must be >= 1")
+        if self.hpc2n_jobs_per_week < 2:
+            raise ConfigurationError("hpc2n_jobs_per_week must be >= 2")
+
+    def with_penalty(self, penalty_seconds: float) -> ExperimentConfig:
+        """Copy of this configuration with a different rescheduling penalty."""
+        return replace(self, penalty_seconds=penalty_seconds)
+
+    def with_algorithms(self, algorithms: Sequence[str]) -> ExperimentConfig:
+        """Copy of this configuration evaluating a different algorithm set."""
+        return replace(self, algorithms=tuple(algorithms))
+
+
+def quick_scale() -> ExperimentConfig:
+    """Tiny configuration used by CI-style smoke tests (< 1 minute)."""
+    return ExperimentConfig(
+        cluster=Cluster(32, 4, 8.0),
+        num_traces=2,
+        num_jobs=60,
+        load_levels=(0.3, 0.7),
+        hpc2n_weeks=1,
+        hpc2n_jobs_per_week=80,
+    )
+
+
+def default_scale() -> ExperimentConfig:
+    """Default laptop-scale configuration used by the benchmark harness."""
+    return ExperimentConfig()
+
+
+def paper_scale() -> ExperimentConfig:
+    """The full experimental campaign of the paper (very long running)."""
+    return ExperimentConfig(
+        cluster=Cluster(128, 4, 8.0),
+        num_traces=100,
+        num_jobs=1000,
+        load_levels=tuple(round(0.1 * i, 1) for i in range(1, 10)),
+        hpc2n_weeks=182,
+        hpc2n_jobs_per_week=1100,
+    )
+
+
 _STRETCH = (CollectorSpec("stretch"),)
 _STRETCH_AND_COSTS = (CollectorSpec("stretch"), CollectorSpec("costs"))
 
 
-def lublin_source(config: "ExperimentConfig", *, num_traces: Optional[int] = None) -> LublinSource:
+def lublin_source(config: ExperimentConfig, *, num_traces: Optional[int] = None) -> LublinSource:
     """The synthetic-trace source of an experiment configuration."""
     return LublinSource(
         num_traces=config.num_traces if num_traces is None else num_traces,
@@ -47,7 +143,7 @@ def lublin_source(config: "ExperimentConfig", *, num_traces: Optional[int] = Non
 
 def scaled_scenario(
     name: str,
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     penalty_seconds: float,
     algorithms: Optional[Sequence[str]] = None,
@@ -68,7 +164,7 @@ def scaled_scenario(
 
 def unscaled_scenario(
     name: str,
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     penalty_seconds: float,
     algorithms: Optional[Sequence[str]] = None,
@@ -87,7 +183,7 @@ def unscaled_scenario(
 
 def hpc2n_scenario(
     name: str,
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     penalty_seconds: float,
     algorithms: Optional[Sequence[str]] = None,
@@ -112,12 +208,12 @@ def hpc2n_scenario(
     )
 
 
-def figure1_scenario(config: "ExperimentConfig", *, penalty_seconds: float) -> Scenario:
+def figure1_scenario(config: ExperimentConfig, *, penalty_seconds: float) -> Scenario:
     """The Figure 1 sweep: degradation factor vs. offered load."""
     return scaled_scenario("figure1", config, penalty_seconds=penalty_seconds)
 
 
-def table1_scenarios(config: "ExperimentConfig", *, penalty_seconds: float) -> Dict[str, Scenario]:
+def table1_scenarios(config: ExperimentConfig, *, penalty_seconds: float) -> Dict[str, Scenario]:
     """The three Table I workload families, keyed by column name."""
     return {
         "scaled": scaled_scenario(
@@ -133,7 +229,7 @@ def table1_scenarios(config: "ExperimentConfig", *, penalty_seconds: float) -> D
 
 
 def table2_scenario(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     penalty_seconds: float,
     algorithms: Sequence[str],
@@ -157,7 +253,7 @@ def table2_scenario(
 
 
 def extensions_scenario(
-    config: "ExperimentConfig", *, penalty_seconds: float, algorithms: Sequence[str]
+    config: ExperimentConfig, *, penalty_seconds: float, algorithms: Sequence[str]
 ) -> Scenario:
     """The extension-scheduler comparison over the scaled synthetic traces."""
     if not algorithms:
@@ -168,7 +264,7 @@ def extensions_scenario(
 
 
 def period_sweep_scenario(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     base_algorithm: str,
     periods: Sequence[float],
@@ -193,7 +289,7 @@ def period_sweep_scenario(
 
 
 def utilization_scenario(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     *,
     load: float,
     penalty_seconds: float,
@@ -218,7 +314,7 @@ def utilization_scenario(
     )
 
 
-def timing_scenario(config: "ExperimentConfig", *, algorithm: str) -> Scenario:
+def timing_scenario(config: ExperimentConfig, *, algorithm: str) -> Scenario:
     """The §V scheduling-time study on the unscaled synthetic traces."""
     return Scenario(
         name="timing",
@@ -230,7 +326,7 @@ def timing_scenario(config: "ExperimentConfig", *, algorithm: str) -> Scenario:
     )
 
 
-def compare_scenario(config: "ExperimentConfig", *, load: float) -> Scenario:
+def compare_scenario(config: ExperimentConfig, *, load: float) -> Scenario:
     """Single-trace exploratory comparison (the ``compare`` subcommand)."""
     return Scenario(
         name="compare",

@@ -71,17 +71,21 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .analysis.report import format_table
 from .campaign.executor import Campaign, export_campaign_artifacts
 from .campaign.spec import load_scenario
-from .campaign.studies import compare_scenario
+from .campaign.studies import (
+    ExperimentConfig,
+    compare_scenario,
+    default_scale,
+    lublin_source,
+)
 from .core.cluster import Cluster
 from .devtools.cli import add_dev_subparser, run_dev_command
-from .experiments.config import ExperimentConfig, default_scale
 from .experiments.extensions import run_extensions_comparison
 from .experiments.figure1 import run_figure1
 from .experiments.packing_ablation import run_packing_ablation
 from .experiments.period_sweep import run_period_sweep
-from .experiments.reporting import format_table
 from .experiments.table1 import run_table1
 from .experiments.table2 import run_table2
 from .experiments.timing import run_timing_study
@@ -104,6 +108,7 @@ from .workloads import (
     characterization_table,
     characterize,
     parse_swf,
+    scale_to_load,
     size_histogram,
     swf_to_dfrs_jobs,
 )
@@ -402,14 +407,12 @@ def _run_characterize(
     Returns ``(text, workload)`` so the export path reuses the workload
     instead of parsing/generating it a second time.
     """
-    from .experiments.runner import generate_synthetic_instances
-
     if swf_path is not None:
         workload = swf_to_dfrs_jobs(parse_swf(swf_path), HPC2N_CLUSTER)
     else:
-        workload = generate_synthetic_instances(
-            replace(config, num_traces=1), load=load
-        )[0]
+        (workload,) = lublin_source(config, num_traces=1).workloads(config.cluster)
+        if load is not None:
+            workload = scale_to_load(workload, load)
     profile = characterize(workload)
     lines = [characterization_table([profile]), "", "job width histogram:"]
     total = profile.num_jobs

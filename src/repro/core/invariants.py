@@ -33,7 +33,7 @@ from ..exceptions import SimulationError
 from .allocation import JobAllocation
 from .cluster import CAPACITY_EPSILON, Cluster
 from .job import JobSpec
-from .observers import SimulationObserver
+from .observers import RECORDERS, SimulationObserver
 
 __all__ = ["InvariantCheckingObserver"]
 
@@ -184,3 +184,8 @@ class InvariantCheckingObserver(SimulationObserver):
     def _require_not_completed(self, job_id: int, action: str) -> None:
         if job_id in self._completed:
             raise SimulationError(f"job {job_id} {action} after completing")
+
+
+# By name, so a scenario turns checking on with ``collectors: [invariants]``
+# (see repro.campaign.collectors) instead of through an engine option.
+RECORDERS.register("invariants", InvariantCheckingObserver)

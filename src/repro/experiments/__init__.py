@@ -5,10 +5,15 @@ study), the harness also provides the ablation and extension studies called
 out in DESIGN.md §4: the scheduling-period sweep, the packing-heuristic
 ablation, the utilization/energy study, and the extension-scheduler
 comparison.
+
+Each of the eight drivers builds its scenario(s) in
+:mod:`repro.campaign.studies` (where :class:`ExperimentConfig` and its three
+scales live), runs them through :class:`repro.campaign.executor.Campaign`
+— the only fan-out of instances × algorithms — and formats the rows with
+:mod:`repro.analysis.report`; :mod:`.runner` keeps the single-workload
+helpers.  This package is the top of the stack: nothing below it imports it.
 """
 
-from .config import ExperimentConfig, default_scale, paper_scale, quick_scale
-from .degradation import DegradationAggregate, aggregate_instances
 from .extensions import EXTENSION_ALGORITHMS, ExtensionsResult, run_extensions_comparison
 from .figure1 import Figure1Result, run_figure1
 from .packing_ablation import (
@@ -16,16 +21,12 @@ from .packing_ablation import (
     generate_packing_instances,
     run_packing_ablation,
 )
-from .parallel import generate_instances, map_tasks, resolve_workers
 from .period_sweep import DEFAULT_PERIODS, PeriodSweepResult, run_period_sweep
-from .reporting import format_figure_series, format_table
 from .runner import (
     InstanceResult,
-    generate_synthetic_instances,
     resolve_simulation_config,
     run_algorithm,
     run_instance,
-    run_instances,
 )
 from .table1 import Table1Result, run_table1
 from .table2 import TABLE2_ALGORITHMS, CostStatistics, Table2Result, run_table2
@@ -37,12 +38,6 @@ from .utilization_study import (
 )
 
 __all__ = [
-    "ExperimentConfig",
-    "default_scale",
-    "paper_scale",
-    "quick_scale",
-    "DegradationAggregate",
-    "aggregate_instances",
     "EXTENSION_ALGORITHMS",
     "ExtensionsResult",
     "run_extensions_comparison",
@@ -54,17 +49,10 @@ __all__ = [
     "DEFAULT_PERIODS",
     "PeriodSweepResult",
     "run_period_sweep",
-    "format_figure_series",
-    "format_table",
     "InstanceResult",
-    "generate_instances",
-    "generate_synthetic_instances",
-    "map_tasks",
     "resolve_simulation_config",
-    "resolve_workers",
     "run_algorithm",
     "run_instance",
-    "run_instances",
     "Table1Result",
     "run_table1",
     "TABLE2_ALGORITHMS",

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import extensions_scenario
+from ..campaign.studies import ExperimentConfig, extensions_scenario
 from ..core.metrics import DegradationStats
 from ..exceptions import ConfigurationError
-from .config import ExperimentConfig
-from .reporting import format_table
 
 __all__ = ["ExtensionsResult", "run_extensions_comparison", "EXTENSION_ALGORITHMS"]
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..analysis.report import format_figure_series
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import figure1_scenario
-from .config import ExperimentConfig
-from .reporting import format_figure_series
+from ..campaign.studies import ExperimentConfig, figure1_scenario
 
 __all__ = ["Figure1Result", "run_figure1"]
 

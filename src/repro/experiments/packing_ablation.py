@@ -9,7 +9,7 @@ the heuristic-independent CPU-capacity upper bound.
 
 The study has no simulation behind it, so it does not build a
 :class:`~repro.campaign.scenario.Scenario`; instead it rides the campaign
-layer's generic grid primitive (:func:`repro.experiments.parallel.map_tasks`,
+layer's generic grid primitive (:func:`repro.campaign.executor.map_tasks`,
 one task per ``packer × instance`` cell) and materialises its rows as a
 :class:`~repro.campaign.result.CampaignResult` for uniform export.
 """
@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.report import format_table
+from ..campaign.executor import map_tasks
 from ..campaign.result import CampaignResult, RunRecord
 from ..campaign.scenario import payload_hash
 from ..exceptions import ConfigurationError
@@ -32,7 +34,6 @@ from ..packing import (
     maximize_min_yield,
 )
 from ..workloads.memory import MemoryRequirementModel
-from .reporting import format_table
 
 __all__ = ["PackingAblationResult", "generate_packing_instances", "run_packing_ablation"]
 
@@ -156,8 +157,6 @@ def run_packing_ablation(
     workers: Optional[int] = None,
 ) -> PackingAblationResult:
     """Compare every requested packer on a shared instance population."""
-    from .parallel import map_tasks
-
     if num_nodes < 1:
         raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
     names = tuple(packers) if packers is not None else PACKER_NAMES

@@ -19,12 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import period_sweep_scenario
+from ..campaign.studies import ExperimentConfig, period_sweep_scenario
 from ..exceptions import ConfigurationError
-from .config import ExperimentConfig
-from .reporting import format_table
 
 __all__ = ["PeriodSweepResult", "run_period_sweep", "DEFAULT_PERIODS"]
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import table1_scenarios
+from ..campaign.studies import ExperimentConfig, table1_scenarios
 from ..core.metrics import DegradationStats
-from .config import ExperimentConfig
-from .reporting import format_table
 
 __all__ = ["Table1Result", "run_table1"]
 

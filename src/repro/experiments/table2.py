@@ -20,11 +20,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import table2_scenario
-from .config import ExperimentConfig
-from .reporting import format_table
+from ..campaign.studies import ExperimentConfig, table2_scenario
 
 __all__ = ["CostStatistics", "Table2Result", "run_table2", "TABLE2_ALGORITHMS"]
 

@@ -19,11 +19,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import timing_scenario
-from .config import ExperimentConfig
-from .reporting import format_table
+from ..campaign.studies import ExperimentConfig, timing_scenario
 
 __all__ = ["TimingResult", "run_timing_study"]
 

@@ -20,12 +20,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.energy import EnergyReport, NodePowerModel
 from ..analysis.fairness import FairnessReport
+from ..analysis.report import format_table
 from ..campaign.executor import Campaign
 from ..campaign.result import CampaignResult
-from ..campaign.studies import utilization_scenario
+from ..campaign.studies import ExperimentConfig, utilization_scenario
 from ..exceptions import ConfigurationError
-from .config import ExperimentConfig
-from .reporting import format_table
 
 __all__ = ["AlgorithmUtilization", "UtilizationStudyResult", "run_utilization_study"]
 

@@ -29,6 +29,7 @@ import argparse
 from dataclasses import replace as dataclasses_replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..analysis.report import format_table
 from ..campaign.scenario import Scenario
 from ..campaign.spec import load_scenario
 from ..core.cluster import Cluster
@@ -227,8 +228,6 @@ def _pick_workload(scenario: Scenario, cluster: Cluster, instance: int) -> Any:
 def _format_profile(
     telemetry: Telemetry, *, events: int, wall_seconds: float, title: str
 ) -> str:
-    from ..experiments.reporting import format_table
-
     summary = telemetry.summary()
     rows: List[List[str]] = []
     for name, stats in summary["phases"].items():

@@ -8,15 +8,6 @@ from .characterization import (
     size_histogram,
 )
 from .cpu import CpuNeedModel
-from .filters import (
-    clip_runtimes,
-    drop_shorter_than,
-    drop_wider_than,
-    filter_jobs,
-    merge_workloads,
-    rebase_submit_times,
-    truncate_after,
-)
 from .hpc2n import (
     HPC2N_CLUSTER,
     WEEK_SECONDS,
@@ -48,13 +39,6 @@ __all__ = [
     "characterize",
     "characterize_stream",
     "size_histogram",
-    "clip_runtimes",
-    "drop_shorter_than",
-    "drop_wider_than",
-    "filter_jobs",
-    "merge_workloads",
-    "rebase_submit_times",
-    "truncate_after",
     "CpuNeedModel",
     "HPC2N_CLUSTER",
     "WEEK_SECONDS",

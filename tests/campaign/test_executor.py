@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.campaign.executor as executor_module
-from repro.campaign.executor import Campaign, export_campaign_artifacts
+from repro.campaign.executor import (
+    Campaign,
+    export_campaign_artifacts,
+    resolve_workers,
+)
 from repro.campaign.scenario import LublinSource, Scenario, scenario_hash
+from repro.campaign.studies import ExperimentConfig
 from repro.core.cluster import Cluster
-from repro.experiments.parallel import generate_instances
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_instances
 from repro.exceptions import ReproError
+from repro.experiments.runner import run_algorithm
 from repro.workloads.scaling import scale_to_load
 
 
@@ -49,26 +53,24 @@ class TestGridSemantics:
         ]
 
     def test_metrics_equal_direct_run_instances(self, outcome):
-        """The campaign grid must be bit-identical to the legacy execution path."""
-        config = ExperimentConfig(
-            cluster=TINY_CLUSTER, num_traces=2, num_jobs=20, seed_base=5
+        """Every grid row must be bit-identical to a direct single simulation."""
+        raw = LublinSource(num_traces=2, num_jobs=20, seed_base=5).workloads(
+            TINY_CLUSTER
         )
         for load in (0.4, 0.8):
-            workloads = [
-                scale_to_load(w, load)
-                for w in generate_instances(config, load=None)
-            ]
-            legacy = run_instances(
-                workloads, ("fcfs", "greedy-pmtn"), penalty_seconds=300.0
-            )
-            for instance_index, instance in enumerate(legacy):
-                for algorithm, result in instance.results.items():
+            for instance_index, workload in enumerate(
+                scale_to_load(w, load) for w in raw
+            ):
+                for algorithm in ("fcfs", "greedy-pmtn"):
+                    result = run_algorithm(
+                        workload, algorithm, penalty_seconds=300.0
+                    )
                     row = outcome.select(
                         algorithm=algorithm, load=load
                     )[instance_index]
                     assert row.metric("max_stretch") == result.max_stretch
                     assert row.metric("mean_turnaround") == result.mean_turnaround
-                    assert row.workload == instance.workload_name
+                    assert row.workload == workload.name
 
     def test_workload_names_carry_load_suffix(self, outcome):
         assert outcome.rows[0].workload == "lublin-000-load0.4"
@@ -125,7 +127,7 @@ class TestCaching:
         scenario = tiny_scenario()
         first = Campaign(cache_dir=tmp_path).run(scenario)
 
-        def explode(self, cluster, *, workers=None):
+        def explode(self, cluster):
             raise AssertionError("workload source re-invoked on cached rerun")
 
         monkeypatch.setattr(LublinSource, "workloads", explode)
@@ -196,6 +198,47 @@ class TestCaching:
         (tmp_path / f"{scenario_hash(scenario)}.json").write_text("{not json")
         outcome = Campaign(cache_dir=tmp_path).run(scenario)
         assert len(outcome.rows) == 8
+
+
+class TestResolveWorkers:
+    def test_none_and_one_are_serial(self):
+        assert resolve_workers(None) == 1
+        assert resolve_workers(1) == 1
+
+    def test_zero_and_negative_mean_all_cpus(self):
+        assert resolve_workers(0) >= 1
+        assert resolve_workers(-3) >= 1
+
+    def test_positive_passthrough(self):
+        assert resolve_workers(5) == 5
+
+
+class TestDriverWiring:
+    CONFIG = ExperimentConfig(
+        cluster=Cluster(8, 4, 8.0),
+        num_traces=2,
+        num_jobs=25,
+        load_levels=(0.5,),
+        algorithms=("fcfs", "easy"),
+    )
+
+    def test_config_carries_workers(self):
+        assert self.CONFIG.workers == 1
+        assert replace(self.CONFIG, workers=4).workers == 4
+
+    def test_figure1_parallel_matches_serial(self):
+        from repro.experiments.figure1 import run_figure1
+
+        serial = run_figure1(self.CONFIG)
+        parallel = run_figure1(replace(self.CONFIG, workers=2))
+        assert parallel.points == serial.points
+
+    def test_cli_exposes_workers_flag(self):
+        from repro.cli import _config_from_args, build_parser
+
+        args = build_parser().parse_args(["--workers", "3", "figure1"])
+        assert args.workers == 3
+        assert _config_from_args(args).workers == 3
 
 
 class TestRunMany:

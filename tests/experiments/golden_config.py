@@ -8,8 +8,8 @@ These configurations pin down the exact workloads behind the golden files in
 
 from __future__ import annotations
 
+from repro.campaign.studies import ExperimentConfig
 from repro.core.cluster import Cluster
-from repro.experiments.config import ExperimentConfig
 
 GOLDEN_CONFIG = ExperimentConfig(
     cluster=Cluster(16, 4, 8.0),

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.studies import ExperimentConfig
 from repro.core import Cluster
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     EXTENSION_ALGORITHMS,
-    ExperimentConfig,
     generate_packing_instances,
     run_extensions_comparison,
     run_packing_ablation,

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cluster import Cluster
-from repro.exceptions import ConfigurationError
-from repro.experiments.config import (
+from repro.analysis.report import format_figure_series, format_table
+from repro.campaign.studies import (
     ExperimentConfig,
     default_scale,
     paper_scale,
     quick_scale,
 )
-from repro.experiments.reporting import format_figure_series, format_table
+from repro.core.cluster import Cluster
+from repro.exceptions import ConfigurationError
 
 
 class TestExperimentConfig:

@@ -1,4 +1,4 @@
-"""Unit tests for the degradation-factor aggregation layer."""
+"""Unit tests for the per-instance degradation factors of ``InstanceResult``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.records import CostSummary, SimulationResult
 from repro.core.cluster import Cluster
-from repro.experiments.degradation import DegradationAggregate, aggregate_instances
 from repro.experiments.runner import InstanceResult
 
 from ..conftest import make_job
@@ -37,29 +36,3 @@ class TestInstanceResult:
         factors = inst.degradation_factors()
         assert factors["a"] == pytest.approx(1.0)
         assert factors["b"] == pytest.approx(4.0)
-
-
-class TestDegradationAggregate:
-    def test_aggregation_over_instances(self):
-        aggregate = aggregate_instances(
-            [
-                instance("i0", {"a": 2.0, "b": 4.0}),
-                instance("i1", {"a": 9.0, "b": 3.0}),
-            ]
-        )
-        stats = aggregate.stats()
-        assert stats["a"].average == pytest.approx((1.0 + 3.0) / 2.0)
-        assert stats["b"].average == pytest.approx((2.0 + 1.0) / 2.0)
-        assert stats["a"].maximum == pytest.approx(3.0)
-        assert aggregate.best_algorithm() == "b"
-        assert set(aggregate.algorithms()) == {"a", "b"}
-
-    def test_averages_shortcut(self):
-        aggregate = aggregate_instances([instance("i0", {"a": 5.0, "b": 10.0})])
-        averages = aggregate.averages()
-        assert averages["a"] == pytest.approx(1.0)
-        assert averages["b"] == pytest.approx(2.0)
-
-    def test_best_algorithm_requires_data(self):
-        with pytest.raises(ValueError):
-            DegradationAggregate().best_algorithm()

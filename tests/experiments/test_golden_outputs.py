@@ -11,6 +11,9 @@ The timing study is the one exception: its wall-clock statistics depend on
 the host, so the lines carrying measured seconds are masked before the
 comparison and only the deterministic fields (observation count, interarrival
 statistics, layout) are held to the golden file.
+
+Every simulation-backed driver is held to its golden file twice: as built,
+and with the ``invariants`` collector appended to each scenario it runs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from golden_config import (  # noqa: E402
     TABLE2_GOLDEN_ALGORITHMS,
 )
 
+from repro.campaign.executor import Campaign
 from repro.experiments.extensions import run_extensions_comparison
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.packing_ablation import run_packing_ablation
@@ -37,6 +41,8 @@ from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.timing import run_timing_study
 from repro.experiments.utilization_study import run_utilization_study
+
+from ..campaign.executor_grid import with_collector
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -109,3 +115,24 @@ class TestGoldenOutputs:
         golden_text = golden("timing.txt")
         assert str(result.num_observations) in golden_text
         assert f"{result.mean_interarrival_seconds:.4f}" in golden_text
+
+
+class TestGoldenOutputsInvariantChecked(TestGoldenOutputs):
+    """The same files, with every campaign run invariant-checked."""
+
+    test_packing_ablation = None  # packs only: no campaign run to check
+    test_timing_deterministic_fields = None  # compares no golden text
+
+    @pytest.fixture(autouse=True)
+    def checked_campaign_runs(self, monkeypatch):
+        real_run = Campaign.run
+        checked = []
+
+        def checked_run(campaign, scenario):
+            outcome = real_run(campaign, with_collector(scenario, "invariants"))
+            checked.extend(row.metric("invariant_events_checked") for row in outcome.rows)
+            return outcome
+
+        monkeypatch.setattr(Campaign, "run", checked_run)
+        yield
+        assert checked and all(events > 0 for events in checked)

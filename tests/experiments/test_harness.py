@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.studies import ExperimentConfig, lublin_source
 from repro.core.cluster import Cluster
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.degradation import aggregate_instances
 from repro.experiments.figure1 import run_figure1
-from repro.experiments.runner import (
-    generate_synthetic_instances,
-    run_algorithm,
-    run_instance,
-)
+from repro.experiments.runner import run_algorithm, run_instance
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import TABLE2_ALGORITHMS, run_table2
 from repro.experiments.timing import run_timing_study
+from repro.workloads.scaling import scale_to_load
 
 TINY = ExperimentConfig(
     cluster=Cluster(16, 4, 8.0),
@@ -30,33 +26,39 @@ TINY = ExperimentConfig(
 )
 
 
+def synthetic_instances(load=None):
+    """The study drivers' traces: the config's Lublin source, then the load."""
+    instances = lublin_source(TINY).workloads(TINY.cluster)
+    if load is None:
+        return instances
+    return [scale_to_load(workload, load) for workload in instances]
+
+
 class TestRunner:
     def test_generate_synthetic_instances_scaled(self):
-        instances = generate_synthetic_instances(TINY, load=0.5)
+        instances = synthetic_instances(load=0.5)
         assert len(instances) == TINY.num_traces
         for workload in instances:
             assert workload.num_jobs == TINY.num_jobs
             assert workload.load() == pytest.approx(0.5, rel=1e-6)
 
     def test_generate_synthetic_instances_unscaled(self):
-        instances = generate_synthetic_instances(TINY, load=None)
-        assert len(instances) == TINY.num_traces
+        instances = synthetic_instances()
+        assert [workload.name for workload in instances] == ["lublin-000", "lublin-001"]
         assert instances[0].load() != pytest.approx(instances[1].load())
 
     def test_run_algorithm_completes_every_job(self):
-        workload = generate_synthetic_instances(TINY, load=0.5)[0]
+        workload = synthetic_instances(load=0.5)[0]
         result = run_algorithm(workload, "greedy-pmtn", penalty_seconds=300.0)
         assert result.num_jobs == workload.num_jobs
         assert result.max_stretch >= 1.0
 
     def test_run_instance_and_degradation(self):
-        workload = generate_synthetic_instances(TINY, load=0.5)[0]
+        workload = synthetic_instances(load=0.5)[0]
         instance = run_instance(workload, TINY.algorithms, penalty_seconds=300.0)
         assert set(instance.results) == set(TINY.algorithms)
         factors = instance.degradation_factors()
         assert min(factors.values()) == pytest.approx(1.0)
-        aggregate = aggregate_instances([instance])
-        assert aggregate.best_algorithm() in TINY.algorithms
 
 
 class TestArtifacts:

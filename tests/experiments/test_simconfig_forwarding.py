@@ -3,8 +3,8 @@
 The seed implementation hardcoded the engine configuration inside
 ``run_algorithm``, so per-scenario engine options
 (``record_scheduler_times``) could never reach single-run paths.  These tests
-pin the forwarding through ``run_algorithm``, ``run_instance``, and
-``run_instances`` (serial and pooled), and through campaign scenarios.
+pin the forwarding through ``run_algorithm`` and ``run_instance``, and
+through campaign scenarios (the pooled grid).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.experiments.runner import (
     resolve_simulation_config,
     run_algorithm,
     run_instance,
-    run_instances,
 )
 from repro.workloads.lublin import LublinWorkloadGenerator
 
@@ -65,17 +64,15 @@ class TestForwarding:
         instance = run_instance(workload, ("dynmcb8",), simulation_config=config)
         assert list(instance.results["dynmcb8"].scheduler_times) == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_instances_forwards_serial_and_pooled(self, workload, workers):
+    def test_run_instance_forwards_to_every_algorithm(self, workload):
         config = SimulationConfig(
             penalty_model=ReschedulingPenaltyModel(0.0),
             record_scheduler_times=False,
         )
-        outcomes = run_instances(
-            [workload], ("dynmcb8", "greedy"), simulation_config=config,
-            workers=workers,
+        instance = run_instance(
+            workload, ("dynmcb8", "greedy"), simulation_config=config
         )
-        for result in outcomes[0].results.values():
+        for result in instance.results.values():
             assert list(result.scheduler_times) == []
 
 

@@ -193,9 +193,9 @@ class TestPlatformTemplating:
         calls = {"count": 0}
 
         class CountingSource(LublinSource):
-            def workloads(self, cluster, *, workers=None):
+            def workloads(self, cluster):
                 calls["count"] += 1
-                return super().workloads(cluster, workers=workers)
+                return super().workloads(cluster)
 
         def scenario():
             return scenario_from_dict(self._templated_spec())
