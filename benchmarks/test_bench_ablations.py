@@ -24,9 +24,9 @@ import pytest
 pytestmark = pytest.mark.bench
 
 from repro.analysis.report import format_table
+from repro.campaign.executor import run_instance
 from repro.campaign.studies import lublin_source
 from repro.core.cluster import Cluster
-from repro.experiments.runner import run_instance
 from repro.packing.first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
 from repro.packing.mcb8 import mcb8_pack
 from repro.packing.yield_search import PackingJob, maximize_min_yield

@@ -14,7 +14,7 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
-from repro.experiments.extensions import EXTENSION_ALGORITHMS, run_extensions_comparison
+from repro.campaign.studies import EXTENSION_ALGORITHMS, run_extensions_comparison
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -35,7 +35,7 @@ def test_extensions_comparison(benchmark, bench_config, report_artifact):
     # Every DFRS-based extension must stay far ahead of the batch baselines,
     # and the throttled/weighted variants must stay in the same league as the
     # paper's winner (they change CPU shares, not placements).
-    stats = result.stats
+    stats = result.outcome.degradation_stats()
     for name in EXTENSION_ALGORITHMS:
         assert name in stats
     winner = stats["dynmcb8-asap-per-600"].average

@@ -14,7 +14,7 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
-from repro.experiments.figure1 import run_figure1
+from repro.campaign.studies import run_figure1
 
 
 @pytest.mark.benchmark(group="figure1")
@@ -26,17 +26,14 @@ def test_figure1a_no_penalty(benchmark, bench_config, report_artifact):
     )
     report_artifact("figure1a_no_penalty", result.format())
 
-    series = result.series()
-    batch_best = {
-        load: min(series["fcfs"][load], series["easy"][load])
-        for load in bench_config.load_levels
-    }
-    dfrs_names = [name for name in series if name not in ("fcfs", "easy", "greedy")]
-    dfrs_best = {
-        load: min(series[name][load] for name in dfrs_names)
-        for load in bench_config.load_levels
-    }
     # The paper's headline: DFRS (with preemption) beats batch scheduling at
     # every load level, usually by orders of magnitude.
     for load in bench_config.load_levels:
-        assert dfrs_best[load] <= batch_best[load]
+        averages = result.outcome.degradation_averages(load=load)
+        batch_best = min(averages["fcfs"], averages["easy"])
+        dfrs_best = min(
+            value
+            for name, value in averages.items()
+            if name not in ("fcfs", "easy", "greedy")
+        )
+        assert dfrs_best <= batch_best

@@ -14,7 +14,7 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
-from repro.experiments.figure1 import run_figure1
+from repro.campaign.studies import run_figure1
 
 
 @pytest.mark.benchmark(group="figure1")
@@ -26,25 +26,25 @@ def test_figure1b_five_minute_penalty(benchmark, bench_config, report_artifact):
     )
     report_artifact("figure1b_five_minute_penalty", result.format())
 
-    series = result.series()
     loads = list(bench_config.load_levels)
+    points = {load: result.outcome.degradation_averages(load=load) for load in loads}
     # DFRS with preemption still beats batch scheduling despite the penalty.
-    for load in loads:
-        batch_best = min(series["fcfs"][load], series["easy"][load])
+    for averages in points.values():
+        batch_best = min(averages["fcfs"], averages["easy"])
         dfrs_best = min(
-            series[name][load]
-            for name in series
+            value
+            for name, value in averages.items()
             if name not in ("fcfs", "easy", "greedy")
         )
         assert dfrs_best <= batch_best
     # The penalty costs the aggressive DYNMCB8 its Figure 1(a) lead: averaged
     # over the sweep it is no longer the best DFRS algorithm.
     def mean_over_loads(name):
-        return sum(series[name][load] for load in loads) / len(loads)
+        return sum(points[load][name] for load in loads) / len(loads)
 
     periodic_mean = min(
         mean_over_loads(name)
-        for name in series
+        for name in result.outcome.algorithms()
         if name.startswith("dynmcb8-") and "per" in name
     )
     assert periodic_mean <= mean_over_loads("dynmcb8") * 1.5

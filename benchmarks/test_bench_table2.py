@@ -16,7 +16,7 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
-from repro.experiments.table2 import TABLE2_ALGORITHMS, run_table2
+from repro.campaign.studies import TABLE2_ALGORITHMS, TABLE2_METRICS, run_table2
 
 
 @pytest.mark.benchmark(group="table2")
@@ -28,17 +28,17 @@ def test_table2_preemption_migration_costs(benchmark, bench_config, report_artif
     )
     report_artifact("table2_costs", result.format())
 
-    metrics = result.metrics
-    assert set(metrics) == set(TABLE2_ALGORITHMS)
+    outcome = result.outcome
+    assert set(outcome.algorithms()) == set(TABLE2_ALGORITHMS)
     # GREEDY-PMTN never migrates (the 0.00 column of Table II).
-    assert metrics["greedy-pmtn"]["migr_per_job"].maximum == pytest.approx(0.0)
+    assert outcome.aggregate("migr_per_job", statistic="max")["greedy-pmtn"] == pytest.approx(0.0)
     # DYNMCB8 migrates at least as much per job as the periodic variants.
-    assert (
-        metrics["dynmcb8"]["migr_per_job"].average
-        >= metrics["dynmcb8-per-600"]["migr_per_job"].average * 0.5
-    )
+    migrations = outcome.aggregate("migr_per_job", statistic="mean")
+    assert migrations["dynmcb8"] >= migrations["dynmcb8-per-600"] * 0.5
     # Everybody that preempts reports non-negative bandwidth numbers.
-    for algorithm, values in metrics.items():
-        for name, stats in values.items():
-            assert stats.average >= 0.0
-            assert stats.maximum >= stats.average - 1e-9
+    for name in TABLE2_METRICS:
+        average = outcome.aggregate(name, statistic="mean")
+        maximum = outcome.aggregate(name, statistic="max")
+        for algorithm in TABLE2_ALGORITHMS:
+            assert average[algorithm] >= 0.0
+            assert maximum[algorithm] >= average[algorithm] - 1e-9

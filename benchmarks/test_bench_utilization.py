@@ -13,7 +13,7 @@ import pytest
 
 pytestmark = pytest.mark.bench
 
-from repro.experiments.utilization_study import run_utilization_study
+from repro.campaign.studies import run_utilization_study
 
 
 @pytest.mark.benchmark(group="utilization")
@@ -30,10 +30,10 @@ def test_utilization_energy_study(benchmark, bench_config, report_artifact):
     )
     report_artifact("utilization", result.format())
 
-    for name in algorithms:
-        profile = result.profile_for(name)
-        assert 0.0 <= profile.mean_busy_nodes <= result.num_nodes
-        assert 0.0 <= profile.energy.savings_fraction <= 1.0
-    # At an offered load of 0.3 a sizeable fraction of node-hours is idle, so
-    # idle power-down must yield non-trivial savings for every algorithm.
-    assert all(p.energy.savings_fraction > 0.05 for p in result.profiles)
+    rows = result.outcome.rows
+    assert [row.algorithm for row in rows] == list(algorithms)
+    for row in rows:
+        assert 0.0 <= row.metric("mean_busy_nodes") <= config.cluster.num_nodes
+        # At an offered load of 0.3 a sizeable fraction of node-hours is idle,
+        # so idle power-down must yield non-trivial savings for every algorithm.
+        assert 0.05 < row.metric("energy_savings_fraction") <= 1.0

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro import Cluster, ExperimentConfig
-from repro.experiments import (
+from repro import (
+    Cluster,
+    ExperimentConfig,
     run_extensions_comparison,
     run_packing_ablation,
     run_period_sweep,
@@ -52,19 +53,22 @@ def main() -> None:
     print("1. Packing-heuristic ablation")
     ablation = run_packing_ablation(num_nodes=16, num_instances=15, jobs_per_instance=20)
     print(ablation.format())
-    print(f"Best packer by mean achieved yield: {ablation.ranking()[0]}")
+    mean_yield = ablation.outcome.aggregate("min_yield")
+    print(f"Best packer by mean achieved yield: {max(mean_yield, key=mean_yield.get)}")
 
     print("\n2. Scheduling-period sensitivity (DYNMCB8-ASAP-PER)")
     sweep = run_period_sweep(
         config, periods=(60.0, 600.0, 3600.0), load=0.7, penalty_seconds=300.0
     )
     print(sweep.format())
-    print(f"Best period on these traces: {sweep.best_period():.0f} s")
+    stretch = sweep.outcome.aggregate("max_stretch", by="period")
+    print(f"Best period on these traces: {min(stretch, key=stretch.get)} s")
 
     print("\n3. Extension schedulers vs. the paper's best algorithm")
     extensions = run_extensions_comparison(config, penalty_seconds=300.0)
     print(extensions.format())
-    print(f"Best algorithm: {extensions.best_algorithm()}")
+    averages = extensions.outcome.degradation_averages()
+    print(f"Best algorithm: {min(averages, key=averages.get)}")
 
     print("\n4. Utilization and energy")
     study = run_utilization_study(

@@ -16,23 +16,20 @@ from __future__ import annotations
 
 import argparse
 
-from repro import Cluster
-from repro.campaign.studies import ExperimentConfig
-from repro.experiments.figure1 import run_figure1
-from repro.schedulers.registry import PAPER_ALGORITHMS
+from repro import PAPER_ALGORITHMS, Cluster, ExperimentConfig, run_figure1
 
 
-def ascii_series(series, loads, width: int = 40) -> str:
-    """Render one algorithm's degradation factors as a crude bar chart."""
+def ascii_series(points, loads, width: int = 40) -> str:
+    """Render {load: {algorithm: degradation factor}} as crude bar charts."""
     import math
 
     lines = []
-    peak = max(max(values.values()) for values in series.values())
+    peak = max(max(values.values()) for values in points.values())
     log_peak = math.log10(max(peak, 10.0))
-    for name, values in series.items():
+    for name in points[loads[0]]:
         bars = []
         for load in loads:
-            value = values[load]
+            value = points[load][name]
             length = int(round(width * math.log10(max(value, 1.0)) / log_peak))
             bars.append(f"{load:>4.1f} |" + "#" * length + f" {value:.1f}")
         lines.append(f"{name}")
@@ -65,7 +62,8 @@ def main() -> None:
         result = run_figure1(config, penalty_seconds=penalty)
         print(result.format())
         print()
-        print(ascii_series(result.series(), loads))
+        points = {load: result.outcome.degradation_averages(load=load) for load in loads}
+        print(ascii_series(points, loads))
         print()
 
 

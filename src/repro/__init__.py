@@ -11,8 +11,9 @@ The package is organised in four layers:
   the binary searches on yield / estimated stretch;
 * :mod:`repro.schedulers` — the seven DFRS algorithms plus the FCFS and EASY
   batch baselines;
-* :mod:`repro.workloads` and :mod:`repro.experiments` — the Lublin synthetic
-  workload model, SWF/HPC2N trace handling, and the harness regenerating the
+* :mod:`repro.workloads` and :mod:`repro.campaign` — the Lublin synthetic
+  workload model, SWF/HPC2N trace handling, and the scenario / campaign layer
+  whose studies (:data:`repro.campaign.studies.STUDIES`) regenerate the
   paper's Figure 1, Table I, and Table II.
 
 Quickstart::
@@ -49,17 +50,14 @@ from .exceptions import (
     TraceFormatError,
     WorkloadError,
 )
+from .campaign.executor import run_algorithm, run_instance
 from .campaign.studies import (
     ExperimentConfig,
     default_scale,
     paper_scale,
     quick_scale,
-)
-from .experiments import (
-    run_algorithm,
     run_extensions_comparison,
     run_figure1,
-    run_instance,
     run_packing_ablation,
     run_period_sweep,
     run_table1,
@@ -117,7 +115,7 @@ __all__ = [
     "SimulationError",
     "TraceFormatError",
     "WorkloadError",
-    # campaign studies / experiments
+    # campaign studies and single-workload helpers
     "ExperimentConfig",
     "default_scale",
     "paper_scale",

@@ -15,10 +15,10 @@ per-instance metric mappings — and produces derived statistics:
 * :mod:`repro.analysis.compare` — head-to-head algorithm comparisons
   (win fractions, dominance ratios, degradation summaries);
 * :mod:`repro.analysis.report` — plain-text and Markdown rendering of the
-  above and of the experiment drivers' tables and figure series.
+  above and of the studies' tables and figure series.
 
-This package never imports from :mod:`repro.experiments`, so the experiment
-harness is free to build on it.
+This package never imports from :mod:`repro.campaign`, so the campaign layer
+and its studies are free to build on it.
 """
 
 from .compare import AlgorithmComparison, compare_instances

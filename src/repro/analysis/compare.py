@@ -7,8 +7,8 @@ win fractions, and pairwise dominance ratios.
 
 The input is deliberately loose: any sequence of per-instance mappings
 ``algorithm name -> maximum bounded stretch`` works, which is exactly what
-:meth:`repro.experiments.runner.InstanceResult.max_stretches` returns.  This
-keeps :mod:`repro.analysis` free of imports from :mod:`repro.experiments`.
+:meth:`repro.campaign.executor.InstanceResult.max_stretches` returns.  This
+keeps :mod:`repro.analysis` free of imports from :mod:`repro.campaign`.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The repository is usable on machines without any plotting stack, so every
 analysis artifact can be rendered as a Markdown table or a fixed-width text
-block.  These helpers are shared by the CLI, the experiment drivers, the
-benchmark harness, the examples, and EXPERIMENTS.md generation; keeping the
-formatting in one place lets tests assert on structure without caring about
-alignment details.
+block.  These helpers are shared by the CLI, the studies
+(:mod:`repro.campaign.studies`), the benchmark harness and the examples;
+keeping the formatting in one place lets tests assert on structure without
+caring about alignment details.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ shape *data*:
   JSON/CSV persistence via :mod:`repro.analysis.export`;
 * resumable run-caching keyed by the stable :func:`scenario_hash`.
 
-The eight experiment drivers in :mod:`repro.experiments` are thin scenario
-builders over this API (see :mod:`repro.campaign.studies`), and the
-``repro-dfrs run`` subcommand executes a scenario described in a JSON/TOML
-file with zero new driver code.
+The repository's studies — the paper's artifacts and the ablations — are
+scenario builders plus report functions over this API, listed in one table
+(:data:`repro.campaign.studies.STUDIES`), and the ``repro-dfrs run``
+subcommand executes a scenario described in a JSON/TOML file with zero new
+driver code.
 
 ``Campaign(streaming=True)`` (CLI ``--streaming-metrics``) swaps in the
 bounded-memory execution path: per-instance :class:`repro.traces.JobSource`

@@ -38,6 +38,7 @@ import multiprocessing.pool
 import os
 import re
 import warnings
+from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 from pathlib import Path
 from typing import (
@@ -57,7 +58,10 @@ from typing import (
 
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig, Simulator
+from ..core.metrics import degradation_factors
 from ..core.observers import create_recorder
+from ..core.penalties import ReschedulingPenaltyModel
+from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError, ReproError
 from ..metrics import bundle_from_dict, bundle_to_dict, merge_bundles
 from ..obs.telemetry import merge_telemetry_bundles, summarize_bundle
@@ -71,7 +75,16 @@ from .scenario import CollectorSpec, Scenario, payload_hash, scenario_hash
 if TYPE_CHECKING:  # imported lazily at runtime to keep worker pickling light
     from ..traces.source import JobSource
 
-__all__ = ["Campaign", "export_campaign_artifacts", "map_tasks", "resolve_workers"]
+__all__ = [
+    "Campaign",
+    "InstanceResult",
+    "export_campaign_artifacts",
+    "map_tasks",
+    "resolve_simulation_config",
+    "resolve_workers",
+    "run_algorithm",
+    "run_instance",
+]
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -162,6 +175,78 @@ def _execute_run(task: _RunTask) -> Dict[str, Any]:
         # columns — results stay a pure function of the spec (DET103).
         metrics["telemetry"] = simulator.telemetry.summary()
     return metrics
+
+
+# -- single-workload helpers -----------------------------------------------------
+# "Run this workload under that name", in process: what the examples and the
+# integration tests use.  Grids of instances × algorithms go through Campaign,
+# which owns the fan-out, the cache and the aggregation.
+@dataclass
+class InstanceResult:
+    """All algorithm runs for one workload instance."""
+
+    workload_name: str
+    results: Dict[str, SimulationResult] = field(default_factory=dict)
+
+    def max_stretches(self) -> Dict[str, float]:
+        """Maximum bounded stretch per algorithm."""
+        return {name: result.max_stretch for name, result in self.results.items()}
+
+    def degradation_factors(self) -> Dict[str, float]:
+        """Per-algorithm degradation factors for this instance."""
+        return degradation_factors(self.max_stretches())
+
+
+def resolve_simulation_config(
+    penalty_seconds: float = 0.0,
+    simulation_config: Optional[SimulationConfig] = None,
+) -> SimulationConfig:
+    """Engine configuration for one run.
+
+    An explicit ``simulation_config`` wins wholesale (its own penalty model
+    included) so per-scenario engine options such as
+    ``record_scheduler_times`` reach single-run paths; otherwise a default
+    configuration carrying ``penalty_seconds`` is built.
+    """
+    if simulation_config is not None:
+        return simulation_config
+    return SimulationConfig(penalty_model=ReschedulingPenaltyModel(penalty_seconds))
+
+
+def run_algorithm(
+    workload: Workload,
+    algorithm: str,
+    *,
+    penalty_seconds: float = 0.0,
+    simulation_config: Optional[SimulationConfig] = None,
+) -> SimulationResult:
+    """Simulate one workload under one algorithm."""
+    simulator = Simulator(
+        workload.cluster,
+        create_scheduler(algorithm),
+        resolve_simulation_config(penalty_seconds, simulation_config),
+    )
+    return simulator.run(workload.jobs)
+
+
+def run_instance(
+    workload: Workload,
+    algorithms: Sequence[str],
+    *,
+    penalty_seconds: float = 0.0,
+    simulation_config: Optional[SimulationConfig] = None,
+) -> InstanceResult:
+    """Simulate one workload under every requested algorithm."""
+    instance = InstanceResult(workload_name=workload.name)
+    for algorithm in algorithms:
+        _LOGGER.debug("running %s on %s", algorithm, workload.name)
+        instance.results[algorithm] = run_algorithm(
+            workload,
+            algorithm,
+            penalty_seconds=penalty_seconds,
+            simulation_config=simulation_config,
+        )
+    return instance
 
 
 def _streaming_offered_load(source: "JobSource", cluster: Cluster) -> float:

@@ -144,8 +144,8 @@ class CampaignResult:
         """Group rows into per-``(cell, instance)`` algorithm→row mappings.
 
         Groups come back in grid order, algorithms within each group in run
-        order — mirroring the legacy
-        :class:`~repro.experiments.runner.InstanceResult` structure.
+        order — the shape of one
+        :class:`~repro.campaign.executor.InstanceResult` per group.
         """
         grouped: Dict[Tuple[int, int], Dict[str, RunRecord]] = {}
         for row in self.select(**filters):

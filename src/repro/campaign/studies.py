@@ -1,10 +1,20 @@
-"""Scenario builders for the repository's standard studies.
+"""The repository's standard studies: scenario builders, reports, one table.
 
-Every experiment driver in :mod:`repro.experiments` is a thin wrapper that
-builds its scenario(s) here, runs them through a
-:class:`~repro.campaign.executor.Campaign`, and formats the rows.  The
-builders take an :class:`ExperimentConfig` so that scale knobs (traces,
-jobs, loads, seeds) stay in one place.
+The paper's evaluation is four artifacts (Figure 1, Table I, Table II, the
+§V timing study); this repository adds four ablation / extension studies and
+an exploratory single-trace comparison.  Each study is a scenario builder
+(``*_scenario``: an :class:`ExperimentConfig` in, a frozen
+:class:`~repro.campaign.scenario.Scenario` out) plus one ``run_*`` function
+that runs it through a :class:`~repro.campaign.executor.Campaign` and renders
+the printed table straight from :class:`~repro.campaign.result.CampaignResult`
+queries.  Every ``run_*`` returns the same :class:`StudyReport` — the text and
+the campaigns behind it — so a number that is not in the text is one
+``report.outcome.degradation_stats()`` / ``aggregate()`` / ``select()`` away.
+
+:data:`STUDIES` is the one table of them (name → help text, runner, CLI
+options).  The CLI builds its study subcommands and dispatches from it, and
+the golden-output tests and their regeneration script iterate it: a new
+study is one entry here plus one golden file.
 
 The paper's full campaign (100 traces × 1,000 jobs × 9 load levels × 9
 algorithms × 2 penalty settings, plus 182 HPC2N weeks) takes CPU-days; the
@@ -17,13 +27,33 @@ where crossovers fall), which is already visible at reduced scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..analysis.energy import NodePowerModel
+from ..analysis.report import format_figure_series, format_table
 from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
+from ..packing import (
+    PACKER_NAMES,
+    PackingJob,
+    cpu_capacity_yield_bound,
+    get_packer,
+    maximize_min_yield,
+)
 from ..schedulers.registry import PAPER_ALGORITHMS
-from .scenario import CollectorSpec, Hpc2nLikeSource, LublinSource, Scenario
+from ..workloads.memory import MemoryRequirementModel
+from .executor import Campaign, map_tasks
+from .result import CampaignResult, RunRecord
+from .scenario import (
+    CollectorSpec,
+    Hpc2nLikeSource,
+    LublinSource,
+    Scenario,
+    payload_hash,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -42,6 +72,26 @@ __all__ = [
     "utilization_scenario",
     "timing_scenario",
     "compare_scenario",
+    "StudyReport",
+    "run_figure1",
+    "run_table1",
+    "run_table2",
+    "run_timing_study",
+    "run_compare",
+    "run_period_sweep",
+    "generate_packing_instances",
+    "run_packing_ablation",
+    "run_utilization_study",
+    "run_extensions_comparison",
+    "TABLE1_COLUMNS",
+    "TABLE2_ALGORITHMS",
+    "TABLE2_METRICS",
+    "HIGH_LOAD_THRESHOLD",
+    "DEFAULT_PERIODS",
+    "EXTENSION_ALGORITHMS",
+    "Study",
+    "StudyOption",
+    "STUDIES",
 ]
 
 
@@ -337,3 +387,584 @@ def compare_scenario(config: ExperimentConfig, *, load: float) -> Scenario:
         sweep=(("load", (load,)),),
         collectors=_STRETCH_AND_COSTS,
     )
+
+
+# -- reports -------------------------------------------------------------------
+@dataclass(frozen=True)
+class StudyReport:
+    """What every study returns: the printed table and the campaigns behind it."""
+
+    text: str
+    #: What the text was rendered from (``--export-dir`` persists them; Table I
+    #: has three, every other study one).
+    campaigns: Tuple[CampaignResult, ...]
+
+    def format(self) -> str:
+        return self.text
+
+    @property
+    def outcome(self) -> CampaignResult:
+        """The campaign of a single-scenario study."""
+        (outcome,) = self.campaigns
+        return outcome
+
+
+def _penalty(config: ExperimentConfig, penalty_seconds: Optional[float]) -> float:
+    return config.penalty_seconds if penalty_seconds is None else penalty_seconds
+
+
+def _run(
+    config: ExperimentConfig, campaign: Optional[Campaign], scenario: Scenario
+) -> CampaignResult:
+    return (campaign or Campaign(workers=config.workers)).run(scenario)
+
+
+def run_figure1(
+    config: ExperimentConfig,
+    *,
+    penalty_seconds: Optional[float] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Figure 1: average degradation factor vs. offered load.
+
+    Panel (a) charges no rescheduling penalty, panel (b) the 5-minute one.
+    Each point is ``outcome.degradation_averages(load=...)``: the average,
+    over the instances at one load level, of the per-instance factor.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    outcome = _run(config, campaign, figure1_scenario(config, penalty_seconds=penalty))
+    series: Dict[str, Dict[float, float]] = {}
+    for load in config.load_levels:
+        for algorithm, average in outcome.degradation_averages(load=load).items():
+            series.setdefault(algorithm, {})[load] = average
+    label = "no" if penalty == 0 else f"{penalty:.0f}-second"
+    title = f"Figure 1: average stretch degradation factor vs. load ({label} rescheduling penalty)"
+    return StudyReport(format_figure_series(series, title=title), (outcome,))
+
+
+#: Table I workload families, in column (and ``report.campaigns``) order.
+TABLE1_COLUMNS = ("scaled", "unscaled", "real")
+
+
+def run_table1(
+    config: ExperimentConfig,
+    *,
+    penalty_seconds: Optional[float] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Table I: avg / std / max degradation factor on three workload families.
+
+    The scaled synthetic traces (all load levels pooled), the unscaled ones,
+    and the HPC2N-like 1-week segments: one campaign per family, each column
+    its ``degradation_stats()``.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    scenarios = table1_scenarios(config, penalty_seconds=penalty)
+    outcomes = [_run(config, campaign, scenarios[column]) for column in TABLE1_COLUMNS]
+    columns = [outcome.degradation_stats() for outcome in outcomes]
+    headers = ["algorithm"]
+    for column in TABLE1_COLUMNS:
+        headers += [f"{column}.avg", f"{column}.std", f"{column}.max"]
+    rows = [
+        [algorithm] + [value for stats in columns for value in stats[algorithm].as_row()]
+        for algorithm in columns[0]
+    ]
+    title = f"Table I: degradation factor (avg/std/max), {penalty:.0f}-second rescheduling penalty"
+    return StudyReport(format_table(headers, rows, title=title), tuple(outcomes))
+
+
+#: Algorithms reported in Table II (those that preempt and/or migrate).
+TABLE2_ALGORITHMS = (
+    "greedy-pmtn",
+    "greedy-pmtn-migr",
+    "dynmcb8",
+    "dynmcb8-per-600",
+    "dynmcb8-asap-per-600",
+    "dynmcb8-stretch-per-600",
+)
+
+#: Load levels considered "high load" by Table II.
+HIGH_LOAD_THRESHOLD = 0.7
+
+#: The ``costs`` collector columns Table II reports, in column order.
+TABLE2_METRICS = (
+    "pmtn_bandwidth_gb_per_sec",
+    "migr_bandwidth_gb_per_sec",
+    "pmtn_per_hour",
+    "migr_per_hour",
+    "pmtn_per_job",
+    "migr_per_job",
+)
+
+
+def run_table2(
+    config: ExperimentConfig,
+    *,
+    penalty_seconds: Optional[float] = None,
+    algorithms: Sequence[str] = TABLE2_ALGORITHMS,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Table II: preemption and migration costs under high load.
+
+    Bandwidth (GB/s), occurrences per hour and per job, each as the average
+    (and worst-trace maximum) over the scaled synthetic traces with offered
+    load at least :data:`HIGH_LOAD_THRESHOLD`:
+    ``outcome.aggregate(metric, statistic="mean" | "max")``.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    scenario = table2_scenario(
+        config,
+        penalty_seconds=penalty,
+        algorithms=algorithms,
+        high_load_threshold=HIGH_LOAD_THRESHOLD,
+    )
+    outcome = _run(config, campaign, scenario)
+    cells = [
+        (outcome.aggregate(metric), outcome.aggregate(metric, statistic="max"))
+        for metric in TABLE2_METRICS
+    ]
+    rows = [
+        [name] + [f"{mean[name]:.2f} ({worst[name]:.2f})" for mean, worst in cells]
+        for name in outcome.algorithms()
+    ]
+    text = format_table(
+        ["algorithm"] + [f"{metric} (avg/max)" for metric in TABLE2_METRICS],
+        rows,
+        title=(
+            "Table II: preemption and migration costs, scaled synthetic traces "
+            f"with load >= {HIGH_LOAD_THRESHOLD}, {penalty:.0f}-second penalty"
+        ),
+    )
+    return StudyReport(text, (outcome,))
+
+
+def run_timing_study(
+    config: ExperimentConfig,
+    *,
+    algorithm: str = "dynmcb8",
+    small_job_threshold: int = 10,
+    fast_threshold_seconds: float = 0.001,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """The §V scheduling-time study on the unscaled synthetic traces.
+
+    The paper reports that DYNMCB8 computes allocations for 10 or fewer jobs
+    in under a millisecond for two thirds of the events, with a mean around
+    0.25 s and a maximum under 4.5 s — orders of magnitude below typical job
+    inter-arrival times.  Absolute numbers depend on the host; the claim is
+    about the shape.  The ``timing`` collector ships the raw per-event
+    timings and inter-arrival gaps as row metrics; they are pooled here.
+
+    Runs are always serial: the statistics are wall-clock measurements, and
+    fanning them out over a pool would inflate them with core contention.
+    (For the same reason, a cache replays the timings of the host that
+    originally ran the scenario.)
+    """
+    cache_dir = campaign.cache_dir if campaign is not None else None
+    outcome = Campaign(workers=1, cache_dir=cache_dir).run(
+        timing_scenario(config, algorithm=algorithm)
+    )
+
+    def pooled(metric: str) -> "np.ndarray[Any, Any]":
+        values = [value for row in outcome.rows for value in row.metric(metric)]
+        return np.asarray(values, dtype=float)
+
+    def mean(values: "np.ndarray[Any, Any]") -> float:
+        return float(values.mean()) if values.size else 0.0
+
+    times = pooled("scheduler_times")
+    small = times[pooled("scheduler_job_counts") <= small_job_threshold]
+    rows = [
+        ["observations", int(times.size)],
+        ["mean scheduling time (s)", mean(times)],
+        ["max scheduling time (s)", float(times.max()) if times.size else 0.0],
+        [
+            f"fraction of <= {small_job_threshold}-job events under "
+            f"{fast_threshold_seconds * 1000:.0f} ms",
+            mean(small <= fast_threshold_seconds),
+        ],
+        ["mean job inter-arrival time (s)", mean(pooled("interarrivals"))],
+    ]
+    title = f"Scheduling-time study for {algorithm} (§V)"
+    text = format_table(["statistic", "value"], rows, title=title, float_format="{:.4f}")
+    return StudyReport(text, (outcome,))
+
+
+def run_compare(
+    config: ExperimentConfig, *, load: float = 0.7, campaign: Optional[Campaign] = None
+) -> StudyReport:
+    """One synthetic trace under every configured algorithm, one row per run."""
+    outcome = _run(config, campaign, compare_scenario(config, load=load))
+    metrics = ("max_stretch", "mean_stretch", "mean_turnaround", "pmtn_per_job", "migr_per_job")
+    rows = [
+        [record.algorithm] + [record.metric(metric) for metric in metrics]
+        for record in outcome.rows
+    ]
+    workload_name = outcome.rows[0].workload if outcome.rows else "?"
+    text = format_table(
+        ["algorithm", "max stretch", "mean stretch", "mean turnaround (s)", "pmtn/job", "migr/job"],
+        rows,
+        title=(
+            f"Single-trace comparison ({workload_name}, load {load}, "
+            f"{config.penalty_seconds:.0f}-second penalty)"
+        ),
+    )
+    return StudyReport(text, (outcome,))
+
+
+#: The periods evaluated by the paper (seconds).
+DEFAULT_PERIODS: Tuple[float, ...] = (60.0, 600.0, 3600.0)
+
+
+def run_period_sweep(
+    config: ExperimentConfig,
+    *,
+    base_algorithm: str = "dynmcb8-asap-per",
+    periods: Sequence[float] = DEFAULT_PERIODS,
+    load: float = 0.7,
+    penalty_seconds: Optional[float] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Scheduling-period sensitivity (paper §III-B, last paragraph).
+
+    The paper finds T = 600 s close to T = 60 s in quality and to T = 3600 s
+    in overhead.  ``base_algorithm`` is the unsuffixed name of a periodic
+    algorithm (``dynmcb8-per``, ``dynmcb8-asap-per``, ...); the period is a
+    sweep axis feeding the ``{period}`` algorithm-name template, so every
+    column is ``outcome.aggregate(metric, by="period")``.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    scenario = period_sweep_scenario(
+        config,
+        base_algorithm=base_algorithm,
+        periods=periods,
+        load=load,
+        penalty_seconds=penalty,
+    )
+    outcome = _run(config, campaign, scenario)
+    columns = [
+        outcome.aggregate("max_stretch", by="period"),
+        outcome.aggregate("max_stretch", by="period", statistic="max"),
+        outcome.aggregate("pmtn_per_hour", by="period"),
+        outcome.aggregate("migr_per_hour", by="period"),
+    ]
+    rows = [
+        [f"{period:.0f}"] + [column[int(period)] for column in columns]
+        for period in periods
+    ]
+    text = format_table(
+        ["period (s)", "mean max stretch", "worst max stretch", "pmtn/h", "migr/h"],
+        rows,
+        title=(
+            f"Period sensitivity of {base_algorithm} "
+            f"(load {load:g}, {penalty:.0f}-second penalty)"
+        ),
+    )
+    return StudyReport(text, (outcome,))
+
+
+def generate_packing_instances(
+    num_instances: int,
+    jobs_per_instance: int,
+    *,
+    seed: int = 0,
+    cores_per_node: int = 4,
+) -> List[List[PackingJob]]:
+    """Random packing instances drawn from the paper's job distributions.
+
+    Job widths follow a power-of-two mix, CPU needs follow the quad-core rule
+    (25 % for sequential tasks, 100 % otherwise), and memory requirements
+    follow the Setia-style model of §IV-C.
+    """
+    if num_instances < 1 or jobs_per_instance < 1:
+        raise ConfigurationError("num_instances and jobs_per_instance must be >= 1")
+    rng = np.random.default_rng(seed)
+    memory_model = MemoryRequirementModel()
+    instances: List[List[PackingJob]] = []
+    for _ in range(num_instances):
+        jobs: List[PackingJob] = []
+        for job_id in range(jobs_per_instance):
+            tasks = int(rng.choice([1, 2, 4, 8, 16], p=[0.4, 0.2, 0.2, 0.15, 0.05]))
+            jobs.append(
+                PackingJob(
+                    job_id=job_id,
+                    num_tasks=tasks,
+                    cpu_need=(1.0 / cores_per_node) if tasks == 1 else 1.0,
+                    mem_requirement=memory_model.memory_requirement(rng),
+                )
+            )
+        instances.append(jobs)
+    return instances
+
+
+def _score_packing_cell(task: Tuple[str, List[PackingJob], int]) -> Dict[str, float]:
+    """One ``packer × instance`` grid cell (module-level for the pool)."""
+    packer_name, jobs, num_nodes = task
+    bound = cpu_capacity_yield_bound(jobs, num_nodes)
+    outcome = maximize_min_yield(jobs, num_nodes, packer=get_packer(packer_name))
+    if not outcome.success:
+        return {"min_yield": 0.0, "bound_ratio": 0.0, "bound": bound, "success": 0}
+    return {
+        "min_yield": outcome.yield_value,
+        "bound_ratio": outcome.yield_value / bound if bound > 0 else 1.0,
+        "bound": bound,
+        "success": 1,
+    }
+
+
+def run_packing_ablation(
+    config: Optional[ExperimentConfig] = None,
+    *,
+    num_nodes: int = 32,
+    num_instances: int = 25,
+    jobs_per_instance: int = 24,
+    seed: Optional[int] = None,
+    packers: Optional[Sequence[str]] = None,
+    workers: Optional[int] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Packing-heuristic ablation: how much does MCB8's balancing matter?
+
+    Every requested packer (default: all of
+    :data:`repro.packing.PACKER_NAMES`) runs the same minimum-yield binary
+    search on a shared population of random instances; the achieved yields
+    are compared with each other and with the heuristic-independent
+    CPU-capacity upper bound.
+
+    The study has no simulation behind it, so it builds no
+    :class:`~repro.campaign.scenario.Scenario` and ignores ``campaign``: it
+    rides :func:`~repro.campaign.executor.map_tasks` (one task per
+    ``packer × instance`` cell) and materialises its rows as a
+    :class:`~repro.campaign.result.CampaignResult` for uniform queries and
+    export.  ``seed`` and ``workers`` default to the configuration's when one
+    is given (seed 9, serial otherwise).
+    """
+    if num_nodes < 1:
+        raise ConfigurationError(f"num_nodes must be >= 1, got {num_nodes}")
+    names = tuple(packers) if packers is not None else PACKER_NAMES
+    if not names:
+        raise ConfigurationError("packers must not be empty")
+    if seed is None:
+        seed = config.seed_base if config is not None else 9
+    if workers is None and config is not None:
+        workers = config.workers
+    instances = generate_packing_instances(num_instances, jobs_per_instance, seed=seed)
+    spec = {
+        "name": "packing-ablation",
+        "source": {
+            "type": "packing-random",
+            "num_instances": num_instances,
+            "jobs_per_instance": jobs_per_instance,
+            "seed": seed,
+        },
+        "num_nodes": num_nodes,
+        "packers": list(names),
+    }
+    tasks = [(name, jobs, num_nodes) for name in names for jobs in instances]
+    metrics = iter(map_tasks(_score_packing_cell, tasks, workers=workers))
+    rows = [
+        RunRecord(
+            cell_index=cell_index,
+            instance_index=instance_index,
+            workload=f"packing-{instance_index:03d}",
+            algorithm=name,
+            params=(("packer", name),),
+            metrics=next(metrics),
+        )
+        for cell_index, name in enumerate(names)
+        for instance_index in range(len(instances))
+    ]
+    outcome = CampaignResult(scenario=spec, scenario_hash=payload_hash(spec), rows=rows)
+    mean_yield = outcome.aggregate("min_yield")
+    worst_yield = outcome.aggregate("min_yield", statistic="min")
+    bound_ratio = outcome.aggregate("bound_ratio")
+    table = [
+        [
+            name,
+            mean_yield[name],
+            worst_yield[name],
+            bound_ratio[name],
+            sum(1 for ok in outcome.metric_values("success", algorithm=name) if not ok),
+        ]
+        for name in sorted(mean_yield, key=lambda name: -mean_yield[name])
+    ]
+    text = format_table(
+        ["packer", "mean min-yield", "worst min-yield", "vs. capacity bound", "failures"],
+        table,
+        title=(
+            f"Packing ablation: achievable minimum yield on {len(instances)} "
+            f"instances, {num_nodes} nodes"
+        ),
+    )
+    return StudyReport(text, (outcome,))
+
+
+def run_utilization_study(
+    config: ExperimentConfig,
+    *,
+    load: float = 0.5,
+    penalty_seconds: Optional[float] = None,
+    algorithms: Optional[Sequence[str]] = None,
+    power_model: Optional[NodePowerModel] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Utilization, energy and fairness per algorithm (paper §II-B2 remark).
+
+    Once the minimum yield is maximized, leftover capacity either raises the
+    average yield or — on an under-subscribed cluster — lets idle nodes be
+    powered down.  One synthetic trace (the first of the configuration) is
+    scaled to ``load`` and run under every algorithm with the ``utilization``
+    collector attached (``power_model`` overrides its node power model);
+    each printed row is one run's metrics.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    scenario = utilization_scenario(
+        config,
+        load=load,
+        penalty_seconds=penalty,
+        algorithms=algorithms,
+        power_options=asdict(power_model) if power_model is not None else None,
+    )
+    outcome = _run(config, campaign, scenario)
+    rows = [
+        [
+            record.algorithm,
+            record.metric("max_stretch"),
+            record.metric("mean_busy_nodes"),
+            int(record.metric("peak_busy_nodes")),
+            record.metric("mean_cpu_allocated"),
+            f"{100.0 * record.metric('energy_savings_fraction'):.1f}%",
+            record.metric("jain_stretch"),
+        ]
+        for record in outcome.rows
+    ]
+    headers = [
+        "algorithm", "max stretch", "mean busy nodes", "peak busy nodes",
+        "mean CPU alloc", "idle power-down savings", "Jain(stretch)",
+    ]
+    title = (
+        f"Utilization and energy study ({config.cluster.num_nodes} nodes, load "
+        f"{load:g}, {penalty:.0f}-second penalty)"
+    )
+    return StudyReport(format_table(headers, rows, title=title), (outcome,))
+
+
+#: The default extension set: paper baselines, the paper's winner, and the
+#: three extensions implemented beyond the paper.
+EXTENSION_ALGORITHMS: Tuple[str, ...] = (
+    "easy",
+    "conservative",
+    "dynmcb8-asap-per-600",
+    "dynmcb8-asap-throttled-per-600",
+    "dynmcb8-asap-weighted-per-600",
+)
+
+
+def run_extensions_comparison(
+    config: ExperimentConfig,
+    *,
+    algorithms: Sequence[str] = EXTENSION_ALGORITHMS,
+    penalty_seconds: Optional[float] = None,
+    campaign: Optional[Campaign] = None,
+) -> StudyReport:
+    """Extension schedulers vs. the paper's winner, Table I methodology.
+
+    The paper's conclusion sketches long-job throttling and user priorities;
+    this repository adds conservative backfilling.  All are compared with
+    DYNMCB8-ASAP-PER and EASY on the scaled synthetic traces by
+    ``outcome.degradation_stats()``, best average first.
+    """
+    penalty = _penalty(config, penalty_seconds)
+    scenario = extensions_scenario(config, penalty_seconds=penalty, algorithms=algorithms)
+    outcome = _run(config, campaign, scenario)
+    ranked = sorted(outcome.degradation_stats().items(), key=lambda pair: pair[1].average)
+    text = format_table(
+        ["algorithm", "deg. avg", "deg. std", "deg. max"],
+        [[name] + stats.as_row() for name, stats in ranked],
+        title=(
+            "Extensions vs. paper algorithms: degradation factors "
+            f"(loads {', '.join(f'{level:g}' for level in config.load_levels)}, "
+            f"{penalty:.0f}-second penalty)"
+        ),
+    )
+    return StudyReport(text, (outcome,))
+
+
+# -- the table -----------------------------------------------------------------
+class StudyOption(NamedTuple):
+    """One CLI option of a study and the runner keyword it feeds."""
+
+    flag: str
+    keyword: str
+    type: Callable[[str], Any]
+    default: Any
+    help: str
+
+
+class Study(NamedTuple):
+    """One row of :data:`STUDIES`: ``run(config, campaign=..., **options)``."""
+
+    help: str
+    run: Callable[..., StudyReport]
+    options: Tuple[StudyOption, ...] = ()
+    #: ``--algorithms``, when given, replaces the study's own default set
+    #: (otherwise the flag only reaches studies that read ``config.algorithms``).
+    algorithms_option: bool = False
+
+
+def _periods(text: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _load_option(default: float) -> StudyOption:
+    return StudyOption("--load", "load", float, default, "offered load")
+
+
+#: Every study of the repository by CLI name, in ``--help`` order.
+STUDIES: Dict[str, Study] = {
+    "figure1": Study("degradation factor vs. load", run_figure1),
+    "table1": Study("degradation statistics per workload family", run_table1),
+    "table2": Study("preemption and migration costs", run_table2),
+    "timing": Study("scheduling computation time study", run_timing_study),
+    "compare": Study(
+        "run one synthetic trace under several algorithms",
+        run_compare,
+        (_load_option(0.7),),
+    ),
+    "period-sweep": Study(
+        "scheduling-period sensitivity study",
+        run_period_sweep,
+        (
+            StudyOption(
+                "--base-algorithm", "base_algorithm", str, "dynmcb8-asap-per",
+                "unsuffixed periodic algorithm name",
+            ),
+            _load_option(0.7),
+            StudyOption(
+                "--periods", "periods", _periods, DEFAULT_PERIODS,
+                "comma-separated periods in seconds",
+            ),
+        ),
+    ),
+    "packing-ablation": Study(
+        "compare packing heuristics on random instances",
+        run_packing_ablation,
+        (
+            StudyOption("--pack-nodes", "num_nodes", int, 32, "bins per packing instance"),
+            StudyOption(
+                "--pack-instances", "num_instances", int, 25, "number of packing instances"
+            ),
+            StudyOption("--pack-jobs", "jobs_per_instance", int, 24, "jobs per packing instance"),
+        ),
+    ),
+    "utilization": Study(
+        "busy nodes, energy, and fairness per algorithm",
+        run_utilization_study,
+        (_load_option(0.5),),
+    ),
+    "extensions": Study(
+        "extension schedulers vs. the paper's best algorithm",
+        run_extensions_comparison,
+        algorithms_option=True,
+    ),
+}

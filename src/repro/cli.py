@@ -1,7 +1,9 @@
 """Command-line interface: ``repro-dfrs <experiment> [options]``.
 
 Subcommands regenerate each artifact of the paper's evaluation section at a
-configurable scale and print the corresponding table or figure series:
+configurable scale and print the corresponding table or figure series (the
+study subcommands, their help texts and their options are the entries of
+:data:`repro.campaign.studies.STUDIES`; nothing here names one):
 
 * ``figure1`` — average degradation factor vs. load (``--penalty`` selects
   panel (a) with 0 or panel (b) with 300 seconds);
@@ -57,8 +59,8 @@ interrupted campaigns from the on-disk run cache).  ``run`` and
 ``compare`` additionally honour ``--streaming-metrics`` (bounded-memory
 execution: instances stream into the engine, per-job records reduce to
 mergeable online statistics, rows merge per cell — see
-:mod:`repro.metrics`); the paper-artifact drivers refuse the flag because
-merged rows would change their per-instance aggregation semantics.
+:mod:`repro.metrics`); the other studies refuse the flag because merged
+rows would change their per-instance aggregation semantics.
 ``packing-ablation`` runs no simulations and keeps no run cache.
 """
 
@@ -73,23 +75,11 @@ from typing import List, Optional, Sequence
 
 from .analysis.report import format_table
 from .campaign.executor import Campaign, export_campaign_artifacts
+from .campaign.result import CampaignResult
 from .campaign.spec import load_scenario
-from .campaign.studies import (
-    ExperimentConfig,
-    compare_scenario,
-    default_scale,
-    lublin_source,
-)
+from .campaign.studies import STUDIES, ExperimentConfig, default_scale, lublin_source
 from .core.cluster import Cluster
 from .devtools.cli import add_dev_subparser, run_dev_command
-from .experiments.extensions import run_extensions_comparison
-from .experiments.figure1 import run_figure1
-from .experiments.packing_ablation import run_packing_ablation
-from .experiments.period_sweep import run_period_sweep
-from .experiments.table1 import run_table1
-from .experiments.table2 import run_table2
-from .experiments.timing import run_timing_study
-from .experiments.utilization_study import run_utilization_study
 from .obs.cli import (
     add_obs_subparser,
     add_profile_subparser,
@@ -197,53 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("figure1", help="degradation factor vs. load")
-    subparsers.add_parser("table1", help="degradation statistics per workload family")
-    subparsers.add_parser("table2", help="preemption and migration costs")
-    subparsers.add_parser("timing", help="scheduling computation time study")
-    compare = subparsers.add_parser(
-        "compare", help="run one synthetic trace under several algorithms"
-    )
-    compare.add_argument("--load", type=float, default=0.7, help="offered load")
-
-    period = subparsers.add_parser(
-        "period-sweep", help="scheduling-period sensitivity study"
-    )
-    period.add_argument(
-        "--base-algorithm",
-        type=str,
-        default="dynmcb8-asap-per",
-        help="unsuffixed periodic algorithm name",
-    )
-    period.add_argument("--load", type=float, default=0.7, help="offered load")
-    period.add_argument(
-        "--periods",
-        type=str,
-        default="60,600,3600",
-        help="comma-separated periods in seconds",
-    )
-
-    packing = subparsers.add_parser(
-        "packing-ablation", help="compare packing heuristics on random instances"
-    )
-    packing.add_argument(
-        "--pack-nodes", type=int, default=32, help="bins per packing instance"
-    )
-    packing.add_argument(
-        "--pack-instances", type=int, default=25, help="number of packing instances"
-    )
-    packing.add_argument(
-        "--pack-jobs", type=int, default=24, help="jobs per packing instance"
-    )
-
-    utilization = subparsers.add_parser(
-        "utilization", help="busy nodes, energy, and fairness per algorithm"
-    )
-    utilization.add_argument("--load", type=float, default=0.5, help="offered load")
-
-    subparsers.add_parser(
-        "extensions", help="extension schedulers vs. the paper's best algorithm"
-    )
+    for name, study in STUDIES.items():
+        study_parser = subparsers.add_parser(name, help=study.help)
+        for option in study.options:
+            study_parser.add_argument(
+                option.flag, type=option.type, default=option.default, help=option.help
+            )
 
     profile = subparsers.add_parser(
         "characterize",
@@ -368,35 +317,6 @@ def _campaign_from_args(
         cache_dir=args.cache_dir,
         streaming=bool(getattr(args, "streaming_metrics", False)),
     )
-
-
-def _run_compare(
-    config: ExperimentConfig, load: float, campaign: Campaign
-):
-    outcome = campaign.run(compare_scenario(config, load=load))
-    rows = []
-    for record in outcome.rows:
-        rows.append(
-            [
-                record.algorithm,
-                record.metric("max_stretch"),
-                record.metric("mean_stretch"),
-                record.metric("mean_turnaround"),
-                record.metric("pmtn_per_job"),
-                record.metric("migr_per_job"),
-            ]
-        )
-    workload_name = outcome.rows[0].workload if outcome.rows else "?"
-    text = format_table(
-        ["algorithm", "max stretch", "mean stretch", "mean turnaround (s)",
-         "pmtn/job", "migr/job"],
-        rows,
-        title=(
-            f"Single-trace comparison ({workload_name}, load {load}, "
-            f"{config.penalty_seconds:.0f}-second penalty)"
-        ),
-    )
-    return text, [outcome]
 
 
 def _run_characterize(
@@ -702,7 +622,7 @@ def _format_algorithms() -> str:
 
 
 #: Subcommands whose output semantics are well-defined for merged streaming
-#: rows.  The paper-artifact drivers (figure1/table1/...) aggregate
+#: rows.  The paper-artifact studies (figure1/table1/...) aggregate
 #: *per-instance* degradation factors; a merged pseudo-instance row would
 #: silently change the estimator, so they refuse the flag instead.
 _STREAMING_COMMANDS = ("run", "compare")
@@ -741,51 +661,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _config_from_args(args)
     campaign = _campaign_from_args(args, config)
 
-    campaigns = []
-    if args.command == "figure1":
-        result = run_figure1(config, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "table1":
-        result = run_table1(config, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "table2":
-        result = run_table2(config, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "timing":
-        result = run_timing_study(config, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "compare":
-        text, campaigns = _run_compare(config, args.load, campaign)
-        print(text)
-    elif args.command == "period-sweep":
-        periods = tuple(float(part) for part in args.periods.split(",") if part.strip())
-        result = run_period_sweep(
-            config,
-            base_algorithm=args.base_algorithm,
-            periods=periods,
-            load=args.load,
-            campaign=campaign,
-        )
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "packing-ablation":
-        result = run_packing_ablation(
-            num_nodes=args.pack_nodes,
-            num_instances=args.pack_instances,
-            jobs_per_instance=args.pack_jobs,
-            seed=config.seed_base,
-            workers=config.workers,
-        )
-        print(result.format())
-        campaigns = result.campaigns
-    elif args.command == "utilization":
-        result = run_utilization_study(config, load=args.load, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
+    campaigns: Sequence[CampaignResult] = ()
+    study = STUDIES.get(args.command)
+    if study is not None:
+        options = {
+            option.keyword: getattr(args, option.flag[2:].replace("-", "_"))
+            for option in study.options
+        }
+        if study.algorithms_option and args.algorithms is not None:
+            options["algorithms"] = config.algorithms
+        report = study.run(config, campaign=campaign, **options)
+        print(report.format())
+        campaigns = report.campaigns
     elif args.command == "characterize":
         text, workload = _run_characterize(config, args.swf, args.load)
         print(text)
@@ -804,20 +691,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 encoding="utf-8",
             )
             print(f"wrote {profile_path}")
-    elif args.command == "extensions":
-        if args.algorithms is not None:
-            result = run_extensions_comparison(
-                config, algorithms=config.algorithms, campaign=campaign
-            )
-        else:
-            result = run_extensions_comparison(config, campaign=campaign)
-        print(result.format())
-        campaigns = result.campaigns
     elif args.command == "run":
         scenario = load_scenario(args.spec)
         outcome = campaign.run(scenario)
         print(outcome.format_summary())
-        campaigns = [outcome]
+        campaigns = (outcome,)
     elif args.command == "algorithms":
         print(_format_algorithms())
     elif args.command == "platform":

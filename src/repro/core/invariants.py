@@ -19,6 +19,10 @@ Checked invariants:
   clusters, the per-node vectors of :mod:`repro.platform` otherwise; both
   with the engine's epsilon).
 * **Yield bounds** — every running job's yield lies in ``(0, 1]``.
+* **Availability** — no applied allocation holds a task on a node the engine
+  reported down (``on_node_down``) and not yet repaired (``on_node_up``).
+  Nodes already down before the first submission are never announced, so
+  they are outside this check.
 * **Clock** — observed event times never decrease.
 
 Violations raise :class:`~repro.exceptions.SimulationError` immediately, which
@@ -47,6 +51,7 @@ class InvariantCheckingObserver(SimulationObserver):
         self._submitted: Set[int] = set()
         self._started: Set[int] = set()
         self._completed: Set[int] = set()
+        self._down: Set[int] = set()
         self._last_time = float("-inf")
         #: Number of events whose capacity checks passed (exposed for tests).
         self.checked_events = 0
@@ -58,6 +63,7 @@ class InvariantCheckingObserver(SimulationObserver):
         self._submitted = set()
         self._started = set()
         self._completed = set()
+        self._down = set()
         self._last_time = start_time
         self.checked_events = 0
 
@@ -127,6 +133,14 @@ class InvariantCheckingObserver(SimulationObserver):
             )
         self._completed.add(spec.job_id)
 
+    def on_node_down(self, time: float, node: int) -> None:
+        self._advance_clock(time)
+        self._down.add(node)
+
+    def on_node_up(self, time: float, node: int) -> None:
+        self._advance_clock(time)
+        self._down.discard(node)
+
     # -- per-event capacity checks -------------------------------------------------
     def on_allocation_applied(self, time: float, running: Dict[int, JobAllocation]) -> None:
         self._advance_clock(time)
@@ -153,6 +167,10 @@ class InvariantCheckingObserver(SimulationObserver):
                 if not (0 <= node < self.cluster.num_nodes):
                     raise SimulationError(
                         f"job {job_id} placed on node {node}, outside the cluster"
+                    )
+                if node in self._down:
+                    raise SimulationError(
+                        f"job {job_id} holds a task on down node {node} at t={time:.1f}"
                     )
                 memory[node] += spec.mem_requirement
                 cpu[node] += spec.cpu_need * allocation.yield_value

@@ -45,7 +45,6 @@ _RESULT_PACKAGES = (
     "workloads",
     "metrics",
     "campaign",
-    "experiments",
 )
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, TypeVar
 
 from ..exceptions import ReproError
 from ..obs.prometheus import PROMETHEUS_CONTENT_TYPE
@@ -46,8 +46,29 @@ from .service import SchedulerService
 
 __all__ = ["ServiceServer"]
 
+_N = TypeVar("_N", int, float)
+
 #: Cap on one request line (1 MiB) — a runaway client cannot balloon memory.
 _MAX_LINE_BYTES = 1 << 20
+
+#: Largest magnitude accepted for a numeric request field: beyond 2**53 a
+#: float no longer resolves one second (or one task), so engine clock
+#: arithmetic would silently absorb what is added to it.
+_MAX_NUMBER = float(1 << 53)
+
+
+def _number(value: Any, kind: Callable[[Any], _N]) -> _N:
+    """``kind(value)`` for a finite, non-negative JSON number in range.
+
+    ``json.loads`` accepts ``NaN`` / ``Infinity`` and any exponent, and
+    ``int(inf)`` raises ``OverflowError``; every refusal here is a
+    ``TypeError`` / ``ValueError`` the op handlers already answer.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not 0.0 <= float(value) <= _MAX_NUMBER:  # False for NaN as well
+        raise ValueError(f"{value!r} is not a finite number in [0, 2**53]")
+    return kind(value)
 
 
 class ServiceServer:
@@ -114,6 +135,8 @@ class ServiceServer:
                 stop = await self._dispatch_line(text, writer)
                 if stop:
                     break
+        except ConnectionError:
+            pass  # the client vanished mid-reply: nobody left to answer
         finally:
             writer.close()
 
@@ -192,13 +215,13 @@ class ServiceServer:
             return False
         try:
             outcome = await self.service.submit(
-                num_tasks=int(job["num_tasks"]),
-                cpu_need=float(job["cpu_need"]),
-                mem_requirement=float(job["mem_requirement"]),
-                execution_time=float(job["execution_time"]),
-                job_id=(int(job["job_id"]) if "job_id" in job else None),
+                num_tasks=_number(job["num_tasks"], int),
+                cpu_need=_number(job["cpu_need"], float),
+                mem_requirement=_number(job["mem_requirement"], float),
+                execution_time=_number(job["execution_time"], float),
+                job_id=(_number(job["job_id"], int) if "job_id" in job else None),
                 submit_time=(
-                    float(job["submit_time"]) if "submit_time" in job else None
+                    _number(job["submit_time"], float) if "submit_time" in job else None
                 ),
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -237,16 +260,13 @@ class ServiceServer:
         self, request: Mapping[str, Any], writer: asyncio.StreamWriter
     ) -> bool:
         try:
-            count = int(request.get("count", 1))
-            interval = float(request.get("interval", 1.0))
+            count = _number(request.get("count", 1), int)
+            interval = _number(request.get("interval", 1.0), float)
         except (TypeError, ValueError) as error:
             await self._send(writer, {"ok": False, "error": f"bad fields: {error!r}"})
             return False
-        if count < 1 or interval < 0.0:
-            await self._send(
-                writer,
-                {"ok": False, "error": "need count >= 1 and interval >= 0"},
-            )
+        if count < 1:
+            await self._send(writer, {"ok": False, "error": "need count >= 1"})
             return False
         for index in range(count):
             await self._send(

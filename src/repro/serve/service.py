@@ -29,8 +29,9 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Union
 
 from ..core.clock import Clock, SimulatedClock, WallClock
 from ..core.cluster import Cluster
@@ -416,7 +417,7 @@ class SchedulerService:
         self._extra_observers: List[SimulationObserver] = list(observers or [])
         self._ledger_limit = ledger_limit
         self._ledger: Dict[int, ServiceJobRecord] = {}
-        self._terminal_order: List[int] = []
+        self._terminal_order: Deque[int] = deque()
         self._total_cpu_capacity = sum(
             cluster.cpu_capacity(node) for node in range(cluster.num_nodes)
         )
@@ -456,7 +457,7 @@ class SchedulerService:
             return
         self._terminal_order.append(job_id)
         while len(self._terminal_order) > self._ledger_limit:
-            oldest = self._terminal_order.pop(0)
+            oldest = self._terminal_order.popleft()
             self._ledger.pop(oldest, None)
 
     def _shed(self, job_ids: Any, reason: str) -> None:

@@ -12,12 +12,12 @@ from repro.campaign.executor import (
     Campaign,
     export_campaign_artifacts,
     resolve_workers,
+    run_algorithm,
 )
 from repro.campaign.scenario import LublinSource, Scenario, scenario_hash
 from repro.campaign.studies import ExperimentConfig
 from repro.core.cluster import Cluster
 from repro.exceptions import ReproError
-from repro.experiments.runner import run_algorithm
 from repro.workloads.scaling import scale_to_load
 
 
@@ -227,11 +227,12 @@ class TestDriverWiring:
         assert replace(self.CONFIG, workers=4).workers == 4
 
     def test_figure1_parallel_matches_serial(self):
-        from repro.experiments.figure1 import run_figure1
+        from repro.campaign.studies import run_figure1
 
         serial = run_figure1(self.CONFIG)
         parallel = run_figure1(replace(self.CONFIG, workers=2))
-        assert parallel.points == serial.points
+        assert parallel.outcome.rows == serial.outcome.rows
+        assert parallel.format() == serial.format()
 
     def test_cli_exposes_workers_flag(self):
         from repro.cli import _config_from_args, build_parser

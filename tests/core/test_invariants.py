@@ -14,6 +14,7 @@ from repro.core import (
     Simulator,
 )
 from repro.exceptions import SimulationError
+from repro.platform import ExponentialFailureSource
 from repro.schedulers import PAPER_ALGORITHMS, create_scheduler
 from repro.workloads import LublinWorkloadGenerator, scale_to_load
 
@@ -54,6 +55,42 @@ class TestEndToEndWithRealSchedulers:
             Simulator(
                 cluster, create_scheduler("greedy-pmtn"), SimulationConfig(), observers=[checker]
             ).run(specs)
+        assert checker.checked_events > 0
+
+
+class TestNodeFailuresWithRealSchedulers:
+    """Failure injection with the checker attached: no task on a down node."""
+
+    @pytest.mark.parametrize("repack_on_failure", [False, True])
+    @pytest.mark.parametrize("policy", ["resubmit", "migrate"])
+    @pytest.mark.parametrize("algorithm", ["greedy-pmtn-migr", "dynmcb8-asap-per-600"])
+    def test_no_allocation_survives_on_a_down_node(
+        self, algorithm, policy, repack_on_failure
+    ):
+        cluster = Cluster(num_nodes=8, cores_per_node=4, node_memory_gb=8.0)
+        workload = scale_to_load(
+            LublinWorkloadGenerator(cluster).generate(40, seed=17), 0.7
+        )
+        horizon = max(spec.submit_time for spec in workload.jobs)
+        checker = InvariantCheckingObserver()
+        result = Simulator(
+            cluster,
+            create_scheduler(algorithm),
+            SimulationConfig(
+                penalty_model=ReschedulingPenaltyModel(300.0),
+                node_events=ExponentialFailureSource(
+                    mtbf_seconds=horizon / 2.0,
+                    mttr_seconds=horizon / 20.0,
+                    horizon_seconds=horizon,
+                    seed=5,
+                ),
+                failure_policy=policy,
+                repack_on_failure=repack_on_failure,
+            ),
+            observers=[checker],
+        ).run(workload.jobs)
+        assert result.num_jobs == workload.num_jobs
+        assert result.costs.node_failures > 0
         assert checker.checked_events > 0
 
 
@@ -157,6 +194,17 @@ class TestManualViolationDetection:
         checker.on_job_submitted(0.0, _spec(0))
         with pytest.raises(SimulationError):
             checker.on_allocation_applied(0.0, {0: _alloc((5,))})
+
+    def test_allocation_on_down_node_rejected_until_repair(self):
+        checker = self._started_checker(num_nodes=2)
+        checker.on_job_submitted(0.0, _spec(0))
+        checker.on_allocation_applied(0.0, {0: _alloc((1,))})
+        checker.on_node_down(10.0, 1)
+        checker.on_allocation_applied(10.0, {0: _alloc((0,))})
+        with pytest.raises(SimulationError, match="down node 1"):
+            checker.on_allocation_applied(10.0, {0: _alloc((1,))})
+        checker.on_node_up(20.0, 1)
+        checker.on_allocation_applied(20.0, {0: _alloc((1,))})
 
     def test_completed_job_holding_allocation_rejected(self):
         checker = self._started_checker()

@@ -1,4 +1,4 @@
-"""Regenerate the golden driver outputs (see golden_config.py for the rules)."""
+"""Regenerate the golden study outputs (see golden_config.py for the rules)."""
 
 from __future__ import annotations
 
@@ -7,54 +7,17 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from golden_config import (
-    EXTENSIONS_GOLDEN_ALGORITHMS,
-    GOLDEN_CONFIG,
-    TABLE2_GOLDEN_ALGORITHMS,
-)
+from golden_config import GOLDEN_CONFIG, GOLDEN_DIR, GOLDEN_KWARGS, golden_path
 
-from repro.experiments.extensions import run_extensions_comparison
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.packing_ablation import run_packing_ablation
-from repro.experiments.period_sweep import run_period_sweep
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.timing import run_timing_study
-from repro.experiments.utilization_study import run_utilization_study
-
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+from repro.campaign.studies import STUDIES
 
 
 def main() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
-    config = GOLDEN_CONFIG
-    outputs = {
-        "figure1.txt": run_figure1(config).format(),
-        "table1.txt": run_table1(config).format(),
-        "table2.txt": run_table2(
-            config, algorithms=TABLE2_GOLDEN_ALGORITHMS
-        ).format(),
-        "extensions.txt": run_extensions_comparison(
-            config, algorithms=EXTENSIONS_GOLDEN_ALGORITHMS
-        ).format(),
-        "period_sweep.txt": run_period_sweep(
-            config, periods=(300.0, 1200.0), load=0.5
-        ).format(),
-        "packing_ablation.txt": run_packing_ablation(
-            num_nodes=8,
-            num_instances=5,
-            jobs_per_instance=10,
-            seed=3,
-            packers=("mcb8", "first-fit", "worst-fit"),
-        ).format(),
-        "utilization.txt": run_utilization_study(
-            config, load=0.5, algorithms=("easy", "dynmcb8-asap-per-600")
-        ).format(),
-        "timing.txt": run_timing_study(config, algorithm="dynmcb8").format(),
-    }
-    for name, text in outputs.items():
-        (GOLDEN_DIR / name).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {name} ({len(text)} chars)")
+    for name, study in STUDIES.items():
+        text = study.run(GOLDEN_CONFIG, **GOLDEN_KWARGS[name]).format()
+        golden_path(name).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {golden_path(name).name} ({len(text)} chars)")
 
 
 if __name__ == "__main__":

@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.studies import ExperimentConfig
-from repro.core import Cluster
-from repro.exceptions import ConfigurationError
-from repro.experiments import (
+from repro.campaign.studies import (
     EXTENSION_ALGORITHMS,
+    ExperimentConfig,
     generate_packing_instances,
     run_extensions_comparison,
     run_packing_ablation,
     run_period_sweep,
     run_utilization_study,
 )
+from repro.core import Cluster
+from repro.exceptions import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +45,21 @@ class TestPeriodSweep:
         )
 
     def test_one_point_per_period(self, sweep):
-        assert len(sweep.points) == 2
-        assert {point.period_seconds for point in sweep.points} == {300.0, 1200.0}
+        assert list(sweep.outcome.aggregate("max_stretch", by="period")) == [300, 1200]
+        assert sweep.outcome.algorithms() == [
+            "dynmcb8-asap-per-300", "dynmcb8-asap-per-1200"
+        ]
 
     def test_stretches_are_at_least_one(self, sweep):
-        for point in sweep.points:
-            assert point.mean_max_stretch >= 1.0
-            assert point.max_max_stretch >= point.mean_max_stretch
+        mean = sweep.outcome.aggregate("max_stretch", by="period")
+        worst = sweep.outcome.aggregate("max_stretch", by="period", statistic="max")
+        for period in mean:
+            assert mean[period] >= 1.0
+            assert worst[period] >= mean[period]
 
     def test_cost_rates_non_negative(self, sweep):
-        for point in sweep.points:
-            assert point.preemptions_per_hour >= 0.0
-            assert point.migrations_per_hour >= 0.0
-
-    def test_best_period_is_one_of_the_swept_values(self, sweep):
-        assert sweep.best_period() in (300.0, 1200.0)
+        for metric in ("pmtn_per_hour", "migr_per_hour"):
+            assert min(sweep.outcome.metric_values(metric)) >= 0.0
 
     def test_format_mentions_algorithm_and_periods(self, sweep):
         text = sweep.format()
@@ -107,33 +107,26 @@ class TestPackingAblation:
         )
 
     def test_one_score_per_packer(self, ablation):
-        assert {score.packer for score in ablation.scores} == {
-            "mcb8",
-            "first-fit",
-            "worst-fit",
-        }
+        assert ablation.outcome.algorithms() == ["mcb8", "first-fit", "worst-fit"]
+        assert len(ablation.outcome) == 3 * 5
 
     def test_yields_within_unit_interval(self, ablation):
-        for score in ablation.scores:
-            assert 0.0 <= score.worst_yield <= score.mean_yield <= 1.0
+        mean = ablation.outcome.aggregate("min_yield")
+        worst = ablation.outcome.aggregate("min_yield", statistic="min")
+        for packer in mean:
+            assert 0.0 <= worst[packer] <= mean[packer] <= 1.0
 
     def test_bound_ratio_never_exceeds_one_plus_accuracy(self, ablation):
-        for score in ablation.scores:
-            assert score.mean_bound_ratio <= 1.02
+        assert max(ablation.outcome.aggregate("bound_ratio").values()) <= 1.02
 
     def test_ranking_sorted_by_mean_yield(self, ablation):
-        ranking = ablation.ranking()
-        means = [ablation.score_for(name).mean_yield for name in ranking]
-        assert means == sorted(means, reverse=True)
+        mean = ablation.outcome.aggregate("min_yield")
+        printed = [line.split()[0] for line in ablation.format().splitlines()[3:]]
+        assert printed == sorted(mean, key=lambda packer: -mean[packer])
 
     def test_mcb8_competitive_with_first_fit(self, ablation):
-        mcb8 = ablation.score_for("mcb8").mean_yield
-        ffd = ablation.score_for("first-fit").mean_yield
-        assert mcb8 >= ffd - 0.05
-
-    def test_score_for_unknown_packer_rejected(self, ablation):
-        with pytest.raises(ConfigurationError):
-            ablation.score_for("nonexistent")
+        mean = ablation.outcome.aggregate("min_yield")
+        assert mean["mcb8"] >= mean["first-fit"] - 0.05
 
     def test_format_lists_packers(self, ablation):
         text = ablation.format()
@@ -168,28 +161,22 @@ class TestUtilizationStudy:
         )
 
     def test_one_profile_per_algorithm(self, study):
-        assert {profile.algorithm for profile in study.profiles} == {
-            "easy",
-            "dynmcb8-asap-per-600",
-        }
+        assert [row.algorithm for row in study.outcome.rows] == [
+            "easy", "dynmcb8-asap-per-600"
+        ]
 
     def test_busy_nodes_within_cluster(self, study):
-        for profile in study.profiles:
-            assert 0.0 <= profile.mean_busy_nodes <= study.num_nodes
-            assert 0 <= profile.peak_busy_nodes <= study.num_nodes
+        for row in study.outcome.rows:
+            assert 0.0 <= row.metric("mean_busy_nodes") <= 16
+            assert 0 <= row.metric("peak_busy_nodes") <= 16
 
     def test_energy_savings_fraction_valid(self, study):
-        for profile in study.profiles:
-            assert 0.0 <= profile.energy.savings_fraction <= 1.0
+        for row in study.outcome.rows:
+            assert 0.0 <= row.metric("energy_savings_fraction") <= 1.0
 
     def test_fairness_index_valid(self, study):
-        for profile in study.profiles:
-            assert 0.0 < profile.fairness.jain_stretch <= 1.0
-
-    def test_profile_for_lookup(self, study):
-        assert study.profile_for("easy").algorithm == "easy"
-        with pytest.raises(ConfigurationError):
-            study.profile_for("nonexistent")
+        for row in study.outcome.rows:
+            assert 0.0 < row.metric("jain_stretch") <= 1.0
 
     def test_format_contains_headline_columns(self, study):
         text = study.format()
@@ -224,22 +211,27 @@ class TestExtensionsComparison:
         assert "conservative" in EXTENSION_ALGORITHMS
 
     def test_stats_per_algorithm(self, outcome):
-        assert set(outcome.stats) == {
+        stats = outcome.outcome.degradation_stats()
+        assert set(stats) == {
             "easy",
             "dynmcb8-asap-per-600",
             "dynmcb8-asap-weighted-per-600",
         }
-        for stats in outcome.stats.values():
-            assert stats.average >= 1.0
-            assert stats.maximum >= stats.average
+        for entry in stats.values():
+            assert entry.average >= 1.0
+            assert entry.maximum >= entry.average
+
+    @staticmethod
+    def _best(outcome):
+        averages = outcome.outcome.degradation_averages()
+        return min(averages, key=averages.get)
 
     def test_best_algorithm_is_a_dfrs_variant(self, outcome):
-        assert outcome.best_algorithm().startswith("dynmcb8")
+        assert self._best(outcome).startswith("dynmcb8")
 
     def test_format_sorted_best_first(self, outcome):
         text = outcome.format()
-        best = outcome.best_algorithm()
-        assert text.index(best) < text.index("easy")
+        assert text.index(self._best(outcome)) < text.index("easy")
 
     def test_empty_algorithms_rejected(self, tiny_config):
         with pytest.raises(ConfigurationError):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+import pathlib
+
 import pytest
 
+from repro.campaign.studies import STUDIES
 from repro.cli import build_parser, main
 
 
@@ -27,6 +31,22 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["compare", "--load", "0.4"])
         assert args.load == pytest.approx(0.4)
+
+
+class TestStudyTable:
+    def test_main_has_no_per_study_branch(self):
+        source = inspect.getsource(main)
+        assert not [name for name in STUDIES if f'"{name}"' in source]
+
+    def test_readme_quick_reference_lists_every_study(self):
+        readme = pathlib.Path(__file__).resolve().parents[2] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## CLI quick reference")[1]
+        lines = block.split("```")[1].splitlines()
+        for name, study in STUDIES.items():
+            (entry,) = [
+                text for text in lines if text.split("#")[0].split()[:2] == ["repro-dfrs", name]
+            ]
+            assert entry.split("#", 1)[1].strip() == study.help
 
 
 class TestMain:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.studies import STUDIES
 from repro.cli import build_parser, main
 
 _COMMON = [
@@ -15,10 +16,7 @@ _COMMON = [
 
 
 class TestParser:
-    @pytest.mark.parametrize(
-        "command",
-        ["period-sweep", "packing-ablation", "utilization", "extensions"],
-    )
+    @pytest.mark.parametrize("command", list(STUDIES))
     def test_new_subcommands_are_registered(self, command):
         args = build_parser().parse_args([command])
         assert args.command == command
@@ -28,7 +26,7 @@ class TestParser:
             ["period-sweep", "--base-algorithm", "dynmcb8-per", "--periods", "60,600"]
         )
         assert args.base_algorithm == "dynmcb8-per"
-        assert args.periods == "60,600"
+        assert args.periods == (60.0, 600.0)
 
     def test_packing_ablation_options(self):
         args = build_parser().parse_args(

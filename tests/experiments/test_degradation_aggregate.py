@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.records import CostSummary, SimulationResult
 from repro.core.cluster import Cluster
-from repro.experiments.runner import InstanceResult
+from repro.campaign.executor import InstanceResult
 
 from ..conftest import make_job
 from ..core.test_records import record

@@ -1,25 +1,26 @@
-"""Golden-output tests: the campaign-backed drivers must reproduce the
-pre-refactor formatting byte-for-byte.
+"""Golden-output tests: every study must reproduce its committed table
+byte-for-byte.
 
 The files under ``golden/`` were captured from the hand-rolled driver
-implementations (before the :mod:`repro.campaign` refactor) at the tiny
-scale pinned in ``golden_config.py``.  Every simulation is deterministic
-given its seeds, so any byte difference means the refactor changed either
-the simulated numbers or the rendering — both regressions.
+implementations (before the :mod:`repro.campaign` refactor; ``compare.txt``
+from the CLI's own renderer at 6d8a468) at the tiny scale pinned in
+``golden_config.py``.  Every simulation is deterministic given its seeds, so
+any byte difference means a change moved either the simulated numbers or the
+rendering — both regressions.
 
-The timing study is the one exception: its wall-clock statistics depend on
-the host, so the lines carrying measured seconds are masked before the
-comparison and only the deterministic fields (observation count, interarrival
-statistics, layout) are held to the golden file.
+The tests iterate :data:`repro.campaign.studies.STUDIES`: a study without a
+``GOLDEN_KWARGS`` entry or a golden file fails here.  The timing study's
+wall-clock statistics depend on the host, so the rows carrying measured
+seconds are masked before the comparison and only the deterministic rows
+(observation count, mean inter-arrival time, layout) are held to the file.
 
-Every simulation-backed driver is held to its golden file twice: as built,
+Every simulation-backed study is held to its golden file twice: as built,
 and with the ``invariants`` collector appended to each scenario it runs.
 """
 
 from __future__ import annotations
 
 import pathlib
-import re
 import sys
 
 import pytest
@@ -27,104 +28,37 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from golden_config import (  # noqa: E402
-    EXTENSIONS_GOLDEN_ALGORITHMS,
     GOLDEN_CONFIG,
-    TABLE2_GOLDEN_ALGORITHMS,
+    GOLDEN_DIR,
+    GOLDEN_KWARGS,
+    WALL_CLOCK_ROWS,
+    golden_path,
+    mask_wall_clock,
 )
 
 from repro.campaign.executor import Campaign
-from repro.experiments.extensions import run_extensions_comparison
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.packing_ablation import run_packing_ablation
-from repro.experiments.period_sweep import run_period_sweep
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.timing import run_timing_study
-from repro.experiments.utilization_study import run_utilization_study
+from repro.campaign.studies import STUDIES, StudyReport
 
 from ..campaign.executor_grid import with_collector
 
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+def run_golden(study: str) -> StudyReport:
+    """Run one study at the golden scale and hold its text to its file."""
+    report = STUDIES[study].run(GOLDEN_CONFIG, **GOLDEN_KWARGS[study])
+    expected = golden_path(study).read_text(encoding="utf-8")[:-1]
+    assert mask_wall_clock(report.format()) == mask_wall_clock(expected)
+    return report
 
 
-def golden(name: str) -> str:
-    return (GOLDEN_DIR / name).read_text(encoding="utf-8")[:-1]
+def plain(study: str):
+    def test(self):
+        run_golden(study)
+
+    return test
 
 
-class TestGoldenOutputs:
-    def test_figure1(self):
-        assert run_figure1(GOLDEN_CONFIG).format() == golden("figure1.txt")
-
-    def test_table1(self):
-        assert run_table1(GOLDEN_CONFIG).format() == golden("table1.txt")
-
-    def test_table2(self):
-        result = run_table2(GOLDEN_CONFIG, algorithms=TABLE2_GOLDEN_ALGORITHMS)
-        assert result.format() == golden("table2.txt")
-
-    def test_extensions(self):
-        result = run_extensions_comparison(
-            GOLDEN_CONFIG, algorithms=EXTENSIONS_GOLDEN_ALGORITHMS
-        )
-        assert result.format() == golden("extensions.txt")
-
-    def test_period_sweep(self):
-        result = run_period_sweep(GOLDEN_CONFIG, periods=(300.0, 1200.0), load=0.5)
-        assert result.format() == golden("period_sweep.txt")
-
-    def test_packing_ablation(self):
-        result = run_packing_ablation(
-            num_nodes=8,
-            num_instances=5,
-            jobs_per_instance=10,
-            seed=3,
-            packers=("mcb8", "first-fit", "worst-fit"),
-        )
-        assert result.format() == golden("packing_ablation.txt")
-
-    def test_utilization(self):
-        result = run_utilization_study(
-            GOLDEN_CONFIG, load=0.5, algorithms=("easy", "dynmcb8-asap-per-600")
-        )
-        assert result.format() == golden("utilization.txt")
-
-    @staticmethod
-    def _mask_wall_clock(text: str) -> str:
-        """Blank the host-dependent values of the timing table."""
-        masked_rows = (
-            "mean scheduling time (s)",
-            "max scheduling time (s)",
-            "fraction of",
-        )
-        lines = []
-        for line in text.splitlines():
-            if any(marker in line for marker in masked_rows):
-                line = re.sub(r"\d+\.\d+\s*$", "<wall-clock>", line)
-            lines.append(line)
-        return "\n".join(lines)
-
-    def test_timing_masked(self):
-        result = run_timing_study(GOLDEN_CONFIG, algorithm="dynmcb8")
-        assert self._mask_wall_clock(result.format()) == self._mask_wall_clock(
-            golden("timing.txt")
-        )
-
-    def test_timing_deterministic_fields(self):
-        # The observation count and interarrival mean are seed-determined.
-        result = run_timing_study(GOLDEN_CONFIG, algorithm="dynmcb8")
-        golden_text = golden("timing.txt")
-        assert str(result.num_observations) in golden_text
-        assert f"{result.mean_interarrival_seconds:.4f}" in golden_text
-
-
-class TestGoldenOutputsInvariantChecked(TestGoldenOutputs):
-    """The same files, with every campaign run invariant-checked."""
-
-    test_packing_ablation = None  # packs only: no campaign run to check
-    test_timing_deterministic_fields = None  # compares no golden text
-
-    @pytest.fixture(autouse=True)
-    def checked_campaign_runs(self, monkeypatch):
+def invariant_checked(study: str):
+    def test(self, monkeypatch):
         real_run = Campaign.run
         checked = []
 
@@ -134,5 +68,43 @@ class TestGoldenOutputsInvariantChecked(TestGoldenOutputs):
             return outcome
 
         monkeypatch.setattr(Campaign, "run", checked_run)
-        yield
-        assert checked and all(events > 0 for events in checked)
+        report = run_golden(study)
+        # A simulated campaign's spec names its algorithms; the packing
+        # ablation only packs, so it has no campaign run to check.
+        simulated = [
+            outcome for outcome in report.campaigns if "algorithms" in outcome.scenario
+        ]
+        if not simulated:
+            pytest.skip("no simulation behind this study")
+        assert len(checked) == sum(len(outcome.rows) for outcome in simulated)
+        assert all(events > 0 for events in checked)
+
+    return test
+
+
+def method_name(study: str) -> str:
+    """``test_<study>``, plus ``_masked`` when its file carries wall-clock rows
+    — the ids these tests had as hand-written methods."""
+    path = golden_path(study)
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    suffix = "_masked" if any(marker in text for marker in WALL_CLOCK_ROWS) else ""
+    return f"test_{study.replace('-', '_')}{suffix}"
+
+
+class TestGoldenOutputs:
+    """One ``test_<study>`` per :data:`STUDIES` entry (attached below)."""
+
+
+class TestGoldenOutputsInvariantChecked:
+    """The same files, with every campaign run invariant-checked."""
+
+
+for _study in STUDIES:
+    setattr(TestGoldenOutputs, method_name(_study), plain(_study))
+    setattr(TestGoldenOutputsInvariantChecked, method_name(_study), invariant_checked(_study))
+
+
+def test_every_golden_file_belongs_to_a_study():
+    assert sorted(path.name for path in GOLDEN_DIR.glob("*.txt")) == sorted(
+        golden_path(study).name for study in STUDIES
+    )

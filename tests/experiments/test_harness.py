@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.studies import ExperimentConfig, lublin_source
+from repro import run_algorithm, run_figure1, run_instance, run_table1, run_table2
+from repro import run_timing_study
+from repro.campaign.studies import TABLE1_COLUMNS, TABLE2_METRICS, ExperimentConfig, lublin_source
 from repro.core.cluster import Cluster
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.runner import run_algorithm, run_instance
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import TABLE2_ALGORITHMS, run_table2
-from repro.experiments.timing import run_timing_study
 from repro.workloads.scaling import scale_to_load
 
 TINY = ExperimentConfig(
@@ -63,36 +60,41 @@ class TestRunner:
 
 class TestArtifacts:
     def test_figure1_structure(self):
-        result = run_figure1(TINY, penalty_seconds=0.0)
-        assert set(result.points) == set(TINY.load_levels)
-        for load, values in result.points.items():
+        report = run_figure1(TINY, penalty_seconds=0.0)
+        for load in TINY.load_levels:
+            values = report.outcome.degradation_averages(load=load)
             assert set(values) == set(TINY.algorithms)
             assert min(values.values()) >= 1.0 - 1e-9
-        text = result.format()
+        text = report.format()
         assert "Figure 1" in text
         for algorithm in TINY.algorithms:
             assert algorithm in text
 
     def test_table1_structure(self):
-        result = run_table1(TINY)
-        assert set(result.columns) == {"scaled", "unscaled", "real"}
-        for column in result.columns.values():
+        report = run_table1(TINY)
+        assert [outcome.name for outcome in report.campaigns] == [
+            f"table1-{column}" for column in TABLE1_COLUMNS
+        ]
+        for outcome in report.campaigns:
+            column = outcome.degradation_stats()
             assert set(column) == set(TINY.algorithms)
             for stats in column.values():
                 assert stats.average >= 1.0 - 1e-9
                 assert stats.maximum >= stats.average - 1e-9
-        assert "Table I" in result.format()
+        assert "Table I" in report.format()
 
     def test_table2_structure(self):
         config = TINY.with_algorithms(("greedy-pmtn", "dynmcb8-asap-per-600"))
-        result = run_table2(config, algorithms=config.algorithms)
-        assert set(result.metrics) == set(config.algorithms)
-        for metrics in result.metrics.values():
-            for name in result.METRIC_NAMES:
-                assert metrics[name].maximum >= metrics[name].average - 1e-9
+        report = run_table2(config, algorithms=config.algorithms)
+        outcome = report.outcome
+        assert outcome.algorithms() == list(config.algorithms)
+        worst = {name: outcome.aggregate(name, statistic="max") for name in TABLE2_METRICS}
+        for name in TABLE2_METRICS:
+            mean = outcome.aggregate(name, statistic="mean")
+            assert all(worst[name][a] >= mean[a] - 1e-9 for a in config.algorithms)
         # GREEDY-PMTN never migrates (Table II shows 0.00 in the paper).
-        assert result.metrics["greedy-pmtn"]["migr_per_job"].maximum == pytest.approx(0.0)
-        assert "Table II" in result.format()
+        assert worst["migr_per_job"]["greedy-pmtn"] == pytest.approx(0.0)
+        assert "Table II" in report.format()
 
     def test_table2_requires_high_load_level(self):
         config = ExperimentConfig(
@@ -107,9 +109,13 @@ class TestArtifacts:
 
     def test_timing_study(self):
         config = TINY.with_algorithms(("dynmcb8",))
-        result = run_timing_study(config, algorithm="dynmcb8")
-        assert result.num_observations > 0
-        assert result.max_seconds >= result.mean_seconds
-        assert 0.0 <= result.small_event_fast_fraction <= 1.0
-        assert result.mean_interarrival_seconds > 0.0
-        assert "dynmcb8" in result.format()
+        report = run_timing_study(config, algorithm="dynmcb8")
+        rows = report.outcome.rows
+        times = [seconds for row in rows for seconds in row.metric("scheduler_times")]
+        counts = [count for row in rows for count in row.metric("scheduler_job_counts")]
+        gaps = [gap for row in rows for gap in row.metric("interarrivals")]
+        assert len(times) == len(counts) > 0
+        assert min(times) >= 0.0
+        assert sum(gaps) / len(gaps) > 0.0
+        text = report.format()
+        assert "dynmcb8" in text and str(len(times)) in text

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.executor import Campaign
-from repro.campaign.scenario import LublinSource, Scenario
-from repro.core.cluster import Cluster
-from repro.core.engine import SimulationConfig
-from repro.core.penalties import ReschedulingPenaltyModel
-from repro.experiments.runner import (
+from repro.campaign.executor import (
+    Campaign,
     resolve_simulation_config,
     run_algorithm,
     run_instance,
 )
+from repro.campaign.scenario import LublinSource, Scenario
+from repro.core.cluster import Cluster
+from repro.core.engine import SimulationConfig
+from repro.core.penalties import ReschedulingPenaltyModel
 from repro.workloads.lublin import LublinWorkloadGenerator
 
 CLUSTER = Cluster(16, 4, 8.0)

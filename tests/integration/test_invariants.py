@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.experiments.runner import run_algorithm
+from repro.campaign.executor import run_algorithm
 from repro.schedulers.registry import PAPER_ALGORITHMS
 from repro.workloads.lublin import LublinWorkloadGenerator
 from repro.workloads.memory import MemoryRequirementModel

@@ -11,7 +11,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.core.penalties import ReschedulingPenaltyModel
-from repro.experiments.runner import run_algorithm, run_instance
+from repro.campaign.executor import run_algorithm, run_instance
 from repro.schedulers.registry import PAPER_ALGORITHMS, create_scheduler
 from repro.workloads.hpc2n import Hpc2nLikeTraceGenerator
 from repro.workloads.lublin import LublinWorkloadGenerator

@@ -7,7 +7,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.job import JobState
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import run_algorithm
+from repro.campaign.executor import run_algorithm
 from repro.schedulers.batch.gang import GangScheduler
 from repro.schedulers.registry import create_scheduler
 from repro.workloads.lublin import LublinWorkloadGenerator

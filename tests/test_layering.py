@@ -1,7 +1,8 @@
-"""``repro.experiments`` is the top of the stack: nothing below imports it.
+"""The ``experiments`` package is gone: the studies live in ``repro.campaign.studies``.
 
-The campaign layer used to reach back into the drivers through function-level
-and ``TYPE_CHECKING`` imports; ``ast.walk`` sees an import at any nesting.
+Nothing in the tree may import the removed package, at any nesting
+(``ast.walk`` sees function-level and ``TYPE_CHECKING`` imports too), and the
+directory must not come back.
 """
 
 from __future__ import annotations
@@ -10,13 +11,17 @@ import ast
 import pathlib
 from typing import Iterator, Tuple
 
-PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-ALLOWED = {"cli.py", "__init__.py"}
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+#: In two pieces, so grepping the tree for the dotted name finds offenders only.
+REMOVED = ".".join(("repro", "experiments"))
 
 
 def imported_modules(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
     """``(line, absolute dotted name)`` of everything a file imports."""
-    package = ("repro",) + path.relative_to(PACKAGE_ROOT).parts[:-1]
+    package: Tuple[str, ...] = ()
+    if PACKAGE_ROOT in path.parents:
+        package = ("repro",) + path.relative_to(PACKAGE_ROOT).parts[:-1]
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             yield from ((node.lineno, alias.name) for alias in node.names)
@@ -26,21 +31,16 @@ def imported_modules(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
             yield from ((node.lineno, f"{base}.{alias.name}") for alias in node.names)
 
 
-def test_nothing_below_the_drivers_imports_them():
+def test_nothing_imports_the_removed_experiments_package():
     offenders = []
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        relative = path.relative_to(PACKAGE_ROOT)
-        if relative.parts[0] == "experiments" or str(relative) in ALLOWED:
-            continue
-        for line, module in imported_modules(path):
-            if module == "repro.experiments" or module.startswith("repro.experiments."):
-                offenders.append(f"{relative}:{line} imports {module}")
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for line, module in imported_modules(path):
+                if module == REMOVED or module.startswith(REMOVED + "."):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{line} imports {module}")
     assert offenders == []
 
 
-def test_experiments_package_holds_only_the_runner_and_the_eight_drivers():
-    assert sorted(path.name for path in (PACKAGE_ROOT / "experiments").glob("*.py")) == [
-        "__init__.py", "extensions.py", "figure1.py", "packing_ablation.py",
-        "period_sweep.py", "runner.py", "table1.py", "table2.py", "timing.py",
-        "utilization_study.py",
-    ]
+def test_experiments_package_does_not_exist():
+    # A stale ``__pycache__`` left by an older checkout is not a package.
+    assert not list((PACKAGE_ROOT / "experiments").rglob("*.py"))
