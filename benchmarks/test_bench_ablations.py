@@ -31,9 +31,11 @@ from repro.packing.first_fit import best_fit_decreasing_pack, first_fit_decreasi
 from repro.packing.mcb8 import mcb8_pack
 from repro.packing.yield_search import PackingJob, maximize_min_yield
 from repro.schedulers.dfrs import priority as priority_module
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.memory import MemoryRequirementModel
-from repro.workloads.scaling import scale_to_load
+from repro.traces import (
+    LublinWorkloadGenerator,
+    MemoryRequirementModel,
+    scale_to_load,
+)
 
 
 def _packing_instances(num_instances: int, jobs_per_instance: int, seed: int):

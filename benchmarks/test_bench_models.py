@@ -33,7 +33,7 @@ from repro.models import (
     NoOverheadModel,
 )
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 pytestmark = pytest.mark.bench
 

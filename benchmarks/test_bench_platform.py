@@ -31,7 +31,7 @@ from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.platform import NodeClass, NodeClassesPlatform
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 pytestmark = pytest.mark.bench
 

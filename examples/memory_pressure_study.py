@@ -21,8 +21,7 @@ import argparse
 
 from repro import Cluster, run_instance, scale_to_load
 from repro.analysis.report import format_table
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.memory import MemoryRequirementModel
+from repro.traces import LublinWorkloadGenerator, MemoryRequirementModel
 
 ALGORITHMS = ["easy", "greedy-pmtn", "dynmcb8-asap-per-600"]
 

@@ -11,7 +11,7 @@ The package is organised in four layers:
   the binary searches on yield / estimated stretch;
 * :mod:`repro.schedulers` — the seven DFRS algorithms plus the FCFS and EASY
   batch baselines;
-* :mod:`repro.workloads` and :mod:`repro.campaign` — the Lublin synthetic
+* :mod:`repro.traces` and :mod:`repro.campaign` — the Lublin synthetic
   workload model, SWF/HPC2N trace handling, and the scenario / campaign layer
   whose studies (:data:`repro.campaign.studies.STUDIES`) regenerate the
   paper's Figure 1, Table I, and Table II.
@@ -79,7 +79,7 @@ from .schedulers import (
     available_algorithms,
     create_scheduler,
 )
-from .workloads import (
+from .traces import (
     HPC2N_CLUSTER,
     Hpc2nLikeTraceGenerator,
     LublinWorkloadGenerator,

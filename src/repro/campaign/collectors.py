@@ -38,7 +38,7 @@ from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
 from ..registry import Registry
 from ..metrics import Accumulator, JobMetricsAccumulator, Moments, SumAccumulator
-from ..workloads.model import Workload
+from ..traces.model import Workload
 
 __all__ = [
     "MetricCollector",

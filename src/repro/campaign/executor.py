@@ -25,8 +25,8 @@ the partials of a cell's instances exactly (the accumulators' associative
 ``instance_index = -1`` marking the merge.  Campaign memory is
 O(cells × accumulators), independent of trace length; a ``load`` sweep axis
 is honoured by measuring the stream's offered load in one extra pass and
-chaining a streaming inter-arrival rescale (the same arithmetic as
-:func:`~repro.workloads.scaling.scale_to_load`).
+chaining the streaming inter-arrival rescale that
+:func:`~repro.traces.scale_to_load` applies to a materialized instance.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -66,14 +65,17 @@ from ..exceptions import ConfigurationError, ReproError
 from ..metrics import bundle_from_dict, bundle_to_dict, merge_bundles
 from ..obs.telemetry import merge_telemetry_bundles, summarize_bundle
 from ..schedulers.registry import create_scheduler
-from ..workloads.model import Workload
-from ..workloads.scaling import scale_to_load
+from ..traces import (
+    JobSource,
+    ScaleInterarrival,
+    Workload,
+    offered_load,
+    rescale_to_load,
+    scale_to_load,
+)
 from .collectors import create_collector
 from .result import CampaignResult, RunRecord
 from .scenario import CollectorSpec, Scenario, payload_hash, scenario_hash
-
-if TYPE_CHECKING:  # imported lazily at runtime to keep worker pickling light
-    from ..traces.source import JobSource
 
 __all__ = [
     "Campaign",
@@ -98,8 +100,11 @@ _CACHE_FORMAT = 3
 _RunTask = Tuple[Workload, str, SimulationConfig, Tuple[CollectorSpec, ...]]
 
 #: One unit of streaming pool work: (job source, cluster, algorithm,
-#: engine config, collector specs, inter-arrival rescale factor or None).
-_StreamTask = Tuple[Any, Cluster, str, SimulationConfig, Tuple[CollectorSpec, ...], Optional[float]]
+#: engine config, collector specs, inter-arrival rescale step or None).
+_StreamTask = Tuple[
+    JobSource, Cluster, str, SimulationConfig, Tuple[CollectorSpec, ...],
+    Optional[ScaleInterarrival],
+]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -249,25 +254,7 @@ def run_instance(
     return instance
 
 
-def _streaming_offered_load(source: "JobSource", cluster: Cluster) -> float:
-    """Offered load of a job stream, via the shared one-pass helper.
-
-    ``offered_load_stream`` has exactly the materialized
-    :func:`~repro.workloads.model.offered_load` semantics (max−min span);
-    this wrapper only turns its degenerate sentinels into targeted errors.
-    """
-    from ..workloads.model import offered_load_stream
-
-    current = offered_load_stream(source.jobs(cluster), cluster)
-    if not 0.0 < current < float("inf"):
-        raise ReproError(
-            f"stream {source.default_name()!r} has degenerate load {current!r}; "
-            "cannot rescale it to a target load"
-        )
-    return current
-
-
-def _check_arrival_order(source: "JobSource", cluster: Cluster) -> None:
+def _check_arrival_order(source: JobSource, cluster: Cluster) -> None:
     """Fail fast if a convention-ordered stream is not actually sorted.
 
     One cheap streaming pass over the submit times; raises a targeted
@@ -294,21 +281,16 @@ def _execute_streaming_run(task: _StreamTask) -> Dict[str, Any]:
     The worker never materializes the instance: the source streams into
     ``run_stream`` (admitting O(active jobs)), the engine reduces per-job
     outcomes online, and only serialized accumulator bundles travel back
-    over the pool.  ``factor`` (when set) chains a lazy inter-arrival
-    rescale — it was computed once per (instance, load) by the executor
-    (``current / target``, the ``scale_to_load`` arithmetic), so workers
-    never pay a load-measurement pass.
+    over the pool.  ``rescale`` (when set) is the lazy inter-arrival
+    rescale of a ``load`` axis value — the executor built it from one load
+    measurement per instance, so workers never pay a measurement pass.
     """
-    source, cluster, algorithm, simulation_config, collector_specs, factor = task
-    from ..traces import ScaleInterarrival
-
+    source, cluster, algorithm, simulation_config, collector_specs, rescale = task
     collectors = [
         create_collector(spec.name, **spec.options_dict())
         for spec in collector_specs
     ]
-    stream_source = source
-    if factor is not None:
-        stream_source = source.transformed(ScaleInterarrival(factor=factor))
+    stream_source = source if rescale is None else source.transformed(rescale)
     simulator = Simulator(cluster, create_scheduler(algorithm), simulation_config)
     result = simulator.run_stream(stream_source.jobs(cluster))
     outcome = {
@@ -489,21 +471,16 @@ class _StreamingPlan(_Plan):
     def count(self, cluster: Cluster) -> int:
         return len(self._sources)
 
-    def _rescale_factor(self, instance: int, load: Any) -> Optional[float]:
+    def _rescale(self, instance: int, load: Any) -> Optional[ScaleInterarrival]:
         if load is None:
             return None
-        # Same guard (and error style) as the materialized path's
-        # scale_to_load — not a ZeroDivisionError three layers deep.
-        if float(load) <= 0:
-            raise ConfigurationError(
-                f"load axis values must be > 0, got {load!r}"
-            )
+        source = self._sources[instance]
         measured = self._measured_loads[instance]
         if measured is None:
-            measured = self._measured_loads[instance] = _streaming_offered_load(
-                self._sources[instance], self.scenario.cluster
+            measured = self._measured_loads[instance] = offered_load(
+                source.jobs(self.scenario.cluster), self.scenario.cluster
             )
-        return measured / float(load)
+        return rescale_to_load(source.default_name(), measured, float(load))[0]
 
     def task(
         self, instance: int, algorithm: str, cluster: Cluster, load: Any,
@@ -515,7 +492,7 @@ class _StreamingPlan(_Plan):
             algorithm,
             config,
             self.scenario.collectors,
-            self._rescale_factor(instance, load),
+            self._rescale(instance, load),
         )
 
     def before_first_run(self) -> None:

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -36,10 +35,18 @@ from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
 from ..registry import Registry
-from ..workloads.model import Workload
-
-if TYPE_CHECKING:  # imported lazily at runtime inside _trace_source
-    from ..traces.source import JobSource
+from ..traces import (
+    Hpc2nLikeTraceSource,
+    JobSource,
+    LublinTraceSource,
+    SwfTraceSource,
+    TransformedSource,
+    Workload,
+    parse_swf,
+    swf_to_dfrs_jobs,
+    trace_source_from_dict,
+)
+from ..traces.source import require_finite_fields
 
 __all__ = [
     "WorkloadSource",
@@ -121,8 +128,38 @@ class WorkloadSource:
         raise NotImplementedError
 
 
+class _SeededReplicas(WorkloadSource):
+    """Seeded replicas of one :class:`~repro.traces.JobSource` model.
+
+    Instance ``i`` is ``_replica(seed_base + i)``, whichever process builds
+    it — how one spec describes several independent traces of a synthetic
+    model.  The dataclass field named by ``_count_field`` says how many.
+    """
+
+    seed_base: int
+    _count_field: str
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
+        count = getattr(self, self._count_field)
+        if count < 1:
+            raise ConfigurationError(
+                f"{self._count_field} must be >= 1, got {count}"
+            )
+        # Build instance 0 eagerly so bad models/options fail at spec-load
+        # time, not mid-campaign.
+        self._replica(self.seed_base)
+
+    def _replica(self, seed: int) -> JobSource:
+        raise NotImplementedError
+
+    def streaming_sources(self, cluster: Cluster) -> List[Any]:
+        count = getattr(self, self._count_field)
+        return [self._replica(self.seed_base + index) for index in range(count)]
+
+
 @dataclass(frozen=True)
-class LublinSource(WorkloadSource):
+class LublinSource(_SeededReplicas):
     """Synthetic traces from the Lublin-Feitelson model (paper §IV-C)."""
 
     num_traces: int = 3
@@ -130,6 +167,7 @@ class LublinSource(WorkloadSource):
     seed_base: int = 2010
 
     kind = "lublin"
+    _count_field = "num_traces"
 
     def workloads(self, cluster: Cluster) -> List[Workload]:
         # The same streams, under the paper's instance names.
@@ -138,14 +176,8 @@ class LublinSource(WorkloadSource):
             for index, source in enumerate(self.streaming_sources(cluster))
         ]
 
-    def streaming_sources(self, cluster: Cluster) -> List[Any]:
-        from ..traces import LublinTraceSource
-
-        # Trace i always uses seed_base + i, whichever process builds it.
-        return [
-            LublinTraceSource(num_jobs=self.num_jobs, seed=self.seed_base + index)
-            for index in range(self.num_traces)
-        ]
+    def _replica(self, seed: int) -> JobSource:
+        return LublinTraceSource(num_jobs=self.num_jobs, seed=seed)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -157,12 +189,12 @@ class LublinSource(WorkloadSource):
 
 
 @dataclass(frozen=True)
-class Hpc2nLikeSource(WorkloadSource):
+class Hpc2nLikeSource(_SeededReplicas):
     """HPC2N-like synthetic 1-week segments (the paper's real-world column).
 
     The trace mimics the HPC2N machine, so scenarios reproducing the paper
     should set the scenario cluster to
-    :data:`repro.workloads.hpc2n.HPC2N_CLUSTER` (the
+    :data:`repro.traces.hpc2n.HPC2N_CLUSTER` (the
     :func:`~repro.campaign.studies.hpc2n_scenario` builder does); the source
     honours whatever cluster the scenario declares.
     """
@@ -172,16 +204,12 @@ class Hpc2nLikeSource(WorkloadSource):
     seed_base: int = 2010
 
     kind = "hpc2n-like"
+    _count_field = "weeks"
 
-    def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
-        from ..traces import Hpc2nLikeTraceSource
-
-        return [
-            Hpc2nLikeTraceSource(
-                weeks=1, jobs_per_week=self.jobs_per_week, seed=self.seed_base + week
-            )
-            for week in range(self.weeks)
-        ]
+    def _replica(self, seed: int) -> JobSource:
+        return Hpc2nLikeTraceSource(
+            weeks=1, jobs_per_week=self.jobs_per_week, seed=seed
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -207,13 +235,11 @@ class SwfSource(WorkloadSource):
     kind = "swf"
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not self.path:
             raise ConfigurationError("SwfSource needs a trace file path")
 
     def workloads(self, cluster: Cluster) -> List[Workload]:
-        from ..workloads.hpc2n import swf_to_dfrs_jobs
-        from ..workloads.swf import parse_swf
-
         workload = swf_to_dfrs_jobs(parse_swf(self.path), cluster)
         if self.segment_seconds is None:
             return [workload]
@@ -224,8 +250,6 @@ class SwfSource(WorkloadSource):
             # Fixed-duration segmentation needs the whole trace split into
             # separate instances; keep that path materialized.
             return None
-        from ..traces import SwfTraceSource
-
         return [SwfTraceSource(path=self.path)]
 
     def materialize_stream_reason(self) -> Optional[str]:
@@ -299,7 +323,7 @@ class CustomSource(WorkloadSource):
 
 
 @dataclass(frozen=True)
-class GeneratorSource(WorkloadSource):
+class GeneratorSource(_SeededReplicas):
     """Instances drawn from a registered :mod:`repro.traces` source model.
 
     ``model`` names any spec-expressible trace source type (``"downey"``,
@@ -316,14 +340,11 @@ class GeneratorSource(WorkloadSource):
     options: Tuple[Tuple[str, Any], ...] = ()
 
     kind = "generator"
+    _count_field = "instances"
 
     def __post_init__(self) -> None:
         if not self.model:
             raise ConfigurationError("GeneratorSource needs a 'model' name")
-        if self.instances < 1:
-            raise ConfigurationError(
-                f"instances must be >= 1, got {self.instances}"
-            )
         options = self.options
         if isinstance(options, Mapping):
             options = tuple(sorted(options.items()))
@@ -338,23 +359,12 @@ class GeneratorSource(WorkloadSource):
                 "generator options must not set 'type'; 'model' names the "
                 "trace source type"
             )
-        # Build instance 0 eagerly so bad models/options fail at spec-load
-        # time, not mid-campaign.
-        self._trace_source(0)
+        super().__post_init__()
 
-    def _trace_source(self, instance: int) -> "JobSource":
-        from ..traces import trace_source_from_dict
-
+    def _replica(self, seed: int) -> JobSource:
         return trace_source_from_dict(
-            {
-                "type": self.model,
-                "seed": self.seed_base + instance,
-                **dict(self.options),
-            }
+            {"type": self.model, "seed": seed, **dict(self.options)}
         )
-
-    def streaming_sources(self, cluster: Cluster) -> Optional[List[Any]]:
-        return [self._trace_source(instance) for instance in range(self.instances)]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -391,8 +401,6 @@ class TransformSource(WorkloadSource):
     kind = "transform"
 
     def __post_init__(self) -> None:
-        from ..traces import TransformedSource
-
         if not isinstance(self.source, TransformedSource):
             raise ConfigurationError(
                 "TransformSource needs a repro.traces.TransformedSource "
@@ -414,8 +422,6 @@ class TransformSource(WorkloadSource):
 
 
 def _transform_source_from_spec(**payload: Any) -> TransformSource:
-    from ..traces import trace_source_from_dict
-
     return TransformSource(
         source=trace_source_from_dict({"type": "transform", **payload})
     )

@@ -44,7 +44,7 @@ from ..packing import (
     maximize_min_yield,
 )
 from ..schedulers.registry import PAPER_ALGORITHMS
-from ..workloads.memory import MemoryRequirementModel
+from ..traces import HPC2N_CLUSTER, MemoryRequirementModel
 from .executor import Campaign, map_tasks
 from .result import CampaignResult, RunRecord
 from .scenario import (
@@ -243,8 +243,6 @@ def hpc2n_scenario(
     The scenario cluster is the HPC2N machine itself, not ``config.cluster``
     — the paper's real-world column simulates the traced system.
     """
-    from ..workloads.hpc2n import HPC2N_CLUSTER
-
     return Scenario(
         name=name,
         source=Hpc2nLikeSource(

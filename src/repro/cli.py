@@ -93,14 +93,24 @@ from .serve.cli import (
     run_serve_command,
     run_soak_command,
 )
-from .workloads import (
+from .traces import (
     HPC2N_CLUSTER,
+    TRACE_JSON_FORMAT,
+    SwfTraceSource,
+    WorkloadTraceSource,
     characterization_table,
     characterize,
+    characterize_stream,
+    open_trace_text,
     parse_swf,
+    read_swf_header,
     scale_to_load,
     size_histogram,
     swf_to_dfrs_jobs,
+    trace_json_payload_to_workload,
+    trace_source_from_dict,
+    write_trace_json,
+    write_workload_swf,
 )
 
 __all__ = ["main", "build_parser"]
@@ -359,14 +369,6 @@ def _load_trace_source(path_text: str):
     an in-memory source directly instead of being re-read from disk.
     """
     from .exceptions import ConfigurationError
-    from .traces import (
-        TRACE_JSON_FORMAT,
-        SwfTraceSource,
-        WorkloadTraceSource,
-        trace_json_payload_to_workload,
-        trace_source_from_dict,
-    )
-    from .workloads import open_trace_text
 
     path = Path(path_text)
     if not path.exists():
@@ -394,8 +396,6 @@ def _load_trace_source(path_text: str):
 
 
 def _run_trace_inspect(args: argparse.Namespace) -> None:
-    from .workloads import read_swf_header
-
     path = Path(args.path)
     lines: List[str] = [f"trace: {path}"]
     if path.name.lower().endswith((".swf", ".swf.gz")):
@@ -430,8 +430,6 @@ def _run_trace_inspect(args: argparse.Namespace) -> None:
 
 
 def _run_trace_characterize(args: argparse.Namespace) -> None:
-    from .workloads import characterize_stream
-
     source, default_cluster = _load_trace_source(args.path)
     cluster = _trace_cluster(args, default_cluster)
     # Single streaming pass: statistics and the width histogram accumulate
@@ -450,7 +448,6 @@ def _run_trace_characterize(args: argparse.Namespace) -> None:
 
 def _write_trace(workload, output: str) -> Path:
     from .exceptions import ConfigurationError
-    from .traces import write_trace_json, write_workload_swf
 
     name = Path(output).name.lower()
     if name.endswith((".swf", ".swf.gz")):

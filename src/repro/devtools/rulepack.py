@@ -42,7 +42,6 @@ _RESULT_PACKAGES = (
     "schedulers",
     "traces",
     "platform",
-    "workloads",
     "metrics",
     "campaign",
 )

@@ -43,7 +43,7 @@ from ..core.observers import SimulationObserver
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
 from ..metrics import Accumulator, Moments, SumAccumulator
-from ..workloads.model import Workload
+from ..traces.model import Workload
 
 __all__ = ["SloCollector", "GoodputCollector"]
 

@@ -123,10 +123,6 @@ class Bin:
         self.memory_used += item.memory
         self.items.append(item)
 
-    def imbalance_favors_memory(self) -> bool:
-        """True when free memory exceeds free CPU (pick a memory-heavy item)."""
-        return self.memory_free > self.cpu_free
-
 
 @dataclass
 class PackingResult:

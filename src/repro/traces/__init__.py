@@ -1,22 +1,33 @@
-"""Streaming workload sources, synthetic generators, and trace transforms.
+"""Workloads: generators, trace intake, streaming sources, and transforms.
 
-This package is the workload seam of the reproduction:
+This package is the workload seam of the reproduction — every generator, the
+SWF / HPC2N intake and the offered-load rescale exist once, here:
 
+* :mod:`~repro.traces.model` — :class:`Workload` (a named, materialized job
+  list for one cluster) and the paper's :func:`offered_load` (§IV-C);
+* :mod:`~repro.traces.lublin`, :mod:`~repro.traces.cpu`,
+  :mod:`~repro.traces.memory` — the Lublin–Feitelson model with the paper's
+  CPU-need and memory-requirement annotations;
+* :mod:`~repro.traces.swf`, :mod:`~repro.traces.hpc2n` — the Standard
+  Workload Format reader / writer (gzip-aware), the HPC2N preprocessing
+  rules and the synthetic HPC2N-like log;
 * :mod:`~repro.traces.source` — the :class:`JobSource` streaming protocol
   (arrival-ordered, bounded-memory iterators of job specs with a canonical
-  ``to_dict``/``from_dict`` spec form) plus adapters for every existing
-  path: Lublin, HPC2N-like, SWF files (gzip-aware), internal JSON traces,
-  in-memory workloads, arbitrary callables, and sequential splicing;
-* :mod:`~repro.traces.generators` — new synthetic models beyond the paper:
+  ``to_dict``/``from_dict`` spec form) plus its adapters: Lublin,
+  HPC2N-like, SWF files, internal JSON traces, in-memory workloads,
+  arbitrary callables, and sequential splicing;
+* :mod:`~repro.traces.generators` — synthetic models beyond the paper:
   a Feitelson/Downey-style log-uniform runtime + parallelism model
   (``"downey"``) and a diurnal/bursty Markov-modulated Poisson arrival
   process (``"diurnal-poisson"``);
 * :mod:`~repro.traces.transforms` — composable, spec-expressible trace
   surgery (time-window slice, load rescale, seeded perturbation, filters,
   head, bootstrap resample) chained over any source via
-  :class:`TransformedSource`;
+  :class:`TransformedSource`, and :func:`scale_to_load`;
 * :mod:`~repro.traces.io` — the internal JSON trace format and (lossy)
-  SWF export.
+  SWF export;
+* :mod:`~repro.traces.characterization` — the workload profile of the
+  paper's motivation (exact, and a bounded-memory streaming form).
 
 Sources plug into the campaign layer through the ``generator`` and
 ``transform`` scenario source types (:mod:`repro.campaign.scenario`), into
@@ -25,7 +36,23 @@ the CLI through ``repro-dfrs trace``, and into the engine through
 peak resident state is O(active jobs) even on million-job traces.
 """
 
+from .characterization import (
+    WorkloadCharacterization,
+    characterization_table,
+    characterize,
+    characterize_stream,
+    size_histogram,
+)
+from .cpu import CpuNeedModel
 from .generators import DiurnalPoissonTraceSource, DowneyTraceSource
+from .hpc2n import (
+    HPC2N_CLUSTER,
+    WEEK_SECONDS,
+    Hpc2nLikeTraceGenerator,
+    Hpc2nPreprocessingOptions,
+    record_to_jobspec,
+    swf_to_dfrs_jobs,
+)
 from .io import (
     TRACE_JSON_FORMAT,
     load_trace_json,
@@ -34,6 +61,9 @@ from .io import (
     write_trace_json,
     write_workload_swf,
 )
+from .lublin import LublinModelParameters, LublinWorkloadGenerator
+from .memory import MemoryRequirementModel
+from .model import Workload, offered_load
 from .source import (
     CallableTraceSource,
     ConcatTraceSource,
@@ -46,6 +76,18 @@ from .source import (
     available_trace_sources,
     register_trace_source,
     trace_source_from_dict,
+)
+from .swf import (
+    SwfHeader,
+    SwfRecord,
+    iter_swf_records,
+    open_trace_text,
+    parse_swf,
+    parse_swf_lines,
+    parse_swf_with_header,
+    read_swf_header,
+    swf_header,
+    write_swf,
 )
 from .transforms import (
     BootstrapResample,
@@ -60,10 +102,39 @@ from .transforms import (
     TransformedSource,
     available_transforms,
     register_transform,
+    rescale_to_load,
+    scale_to_load,
     transform_from_dict,
 )
 
 __all__ = [
+    "Workload",
+    "offered_load",
+    "LublinModelParameters",
+    "LublinWorkloadGenerator",
+    "CpuNeedModel",
+    "MemoryRequirementModel",
+    "HPC2N_CLUSTER",
+    "WEEK_SECONDS",
+    "Hpc2nLikeTraceGenerator",
+    "Hpc2nPreprocessingOptions",
+    "record_to_jobspec",
+    "swf_to_dfrs_jobs",
+    "SwfHeader",
+    "SwfRecord",
+    "iter_swf_records",
+    "open_trace_text",
+    "parse_swf",
+    "parse_swf_lines",
+    "parse_swf_with_header",
+    "read_swf_header",
+    "swf_header",
+    "write_swf",
+    "WorkloadCharacterization",
+    "characterization_table",
+    "characterize",
+    "characterize_stream",
+    "size_histogram",
     "JobSource",
     "LublinTraceSource",
     "Hpc2nLikeTraceSource",
@@ -80,6 +151,8 @@ __all__ = [
     "TraceTransform",
     "TimeWindow",
     "ScaleInterarrival",
+    "rescale_to_load",
+    "scale_to_load",
     "RescaleLoad",
     "Perturb",
     "FilterJobs",

@@ -4,7 +4,7 @@ The paper's introduction justifies DFRS with observations about real HPC
 workloads: "more than 95% of the jobs use under 40% of a node's memory, and
 more than 27% of the jobs effectively use less than 50% of the node's CPU
 resource".  This module computes exactly those quantities (and a few more)
-for any :class:`~repro.workloads.model.Workload`, so that synthetic traces
+for any :class:`~repro.traces.model.Workload`, so that synthetic traces
 can be checked against the assumptions they are supposed to embody and real
 SWF traces can be profiled before being fed to the simulator.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import WorkloadError
+from ..metrics import Moments, QuantileSketch
 from .model import Workload
 
 __all__ = [
@@ -135,8 +136,6 @@ def characterize_stream(
     values; everything else is exact.  Returns the characterization together
     with the power-of-two width histogram (``size_histogram``'s shape).
     """
-    from ..metrics import Moments, QuantileSketch
-
     if not (0.0 < memory_threshold <= 1.0):
         raise WorkloadError(f"memory_threshold must be in (0, 1], got {memory_threshold}")
     if not (0.0 < cpu_threshold <= 1.0):

@@ -20,8 +20,8 @@ trace source types (usable from ``repro-dfrs run`` via the campaign layer's
   parallelism model as above.
 
 Both models reuse the paper's CPU-need and memory-requirement annotations
-(:class:`~repro.workloads.cpu.CpuNeedModel`,
-:class:`~repro.workloads.memory.MemoryRequirementModel`) so generated jobs
+(:class:`~repro.traces.cpu.CpuNeedModel`,
+:class:`~repro.traces.memory.MemoryRequirementModel`) so generated jobs
 drop straight into every DFRS and batch scheduler.  All randomness comes
 from one seeded :func:`numpy.random.default_rng`, drawn in a fixed order, so
 a (seed, parameters) pair is a complete, reproducible description of the
@@ -32,18 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 import numpy as np
 
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
+from .cpu import CpuNeedModel
+from .memory import MemoryRequirementModel
 from .source import JobSource, register_trace_source
-
-if TYPE_CHECKING:  # imported lazily at runtime inside _annotation_models
-    from ..workloads.cpu import CpuNeedModel
-    from ..workloads.memory import MemoryRequirementModel
 
 __all__ = ["DowneyTraceSource", "DiurnalPoissonTraceSource"]
 
@@ -65,11 +63,8 @@ def _sample_width(
     return int(min(max(size, 1), num_nodes))
 
 
-def _annotation_models(cluster: Cluster) -> Tuple["CpuNeedModel", "MemoryRequirementModel"]:
+def _annotation_models(cluster: Cluster) -> Tuple[CpuNeedModel, MemoryRequirementModel]:
     """The paper's §IV-C CPU-need and memory models, built once per stream."""
-    from ..workloads.cpu import CpuNeedModel
-    from ..workloads.memory import MemoryRequirementModel
-
     return (
         CpuNeedModel(cores_per_node=cluster.cores_per_node),
         MemoryRequirementModel(),
@@ -97,6 +92,7 @@ class DowneyTraceSource(JobSource):
     kind = "downey"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_jobs < 1:
             raise ConfigurationError(f"num_jobs must be >= 1, got {self.num_jobs}")
         if self.mean_interarrival_seconds <= 0:
@@ -196,6 +192,7 @@ class DiurnalPoissonTraceSource(JobSource):
     kind = "diurnal-poisson"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_jobs < 1:
             raise ConfigurationError(f"num_jobs must be >= 1, got {self.num_jobs}")
         if self.mean_interarrival_seconds <= 0:

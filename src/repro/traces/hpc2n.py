@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "HPC2N_CLUSTER",
     "Hpc2nPreprocessingOptions",
     "record_to_jobspec",
+    "records_to_jobspecs",
     "swf_to_dfrs_jobs",
     "Hpc2nLikeTraceGenerator",
     "WEEK_SECONDS",
@@ -76,9 +77,7 @@ def record_to_jobspec(
     """Convert a single SWF record with the paper's §IV-C rules.
 
     Returns ``None`` for unusable records (no runtime or processor count).
-    This is the per-record kernel of :func:`swf_to_dfrs_jobs`, exposed
-    separately so the streaming trace sources in :mod:`repro.traces` can
-    convert records one at a time without materializing the trace.
+    This is the per-record kernel of :func:`records_to_jobspecs`.
     """
     opts = options or Hpc2nPreprocessingOptions()
     if not record.is_usable():
@@ -104,20 +103,36 @@ def record_to_jobspec(
     )
 
 
+def records_to_jobspecs(
+    records: Iterable[SwfRecord],
+    cluster: Cluster = HPC2N_CLUSTER,
+    *,
+    options: Optional[Hpc2nPreprocessingOptions] = None,
+) -> Iterator[JobSpec]:
+    """Stream the usable records as specs, job ids renumbered from zero.
+
+    The one record→spec loop: :func:`swf_to_dfrs_jobs` collects it, and the
+    ``hpc2n-like`` and ``swf`` trace sources stream it, so arbitrarily long
+    traces convert in bounded memory.
+    """
+    opts = options or Hpc2nPreprocessingOptions()
+    job_id = 0
+    for record in records:
+        spec = record_to_jobspec(record, cluster, job_id=job_id, options=opts)
+        if spec is not None:
+            yield spec
+            job_id += 1
+
+
 def swf_to_dfrs_jobs(
-    records: Sequence[SwfRecord],
+    records: Iterable[SwfRecord],
     cluster: Cluster = HPC2N_CLUSTER,
     *,
     options: Optional[Hpc2nPreprocessingOptions] = None,
     name: str = "hpc2n",
 ) -> Workload:
     """Convert SWF records to a DFRS workload using the paper's rules."""
-    opts = options or Hpc2nPreprocessingOptions()
-    jobs: List[JobSpec] = []
-    for record in records:
-        spec = record_to_jobspec(record, cluster, job_id=len(jobs), options=opts)
-        if spec is not None:
-            jobs.append(spec)
+    jobs = list(records_to_jobspecs(records, cluster, options=options))
     if not jobs:
         raise WorkloadError("no usable jobs found in the SWF records")
     return Workload(name, cluster, jobs)
@@ -208,8 +223,7 @@ class Hpc2nLikeTraceGenerator:
     ) -> Iterator[SwfRecord]:
         """Stream SWF records spanning ``num_weeks`` weeks one at a time.
 
-        Byte-identical to :meth:`generate_records` (same RNG draw order);
-        this is the bounded-memory intake used by the streaming trace
+        This is the bounded-memory intake used by the streaming trace
         sources of :mod:`repro.traces`.
         """
         if num_weeks < 1:
@@ -237,15 +251,9 @@ class Hpc2nLikeTraceGenerator:
                 status=1,
             )
 
-    def generate_records(
-        self, num_weeks: int = 1, *, seed: int = 0
-    ) -> List[SwfRecord]:
-        """Generate SWF records spanning ``num_weeks`` weeks."""
-        return list(self.iter_records(num_weeks, seed=seed))
-
     def generate_workload(
         self, num_weeks: int = 1, *, seed: int = 0, name: str = "hpc2n-like"
     ) -> Workload:
         """Generate records and convert them with the paper's preprocessing."""
-        records = self.generate_records(num_weeks, seed=seed)
+        records = self.iter_records(num_weeks, seed=seed)
         return swf_to_dfrs_jobs(records, self.cluster, name=f"{name}-seed{seed}")

@@ -33,8 +33,8 @@ from typing import Any, List, Mapping, Optional, Union
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import TraceFormatError
-from ..workloads.model import Workload
-from ..workloads.swf import SwfRecord, open_trace_text, swf_header, write_swf
+from .model import Workload
+from .swf import SwfRecord, open_trace_text, swf_header, write_swf
 
 __all__ = [
     "TRACE_JSON_FORMAT",

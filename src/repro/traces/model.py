@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -19,25 +19,16 @@ from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import WorkloadError
 
-__all__ = ["Workload", "offered_load", "offered_load_stream"]
+__all__ = ["Workload", "offered_load"]
 
 
-def offered_load(jobs: Sequence[JobSpec], cluster: Cluster) -> float:
-    """Offered load of a job list on a cluster.
+def offered_load(specs: Iterable[JobSpec], cluster: Cluster) -> float:
+    """Offered load of a job list or stream on a cluster, in one O(1)-memory pass.
 
     Defined as ``sum_j(tasks_j × runtime_j) / (N × span)`` where the span is
-    the time between the first and the last submission.  Values above 1 mean
-    the cluster cannot keep up even at perfect packing.
-    """
-    return offered_load_stream(jobs, cluster)
-
-
-def offered_load_stream(specs: Iterable[JobSpec], cluster: Cluster) -> float:
-    """:func:`offered_load` of a spec stream, in one O(1)-memory pass.
-
-    The single implementation behind both forms: the span is
     ``max(submits) - min(submits)``, so a stray out-of-order record yields
-    the same load as sorting would, ``0.0`` for an empty stream, and ``inf``
+    the same load as sorting would.  Values above 1 mean the cluster cannot
+    keep up even at perfect packing; ``0.0`` for an empty stream, and ``inf``
     for a degenerate span.
     """
     demand = 0.0
@@ -94,30 +85,6 @@ class Workload:
     def load(self) -> float:
         """Offered load of this workload on its cluster."""
         return offered_load(self.jobs, self.cluster)
-
-    def scaled_interarrival(self, factor: float, *, name: Optional[str] = None) -> "Workload":
-        """New workload with every inter-arrival time multiplied by ``factor``.
-
-        Job mixes (sizes, runtimes, needs) are untouched; only submission
-        times move, which is how the paper creates traces with target offered
-        loads from a single generated trace.
-        """
-        if factor <= 0:
-            raise WorkloadError(f"inter-arrival scaling factor must be > 0, got {factor}")
-        if not self.jobs:
-            return Workload(name or self.name, self.cluster, [])
-        base = self.jobs[0].submit_time
-        scaled_jobs: List[JobSpec] = []
-        for spec in self.jobs:
-            new_submit = base + (spec.submit_time - base) * factor
-            scaled_jobs.append(replace(spec, submit_time=new_submit))
-        return Workload(name or f"{self.name}-x{factor:.3f}", self.cluster, scaled_jobs)
-
-    def head(self, count: int, *, name: Optional[str] = None) -> "Workload":
-        """New workload containing only the first ``count`` jobs."""
-        if count < 1:
-            raise WorkloadError(f"count must be >= 1, got {count}")
-        return Workload(name or f"{self.name}-head{count}", self.cluster, self.jobs[:count])
 
     def segments(self, duration_seconds: float) -> List["Workload"]:
         """Split the workload into consecutive segments of fixed duration.

@@ -2,7 +2,7 @@
 
 A *job source* is a named, deterministic, re-iterable producer of an
 **arrival-ordered** stream of :class:`~repro.core.job.JobSpec`s for a given
-cluster.  Unlike :class:`~repro.workloads.model.Workload` (a materialized
+cluster.  Unlike :class:`~repro.traces.model.Workload` (a materialized
 list), a source only promises an iterator — a million-job trace can be
 generated, transformed, and simulated (via
 :meth:`repro.core.engine.Simulator.run_stream`) without ever being resident
@@ -31,7 +31,10 @@ and sequential splicing); the new synthetic models are in
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -48,12 +51,17 @@ from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
 from ..registry import Registry
-from ..workloads.model import Workload
+from .hpc2n import Hpc2nLikeTraceGenerator, records_to_jobspecs
+from .io import load_trace_json
+from .lublin import LublinWorkloadGenerator
+from .model import Workload
+from .swf import iter_swf_records
 
 if TYPE_CHECKING:  # circular at runtime: transforms imports this module
     from .transforms import TraceTransform
 
 __all__ = [
+    "require_finite_fields",
     "JobSource",
     "LublinTraceSource",
     "Hpc2nLikeTraceSource",
@@ -66,6 +74,20 @@ __all__ = [
     "trace_source_from_dict",
     "available_trace_sources",
 ]
+
+
+def require_finite_fields(spec: Any) -> None:
+    """Reject a NaN or infinite field of a spec dataclass, naming the field.
+
+    Every comparison with NaN is false, so a ``value < 0`` range check alone
+    lets NaN through to corrupt a trace (or fail on some job) mid-run.
+    """
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{spec.kind}: {field.name} must be finite, got {value!r}"
+            )
 
 
 class JobSource:
@@ -82,6 +104,9 @@ class JobSource:
     #: Wrapper sources (transform chains, concat splices) propagate the flag
     #: from their bases.
     order_by_convention: bool = False
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
 
     def jobs(self, cluster: Cluster) -> Iterator[JobSpec]:
         """Yield the trace's specs in arrival order for ``cluster``."""
@@ -128,12 +153,11 @@ class LublinTraceSource(JobSource):
     kind = "lublin"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_jobs < 1:
             raise ConfigurationError(f"num_jobs must be >= 1, got {self.num_jobs}")
 
     def jobs(self, cluster: Cluster) -> Iterator[JobSpec]:
-        from ..workloads.lublin import LublinWorkloadGenerator
-
         return LublinWorkloadGenerator(cluster).iter_jobs(self.num_jobs, seed=self.seed)
 
     def default_name(self) -> str:
@@ -154,23 +178,19 @@ class Hpc2nLikeTraceSource(JobSource):
     kind = "hpc2n-like"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.weeks < 1:
             raise ConfigurationError(f"weeks must be >= 1, got {self.weeks}")
+        if self.jobs_per_week < 1:
+            raise ConfigurationError(
+                f"jobs_per_week must be >= 1, got {self.jobs_per_week}"
+            )
 
     def jobs(self, cluster: Cluster) -> Iterator[JobSpec]:
-        from ..workloads.hpc2n import Hpc2nLikeTraceGenerator, record_to_jobspec
-
         generator = Hpc2nLikeTraceGenerator(cluster, jobs_per_week=self.jobs_per_week)
-
-        def _stream() -> Iterator[JobSpec]:
-            job_id = 0
-            for record in generator.iter_records(self.weeks, seed=self.seed):
-                spec = record_to_jobspec(record, cluster, job_id=job_id)
-                if spec is not None:
-                    yield spec
-                    job_id += 1
-
-        return _stream()
+        return records_to_jobspecs(
+            generator.iter_records(self.weeks, seed=self.seed), cluster
+        )
 
     def default_name(self) -> str:
         return f"hpc2n-like-seed{self.seed}"
@@ -189,7 +209,7 @@ class SwfTraceSource(JobSource):
     """Stream a Standard Workload Format file (optionally ``.gz``) from disk.
 
     Records are converted one at a time with the paper's HPC2N preprocessing
-    (:func:`repro.workloads.hpc2n.record_to_jobspec`), so multi-gigabyte
+    (:func:`repro.traces.hpc2n.records_to_jobspecs`), so multi-gigabyte
     archive traces never need to be resident.  Archive traces are submit-
     ordered by convention; a stray out-of-order record is reported by the
     engine's streaming intake, and :meth:`materialize` sorts regardless.
@@ -206,22 +226,9 @@ class SwfTraceSource(JobSource):
             raise ConfigurationError("SwfTraceSource needs a trace file path")
 
     def jobs(self, cluster: Cluster) -> Iterator[JobSpec]:
-        from ..workloads.hpc2n import record_to_jobspec
-        from ..workloads.swf import iter_swf_records
-
-        def _stream() -> Iterator[JobSpec]:
-            job_id = 0
-            for record in iter_swf_records(self.path):
-                spec = record_to_jobspec(record, cluster, job_id=job_id)
-                if spec is not None:
-                    yield spec
-                    job_id += 1
-
-        return _stream()
+        return records_to_jobspecs(iter_swf_records(self.path), cluster)
 
     def default_name(self) -> str:
-        from pathlib import Path
-
         stem = Path(self.path).name
         for suffix in (".gz", ".swf"):
             if stem.endswith(suffix):
@@ -245,14 +252,10 @@ class JsonTraceSource(JobSource):
             raise ConfigurationError("JsonTraceSource needs a trace file path")
 
     def jobs(self, cluster: Cluster) -> Iterator[JobSpec]:
-        from .io import load_trace_json
-
         workload = load_trace_json(self.path, cluster=cluster)
         return iter(workload.jobs)
 
     def default_name(self) -> str:
-        from pathlib import Path
-
         return Path(self.path).stem or "json"
 
     def to_dict(self) -> Dict[str, Any]:
@@ -329,6 +332,7 @@ class ConcatTraceSource(JobSource):
     kind = "concat"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.sources:
             raise ConfigurationError("ConcatTraceSource needs at least one source")
         if self.gap_seconds < 0:

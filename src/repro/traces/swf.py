@@ -229,15 +229,32 @@ def _parse_line(line: str, line_number: int) -> SwfRecord:
         ) from exc
 
 
-def parse_swf_lines(lines: Iterable[str]) -> List[SwfRecord]:
-    """Parse SWF content given as an iterable of lines."""
-    records: List[SwfRecord] = []
+def _walk(lines: Iterable[str]) -> Iterator[Tuple[int, str, bool]]:
+    """The one SWF line walk under every reader.
+
+    Yields ``(line number, stripped line, is a ';' comment)`` for each
+    non-blank line.
+    """
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        records.append(_parse_line(line, line_number))
-    return records
+        if line:
+            yield line_number, line, line.startswith(";")
+
+
+def _existing(path: Union[str, Path]) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise TraceFormatError(f"SWF trace not found: {path}")
+    return path
+
+
+def parse_swf_lines(lines: Iterable[str]) -> List[SwfRecord]:
+    """Parse SWF content given as an iterable of lines."""
+    return [
+        _parse_line(line, line_number)
+        for line_number, line, comment in _walk(lines)
+        if not comment
+    ]
 
 
 def parse_swf(path: Union[str, Path]) -> List[SwfRecord]:
@@ -249,20 +266,14 @@ def parse_swf_with_header(
     path: Union[str, Path]
 ) -> Tuple[SwfHeader, List[SwfRecord]]:
     """Parse an SWF file, returning its header metadata and records."""
-    path = Path(path)
-    if not path.exists():
-        raise TraceFormatError(f"SWF trace not found: {path}")
     comments: List[str] = []
     records: List[SwfRecord] = []
-    with _open_trace(path) as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(";"):
+    with _open_trace(_existing(path)) as handle:
+        for line_number, line, comment in _walk(handle):
+            if comment:
                 comments.append(line)
-                continue
-            records.append(_parse_line(line, line_number))
+            else:
+                records.append(_parse_line(line, line_number))
     return SwfHeader.from_comment_lines(comments), records
 
 
@@ -272,16 +283,10 @@ def read_swf_header(path: Union[str, Path]) -> SwfHeader:
     Stops at the first job line, so it is cheap even on multi-gigabyte
     traces.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TraceFormatError(f"SWF trace not found: {path}")
     comments: List[str] = []
-    with _open_trace(path) as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.startswith(";"):
+    with _open_trace(_existing(path)) as handle:
+        for _, line, comment in _walk(handle):
+            if not comment:
                 break
             comments.append(line)
     return SwfHeader.from_comment_lines(comments)
@@ -296,17 +301,13 @@ def iter_swf_records(path: Union[str, Path]) -> Iterator[SwfRecord]:
     garbage-collecting) it closes the file.  This is the bounded-memory
     intake used by :class:`repro.traces.SwfTraceSource`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TraceFormatError(f"SWF trace not found: {path}")
+    path = _existing(path)
 
     def _stream() -> Iterator[SwfRecord]:
         with _open_trace(path) as handle:
-            for line_number, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith(";"):
-                    continue
-                yield _parse_line(line, line_number)
+            for line_number, line, comment in _walk(handle):
+                if not comment:
+                    yield _parse_line(line, line_number)
 
     return _stream()
 
@@ -331,7 +332,7 @@ def swf_header(
 
 
 def write_swf(
-    records: Sequence[SwfRecord],
+    records: Iterable[SwfRecord],
     destination: Union[str, Path, TextIO],
     *,
     header: Optional[Sequence[str]] = None,

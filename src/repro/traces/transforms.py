@@ -33,6 +33,7 @@ see :class:`repro.traces.source.ConcatTraceSource` (spec type ``"concat"``).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -40,15 +41,22 @@ import numpy as np
 
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, WorkloadError
 from ..registry import Registry
-from ..workloads.model import offered_load
-from .source import JobSource, register_trace_source, trace_source_from_dict
+from .model import Workload, offered_load
+from .source import (
+    JobSource,
+    register_trace_source,
+    require_finite_fields,
+    trace_source_from_dict,
+)
 
 __all__ = [
     "TraceTransform",
     "TimeWindow",
     "ScaleInterarrival",
+    "rescale_to_load",
+    "scale_to_load",
     "RescaleLoad",
     "Perturb",
     "FilterJobs",
@@ -70,6 +78,9 @@ class TraceTransform:
     streaming: bool = True
     #: True when ``to_dict()`` round-trips through ``transform_from_dict``.
     spec_expressible: bool = True
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
 
     def apply(self, stream: Iterator[JobSpec], cluster: Cluster) -> Iterator[JobSpec]:
         raise NotImplementedError
@@ -113,6 +124,7 @@ class TimeWindow(TraceTransform):
     kind = "time-window"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.start < 0:
             raise ConfigurationError(f"start must be >= 0, got {self.start}")
         if self.end is not None and self.end <= self.start:
@@ -150,6 +162,7 @@ class ScaleInterarrival(TraceTransform):
     kind = "scale-interarrival"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.factor <= 0:
             raise ConfigurationError(f"factor must be > 0, got {self.factor}")
 
@@ -168,6 +181,47 @@ class ScaleInterarrival(TraceTransform):
 
     def to_dict(self) -> Dict[str, Any]:
         return {"type": self.kind, "factor": self.factor}
+
+
+def rescale_to_load(
+    name: str, current_load: float, target_load: float
+) -> Tuple[ScaleInterarrival, str]:
+    """The one offered-load rescale of the paper (§IV-C).
+
+    The offered load is inversely proportional to the submission span, so a
+    trace measured at ``current_load`` reaches ``target_load`` when every
+    inter-arrival gap is multiplied by ``current_load / target_load``; the
+    job mix (sizes, runtimes, CPU needs, memory requirements) is untouched.
+    Returns that :class:`ScaleInterarrival` step and the name of the
+    rescaled instance.  :func:`scale_to_load`, the ``rescale-load``
+    transform and the campaign executor's ``load`` axis all come through
+    here.
+    """
+    if not (math.isfinite(target_load) and target_load > 0):
+        raise ConfigurationError(
+            "target_load / load axis value must be finite and > 0, "
+            f"got {target_load!r}"
+        )
+    # 0.0 is an empty trace, inf one whose jobs are all submitted at once.
+    if not 0.0 < current_load < math.inf:
+        raise WorkloadError(
+            f"{name}: degenerate offered load {current_load!r}; rescaling "
+            "needs at least two jobs submitted at different times"
+        )
+    step = ScaleInterarrival(factor=current_load / target_load)
+    return step, f"{name}-load{target_load:.1f}"
+
+
+def scale_to_load(workload: Workload, target_load: float) -> Workload:
+    """Workload with inter-arrival times scaled to reach ``target_load``.
+
+    The paper turns each generated trace into nine traces with identical job
+    mixes but offered loads 0.1 … 0.9 this way; only submission times are
+    stretched or compressed.
+    """
+    step, name = rescale_to_load(workload.name, workload.load(), target_load)
+    jobs = step.apply(iter(workload.jobs), workload.cluster)
+    return Workload(name, workload.cluster, list(jobs))
 
 
 @dataclass(frozen=True)
@@ -252,6 +306,7 @@ class Head(TraceTransform):
     kind = "head"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.count < 1:
             raise ConfigurationError(f"count must be >= 1, got {self.count}")
 
@@ -281,6 +336,7 @@ class Perturb(TraceTransform):
     kind = "perturb"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.runtime_factor < 0 or self.width_factor < 0:
             raise ConfigurationError("perturbation factors must be >= 0")
 
@@ -313,10 +369,9 @@ class Perturb(TraceTransform):
 class RescaleLoad(TraceTransform):
     """Rescale inter-arrival gaps so the trace reaches a target offered load.
 
-    The same computation as :func:`repro.workloads.scaling.scale_to_load`
-    (factor = current load / target load), lifted to the transform chain.
-    Buffers the stream: the offered load needs the whole trace's demand and
-    span before the first job can be emitted.
+    :func:`rescale_to_load` lifted to the transform chain.  Buffers the
+    stream: the offered load needs the whole trace's demand and span before
+    the first job can be emitted.
     """
 
     target_load: float = 0.0
@@ -325,6 +380,7 @@ class RescaleLoad(TraceTransform):
     streaming = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.target_load <= 0:
             raise ConfigurationError(
                 f"target_load must be > 0, got {self.target_load}"
@@ -333,21 +389,10 @@ class RescaleLoad(TraceTransform):
     def apply(self, stream: Iterator[JobSpec], cluster: Cluster) -> Iterator[JobSpec]:
         def _rescaled() -> Iterator[JobSpec]:
             buffer = _sorted_buffer(stream)
-            if len(buffer) < 2:
-                raise ConfigurationError(
-                    "cannot rescale a trace with fewer than two jobs"
-                )
-            current = offered_load(buffer, cluster)
-            if current <= 0 or not np.isfinite(current):
-                raise ConfigurationError(
-                    f"trace has degenerate offered load {current}; cannot rescale"
-                )
-            factor = current / self.target_load
-            base = buffer[0].submit_time
-            for spec in buffer:
-                yield replace(
-                    spec, submit_time=base + (spec.submit_time - base) * factor
-                )
+            step, _ = rescale_to_load(
+                self.kind, offered_load(buffer, cluster), self.target_load
+            )
+            yield from step.apply(iter(buffer), cluster)
 
         return _rescaled()
 
@@ -373,6 +418,7 @@ class BootstrapResample(TraceTransform):
     streaming = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_jobs is not None and self.num_jobs < 1:
             raise ConfigurationError(f"num_jobs must be >= 1, got {self.num_jobs}")
 

@@ -20,7 +20,7 @@ from repro.core.observers import (
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import ConfigurationError
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 from repro.core.cluster import Cluster
 
 

@@ -18,7 +18,7 @@ from repro.campaign.scenario import LublinSource, Scenario, scenario_hash
 from repro.campaign.studies import ExperimentConfig
 from repro.core.cluster import Cluster
 from repro.exceptions import ReproError
-from repro.workloads.scaling import scale_to_load
+from repro.traces import scale_to_load
 
 
 TINY_CLUSTER = Cluster(16, 4, 8.0)

@@ -23,7 +23,7 @@ from repro.campaign.scenario import (
 )
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
-from repro.workloads.model import Workload
+from repro.traces.model import Workload
 
 
 def tiny_scenario(**overrides) -> Scenario:

@@ -15,7 +15,7 @@ from repro.campaign.scenario import (
 )
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
-from repro.workloads.model import Workload
+from repro.traces.model import Workload
 
 CLUSTER = Cluster(32, 4, 8.0)
 
@@ -82,15 +82,14 @@ class TestStreamingExecution:
         assert high.metric("mean_stretch") >= low.metric("mean_stretch")
 
     def test_empty_source_rejected(self):
-        from repro.campaign.scenario import LublinSource
+        from repro.campaign.scenario import WorkloadSource
 
-        scenario = _scenario(source=LublinSource(num_traces=0, num_jobs=20))
+        class NoInstances(WorkloadSource):
+            def streaming_sources(self, cluster):
+                return []
+
+        scenario = _scenario(source=NoInstances())
         with pytest.raises(ConfigurationError, match="no.*streaming instances"):
-            Campaign(streaming=True).run(scenario)
-
-    def test_non_positive_load_rejected(self):
-        scenario = _scenario(sweep=(("load", (0.0,)),))
-        with pytest.raises(ConfigurationError, match="load axis"):
             Campaign(streaming=True).run(scenario)
 
     def test_peak_resident_jobs_is_bounded(self):

@@ -7,8 +7,7 @@ from hypothesis import settings
 
 from repro.core.cluster import Cluster
 from repro.core.job import JobSpec
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.model import Workload
+from repro.traces import LublinWorkloadGenerator, Workload
 
 # Hypothesis profiles, inherited by every property test that does not pin its
 # own settings.  ``default`` is what tier-1 runs: derandomized, so it draws the

@@ -30,7 +30,7 @@ from repro.schedulers.registry import (
     PAPER_ALGORITHMS,
     create_scheduler,
 )
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 from ..conftest import make_job
 

@@ -34,7 +34,7 @@ from repro.exceptions import AllocationError
 from repro.platform.events import TraceNodeEventSource
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import PAPER_ALGORITHMS, create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 
 # --------------------------------------------------------------------------- #

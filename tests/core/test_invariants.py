@@ -16,7 +16,7 @@ from repro.core import (
 from repro.exceptions import SimulationError
 from repro.platform import ExponentialFailureSource
 from repro.schedulers import PAPER_ALGORITHMS, create_scheduler
-from repro.workloads import LublinWorkloadGenerator, scale_to_load
+from repro.traces import LublinWorkloadGenerator, scale_to_load
 
 
 def _spec(job_id, submit=0.0, tasks=1, cpu=0.5, mem=0.2, runtime=60.0):

@@ -1,6 +1,7 @@
 """Per-rule fixtures: each rule fires on its violation, stays quiet on the
 idiomatic form, and respects ``# repro: noqa`` pragmas."""
 
+import pathlib
 import textwrap
 
 import pytest
@@ -154,6 +155,22 @@ def test_det103_ignores_code_outside_result_packages(tmp_path):
     for relfile in (OUTSIDE, TESTFILE):
         result = run_rule(tmp_path, WallClockRule(), WALL_CLOCK_SRC, relfile=relfile)
         assert codes(result) == [], relfile
+
+
+def test_contracts_followed_the_lublin_model_into_traces(tmp_path):
+    """``workloads/`` left the result packages with its code: the real Lublin
+    module, an unseeded generator and a wall-clock read planted in it, is
+    still reported at its new path (DET103 is scoped by package)."""
+    lublin = pathlib.Path(__file__).parents[2] / "src/repro/traces/lublin.py"
+    planted = lublin.read_text(encoding="utf-8").replace(
+        "rng = np.random.default_rng(seed)",
+        "import time\n        rng = np.random.default_rng()\n        time.time()",
+    )
+    path = tmp_path / "src/repro/traces/lublin.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(planted, encoding="utf-8")
+    result = check_paths([path], project_root=tmp_path)
+    assert sorted(codes(result)) == ["DET101", "DET103"]
 
 
 def test_det103_allows_perf_counter(tmp_path):

@@ -87,10 +87,10 @@ class TestMain:
         assert "job width histogram" in output
 
     def test_characterize_swf_trace(self, capsys, tmp_path):
-        from repro.workloads import Hpc2nLikeTraceGenerator, write_swf
+        from repro.traces import Hpc2nLikeTraceGenerator, write_swf
 
         path = tmp_path / "trace.swf"
-        records = Hpc2nLikeTraceGenerator(jobs_per_week=60).generate_records(1, seed=3)
+        records = Hpc2nLikeTraceGenerator(jobs_per_week=60).iter_records(1, seed=3)
         write_swf(records, path)
         exit_code = main(["characterize", "--swf", str(path)])
         output = capsys.readouterr().out

@@ -8,7 +8,7 @@ from repro import run_algorithm, run_figure1, run_instance, run_table1, run_tabl
 from repro import run_timing_study
 from repro.campaign.studies import TABLE1_COLUMNS, TABLE2_METRICS, ExperimentConfig, lublin_source
 from repro.core.cluster import Cluster
-from repro.workloads.scaling import scale_to_load
+from repro.traces import scale_to_load
 
 TINY = ExperimentConfig(
     cluster=Cluster(16, 4, 8.0),

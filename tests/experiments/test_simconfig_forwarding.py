@@ -21,7 +21,7 @@ from repro.campaign.scenario import LublinSource, Scenario
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig
 from repro.core.penalties import ReschedulingPenaltyModel
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 CLUSTER = Cluster(16, 4, 8.0)
 

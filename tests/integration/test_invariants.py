@@ -14,9 +14,11 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.campaign.executor import run_algorithm
 from repro.schedulers.registry import PAPER_ALGORITHMS
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.memory import MemoryRequirementModel
-from repro.workloads.scaling import scale_to_load
+from repro.traces import (
+    LublinWorkloadGenerator,
+    MemoryRequirementModel,
+    scale_to_load,
+)
 
 ALGORITHMS_UNDER_TEST = [
     "greedy",

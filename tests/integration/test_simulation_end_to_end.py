@@ -13,9 +13,11 @@ from repro.core.engine import SimulationConfig, Simulator
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.campaign.executor import run_algorithm, run_instance
 from repro.schedulers.registry import PAPER_ALGORITHMS, create_scheduler
-from repro.workloads.hpc2n import Hpc2nLikeTraceGenerator
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.scaling import scale_to_load
+from repro.traces import (
+    Hpc2nLikeTraceGenerator,
+    LublinWorkloadGenerator,
+    scale_to_load,
+)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from repro.models import (
 )
 from repro.platform import TraceNodeEventSource
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 #: 4 tasks x 0.25 of an 8 GB node = 8 GB of state to move.
 SPEC = JobSpec(0, 0.0, 4, 1.0, 0.25, 100.0)

@@ -11,7 +11,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.slo import DEFAULT_SLO_FACTOR, GoodputCollector, SloCollector
 from repro.schedulers.registry import create_scheduler
 from repro.traces import DiurnalPoissonTraceSource
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 CLUSTER = Cluster(16, 4, 8.0)
 WINDOW = 3600.0

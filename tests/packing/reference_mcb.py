@@ -136,7 +136,7 @@ def mcb8_pack(
 
         # Fill the node, balancing the two resource dimensions.
         while True:
-            if bin_.imbalance_favors_memory():
+            if bin_.memory_free > bin_.cpu_free:
                 primary, secondary = mem_list, cpu_list
             else:
                 primary, secondary = cpu_list, mem_list
@@ -241,7 +241,7 @@ def mcb_family_pack(
         bin_.add(seed)
 
         while True:
-            if bin_.imbalance_favors_memory():
+            if bin_.memory_free > bin_.cpu_free:
                 primary, secondary = mem_list, cpu_list
             else:
                 primary, secondary = cpu_list, mem_list

@@ -111,15 +111,6 @@ class TestBin:
         with pytest.raises(AllocationError):
             bin_.add(PackingItem(2, 0, cpu=0.2, memory=0.01))
 
-    def test_imbalance(self):
-        bin_ = Bin(0)
-        bin_.add(PackingItem(1, 0, cpu=0.8, memory=0.1))
-        # Free memory (0.9) exceeds free CPU (0.2) -> want memory-heavy items.
-        assert bin_.imbalance_favors_memory()
-        bin_ = Bin(1)
-        bin_.add(PackingItem(1, 0, cpu=0.1, memory=0.8))
-        assert not bin_.imbalance_favors_memory()
-
 
 class TestPackingResult:
     def test_failure_constructor(self):

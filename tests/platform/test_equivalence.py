@@ -21,7 +21,7 @@ from repro.core.engine import SimulationConfig, Simulator
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.platform import HomogeneousPlatform, NodeClass, NodeClassesPlatform
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 #: The tier-1 scheduler matrix: every paper algorithm family plus the batch
 #: baselines (exactly the names the drivers exercise).

@@ -190,7 +190,7 @@ class TestHeterogeneousSimulations:
             )
         )
         cluster = platform.build_cluster()
-        from repro.workloads.lublin import LublinWorkloadGenerator
+        from repro.traces.lublin import LublinWorkloadGenerator
 
         workload = LublinWorkloadGenerator(cluster).generate(40, seed=2010)
         checker = InvariantCheckingObserver()

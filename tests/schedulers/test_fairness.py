@@ -10,8 +10,7 @@ from repro.exceptions import ConfigurationError
 from repro.campaign.executor import run_algorithm
 from repro.schedulers.dfrs.fairness import LongJobThrottlingScheduler
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
-from repro.workloads.scaling import scale_to_load
+from repro.traces import LublinWorkloadGenerator, scale_to_load
 
 from .conftest import context, view
 

@@ -10,7 +10,7 @@ from repro.exceptions import ConfigurationError
 from repro.campaign.executor import run_algorithm
 from repro.schedulers.batch.gang import GangScheduler
 from repro.schedulers.registry import create_scheduler
-from repro.workloads.lublin import LublinWorkloadGenerator
+from repro.traces.lublin import LublinWorkloadGenerator
 
 from .conftest import context, view
 

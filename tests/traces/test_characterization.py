@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Cluster, JobSpec
 from repro.exceptions import WorkloadError
-from repro.workloads import (
+from repro.traces import (
     LublinWorkloadGenerator,
     Workload,
     characterization_table,
@@ -130,7 +130,7 @@ class TestCharacterizeStream:
         return LublinWorkloadGenerator(CLUSTER).generate(300, seed=11)
 
     def test_matches_materialized_characterize(self):
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         workload = self._parity_workload()
         exact = characterize(workload)
@@ -176,20 +176,20 @@ class TestCharacterizeStream:
         assert histogram == size_histogram(workload)
 
     def test_is_single_pass(self):
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         workload = self._parity_workload()
         profile, _ = characterize_stream(iter(workload.jobs), CLUSTER)
         assert profile.num_jobs == workload.num_jobs
 
     def test_empty_stream_rejected(self):
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         with pytest.raises(WorkloadError, match="empty"):
             characterize_stream(iter(()), CLUSTER, name="nothing")
 
     def test_single_job_stream(self):
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         profile, histogram = characterize_stream(
             iter([_spec(0, tasks=4, runtime=50.0)]), CLUSTER
@@ -200,7 +200,7 @@ class TestCharacterizeStream:
         assert histogram == [("4-7", 1)]
 
     def test_bad_thresholds_rejected(self):
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         with pytest.raises(WorkloadError):
             characterize_stream(iter([_spec(0)]), CLUSTER, memory_threshold=0.0)
@@ -210,7 +210,7 @@ class TestCharacterizeStream:
     def test_out_of_order_stream_matches_sorted_semantics(self):
         # Archive traces are submit-ordered only by convention; a stray
         # out-of-order record must not corrupt span/load/inter-arrival.
-        from repro.workloads import characterize_stream
+        from repro.traces import characterize_stream
 
         specs = [
             _spec(0, submit=0.0),

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
-from repro.workloads.cpu import CpuNeedModel
-from repro.workloads.lublin import LublinModelParameters, LublinWorkloadGenerator
-from repro.workloads.memory import MemoryRequirementModel
+from repro.traces.cpu import CpuNeedModel
+from repro.traces.lublin import LublinModelParameters, LublinWorkloadGenerator
+from repro.traces.memory import MemoryRequirementModel
 
 
 class TestCpuNeedModel:

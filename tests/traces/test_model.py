@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.exceptions import WorkloadError
-from repro.workloads.model import Workload, offered_load
+from repro.traces.model import Workload, offered_load
 
 from ..conftest import make_job
 
@@ -40,31 +40,6 @@ class TestWorkload:
     def test_duplicate_ids_rejected(self, small_cluster):
         with pytest.raises(WorkloadError):
             Workload("w", small_cluster, [make_job(0), make_job(0, submit=10.0)])
-
-    def test_scaled_interarrival_changes_load_not_mix(self, small_cluster):
-        jobs = [make_job(i, submit=100.0 * i, tasks=2, runtime=50.0) for i in range(10)]
-        workload = Workload("w", small_cluster, jobs)
-        scaled = workload.scaled_interarrival(2.0)
-        assert scaled.num_jobs == workload.num_jobs
-        assert scaled.span_seconds == pytest.approx(2.0 * workload.span_seconds)
-        assert scaled.load() == pytest.approx(workload.load() / 2.0)
-        # Job attributes other than submit time are preserved.
-        for original, rescaled in zip(workload.jobs, scaled.jobs):
-            assert original.num_tasks == rescaled.num_tasks
-            assert original.execution_time == rescaled.execution_time
-
-    def test_scaled_interarrival_invalid_factor(self, small_cluster):
-        workload = Workload("w", small_cluster, [make_job(0), make_job(1, submit=10.0)])
-        with pytest.raises(WorkloadError):
-            workload.scaled_interarrival(0.0)
-
-    def test_head(self, small_cluster):
-        jobs = [make_job(i, submit=float(i)) for i in range(10)]
-        workload = Workload("w", small_cluster, jobs)
-        head = workload.head(3)
-        assert head.num_jobs == 3
-        with pytest.raises(WorkloadError):
-            workload.head(0)
 
     def test_segments_rebase_times(self, small_cluster):
         week = 7 * 24 * 3600.0

@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Cluster, JobSpec
-from repro.exceptions import WorkloadError
-from repro.workloads import (
-    DEFAULT_LOAD_LEVELS,
-    Workload,
-    load_sweep,
-    offered_load,
-    scale_to_load,
-)
+from repro.exceptions import ConfigurationError, WorkloadError
+from repro.traces import Workload, offered_load, scale_to_load
 
 CLUSTER = Cluster(num_nodes=8, cores_per_node=4, node_memory_gb=8.0)
 
@@ -58,9 +52,9 @@ class TestScaleToLoad:
         assert scale_to_load(_workload(), 0.5).name == "scalable-load0.5"
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(ConfigurationError):
             scale_to_load(_workload(), 0.0)
-        with pytest.raises(WorkloadError):
+        with pytest.raises(ConfigurationError):
             scale_to_load(_workload(), -0.5)
 
     def test_rejects_tiny_workloads(self):
@@ -73,23 +67,6 @@ class TestScaleToLoad:
         # All jobs submitted at t=0: offered load is infinite.
         with pytest.raises(WorkloadError):
             scale_to_load(burst, 0.5)
-
-
-class TestLoadSweep:
-    def test_default_levels_are_the_papers_nine(self):
-        assert DEFAULT_LOAD_LEVELS == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-
-    def test_sweep_produces_one_workload_per_level(self):
-        sweep = load_sweep(_workload(), levels=(0.2, 0.6))
-        assert set(sweep) == {0.2, 0.6}
-        for level, workload in sweep.items():
-            assert workload.load() == pytest.approx(level)
-
-    def test_sweep_levels_are_independent(self):
-        sweep = load_sweep(_workload(), levels=(0.2, 0.6))
-        # Scaling is always anchored on the original workload, not chained.
-        ratio = sweep[0.2].span_seconds / sweep[0.6].span_seconds
-        assert ratio == pytest.approx(3.0)
 
 
 class TestOfferedLoad:

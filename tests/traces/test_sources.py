@@ -10,21 +10,19 @@ from repro.exceptions import ConfigurationError
 from repro.traces import (
     CallableTraceSource,
     ConcatTraceSource,
+    Hpc2nLikeTraceGenerator,
     Hpc2nLikeTraceSource,
     JsonTraceSource,
     LublinTraceSource,
+    LublinWorkloadGenerator,
     SwfTraceSource,
+    Workload,
     WorkloadTraceSource,
     available_trace_sources,
-    trace_source_from_dict,
-    write_trace_json,
-)
-from repro.workloads import (
-    Hpc2nLikeTraceGenerator,
-    LublinWorkloadGenerator,
-    Workload,
     swf_to_dfrs_jobs,
+    trace_source_from_dict,
     write_swf,
+    write_trace_json,
 )
 
 CLUSTER = Cluster(32, 4, 8.0)
@@ -38,11 +36,6 @@ def _arrival_ordered(specs):
 
 
 class TestLublinAdapter:
-    def test_matches_materialized_generator(self):
-        streamed = list(LublinTraceSource(num_jobs=80, seed=5).jobs(CLUSTER))
-        legacy = LublinWorkloadGenerator(CLUSTER).generate(80, seed=5)
-        assert streamed == legacy.jobs
-
     def test_round_trip_spec(self):
         source = LublinTraceSource(num_jobs=10, seed=3)
         assert trace_source_from_dict(source.to_dict()) == source
@@ -54,14 +47,6 @@ class TestLublinAdapter:
 
 
 class TestHpc2nLikeAdapter:
-    def test_matches_materialized_generator(self):
-        streamed = list(
-            Hpc2nLikeTraceSource(weeks=1, jobs_per_week=60, seed=4).jobs(CLUSTER)
-        )
-        generator = Hpc2nLikeTraceGenerator(CLUSTER, jobs_per_week=60)
-        legacy = generator.generate_workload(1, seed=4)
-        assert streamed == legacy.jobs
-
     def test_round_trip_spec(self):
         source = Hpc2nLikeTraceSource(weeks=2, jobs_per_week=30, seed=1)
         assert trace_source_from_dict(source.to_dict()) == source
@@ -70,7 +55,7 @@ class TestHpc2nLikeAdapter:
 class TestSwfAdapter:
     def test_streams_file(self, tmp_path):
         generator = Hpc2nLikeTraceGenerator(CLUSTER, jobs_per_week=40)
-        records = generator.generate_records(1, seed=9)
+        records = list(generator.iter_records(1, seed=9))
         path = tmp_path / "trace.swf"
         write_swf(records, path)
         streamed = list(SwfTraceSource(path=str(path)).jobs(CLUSTER))

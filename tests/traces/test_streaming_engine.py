@@ -13,15 +13,13 @@ from repro.core.job import JobSpec
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import SimulationError
 from repro.schedulers.registry import create_scheduler
-from repro.traces import DiurnalPoissonTraceSource, LublinTraceSource
+from repro.traces import DiurnalPoissonTraceSource, LublinTraceSource, scale_to_load
 
 CLUSTER = Cluster(32, 4, 8.0)
 CONFIG = SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0))
 
 
 def _workload(num_jobs=150, seed=23):
-    from repro.workloads.scaling import scale_to_load
-
     raw = LublinTraceSource(num_jobs=num_jobs, seed=seed).materialize(CLUSTER)
     # The raw trace heavily overloads the 32-node test cluster; a 0.7 load
     # keeps the periodic DFRS algorithms fast while still exercising

@@ -7,15 +7,15 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import TraceFormatError, WorkloadError
-from repro.workloads.hpc2n import (
+from repro.exceptions import ConfigurationError, TraceFormatError, WorkloadError
+from repro.traces import scale_to_load
+from repro.traces.hpc2n import (
     HPC2N_CLUSTER,
     Hpc2nLikeTraceGenerator,
     Hpc2nPreprocessingOptions,
     swf_to_dfrs_jobs,
 )
-from repro.workloads.scaling import DEFAULT_LOAD_LEVELS, load_sweep, scale_to_load
-from repro.workloads.swf import (
+from repro.traces.swf import (
     SwfHeader,
     SwfRecord,
     iter_swf_records,
@@ -192,7 +192,7 @@ class TestHpc2nLikeGenerator:
 
     def test_records_are_valid_swf(self):
         generator = Hpc2nLikeTraceGenerator(jobs_per_week=100)
-        records = generator.generate_records(1, seed=2)
+        records = list(generator.iter_records(1, seed=2))
         assert all(r.is_usable() or r.run_time <= 0 for r in records)
         buffer = io.StringIO()
         write_swf(records, buffer)
@@ -210,12 +210,12 @@ class TestHpc2nLikeGenerator:
         with pytest.raises(WorkloadError):
             Hpc2nLikeTraceGenerator(jobs_per_week=0)
         with pytest.raises(WorkloadError):
-            Hpc2nLikeTraceGenerator().generate_records(0)
+            list(Hpc2nLikeTraceGenerator().iter_records(0))
 
 
 class TestScaling:
     def test_scale_to_load_hits_target(self, small_cluster):
-        from repro.workloads.lublin import LublinWorkloadGenerator
+        from repro.traces.lublin import LublinWorkloadGenerator
 
         workload = LublinWorkloadGenerator(small_cluster).generate(200, seed=1)
         for target in (0.1, 0.5, 0.9):
@@ -223,23 +223,12 @@ class TestScaling:
             assert scaled.load() == pytest.approx(target, rel=1e-6)
             assert scaled.num_jobs == workload.num_jobs
 
-    def test_load_sweep_levels(self, small_cluster):
-        from repro.workloads.lublin import LublinWorkloadGenerator
-
-        workload = LublinWorkloadGenerator(small_cluster).generate(100, seed=2)
-        sweep = load_sweep(workload, (0.2, 0.4))
-        assert set(sweep) == {0.2, 0.4}
-        assert sweep[0.2].load() == pytest.approx(0.2, rel=1e-6)
-
-    def test_default_levels_match_paper(self):
-        assert DEFAULT_LOAD_LEVELS == tuple(round(0.1 * i, 1) for i in range(1, 10))
-
     def test_invalid_target(self, small_workload):
-        with pytest.raises(WorkloadError):
+        with pytest.raises(ConfigurationError):
             scale_to_load(small_workload, 0.0)
 
     def test_too_few_jobs(self, small_cluster):
-        from repro.workloads.model import Workload
+        from repro.traces.model import Workload
         from ..conftest import make_job
 
         workload = Workload("one", small_cluster, [make_job(0)])

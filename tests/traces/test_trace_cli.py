@@ -8,8 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.cluster import Cluster
-from repro.traces import load_trace_json
-from repro.workloads import Hpc2nLikeTraceGenerator, parse_swf, write_swf
+from repro.traces import Hpc2nLikeTraceGenerator, load_trace_json, parse_swf, write_swf
 
 
 @pytest.fixture()
@@ -19,7 +18,7 @@ def swf_file(tmp_path):
     )
     path = tmp_path / "sample.swf"
     write_swf(
-        generator.generate_records(1, seed=3),
+        generator.iter_records(1, seed=3),
         path,
         header=["; Computer: sample", "; MaxNodes: 16"],
     )

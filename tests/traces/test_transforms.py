@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, WorkloadError
 from repro.traces import (
     BootstrapResample,
     DowneyTraceSource,
@@ -20,10 +20,10 @@ from repro.traces import (
     TimeWindow,
     TransformedSource,
     available_transforms,
+    offered_load,
     trace_source_from_dict,
     transform_from_dict,
 )
-from repro.workloads.model import offered_load
 
 CLUSTER = Cluster(32, 4, 8.0)
 BASE = LublinTraceSource(num_jobs=120, seed=17)
@@ -121,19 +121,9 @@ class TestScaleAndRescale:
         specs = _apply(RescaleLoad(target_load=0.4))
         assert offered_load(specs, CLUSTER) == pytest.approx(0.4)
 
-    def test_rescale_matches_legacy_scaling(self):
-        from repro.workloads.scaling import scale_to_load
-
-        workload = BASE.materialize(CLUSTER)
-        legacy = scale_to_load(workload, 0.4)
-        specs = _apply(RescaleLoad(target_load=0.4))
-        assert [s.submit_time for s in specs] == [
-            s.submit_time for s in legacy.jobs
-        ]
-
     def test_rescale_needs_two_jobs(self):
         source = LublinTraceSource(num_jobs=1, seed=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(WorkloadError):
             list(RescaleLoad(target_load=0.5).apply(source.jobs(CLUSTER), CLUSTER))
 
 
