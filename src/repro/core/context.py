@@ -12,7 +12,10 @@ Views are *per-event immutable snapshots*: every event gets a fresh
 tuple-backed :class:`JobView` per active job (nothing is cached or reused
 across events), so a context a scheduler or observer keeps reads the same
 after the run has moved on.  A context's running/paused/pending partition is
-computed once, on first use, and cached on the context — ``jobs`` is not
+filled by whoever builds the views when it already has each state in hand —
+the engine appends every view to its state's list in the pass that builds
+``jobs`` — and otherwise (contexts built by hand: tests, replays) computed
+once, on first use, and cached on the context.  Either way ``jobs`` is not
 meant to be edited after a partition accessor has been called.
 """
 
@@ -107,7 +110,7 @@ class SchedulingContext:
     #: schedulers (which repack at every event anyway) may ignore it.
     repack_requested: bool = False
     #: ``(running, paused, pending)`` views in ``jobs`` order; filled by the
-    #: first partition accessor called.
+    #: engine's snapshot pass, else by the first partition accessor called.
     _partition: Optional[Tuple[List[JobView], List[JobView], List[JobView]]] = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -10,16 +10,24 @@ event queue never needs invalidation.
 Complexity contract
 -------------------
 
-Per-event work is ``O(active jobs · log n)`` and resident state is
-``O(active jobs)``: specs are admitted lazily, one ahead of simulated time,
-and a job leaves every engine table the moment it completes.  ``run``,
-``run_stream`` and the ``online_*`` API are three drivers over one stepping
-core (``_begin``/``_step``/``_finalize``).  Three pieces of incremental
-state keep the per-event work bounded:
+Resident state is ``O(active jobs)``: specs are admitted lazily, one ahead of
+simulated time, and a job leaves every engine table the moment it completes.
+Per event, only the scheduler's snapshot (``_build_context``, one view per
+active job) walks the active table; advancing time, detecting completions,
+applying a decision and evicting from a failed node cost
+``O((running + named by the decision) · log)``, whatever the backlog.
+``run``, ``run_stream`` and the ``online_*`` API are three drivers over one
+stepping core (``_begin``/``_step``/``_finalize``).  Four pieces of
+incremental state keep the per-event work bounded:
 
 * an **active-job table** (``_active``) holding exactly the arrived,
   not-yet-completed jobs in arrival order, which is the order schedulers
   see them in;
+* a **RUNNING-job index** (``_running``), the RUNNING subset of ``_active``,
+  updated wherever a job starts, resumes, is preempted, evicted, cancelled
+  or completes.  It is ordered by last start, so every walk that *acts* on
+  jobs sorts by ``Job.arrival_rank`` first: observers, cost sums and heap
+  pushes see jobs in ``_active`` order, as if the whole table were walked;
 * a **min-heap of predicted completion times** (``_completion_heap``) with
   *lazy invalidation*: every (re)allocation bumps the job's allocation
   version and pushes a fresh entry; stale entries are discarded when they
@@ -53,6 +61,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import SimulationError
@@ -76,6 +85,10 @@ from .records import CostSummary, JobRecord, SimulationResult
 __all__ = ["Simulator", "SimulationConfig", "EngineLoad"]
 
 _LOGGER = logging.getLogger(__name__)
+
+#: Sort key restoring ``_active`` (arrival) order on jobs taken from the
+#: RUNNING index, which holds them in the order they last started.
+_ARRIVAL_RANK = attrgetter("arrival_rank")
 
 #: Hard cap on the number of processed events, as a runaway guard.
 _DEFAULT_MAX_EVENTS = 50_000_000
@@ -309,6 +322,13 @@ class Simulator:
         # -- O(active) event-loop state ------------------------------------
         #: Arrived, not-yet-completed jobs, keyed by job id, in arrival order.
         self._active: Dict[int, Job] = {}
+        #: The RUNNING jobs of ``_active``, keyed by job id, in the order they
+        #: last started; walks that act on jobs sort by ``Job.arrival_rank``.
+        self._running: Dict[int, Job] = {}
+        #: Jobs that have ever entered ``_active`` (the next arrival rank).
+        self._arrivals = 0
+        #: Whether views carry runtime estimates (batch baselines, §IV-B).
+        self._clairvoyant = bool(getattr(scheduler, "requires_runtime_estimates", False))
         #: Min-heap of ``(predicted completion, job id, allocation version)``.
         self._completion_heap: List[Tuple[float, int, int]] = []
         #: job id -> allocation version; bumped whenever a change invalidates
@@ -583,9 +603,10 @@ class Simulator:
     def load_snapshot(self) -> EngineLoad:
         """Summarize the resident active jobs (admission-control input).
 
-        One pass over the active table — O(active jobs), like every other
-        per-event operation.  The oldest pending job is the first PENDING
-        job in arrival order.
+        One pass over the active table — O(active jobs), like the
+        scheduler's snapshot and unlike the rest of an event, which follows
+        the running set.  The oldest pending job is the first PENDING job
+        in arrival order.
         """
         pending = running = paused = 0
         total_cpu_need = 0.0
@@ -658,11 +679,11 @@ class Simulator:
         self._costs.record_node_failure()
         penalty = self.config.penalty_model
         resubmit = self.config.failure_policy == "resubmit"
-        for job in self._iter_jobs():
-            if job.state is not JobState.RUNNING or job.assignment is None:
-                continue
-            if node not in job.assignment:
-                continue
+        victims = [job for job in self._running.values() if node in job.assignment]
+        if len(victims) > 1:
+            victims.sort(key=_ARRIVAL_RANK)
+        for job in victims:
+            del self._running[job.spec.job_id]
             self._release_nodes(job.assignment)
             job.last_assignment = job.assignment
             job.assignment = None
@@ -774,12 +795,6 @@ class Simulator:
             return
         self._admit_spec(spec)
 
-    # ------------------------------------------------- active-job iteration --
-    def _iter_jobs(self) -> List[Job]:
-        """Snapshot of the active jobs in arrival order (callers may complete
-        or cancel jobs while walking it)."""
-        return list(self._active.values())
-
     def _evict(self, job_id: int) -> None:
         """Drop a finished, cancelled or withdrawn job from every per-job
         table, keeping resident state O(active jobs).
@@ -789,6 +804,7 @@ class Simulator:
         consulted (job ids are never reused, see ``_seen_job_ids``).
         """
         self._active.pop(job_id, None)
+        self._running.pop(job_id, None)
         del self._jobs[job_id]
         del self._alloc_version[job_id]
 
@@ -886,9 +902,8 @@ class Simulator:
             self._idle_node_seconds += idle * duration
             if self._busy_node_stats is not None:
                 self._busy_node_stats.add_segment(float(self._busy_count), duration)
-            for job in self._active.values():
-                if job.state is JobState.RUNNING:  # only running jobs progress
-                    job.advance(duration)
+            for job in self._running.values():  # only running jobs progress
+                job.advance(duration)
             if self._avail_node_stats is not None:
                 up_cpu = self._up_cpu_capacity()
                 self._avail_node_stats.add_segment(up_cpu, duration)
@@ -935,10 +950,12 @@ class Simulator:
         self._evicted_now = []
         self._node_down_now = False
         # Completions are detected from job state, not from queued events.
-        for job in self._iter_jobs():
-            if job.state is JobState.RUNNING and job.remaining_work <= 0.0:
-                self._complete_job(job)
-                completed.append(job.job_id)
+        finished = [job for job in self._running.values() if job.remaining_work <= 0.0]
+        if len(finished) > 1:
+            finished.sort(key=_ARRIVAL_RANK)
+        for job in finished:
+            self._complete_job(job)
+            completed.append(job.spec.job_id)
         events = self._queue.pop_until(now)
         while events:
             for event in events:
@@ -951,10 +968,12 @@ class Simulator:
                         self._cancelled_pending.discard(event.job_id)
                         self._evict(event.job_id)
                         continue
-                    self._active[event.job_id] = self._jobs[event.job_id]
+                    job = self._active[event.job_id] = self._jobs[event.job_id]
+                    self._arrivals += 1
+                    job.arrival_rank = self._arrivals
                     submitted.append(event.job_id)
                     for observer in self._observers:
-                        observer.on_job_submitted(now, self._jobs[event.job_id].spec)
+                        observer.on_job_submitted(now, job.spec)
                     # Lazy admission keeps exactly one unarrived spec of the
                     # stream queued; replacing it may queue another event <= now
                     # (same-timestamp submissions), hence the outer loop.
@@ -1033,33 +1052,52 @@ class Simulator:
     ) -> SchedulingContext:
         """Snapshot the active jobs: one fresh immutable view per job.
 
-        O(active) per event, so the loop is kept lean: positional fill of
-        the tuple-backed view, everything loop-invariant hoisted.
+        The one O(active) walk left per event, so the loop is kept lean: the
+        tuple-backed view is filled positionally through ``tuple.__new__``
+        (no Python frame per view; the literal has ``len(JobView._fields)``
+        items), everything loop-invariant is hoisted, and each view lands in
+        its state's list as it is built so the context need not re-read the
+        states to partition them.
         """
-        clairvoyant = bool(getattr(self.scheduler, "requires_runtime_estimates", False))
+        clairvoyant = self._clairvoyant
         now = self._now
-        make_view = JobView._make
+        new_view = tuple.__new__
+        running_state = JobState.RUNNING
+        pending_state = JobState.PENDING
+        paused_state = JobState.PAUSED
         views: Dict[int, JobView] = {}
+        running: List[JobView] = []
+        paused: List[JobView] = []
+        pending: List[JobView] = []
         for job_id, job in self._active.items():
             spec = job.spec
-            views[job_id] = make_view(
+            state = job.state
+            flow = now - spec.submit_time
+            views[job_id] = view = new_view(
+                JobView,
                 (
                     job_id,
                     spec.num_tasks,
                     spec.cpu_need,
                     spec.mem_requirement,
                     spec.submit_time,
-                    job.state,
+                    state,
                     job.virtual_time,
-                    max(0.0, now - spec.submit_time),  # Job.flow_time(now)
+                    flow if flow > 0.0 else 0.0,  # Job.flow_time(now)
                     job.assignment,
                     job.current_yield,
                     job.last_assignment,
                     spec.execution_time if clairvoyant else None,
                     job.remaining_work + job.penalty_remaining if clairvoyant else None,
-                )
+                ),
             )
-        return SchedulingContext(
+            if state is pending_state:
+                pending.append(view)
+            elif state is running_state:
+                running.append(view)
+            elif state is paused_state:
+                paused.append(view)
+        context = SchedulingContext(
             time=now,
             cluster=self.cluster,
             jobs=views,
@@ -1070,6 +1108,8 @@ class Simulator:
             evicted=list(self._evicted_now),
             repack_requested=self.config.repack_on_failure and self._node_down_now,
         )
+        context._partition = (running, paused, pending)
+        return context
 
     def _invoke_scheduler(
         self, submitted: List[int], completed: List[int], is_wakeup: bool
@@ -1194,8 +1234,22 @@ class Simulator:
 
     def _apply_decision(self, decision: AllocationDecision) -> None:
         penalty = self.config.penalty_model
-        for job_id, job in self._active.items():
-            new_alloc = decision.running.get(job_id)
+        running = self._running
+        decided = decision.running
+        # Only a RUNNING job or one the decision names can be touched; in
+        # arrival order these are the jobs, and the order, a walk of the
+        # whole active table would act on.
+        touched = list(running.values())
+        for job_id in decided:
+            if job_id not in running:
+                job = self._active.get(job_id)
+                if job is not None:
+                    touched.append(job)
+        if len(touched) > 1:
+            touched.sort(key=_ARRIVAL_RANK)
+        for job in touched:
+            job_id = job.spec.job_id
+            new_alloc = decided.get(job_id)
             if job.state is JobState.RUNNING:
                 assert job.assignment is not None
                 if new_alloc is None:
@@ -1212,6 +1266,7 @@ class Simulator:
                     job.assignment = None
                     job.current_yield = 0.0
                     job.state = JobState.PAUSED
+                    del running[job_id]
                     self._note_allocation_change(job)
                     for observer in self._observers:
                         observer.on_job_preempted(self._now, job.spec)
@@ -1248,6 +1303,7 @@ class Simulator:
             elif job.state is JobState.PENDING:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
+                    running[job_id] = job
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
                     self._acquire_nodes(new_alloc.nodes)
@@ -1259,6 +1315,7 @@ class Simulator:
             elif job.state is JobState.PAUSED:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
+                    running[job_id] = job
                     job.penalty_remaining += penalty.resume_penalty(job.spec)
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
@@ -1269,11 +1326,10 @@ class Simulator:
                         observer.on_job_resumed(self._now, job.spec, new_alloc)
         if self._observers:
             running_now: Dict[int, JobAllocation] = {}
-            for job in self._iter_jobs():
-                if job.state is JobState.RUNNING and job.assignment is not None:
-                    running_now[job.job_id] = JobAllocation.create(
-                        job.assignment, job.current_yield
-                    )
+            for job in sorted(running.values(), key=_ARRIVAL_RANK):
+                running_now[job.spec.job_id] = JobAllocation.create(
+                    job.assignment, job.current_yield
+                )
             for observer in self._observers:
                 observer.on_allocation_applied(self._now, running_now)
 

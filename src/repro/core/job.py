@@ -150,6 +150,10 @@ class Job:
     #: Execution-time-model multiplier on the dedicated work (1.0 = the
     #: trace is exact); set once at admission, before any progress is made.
     work_scale: float = 1.0
+    #: Position in the engine's arrival order, stamped when the job enters
+    #: the active table; sorting RUNNING-index walks by it restores that
+    #: order.  Engine bookkeeping, not job state: excluded from ``==``/repr.
+    arrival_rank: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.remaining_work == 0.0:

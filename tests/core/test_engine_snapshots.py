@@ -7,6 +7,9 @@ here as oracles:
   engine had before views became tuple-backed; at every event of the nine
   paper algorithms the engine's ``context.jobs`` must equal it field for
   field;
+* the per-state filter of ``context.jobs`` is what ``SchedulingContext``
+  computes lazily for a context built by hand; the partition the engine
+  fills while it builds the views must be those lists, in that order;
 * a plain ``validate_decision`` over the real specs is what the engine ran
   on every decision before validate-on-change; a scripted scheduler replays
   hypothesis-drawn decisions and the engine must raise iff that call does.
@@ -28,7 +31,7 @@ from repro.core.allocation import (
 from repro.core.cluster import Cluster
 from repro.core.context import JobView, SchedulingContext
 from repro.core.engine import SimulationConfig, Simulator
-from repro.core.job import JobSpec, JobState
+from repro.core.job import Job, JobSpec, JobState
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import AllocationError
 from repro.platform.events import TraceNodeEventSource
@@ -92,13 +95,15 @@ class _Spy:
         return self._inner.schedule(context)
 
 
-def _lublin_run(algorithm: str, on_context, *, nodes: int = 16, num_jobs: int = 40) -> None:
+def _lublin_run(
+    algorithm: str, on_context, *, nodes: int = 16, num_jobs: int = 40, **config
+) -> None:
     cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
     workload = LublinWorkloadGenerator(cluster).generate(num_jobs, seed=23)
     simulator = Simulator(
         cluster,
         _Spy(create_scheduler(algorithm), lambda context: on_context(simulator, context)),
-        SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0)),
+        SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0), **config),
     )
     assert simulator.run(workload.jobs).num_jobs == num_jobs
 
@@ -126,6 +131,76 @@ def test_snapshot_equals_the_field_by_field_rule_at_every_event(algorithm):
 
     _lublin_run(algorithm, check)
     assert events >= 40
+
+
+# --------------------------------------------------------------------------- #
+# (b) the partition the engine hands over against the per-state filter         #
+# --------------------------------------------------------------------------- #
+def _check_partition(_simulator, context: SchedulingContext) -> set:
+    assert context._partition is not None  # filled by the engine, not on demand
+    views = list(context.jobs.values())
+    for accessor, state in [
+        (context.running_jobs, JobState.RUNNING),
+        (context.paused_jobs, JobState.PAUSED),
+        (context.pending_jobs, JobState.PENDING),
+    ]:
+        got = accessor()
+        want = [view for view in views if view.state is state]
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))  # same views, same order
+        assert accessor() is not got  # still a fresh list per call
+    # The same views in a context built by hand partition lazily, as before,
+    # and to the same three lists.
+    by_hand = SchedulingContext(
+        time=context.time, cluster=context.cluster, jobs=dict(context.jobs)
+    )
+    assert by_hand._partition is None
+    assert by_hand._by_state() == context._by_state()
+    assert by_hand._partition is not None
+    return {view.state for view in views}
+
+
+@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+def test_engine_filled_partition_is_the_per_state_filter_at_every_event(algorithm):
+    seen: set = set()
+    _lublin_run(algorithm, lambda sim, context: seen.update(_check_partition(sim, context)))
+    assert JobState.RUNNING in seen and JobState.PENDING in seen
+
+
+def test_engine_filled_partition_under_a_failure_trace():
+    seen: set = set()
+    _lublin_run(
+        "greedy-pmtn-migr",
+        lambda sim, context: seen.update(_check_partition(sim, context)),
+        node_events=TraceNodeEventSource(
+            events_list=tuple(
+                event
+                for node in range(8)
+                for event in [
+                    (3000.0 * (node + 1), node, "down"),
+                    (3000.0 * (node + 1) + 2000.0, node, "up"),
+                ]
+            )
+        ),
+        failure_policy="migrate",
+    )
+    assert seen == {JobState.RUNNING, JobState.PAUSED, JobState.PENDING}
+
+
+@pytest.mark.parametrize(
+    "now, submit",
+    [(-0.0, 0.0), (0.0, 0.0), (float("nan"), 0.0), (5.0, 2.0), (1.0, 3.0)],
+)
+def test_inline_flow_time_clamp_is_max_zero(now, submit):
+    """``flow if flow > 0.0 else 0.0`` in ``_build_context`` against the
+    ``max(0.0, flow)`` it replaced: -0.0 and NaN both clamp to +0.0."""
+    simulator = Simulator(_CLUSTER, create_scheduler("fcfs"))
+    job = Job(spec=JobSpec(0, submit, 1, 0.5, 0.5, 10.0))
+    simulator._active[0] = job
+    simulator._now = now
+    view = simulator._build_context([], [], False).jobs[0]
+    assert view.flow_time.hex() == max(0.0, now - submit).hex()
+    assert view.flow_time.hex() == job.flow_time(now).hex()
 
 
 # --------------------------------------------------------------------------- #
@@ -288,28 +363,44 @@ class _ReplayScheduler(Scheduler):
         return decision
 
 
-def _replay(ops, failure_policy: str, fail_at: Optional[float]) -> int:
-    """Drive the engine through ``ops``; returns how many decisions it took."""
-    scheduler = _ReplayScheduler()
+def _replay_simulator(
+    scheduler: _ReplayScheduler,
+    failure_policy: str,
+    fail_at: Optional[float],
+    *,
+    engine: type = Simulator,
+    penalty: float = 0.0,
+    observers=(),
+) -> Simulator:
+    """An online ``engine`` holding ``_SPECS``, one step in: the base
+    allocation is applied (fully validated) and node 1 fails at ``fail_at``."""
     node_events = None
     if fail_at is not None:
         node_events = TraceNodeEventSource(
             events_list=((fail_at, 1, "down"), (fail_at + 3.0, 1, "up"))
         )
-    simulator = Simulator(
+    simulator = engine(
         _CLUSTER,
         scheduler,
         SimulationConfig(
-            penalty_model=ReschedulingPenaltyModel(0.0),
+            penalty_model=ReschedulingPenaltyModel(penalty),
             node_events=node_events,
             failure_policy=failure_policy,
         ),
+        observers=observers,
     )
     simulator.online_begin(0.0)
     for spec in _SPECS.values():
         simulator.online_submit(spec)
-    simulator.online_step()  # t=0: the base allocation, fully validated
+    simulator.online_step()
     assert scheduler.oracle_error is None
+    return simulator
+
+
+def _replay(ops, failure_policy: str, fail_at: Optional[float]) -> int:
+    """Drive the engine through ``ops``; returns how many decisions it took."""
+    scheduler = _ReplayScheduler()
+    simulator = _replay_simulator(scheduler, failure_policy, fail_at)
     accepted = 1
     for op in ops:
         scheduler.op = op
