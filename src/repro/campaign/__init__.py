@@ -11,8 +11,9 @@ shape *data*:
   engine options);
 * :class:`Campaign` — the executor: expands a scenario into its run grid,
   fans it out over its process pool (``executor.map_tasks``), attaches the
-  requested metric collectors (backed by :mod:`repro.core.observers`
-  recorders), and returns a typed :class:`CampaignResult`;
+  requested metric collectors (each bringing its own
+  :mod:`repro.core.observers` observers), and returns a typed
+  :class:`CampaignResult`;
 * :class:`CampaignResult` — tidy per-run rows plus aggregation helpers, with
   JSON/CSV persistence via :mod:`repro.analysis.export`;
 * resumable run-caching keyed by the stable :func:`scenario_hash`.

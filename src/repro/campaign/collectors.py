@@ -1,12 +1,15 @@
 """Pluggable metric collectors backed by :mod:`repro.core.observers`.
 
 A collector turns one finished simulation into a flat metrics dictionary —
-the cells of a :class:`~repro.campaign.result.RunRecord`.  Collectors declare
-which engine recorders they need by *name* (resolved through
-:func:`repro.core.observers.create_recorder`), which keeps campaign tasks
-picklable: worker processes receive collector names and options, instantiate
-the recorders locally, attach them to the simulator, and evaluate the
-collectors in-process so only plain dictionaries travel back over the pool.
+the cells of a :class:`~repro.campaign.result.RunRecord`.  A collector that
+must watch the run brings its own observers: ``observers(streaming)`` returns
+fresh :class:`~repro.core.observers.SimulationObserver` instances built from
+the collector's options, keyed by name.  Campaign tasks stay picklable —
+worker processes receive collector names and options, build the collectors
+and their observers locally, attach the observers to the simulator, and hand
+the same dictionary back to ``collect`` / ``stream_partials`` after the run,
+so only plain dictionaries travel back over the pool.  The engine itself
+measures nothing a collector needs beyond the result.
 
 Metric values are floats, ints, or lists of floats (for raw sample vectors
 such as scheduler timings); everything must survive a JSON round trip, which
@@ -15,11 +18,11 @@ is what makes the executor's run cache and the CSV/JSON exporters lossless.
 Streaming campaigns (``Campaign(streaming=True)``) use a second, two-phase
 protocol on collectors that declare ``streaming_capable``:
 ``stream_partials`` turns one streaming-metrics
-:class:`~repro.core.records.SimulationResult` into a bundle of mergeable
-:class:`repro.metrics.Accumulator` objects (what workers ship back over the
-pool), and ``stream_finalize`` turns the bundle merged across a cell's
-instances into the flat metrics row.  Collectors that fundamentally need the
-full per-job population (raw timing vectors, utilization traces) keep
+:class:`~repro.core.records.SimulationResult` and the collector's observers
+into a bundle of mergeable :class:`repro.metrics.Accumulator` objects (what
+workers ship back over the pool), and ``stream_finalize`` turns the bundle
+merged across a cell's instances into the flat metrics row.  Collectors that
+fundamentally need the full per-job population (raw timing vectors) keep
 ``streaming_capable = False`` and are rejected with a targeted error when a
 streaming campaign requests them; ``fairness`` streams via the stretch
 moments (exact Jain) and quantile-sketch bucket masses (bounded-error Gini
@@ -28,16 +31,28 @@ and p95).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..core.allocation import JobAllocation
+from ..core.cluster import Cluster
 from ..core.invariants import InvariantCheckingObserver
-from ..core.observers import SimulationObserver, UtilizationRecorder
+from ..core.observers import (
+    AvailabilityRecorder,
+    SimulationObserver,
+    UtilizationRecorder,
+)
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
 from ..registry import Registry
-from ..metrics import Accumulator, JobMetricsAccumulator, Moments, SumAccumulator
+from ..metrics import (
+    Accumulator,
+    JobMetricsAccumulator,
+    Moments,
+    SumAccumulator,
+    TimeWeightedValue,
+)
 from ..traces.model import Workload
 
 __all__ = [
@@ -49,37 +64,49 @@ __all__ = [
     "UtilizationCollector",
     "AvailabilityCollector",
     "InvariantsCollector",
+    "BusyNodeObserver",
     "available_collectors",
     "create_collector",
     "register_collector",
 ]
 
 
-class MetricCollector:
-    """Base collector: subclass, set ``name``/``recorders``, override ``collect``.
+def _tally(value: float) -> SumAccumulator:
+    """A one-run exact total, pooled across instances by ``merge``."""
+    return SumAccumulator(total=float(value), n=1)
 
-    ``recorders`` lists the observer names (see
-    :func:`repro.core.observers.available_recorders`) that must be attached to
-    the simulator for this collector; ``collect`` receives them back, keyed by
-    name, together with the finished result and the workload that produced it.
+
+class MetricCollector:
+    """Base collector: subclass, set ``name``, override ``collect``.
+
+    ``observers(streaming)`` returns the fresh observers this collector needs
+    attached to the simulator for one run, keyed by name; ``collect`` (and,
+    in streaming campaigns, ``stream_partials``) receives that dictionary
+    back together with the finished result.
     """
 
     name: str = "base"
-    recorders: Tuple[str, ...] = ()
     #: True when the collector implements the two-phase streaming protocol
     #: (``stream_partials`` / ``stream_finalize``) and therefore works in
     #: bounded-memory campaigns.
     streaming_capable: bool = False
 
+    def observers(self, streaming: bool) -> Dict[str, SimulationObserver]:
+        """Fresh observers to attach for one run; ``streaming`` selects the
+        bounded-memory kind for a streaming-metrics run."""
+        return {}
+
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         raise NotImplementedError
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         """Mergeable partials of one streaming-metrics run (worker side)."""
         raise ConfigurationError(
             f"metric collector {self.name!r} does not support streaming "
@@ -118,7 +145,7 @@ class StretchCollector(MetricCollector):
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         return {
@@ -129,7 +156,9 @@ class StretchCollector(MetricCollector):
             "num_jobs": result.num_jobs,
         }
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         job_stats = self._require_job_stats(result)
         makespan = Moments()
         makespan.add(result.makespan)
@@ -167,7 +196,7 @@ class CostCollector(MetricCollector):
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         return {
@@ -187,21 +216,20 @@ class CostCollector(MetricCollector):
             "overhead_seconds": result.costs.overhead_seconds,
         }
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
-        def tally(value: float) -> SumAccumulator:
-            return SumAccumulator(total=float(value), n=1)
-
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         return {
-            "pmtn_count": tally(result.costs.preemption_count),
-            "migr_count": tally(result.costs.migration_count),
-            "pmtn_gb": tally(result.costs.preemption_gb),
-            "migr_gb": tally(result.costs.migration_gb),
-            "node_failures": tally(result.costs.node_failures),
-            "failure_job_kills": tally(result.costs.failure_job_kills),
-            "overhead_events": tally(result.costs.overhead_events),
-            "overhead_seconds": tally(result.costs.overhead_seconds),
-            "jobs": tally(result.num_jobs),
-            "seconds": tally(result.makespan),
+            "pmtn_count": _tally(result.costs.preemption_count),
+            "migr_count": _tally(result.costs.migration_count),
+            "pmtn_gb": _tally(result.costs.preemption_gb),
+            "migr_gb": _tally(result.costs.migration_gb),
+            "node_failures": _tally(result.costs.node_failures),
+            "failure_job_kills": _tally(result.costs.failure_job_kills),
+            "overhead_events": _tally(result.costs.overhead_events),
+            "overhead_seconds": _tally(result.costs.overhead_seconds),
+            "jobs": _tally(result.num_jobs),
+            "seconds": _tally(result.makespan),
         }
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
@@ -230,7 +258,7 @@ class TimingCollector(MetricCollector):
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         submits = sorted(spec.submit_time for spec in workload.jobs)
@@ -261,7 +289,7 @@ class FairnessCollector(MetricCollector):
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         from ..analysis.fairness import stretch_fairness
@@ -273,7 +301,9 @@ class FairnessCollector(MetricCollector):
             "p95_stretch": report.p95_stretch,
         }
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         return {"jobs": self._require_job_stats(result)}
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
@@ -282,24 +312,57 @@ class FairnessCollector(MetricCollector):
         return streaming_stretch_fairness(merged["jobs"])
 
 
+class BusyNodeObserver(SimulationObserver):
+    """Time-weighted busy-node count (streaming ``utilization``).
+
+    Each hook first folds the span since the previous one into :attr:`stats`
+    at the busy count that held over it; ``on_allocation_applied`` then sets
+    that count to the distinct nodes of the running set.  Under ``run`` /
+    ``run_stream`` every event ends in one of the two hooks, so the segments
+    are the engine's event intervals.  Memory is O(1); each event costs
+    O(running tasks), the size of the set it is handed.
+    """
+
+    stats: TimeWeightedValue
+
+    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
+        self.stats = TimeWeightedValue()
+        self._busy = 0.0
+        self._last = start_time
+
+    def _advance(self, time: float) -> None:
+        span = time - self._last
+        if span > 0.0:
+            self.stats.add_segment(self._busy, span)
+        self._last = time
+
+    def on_allocation_applied(
+        self, time: float, running: Dict[int, JobAllocation]
+    ) -> None:
+        self._advance(time)
+        nodes = [allocation.nodes for allocation in running.values()]
+        self._busy = float(len(set().union(*nodes)))
+
+    def on_simulation_end(self, time: float) -> None:
+        self._advance(time)
+
+
 class UtilizationCollector(MetricCollector):
     """Busy-node / CPU-allocation profile plus the node-power energy model.
 
-    Needs the ``utilization`` recorder.  The power-model watts are collector
-    options so that scenarios can carry a non-default
-    :class:`~repro.analysis.energy.NodePowerModel` declaratively.
+    Materialized runs attach a :class:`~repro.core.observers.UtilizationRecorder`.
+    The power-model watts are collector options so that scenarios can carry
+    a non-default :class:`~repro.analysis.energy.NodePowerModel`
+    declaratively.
 
-    In streaming campaigns the collector ships the engine's time-decayed
-    busy-node accumulator (a :class:`~repro.metrics.TimeWeightedValue`, fed
-    at every event advance) instead of the full utilization trace: the
-    busy-node integral, mean, and peak are **exact**, and the energy model is
-    re-derived from the pooled node-second totals.  Only
-    ``mean_cpu_allocated`` is unavailable — it needs the per-allocation CPU
-    trace, which bounded memory cannot keep.
+    Streaming runs attach a :class:`BusyNodeObserver` instead of the full
+    utilization trace: the busy-node integral, mean, and peak are **exact**,
+    and the energy model is re-derived from the pooled node-second totals.
+    Only ``mean_cpu_allocated`` is unavailable — it needs the per-allocation
+    CPU trace, which bounded memory cannot keep.
     """
 
     name = "utilization"
-    recorders = ("utilization",)
     streaming_capable = True
 
     def __init__(
@@ -315,20 +378,14 @@ class UtilizationCollector(MetricCollector):
         self.idle_watts = idle_watts
         self.off_watts = off_watts
 
-    def collect(
-        self,
-        result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
-        workload: Workload,
-    ) -> Dict[str, Any]:
-        from ..analysis.energy import NodePowerModel, energy_from_recorder
-        from ..analysis.fairness import stretch_fairness
-        from ..analysis.timeseries import busy_nodes_series, cpu_allocated_series
+    def observers(self, streaming: bool) -> Dict[str, SimulationObserver]:
+        if streaming:
+            return {"busy": BusyNodeObserver()}
+        return {"utilization": UtilizationRecorder()}
 
-        recorder = recorders["utilization"]
-        assert isinstance(recorder, UtilizationRecorder)
-        busy = busy_nodes_series(recorder)
-        cpu = cpu_allocated_series(recorder)
+    def _power_model(self) -> Any:
+        from ..analysis.energy import NodePowerModel
+
         options = {
             key: value
             for key, value in (
@@ -338,7 +395,23 @@ class UtilizationCollector(MetricCollector):
             )
             if value is not None
         }
-        model = NodePowerModel(**options)
+        return NodePowerModel(**options)
+
+    def collect(
+        self,
+        result: SimulationResult,
+        observers: Mapping[str, SimulationObserver],
+        workload: Workload,
+    ) -> Dict[str, Any]:
+        from ..analysis.energy import energy_from_recorder
+        from ..analysis.fairness import stretch_fairness
+        from ..analysis.timeseries import busy_nodes_series, cpu_allocated_series
+
+        recorder = observers["utilization"]
+        assert isinstance(recorder, UtilizationRecorder)
+        busy = busy_nodes_series(recorder)
+        cpu = cpu_allocated_series(recorder)
+        model = self._power_model()
         energy = energy_from_recorder(
             recorder, workload.cluster, algorithm=result.algorithm, model=model
         )
@@ -362,39 +435,23 @@ class UtilizationCollector(MetricCollector):
             "platform_energy_joules": result.energy_joules,
         }
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         job_stats = self._require_job_stats(result)
-        busy = result.busy_node_stats
-        if busy is None:
-            raise ConfigurationError(
-                f"collector {self.name!r} needs the engine's busy-node "
-                "accumulator (SimulationConfig(streaming_metrics=True)) to "
-                "build partials"
-            )
-        def tally(value: float) -> SumAccumulator:
-            return SumAccumulator(total=float(value), n=1)
-
+        busy = observers["busy"]
+        assert isinstance(busy, BusyNodeObserver)
         return {
-            "busy": busy,
-            "node_seconds": tally(result.cluster.num_nodes * result.makespan),
-            "platform_energy": tally(result.energy_joules),
+            "busy": busy.stats,
+            "node_seconds": _tally(result.cluster.num_nodes * result.makespan),
+            "platform_energy": _tally(result.energy_joules),
             "jobs": job_stats,
         }
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
-        from ..analysis.energy import NodePowerModel
         from ..analysis.fairness import streaming_stretch_fairness
 
-        options = {
-            key: value
-            for key, value in (
-                ("busy_watts", self.busy_watts),
-                ("idle_watts", self.idle_watts),
-                ("off_watts", self.off_watts),
-            )
-            if value is not None
-        }
-        model = NodePowerModel(**options)
+        model = self._power_model()
         busy = merged["busy"]
         total_node_seconds = merged["node_seconds"].total
         busy_node_seconds = min(busy.integral, total_node_seconds)
@@ -433,20 +490,17 @@ class AvailabilityCollector(MetricCollector):
     ``window_seconds`` anchored at the first submission — the worst window
     (``min_window_availability``) is the number an operator SLO would quote.
 
-    Needs the ``availability`` recorder in materialized campaigns.  In
-    streaming campaigns the engine feeds time-weighted up-capacity
-    accumulators directly (``SimulationConfig(availability_window_seconds)``,
-    wired by the executor through ``needs_engine_windows``): the whole-run
-    integral merges exactly across instances, and per-window ratios pool
-    into moments — count, mean, and min stay exact.
+    Both campaign modes attach an
+    :class:`~repro.core.observers.AvailabilityRecorder` (memory O(node
+    events)) and window its segments through one loop, ``_window_ratios``.
+    Streaming partials pool the whole-run integrals exactly across instances
+    and the per-window ratios into moments — count, mean, and min stay
+    exact, so a per-instance streaming row equals the materialized one up to
+    the window mean (Welford vs. ``np.mean``).
     """
 
     name = "availability"
-    recorders = ("availability",)
     streaming_capable = True
-    #: Executor hint: streaming runs must set the engine's
-    #: ``availability_window_seconds`` to this collector's window width.
-    needs_engine_windows = True
 
     def __init__(self, *, window_seconds: float = 3600.0) -> None:
         window = float(window_seconds)
@@ -457,42 +511,54 @@ class AvailabilityCollector(MetricCollector):
             )
         self.window_seconds = window
 
-    def collect(
-        self,
-        result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
-        workload: Workload,
-    ) -> Dict[str, Any]:
-        from ..core.observers import AvailabilityRecorder
+    def observers(self, streaming: bool) -> Dict[str, SimulationObserver]:
+        return {"availability": AvailabilityRecorder()}
 
-        recorder = recorders["availability"]
-        assert isinstance(recorder, AvailabilityRecorder)
-        # Plain floats throughout: metric values must survive a JSON round
-        # trip (np scalars from capacity sums do not).
-        capacity = float(recorder.nominal_cpu_capacity())
-        duration = float(recorder.duration())
-        delivered = float(recorder.delivered_cpu_seconds())
-        nominal = capacity * duration
-        ratios = self._window_ratios(recorder, capacity)
+    @staticmethod
+    def _row(
+        delivered: float,
+        nominal: float,
+        windows: int,
+        min_window: float,
+        mean_window: float,
+    ) -> Dict[str, Any]:
         return {
             "availability": delivered / nominal if nominal > 0 else 1.0,
             "delivered_cpu_hours": delivered / 3600.0,
             "nominal_cpu_hours": nominal / 3600.0,
             "downtime_cpu_hours": max(0.0, nominal - delivered) / 3600.0,
-            "availability_windows": len(ratios),
-            "min_window_availability": float(min(ratios)) if ratios else 1.0,
-            "mean_window_availability": (
-                float(np.mean(ratios)) if ratios else 1.0
-            ),
+            "availability_windows": windows,
+            "min_window_availability": min_window,
+            "mean_window_availability": mean_window,
         }
 
-    def _window_ratios(self, recorder: Any, capacity: float) -> List[float]:
+    def collect(
+        self,
+        result: SimulationResult,
+        observers: Mapping[str, SimulationObserver],
+        workload: Workload,
+    ) -> Dict[str, Any]:
+        recorder = observers["availability"]
+        assert isinstance(recorder, AvailabilityRecorder)
+        ratios = self._window_ratios(recorder)
+        # Plain floats throughout: metric values must survive a JSON round
+        # trip (np scalars from capacity sums do not).
+        return self._row(
+            float(recorder.delivered_cpu_seconds()),
+            float(recorder.nominal_cpu_capacity()) * float(recorder.duration()),
+            len(ratios),
+            float(min(ratios)) if ratios else 1.0,
+            float(np.mean(ratios)) if ratios else 1.0,
+        )
+
+    def _window_ratios(self, recorder: AvailabilityRecorder) -> List[float]:
         """Per-window delivered/nominal ratios from the recorder's segments.
 
         Segments are split at window boundaries (anchored at the start of
         the measured span), so each window integrates exactly its share; a
         trailing partial window is ratioed against its own covered span.
         """
+        capacity = float(recorder.nominal_cpu_capacity())
         if capacity <= 0:
             return []
         width = self.window_seconds
@@ -516,52 +582,36 @@ class AvailabilityCollector(MetricCollector):
             if covered[index] > 0
         ]
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
-        avail = result.avail_node_stats
-        if avail is None:
-            raise ConfigurationError(
-                f"collector {self.name!r} needs the engine's availability "
-                "accumulator (SimulationConfig(streaming_metrics=True)) to "
-                "build partials"
-            )
-        capacity = Moments()
-        capacity.add(float(result.cluster.total_cpu_capacity()))
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
+        recorder = observers["availability"]
+        assert isinstance(recorder, AvailabilityRecorder)
+        capacities = Moments()
+        capacities.add(float(recorder.nominal_cpu_capacity()))
         # Per-window availability ratios pool into moments instead of
         # travelling as per-window accumulators: instances of different
         # lengths produce different window sets, and the campaign merge
         # contract (merge_bundles) requires identical name sets.
         windows = Moments()
-        total = float(result.cluster.total_cpu_capacity())
-        if result.avail_window_stats and total > 0:
-            for stats in result.avail_window_stats.values():
-                if stats.duration > 0:
-                    windows.add(stats.mean / total)
-        return {"delivered": avail, "capacity": capacity, "windows": windows}
+        windows.update(self._window_ratios(recorder))
+        return {
+            "delivered": _tally(recorder.delivered_cpu_seconds()),
+            "duration": _tally(recorder.duration()),
+            "capacity": capacities,
+            "windows": windows,
+        }
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
-        delivered = merged["delivered"]
         capacity = float(merged["capacity"].mean) if merged["capacity"].n else 0.0
-        duration = float(delivered.duration)
-        delivered_cpu_seconds = float(delivered.integral)
-        nominal = capacity * duration
         windows = merged["windows"]
-        return {
-            "availability": (
-                delivered_cpu_seconds / nominal if nominal > 0 else 1.0
-            ),
-            "delivered_cpu_hours": delivered_cpu_seconds / 3600.0,
-            "nominal_cpu_hours": nominal / 3600.0,
-            "downtime_cpu_hours": (
-                max(0.0, nominal - delivered_cpu_seconds) / 3600.0
-            ),
-            "availability_windows": int(windows.n),
-            "min_window_availability": (
-                float(windows.minimum) if windows.n else 1.0
-            ),
-            "mean_window_availability": (
-                float(windows.mean) if windows.n else 1.0
-            ),
-        }
+        return self._row(
+            float(merged["delivered"].total),
+            capacity * float(merged["duration"].total),
+            int(windows.n),
+            float(windows.minimum) if windows.n else 1.0,
+            float(windows.mean) if windows.n else 1.0,
+        )
 
 
 class InvariantsCollector(MetricCollector):
@@ -569,22 +619,36 @@ class InvariantsCollector(MetricCollector):
 
     The observer raises on the first capacity / lifecycle / yield / clock
     violation, so a finished row means every event passed; the one column
-    says how many were checked.  Materialized campaigns only: the checker
-    keeps every submitted spec.
+    says how many were checked (summed over a cell's instances when a
+    streaming campaign merges them).  The checker keeps only the specs of
+    active jobs, so it runs in streaming campaigns too.
     """
 
     name = "invariants"
-    recorders = ("invariants",)
+    streaming_capable = True
+
+    def observers(self, streaming: bool) -> Dict[str, SimulationObserver]:
+        return {"invariants": InvariantCheckingObserver()}
 
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
-        checker = recorders["invariants"]
+        checker = observers["invariants"]
         assert isinstance(checker, InvariantCheckingObserver)
         return {"invariant_events_checked": checker.checked_events}
+
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
+        checker = observers["invariants"]
+        assert isinstance(checker, InvariantCheckingObserver)
+        return {"events": _tally(checker.checked_events)}
+
+    def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
+        return {"invariant_events_checked": int(merged["events"].total)}
 
 
 COLLECTORS: Registry[MetricCollector] = Registry("metric collector")

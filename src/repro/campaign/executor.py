@@ -5,7 +5,7 @@ The executor turns a :class:`~repro.campaign.scenario.Scenario` into the
 process pool (:func:`map_tasks`, the one fan-out primitive of the
 repository: every simulation is deterministic given its task, so
 ``workers=N`` is bit-for-bit equal to ``workers=1``).  Each worker builds
-its recorders locally, simulates, evaluates the scenario's metric
+its collectors and their observers locally, simulates, evaluates the
 collectors, and ships back only a plain metrics dictionary — so the grid
 parallelises even when collectors need observers attached.
 
@@ -58,7 +58,7 @@ from typing import (
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig, Simulator
 from ..core.metrics import degradation_factors
-from ..core.observers import create_recorder
+from ..core.observers import SimulationObserver
 from ..core.penalties import ReschedulingPenaltyModel
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError, ReproError
@@ -73,7 +73,7 @@ from ..traces import (
     rescale_to_load,
     scale_to_load,
 )
-from .collectors import create_collector
+from .collectors import MetricCollector, create_collector
 from .result import CampaignResult, RunRecord
 from .scenario import CollectorSpec, Scenario, payload_hash, scenario_hash
 
@@ -149,32 +149,45 @@ def map_tasks(
         return pool.map(fn, tasks, chunksize=1)
 
 
+_Measured = List[Tuple[MetricCollector, Dict[str, SimulationObserver]]]
+
+
+def _measured_simulator(
+    cluster: Cluster,
+    algorithm: str,
+    simulation_config: SimulationConfig,
+    collector_specs: Sequence[CollectorSpec],
+    streaming: bool,
+) -> Tuple[Simulator, _Measured]:
+    """A simulator carrying every collector's fresh observers, and the
+    ``(collector, observers)`` pairs to evaluate once it has run."""
+    measured: _Measured = []
+    for spec in collector_specs:
+        collector = create_collector(spec.name, **spec.options_dict())
+        measured.append((collector, collector.observers(streaming)))
+    simulator = Simulator(
+        cluster,
+        create_scheduler(algorithm),
+        simulation_config,
+        observers=[obs for _, observers in measured for obs in observers.values()],
+    )
+    return simulator, measured
+
+
 def _execute_run(task: _RunTask) -> Dict[str, Any]:
     """Run one (workload, algorithm) cell and evaluate its collectors.
 
-    Module-level so the pool can pickle it by reference; recorders are
-    instantiated per run from their registered names.
+    Module-level so the pool can pickle it by reference; each collector's
+    observers are built per run from the collector's options.
     """
     workload, algorithm, simulation_config, collector_specs = task
-    collectors = [
-        create_collector(spec.name, **spec.options_dict())
-        for spec in collector_specs
-    ]
-    recorder_names: Dict[str, None] = {}
-    for collector in collectors:
-        for name in collector.recorders:
-            recorder_names.setdefault(name, None)
-    recorders = {name: create_recorder(name) for name in recorder_names}
-    simulator = Simulator(
-        workload.cluster,
-        create_scheduler(algorithm),
-        simulation_config,
-        observers=list(recorders.values()) or None,
+    simulator, measured = _measured_simulator(
+        workload.cluster, algorithm, simulation_config, collector_specs, False
     )
     result = simulator.run(workload.jobs)
     metrics: Dict[str, Any] = {}
-    for collector in collectors:
-        metrics.update(collector.collect(result, recorders, workload))
+    for collector, observers in measured:
+        metrics.update(collector.collect(result, observers, workload))
     if simulator.telemetry is not None:
         # Timings travel in their own row field, never among the metric
         # columns — results stay a pure function of the spec (DET103).
@@ -286,18 +299,18 @@ def _execute_streaming_run(task: _StreamTask) -> Dict[str, Any]:
     measurement per instance, so workers never pay a measurement pass.
     """
     source, cluster, algorithm, simulation_config, collector_specs, rescale = task
-    collectors = [
-        create_collector(spec.name, **spec.options_dict())
-        for spec in collector_specs
-    ]
+    simulator, measured = _measured_simulator(
+        cluster, algorithm, simulation_config, collector_specs, True
+    )
     stream_source = source if rescale is None else source.transformed(rescale)
-    simulator = Simulator(cluster, create_scheduler(algorithm), simulation_config)
     result = simulator.run_stream(stream_source.jobs(cluster))
     outcome = {
         "workload": source.default_name(),
         "partials": {
-            collector.name: bundle_to_dict(collector.stream_partials(result))
-            for collector in collectors
+            collector.name: bundle_to_dict(
+                collector.stream_partials(result, observers)
+            )
+            for collector, observers in measured
         },
         "peak_resident_jobs": simulator.peak_resident_jobs,
     }
@@ -435,19 +448,6 @@ class _StreamingPlan(_Plan):
                     "per-job population and cannot run in a streaming "
                     "campaign; drop it or run without streaming"
                 )
-        # Collectors measuring windowed availability need the engine to
-        # split the up-capacity integral at their window width; two
-        # collectors asking for different widths cannot share one run.
-        window_seconds: Optional[float] = None
-        for collector in collectors:
-            if getattr(collector, "needs_engine_windows", False):
-                width = float(collector.window_seconds)
-                if window_seconds is not None and window_seconds != width:
-                    raise ConfigurationError(
-                        "conflicting availability window widths in one "
-                        f"scenario: {window_seconds:g}s vs {width:g}s"
-                    )
-                window_seconds = width
 
         self.scenario = scenario
         self.merged = merged
@@ -457,7 +457,6 @@ class _StreamingPlan(_Plan):
         self._engine_options: Dict[str, Any] = {
             "streaming_metrics": True,
             "metrics_relative_error": metrics_relative_error,
-            "availability_window_seconds": window_seconds,
         }
         # Offered load is a per-instance constant: measured lazily, once per
         # instance, with a single O(1)-memory pass — not once per

@@ -36,6 +36,15 @@ incremental state keep the per-event work bounded:
   updated at every allocation change, so idle-node-seconds accounting does
   not rebuild a busy-node set per event.
 
+The engine measures only stretch outcomes, the Table II costs, idle
+node-seconds and platform energy; utilization, availability and goodput are
+derived outside it by the observers each metric collector attaches, in
+materialized and streaming runs alike.  Nodes already down when the run
+begins are announced through ``on_node_down`` right after
+``on_simulation_start``.  The running-set snapshot of
+``on_allocation_applied`` is built only when an attached observer overrides
+that hook, reusing each unchanged job's allocation from the previous event.
+
 The reference semantics are those of the seed's full-dictionary-scan loop
 (removed in PR 12); its outputs across the paper's nine algorithms are frozen
 in ``tests/core/golden/engine_reference.json`` and
@@ -162,11 +171,6 @@ class SimulationConfig:
     #: sink, never in results, so results stay a pure function of the spec
     #: (DET103).
     telemetry: Optional[Any] = None
-    #: Width in seconds of the per-window availability accumulators (the
-    #: delivered-vs-nominal CPU-hours measurement of the ``availability``
-    #: collector).  Only read in ``streaming_metrics`` mode; None (the
-    #: default) keeps only the whole-run availability integral.
-    availability_window_seconds: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -267,43 +271,6 @@ class Simulator:
         #: down transitions; integrated over time in ``_advance_to``.
         self._power_current = 0.0
         self._energy_joules = 0.0
-        #: Time-weighted busy-node accumulator (streaming-metrics mode only),
-        #: feeding the streaming ``utilization`` collector.
-        self._busy_node_stats = None
-        # -- availability measurement ---------------------------------------
-        #: Time-weighted *up CPU capacity* accumulator (streaming-metrics
-        #: mode only), feeding the streaming ``availability`` collector:
-        #: delivered CPU-hours = mean x duration.
-        self._avail_node_stats = None
-        #: window index -> up-capacity accumulator, when
-        #: ``availability_window_seconds`` is set (windows anchored at the
-        #: first submission).
-        self._avail_window_stats: Optional[Dict[int, Any]] = None
-        #: window index -> ``[completions, delivered work]`` (work = tasks x
-        #: cpu x nominal seconds of each job completing in the window),
-        #: feeding the streaming ``goodput`` collector.  Same windows as
-        #: ``_avail_window_stats``: ``availability_window_seconds`` wide,
-        #: anchored at the first submission.
-        self._goodput_window_stats: Optional[Dict[int, List[float]]] = None
-        self._window_accumulator_factory = None
-        window = self.config.availability_window_seconds
-        if window is not None and (not math.isfinite(window) or window <= 0.0):
-            raise SimulationError(
-                f"availability_window_seconds must be a positive finite "
-                f"number of seconds, got {window!r}"
-            )
-        if self.config.streaming_metrics:
-            from ..metrics import TimeWeightedValue
-
-            self._busy_node_stats = TimeWeightedValue()
-            self._avail_node_stats = TimeWeightedValue()
-            if window is not None:
-                self._avail_window_stats = {}
-                self._goodput_window_stats = {}
-                self._window_accumulator_factory = TimeWeightedValue
-        #: Total CPU capacity of the cluster (cached; the availability
-        #: integral subtracts down-node capacity from it every segment).
-        self._total_cpu_capacity = float(cluster.total_cpu_capacity())
         # -- telemetry ------------------------------------------------------
         #: The live telemetry sink, or None when telemetry is disabled (the
         #: default).  All hot-path instrumentation is guarded by a single
@@ -318,6 +285,17 @@ class Simulator:
             from ..obs.flight import FlightObserver
 
             self._observers.append(FlightObserver(self._telemetry.flight))
+        #: The observers that override ``on_allocation_applied``: the
+        #: running-set snapshot is built only when one of them will read it.
+        self._allocation_observers = [
+            observer
+            for observer in self._observers
+            if getattr(type(observer), "on_allocation_applied", None)
+            is not SimulationObserver.on_allocation_applied
+        ]
+        #: The snapshot last handed to them; a job whose nodes and yield
+        #: are unchanged keeps its allocation object from it.
+        self._running_now: Dict[int, JobAllocation] = {}
         self._now = 0.0
         # -- O(active) event-loop state ------------------------------------
         #: Arrived, not-yet-completed jobs, keyed by job id, in arrival order.
@@ -453,6 +431,11 @@ class Simulator:
         self.scheduler.start(self.cluster, first_submit)
         for observer in self._observers:
             observer.on_simulation_start(self.cluster, first_submit)
+        # Nodes the pre-run slice of the availability trace left down are
+        # announced once, so observers start from the scheduler's view.
+        for node in sorted(self._down_nodes):
+            for observer in self._observers:
+                observer.on_node_down(first_submit, node)
 
     def _step(self, next_time: float) -> None:
         """Process the single simulation event due at ``next_time``."""
@@ -511,10 +494,6 @@ class Simulator:
             scheduler_time_stats=self._scheduler_time_stats,
             scheduler_job_count_stats=self._scheduler_job_count_stats,
             energy_joules=self._energy_joules,
-            busy_node_stats=self._busy_node_stats,
-            avail_node_stats=self._avail_node_stats,
-            avail_window_stats=self._avail_window_stats,
-            goodput_window_stats=self._goodput_window_stats,
         )
 
     # -------------------------------------------------------- online driving --
@@ -900,48 +879,11 @@ class Simulator:
             # host no work, so they drop out of the idle integral.
             idle = self.cluster.num_nodes - self._busy_count - len(self._down_nodes)
             self._idle_node_seconds += idle * duration
-            if self._busy_node_stats is not None:
-                self._busy_node_stats.add_segment(float(self._busy_count), duration)
             for job in self._running.values():  # only running jobs progress
                 job.advance(duration)
-            if self._avail_node_stats is not None:
-                up_cpu = self._up_cpu_capacity()
-                self._avail_node_stats.add_segment(up_cpu, duration)
-                if self._avail_window_stats is not None:
-                    self._record_window_segment(up_cpu, self._now, next_time)
             if self._node_power is not None:
                 self._energy_joules += self._power_current * duration
         self._now = next_time
-
-    def _up_cpu_capacity(self) -> float:
-        """Aggregate CPU capacity of the nodes currently up."""
-        if not self._down_nodes:
-            return self._total_cpu_capacity
-        return self._total_cpu_capacity - sum(
-            self.cluster.cpu_capacity(node) for node in sorted(self._down_nodes)
-        )
-
-    def _record_window_segment(self, up_cpu: float, start: float, end: float) -> None:
-        """Fold one constant-capacity segment into the window accumulators.
-
-        Windows are ``availability_window_seconds`` wide, anchored at the
-        first submission; a segment spanning a boundary is split so each
-        window integrates exactly its own share.
-        """
-        width = self.config.availability_window_seconds
-        assert width is not None and self._avail_window_stats is not None
-        origin = self._first_submit
-        t = start
-        while t < end - 1e-12:
-            index = int((t - origin) // width)
-            boundary = origin + (index + 1) * width
-            seg_end = end if boundary <= t else min(end, boundary)
-            stats = self._avail_window_stats.get(index)
-            if stats is None:
-                stats = self._window_accumulator_factory()
-                self._avail_window_stats[index] = stats
-            stats.add_segment(up_cpu, seg_end - t)
-            t = seg_end
 
     def _collect_triggers(self, now: float):
         submitted: List[int] = []
@@ -1029,18 +971,6 @@ class Simulator:
                 turnaround=record.turnaround_time,
                 wait=record.wait_time,
             )
-            if self._goodput_window_stats is not None:
-                width = self.config.availability_window_seconds
-                assert width is not None
-                spec = record.spec
-                index = int((self._now - self._first_submit) // width)
-                window_stats = self._goodput_window_stats.get(index)
-                if window_stats is None:
-                    window_stats = self._goodput_window_stats[index] = [0.0, 0.0]
-                window_stats[0] += 1.0
-                window_stats[1] += (
-                    spec.num_tasks * spec.cpu_need * spec.execution_time
-                )
         else:
             self._records.append(record)
         for observer in self._observers:
@@ -1324,13 +1254,26 @@ class Simulator:
                     self._note_allocation_change(job)
                     for observer in self._observers:
                         observer.on_job_resumed(self._now, job.spec, new_alloc)
-        if self._observers:
+        if self._allocation_observers:
+            previous = self._running_now
             running_now: Dict[int, JobAllocation] = {}
-            for job in sorted(running.values(), key=_ARRIVAL_RANK):
-                running_now[job.spec.job_id] = JobAllocation.create(
-                    job.assignment, job.current_yield
-                )
-            for observer in self._observers:
+            # ``touched`` holds every job now RUNNING, already in arrival order.
+            for job in touched:
+                if job.state is not JobState.RUNNING:
+                    continue
+                job_id = job.spec.job_id
+                allocation = previous.get(job_id)
+                if (
+                    allocation is None
+                    or allocation.yield_value != job.current_yield
+                    or allocation.nodes != job.assignment
+                ):
+                    allocation = JobAllocation.create(
+                        job.assignment, job.current_yield
+                    )
+                running_now[job_id] = allocation
+            self._running_now = running_now
+            for observer in self._allocation_observers:
                 observer.on_allocation_applied(self._now, running_now)
 
     # --------------------------------------------------------------- results --

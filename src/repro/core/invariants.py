@@ -20,13 +20,14 @@ Checked invariants:
   with the engine's epsilon).
 * **Yield bounds** — every running job's yield lies in ``(0, 1]``.
 * **Availability** — no applied allocation holds a task on a node the engine
-  reported down (``on_node_down``) and not yet repaired (``on_node_up``).
-  Nodes already down before the first submission are never announced, so
-  they are outside this check.
+  reported down (``on_node_down``, which also announces the nodes already
+  down when the run begins) and not yet repaired (``on_node_up``).
 * **Clock** — observed event times never decrease.
 
 Violations raise :class:`~repro.exceptions.SimulationError` immediately, which
-makes the offending event easy to pinpoint under pytest.
+makes the offending event easy to pinpoint under pytest.  A job's spec is
+dropped when it completes, so memory is O(active jobs) apart from the sets
+of job ids.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..exceptions import SimulationError
 from .allocation import JobAllocation
 from .cluster import CAPACITY_EPSILON, Cluster
 from .job import JobSpec
-from .observers import RECORDERS, SimulationObserver
+from .observers import SimulationObserver
 
 __all__ = ["InvariantCheckingObserver"]
 
@@ -132,6 +133,7 @@ class InvariantCheckingObserver(SimulationObserver):
                 f"job {spec.job_id} completed without ever having started"
             )
         self._completed.add(spec.job_id)
+        del self._specs[spec.job_id]
 
     def on_node_down(self, time: float, node: int) -> None:
         self._advance_clock(time)
@@ -202,8 +204,3 @@ class InvariantCheckingObserver(SimulationObserver):
     def _require_not_completed(self, job_id: int, action: str) -> None:
         if job_id in self._completed:
             raise SimulationError(f"job {job_id} {action} after completing")
-
-
-# By name, so a scenario turns checking on with ``collectors: [invariants]``
-# (see repro.campaign.collectors) instead of through an engine option.
-RECORDERS.register("invariants", InvariantCheckingObserver)

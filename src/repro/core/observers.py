@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..registry import Registry
 from .allocation import JobAllocation
 from .cluster import Cluster
 from .job import JobSpec
@@ -40,9 +39,6 @@ __all__ = [
     "UtilizationSample",
     "UtilizationRecorder",
     "AvailabilityRecorder",
-    "available_recorders",
-    "create_recorder",
-    "register_recorder",
 ]
 
 
@@ -109,6 +105,11 @@ class SimulationObserver:
 
     def on_node_down(self, time: float, node: int) -> None:
         """Called when a node fails (platform availability trace).
+
+        Also called once at the start of the run, at the first submission
+        instant and right after ``on_simulation_start``, for every node the
+        trace left down before it (in node order), so observers begin from
+        the scheduler's view of the platform.
 
         Jobs evicted by the failure are additionally reported through
         ``on_job_preempted`` (both failure policies close their allocation
@@ -408,10 +409,7 @@ class AvailabilityRecorder(SimulationObserver):
     changes at node-down/node-up events; the recorder keeps it as a list of
     constant-capacity ``(start, end, up_cpu)`` segments.  On static
     platforms this is a single full-capacity segment and delivered equals
-    nominal.  A node that was already down when the run began (pre-run slice
-    of the availability trace) is discovered at its repair event, and its
-    capacity is retroactively removed from every earlier segment — so the
-    integral is exact either way.
+    nominal.  Memory is O(node events).
     """
 
     def __init__(self) -> None:
@@ -446,22 +444,7 @@ class AvailabilityRecorder(SimulationObserver):
         self._up_cpu -= self._cluster.cpu_capacity(node)
 
     def on_node_up(self, time: float, node: int) -> None:
-        if self._cluster is None:
-            return
-        if node not in self._down:
-            # Down since before the run began: every segment so far
-            # overcounted this node's capacity.  Correct retroactively and
-            # close the running segment at the corrected level; the current
-            # ``_up_cpu`` already counts the node as up from here on.
-            capacity = self._cluster.cpu_capacity(node)
-            self.segments = [
-                (start, end, up - capacity) for start, end, up in self.segments
-            ]
-            if time > self._segment_start:
-                self.segments.append(
-                    (self._segment_start, time, self._up_cpu - capacity)
-                )
-            self._segment_start = time
+        if node not in self._down or self._cluster is None:
             return
         self._close_segment(time)
         self._down.discard(node)
@@ -483,20 +466,3 @@ class AvailabilityRecorder(SimulationObserver):
     def delivered_cpu_seconds(self) -> float:
         """Integral of up-node CPU capacity over the measured span."""
         return sum((end - start) * up for start, end, up in self.segments)
-
-
-# --------------------------------------------------------------------------- #
-# Recorder registry                                                            #
-# --------------------------------------------------------------------------- #
-#: Name-constructible recorders.  The campaign layer ships recorder *names*
-#: (not instances) to worker processes, so anything pluggable into a
-#: :class:`repro.campaign.collectors.MetricCollector` must be registered here.
-RECORDERS: Registry[SimulationObserver] = Registry("recorder")
-register_recorder = RECORDERS.register
-available_recorders = RECORDERS.available
-create_recorder = RECORDERS.create
-
-register_recorder("event-log", EventLogRecorder)
-register_recorder("allocation-trace", AllocationTraceRecorder)
-register_recorder("utilization", UtilizationRecorder)
-register_recorder("availability", AvailabilityRecorder)

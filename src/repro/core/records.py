@@ -123,21 +123,6 @@ class SimulationResult:
     #: Energy consumed over the run under the platform's per-node-class
     #: power draw (0.0 unless the platform declares node power).
     energy_joules: float = 0.0
-    #: Time-weighted busy-node statistics (streaming-metrics mode only; a
-    #: :class:`repro.metrics.TimeWeightedValue`, None otherwise).
-    busy_node_stats: Optional[object] = None
-    #: Time-weighted *up CPU capacity* statistics (streaming-metrics mode
-    #: only): delivered CPU-time = mean x duration, against the cluster's
-    #: nominal capacity.  Feeds the ``availability`` collector.
-    avail_node_stats: Optional[object] = None
-    #: window index -> up-capacity :class:`~repro.metrics.TimeWeightedValue`
-    #: when the engine ran with ``availability_window_seconds`` set
-    #: (streaming-metrics mode only, windows anchored at the first submit).
-    avail_window_stats: Optional[Dict[int, object]] = None
-    #: window index -> ``[completions, delivered work]`` (work = tasks x
-    #: cpu x nominal seconds) under the same windows; feeds the streaming
-    #: ``goodput`` collector.
-    goodput_window_stats: Optional[Dict[int, List[float]]] = None
 
     @property
     def is_streaming(self) -> bool:

@@ -27,25 +27,27 @@ error at the ``slo_factor`` boundary.
 failure-kills or still in flight does not count), measured as
 ``num_tasks × cpu_need × execution_time`` CPU-seconds per completed job.
 The windowed columns cut the run into fixed windows anchored at the first
-submission (sharing the engine's availability windows in streaming mode)
+submission, tallied by the collector's own observer in both campaign modes,
 so a soak or a diurnal trace shows throughput floors per window, not just
 the whole-run mean.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..campaign.collectors import MetricCollector, register_collector
+from ..core.cluster import Cluster
+from ..core.job import JobSpec
 from ..core.observers import SimulationObserver
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
 from ..metrics import Accumulator, Moments, SumAccumulator
 from ..traces.model import Workload
 
-__all__ = ["SloCollector", "GoodputCollector"]
+__all__ = ["SloCollector", "GoodputCollector", "CompletionWindows"]
 
 #: Default SLO factor: completion within 10x the job's nominal runtime.
 DEFAULT_SLO_FACTOR = 10.0
@@ -73,7 +75,7 @@ class SloCollector(MetricCollector):
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
         turnarounds = [record.turnaround_time for record in result.jobs]
@@ -103,7 +105,9 @@ class SloCollector(MetricCollector):
             **quantiles,
         }
 
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
         return {"jobs": self._require_job_stats(result)}
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
@@ -134,6 +138,33 @@ class SloCollector(MetricCollector):
         }
 
 
+class CompletionWindows(SimulationObserver):
+    """Per-window completion tally: window index -> ``[completions, work]``.
+
+    Windows are ``width`` seconds wide and anchored at the run's first
+    submission; work is ``num_tasks × cpu_need × execution_time`` of each job
+    completing in the window.  Memory is one entry per window that saw a
+    completion.
+    """
+
+    windows: Dict[int, List[float]]
+
+    def __init__(self, width: float) -> None:
+        self.width = width
+
+    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
+        self.windows = {}
+        self._origin = start_time
+
+    def on_job_completed(self, time: float, spec: JobSpec) -> None:
+        index = int((time - self._origin) // self.width)
+        tally = self.windows.get(index)
+        if tally is None:
+            tally = self.windows[index] = [0.0, 0.0]
+        tally[0] += 1.0
+        tally[1] += spec.num_tasks * spec.cpu_need * spec.execution_time
+
+
 class GoodputCollector(MetricCollector):
     """Whole-run and per-window goodput/throughput; see the module docstring.
 
@@ -144,20 +175,14 @@ class GoodputCollector(MetricCollector):
     ``mean/min/max_window_jobs_per_hour`` and ``mean/min_window_goodput``
     (CPU-seconds per window second, i.e. mean CPUs usefully busy).
 
-    Windows of ``window_seconds`` are anchored at the first submission.
-    Materialized campaigns rebuild them from the per-job records; streaming
-    campaigns read the engine's window tallies
-    (``SimulationResult.goodput_window_stats``, wired by the executor
-    through ``needs_engine_windows``).  Empty interior windows count as
-    zero — a throughput *floor* must see the silent hour, not skip it.
+    Windows of ``window_seconds`` are anchored at the first submission and
+    tallied by a :class:`CompletionWindows` observer in both campaign modes.
+    Empty interior windows count as zero — a throughput *floor* must see the
+    silent hour, not skip it.
     """
 
     name = "goodput"
     streaming_capable = True
-    #: Executor hint, shared with ``availability``: streaming runs set the
-    #: engine's ``availability_window_seconds`` to this width (one width per
-    #: campaign — mixing collectors with different widths is rejected).
-    needs_engine_windows = True
 
     def __init__(self, *, window_seconds: float = 3600.0) -> None:
         window = float(window_seconds)
@@ -168,9 +193,8 @@ class GoodputCollector(MetricCollector):
             )
         self.window_seconds = window
 
-    @staticmethod
-    def _work(spec: Any) -> float:
-        return float(spec.num_tasks * spec.cpu_need * spec.execution_time)
+    def observers(self, streaming: bool) -> Dict[str, SimulationObserver]:
+        return {"windows": CompletionWindows(self.window_seconds)}
 
     def _row(
         self,
@@ -210,57 +234,42 @@ class GoodputCollector(MetricCollector):
             ),
         }
 
+    @staticmethod
+    def _dense_windows(
+        observers: Mapping[str, SimulationObserver],
+    ) -> Tuple[List[float], List[float]]:
+        """Windows 0..last as dense completion / work lists, interior gaps
+        explicit zeros."""
+        tally = observers["windows"]
+        assert isinstance(tally, CompletionWindows)
+        if not tally.windows:
+            return [], []
+        dense = [
+            tally.windows.get(index, (0.0, 0.0))
+            for index in range(max(tally.windows) + 1)
+        ]
+        return [jobs for jobs, _ in dense], [work for _, work in dense]
+
     def collect(
         self,
         result: SimulationResult,
-        recorders: Mapping[str, SimulationObserver],
+        observers: Mapping[str, SimulationObserver],
         workload: Workload,
     ) -> Dict[str, Any]:
-        records = result.jobs
-        origin = min(
-            (record.spec.submit_time for record in records), default=0.0
-        )
-        jobs: Dict[int, float] = {}
-        work: Dict[int, float] = {}
-        for record in records:
-            index = int(
-                (record.completion_time - origin) // self.window_seconds
-            )
-            jobs[index] = jobs.get(index, 0.0) + 1.0
-            work[index] = work.get(index, 0.0) + self._work(record.spec)
-        window_jobs, window_work = self._dense_windows(jobs, work)
+        window_jobs, window_work = self._dense_windows(observers)
         return self._row(
-            completions=float(len(records)),
-            work=float(sum(work.values())),
+            completions=float(sum(window_jobs)),
+            work=float(sum(window_work)),
             makespan=float(result.makespan),
             capacity=float(result.cluster.total_cpu_capacity()),
             window_jobs=window_jobs,
             window_work=window_work,
         )
 
-    @staticmethod
-    def _dense_windows(
-        jobs: Mapping[int, float], work: Mapping[int, float]
-    ) -> Any:
-        """Windows 0..max as dense lists, interior gaps explicit zeros."""
-        if not jobs:
-            return [], []
-        top = max(jobs)
-        window_jobs = [jobs.get(i, 0.0) for i in range(top + 1)]
-        window_work = [work.get(i, 0.0) for i in range(top + 1)]
-        return window_jobs, window_work
-
-    def stream_partials(self, result: SimulationResult) -> Dict[str, Accumulator]:
-        stats = result.goodput_window_stats
-        if stats is None:
-            raise ConfigurationError(
-                f"collector {self.name!r} needs the engine's goodput window "
-                "tallies (streaming_metrics with availability_window_seconds "
-                "set; the campaign executor wires this automatically)"
-            )
-        jobs = {index: values[0] for index, values in stats.items()}
-        work = {index: values[1] for index, values in stats.items()}
-        window_jobs, window_work = self._dense_windows(jobs, work)
+    def stream_partials(
+        self, result: SimulationResult, observers: Mapping[str, SimulationObserver]
+    ) -> Dict[str, Accumulator]:
+        window_jobs, window_work = self._dense_windows(observers)
         # Per-window tallies pool into moments (count/mean/min/max stay
         # exact) instead of travelling per-window: the campaign merge
         # contract requires identical bundle name sets across instances.

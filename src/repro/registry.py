@@ -2,7 +2,7 @@
 
 Every axis of the experiment grid (platform, failure model, trace source,
 transform, overhead/execution-time model, admission policy, telemetry,
-accumulator, collector, recorder, scenario source, devtools rule) is named
+accumulator, collector, scenario source, devtools rule) is named
 from a spec file through a ``{"type": <kind>, ...options}`` mapping.  Each
 seam owns one :class:`Registry` instance; this module is the only place
 that checks "spec is a mapping", "``type`` present", "type known", "name not

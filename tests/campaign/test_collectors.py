@@ -1,22 +1,20 @@
-"""Tests for the metric collectors and the recorder registry behind them."""
+"""Tests for the metric collectors and the observers they bring to a run."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.campaign.collectors import (
+    BusyNodeObserver,
     available_collectors,
     create_collector,
     register_collector,
     MetricCollector,
 )
 from repro.core.engine import SimulationConfig, Simulator
-from repro.core.observers import (
-    UtilizationRecorder,
-    available_recorders,
-    create_recorder,
-    register_recorder,
-)
+from repro.core.invariants import InvariantCheckingObserver
+from repro.core.observers import AvailabilityRecorder, UtilizationRecorder
+from repro.obs.slo import CompletionWindows
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import ConfigurationError
 from repro.schedulers.registry import create_scheduler
@@ -39,29 +37,68 @@ def finished_run():
     return workload, result, recorder
 
 
-class TestRecorderRegistry:
-    def test_known_recorders(self):
-        assert set(available_recorders()) >= {
-            "event-log",
-            "allocation-trace",
-            "utilization",
+class TestCollectorObservers:
+    def test_observers_by_collector_and_mode(self):
+        expected = {
+            ("utilization", False): {"utilization": UtilizationRecorder},
+            ("utilization", True): {"busy": BusyNodeObserver},
+            ("availability", False): {"availability": AvailabilityRecorder},
+            ("availability", True): {"availability": AvailabilityRecorder},
+            ("goodput", False): {"windows": CompletionWindows},
+            ("goodput", True): {"windows": CompletionWindows},
+            ("invariants", False): {"invariants": InvariantCheckingObserver},
+            ("invariants", True): {"invariants": InvariantCheckingObserver},
         }
+        for (name, streaming), types in expected.items():
+            observers = create_collector(name).observers(streaming)
+            assert {key: type(obs) for key, obs in observers.items()} == types
 
-    def test_create_recorder(self):
-        assert isinstance(create_recorder("utilization"), UtilizationRecorder)
+    def test_result_only_collectors_attach_nothing(self):
+        for name in ("stretch", "costs", "timing", "fairness", "slo"):
+            collector = create_collector(name)
+            assert collector.observers(False) == {}
+            assert collector.observers(True) == {}
 
-    def test_unknown_recorder_rejected(self):
-        with pytest.raises(ConfigurationError):
-            create_recorder("nonexistent")
+    def test_observers_are_fresh_per_call(self):
+        collector = create_collector("utilization")
+        assert (
+            collector.observers(False)["utilization"]
+            is not collector.observers(False)["utilization"]
+        )
 
-    def test_reregistering_same_factory_rejected(self):
-        # One strict duplicate-name rule for every registry (tests/test_registry.py).
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_recorder("utilization", UtilizationRecorder)
+    def test_observers_carry_collector_options(self):
+        windows = create_collector("goodput", window_seconds=600.0).observers(True)
+        assert windows["windows"].width == 600.0
 
-    def test_name_collision_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_recorder("utilization", lambda: UtilizationRecorder())
+    def test_busy_node_observer_matches_the_recorder(self, finished_run):
+        workload, result, recorder = finished_run
+        from repro.analysis.timeseries import busy_nodes_series
+
+        observer = BusyNodeObserver()
+        Simulator(
+            workload.cluster,
+            create_scheduler("greedy-pmtn"),
+            SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0)),
+            observers=[observer],
+        ).run(workload.jobs)
+        busy = busy_nodes_series(recorder)
+        assert observer.stats.mean == pytest.approx(busy.mean(), rel=1e-12)
+        assert observer.stats.maximum == recorder.peak_busy_nodes()
+        assert observer.stats.duration == pytest.approx(result.makespan)
+
+    def test_observers_restart_with_each_run(self, finished_run):
+        workload = finished_run[0]
+        busy, windows = BusyNodeObserver(), CompletionWindows(600.0)
+        seen = []
+        for _ in range(2):
+            Simulator(
+                workload.cluster,
+                create_scheduler("greedy-pmtn"),
+                observers=[busy, windows],
+            ).run(workload.jobs)
+            seen.append((busy.stats.integral, busy.stats.n, dict(windows.windows)))
+        assert seen[0] == seen[1]
+        assert sum(count for count, _ in seen[0][2].values()) == workload.num_jobs
 
 
 class TestCollectorRegistry:

@@ -74,10 +74,30 @@ def test_invariants_collector_checks_every_run_and_moves_no_column(name):
         assert row == reference
 
 
-def test_invariants_collector_is_materialized_only():
-    scenario = with_collector(SCENARIOS["grid-hpc2n"], "invariants")
-    with pytest.raises(ConfigurationError, match="'invariants' needs the full"):
-        Campaign(streaming=True).run(scenario)
+@pytest.mark.parametrize(
+    "name",
+    [name for name, scenario in SCENARIOS.items() if "streaming" in modes_of(scenario)],
+)
+def test_invariants_collector_runs_in_both_streaming_modes(name):
+    scenario = with_collector(SCENARIOS[name], "invariants")
+    counts = {}
+    for mode in ("materialized", "per-instance", "streaming"):
+        checked = canonical(Campaign(**MODES[mode]).run(scenario))["rows"]
+        expected = FIXTURE[name][mode]["rows"]
+        assert len(checked) == len(expected)
+        for row, reference in zip(checked, expected):
+            count = row["metrics"].pop("invariant_events_checked")
+            assert count > 0
+            assert row == reference
+            key = (row["cell_index"], row["instance_index"], row["algorithm"])
+            counts.setdefault(mode, {})[key] = count
+    # Per-instance streaming runs check exactly the events the materialized
+    # runs do, and the merged row's count is the sum over its instances.
+    assert counts["per-instance"] == counts["materialized"]
+    merged = {}
+    for (cell, _, algorithm), count in counts["per-instance"].items():
+        merged[(cell, -1, algorithm)] = merged.get((cell, -1, algorithm), 0) + count
+    assert counts["streaming"] == merged
 
 
 def test_streaming_still_rejects_platform_sweep_templating():

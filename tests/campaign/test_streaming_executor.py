@@ -106,8 +106,8 @@ class TestStreamingExecution:
 
     def test_non_streaming_collector_rejected(self):
         # "timing" ships raw per-event vectors, which bounded memory cannot
-        # keep; "utilization" streams since the time-decayed busy-node
-        # accumulator landed (see test_utilization_collector_streams).
+        # keep; "utilization" streams on its O(1) busy-node observer (see
+        # test_utilization_collector_streams).
         scenario = _scenario(collectors=(CollectorSpec("timing"),))
         with pytest.raises(ConfigurationError, match="timing"):
             Campaign(streaming=True).run(scenario)
@@ -127,6 +127,34 @@ class TestStreamingExecution:
         assert total == pytest.approx(
             row.metric("energy_duration_seconds") * CLUSTER.num_nodes, rel=1e-9
         )
+
+    def test_per_instance_observer_columns_match_materialized(self):
+        # utilization and goodput measure through their own observers in
+        # both modes, so a per-instance streaming row carries the
+        # materialized peak, totals and window extremes bit for bit.
+        scenario = _scenario(
+            collectors=(CollectorSpec("utilization"), CollectorSpec("goodput"))
+        )
+        materialized = Campaign().run(scenario)
+        streamed = Campaign(streaming=True, merge_instances=False).run(scenario)
+        assert len(streamed.rows) == len(materialized.rows) == 2
+        for exact, row in zip(materialized.rows, streamed.rows):
+            for column in (
+                "peak_busy_nodes",
+                "platform_energy_joules",
+                "jobs_per_hour",
+                "goodput_node_seconds",
+                "goodput_fraction",
+                "goodput_windows",
+                "min_window_jobs_per_hour",
+                "max_window_jobs_per_hour",
+                "min_window_goodput",
+            ):
+                assert row.metric(column) == exact.metric(column), column
+            for column in ("mean_busy_nodes", "energy_busy_node_seconds"):
+                assert row.metric(column) == pytest.approx(
+                    exact.metric(column), rel=1e-12
+                ), column
 
     def test_swf_with_segments_warns_and_materializes(self, tmp_path):
         # Satellite: fixed-duration segmentation cannot stream; instead of a

@@ -15,7 +15,10 @@ refcounts, intake, completion bookkeeping and validation are the live ones;
 only the walks are the old ones.  It neither reads nor maintains the live
 engine's ``_running`` index or the jobs' ``arrival_rank`` (``_evict``'s pop
 of a job that was never indexed is a no-op).  Do not optimise or tidy this
-file: being slow and obviously right is its job.
+file: being slow and obviously right is its job.  The one edit since it was
+copied: ``_advance_to`` lost its busy-node and availability accumulator
+lines when the engine stopped measuring those (observers attached by the
+metric collectors took them over); nothing else changed.
 """
 
 from __future__ import annotations
@@ -95,16 +98,9 @@ class ReferenceWalksSimulator(Simulator):
             # host no work, so they drop out of the idle integral.
             idle = self.cluster.num_nodes - self._busy_count - len(self._down_nodes)
             self._idle_node_seconds += idle * duration
-            if self._busy_node_stats is not None:
-                self._busy_node_stats.add_segment(float(self._busy_count), duration)
             for job in self._active.values():
                 if job.state is JobState.RUNNING:  # only running jobs progress
                     job.advance(duration)
-            if self._avail_node_stats is not None:
-                up_cpu = self._up_cpu_capacity()
-                self._avail_node_stats.add_segment(up_cpu, duration)
-                if self._avail_window_stats is not None:
-                    self._record_window_segment(up_cpu, self._now, next_time)
             if self._node_power is not None:
                 self._energy_joules += self._power_current * duration
         self._now = next_time

@@ -57,6 +57,26 @@ class TestEndToEndWithRealSchedulers:
             ).run(specs)
         assert checker.checked_events > 0
 
+    def test_checker_keeps_only_the_specs_of_active_jobs(self):
+        # Streaming campaigns run the checker too: a completed job's spec is
+        # dropped, so spec memory follows the active set, not the trace.
+        cluster = Cluster(num_nodes=4)
+        active = []
+
+        class Sampling(InvariantCheckingObserver):
+            def on_allocation_applied(self, time, running):
+                super().on_allocation_applied(time, running)
+                active.append(len(self._specs))
+
+        checker = Sampling()
+        specs = [_spec(i, submit=100.0 * i) for i in range(20)]
+        Simulator(
+            cluster, create_scheduler("greedy-pmtn"), SimulationConfig(), observers=[checker]
+        ).run(specs)
+        assert checker._specs == {}
+        assert max(active) < len(specs)
+        assert checker._completed == set(range(20))
+
 
 class TestNodeFailuresWithRealSchedulers:
     """Failure injection with the checker attached: no task on a down node."""

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.core.observers import available_recorders, create_recorder
+from repro.core.observers import SimulationObserver
 from repro.campaign.collectors import available_collectors, create_collector
 from repro.devtools import check_paths
 from repro.devtools.registry_audit import RegistryCompletenessRule
@@ -354,11 +354,14 @@ def test_no_dangling_scheduler_names():
         assert create_scheduler(name) is not None, name
 
 
-def test_no_dangling_collector_or_recorder_names():
+def test_no_dangling_collector_names_or_observers():
     for name in available_collectors():
-        assert create_collector(name) is not None, name
-    for name in available_recorders():
-        assert create_recorder(name) is not None, name
+        collector = create_collector(name)
+        assert collector is not None, name
+        modes = (False, True) if collector.streaming_capable else (False,)
+        for streaming in modes:
+            for key, observer in collector.observers(streaming).items():
+                assert isinstance(observer, SimulationObserver), (name, key)
 
 
 def test_audit_covers_every_kind_registry():

@@ -27,39 +27,30 @@ def finished_run():
     return workload, result
 
 
-@pytest.fixture(scope="module")
-def streaming_run():
-    trace = DiurnalPoissonTraceSource(
-        num_jobs=150,
-        seed=11,
-        mean_interarrival_seconds=90.0,
-        runtime_log_mean=5.0,
-        runtime_log_sigma=1.0,
-        max_runtime_seconds=7200.0,
-        serial_fraction=0.6,
-    )
-    config = SimulationConfig(
-        streaming_metrics=True, availability_window_seconds=WINDOW
-    )
-    engine = Simulator(CLUSTER, create_scheduler("greedy-pmtn-migr"), config)
-    return engine.run_stream(trace.jobs(CLUSTER))
+DIURNAL = DiurnalPoissonTraceSource(
+    num_jobs=150,
+    seed=11,
+    mean_interarrival_seconds=90.0,
+    runtime_log_mean=5.0,
+    runtime_log_sigma=1.0,
+    max_runtime_seconds=7200.0,
+    serial_fraction=0.6,
+)
 
 
-@pytest.fixture(scope="module")
-def materialized_run():
-    trace = DiurnalPoissonTraceSource(
-        num_jobs=150,
-        seed=11,
-        mean_interarrival_seconds=90.0,
-        runtime_log_mean=5.0,
-        runtime_log_sigma=1.0,
-        max_runtime_seconds=7200.0,
-        serial_fraction=0.6,
-    )
+def _observed_run(streaming, *collectors):
+    """One diurnal run with every collector's observers attached; returns
+    the result and each collector's observers, in order."""
+    observers = [collector.observers(streaming) for collector in collectors]
     engine = Simulator(
-        CLUSTER, create_scheduler("greedy-pmtn-migr"), SimulationConfig()
+        CLUSTER,
+        create_scheduler("greedy-pmtn-migr"),
+        SimulationConfig(streaming_metrics=streaming),
+        observers=[obs for by_name in observers for obs in by_name.values()],
     )
-    return engine.run(list(trace.jobs(CLUSTER)))
+    jobs = DIURNAL.jobs(CLUSTER)
+    result = engine.run_stream(jobs) if streaming else engine.run(list(jobs))
+    return result, observers
 
 
 class TestRegistry:
@@ -107,12 +98,12 @@ class TestSloCollector:
     def test_default_factor(self):
         assert SloCollector().slo_factor == DEFAULT_SLO_FACTOR
 
-    def test_streaming_matches_materialized(
-        self, streaming_run, materialized_run
-    ):
+    def test_streaming_matches_materialized(self):
         collector = SloCollector(slo_factor=5.0)
+        materialized_run, _ = _observed_run(False, collector)
+        streaming_run, _ = _observed_run(True, collector)
         exact = collector.collect(materialized_run, {}, None)
-        partials = collector.stream_partials(streaming_run)
+        partials = collector.stream_partials(streaming_run, {})
         row = collector.stream_finalize(partials)
         assert row["slo_total"] == exact["slo_total"]
         # The sketch boundary and the 30 s bounded-stretch floor are the two
@@ -127,21 +118,44 @@ class TestSloCollector:
 
 
 class TestGoodputCollector:
-    def test_streaming_matches_materialized_exactly(
-        self, streaming_run, materialized_run
-    ):
+    def test_streaming_matches_materialized_exactly(self):
         collector = GoodputCollector(window_seconds=WINDOW)
-        exact = collector.collect(materialized_run, {}, None)
-        partials = collector.stream_partials(streaming_run)
-        row = collector.stream_finalize(partials)
-        for column, value in exact.items():
-            assert row[column] == pytest.approx(value, rel=1e-9), column
-
-    def test_goodput_accounts_only_completed_work(self, finished_run):
-        workload, result = finished_run
-        row = GoodputCollector(window_seconds=WINDOW).collect(
-            result, {}, workload
+        materialized_run, (observers,) = _observed_run(False, collector)
+        exact = collector.collect(materialized_run, observers, None)
+        streaming_run, (observers,) = _observed_run(True, collector)
+        row = collector.stream_finalize(
+            collector.stream_partials(streaming_run, observers)
         )
+        assert exact["goodput_windows"] > 1
+        for column, value in exact.items():
+            if column in ("mean_window_jobs_per_hour", "mean_window_goodput"):
+                # Welford moments vs np.mean: equal up to rounding.
+                assert row[column] == pytest.approx(value, rel=1e-12), column
+            else:
+                assert row[column] == value, column
+
+    def test_materialized_windows_match_the_per_job_records(self):
+        collector = GoodputCollector(window_seconds=WINDOW)
+        result, (observers,) = _observed_run(False, collector)
+        origin = min(record.spec.submit_time for record in result.jobs)
+        completions = {}
+        for record in result.jobs:
+            index = int((record.completion_time - origin) // WINDOW)
+            completions[index] = completions.get(index, 0) + 1
+        row = collector.collect(result, observers, None)
+        assert row["goodput_windows"] == max(completions) + 1
+        per_hour = [
+            completions.get(i, 0) * 3600.0 / WINDOW
+            for i in range(max(completions) + 1)
+        ]
+        assert row["min_window_jobs_per_hour"] == min(per_hour)
+        assert row["max_window_jobs_per_hour"] == max(per_hour)
+        assert row["jobs_per_hour"] == len(result.jobs) / (result.makespan / 3600.0)
+
+    def test_goodput_accounts_only_completed_work(self):
+        collector = GoodputCollector(window_seconds=WINDOW)
+        result, (observers,) = _observed_run(False, collector)
+        row = collector.collect(result, observers, None)
         expected = sum(
             record.spec.num_tasks
             * record.spec.cpu_need
@@ -156,8 +170,3 @@ class TestGoodputCollector:
             <= row["mean_window_jobs_per_hour"]
             <= row["max_window_jobs_per_hour"]
         )
-
-    def test_streaming_without_engine_windows_rejected(self, finished_run):
-        _, result = finished_run
-        with pytest.raises(ConfigurationError):
-            GoodputCollector().stream_partials(result)

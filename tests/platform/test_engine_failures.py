@@ -232,3 +232,25 @@ class TestObserverHooks:
         assert recorder.downs == [(400.0, 0)]
         assert recorder.ups == [(600.0, 0)]
         assert recorder.preempted == [(400.0, 0)]
+
+    def test_nodes_down_before_the_first_submission_are_announced_first(self):
+        # Nodes 2 and 0 fail before the first job arrives (t=50); node 0 is
+        # repaired at t=20, still before it.  Only node 2 is down when the
+        # run begins, so it is announced once, at t=50, right after
+        # on_simulation_start and before the first submission.
+        specs = [JobSpec(0, 50.0, 1, 1.0, 0.5, 100.0)]
+        events = _trace((0.0, 2, "down"), (10.0, 0, "down"), (20.0, 0, "up"))
+        calls = []
+
+        class Calls(SimulationObserver):
+            def on_simulation_start(self, cluster, start_time):
+                calls.append(("start", start_time))
+
+            def on_node_down(self, time, node):
+                calls.append(("down", time, node))
+
+            def on_job_submitted(self, time, spec):
+                calls.append(("submit", time, spec.job_id))
+
+        _run("greedy", specs, Cluster(3), events, observers=[Calls()])
+        assert calls == [("start", 50.0), ("down", 50.0, 2), ("submit", 50.0, 0)]

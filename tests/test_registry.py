@@ -29,7 +29,7 @@ NON_MAPPINGS = ("x", ["x"], 3)
 
 def test_every_seam_has_one_registry():
     labels = [registry.label for registry in all_registries()]
-    assert len(labels) == len(set(labels)) == 13, labels
+    assert len(labels) == len(set(labels)) == 12, labels
 
 
 @every_registry
