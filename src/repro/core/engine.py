@@ -554,8 +554,10 @@ class Simulator:
 
         A running victim releases its nodes immediately; a queued submission
         is dropped when its event surfaces (cancelling it again returns
-        False).  A scheduler wake-up is queued so freed capacity is
-        redistributed at the next step.
+        False).  Observers hear of an arrived job's cancellation through
+        ``on_job_cancelled``; a withdrawn submission was never announced.  A
+        scheduler wake-up is queued so freed capacity is redistributed at
+        the next step.
         """
         job = self._jobs.get(job_id)
         if job is None:
@@ -572,6 +574,8 @@ class Simulator:
         job.assignment = None
         job.current_yield = 0.0
         self._evict(job_id)
+        for observer in self._observers:
+            observer.on_job_cancelled(self._now, job.spec)
         self._queue.push(Event(self._now, EventType.SCHEDULER_WAKEUP))
         return True
 

@@ -12,7 +12,7 @@ Checked invariants:
 
 * **Lifecycle** — a job is submitted exactly once, never starts before its
   submission, never completes before it starts, and is never touched again
-  after completing.
+  after completing or being cancelled (``on_job_cancelled`` is terminal).
 * **Capacity** — at every event, the sum of memory requirements on each node
   stays within the node's memory capacity and the sum of allocated CPU
   fractions stays within its CPU capacity (1.0 × 1.0 on homogeneous
@@ -26,8 +26,8 @@ Checked invariants:
 
 Violations raise :class:`~repro.exceptions.SimulationError` immediately, which
 makes the offending event easy to pinpoint under pytest.  A job's spec is
-dropped when it completes, so memory is O(active jobs) apart from the sets
-of job ids.
+dropped when it completes or is cancelled, so memory is O(active jobs) apart
+from the sets of job ids.
 """
 
 from __future__ import annotations
@@ -132,6 +132,14 @@ class InvariantCheckingObserver(SimulationObserver):
             raise SimulationError(
                 f"job {spec.job_id} completed without ever having started"
             )
+        self._completed.add(spec.job_id)
+        del self._specs[spec.job_id]
+
+    def on_job_cancelled(self, time: float, spec: JobSpec) -> None:
+        # Terminal like a completion, but a cancelled job may never have run.
+        self._advance_clock(time)
+        self._require_submitted(spec.job_id, "cancelled")
+        self._require_not_completed(spec.job_id, "cancelled")
         self._completed.add(spec.job_id)
         del self._specs[spec.job_id]
 

@@ -103,6 +103,13 @@ class SimulationObserver:
     def on_job_completed(self, time: float, spec: JobSpec) -> None:
         """Called when a job finishes all of its work."""
 
+    def on_job_cancelled(self, time: float, spec: JobSpec) -> None:
+        """Called when an online cancel withdraws an arrived job.
+
+        Terminal like ``on_job_completed``: the job is gone from the engine,
+        releasing its nodes if it was running, and no hook names it again.
+        """
+
     def on_node_down(self, time: float, node: int) -> None:
         """Called when a node fails (platform availability trace).
 

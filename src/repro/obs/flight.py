@@ -3,7 +3,7 @@
 The telemetry sink observes *aggregate* engine behaviour (phase timings,
 counters); the flight recorder observes *individual jobs*: one structured
 event per lifecycle transition — submit / admit / start / preempt / migrate
-/ resume / checkpoint / failure-kill / complete — each stamped with the
+/ resume / checkpoint / failure-kill / complete / cancel — each stamped with the
 simulated time, the node assignment in force, and the cause of the
 transition.  It answers the question the aggregate view cannot: *why* was
 job 4711 preempted at t=86400, and where was it running when that happened?
@@ -80,11 +80,12 @@ EVENT_KINDS = (
     "migrate",
     "resume",
     "complete",
+    "cancel",
 )
 
 #: Kinds that close a running interval in the per-job timeline view.
 _CLOSING_KINDS = frozenset(
-    {"preempt", "checkpoint", "failure-kill", "complete"}
+    {"preempt", "checkpoint", "failure-kill", "complete", "cancel"}
 )
 #: Kinds that open (or re-open) a running interval.
 _OPENING_KINDS = frozenset({"start", "resume", "migrate"})
@@ -277,6 +278,16 @@ class FlightObserver:
         self.recorder.record(
             time,
             "complete",
+            job_id,
+            nodes=self._assignments.pop(job_id, ()),
+        )
+
+    def on_job_cancelled(self, time: float, spec: "JobSpec") -> None:
+        job_id = spec.job_id
+        self._failure_evicted.discard(job_id)
+        self.recorder.record(
+            time,
+            "cancel",
             job_id,
             nodes=self._assignments.pop(job_id, ()),
         )

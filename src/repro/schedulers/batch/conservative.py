@@ -23,7 +23,7 @@ started immediately.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...core.allocation import AllocationDecision
 from ...core.context import SchedulingContext
@@ -56,15 +56,18 @@ class _AvailabilityProfile:
         for i in range(index, len(self.counts)):
             self.counts[i] += nodes
 
-    def earliest_start(self, num_tasks: int, duration: float) -> float:
-        """Earliest breakpoint from which ``num_tasks`` nodes stay free for ``duration``."""
+    def earliest_start(self, num_tasks: int, duration: float) -> Optional[float]:
+        """Earliest breakpoint from which ``num_tasks`` nodes stay free for
+        ``duration``; None when no breakpoint does.
+
+        The engine rules out jobs wider than the platform, so None means the
+        job needs nodes that are down now and cannot be reserved until a
+        repair.
+        """
         for index, start in enumerate(self.times):
             if self._fits(index, start, num_tasks, duration):
                 return start
-        raise SchedulingError(
-            f"no start time admits {num_tasks} nodes; the engine guarantees "
-            "jobs never exceed the cluster size, so this is an internal error"
-        )
+        return None
 
     def reserve(self, start: float, num_tasks: int, duration: float) -> None:
         """Subtract ``num_tasks`` nodes over ``[start, start + duration)``."""
@@ -136,6 +139,10 @@ class ConservativeBackfillingScheduler(FcfsScheduler):
                     "conservative backfilling requires runtime estimates"
                 )
             start = profile.earliest_start(view.num_tasks, runtime)
+            if start is None:
+                # Waits for a repair, like the FCFS head; nothing queued
+                # behind it is started or reserved at this event.
+                break
             profile.reserve(start, view.num_tasks, runtime)
             if start <= context.time + 1e-9:
                 # The availability profile is count-based (a documented

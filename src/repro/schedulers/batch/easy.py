@@ -72,9 +72,14 @@ class EasyBackfillingScheduler(FcfsScheduler):
             self.eligible_nodes(context, head, list(context.cluster.node_ids))
         )
         free_for_head = len([node for node in free if node in head_eligible])
-        shadow_time, extra_nodes = self._reservation(
+        reservation = self._reservation(
             context, head, free_for_head, head_eligible, started_now
         )
+        if reservation is None:
+            # The head is wider than the nodes up now: it waits for a
+            # repair, like under FCFS, and nothing overtakes it meanwhile.
+            return decision
+        shadow_time, extra_nodes = reservation
 
         # Backfill the remaining jobs in submission order.
         for view in queue[1:]:
@@ -107,7 +112,7 @@ class EasyBackfillingScheduler(FcfsScheduler):
         free_now: int,
         head_eligible: "set[int]",
         started_now: List[Tuple[float, Tuple[int, ...]]],
-    ) -> Tuple[float, int]:
+    ) -> Optional[Tuple[float, int]]:
         """Shadow time and extra-node count for the blocked queue head.
 
         The *shadow time* is the earliest instant at which the head job could
@@ -115,7 +120,10 @@ class EasyBackfillingScheduler(FcfsScheduler):
         will be free at the shadow time beyond what the head needs — jobs
         small enough to run on the extra nodes may run past the shadow time.
         ``free_now`` and every release count only nodes in ``head_eligible``
-        (all of them on a homogeneous cluster).
+        (all of them on a homogeneous cluster).  None when even draining
+        every running job frees too few nodes: the admission guard rules out
+        jobs wider than the platform, so the head is waiting for a down node
+        to be repaired and cannot be reserved yet.
         """
         releases: List[Tuple[float, int]] = [
             (end_time, len([node for node in nodes if node in head_eligible]))
@@ -144,12 +152,6 @@ class EasyBackfillingScheduler(FcfsScheduler):
             available += released
             shadow_time = end_time
         if available < head.num_tasks:
-            # Not even draining every running job frees enough nodes; the
-            # engine guards against jobs wider than the cluster, so this
-            # indicates an internal inconsistency.
-            raise SchedulingError(
-                f"job {head.job_id} needs {head.num_tasks} nodes but only "
-                f"{available} can ever be free"
-            )
+            return None
         extra_nodes = available - head.num_tasks
         return shadow_time, extra_nodes

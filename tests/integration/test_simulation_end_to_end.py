@@ -124,6 +124,22 @@ class TestPaperQualitativeClaims:
         easy = run_algorithm(workload, "easy", penalty_seconds=0.0)
         assert aggressive.max_stretch < min(fcfs.max_stretch, easy.max_stretch)
 
+    @pytest.mark.parametrize("algorithm", ["greedy-pmtn", "dynmcb8", "dynmcb8-asap-per-600"])
+    def test_penalty_never_speeds_up_a_run(self, algorithm):
+        """On this instance the 5-minute penalty only hurts (or leaves
+        unchanged) the maximum stretch."""
+        base = LublinWorkloadGenerator(Cluster(8, 4, 8.0)).generate(25, seed=51)
+        workload = scale_to_load(base, 0.8)
+        free = run_algorithm(workload, algorithm, penalty_seconds=0.0)
+        charged = run_algorithm(workload, algorithm, penalty_seconds=300.0)
+        assert charged.max_stretch >= free.max_stretch - 1e-6
+
+    def test_zero_penalty_costs_have_zero_bandwidth_rate_without_events(self):
+        base = LublinWorkloadGenerator(Cluster(8, 4, 8.0)).generate(25, seed=61)
+        result = run_algorithm(scale_to_load(base, 0.2), "greedy", penalty_seconds=0.0)
+        assert result.costs.preemption_count == 0
+        assert result.preemption_bandwidth_gb_per_sec() == pytest.approx(0.0)
+
     def test_dynmcb8_has_highest_migration_churn(self, all_results):
         """Table II: DYNMCB8 migrates far more than the periodic variants."""
         aggressive = all_results["dynmcb8"].migrations_per_job()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
+from repro.core.job import JobSpec
 from repro.exceptions import ConfigurationError
 from repro.obs import Telemetry
 from repro.obs.flight import (
@@ -170,6 +171,20 @@ class TestRingBuffer:
             "start",
         ]
         assert len(recorder.events_of_kind("submit")) == 2
+
+
+    def test_online_cancel_closes_the_running_interval(self):
+        sink = _flight_sink()
+        engine = Simulator(Cluster(2), create_scheduler("fcfs"), SimulationConfig(telemetry=sink))
+        engine.online_begin(0.0)
+        engine.online_submit(JobSpec(0, 0.0, 1, 1.0, 0.1, 100.0))
+        engine.online_step()
+        engine.online_cancel(0)
+        assert [(event.kind, event.nodes) for event in sink.flight.events()] == [
+            ("submit", ()),
+            ("start", (0,)),
+            ("cancel", (0,)),
+        ]
 
 
 class TestExports:

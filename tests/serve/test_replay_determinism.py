@@ -1,19 +1,14 @@
-"""The tentpole pin: service replay is byte-identical to ``run_stream``.
+"""Service replay decides the same at any clock acceleration.
 
 The serving layer changes *when* decisions are made in wall time, never
-*what* they are in simulated time.  With the default accept-all admission
-the engine consumes exactly the source stream, so the placement log of a
-service replay must equal the log of a bare ``Simulator.run_stream`` as a
-byte string — for every paper algorithm, and at any clock acceleration.
+*what* they are in simulated time.  Replay ≡ ``run_stream`` on the placement
+log bytes is one of the oracles of ``tests/generated/test_scenarios.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.cluster import Cluster
-from repro.core.engine import SimulationConfig, Simulator
-from repro.schedulers import PAPER_ALGORITHMS, create_scheduler
+from repro.core.engine import SimulationConfig
 from repro.serve import PlacementLogObserver, SchedulerService, run_loadtest
 from repro.traces import DiurnalPoissonTraceSource
 
@@ -36,35 +31,7 @@ def _config():
     return SimulationConfig(streaming_metrics=True)
 
 
-def _bare_log(algorithm):
-    observer = PlacementLogObserver()
-    engine = Simulator(
-        CLUSTER, create_scheduler(algorithm), _config(), observers=[observer]
-    )
-    result = engine.run_stream(TRACE.jobs(CLUSTER))
-    return observer.to_json_bytes(), result
-
-
-def _service_log(algorithm, acceleration=None):
-    observer = PlacementLogObserver()
-    service = SchedulerService(
-        CLUSTER, algorithm, config=_config(), observers=[observer]
-    )
-    report = service.replay(TRACE, acceleration=acceleration)
-    return observer.to_json_bytes(), report
-
-
 class TestReplayMatchesRunStream:
-    @pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-    def test_placement_log_is_byte_identical(self, algorithm):
-        bare_bytes, bare_result = _bare_log(algorithm)
-        serve_bytes, report = _service_log(algorithm)
-        assert serve_bytes == bare_bytes
-        assert report.sim_seconds == float(bare_result.makespan)
-        assert report.submitted == report.accepted == 150
-        assert report.completions == 150
-        assert report.rejected == report.shed == 0
-
     def test_accelerated_wall_clock_makes_identical_decisions(self):
         # A few-job trace keeps the real-time pacing negligible even at
         # x1e6; the decisions must still match the simulated-clock run.

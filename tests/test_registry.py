@@ -1,8 +1,9 @@
 """The contract every ``Registry`` honours, checked on the live instances.
 
 A seam that adds a registry is covered here (and by REG601) without touching
-this file; per-seam round-trip exemplars live in
-``tests/devtools/test_registry_completeness.py``.
+this file; per-kind round trips run from the strategy table of
+``tests/generated/strategies.py``, whose census fails until the new registry
+has an entry there.
 """
 
 import importlib

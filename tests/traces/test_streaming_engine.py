@@ -3,8 +3,6 @@ arrival-ordered workload, and resident state is O(active jobs)."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.cluster import Cluster
@@ -13,7 +11,7 @@ from repro.core.job import JobSpec
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import SimulationError
 from repro.schedulers.registry import create_scheduler
-from repro.traces import DiurnalPoissonTraceSource, LublinTraceSource, scale_to_load
+from repro.traces import LublinTraceSource, scale_to_load
 
 CLUSTER = Cluster(32, 4, 8.0)
 CONFIG = SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0))
@@ -36,24 +34,6 @@ def _results_identical(a, b):
     assert a.costs.preemption_gb == b.costs.preemption_gb
     assert a.costs.migration_gb == b.costs.migration_gb
     assert a.scheduler_job_counts == b.scheduler_job_counts
-
-
-def test_run_of_shuffled_list_equals_run_stream_of_generator():
-    """``run`` owes nothing to the order of its list: it sorts by submit time
-    and streams, so a shuffled materialized trace and the lazily generated
-    one give identical results (spec order used to leak into the
-    scheduler-visible job order)."""
-    source = DiurnalPoissonTraceSource(
-        num_jobs=200, seed=5, mean_interarrival_seconds=900.0
-    )
-    shuffled = list(source.materialize(CLUSTER).jobs)
-    random.Random(0).shuffle(shuffled)
-    materialized = Simulator(CLUSTER, create_scheduler("greedy-pmtn"), CONFIG).run(
-        shuffled
-    )
-    simulator = Simulator(CLUSTER, create_scheduler("greedy-pmtn"), CONFIG)
-    result = simulator.run_stream(source.jobs(CLUSTER))
-    _results_identical(materialized, result)
 
 
 @pytest.mark.parametrize("driver", ["run", "run_stream"])
