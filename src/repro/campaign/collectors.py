@@ -31,15 +31,15 @@ and p95).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.allocation import JobAllocation
-from ..core.cluster import Cluster
 from ..core.invariants import InvariantCheckingObserver
 from ..core.observers import (
+    CLOSING_KINDS,
     AvailabilityRecorder,
+    SimEvent,
     SimulationObserver,
     UtilizationRecorder,
 )
@@ -315,36 +315,56 @@ class FairnessCollector(MetricCollector):
 class BusyNodeObserver(SimulationObserver):
     """Time-weighted busy-node count (streaming ``utilization``).
 
-    Each hook first folds the span since the previous one into :attr:`stats`
-    at the busy count that held over it; ``on_allocation_applied`` then sets
-    that count to the distinct nodes of the running set.  Under ``run`` /
-    ``run_stream`` every event ends in one of the two hooks, so the segments
-    are the engine's event intervals.  Memory is O(1); each event costs
-    O(running tasks), the size of the set it is handed.
+    Per-node task counts follow the transitions; each ``applied`` and the
+    ``run-end`` first fold the span since the previous one into
+    :attr:`stats` at the busy count that held over it, and ``applied`` then
+    sets that count to the nodes with a task.  Under ``run`` /
+    ``run_stream`` every event ends in one of the two, so the segments are
+    the engine's event intervals.  Memory is O(busy nodes); each transition
+    costs O(its tasks).
     """
 
     stats: TimeWeightedValue
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self.stats = TimeWeightedValue()
-        self._busy = 0.0
-        self._last = start_time
+    def __init__(self) -> None:
+        #: node -> tasks of running jobs on it; a busy node has an entry.
+        self._tasks: Dict[int, int] = {}
+
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        if kind == "applied":
+            self._advance(event.time)
+            self._busy = float(len(self._tasks))
+        elif kind == "start" or kind == "resume" or kind == "migrate":
+            tasks = self._tasks
+            if kind == "migrate":
+                self._release(event.old_nodes)
+            for node in event.nodes:
+                tasks[node] = tasks.get(node, 0) + 1
+        elif kind in CLOSING_KINDS:
+            self._release(event.nodes)
+        elif kind == "run-start":
+            self.stats = TimeWeightedValue()
+            self._tasks = {}
+            self._busy = 0.0
+            self._last = event.time
+        elif kind == "run-end":
+            self._advance(event.time)
+
+    def _release(self, nodes: Tuple[int, ...]) -> None:
+        tasks = self._tasks
+        for node in nodes:
+            count = tasks[node] - 1
+            if count:
+                tasks[node] = count
+            else:
+                del tasks[node]
 
     def _advance(self, time: float) -> None:
         span = time - self._last
         if span > 0.0:
             self.stats.add_segment(self._busy, span)
         self._last = time
-
-    def on_allocation_applied(
-        self, time: float, running: Dict[int, JobAllocation]
-    ) -> None:
-        self._advance(time)
-        nodes = [allocation.nodes for allocation in running.values()]
-        self._busy = float(len(set().union(*nodes)))
-
-    def on_simulation_end(self, time: float) -> None:
-        self._advance(time)
 
 
 class UtilizationCollector(MetricCollector):

@@ -21,8 +21,7 @@ from .observers import (
     AllocationInterval,
     AllocationTraceRecorder,
     AvailabilityRecorder,
-    EventLogRecorder,
-    ObservedEvent,
+    SimEvent,
     SimulationObserver,
     UtilizationRecorder,
     UtilizationSample,
@@ -63,8 +62,7 @@ __all__ = [
     "AllocationInterval",
     "AllocationTraceRecorder",
     "AvailabilityRecorder",
-    "EventLogRecorder",
-    "ObservedEvent",
+    "SimEvent",
     "SimulationObserver",
     "UtilizationRecorder",
     "UtilizationSample",

@@ -39,11 +39,11 @@ incremental state keep the per-event work bounded:
 The engine measures only stretch outcomes, the Table II costs, idle
 node-seconds and platform energy; utilization, availability and goodput are
 derived outside it by the observers each metric collector attaches, in
-materialized and streaming runs alike.  Nodes already down when the run
-begins are announced through ``on_node_down`` right after
-``on_simulation_start``.  The running-set snapshot of
-``on_allocation_applied`` is built only when an attached observer overrides
-that hook, reusing each unchanged job's allocation from the previous event.
+materialized and streaming runs alike.  Observers hear transitions, not
+states: ``_emit`` hands each one :class:`~repro.core.observers.SimEvent` per
+transition (vocabulary and payloads in :mod:`repro.core.observers`), and
+builds nothing while no observer is attached.  Nodes already down when the
+run begins are announced as ``node-down`` right after ``run-start``.
 
 The reference semantics are those of the seed's full-dictionary-scan loop
 (removed in PR 12); its outputs across the paper's nine algorithms are frozen
@@ -81,13 +81,13 @@ from ..obs.telemetry import (
     push_telemetry,
 )
 from ..obs.timing import perf_counter as _perf_counter
-from .allocation import AllocationDecision, JobAllocation, validate_decision
+from .allocation import AllocationDecision, validate_decision
 from .clock import Clock, SimulatedClock
 from .cluster import Cluster
 from .context import JobView, SchedulingContext
 from .events import Event, EventQueue, EventType
 from .job import Job, JobSpec, JobState
-from .observers import SimulationObserver
+from .observers import SimEvent, SimulationObserver
 from .penalties import ReschedulingPenaltyModel
 from .records import CostSummary, JobRecord, SimulationResult
 
@@ -98,6 +98,9 @@ _LOGGER = logging.getLogger(__name__)
 #: Sort key restoring ``_active`` (arrival) order on jobs taken from the
 #: RUNNING index, which holds them in the order they last started.
 _ARRIVAL_RANK = attrgetter("arrival_rank")
+
+#: Fills an observer event from one complete field tuple (see ``_emit``).
+_new_event = tuple.__new__
 
 #: Hard cap on the number of processed events, as a runaway guard.
 _DEFAULT_MAX_EVENTS = 50_000_000
@@ -208,9 +211,10 @@ class Simulator:
     config:
         Engine configuration (penalty model, safety limits).
     observers:
-        Optional sequence of :class:`~repro.core.observers.SimulationObserver`
-        instances notified of job lifecycle events and applied allocations
-        (used by :mod:`repro.analysis` for utilization and trace analyses).
+        Optional sequence of observers (objects with an ``on_event`` method,
+        see :class:`~repro.core.observers.SimulationObserver`) handed every
+        transition the engine makes (used by :mod:`repro.analysis` for
+        utilization and trace analyses).
     clock:
         Optional :class:`~repro.core.clock.Clock` pacing the event loop.
         The default :class:`~repro.core.clock.SimulatedClock` waits for
@@ -285,17 +289,6 @@ class Simulator:
             from ..obs.flight import FlightObserver
 
             self._observers.append(FlightObserver(self._telemetry.flight))
-        #: The observers that override ``on_allocation_applied``: the
-        #: running-set snapshot is built only when one of them will read it.
-        self._allocation_observers = [
-            observer
-            for observer in self._observers
-            if getattr(type(observer), "on_allocation_applied", None)
-            is not SimulationObserver.on_allocation_applied
-        ]
-        #: The snapshot last handed to them; a job whose nodes and yield
-        #: are unchanged keeps its allocation object from it.
-        self._running_now: Dict[int, JobAllocation] = {}
         self._now = 0.0
         # -- O(active) event-loop state ------------------------------------
         #: Arrived, not-yet-completed jobs, keyed by job id, in arrival order.
@@ -429,13 +422,11 @@ class Simulator:
                 if node not in self._down_nodes
             )
         self.scheduler.start(self.cluster, first_submit)
-        for observer in self._observers:
-            observer.on_simulation_start(self.cluster, first_submit)
+        self._emit("run-start", cluster=self.cluster)
         # Nodes the pre-run slice of the availability trace left down are
         # announced once, so observers start from the scheduler's view.
         for node in sorted(self._down_nodes):
-            for observer in self._observers:
-                observer.on_node_down(first_submit, node)
+            self._emit("node-down", node=node)
 
     def _step(self, next_time: float) -> None:
         """Process the single simulation event due at ``next_time``."""
@@ -478,8 +469,7 @@ class Simulator:
 
     def _finalize(self) -> SimulationResult:
         """Close the run and assemble the results."""
-        for observer in self._observers:
-            observer.on_simulation_end(self._now)
+        self._emit("run-end")
         makespan = self._compute_makespan()
         return SimulationResult(
             algorithm=getattr(self.scheduler, "name", type(self.scheduler).__name__),
@@ -554,8 +544,8 @@ class Simulator:
 
         A running victim releases its nodes immediately; a queued submission
         is dropped when its event surfaces (cancelling it again returns
-        False).  Observers hear of an arrived job's cancellation through
-        ``on_job_cancelled``; a withdrawn submission was never announced.  A
+        False).  Observers hear of an arrived job's cancellation as a
+        ``cancel`` event; a withdrawn submission was never announced.  A
         scheduler wake-up is queued so freed capacity is redistributed at
         the next step.
         """
@@ -568,14 +558,13 @@ class Simulator:
                 return False
             self._cancelled_pending.add(job_id)
             return True
-        if job.state is JobState.RUNNING and job.assignment is not None:
-            self._release_nodes(job.assignment)
+        vacated = job.assignment or ()  # only a RUNNING job holds nodes
+        self._release_nodes(vacated)
         job.state = JobState.COMPLETED
         job.assignment = None
         job.current_yield = 0.0
         self._evict(job_id)
-        for observer in self._observers:
-            observer.on_job_cancelled(self._now, job.spec)
+        self._emit("cancel", job.spec, vacated)
         self._queue.push(Event(self._now, EventType.SCHEDULER_WAKEUP))
         return True
 
@@ -691,9 +680,12 @@ class Simulator:
                 self._charge_overhead("checkpoint", job)
             self._note_allocation_change(job)
             self._evicted_now.append(job.job_id)
-            for observer in self._observers:
-                observer.on_job_evicted(self._now, job.spec, node, resubmit)
-                observer.on_job_preempted(self._now, job.spec)
+            self._emit(
+                "failure-kill" if resubmit else "checkpoint",
+                job.spec,
+                job.last_assignment,
+                node=node,
+            )
         if self._node_power is not None:
             # Evictions above already moved the node's draw from busy to
             # idle; a down node draws nothing at all.
@@ -918,19 +910,17 @@ class Simulator:
                     self._arrivals += 1
                     job.arrival_rank = self._arrivals
                     submitted.append(event.job_id)
-                    for observer in self._observers:
-                        observer.on_job_submitted(now, job.spec)
+                    self._emit("submit", job.spec)
                     # Lazy admission keeps exactly one unarrived spec of the
                     # stream queued; replacing it may queue another event <= now
                     # (same-timestamp submissions), hence the outer loop.
                     self._admit_next_from_stream()
                 elif event.event_type is EventType.NODE_DOWN:
                     assert event.node is not None
+                    self._emit("node-down", node=event.node)
                     self._apply_node_down(event.node)
                     self._node_down_now = True
                     is_wakeup = True
-                    for observer in self._observers:
-                        observer.on_node_down(now, event.node)
                 elif event.event_type is EventType.NODE_UP:
                     assert event.node is not None
                     if event.node in self._down_nodes:
@@ -939,16 +929,15 @@ class Simulator:
                             # A repaired node comes back idle.
                             self._power_current += self._node_power[event.node][1]
                     is_wakeup = True
-                    for observer in self._observers:
-                        observer.on_node_up(now, event.node)
+                    self._emit("node-up", node=event.node)
                 elif event.event_type is EventType.SCHEDULER_WAKEUP:
                     is_wakeup = True
             events = self._queue.pop_until(now)
         return submitted, completed, is_wakeup
 
     def _complete_job(self, job: Job) -> None:
-        if job.assignment is not None:
-            self._release_nodes(job.assignment)
+        vacated = job.assignment
+        self._release_nodes(vacated)
         job.state = JobState.COMPLETED
         job.completion_time = self._now
         job.assignment = None
@@ -977,8 +966,7 @@ class Simulator:
             )
         else:
             self._records.append(record)
-        for observer in self._observers:
-            observer.on_job_completed(self._now, job.spec)
+        self._emit("complete", job.spec, vacated)
 
     # ------------------------------------------------------------ scheduling --
     def _build_context(
@@ -1202,8 +1190,7 @@ class Simulator:
                     job.state = JobState.PAUSED
                     del running[job_id]
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_preempted(self._now, job.spec)
+                    self._emit("preempt", job.spec, job.last_assignment)
                 elif (
                     new_alloc.nodes != job.assignment
                     and sorted(new_alloc.nodes) != sorted(job.assignment)
@@ -1215,25 +1202,26 @@ class Simulator:
                     job.migration_count += 1
                     job.penalty_remaining += penalty.migration_penalty(job.spec)
                     self._charge_overhead("migration", job)
-                    old_nodes = job.assignment
-                    self._release_nodes(old_nodes)
+                    self._release_nodes(job.assignment)
                     self._acquire_nodes(new_alloc.nodes)
                     job.last_assignment = job.assignment
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_migrated(self._now, job.spec, old_nodes, new_alloc)
+                    self._emit(
+                        "migrate", job.spec, job.assignment, job.current_yield,
+                        job.last_assignment,
+                    )
                 else:
                     # same nodes: only the CPU fraction changes, no overhead
                     old_yield = job.current_yield
                     job.current_yield = new_alloc.yield_value
                     if old_yield != new_alloc.yield_value:
                         self._note_allocation_change(job)
-                        for observer in self._observers:
-                            observer.on_yield_changed(
-                                self._now, job.spec, old_yield, new_alloc.yield_value
-                            )
+                        self._emit(
+                            "yield", job.spec, job.assignment, job.current_yield,
+                            old_yield=old_yield,
+                        )
             elif job.state is JobState.PENDING:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
@@ -1244,8 +1232,7 @@ class Simulator:
                     self._note_allocation_change(job)
                     if job.first_start_time is None:
                         job.first_start_time = self._now
-                    for observer in self._observers:
-                        observer.on_job_started(self._now, job.spec, new_alloc)
+                    self._emit("start", job.spec, job.assignment, job.current_yield)
             elif job.state is JobState.PAUSED:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
@@ -1256,29 +1243,34 @@ class Simulator:
                     self._acquire_nodes(new_alloc.nodes)
                     self._charge_overhead("resume", job)
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_resumed(self._now, job.spec, new_alloc)
-        if self._allocation_observers:
-            previous = self._running_now
-            running_now: Dict[int, JobAllocation] = {}
-            # ``touched`` holds every job now RUNNING, already in arrival order.
-            for job in touched:
-                if job.state is not JobState.RUNNING:
-                    continue
-                job_id = job.spec.job_id
-                allocation = previous.get(job_id)
-                if (
-                    allocation is None
-                    or allocation.yield_value != job.current_yield
-                    or allocation.nodes != job.assignment
-                ):
-                    allocation = JobAllocation.create(
-                        job.assignment, job.current_yield
-                    )
-                running_now[job_id] = allocation
-            self._running_now = running_now
-            for observer in self._allocation_observers:
-                observer.on_allocation_applied(self._now, running_now)
+                    self._emit("resume", job.spec, job.assignment, job.current_yield)
+        self._emit("applied")
+
+    def _emit(
+        self,
+        kind: str,
+        spec: Optional[JobSpec] = None,
+        nodes: Tuple[int, ...] = (),
+        yield_value: float = 0.0,
+        old_nodes: Tuple[int, ...] = (),
+        old_yield: float = 0.0,
+        node: int = -1,
+        cluster: Optional[Cluster] = None,
+    ) -> None:
+        """Hand every observer one :class:`SimEvent` stamped now.
+
+        The parameters are the event's fields after ``kind``; the tuple is
+        filled positionally (``SimEvent``'s generated ``__new__`` costs
+        twice as much per event).
+        """
+        observers = self._observers
+        if observers:
+            event = _new_event(
+                SimEvent,
+                (kind, self._now, spec, nodes, yield_value, old_nodes, old_yield, node, cluster),
+            )
+            for observer in observers:
+                observer.on_event(event)
 
     # --------------------------------------------------------------- results --
     def _compute_makespan(self) -> float:

@@ -1,39 +1,60 @@
-"""Observer hooks for the simulation engine.
+"""The engine's event stream and the recorders built on it.
 
-The engine exposes a small observer protocol so that analysis tooling can
-watch a simulation unfold without the engine having to know anything about
-what is being measured.  Observers receive callbacks for the lifecycle of
-every job (submission, start, preemption, resume, migration, completion) and
-for every applied allocation decision.
+The engine announces every transition it makes as one immutable
+:class:`SimEvent` passed to each attached observer's ``on_event``.  Events
+carry *changes*, never states: an observer that needs to know what runs
+where, or which nodes are down, keeps that map itself and updates it from
+the deltas.  No event is built while no observer is attached.
 
-Three ready-made observers cover the needs of :mod:`repro.analysis`:
+The vocabulary (:data:`EVENT_KINDS`) and each kind's payload:
 
-* :class:`EventLogRecorder` — flat, ordered log of everything that happened,
-  convenient for debugging and for asserting engine behaviour in tests;
+* ``run-start`` (``cluster``) and ``run-end`` bracket the run; nodes the
+  availability trace left down before the first submission are announced
+  as ``node-down`` events right after ``run-start``;
+* ``submit`` (``spec``) when a job arrives;
+* ``start`` / ``resume`` (``nodes`` taken, ``yield_value``);
+* ``migrate`` (``nodes`` taken, ``yield_value``, ``old_nodes`` left) and
+  ``yield`` (``nodes`` held, ``yield_value``, ``old_yield``);
+* the closing kinds (:data:`CLOSING_KINDS`) ``preempt``, ``checkpoint``,
+  ``failure-kill``, ``complete`` and ``cancel`` carry the ``nodes`` they
+  vacate (empty when a cancelled job held none); ``checkpoint`` and
+  ``failure-kill`` are the two failure policies' evictions and also name
+  the failed ``node``;
+* ``node-down`` / ``node-up`` (``node``); a ``node-down`` precedes the
+  evictions it causes;
+* ``applied``, payload-free, once per applied scheduling decision, after
+  that decision's transitions.
+
+Within one engine event the order is: completions, then the queued
+arrivals and node events, then the decision's transitions in arrival order,
+then ``applied``.  An online cancel emits ``cancel`` between events.
+
+Three ready-made recorders cover the needs of :mod:`repro.analysis`:
+
 * :class:`AllocationTraceRecorder` — per-job allocation intervals (who ran
   where, at which yield, from when to when), the raw material of Gantt-style
   analyses and per-job yield profiles;
-* :class:`UtilizationRecorder` — per-event snapshots of cluster-wide CPU,
+* :class:`UtilizationRecorder` — per-decision samples of cluster-wide CPU,
   memory, and job-population counters, the raw material of utilization and
-  energy studies (paper §II-B2's "turn off idle nodes" remark).
-
-Observers must never mutate the objects they are handed; the engine passes
-immutable specs/allocations and copies of aggregate counters.
+  energy studies (paper §II-B2's "turn off idle nodes" remark);
+* :class:`AvailabilityRecorder` — delivered vs. nominal CPU capacity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .allocation import JobAllocation
 from .cluster import Cluster
 from .job import JobSpec
 
 __all__ = [
+    "EVENT_KINDS",
+    "CLOSING_KINDS",
+    "SimEvent",
     "SimulationObserver",
-    "ObservedEvent",
-    "EventLogRecorder",
     "AllocationInterval",
     "AllocationTraceRecorder",
     "UtilizationSample",
@@ -41,179 +62,64 @@ __all__ = [
     "AvailabilityRecorder",
 ]
 
+#: Every kind of :class:`SimEvent` the engine emits.
+EVENT_KINDS = (
+    "run-start",
+    "submit",
+    "start",
+    "preempt",
+    "checkpoint",
+    "failure-kill",
+    "migrate",
+    "yield",
+    "resume",
+    "complete",
+    "cancel",
+    "node-down",
+    "node-up",
+    "applied",
+    "run-end",
+)
+
+#: Kinds that end a job's running interval; each carries the vacated nodes.
+CLOSING_KINDS = frozenset({"preempt", "checkpoint", "failure-kill", "complete", "cancel"})
+
+#: Kinds after which the job runs on ``nodes`` at ``yield_value``.
+_ALLOCATING_KINDS = frozenset({"start", "resume", "migrate", "yield"})
+
+
+class SimEvent(NamedTuple):
+    """One engine transition; the fields a kind does not use keep defaults."""
+
+    kind: str
+    time: float
+    spec: Optional[JobSpec] = None
+    #: Nodes taken (start / resume / migrate), held (yield) or vacated
+    #: (the closing kinds).
+    nodes: Tuple[int, ...] = ()
+    #: The job's yield after a start / resume / migrate / yield.
+    yield_value: float = 0.0
+    #: The nodes a migrate left.
+    old_nodes: Tuple[int, ...] = ()
+    #: The yield before a yield change.
+    old_yield: float = 0.0
+    #: The node of a node-down / node-up, and the failed node of a
+    #: checkpoint / failure-kill.
+    node: int = -1
+    #: The platform, on run-start only.
+    cluster: Optional[Cluster] = None
+
 
 class SimulationObserver:
-    """Base class with no-op hooks; subclass and override what you need.
+    """Base class of engine observers: override :meth:`on_event`.
 
-    The engine calls the hooks in this order within one event:
-    ``on_job_submitted`` (for each submission), ``on_job_completed`` (for each
-    completion), then one of ``on_job_started`` / ``on_job_preempted`` /
-    ``on_job_resumed`` / ``on_job_migrated`` / ``on_yield_changed`` per
-    affected job, and finally ``on_allocation_applied`` with the full running
-    set.  ``on_simulation_start`` / ``on_simulation_end`` bracket the run.
+    Any object with an ``on_event(event)`` method is an observer; the base
+    class only documents the protocol.  Observers must never mutate what
+    they are handed.
     """
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        """Called once before the first event is processed."""
-
-    def on_job_submitted(self, time: float, spec: JobSpec) -> None:
-        """Called when a job's submission event fires."""
-
-    def on_job_started(
-        self, time: float, spec: JobSpec, allocation: JobAllocation
-    ) -> None:
-        """Called the first (and any subsequent) time a pending job starts."""
-
-    def on_job_preempted(self, time: float, spec: JobSpec) -> None:
-        """Called when a running job is paused (memory saved to storage)."""
-
-    def on_job_evicted(
-        self, time: float, spec: JobSpec, node: int, killed: bool
-    ) -> None:
-        """Called when a node failure evicts a running job, just before the
-        matching :meth:`on_job_preempted`.
-
-        ``node`` is the failed node and ``killed`` distinguishes the two
-        failure policies: ``True`` under ``"resubmit"`` (progress lost, job
-        requeued from scratch) and ``False`` under ``"migrate"`` (job
-        checkpointed like an ordinary preemption).  Scheduler-initiated
-        preemptions never pass through this hook, so observers that need
-        *cause* attribution (the flight recorder) can tell the two apart.
-        """
-
-    def on_job_resumed(
-        self, time: float, spec: JobSpec, allocation: JobAllocation
-    ) -> None:
-        """Called when a paused job is given resources again."""
-
-    def on_job_migrated(
-        self,
-        time: float,
-        spec: JobSpec,
-        old_nodes: Tuple[int, ...],
-        allocation: JobAllocation,
-    ) -> None:
-        """Called when a running job's node multiset changes."""
-
-    def on_yield_changed(
-        self, time: float, spec: JobSpec, old_yield: float, new_yield: float
-    ) -> None:
-        """Called when only the CPU fraction of a running job changes."""
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        """Called when a job finishes all of its work."""
-
-    def on_job_cancelled(self, time: float, spec: JobSpec) -> None:
-        """Called when an online cancel withdraws an arrived job.
-
-        Terminal like ``on_job_completed``: the job is gone from the engine,
-        releasing its nodes if it was running, and no hook names it again.
-        """
-
-    def on_node_down(self, time: float, node: int) -> None:
-        """Called when a node fails (platform availability trace).
-
-        Also called once at the start of the run, at the first submission
-        instant and right after ``on_simulation_start``, for every node the
-        trace left down before it (in node order), so observers begin from
-        the scheduler's view of the platform.
-
-        Jobs evicted by the failure are additionally reported through
-        ``on_job_preempted`` (both failure policies close their allocation
-        the same way; only the engine-side bookkeeping differs).
-        """
-
-    def on_node_up(self, time: float, node: int) -> None:
-        """Called when a previously failed node is repaired."""
-
-    def on_allocation_applied(
-        self, time: float, running: Dict[int, JobAllocation]
-    ) -> None:
-        """Called after every event with the complete set of running jobs."""
-
-    def on_simulation_end(self, time: float) -> None:
-        """Called once after the last event has been processed."""
-
-
-# --------------------------------------------------------------------------- #
-# Event log                                                                    #
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ObservedEvent:
-    """One entry of the :class:`EventLogRecorder` log."""
-
-    time: float
-    kind: str
-    job_id: Optional[int] = None
-    detail: str = ""
-
-
-class EventLogRecorder(SimulationObserver):
-    """Record a flat, time-ordered log of everything the engine did.
-
-    The ``kind`` field takes the values ``"submit"``, ``"start"``,
-    ``"preempt"``, ``"resume"``, ``"migrate"``, ``"yield"``, ``"complete"``,
-    ``"sim-start"``, and ``"sim-end"``.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[ObservedEvent] = []
-
-    def _record(self, time: float, kind: str, job_id: Optional[int] = None, detail: str = "") -> None:
-        self.events.append(ObservedEvent(time=time, kind=kind, job_id=job_id, detail=detail))
-
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self._record(start_time, "sim-start", detail=f"nodes={cluster.num_nodes}")
-
-    def on_job_submitted(self, time: float, spec: JobSpec) -> None:
-        self._record(time, "submit", spec.job_id)
-
-    def on_job_started(self, time: float, spec: JobSpec, allocation: JobAllocation) -> None:
-        self._record(time, "start", spec.job_id, detail=f"yield={allocation.yield_value:.3f}")
-
-    def on_job_preempted(self, time: float, spec: JobSpec) -> None:
-        self._record(time, "preempt", spec.job_id)
-
-    def on_job_resumed(self, time: float, spec: JobSpec, allocation: JobAllocation) -> None:
-        self._record(time, "resume", spec.job_id, detail=f"yield={allocation.yield_value:.3f}")
-
-    def on_job_migrated(
-        self,
-        time: float,
-        spec: JobSpec,
-        old_nodes: Tuple[int, ...],
-        allocation: JobAllocation,
-    ) -> None:
-        self._record(
-            time,
-            "migrate",
-            spec.job_id,
-            detail=f"{sorted(old_nodes)}->{sorted(allocation.nodes)}",
-        )
-
-    def on_yield_changed(
-        self, time: float, spec: JobSpec, old_yield: float, new_yield: float
-    ) -> None:
-        self._record(time, "yield", spec.job_id, detail=f"{old_yield:.3f}->{new_yield:.3f}")
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        self._record(time, "complete", spec.job_id)
-
-    def on_simulation_end(self, time: float) -> None:
-        self._record(time, "sim-end")
-
-    # -- queries ---------------------------------------------------------------
-    def events_of_kind(self, kind: str) -> List[ObservedEvent]:
-        """All recorded events of the given kind, in time order."""
-        return [event for event in self.events if event.kind == kind]
-
-    def events_of_job(self, job_id: int) -> List[ObservedEvent]:
-        """All recorded events concerning the given job, in time order."""
-        return [event for event in self.events if event.job_id == job_id]
-
-    def count(self, kind: str) -> int:
-        """Number of recorded events of the given kind."""
-        return sum(1 for event in self.events if event.kind == kind)
+    def on_event(self, event: SimEvent) -> None:
+        """Called once per engine transition, in emission order."""
 
 
 # --------------------------------------------------------------------------- #
@@ -254,33 +160,23 @@ class AllocationTraceRecorder(SimulationObserver):
     def __init__(self) -> None:
         self.intervals: List[AllocationInterval] = []
         self._open: Dict[int, Tuple[float, Tuple[int, ...], float]] = {}
-        self._last_time = 0.0
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self.intervals = []
-        self._open = {}
-        self._last_time = start_time
-
-    def on_allocation_applied(self, time: float, running: Dict[int, JobAllocation]) -> None:
-        self._last_time = max(self._last_time, time)
-        # Close intervals for jobs that stopped running or changed allocation.
-        for job_id in list(self._open):
-            start, nodes, yield_value = self._open[job_id]
-            alloc = running.get(job_id)
-            if alloc is None or tuple(alloc.nodes) != nodes or alloc.yield_value != yield_value:
-                self._close(job_id, time)
-        # Open intervals for new placements.
-        for job_id, alloc in running.items():
-            if job_id not in self._open:
-                self._open[job_id] = (time, tuple(alloc.nodes), alloc.yield_value)
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        if spec.job_id in self._open:
-            self._close(spec.job_id, time)
-
-    def on_simulation_end(self, time: float) -> None:
-        for job_id in list(self._open):
-            self._close(job_id, time)
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        if kind in _ALLOCATING_KINDS:
+            job_id = event.spec.job_id
+            if job_id in self._open:
+                self._close(job_id, event.time)
+            self._open[job_id] = (event.time, event.nodes, event.yield_value)
+        elif kind in CLOSING_KINDS:
+            if event.spec.job_id in self._open:
+                self._close(event.spec.job_id, event.time)
+        elif kind == "run-start":
+            self.intervals = []
+            self._open = {}
+        elif kind == "run-end":
+            for job_id in list(self._open):
+                self._close(job_id, event.time)
 
     def _close(self, job_id: int, end: float) -> None:
         start, nodes, yield_value = self._open.pop(job_id)
@@ -315,7 +211,7 @@ class AllocationTraceRecorder(SimulationObserver):
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class UtilizationSample:
-    """Cluster-wide counters captured right after one event was processed."""
+    """Cluster-wide counters captured right after one decision was applied."""
 
     time: float
     #: Number of distinct nodes hosting at least one running task.
@@ -329,68 +225,76 @@ class UtilizationSample:
     min_yield: float
 
 
-class UtilizationRecorder(SimulationObserver):
-    """Record cluster-wide utilization counters after every event.
+_ARRIVAL = itemgetter(0)
 
-    The resulting samples form a right-continuous step function: the counters
-    of sample *i* hold from ``samples[i].time`` until ``samples[i+1].time``.
-    Conversion helpers into proper :class:`repro.analysis.timeseries.StepSeries`
-    objects live in :mod:`repro.analysis.timeseries`.
+
+class UtilizationRecorder(SimulationObserver):
+    """Record cluster-wide utilization counters after every applied decision.
+
+    The recorder keeps its own running map, ``job id -> (arrival rank, spec,
+    nodes, yield)``, from the transition events and sums it from scratch at
+    each ``applied``, in arrival order.  The resulting samples form a
+    right-continuous step function: the counters of sample *i* hold from
+    ``samples[i].time`` until ``samples[i+1].time``.  Conversion helpers
+    into proper :class:`repro.analysis.timeseries.StepSeries` objects live
+    in :mod:`repro.analysis.timeseries`.
     """
 
     def __init__(self) -> None:
         self.samples: List[UtilizationSample] = []
-        self._specs: Dict[int, JobSpec] = {}
-        self._cluster: Optional[Cluster] = None
+        self._ranks = count()
+        self._arrivals: Dict[int, int] = {}
+        self._running: Dict[int, Tuple[int, JobSpec, Tuple[int, ...], float]] = {}
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self.samples = []
-        self._specs = {}
-        self._cluster = cluster
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        if kind == "applied":
+            self._sample(event.time)
+        elif kind in _ALLOCATING_KINDS:
+            job_id = event.spec.job_id
+            self._running[job_id] = (
+                self._arrivals[job_id], event.spec, event.nodes, event.yield_value
+            )
+        elif kind in CLOSING_KINDS:
+            job_id = event.spec.job_id
+            self._running.pop(job_id, None)
+            if kind == "complete" or kind == "cancel":
+                del self._arrivals[job_id]
+        elif kind == "submit":
+            self._arrivals[event.spec.job_id] = next(self._ranks)
+        elif kind == "run-start":
+            self.samples = []
+            self._ranks = count()
+            self._arrivals = {}
+            self._running = {}
+        elif kind == "run-end":
+            # The engine stops iterating as soon as the last job completes,
+            # so the final completion is not followed by a decision; close
+            # the trace with an explicit all-idle sample so that step series
+            # span the full simulated interval.
+            if self.samples and event.time > self.samples[-1].time:
+                self.samples.append(UtilizationSample(event.time, 0, 0.0, 0.0, 0, 1.0))
 
-    def on_job_submitted(self, time: float, spec: JobSpec) -> None:
-        self._specs[spec.job_id] = spec
-
-    def on_allocation_applied(self, time: float, running: Dict[int, JobAllocation]) -> None:
+    def _sample(self, time: float) -> None:
         busy = set()
         cpu = 0.0
         memory = 0.0
         min_yield = 1.0
-        for job_id, alloc in running.items():
-            spec = self._specs.get(job_id)
-            if spec is None:  # pragma: no cover - defensive; submissions precede starts
-                continue
-            busy.update(alloc.nodes)
-            cpu += spec.num_tasks * spec.cpu_need * alloc.yield_value
+        for _, spec, nodes, yield_value in sorted(self._running.values(), key=_ARRIVAL):
+            busy.update(nodes)
+            cpu += spec.num_tasks * spec.cpu_need * yield_value
             memory += spec.num_tasks * spec.mem_requirement
-            min_yield = min(min_yield, alloc.yield_value)
+            min_yield = min(min_yield, yield_value)
         self.samples.append(
             UtilizationSample(
                 time=time,
                 busy_nodes=len(busy),
                 cpu_allocated=cpu,
                 memory_used=memory,
-                running_jobs=len(running),
-                min_yield=min_yield if running else 1.0,
+                running_jobs=len(self._running),
+                min_yield=min_yield,
             )
         )
-
-    def on_simulation_end(self, time: float) -> None:
-        # The engine stops iterating as soon as the last job completes, so the
-        # final completion does not go through an allocation decision; close
-        # the trace with an explicit all-idle sample so that step series span
-        # the full simulated interval.
-        if self.samples and time > self.samples[-1].time:
-            self.samples.append(
-                UtilizationSample(
-                    time=time,
-                    busy_nodes=0,
-                    cpu_allocated=0.0,
-                    memory_used=0.0,
-                    running_jobs=0,
-                    min_yield=1.0,
-                )
-            )
 
     # -- queries ---------------------------------------------------------------
     def peak_busy_nodes(self) -> int:
@@ -429,37 +333,32 @@ class AvailabilityRecorder(SimulationObserver):
         self._up_cpu = 0.0
         self._down: set = set()
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self._cluster = cluster
-        self.segments = []
-        self._down = set()
-        self.start_time = start_time
-        self.end_time = start_time
-        self._segment_start = start_time
-        self._up_cpu = cluster.total_cpu_capacity()
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        if kind == "node-down":
+            if event.node not in self._down:
+                self._close_segment(event.time)
+                self._down.add(event.node)
+                self._up_cpu -= self._cluster.cpu_capacity(event.node)
+        elif kind == "node-up":
+            if event.node in self._down:
+                self._close_segment(event.time)
+                self._down.discard(event.node)
+                self._up_cpu += self._cluster.cpu_capacity(event.node)
+        elif kind == "run-start":
+            self._cluster = event.cluster
+            self.segments = []
+            self._down = set()
+            self.start_time = self.end_time = self._segment_start = event.time
+            self._up_cpu = event.cluster.total_cpu_capacity()
+        elif kind == "run-end":
+            self._close_segment(event.time)
+            self.end_time = event.time
 
     def _close_segment(self, time: float) -> None:
         if time > self._segment_start:
             self.segments.append((self._segment_start, time, self._up_cpu))
         self._segment_start = time
-
-    def on_node_down(self, time: float, node: int) -> None:
-        if node in self._down or self._cluster is None:
-            return
-        self._close_segment(time)
-        self._down.add(node)
-        self._up_cpu -= self._cluster.cpu_capacity(node)
-
-    def on_node_up(self, time: float, node: int) -> None:
-        if node not in self._down or self._cluster is None:
-            return
-        self._close_segment(time)
-        self._down.discard(node)
-        self._up_cpu += self._cluster.cpu_capacity(node)
-
-    def on_simulation_end(self, time: float) -> None:
-        self._close_segment(time)
-        self.end_time = time
 
     # -- queries ---------------------------------------------------------------
     def nominal_cpu_capacity(self) -> float:

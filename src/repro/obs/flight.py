@@ -41,9 +41,7 @@ from typing import (
     Any,
     Deque,
     Dict,
-    Iterable,
     List,
-    Optional,
     Set,
     Tuple,
     Union,
@@ -52,9 +50,7 @@ from typing import (
 from ..exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids core import cycles
-    from ..core.allocation import JobAllocation
-    from ..core.cluster import Cluster
-    from ..core.job import JobSpec
+    from ..core.observers import SimEvent
 
 __all__ = [
     "FlightEvent",
@@ -89,6 +85,10 @@ _CLOSING_KINDS = frozenset(
 )
 #: Kinds that open (or re-open) a running interval.
 _OPENING_KINDS = frozenset({"start", "resume", "migrate"})
+#: The engine events the flight observer records (all but the serve layer's
+#: ``admit``), and those of them caused by a plain scheduler decision.
+_JOB_KINDS = frozenset(EVENT_KINDS) - {"admit"}
+_SCHEDULER_KINDS = frozenset({"start", "resume", "preempt"})
 
 
 @dataclass(frozen=True)
@@ -175,140 +175,37 @@ class FlightRecorder:
 
 
 class FlightObserver:
-    """Engine observer feeding a :class:`FlightRecorder`.
+    """Engine observer projecting the job events onto a :class:`FlightRecorder`.
 
-    Implements the :class:`repro.core.observers.SimulationObserver` hook
-    protocol structurally (no base-class import, so this module stays
-    import-cycle-free from ``repro.core``).  Unused hooks are explicit
-    no-ops.
-
-    Two pieces of derived state make the events causal:
-
-    * the job's *last known assignment*, tracked from start/resume/migrate
-      allocations, so closing events (preempt, complete, failure kills)
-      carry the nodes being vacated even though the engine hands the hook
-      only the spec;
-    * failure attribution: the engine reports a node-failure eviction
-      through ``on_job_evicted`` (with the failed node and the policy)
-      *and* the legacy ``on_job_preempted``; the observer records the
-      specific ``checkpoint``/``failure-kill`` event at the former and
-      swallows the duplicate generic preempt at the latter, so
-      scheduler-initiated preemptions are exactly the ``preempt`` events.
+    The engine's events already carry what a flight record needs: the nodes
+    a transition takes or vacates, and for failure evictions the failed
+    node.  The projection only adds the cause: ``"scheduler"`` for the
+    decision's transitions (a migrate also names the nodes it left),
+    ``"node-failure:<node>"`` for evictions, nothing for submit, complete
+    and cancel.  Yield changes, node events and the run and decision
+    markers are not flight events.  The observer is structural (no
+    base-class import), so this module stays import-cycle-free from
+    ``repro.core``.
     """
 
     def __init__(self, recorder: FlightRecorder) -> None:
         self.recorder = recorder
-        self._assignments: Dict[int, Tuple[int, ...]] = {}
-        self._failure_evicted: Set[int] = set()
 
-    # -- lifecycle hooks -------------------------------------------------------
-    def on_simulation_start(self, cluster: "Cluster", start_time: float) -> None:
-        self._assignments = {}
-        self._failure_evicted = set()
-
-    def on_job_submitted(self, time: float, spec: "JobSpec") -> None:
-        self.recorder.record(time, "submit", spec.job_id)
-
-    def on_job_started(
-        self, time: float, spec: "JobSpec", allocation: "JobAllocation"
-    ) -> None:
-        nodes = tuple(allocation.nodes)
-        self._assignments[spec.job_id] = nodes
-        self.recorder.record(
-            time, "start", spec.job_id, nodes=nodes, cause="scheduler"
-        )
-
-    def on_job_evicted(
-        self, time: float, spec: "JobSpec", node: int, killed: bool
-    ) -> None:
-        job_id = spec.job_id
-        self._failure_evicted.add(job_id)
-        self.recorder.record(
-            time,
-            "failure-kill" if killed else "checkpoint",
-            job_id,
-            nodes=self._assignments.pop(job_id, ()),
-            cause=f"node-failure:{node}",
-        )
-
-    def on_job_preempted(self, time: float, spec: "JobSpec") -> None:
-        job_id = spec.job_id
-        if job_id in self._failure_evicted:
-            # Already recorded as checkpoint/failure-kill by on_job_evicted;
-            # this is the engine's legacy duplicate notification.
-            self._failure_evicted.discard(job_id)
+    def on_event(self, event: "SimEvent") -> None:
+        kind = event.kind
+        if kind not in _JOB_KINDS:
             return
+        if kind in _SCHEDULER_KINDS:
+            cause = "scheduler"
+        elif kind == "migrate":
+            cause = f"scheduler:from={sorted(event.old_nodes)}"
+        elif kind == "checkpoint" or kind == "failure-kill":
+            cause = f"node-failure:{event.node}"
+        else:
+            cause = ""
         self.recorder.record(
-            time,
-            "preempt",
-            job_id,
-            nodes=self._assignments.pop(job_id, ()),
-            cause="scheduler",
+            event.time, kind, event.spec.job_id, nodes=event.nodes, cause=cause
         )
-
-    def on_job_resumed(
-        self, time: float, spec: "JobSpec", allocation: "JobAllocation"
-    ) -> None:
-        nodes = tuple(allocation.nodes)
-        self._assignments[spec.job_id] = nodes
-        self.recorder.record(
-            time, "resume", spec.job_id, nodes=nodes, cause="scheduler"
-        )
-
-    def on_job_migrated(
-        self,
-        time: float,
-        spec: "JobSpec",
-        old_nodes: Tuple[int, ...],
-        allocation: "JobAllocation",
-    ) -> None:
-        nodes = tuple(allocation.nodes)
-        self._assignments[spec.job_id] = nodes
-        self.recorder.record(
-            time,
-            "migrate",
-            spec.job_id,
-            nodes=nodes,
-            cause=f"scheduler:from={sorted(old_nodes)}",
-        )
-
-    def on_job_completed(self, time: float, spec: "JobSpec") -> None:
-        job_id = spec.job_id
-        self._failure_evicted.discard(job_id)
-        self.recorder.record(
-            time,
-            "complete",
-            job_id,
-            nodes=self._assignments.pop(job_id, ()),
-        )
-
-    def on_job_cancelled(self, time: float, spec: "JobSpec") -> None:
-        job_id = spec.job_id
-        self._failure_evicted.discard(job_id)
-        self.recorder.record(
-            time,
-            "cancel",
-            job_id,
-            nodes=self._assignments.pop(job_id, ()),
-        )
-
-    # -- hooks the recorder does not consume -----------------------------------
-    def on_yield_changed(
-        self, time: float, spec: "JobSpec", old_yield: float, new_yield: float
-    ) -> None:
-        """Yield-only changes keep the placement; not a flight event."""
-
-    def on_node_down(self, time: float, node: int) -> None:
-        """Node events are platform-level; victims arrive via on_job_evicted."""
-
-    def on_node_up(self, time: float, node: int) -> None:
-        """See :meth:`on_node_down`."""
-
-    def on_allocation_applied(self, time: float, running: Dict[int, Any]) -> None:
-        """The per-job hooks above already cover every transition."""
-
-    def on_simulation_end(self, time: float) -> None:
-        """The ring keeps its events across runs; nothing to close."""
 
 
 # --------------------------------------------------------------------------- #

@@ -39,9 +39,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..campaign.collectors import MetricCollector, register_collector
-from ..core.cluster import Cluster
-from ..core.job import JobSpec
-from ..core.observers import SimulationObserver
+from ..core.observers import SimEvent, SimulationObserver
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError
 from ..metrics import Accumulator, Moments, SumAccumulator
@@ -152,17 +150,18 @@ class CompletionWindows(SimulationObserver):
     def __init__(self, width: float) -> None:
         self.width = width
 
-    def on_simulation_start(self, cluster: Cluster, start_time: float) -> None:
-        self.windows = {}
-        self._origin = start_time
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        index = int((time - self._origin) // self.width)
-        tally = self.windows.get(index)
-        if tally is None:
-            tally = self.windows[index] = [0.0, 0.0]
-        tally[0] += 1.0
-        tally[1] += spec.num_tasks * spec.cpu_need * spec.execution_time
+    def on_event(self, event: SimEvent) -> None:
+        if event.kind == "complete":
+            spec = event.spec
+            index = int((event.time - self._origin) // self.width)
+            tally = self.windows.get(index)
+            if tally is None:
+                tally = self.windows[index] = [0.0, 0.0]
+            tally[0] += 1.0
+            tally[1] += spec.num_tasks * spec.cpu_need * spec.execution_time
+        elif event.kind == "run-start":
+            self.windows = {}
+            self._origin = event.time
 
 
 class GoodputCollector(MetricCollector):

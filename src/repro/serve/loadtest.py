@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from ..core.allocation import JobAllocation
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
-from ..core.job import JobSpec
-from ..core.observers import SimulationObserver
+from ..core.observers import SimEvent, SimulationObserver
 from ..metrics import DEFAULT_RELATIVE_ERROR
 from ..traces.source import JobSource
 from .admission import AdmissionPolicy
@@ -49,60 +47,41 @@ def peak_rss_mb() -> Optional[float]:
     return rss / 1024.0
 
 
+_PLACEMENTS = frozenset({"start", "resume", "migrate"})
+#: Logged action of each vacating kind; a cancel is not a placement action.
+_VACATING = {
+    "preempt": "preempt",
+    "checkpoint": "preempt",
+    "failure-kill": "preempt",
+    "complete": "complete",
+}
+
+
 class PlacementLogObserver(SimulationObserver):
     """Append-only log of every placement decision the engine applies.
 
     Entries are ``[time, action, job_id, nodes, yield]`` rows; node tuples
-    and yields are recorded exactly as applied.  :meth:`to_json_bytes`
-    serialises the whole log canonically (sorted keys, full float repr), so
-    two runs made the same decisions if and only if their logs are equal as
-    byte strings.
+    and yields are recorded exactly as applied, and both failure evictions
+    are logged as ``preempt``.  :meth:`to_json_bytes` serialises the whole
+    log canonically (sorted keys, full float repr), so two runs made the
+    same decisions if and only if their logs are equal as byte strings.
     """
 
     def __init__(self) -> None:
         self.entries: List[List[Any]] = []
 
-    def _log(
-        self,
-        time: float,
-        action: str,
-        job_id: int,
-        nodes: Optional[Tuple[int, ...]] = None,
-        yield_value: Optional[float] = None,
-    ) -> None:
-        self.entries.append(
-            [time, action, job_id, list(nodes) if nodes is not None else None, yield_value]
-        )
-
-    def on_job_started(
-        self, time: float, spec: JobSpec, allocation: JobAllocation
-    ) -> None:
-        self._log(time, "start", spec.job_id, allocation.nodes, allocation.yield_value)
-
-    def on_job_resumed(
-        self, time: float, spec: JobSpec, allocation: JobAllocation
-    ) -> None:
-        self._log(time, "resume", spec.job_id, allocation.nodes, allocation.yield_value)
-
-    def on_job_migrated(
-        self,
-        time: float,
-        spec: JobSpec,
-        old_nodes: Tuple[int, ...],
-        allocation: JobAllocation,
-    ) -> None:
-        self._log(time, "migrate", spec.job_id, allocation.nodes, allocation.yield_value)
-
-    def on_yield_changed(
-        self, time: float, spec: JobSpec, old_yield: float, new_yield: float
-    ) -> None:
-        self._log(time, "yield", spec.job_id, None, new_yield)
-
-    def on_job_preempted(self, time: float, spec: JobSpec) -> None:
-        self._log(time, "preempt", spec.job_id)
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        self._log(time, "complete", spec.job_id)
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        if kind in _PLACEMENTS:
+            row = [list(event.nodes), event.yield_value]
+        elif kind == "yield":
+            row = [None, event.yield_value]
+        elif kind in _VACATING:
+            kind = _VACATING[kind]
+            row = [None, None]
+        else:
+            return
+        self.entries.append([event.time, kind, event.spec.job_id, *row])
 
     def to_json_bytes(self) -> bytes:
         """Canonical byte serialisation of the log (for byte-equality pins)."""

@@ -31,13 +31,13 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Mapping, Optional, Union
+from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Union
 
 from ..core.clock import Clock, SimulatedClock, WallClock
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig, Simulator
 from ..core.job import JobSpec
-from ..core.observers import SimulationObserver
+from ..core.observers import SimEvent, SimulationObserver
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError, ReproError, SimulationError
 from ..metrics import DEFAULT_RELATIVE_ERROR, Moments, QuantileSketch, SumAccumulator
@@ -71,8 +71,9 @@ class ServiceJobRecord:
 
     job_id: int
     submit_time: float
-    #: ``pending`` → ``running`` (→ ``paused`` → ``running``) → ``completed``,
-    #: or terminal ``rejected`` / ``cancelled`` / ``shed``.
+    #: ``pending`` → ``running`` (→ ``paused`` → ``running``, or back to
+    #: ``pending`` when a node failure kills it) → ``completed``, or
+    #: terminal ``rejected`` / ``cancelled`` / ``shed``.
     state: str = "pending"
     #: Admission reason for rejected/shed jobs (``queue-full``, …).
     reason: str = ""
@@ -225,7 +226,14 @@ class ServiceMetrics:
 
 
 class _ServiceObserver(SimulationObserver):
-    """Folds engine lifecycle events into the service metrics and ledger."""
+    """Folds engine lifecycle events into the service metrics and ledger.
+
+    A preemption is a scheduler ``preempt`` or a ``checkpoint`` eviction,
+    exactly the engine's ``preemption_count``; a ``failure-kill`` requeues
+    the job (ledger state ``pending``) and its restart is counted as a
+    start but not sampled again for queue latency, which is measured once
+    per job, at its first start.
+    """
 
     def __init__(
         self,
@@ -236,49 +244,58 @@ class _ServiceObserver(SimulationObserver):
         self._metrics = metrics
         self._ledger = ledger
         self._on_terminal = on_terminal
+        #: Failure-killed jobs whose restart is not a first start.
+        self._killed: Set[int] = set()
 
-    def _record(self, job_id: int) -> Optional[ServiceJobRecord]:
-        if self._ledger is None:
-            return None
-        return self._ledger.get(job_id)
-
-    def on_job_started(self, time: float, spec: JobSpec, allocation: Any) -> None:
-        self._metrics.starts += 1
-        self._metrics.observe_queue_latency(max(0.0, time - spec.submit_time))
-        record = self._record(spec.job_id)
+    def on_event(self, event: SimEvent) -> None:
+        kind = event.kind
+        state = _LEDGER_STATES.get(kind)
+        if state is None:
+            if kind == "cancel":  # the service books the cancel itself
+                self._killed.discard(event.spec.job_id)
+            return
+        metrics = self._metrics
+        job_id = event.spec.job_id
+        if kind == "start":
+            metrics.starts += 1
+            if job_id in self._killed:
+                self._killed.discard(job_id)
+            else:
+                metrics.observe_queue_latency(max(0.0, event.time - event.spec.submit_time))
+        elif kind == "resume":
+            metrics.resumes += 1
+        elif kind == "migrate":
+            metrics.migrations += 1
+        elif kind == "preempt" or kind == "checkpoint":
+            metrics.preemptions += 1
+        elif kind == "failure-kill":
+            self._killed.add(job_id)
+        else:  # complete
+            metrics.completions += 1
+            metrics.observe_jct(
+                max(0.0, event.time - event.spec.submit_time), event.spec.execution_time
+            )
+        record = None if self._ledger is None else self._ledger.get(job_id)
         if record is not None:
-            record.state = "running"
-            if record.first_start_time is None:
-                record.first_start_time = time
+            record.state = state
+            if kind == "start" and record.first_start_time is None:
+                record.first_start_time = event.time
+            elif kind == "complete":
+                record.completion_time = event.time
+        if kind == "complete" and self._on_terminal is not None:
+            self._on_terminal(job_id)
 
-    def on_job_resumed(self, time: float, spec: JobSpec, allocation: Any) -> None:
-        self._metrics.resumes += 1
-        record = self._record(spec.job_id)
-        if record is not None:
-            record.state = "running"
 
-    def on_job_migrated(
-        self, time: float, spec: JobSpec, old_nodes: Any, allocation: Any
-    ) -> None:
-        self._metrics.migrations += 1
-
-    def on_job_preempted(self, time: float, spec: JobSpec) -> None:
-        self._metrics.preemptions += 1
-        record = self._record(spec.job_id)
-        if record is not None:
-            record.state = "paused"
-
-    def on_job_completed(self, time: float, spec: JobSpec) -> None:
-        self._metrics.completions += 1
-        self._metrics.observe_jct(
-            max(0.0, time - spec.submit_time), spec.execution_time
-        )
-        record = self._record(spec.job_id)
-        if record is not None:
-            record.state = "completed"
-            record.completion_time = time
-        if self._on_terminal is not None:
-            self._on_terminal(spec.job_id)
+#: Ledger state each job event leaves behind.
+_LEDGER_STATES = {
+    "start": "running",
+    "resume": "running",
+    "migrate": "running",
+    "preempt": "paused",
+    "checkpoint": "paused",
+    "failure-kill": "pending",
+    "complete": "completed",
+}
 
 
 @dataclass(frozen=True)

@@ -8,24 +8,32 @@ state, and the context partitions its views lazily in ``_by_state``.  The
 live engine walks a RUNNING-job index instead and hands the context its
 partition; ``test_engine_index_differential.py`` requires that nothing can
 tell — same placement log bytes, same result fingerprint, same cost floats,
-same observer calls in the same order.
+same observer events in the same order.
 
 :class:`ReferenceWalksSimulator` subclasses the live engine, so the heap, the
 refcounts, intake, completion bookkeeping and validation are the live ones;
 only the walks are the old ones.  It neither reads nor maintains the live
 engine's ``_running`` index or the jobs' ``arrival_rank`` (``_evict``'s pop
 of a job that was never indexed is a no-op).  Do not optimise or tidy this
-file: being slow and obviously right is its job.  The one edit since it was
-copied: ``_advance_to`` lost its busy-node and availability accumulator
-lines when the engine stopped measuring those (observers attached by the
-metric collectors took them over); nothing else changed.
+file: being slow and obviously right is its job.  Two edits since it was
+copied, nothing else changed:
+
+* ``_advance_to`` lost its busy-node and availability accumulator lines
+  when the engine stopped measuring those (observers attached by the metric
+  collectors took them over);
+* its eleven observer-hook calls became ``self._emit(...)`` events when the
+  hooks became one ``on_event``: the eviction's two calls are one
+  ``failure-kill`` / ``checkpoint`` carrying ``job.last_assignment``, the
+  ``node-down`` moved before ``_apply_node_down`` (it now precedes the
+  evictions it causes), and the running-set snapshot built for the
+  allocation-applied hook became the payload-free ``applied``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.allocation import AllocationDecision, JobAllocation
+from repro.core.allocation import AllocationDecision
 from repro.core.context import JobView, SchedulingContext
 from repro.core.engine import Simulator
 from repro.core.events import EventType
@@ -73,9 +81,12 @@ class ReferenceWalksSimulator(Simulator):
                 self._charge_overhead("checkpoint", job)
             self._note_allocation_change(job)
             self._evicted_now.append(job.job_id)
-            for observer in self._observers:
-                observer.on_job_evicted(self._now, job.spec, node, resubmit)
-                observer.on_job_preempted(self._now, job.spec)
+            self._emit(
+                "failure-kill" if resubmit else "checkpoint",
+                job.spec,
+                job.last_assignment,
+                node=node,
+            )
         if self._node_power is not None:
             # Evictions above already moved the node's draw from busy to
             # idle; a down node draws nothing at all.
@@ -130,19 +141,17 @@ class ReferenceWalksSimulator(Simulator):
                         continue
                     self._active[event.job_id] = self._jobs[event.job_id]
                     submitted.append(event.job_id)
-                    for observer in self._observers:
-                        observer.on_job_submitted(now, self._jobs[event.job_id].spec)
+                    self._emit("submit", self._jobs[event.job_id].spec)
                     # Lazy admission keeps exactly one unarrived spec of the
                     # stream queued; replacing it may queue another event <= now
                     # (same-timestamp submissions), hence the outer loop.
                     self._admit_next_from_stream()
                 elif event.event_type is EventType.NODE_DOWN:
                     assert event.node is not None
+                    self._emit("node-down", node=event.node)
                     self._apply_node_down(event.node)
                     self._node_down_now = True
                     is_wakeup = True
-                    for observer in self._observers:
-                        observer.on_node_down(now, event.node)
                 elif event.event_type is EventType.NODE_UP:
                     assert event.node is not None
                     if event.node in self._down_nodes:
@@ -151,8 +160,7 @@ class ReferenceWalksSimulator(Simulator):
                             # A repaired node comes back idle.
                             self._power_current += self._node_power[event.node][1]
                     is_wakeup = True
-                    for observer in self._observers:
-                        observer.on_node_up(now, event.node)
+                    self._emit("node-up", node=event.node)
                 elif event.event_type is EventType.SCHEDULER_WAKEUP:
                     is_wakeup = True
             events = self._queue.pop_until(now)
@@ -222,8 +230,7 @@ class ReferenceWalksSimulator(Simulator):
                     job.current_yield = 0.0
                     job.state = JobState.PAUSED
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_preempted(self._now, job.spec)
+                    self._emit("preempt", job.spec, job.last_assignment)
                 elif (
                     new_alloc.nodes != job.assignment
                     and sorted(new_alloc.nodes) != sorted(job.assignment)
@@ -242,18 +249,22 @@ class ReferenceWalksSimulator(Simulator):
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_migrated(self._now, job.spec, old_nodes, new_alloc)
+                    self._emit(
+                        "migrate", job.spec, new_alloc.nodes, new_alloc.yield_value, old_nodes
+                    )
                 else:
                     # same nodes: only the CPU fraction changes, no overhead
                     old_yield = job.current_yield
                     job.current_yield = new_alloc.yield_value
                     if old_yield != new_alloc.yield_value:
                         self._note_allocation_change(job)
-                        for observer in self._observers:
-                            observer.on_yield_changed(
-                                self._now, job.spec, old_yield, new_alloc.yield_value
-                            )
+                        self._emit(
+                            "yield",
+                            job.spec,
+                            job.assignment,
+                            new_alloc.yield_value,
+                            old_yield=old_yield,
+                        )
             elif job.state is JobState.PENDING:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
@@ -263,8 +274,7 @@ class ReferenceWalksSimulator(Simulator):
                     self._note_allocation_change(job)
                     if job.first_start_time is None:
                         job.first_start_time = self._now
-                    for observer in self._observers:
-                        observer.on_job_started(self._now, job.spec, new_alloc)
+                    self._emit("start", job.spec, new_alloc.nodes, new_alloc.yield_value)
             elif job.state is JobState.PAUSED:
                 if new_alloc is not None:
                     job.state = JobState.RUNNING
@@ -274,14 +284,5 @@ class ReferenceWalksSimulator(Simulator):
                     self._acquire_nodes(new_alloc.nodes)
                     self._charge_overhead("resume", job)
                     self._note_allocation_change(job)
-                    for observer in self._observers:
-                        observer.on_job_resumed(self._now, job.spec, new_alloc)
-        if self._observers:
-            running_now: Dict[int, JobAllocation] = {}
-            for job in self._iter_jobs():
-                if job.state is JobState.RUNNING and job.assignment is not None:
-                    running_now[job.job_id] = JobAllocation.create(
-                        job.assignment, job.current_yield
-                    )
-            for observer in self._observers:
-                observer.on_allocation_applied(self._now, running_now)
+                    self._emit("resume", job.spec, new_alloc.nodes, new_alloc.yield_value)
+        self._emit("applied")

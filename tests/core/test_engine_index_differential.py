@@ -8,7 +8,7 @@ by arrival rank and fills the context's partition while it builds the views.
 That is only an optimisation if nothing can tell: on every case below the two
 engines must produce the same placement-log bytes, the same result
 fingerprint, the same cost tally bit for bit, the same flight events and the
-same observer calls (name, time, job, arguments) in the same order.
+same observer events, every field, in the same order.
 
 The live engine additionally runs under :class:`CheckedSimulator`, which
 asserts the index invariant after every event: ``_running`` sorted by arrival
@@ -26,11 +26,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.allocation import AllocationDecision, JobAllocation
+from repro.core.allocation import AllocationDecision
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.core.job import JobSpec, JobState
-from repro.core.observers import SimulationObserver
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import AllocationError
 from repro.platform import (
@@ -62,65 +61,10 @@ def _bits(value: Any) -> Any:
     return value
 
 
-def _allocation(allocation: JobAllocation) -> list:
-    return [list(allocation.nodes), allocation.yield_value.hex()]
+class CallLog(list):
+    """Every event the engine emits, in order."""
 
-
-class CallLog(SimulationObserver):
-    """Every hook the engine calls, in call order, with its arguments."""
-
-    def __init__(self) -> None:
-        self.calls: List[tuple] = []
-
-    def on_simulation_start(self, cluster, start_time):
-        self.calls.append(("simulation_start", start_time.hex()))
-
-    def on_job_submitted(self, time, spec):
-        self.calls.append(("submitted", time.hex(), spec.job_id))
-
-    def on_job_started(self, time, spec, allocation):
-        self.calls.append(("started", time.hex(), spec.job_id, _allocation(allocation)))
-
-    def on_job_preempted(self, time, spec):
-        self.calls.append(("preempted", time.hex(), spec.job_id))
-
-    def on_job_evicted(self, time, spec, node, killed):
-        self.calls.append(("evicted", time.hex(), spec.job_id, node, killed))
-
-    def on_job_resumed(self, time, spec, allocation):
-        self.calls.append(("resumed", time.hex(), spec.job_id, _allocation(allocation)))
-
-    def on_job_migrated(self, time, spec, old_nodes, allocation):
-        self.calls.append(
-            ("migrated", time.hex(), spec.job_id, list(old_nodes), _allocation(allocation))
-        )
-
-    def on_yield_changed(self, time, spec, old_yield, new_yield):
-        self.calls.append(
-            ("yield", time.hex(), spec.job_id, old_yield.hex(), new_yield.hex())
-        )
-
-    def on_job_completed(self, time, spec):
-        self.calls.append(("completed", time.hex(), spec.job_id))
-
-    def on_node_down(self, time, node):
-        self.calls.append(("node_down", time.hex(), node))
-
-    def on_node_up(self, time, node):
-        self.calls.append(("node_up", time.hex(), node))
-
-    def on_allocation_applied(self, time, running):
-        # items(), not sorted: the dict's insertion order is part of the pin.
-        self.calls.append(
-            (
-                "applied",
-                time.hex(),
-                [(job_id, _allocation(alloc)) for job_id, alloc in running.items()],
-            )
-        )
-
-    def on_simulation_end(self, time):
-        self.calls.append(("simulation_end", time.hex()))
+    on_event = list.append
 
 
 def assert_index_invariant(simulator: Simulator) -> None:
@@ -186,7 +130,7 @@ def _observe(
         "placement_log": placements.to_json_bytes(),
         "fingerprint": _bits(_fingerprint(result)),
         "costs": {name: _bits(value) for name, value in asdict(result.costs).items()},
-        "calls": calls.calls,
+        "calls": _bits(calls),
         "events": simulator.events_processed,
         "peak_resident_jobs": simulator.peak_resident_jobs,
     }
@@ -258,9 +202,9 @@ def test_node_failures(algorithm, policy, repack):
         repack_on_failure=repack,
     )
     # The case is only worth its time if failures really evicted jobs.
-    assert {"node_down", "node_up", "evicted"} <= _actions(seen)
-    evictions = [call for call in seen["calls"] if call[0] == "evicted"]
-    assert all(call[4] is (policy == "resubmit") for call in evictions)
+    eviction = "failure-kill" if policy == "resubmit" else "checkpoint"
+    assert {"node-down", "node-up", eviction} <= _actions(seen)
+    assert _actions(seen) & {"failure-kill", "checkpoint"} == {eviction}
 
 
 def test_one_failure_evicts_several_jobs_in_arrival_order():
@@ -294,7 +238,8 @@ def test_one_failure_evicts_several_jobs_in_arrival_order():
             node_events=TraceNodeEventSource(events_list=((100.0, 0, "down"),)),
             failure_policy=policy,
         )
-        evicted = [call[2] for call in seen["calls"] if call[0] == "evicted"]
+        evictions = ("failure-kill", "checkpoint")
+        evicted = [call[2].job_id for call in seen["calls"] if call[0] in evictions]
         assert evicted == [0, 1, 2]
 
 
@@ -426,8 +371,8 @@ def test_two_jobs_started_in_reverse_arrival_order_finish_in_one_event():
         make_job(2, submit=50.0, runtime=200.0),
     ]
     seen = _differential(Cluster(4), lambda: ScriptedScheduler(script), specs, flight=True)
-    finished = [call for call in seen["calls"] if call[0] == "completed"]
-    assert [(call[1], call[2]) for call in finished[:2]] == [
+    finished = [call for call in seen["calls"] if call[0] == "complete"]
+    assert [(call[1], call[2].job_id) for call in finished[:2]] == [
         ((100.0).hex(), 0),
         ((100.0).hex(), 1),
     ]
@@ -468,13 +413,13 @@ def test_decision_naming_jobs_out_of_arrival_order():
         penalty_model=ReschedulingPenaltyModel(300.0),
     )
     at_twenty = [
-        (call[0], call[2])
+        (call[0], call[2] and call[2].job_id)
         for call in seen["calls"]
-        if call[1] == (20.0).hex() and call[0] != "applied"
+        if call[1] == (20.0).hex()
     ]
-    assert at_twenty == [("preempted", 0), ("resumed", 1), ("migrated", 2), ("started", 3)]
-    applied = [c for c in seen["calls"] if c[0] == "applied" and c[1] == (20.0).hex()]
-    assert [job_id for job_id, _ in applied[0][2]] == [1, 2, 3]
+    assert at_twenty == [
+        ("preempt", 0), ("resume", 1), ("migrate", 2), ("start", 3), ("applied", None)
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -501,7 +446,7 @@ def _replay(engine: type, ops, failure_policy: str, fail_at: Optional[float]):
          _bits(job.remaining_work), _bits(job.penalty_remaining), job.preemption_count)
         for job_id, job in simulator._active.items()
     ]
-    return calls.calls, error, costs, jobs, _bits(simulator._idle_node_seconds)
+    return _bits(calls), error, costs, jobs, _bits(simulator._idle_node_seconds)
 
 
 @given(

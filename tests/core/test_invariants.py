@@ -7,9 +7,9 @@ import pytest
 from repro.core import (
     Cluster,
     InvariantCheckingObserver,
-    JobAllocation,
     JobSpec,
     ReschedulingPenaltyModel,
+    SimEvent,
     SimulationConfig,
     Simulator,
 )
@@ -23,8 +23,10 @@ def _spec(job_id, submit=0.0, tasks=1, cpu=0.5, mem=0.2, runtime=60.0):
     return JobSpec(job_id, submit, tasks, cpu, mem, runtime)
 
 
-def _alloc(nodes, yield_value=1.0):
-    return JobAllocation.create(nodes, yield_value)
+def _feed(checker, *events):
+    """Hand the checker each event (or ``SimEvent`` field tuple) in turn."""
+    for event in events:
+        checker.on_event(event if isinstance(event, SimEvent) else SimEvent(*event))
 
 
 class TestEndToEndWithRealSchedulers:
@@ -64,9 +66,10 @@ class TestEndToEndWithRealSchedulers:
         active = []
 
         class Sampling(InvariantCheckingObserver):
-            def on_allocation_applied(self, time, running):
-                super().on_allocation_applied(time, running)
-                active.append(len(self._specs))
+            def on_event(self, event):
+                super().on_event(event)
+                if event.kind == "applied":
+                    active.append(len(self._specs))
 
         checker = Sampling()
         specs = [_spec(i, submit=100.0 * i) for i in range(20)]
@@ -119,135 +122,154 @@ class TestManualViolationDetection:
 
     def _started_checker(self, num_nodes=2):
         checker = InvariantCheckingObserver()
-        checker.on_simulation_start(Cluster(num_nodes=num_nodes), 0.0)
+        checker.on_event(SimEvent("run-start", 0.0, cluster=Cluster(num_nodes=num_nodes)))
         return checker
+
+    def _running(self, spec, nodes=(0,), yield_value=1.0, num_nodes=2):
+        checker = self._started_checker(num_nodes)
+        _feed(checker, ("submit", 0.0, spec), ("start", 0.0, spec, nodes, yield_value))
+        return checker
+
+    def _rejects(self, checker, *event, match=None):
+        with pytest.raises(SimulationError, match=match):
+            _feed(checker, event)
 
     def test_duplicate_submission_rejected(self):
         checker = self._started_checker()
-        spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_job_submitted(1.0, spec)
+        _feed(checker, ("submit", 0.0, _spec(0)))
+        self._rejects(checker, "submit", 1.0, _spec(0))
 
     def test_submission_before_release_time_rejected(self):
-        checker = self._started_checker()
-        with pytest.raises(SimulationError):
-            checker.on_job_submitted(0.0, _spec(0, submit=100.0))
+        self._rejects(self._started_checker(), "submit", 0.0, _spec(0, submit=100.0))
 
     def test_start_before_submission_rejected(self):
-        checker = self._started_checker()
-        with pytest.raises(SimulationError):
-            checker.on_job_started(0.0, _spec(0), _alloc((0,)))
+        self._rejects(self._started_checker(), "start", 0.0, _spec(0), (0,), 1.0)
 
     def test_start_with_wrong_task_count_rejected(self):
-        checker = self._started_checker()
         spec = _spec(0, tasks=2)
-        checker.on_job_submitted(0.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_job_started(0.0, spec, _alloc((0,)))
+        checker = self._started_checker()
+        _feed(checker, ("submit", 0.0, spec))
+        self._rejects(checker, "start", 0.0, spec, (0,), 1.0, match="1 tasks instead of 2")
+
+    def test_resume_with_wrong_task_count_rejected(self):
+        spec = _spec(0, tasks=2)
+        checker = self._running(spec, (0, 1))
+        _feed(checker, ("preempt", 10.0, spec, (0, 1)))
+        self._rejects(checker, "resume", 20.0, spec, (1,), 1.0, match="1 tasks instead of 2")
 
     def test_completion_without_start_rejected(self):
         checker = self._started_checker()
+        _feed(checker, ("submit", 0.0, _spec(0)))
+        self._rejects(checker, "complete", 10.0, _spec(0), (0,), match="while not running")
+
+    def test_resume_of_a_job_that_never_started_rejected(self):
+        checker = self._started_checker()
+        _feed(checker, ("submit", 0.0, _spec(0)))
+        self._rejects(checker, "resume", 0.0, _spec(0), (0,), 1.0, match="without having")
+
+    def test_start_of_a_running_job_rejected(self):
+        self._rejects(self._running(_spec(0)), "start", 5.0, _spec(0), (1,), 1.0)
+
+    @pytest.mark.parametrize(
+        "kind", ["preempt", "checkpoint", "failure-kill", "migrate", "yield", "complete"]
+    )
+    def test_acting_on_a_job_that_is_not_running_rejected(self, kind):
         spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_job_completed(10.0, spec)
+        checker = self._started_checker()
+        _feed(checker, ("submit", 0.0, spec))
+        self._rejects(checker, kind, 0.0, spec, (0,), 1.0, match="while not running")
+        checker = self._running(spec)
+        _feed(checker, ("preempt", 10.0, spec, (0,)))
+        self._rejects(checker, kind, 10.0, spec, (1,), 1.0, match="while not running")
+
+    def test_migration_from_nodes_the_job_did_not_hold_rejected(self):
+        spec = _spec(0, tasks=2)
+        checker = self._running(spec, (0, 1), num_nodes=4)
+        with pytest.raises(SimulationError, match="from nodes"):
+            checker.on_event(SimEvent("migrate", 10.0, spec, (2, 3), 1.0, old_nodes=(1, 0)))
+
+    def test_fake_migration_to_same_nodes_rejected(self):
+        spec = _spec(0, tasks=2)
+        checker = self._running(spec, (0, 1))
+        with pytest.raises(SimulationError, match="same node multiset"):
+            checker.on_event(SimEvent("migrate", 10.0, spec, (1, 0), 1.0, old_nodes=(0, 1)))
+
+    def test_yield_change_from_a_stale_yield_rejected(self):
+        spec = _spec(0)
+        checker = self._running(spec, yield_value=0.5)
+        with pytest.raises(SimulationError, match="yield changed from 1.0"):
+            checker.on_event(SimEvent("yield", 10.0, spec, (0,), 0.8, old_yield=1.0))
+
+    @pytest.mark.parametrize("kind", ["preempt", "checkpoint", "failure-kill", "complete"])
+    def test_closing_event_vacating_other_nodes_rejected(self, kind):
+        checker = self._running(_spec(0), (1,))
+        self._rejects(checker, kind, 10.0, _spec(0), (0,), match="vacated nodes")
+
+    def test_cancel_vacates_what_the_job_held(self):
+        checker = self._running(_spec(0), (1,))
+        self._rejects(checker, "cancel", 10.0, _spec(0), (), match="vacated nodes")
+        checker = self._started_checker()
+        _feed(checker, ("submit", 0.0, _spec(0)), ("cancel", 0.0, _spec(0)))
+        _feed(checker, ("run-end", 0.0))
 
     def test_double_completion_rejected(self):
-        checker = self._started_checker()
-        spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        checker.on_job_started(0.0, spec, _alloc((0,)))
-        checker.on_job_completed(60.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_job_completed(61.0, spec)
+        checker = self._running(_spec(0))
+        _feed(checker, ("complete", 60.0, _spec(0), (0,)))
+        self._rejects(checker, "complete", 61.0, _spec(0), (0,))
 
     def test_action_after_completion_rejected(self):
-        checker = self._started_checker()
-        spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        checker.on_job_started(0.0, spec, _alloc((0,)))
-        checker.on_job_completed(60.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_job_preempted(70.0, spec)
+        checker = self._running(_spec(0))
+        _feed(checker, ("complete", 60.0, _spec(0), (0,)))
+        self._rejects(checker, "preempt", 70.0, _spec(0), (0,), match="after completing")
 
     def test_time_going_backwards_rejected(self):
         checker = self._started_checker()
-        checker.on_job_submitted(10.0, _spec(0, submit=0.0))
-        with pytest.raises(SimulationError):
-            checker.on_job_submitted(5.0, _spec(1, submit=0.0))
-
-    def test_fake_migration_to_same_nodes_rejected(self):
-        checker = self._started_checker()
-        spec = _spec(0, tasks=2)
-        checker.on_job_submitted(0.0, spec)
-        checker.on_job_started(0.0, spec, _alloc((0, 1)))
-        with pytest.raises(SimulationError):
-            checker.on_job_migrated(10.0, spec, (1, 0), _alloc((0, 1)))
+        _feed(checker, ("submit", 10.0, _spec(0)))
+        self._rejects(checker, "submit", 5.0, _spec(1), match="backwards")
 
     def test_memory_oversubscription_detected(self):
         checker = self._started_checker(num_nodes=1)
-        heavy = [_spec(i, mem=0.6) for i in range(2)]
-        for spec in heavy:
-            checker.on_job_submitted(0.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_allocation_applied(
-                0.0, {0: _alloc((0,), 0.5), 1: _alloc((0,), 0.5)}
-            )
+        for spec in (_spec(0, mem=0.6), _spec(1, mem=0.6)):
+            _feed(checker, ("submit", 0.0, spec), ("start", 0.0, spec, (0,), 0.5))
+        self._rejects(checker, "applied", 0.0, match="memory oversubscribed")
 
     def test_cpu_oversubscription_detected(self):
         checker = self._started_checker(num_nodes=1)
-        for i in range(2):
-            checker.on_job_submitted(0.0, _spec(i, cpu=1.0, mem=0.1))
-        with pytest.raises(SimulationError):
-            checker.on_allocation_applied(
-                0.0, {0: _alloc((0,), 0.9), 1: _alloc((0,), 0.9)}
-            )
-
-    def test_allocation_for_unknown_job_rejected(self):
-        checker = self._started_checker()
-        with pytest.raises(SimulationError):
-            checker.on_allocation_applied(0.0, {42: _alloc((0,))})
+        for spec in (_spec(0, cpu=1.0, mem=0.1), _spec(1, cpu=1.0, mem=0.1)):
+            _feed(checker, ("submit", 0.0, spec), ("start", 0.0, spec, (0,), 0.9))
+        self._rejects(checker, "applied", 0.0, match="CPU oversubscribed")
 
     def test_allocation_on_out_of_range_node_rejected(self):
-        checker = self._started_checker(num_nodes=2)
-        checker.on_job_submitted(0.0, _spec(0))
-        with pytest.raises(SimulationError):
-            checker.on_allocation_applied(0.0, {0: _alloc((5,))})
+        checker = self._running(_spec(0), (5,))
+        self._rejects(checker, "applied", 0.0, match="outside the cluster")
 
     def test_allocation_on_down_node_rejected_until_repair(self):
-        checker = self._started_checker(num_nodes=2)
-        checker.on_job_submitted(0.0, _spec(0))
-        checker.on_allocation_applied(0.0, {0: _alloc((1,))})
-        checker.on_node_down(10.0, 1)
-        checker.on_allocation_applied(10.0, {0: _alloc((0,))})
-        with pytest.raises(SimulationError, match="down node 1"):
-            checker.on_allocation_applied(10.0, {0: _alloc((1,))})
-        checker.on_node_up(20.0, 1)
-        checker.on_allocation_applied(20.0, {0: _alloc((1,))})
-
-    def test_completed_job_holding_allocation_rejected(self):
-        checker = self._started_checker()
         spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        checker.on_job_started(0.0, spec, _alloc((0,)))
-        checker.on_job_completed(60.0, spec)
-        with pytest.raises(SimulationError):
-            checker.on_allocation_applied(61.0, {0: _alloc((0,))})
+        checker = self._running(spec, (1,))
+        _feed(
+            checker,
+            ("applied", 0.0),
+            SimEvent("node-down", 10.0, node=1),
+            ("checkpoint", 10.0, spec, (1,)),
+            ("resume", 10.0, spec, (0,), 1.0),
+            ("applied", 10.0),
+            ("migrate", 10.0, spec, (1,), 1.0, (0,)),
+        )
+        self._rejects(checker, "applied", 10.0, match="down node 1")
+        _feed(checker, SimEvent("node-up", 20.0, node=1), ("applied", 20.0))
 
     def test_unfinished_jobs_at_end_rejected(self):
         checker = self._started_checker()
-        checker.on_job_submitted(0.0, _spec(0))
-        with pytest.raises(SimulationError):
-            checker.on_simulation_end(100.0)
+        _feed(checker, ("submit", 0.0, _spec(0)))
+        self._rejects(checker, "run-end", 100.0, match="unfinished")
 
     def test_clean_run_passes(self):
-        checker = self._started_checker()
-        spec = _spec(0)
-        checker.on_job_submitted(0.0, spec)
-        checker.on_job_started(0.0, spec, _alloc((0,)))
-        checker.on_allocation_applied(0.0, {0: _alloc((0,))})
-        checker.on_job_completed(60.0, spec)
-        checker.on_allocation_applied(60.0, {})
-        checker.on_simulation_end(60.0)
+        checker = self._running(_spec(0))
+        _feed(
+            checker,
+            ("applied", 0.0),
+            ("complete", 60.0, _spec(0), (0,)),
+            ("applied", 60.0),
+            ("run-end", 60.0),
+        )
         assert checker.checked_events == 2

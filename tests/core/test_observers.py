@@ -9,14 +9,15 @@ import pytest
 from repro.core import (
     AllocationTraceRecorder,
     Cluster,
-    EventLogRecorder,
     JobSpec,
     ReschedulingPenaltyModel,
+    SimEvent,
     SimulationConfig,
     SimulationObserver,
     Simulator,
     UtilizationRecorder,
 )
+from repro.core.observers import CLOSING_KINDS, EVENT_KINDS
 from repro.schedulers import create_scheduler
 
 
@@ -42,85 +43,92 @@ def _run(specs, algorithm="greedy-pmtn", nodes=4, penalty=0.0, observers=()):
     return simulator.run(specs)
 
 
+class EventList(list):
+    """The plainest observer: every event, in order."""
+
+    on_event = list.append
+
+    def kinds(self, kind=None):
+        return [event.kind for event in self if kind is None or event.kind == kind]
+
+
 class TestSimulationObserverBase:
     def test_base_observer_hooks_are_noops(self):
-        observer = SimulationObserver()
-        cluster = Cluster(num_nodes=2)
-        spec = _spec(0, 0.0)
-        # None of the default hooks should raise or return anything.
-        assert observer.on_simulation_start(cluster, 0.0) is None
-        assert observer.on_job_submitted(0.0, spec) is None
-        assert observer.on_job_completed(1.0, spec) is None
-        assert observer.on_simulation_end(2.0) is None
+        event = SimEvent("submit", 0.0, _spec(0, 0.0))
+        assert SimulationObserver().on_event(event) is None
 
     def test_simulation_runs_unchanged_without_observers(self):
         specs = [_spec(0, 0.0), _spec(1, 10.0)]
         result_plain = _run(specs)
-        result_observed = _run(specs, observers=[EventLogRecorder()])
+        result_observed = _run(specs, observers=[EventList()])
         assert result_plain.max_stretch == pytest.approx(result_observed.max_stretch)
         assert result_plain.makespan == pytest.approx(result_observed.makespan)
 
 
-class TestEventLogRecorder:
+class TestEventStream:
     def test_records_submission_start_and_completion(self):
-        log = EventLogRecorder()
-        specs = [_spec(0, 0.0, runtime=50.0)]
-        _run(specs, observers=[log])
-        kinds = [event.kind for event in log.events]
-        assert kinds[0] == "sim-start"
-        assert kinds[-1] == "sim-end"
-        assert log.count("submit") == 1
-        assert log.count("start") == 1
-        assert log.count("complete") == 1
+        log = EventList()
+        _run([_spec(0, 0.0, runtime=50.0)], observers=[log])
+        kinds = log.kinds()
+        assert kinds[0] == "run-start" and log[0].cluster.num_nodes == 4
+        assert kinds[-1] == "run-end"
+        assert [kinds.count(kind) for kind in ("submit", "start", "complete")] == [1, 1, 1]
+        assert set(kinds) <= set(EVENT_KINDS)
 
     def test_submission_precedes_start_which_precedes_completion(self):
-        log = EventLogRecorder()
+        log = EventList()
         _run([_spec(0, 5.0, runtime=40.0)], observers=[log])
-        events = log.events_of_job(0)
-        kinds = [event.kind for event in events]
-        assert kinds.index("submit") < kinds.index("start") < kinds.index("complete")
+        kinds = [event.kind for event in log if event.spec is not None]
+        assert kinds == ["submit", "start", "complete"]
 
     def test_every_job_gets_a_completion_event(self):
-        log = EventLogRecorder()
+        log = EventList()
         specs = [_spec(i, i * 5.0, runtime=30.0 + i) for i in range(6)]
         _run(specs, observers=[log])
-        completed = {event.job_id for event in log.events_of_kind("complete")}
+        completed = {event.spec.job_id for event in log if event.kind == "complete"}
         assert completed == set(range(6))
 
     def test_event_times_are_non_decreasing(self):
-        log = EventLogRecorder()
+        log = EventList()
         specs = [_spec(i, i * 3.0, runtime=25.0) for i in range(8)]
         _run(specs, observers=[log])
-        times = [event.time for event in log.events]
+        times = [event.time for event in log]
         assert times == sorted(times)
 
     def test_preemption_events_recorded_under_memory_pressure(self):
         # Two memory-heavy jobs on one node force the preempting greedy
         # algorithm to pause one of them when the second arrives.
-        log = EventLogRecorder()
+        log = EventList()
         specs = [
             _spec(0, 0.0, cpu=1.0, mem=0.9, runtime=500.0),
             _spec(1, 10.0, cpu=1.0, mem=0.9, runtime=500.0),
         ]
         _run(specs, algorithm="greedy-pmtn", nodes=1, observers=[log])
-        assert log.count("preempt") >= 1
-        assert log.count("resume") >= 1
-
-    def test_events_of_kind_filters_correctly(self):
-        log = EventLogRecorder()
-        _run([_spec(0, 0.0)], observers=[log])
-        for kind in ("submit", "start", "complete"):
-            events = log.events_of_kind(kind)
-            assert all(event.kind == kind for event in events)
+        assert log.kinds("preempt") and log.kinds("resume")
 
     def test_counts_match_simulation_result_costs(self):
-        log = EventLogRecorder()
+        log = EventList()
         specs = [
             _spec(i, i * 2.0, cpu=1.0, mem=0.6, runtime=300.0) for i in range(5)
         ]
         result = _run(specs, algorithm="dynmcb8", nodes=2, observers=[log])
-        assert log.count("preempt") == result.costs.preemption_count
-        assert log.count("migrate") == result.costs.migration_count
+        assert len(log.kinds("preempt")) == result.costs.preemption_count
+        assert len(log.kinds("migrate")) == result.costs.migration_count
+        assert len(log.kinds("applied")) == len(result.scheduler_times)
+
+    def test_closing_events_vacate_the_nodes_last_taken(self):
+        log = EventList()
+        specs = [_spec(i, i * 2.0, tasks=2, cpu=1.0, mem=0.6, runtime=300.0) for i in range(5)]
+        _run(specs, algorithm="greedy-pmtn-migr", nodes=3, observers=[log])
+        held = {}
+        for event in log:
+            if event.kind in ("start", "resume", "migrate", "yield"):
+                if event.kind == "migrate":
+                    assert event.old_nodes == held[event.spec.job_id]
+                held[event.spec.job_id] = event.nodes
+            elif event.kind in CLOSING_KINDS:
+                assert event.nodes == held.pop(event.spec.job_id)
+        assert not held and "preempt" in log.kinds()
 
 
 class TestAllocationTraceRecorder:
@@ -218,28 +226,22 @@ class TestUtilizationRecorder:
 
 class TestMultipleObservers:
     def test_all_observers_receive_callbacks(self):
-        log = EventLogRecorder()
+        log = EventList()
         trace = AllocationTraceRecorder()
         util = UtilizationRecorder()
         specs = [_spec(i, i * 5.0, runtime=50.0) for i in range(4)]
         _run(specs, observers=[log, trace, util])
-        assert log.count("complete") == 4
+        assert len(log.kinds("complete")) == 4
         assert len(trace.intervals) >= 4
         assert len(util.samples) >= 4
 
     def test_observer_state_reset_between_runs(self):
-        log = EventLogRecorder()
         specs = [_spec(0, 0.0, runtime=40.0)]
-        _run(specs, observers=[log])
-        first_count = len(log.events)
-        _run(specs, observers=[log])
-        # on_simulation_start resets nothing in the log recorder by design;
-        # the trace and utilization recorders do reset.
-        assert len(log.events) >= first_count
         trace = AllocationTraceRecorder()
         _run(specs, observers=[trace])
+        first = list(trace.intervals)
         _run(specs, observers=[trace])
-        assert len(trace.intervals_of_job(0)) >= 1
+        assert trace.intervals == first
 
     def test_custom_observer_subclass_receives_lifecycle(self):
         class Counter(SimulationObserver):
@@ -248,14 +250,10 @@ class TestMultipleObservers:
                 self.completed = 0
                 self.ended = False
 
-            def on_job_started(self, time, spec, allocation):
-                self.started += 1
-
-            def on_job_completed(self, time, spec):
-                self.completed += 1
-
-            def on_simulation_end(self, time):
-                self.ended = True
+            def on_event(self, event):
+                self.started += event.kind == "start"
+                self.completed += event.kind == "complete"
+                self.ended = event.kind == "run-end"
 
         counter = Counter()
         specs = [_spec(i, i * 2.0, runtime=30.0) for i in range(3)]

@@ -7,7 +7,9 @@
       infeasible; conservation of jobs and costs; an online run with drawn
       cancels; a replay through the drawn admission policy.
 (ii)  ``run`` of the shuffled specs ≡ ``run_stream`` ≡ service replay on
-      placement-log bytes, cost bits and job records.  ``run`` takes the
+      the whole observer event stream (every field, floats by ``hex``),
+      cost bits and job records; every view (placement log, flight ring,
+      recorders) is a projection of that stream.  ``run`` takes the
       draw's ``Scenario`` config (telemetry on, default models demoted to
       None); the other two take the drawn models as-is and no telemetry.
 (iii) every drawn component round-trips through its registry, and the
@@ -57,12 +59,13 @@ from repro.packing import yield_search
 from repro.platform import (
     HomogeneousPlatform,
     NodeClass,
+    ExponentialFailureSource,
     NodeClassesPlatform,
     TraceNodeEventSource,
 )
 from repro.registry import all_registries
 from repro.schedulers.registry import DFRS_ALGORITHMS, PAPER_ALGORITHMS, create_scheduler
-from repro.serve import PlacementLogObserver, SchedulerService
+from repro.serve import SchedulerService
 from repro.traces import (
     DiurnalPoissonTraceSource,
     LublinTraceSource,
@@ -221,6 +224,15 @@ def bits(value):
     return [float.hex(v) if isinstance(v, float) else v for v in values]
 
 
+class EventLog(list):
+    """Every event the engine emits, in order."""
+
+    on_event = list.append
+
+    def bits(self):
+        return [[float.hex(v) if isinstance(v, float) else v for v in e] for e in self]
+
+
 def online_with_cancels(draw, cluster, specs):
     engine = Simulator(
         cluster,
@@ -327,6 +339,20 @@ RECIPES = [
         ),
         ["greedy-pmtn"],
     ),
+    (
+        "diurnal80-migrate-failures",
+        dict(
+            source=_diurnal(80),
+            platform=HomogeneousPlatform(
+                nodes=16,
+                events=ExponentialFailureSource(
+                    mtbf_seconds=20_000.0, mttr_seconds=2_000.0, horizon_seconds=40_000.0, seed=3
+                ),
+                failure_policy="migrate",
+            ),
+        ),
+        ["greedy-pmtn-migr"],
+    ),
     *[
         (
             f"lublin60-{platform.kind}",
@@ -364,7 +390,7 @@ def check_scenario(draw):
         scheduler = create_scheduler(draw.algorithm)
         return engine_type(scenario.cluster, scheduler, config, observers=list(observers))
 
-    logs = [PlacementLogObserver() for _ in range(3)]
+    logs = [EventLog() for _ in range(3)]
     try:
         with refused_probes_fail_on_the_packer():
             checked = engine(
@@ -385,7 +411,7 @@ def check_scenario(draw):
     assert report.submitted == report.accepted == report.completions == len(specs)
     assert report.rejected == report.shed == 0
     assert report.sim_seconds == replayed.makespan
-    assert logs[0].to_json_bytes() == logs[1].to_json_bytes() == logs[2].to_json_bytes()
+    assert logs[0].bits() == logs[1].bits() == logs[2].bits()
     assert bits(checked.costs) == bits(streamed.costs) == bits(replayed.costs)
     assert checked.jobs == streamed.jobs == replayed.jobs
     assert len({float.hex(result.makespan) for result in (checked, streamed, replayed)}) == 1

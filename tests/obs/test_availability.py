@@ -136,13 +136,10 @@ class TestNodesDownBeforeTheFirstSubmission:
                 super().__init__()
                 self.down_at = []
 
-            def on_job_submitted(self, time, spec):
-                self.down_at.append(set(self._down))
-                super().on_job_submitted(time, spec)
-
-            def on_allocation_applied(self, time, running):
-                self.down_at.append(set(self._down))
-                super().on_allocation_applied(time, running)
+            def on_event(self, event):
+                if event.kind in ("submit", "applied"):
+                    self.down_at.append(set(self._down))
+                super().on_event(event)
 
         checker = Snooping()
         _run(self.EVENTS, jobs=_jobs(start=100.0), observers=[checker])

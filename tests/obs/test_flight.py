@@ -1,10 +1,12 @@
 """Tests for the per-job flight recorder (repro.obs.flight).
 
-The load-bearing guarantees: the recorded event sequence is identical
-across all three drivers (``run``, ``run_stream``, serve replay) for the
-same workload — including under node failures — the ring buffer drops
-oldest-first without crashing, and the Chrome-trace export is well-formed
-trace-event JSON.
+The load-bearing guarantees: the recorded events cover the failure paths
+with their causes, the ring buffer drops oldest-first without crashing, and
+the Chrome-trace export is well-formed trace-event JSON.  That the three
+drivers (``run``, ``run_stream``, serve replay) record the same sequence is
+oracle (ii) of ``tests/generated``: they emit the same engine event stream,
+of which the flight log is a projection (this fixture is its
+``diurnal80-migrate-failures`` recipe).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from repro.obs.flight import (
 )
 from repro.platform.events import ExponentialFailureSource
 from repro.schedulers.registry import create_scheduler
-from repro.serve import SchedulerService
 from repro.traces import DiurnalPoissonTraceSource
 
 CLUSTER = Cluster(16, 4, 8.0)
@@ -74,29 +75,6 @@ def _run_events():
     return sink.flight.events()
 
 
-def _stream_events():
-    sink = _flight_sink()
-    engine = Simulator(
-        CLUSTER,
-        create_scheduler(ALGORITHM),
-        _failure_config(streaming_metrics=True, telemetry=sink),
-    )
-    engine.run_stream(TRACE.jobs(CLUSTER))
-    return sink.flight.events()
-
-
-def _replay_events():
-    service = SchedulerService(
-        CLUSTER,
-        ALGORITHM,
-        config=_failure_config(streaming_metrics=True),
-        telemetry={"type": "stats", "flight": 1_000_000},
-    )
-    service.replay(TRACE)
-    assert service.telemetry is not None
-    return service.telemetry.flight.events()
-
-
 @pytest.fixture(scope="module")
 def run_events():
     return _run_events()
@@ -111,12 +89,6 @@ class TestDriverParity:
         assert "checkpoint" in kinds or "failure-kill" in kinds
         causes = {event.cause for event in run_events}
         assert any(cause.startswith("node-failure:") for cause in causes)
-
-    def test_run_stream_records_identical_sequence(self, run_events):
-        assert _stream_events() == run_events
-
-    def test_serve_replay_records_identical_sequence(self, run_events):
-        assert _replay_events() == run_events
 
     def test_event_kinds_are_in_vocabulary(self, run_events):
         assert {event.kind for event in run_events} <= set(EVENT_KINDS)

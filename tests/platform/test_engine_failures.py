@@ -190,8 +190,9 @@ class TestEngineGuards:
         class _StartRecorder(SimulationObserver):
             nodes = None
 
-            def on_job_started(self, time, spec, allocation):
-                self.nodes = allocation.nodes
+            def on_event(self, event):
+                if event.kind == "start":
+                    self.nodes = event.nodes
 
         recorder = _StartRecorder()
         result = _run("greedy", specs, Cluster(2), events, observers=[recorder])
@@ -207,50 +208,48 @@ class TestEngineGuards:
         assert result.idle_node_seconds == pytest.approx(0.0)
 
 
-class _NodeHookRecorder(SimulationObserver):
-    def __init__(self) -> None:
-        self.downs = []
-        self.ups = []
-        self.preempted = []
+class _EventList(list):
+    on_event = list.append
 
-    def on_node_down(self, time, node):
-        self.downs.append((time, node))
 
-    def on_node_up(self, time, node):
-        self.ups.append((time, node))
-
-    def on_job_preempted(self, time, spec):
-        self.preempted.append((time, spec.job_id))
+def _summary(events):
+    """``(kind, time, job id or node)`` of every event but the decision markers."""
+    return [
+        (e.kind, e.time, e.spec.job_id if e.spec is not None else e.node)
+        for e in events
+        if e.kind not in ("run-start", "applied", "run-end")
+    ]
 
 
 class TestObserverHooks:
     def test_node_hooks_and_eviction_notifications(self):
         specs = [JobSpec(0, 0.0, 1, 1.0, 0.5, 1000.0)]
-        events = _trace((400.0, 0, "down"), (600.0, 0, "up"))
-        recorder = _NodeHookRecorder()
-        _run("greedy", specs, Cluster(1), events, observers=[recorder])
-        assert recorder.downs == [(400.0, 0)]
-        assert recorder.ups == [(600.0, 0)]
-        assert recorder.preempted == [(400.0, 0)]
+        for policy, eviction in (("resubmit", "failure-kill"), ("migrate", "checkpoint")):
+            events = _EventList()
+            _run(
+                "greedy-pmtn", specs, Cluster(1),
+                _trace((400.0, 0, "down"), (600.0, 0, "up")), policy, observers=[events],
+            )
+            assert _summary(events)[:5] == [
+                ("submit", 0.0, 0),
+                ("start", 0.0, 0),
+                ("node-down", 400.0, 0),
+                (eviction, 400.0, 0),
+                ("node-up", 600.0, 0),
+            ]
+            evicted = next(e for e in events if e.kind == eviction)
+            assert (evicted.nodes, evicted.node) == ((0,), 0)
 
     def test_nodes_down_before_the_first_submission_are_announced_first(self):
         # Nodes 2 and 0 fail before the first job arrives (t=50); node 0 is
         # repaired at t=20, still before it.  Only node 2 is down when the
         # run begins, so it is announced once, at t=50, right after
-        # on_simulation_start and before the first submission.
+        # run-start and before the first submission.
         specs = [JobSpec(0, 50.0, 1, 1.0, 0.5, 100.0)]
         events = _trace((0.0, 2, "down"), (10.0, 0, "down"), (20.0, 0, "up"))
-        calls = []
-
-        class Calls(SimulationObserver):
-            def on_simulation_start(self, cluster, start_time):
-                calls.append(("start", start_time))
-
-            def on_node_down(self, time, node):
-                calls.append(("down", time, node))
-
-            def on_job_submitted(self, time, spec):
-                calls.append(("submit", time, spec.job_id))
-
-        _run("greedy", specs, Cluster(3), events, observers=[Calls()])
-        assert calls == [("start", 50.0), ("down", 50.0, 2), ("submit", 50.0, 0)]
+        log = _EventList()
+        _run("greedy", specs, Cluster(3), events, observers=[log])
+        assert [(e.kind, e.time) for e in log[:3]] == [
+            ("run-start", 50.0), ("node-down", 50.0), ("submit", 50.0)
+        ]
+        assert log[1].node == 2

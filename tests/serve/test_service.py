@@ -19,7 +19,9 @@ from repro.core.clock import SimulatedClock
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig
 from repro.core.job import JobSpec
+from repro.core.observers import SimEvent
 from repro.exceptions import ConfigurationError, ReproError
+from repro.platform import TraceNodeEventSource
 from repro.serve import (
     BoundedQueuePolicy,
     LoadThresholdPolicy,
@@ -27,7 +29,9 @@ from repro.serve import (
     ServiceServer,
     TokenBucketPolicy,
 )
-from repro.traces import CallableTraceSource
+from repro.serve.service import ServiceJobRecord, ServiceMetrics, _ServiceObserver
+from repro.traces import CallableTraceSource, LublinTraceSource
+from repro.traces.transforms import RescaleLoad
 
 CLUSTER = Cluster(2, 4, 8.0)
 
@@ -338,6 +342,41 @@ class TestMetricsSnapshot:
         merged = merge_bundles([first.metrics.bundle(), second.metrics.bundle()])
         assert merged["completions"].total == 2.0
         assert merged["queue_latency"].count == 2
+
+
+class TestNodeFailures:
+    """A failure kill requeues the job: it is not a preemption, and its
+    restart is not a second queue-latency sample."""
+
+    @pytest.mark.parametrize("algorithm", ["fcfs", "greedy-pmtn-migr"])
+    def test_replay_counts_engine_preemptions_and_one_latency_per_job(self, algorithm):
+        # Node i % 8 is down for 900 s of every 2000 s.
+        outages = [(2000.0 * i + d, i % 8, s) for i in range(40) for d, s in ((0, "down"), (900, "up"))]
+        service = SchedulerService(
+            Cluster(8, 4, 8.0),
+            algorithm,
+            config=SimulationConfig(node_events=TraceNodeEventSource(events_list=tuple(outages))),
+        )
+        report = service.replay(
+            LublinTraceSource(num_jobs=60, seed=3).transformed(RescaleLoad(target_load=0.9))
+        )
+        costs, metrics = report.result.costs, service.metrics
+        assert costs.failure_job_kills > 0
+        assert metrics.preemptions == costs.preemption_count
+        assert metrics.queue_latency.count == report.completions == 60
+        assert metrics.starts == 60 + costs.failure_job_kills
+
+    def test_killed_job_is_pending_until_it_restarts(self):
+        metrics, ledger = ServiceMetrics(), {0: ServiceJobRecord(job_id=0, submit_time=0.0)}
+        observer = _ServiceObserver(metrics, ledger)
+        spec = JobSpec(0, 0.0, 1, 0.5, 0.2, 100.0)
+        states = []
+        for kind, time in (("start", 0.0), ("failure-kill", 50.0), ("start", 500.0), ("complete", 600.0)):
+            observer.on_event(SimEvent(kind, time, spec, (0,), 1.0))
+            states.append(ledger[0].state)
+        assert states == ["running", "pending", "running", "completed"]
+        assert ledger[0].first_start_time == 0.0
+        assert (metrics.starts, metrics.preemptions, metrics.queue_latency.count) == (2, 0, 1)
 
 
 class TestSocketProtocol:
