@@ -11,16 +11,25 @@ evicted from consideration and the search is retried.
 This is the most aggressive DFRS algorithm: with no rescheduling penalty it
 is nearly optimal, but its heavy use of preemption and migration makes it
 lose to the periodic variants once a realistic penalty is charged.
+
+A repack reuses the previous repack's search of an eviction round whose job
+*set* (``job_id``, ``num_tasks``, ``cpu_need``, ``mem_requirement``), node
+count and bin capacities are unchanged.  The set suffices although the jobs
+come in priority order: the search reads nothing else, its pruning test is a
+proof whatever the order of additions, and MCB8 sorts runs by a total order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.allocation import AllocationDecision
 from ...core.context import JobView, SchedulingContext
+from ...obs.telemetry import current_telemetry
 from ...packing.bounds import memory_feasible
-from ...packing.yield_search import PackingJob, maximize_min_yield
+from ...packing.mcb8 import BinCapacities
+from ...packing.yield_search import PackingJob, YieldSearchResult, maximize_min_yield
 from ..base import Scheduler
 from .priority import sort_by_increasing_priority
 from .yield_opt import build_allocations, improve_average_yield
@@ -32,6 +41,14 @@ class DynMcb8Scheduler(Scheduler):
     """The paper's DYNMCB8 algorithm."""
 
     name = "dynmcb8"
+
+    def __init__(self) -> None:
+        #: The last repack's yield searches, one per eviction round it searched.
+        self._searches: Dict[Any, YieldSearchResult] = {}
+
+    def start(self, cluster, start_time: float) -> None:
+        super().start(cluster, start_time)
+        self._searches = {}
 
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
         decision = AllocationDecision()
@@ -50,12 +67,31 @@ class DynMcb8Scheduler(Scheduler):
 
         Jobs are evicted in increasing priority order until the packing
         becomes feasible.  Returns the per-job placements and the achieved
-        minimum yield.
+        minimum yield.  A round the previous repack searched is reused.
         """
-        result = self._search_evicting(context, candidates, maximize_min_yield)
+        previous, self._searches = self._searches, {}
+        search = partial(self._reused_search, previous)
+        result = self._search_evicting(context, candidates, search)
         if result is None:
             return {}, 1.0
         return dict(result.assignments), result.yield_value
+
+    def _reused_search(
+        self, previous: Dict[Any, YieldSearchResult], jobs: Sequence[PackingJob],
+        num_nodes: int, *, capacities: BinCapacities,
+    ) -> YieldSearchResult:
+        """``maximize_min_yield``, or the previous repack's answer for this job set."""
+        job_set = frozenset((j.job_id, j.num_tasks, j.cpu_need, j.mem_requirement) for j in jobs)
+        key = (job_set, num_nodes, capacities)
+        result = previous.get(key)
+        if result is None:
+            result = maximize_min_yield(jobs, num_nodes, capacities=capacities)
+        else:
+            telemetry = current_telemetry()
+            if telemetry is not None:
+                telemetry.count("packing.searches_reused")
+        self._searches[key] = result
+        return result
 
     @staticmethod
     def _search_evicting(

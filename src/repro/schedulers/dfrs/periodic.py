@@ -10,6 +10,10 @@ immediately using the greedy memory-constrained placement; when that
 succeeds, the yields of all running jobs are recomputed with the fair-share
 rule (placements are untouched, so this costs nothing) — this lets short jobs
 run to completion between two scheduling events.
+
+A tick with no arrival, completion or cancel since the previous repack
+repacks the same job set, and :meth:`DynMcb8Scheduler.repack` answers it from
+the previous repack's yield searches instead of searching again.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ class DynMcb8PeriodicScheduler(DynMcb8Scheduler):
     def __init__(self, period: float = DEFAULT_PERIOD) -> None:
         if period <= 0:
             raise ConfigurationError(f"period must be > 0, got {period}")
+        super().__init__()
         self.period = period
         self._next_tick: Optional[float] = None
 

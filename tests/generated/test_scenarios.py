@@ -12,6 +12,9 @@
       recorders) is a projection of that stream.  ``run`` takes the
       draw's ``Scenario`` config (telemetry on, default models demoted to
       None); the other two take the drawn models as-is and no telemetry.
+      A draw whose algorithm reuses yield searches across repacks is also
+      streamed on the memo-free reference repack, which must emit the same
+      stream: the three drivers share the memo, so (ii) alone cannot see it.
 (iii) every drawn component round-trips through its registry, and the
       scenario through its spec with a stable hash.
 
@@ -77,6 +80,7 @@ from repro.traces import (
 from repro.traces.source import WorkloadTraceSource
 from repro.traces.transforms import Head, RescaleLoad, TransformedSource
 
+from ..schedulers.reference_repack import reference_scheduler, uses_repack_memo
 from .strategies import MAX_JOBS, REGISTRY_STRATEGIES, Draw, draws
 
 for _info in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -415,6 +419,14 @@ def check_scenario(draw):
     assert bits(checked.costs) == bits(streamed.costs) == bits(replayed.costs)
     assert checked.jobs == streamed.jobs == replayed.jobs
     assert len({float.hex(result.makespan) for result in (checked, streamed, replayed)}) == 1
+    if uses_repack_memo(draw.algorithm):
+        unmemoised = EventLog()
+        reference = Simulator(
+            scenario.cluster, reference_scheduler(draw.algorithm), explicit_config(draw),
+            observers=[unmemoised],
+        ).run_stream(draw.source.jobs(cluster))
+        assert unmemoised.bits() == logs[1].bits()
+        assert bits(reference.costs) == bits(streamed.costs)
     # (i) conservation: every job completes once, never faster than its work
     # allows, and the cost tally agrees with the job records.
     assert sorted(r.spec.job_id for r in checked.jobs) == sorted(s.job_id for s in specs)

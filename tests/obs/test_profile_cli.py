@@ -1,14 +1,20 @@
 """``repro-dfrs profile run|replay --flight-out``: both export formats, the
-dropped-events notice of a small ring, and the orphan-flag check."""
+dropped-events notice of a small ring, and the orphan-flag check; the packing
+counters of a DYNMCB8-ASAP-PER run in the profile table and on the Prometheus
+page."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
+from repro.serve import SchedulerService
+from repro.traces import LublinTraceSource
 
 #: 30 Lublin jobs on 8 nodes with exponential failures: a run has kills.
 SCENARIO = {
@@ -67,3 +73,27 @@ def test_small_ring_reports_dropped_events(spec, tmp_path, capsys):
 def test_flight_capacity_needs_flight_out(mode, spec):
     with pytest.raises(ConfigurationError, match="--flight-out"):
         main(["profile", mode, spec, "--flight-capacity", "50"])
+
+
+def test_reused_searches_in_profile_table_and_prometheus_page(tmp_path, capsys):
+    """Periodic repacks with an unchanged job set reuse the previous search."""
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps({
+        "name": "repack-memo",
+        "source": {"type": "lublin", "num_traces": 1, "num_jobs": 30, "seed_base": 2010},
+        "platform": {"type": "homogeneous", "nodes": 8},
+        "algorithms": ["dynmcb8-asap-per-600"],
+    }), encoding="utf-8")
+    assert main(["profile", "run", str(path)]) == 0
+    counters = {
+        name: int(value)
+        for name, value in re.findall(r"^(packing\.\w+) +(\d+)$", capsys.readouterr().out, re.M)
+    }
+    assert counters["packing.searches_reused"] > 0
+    assert counters["packing.probes"] - counters["packing.probes_pruned"] == counters["packing.packs"]
+
+    service = SchedulerService(Cluster(8), "dynmcb8-asap-per-600", telemetry={"type": "stats"})
+    service.replay(LublinTraceSource(num_jobs=30, seed=2010))
+    reused = service.telemetry.counters["packing.searches_reused"]
+    assert reused > 0
+    assert f"repro_engine_packing_searches_reused_total {reused}\n" in service.prometheus_text()

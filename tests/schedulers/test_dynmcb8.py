@@ -13,6 +13,7 @@ from repro.schedulers.dfrs.periodic import (
 )
 from repro.schedulers.dfrs.stretch_per import DynMcb8StretchPeriodicScheduler
 from repro.exceptions import ConfigurationError
+from repro.obs import Telemetry, push_telemetry
 
 from .conftest import context, view
 
@@ -69,6 +70,23 @@ class TestDynMcb8:
         )
         decision = scheduler.schedule(ctx)
         assert set(decision.running) == {0, 1}
+
+    def test_unchanged_job_set_reuses_the_search_even_unstarted(self):
+        scheduler = DynMcb8Scheduler()  # never started
+        cluster = Cluster(4)
+        ctx = context([view(i, cpu=0.5, mem=0.2) for i in range(6)], cluster=cluster)
+        sink = Telemetry()
+        previous = push_telemetry(sink)
+        try:
+            placements, first_yield = scheduler.repack(ctx, list(ctx.jobs.values()))
+            assert "packing.searches_reused" not in sink.counters
+            want = dict(placements)
+            placements.clear()  # the caller owns what repack returns
+            again, second_yield = scheduler.repack(ctx, list(reversed(ctx.jobs.values())))
+        finally:
+            push_telemetry(previous)
+        assert sink.counters["packing.searches_reused"] == 1
+        assert again == want and second_yield == first_yield
 
 
 class TestPeriodicVariants:
