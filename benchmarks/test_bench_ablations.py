@@ -140,13 +140,13 @@ def _run_priority_ablation(config, exponent: float) -> float:
     original_dec = greedy_pmtn_module.sort_by_decreasing_priority
     try:
         greedy_pmtn_module.sort_by_increasing_priority = (
-            lambda views: priority_module.sort_by_increasing_priority(
-                views, exponent=exponent
+            lambda views, now: priority_module.sort_by_increasing_priority(
+                views, now, exponent=exponent
             )
         )
         greedy_pmtn_module.sort_by_decreasing_priority = (
-            lambda views: priority_module.sort_by_decreasing_priority(
-                views, exponent=exponent
+            lambda views, now: priority_module.sort_by_decreasing_priority(
+                views, now, exponent=exponent
             )
         )
         stretches = []

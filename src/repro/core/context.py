@@ -1,22 +1,26 @@
 """Read-only views of the simulation state handed to schedulers.
 
 Schedulers never touch :class:`~repro.core.job.Job` objects directly: at each
-event the engine builds one :class:`JobView` per active job and wraps them in
-a :class:`SchedulingContext`.  This keeps policies pure (they cannot corrupt
+event the engine hands them one :class:`JobView` per active job, wrapped in a
+:class:`SchedulingContext`.  This keeps policies pure (they cannot corrupt
 engine state) and lets us enforce the paper's clairvoyance rules: the
 ``runtime_estimate`` and ``remaining_runtime_estimate`` fields are populated
 only for schedulers that declare ``requires_runtime_estimates`` (the batch
 baselines, §IV-B); DFRS schedulers receive ``None`` there.
 
-Views are *per-event immutable snapshots*: every event gets a fresh
-tuple-backed :class:`JobView` per active job (nothing is cached or reused
-across events), so a context a scheduler or observer keeps reads the same
+Views are immutable tuples and carry no field that changes with time alone:
+a job's flow time is derived from the context
+(:meth:`SchedulingContext.flow_time`).  So the engine builds a waiting
+(pending or paused) job's view when the job arrives or changes state and
+hands the same view over at every event until its next transition; only
+RUNNING jobs, whose virtual time moves, get a fresh view per event.  Every context gets its own ``jobs`` dict and
+partition lists, so a context a scheduler or observer keeps reads the same
 after the run has moved on.  A context's running/paused/pending partition is
 filled by whoever builds the views when it already has each state in hand —
-the engine appends every view to its state's list in the pass that builds
-``jobs`` — and otherwise (contexts built by hand: tests, replays) computed
-once, on first use, and cached on the context.  Either way ``jobs`` is not
-meant to be edited after a partition accessor has been called.
+the engine keeps its waiting views in per-state tables — and otherwise
+(contexts built by hand: tests, replays) computed once, on first use, and
+cached on the context.  Either way ``jobs`` is not meant to be edited after a
+partition accessor has been called.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ __all__ = ["JobView", "SchedulingContext"]
 class JobView(NamedTuple):
     """Immutable snapshot of one active job as seen by a scheduler.
 
-    Tuple-backed (the engine builds one per active job per event, so
-    construction cost is the engine's per-event tax); fields are read by
-    name and keyword construction works as for a dataclass.
+    Tuple-backed (the engine builds one per RUNNING job per event and one
+    per transition, so construction cost is the engine's per-event tax);
+    fields are read by name and keyword construction works as for a
+    dataclass.  The flow time is not a field: it changes at every event, so
+    it comes from :meth:`SchedulingContext.flow_time`.
     """
 
     job_id: int
@@ -46,7 +52,6 @@ class JobView(NamedTuple):
     submit_time: float
     state: JobState
     virtual_time: float
-    flow_time: float
     #: Current placement (one node per task) if the job is RUNNING.
     assignment: Optional[Tuple[int, ...]]
     #: Current yield if the job is RUNNING, 0.0 otherwise.
@@ -145,6 +150,13 @@ class SchedulingContext:
         """Views of jobs that have never been started (a fresh list, in
         ``jobs`` order)."""
         return list(self._by_state()[2])
+
+    def flow_time(self, view: JobView) -> float:
+        """Time since ``view``'s submission, clamped at +0.0 like
+        :meth:`Job.flow_time <repro.core.job.Job.flow_time>` (``-0.0`` and
+        NaN included)."""
+        flow = self.time - view.submit_time
+        return flow if flow > 0.0 else 0.0
 
     def scratch_usage(self) -> ClusterUsage:
         """Fresh, empty usage tally with the down nodes already marked."""

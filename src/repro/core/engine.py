@@ -12,12 +12,12 @@ Complexity contract
 
 Resident state is ``O(active jobs)``: specs are admitted lazily, one ahead of
 simulated time, and a job leaves every engine table the moment it completes.
-Per event, only the scheduler's snapshot (``_build_context``, one view per
-active job) walks the active table; advancing time, detecting completions,
-applying a decision and evicting from a failed node cost
-``O((running + named by the decision) · log)``, whatever the backlog.
+Per event, advancing time, detecting completions, snapshotting the jobs for
+the scheduler, applying a decision and evicting from a failed node cost
+``O((running + named by the decision) · log)`` Python steps, whatever the
+backlog; the snapshot adds one C-level copy of the view table.
 ``run``, ``run_stream`` and the ``online_*`` API are three drivers over one
-stepping core (``_begin``/``_step``/``_finalize``).  Four pieces of
+stepping core (``_begin``/``_step``/``_finalize``).  Five pieces of
 incremental state keep the per-event work bounded:
 
 * an **active-job table** (``_active``) holding exactly the arrived,
@@ -34,7 +34,12 @@ incremental state keep the per-event work bounded:
   surface at the top of the heap;
 * **busy-node reference counts** (``_node_refcount``/``_busy_count``)
   updated at every allocation change, so idle-node-seconds accounting does
-  not rebuild a busy-node set per event.
+  not rebuild a busy-node set per event;
+* a **view table** (``_views``) holding the latest :class:`JobView` of every
+  active job in ``_active`` order, with its PENDING and PAUSED entries also
+  in arrival-ordered tables: a waiting job's view is built when it arrives
+  or changes state and reused until its next transition, and only RUNNING
+  views are rebuilt per event.
 
 The engine measures only stretch outcomes, the Table II costs, idle
 node-seconds and platform energy; utilization, availability and goodput are
@@ -99,8 +104,8 @@ _LOGGER = logging.getLogger(__name__)
 #: RUNNING index, which holds them in the order they last started.
 _ARRIVAL_RANK = attrgetter("arrival_rank")
 
-#: Fills an observer event from one complete field tuple (see ``_emit``).
-_new_event = tuple.__new__
+#: Fills an observer event or a job view from one complete field tuple.
+_new_tuple = tuple.__new__
 
 #: Hard cap on the number of processed events, as a runaway guard.
 _DEFAULT_MAX_EVENTS = 50_000_000
@@ -300,6 +305,13 @@ class Simulator:
         self._arrivals = 0
         #: Whether views carry runtime estimates (batch baselines, §IV-B).
         self._clairvoyant = bool(getattr(scheduler, "requires_runtime_estimates", False))
+        #: The latest view of every active job, in ``_active`` order, and its
+        #: PENDING and PAUSED entries, in arrival order once the next snapshot
+        #: re-sorts the tables listed in ``_unsorted``.
+        self._views: Dict[int, JobView] = {}
+        self._pending_views: Dict[int, JobView] = {}
+        self._paused_views: Dict[int, JobView] = {}
+        self._unsorted: List[Dict[int, JobView]] = []
         #: Min-heap of ``(predicted completion, job id, allocation version)``.
         self._completion_heap: List[Tuple[float, int, int]] = []
         #: job id -> allocation version; bumped whenever a change invalidates
@@ -780,6 +792,9 @@ class Simulator:
         """
         self._active.pop(job_id, None)
         self._running.pop(job_id, None)
+        self._views.pop(job_id, None)
+        self._pending_views.pop(job_id, None)
+        self._paused_views.pop(job_id, None)
         del self._jobs[job_id]
         del self._alloc_version[job_id]
 
@@ -813,15 +828,20 @@ class Simulator:
         """Invalidate the job's queued completion prediction and requeue it.
 
         Called whenever state/yield/penalty changes alter the predicted
-        completion instant.  The stale heap entry is *not* removed here — it
+        completion instant, so at every transition: a stopped job's view is
+        rebuilt here too.  The stale heap entry is *not* removed here — it
         is skipped lazily when it reaches the top (``_next_event_time``).
         """
         version = self._alloc_version[job.job_id] + 1
         self._alloc_version[job.job_id] = version
         if job.state is JobState.RUNNING:
+            self._pending_views.pop(job.job_id, None)
+            self._paused_views.pop(job.job_id, None)
             predicted = job.predicted_completion(self._now)
             if math.isfinite(predicted):
                 heapq.heappush(self._completion_heap, (predicted, job.job_id, version))
+        else:
+            self._file_waiting(job)
 
     def _next_completion_time(self) -> float:
         """Earliest live predicted completion over all RUNNING jobs.
@@ -909,6 +929,7 @@ class Simulator:
                     job = self._active[event.job_id] = self._jobs[event.job_id]
                     self._arrivals += 1
                     job.arrival_rank = self._arrivals
+                    self._file_waiting(job)
                     submitted.append(event.job_id)
                     self._emit("submit", job.spec)
                     # Lazy admission keeps exactly one unarrived spec of the
@@ -969,56 +990,64 @@ class Simulator:
         self._emit("complete", job.spec, vacated)
 
     # ------------------------------------------------------------ scheduling --
+    def _file_waiting(self, job: Job) -> None:
+        """Build the view of a job that arrived or stopped (the snapshot's fill
+        for RUNNING jobs) and file it in its state's table, marked unsorted if
+        it joins out of arrival order."""
+        spec = job.spec
+        clairvoyant = self._clairvoyant
+        view = _new_tuple(JobView, (
+            spec.job_id, spec.num_tasks, spec.cpu_need, spec.mem_requirement,
+            spec.submit_time, job.state, job.virtual_time, job.assignment,
+            job.current_yield, job.last_assignment,
+            spec.execution_time if clairvoyant else None,
+            job.remaining_work + job.penalty_remaining if clairvoyant else None,
+        ))
+        table = self._pending_views if job.state is JobState.PENDING else self._paused_views
+        if table and self._active[next(reversed(table))].arrival_rank > job.arrival_rank:
+            self._unsorted.append(table)
+        self._views[spec.job_id] = table[spec.job_id] = view
+
     def _build_context(
         self, submitted: List[int], completed: List[int], is_wakeup: bool
     ) -> SchedulingContext:
-        """Snapshot the active jobs: one fresh immutable view per job.
+        """Snapshot the active jobs for the scheduler.
 
-        The one O(active) walk left per event, so the loop is kept lean: the
-        tuple-backed view is filled positionally through ``tuple.__new__``
-        (no Python frame per view; the literal has ``len(JobView._fields)``
-        items), everything loop-invariant is hoisted, and each view lands in
-        its state's list as it is built so the context need not re-read the
-        states to partition them.
+        A waiting job's view is the one built at its last transition; only
+        RUNNING jobs, whose virtual time moves, get a fresh view, so the
+        Python work follows the running set.  Their loop is kept lean: the
+        view is filled positionally through ``tuple.__new__`` (no Python
+        frame per view; the literal has ``len(JobView._fields)`` items) and
+        everything loop-invariant is hoisted.  The context gets its own copy
+        of the view table and of each partition, so one kept by a scheduler
+        or observer reads the same after the run moves on.
         """
         clairvoyant = self._clairvoyant
         now = self._now
-        new_view = tuple.__new__
-        running_state = JobState.RUNNING
-        pending_state = JobState.PENDING
-        paused_state = JobState.PAUSED
-        views: Dict[int, JobView] = {}
+        new_view = _new_tuple
+        latest = self._views
         running: List[JobView] = []
-        paused: List[JobView] = []
-        pending: List[JobView] = []
-        for job_id, job in self._active.items():
+        jobs: Iterable[Job] = self._running.values()
+        if len(self._running) > 1:
+            jobs = sorted(jobs, key=_ARRIVAL_RANK)
+        for job in jobs:
             spec = job.spec
-            state = job.state
-            flow = now - spec.submit_time
-            views[job_id] = view = new_view(
-                JobView,
-                (
-                    job_id,
-                    spec.num_tasks,
-                    spec.cpu_need,
-                    spec.mem_requirement,
-                    spec.submit_time,
-                    state,
-                    job.virtual_time,
-                    flow if flow > 0.0 else 0.0,  # Job.flow_time(now)
-                    job.assignment,
-                    job.current_yield,
-                    job.last_assignment,
-                    spec.execution_time if clairvoyant else None,
-                    job.remaining_work + job.penalty_remaining if clairvoyant else None,
-                ),
-            )
-            if state is pending_state:
-                pending.append(view)
-            elif state is running_state:
-                running.append(view)
-            elif state is paused_state:
-                paused.append(view)
+            job_id = spec.job_id
+            latest[job_id] = view = new_view(JobView, (
+                job_id, spec.num_tasks, spec.cpu_need, spec.mem_requirement,
+                spec.submit_time, job.state, job.virtual_time, job.assignment,
+                job.current_yield, job.last_assignment,
+                spec.execution_time if clairvoyant else None,
+                job.remaining_work + job.penalty_remaining if clairvoyant else None,
+            ))
+            running.append(view)
+        if self._unsorted:
+            for table in self._unsorted:
+                entries = sorted(table.items(), key=lambda item: self._jobs[item[0]].arrival_rank)
+                table.clear()
+                table.update(entries)
+            self._unsorted = []
+        views = dict(latest)
         context = SchedulingContext(
             time=now,
             cluster=self.cluster,
@@ -1030,7 +1059,9 @@ class Simulator:
             evicted=list(self._evicted_now),
             repack_requested=self.config.repack_on_failure and self._node_down_now,
         )
-        context._partition = (running, paused, pending)
+        context._partition = (
+            running, list(self._paused_views.values()), list(self._pending_views.values())
+        )
         return context
 
     def _invoke_scheduler(
@@ -1265,7 +1296,7 @@ class Simulator:
         """
         observers = self._observers
         if observers:
-            event = _new_event(
+            event = _new_tuple(
                 SimEvent,
                 (kind, self._now, spec, nodes, yield_value, old_nodes, old_yield, node, cluster),
             )

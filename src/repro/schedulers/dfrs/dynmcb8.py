@@ -106,17 +106,19 @@ class DynMcb8Scheduler(Scheduler):
         footprint provably cannot fit are skipped without packing.
         """
         # Evict lowest-priority jobs first, so process a mutable list sorted
-        # from most to least deserving (we pop from the end).
+        # from most to least deserving (we pop from the end).  The flow time
+        # is ``context.flow_time(view)``, inlined.
+        now = context.time
         packing_jobs = [
             PackingJob(
                 job_id=view.job_id,
                 num_tasks=view.num_tasks,
                 cpu_need=view.cpu_need,
                 mem_requirement=view.mem_requirement,
-                flow_time=view.flow_time,
+                flow_time=now - view.submit_time if now > view.submit_time else 0.0,
                 virtual_time=view.virtual_time,
             )
-            for view in reversed(sort_by_increasing_priority(candidates))
+            for view in reversed(sort_by_increasing_priority(candidates, now))
         ]
         num_nodes = context.cluster.num_nodes
         # None on homogeneous, fully-up clusters (the unit-bin fast path);

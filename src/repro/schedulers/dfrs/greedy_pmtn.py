@@ -60,14 +60,14 @@ class GreedyPmtnScheduler(GreedyScheduler):
                 self._postpone(view, context, decision)
 
         # Resume jobs paused at earlier events, most deserving first.
-        for view in sort_by_decreasing_priority(context.paused_jobs()):
+        for view in sort_by_decreasing_priority(context.paused_jobs(), context.time):
             nodes = greedy_place_job(view, usage)
             if nodes is not None:
                 placements[view.job_id] = tuple(nodes)
 
         if self.resume_within_event:
             # MIGR variant: jobs paused at this very event may move instead.
-            for view in sort_by_decreasing_priority(paused_now):
+            for view in sort_by_decreasing_priority(paused_now, context.time):
                 nodes = greedy_place_job(view, usage)
                 if nodes is not None:
                     placements[view.job_id] = tuple(nodes)
@@ -115,7 +115,7 @@ class GreedyPmtnScheduler(GreedyScheduler):
         marked: List[JobView] = []
         scratch = usage.snapshot()
         feasible = False
-        for candidate in sort_by_increasing_priority(pausable):
+        for candidate in sort_by_increasing_priority(pausable, context.time):
             self._remove_from_usage(candidate, placements[candidate.job_id], scratch)
             marked.append(candidate)
             if can_place_job(view, scratch):
@@ -127,7 +127,7 @@ class GreedyPmtnScheduler(GreedyScheduler):
         # Second pass: keep running any marked job whose presence still lets
         # the incoming job start, most deserving first.
         kept: Set[int] = set()
-        for candidate in sort_by_decreasing_priority(marked):
+        for candidate in sort_by_decreasing_priority(marked, context.time):
             probe = scratch.snapshot()
             self._add_to_usage(candidate, placements[candidate.job_id], probe)
             if can_place_job(view, probe):

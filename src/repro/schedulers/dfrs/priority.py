@@ -49,15 +49,18 @@ def job_priority(
     return max(bound, flow_time) / (virtual_time ** exponent)
 
 
-def priority_of_view(view: JobView, *, exponent: float = 2.0) -> float:
-    """Priority of a job view (see :func:`job_priority`)."""
-    return job_priority(view.flow_time, view.virtual_time, exponent=exponent)
+def priority_of_view(view: JobView, now: float, *, exponent: float = 2.0) -> float:
+    """Priority of a job view at time ``now`` (see :func:`job_priority`); the
+    flow time is clamped as by :meth:`SchedulingContext.flow_time
+    <repro.core.context.SchedulingContext.flow_time>`."""
+    flow = now - view.submit_time
+    return job_priority(flow if flow > 0.0 else 0.0, view.virtual_time, exponent=exponent)
 
 
 def sort_by_increasing_priority(
-    views: Iterable[JobView], *, exponent: float = 2.0
+    views: Iterable[JobView], now: float, *, exponent: float = 2.0
 ) -> List[JobView]:
-    """Jobs ordered from first-to-pause to last-to-pause.
+    """Jobs ordered from first-to-pause to last-to-pause at time ``now``.
 
     Ties are broken by submission time (earlier submissions are paused later)
     and then by job id, so the ordering is deterministic.
@@ -65,7 +68,7 @@ def sort_by_increasing_priority(
     return sorted(
         views,
         key=lambda v: (
-            priority_of_view(v, exponent=exponent),
+            priority_of_view(v, now, exponent=exponent),
             -v.submit_time,
             -v.job_id,
         ),
@@ -73,7 +76,7 @@ def sort_by_increasing_priority(
 
 
 def sort_by_decreasing_priority(
-    views: Iterable[JobView], *, exponent: float = 2.0
+    views: Iterable[JobView], now: float, *, exponent: float = 2.0
 ) -> List[JobView]:
-    """Jobs ordered from first-to-resume to last-to-resume."""
-    return list(reversed(sort_by_increasing_priority(views, exponent=exponent)))
+    """Jobs ordered from first-to-resume to last-to-resume at time ``now``."""
+    return list(reversed(sort_by_increasing_priority(views, now, exponent=exponent)))

@@ -90,7 +90,7 @@ class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
         def estimated_stretch(job_id: int) -> float:
             view = context.jobs[job_id]
             denominator = view.virtual_time + improved[job_id] * self.period
-            return (view.flow_time + self.period) / max(denominator, 1e-9)
+            return (context.flow_time(view) + self.period) / max(denominator, 1e-9)
 
         while True:
             best_job = None

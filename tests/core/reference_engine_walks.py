@@ -15,7 +15,7 @@ refcounts, intake, completion bookkeeping and validation are the live ones;
 only the walks are the old ones.  It neither reads nor maintains the live
 engine's ``_running`` index or the jobs' ``arrival_rank`` (``_evict``'s pop
 of a job that was never indexed is a no-op).  Do not optimise or tidy this
-file: being slow and obviously right is its job.  Two edits since it was
+file: being slow and obviously right is its job.  Three edits since it was
 copied, nothing else changed:
 
 * ``_advance_to`` lost its busy-node and availability accumulator lines
@@ -26,7 +26,9 @@ copied, nothing else changed:
   ``failure-kill`` / ``checkpoint`` carrying ``job.last_assignment``, the
   ``node-down`` moved before ``_apply_node_down`` (it now precedes the
   evictions it causes), and the running-set snapshot built for the
-  allocation-applied hook became the payload-free ``applied``.
+  allocation-applied hook became the payload-free ``applied``;
+* ``_build_context`` lost the ``flow_time`` item of each view when
+  ``JobView`` dropped that field (schedulers derive it from the context).
 """
 
 from __future__ import annotations
@@ -189,7 +191,6 @@ class ReferenceWalksSimulator(Simulator):
                     spec.submit_time,
                     job.state,
                     job.virtual_time,
-                    max(0.0, now - spec.submit_time),  # Job.flow_time(now)
                     job.assignment,
                     job.current_yield,
                     job.last_assignment,

@@ -16,7 +16,6 @@ def make_view(job_id, state, assignment=None, current_yield=0.0, **kwargs):
         mem_requirement=0.25,
         submit_time=0.0,
         virtual_time=0.0,
-        flow_time=0.0,
         last_assignment=assignment,
     )
     defaults.update(kwargs)

@@ -4,12 +4,16 @@ Both replaced slower code with the same behaviour, so the old rules are kept
 here as oracles:
 
 * ``_reference_views`` is the field-by-field ``_build_context`` body the
-  engine had before views became tuple-backed; at every event of the nine
-  paper algorithms the engine's ``context.jobs`` must equal it field for
-  field;
-* the per-state filter of ``context.jobs`` is what ``SchedulingContext``
-  computes lazily for a context built by hand; the partition the engine
-  fills while it builds the views must be those lists, in that order;
+  engine had before views became tuple-backed and before waiting jobs'
+  views were reused across events: every view rebuilt at every event.
+  ``check_snapshot`` holds the engine's ``context.jobs`` to it bit for bit
+  and its partitions to the per-state filter of ``jobs`` (what
+  ``SchedulingContext`` computes lazily for a context built by hand), at
+  every event of the paper algorithms, ``conservative`` and ``gang``, under
+  failure traces, checkpoint charges, online cancels and out-of-order
+  requeues; ``tests/generated`` runs it on every drawn scenario;
+* ``Job.flow_time`` is what the deleted ``JobView.flow_time`` field held;
+  ``SchedulingContext.flow_time`` and its inlined copies must give its bits;
 * a plain ``validate_decision`` over the real specs is what the engine ran
   on every decision before validate-on-change; a scripted scheduler replays
   hypothesis-drawn decisions and the engine must raise iff that call does.
@@ -17,6 +21,9 @@ here as oracles:
 
 from __future__ import annotations
 
+import copy
+import math
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -34,18 +41,23 @@ from repro.core.engine import SimulationConfig, Simulator
 from repro.core.job import Job, JobSpec, JobState
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import AllocationError
+from repro.models.overheads import ConstantOverheadModel
 from repro.platform.events import TraceNodeEventSource
 from repro.schedulers.base import Scheduler
+from repro.schedulers.dfrs.dynmcb8 import DynMcb8Scheduler
+from repro.schedulers.dfrs.greedy_pmtn import GreedyPmtnMigrScheduler
+from repro.schedulers.dfrs.stretch_per import DynMcb8StretchPeriodicScheduler
 from repro.schedulers.registry import PAPER_ALGORITHMS, create_scheduler
 from repro.traces.lublin import LublinWorkloadGenerator
 
 
 # --------------------------------------------------------------------------- #
-# (a) the snapshot against the old field-by-field rule                         #
+# (a) the snapshot against the old field-by-field rule, at every event         #
 # --------------------------------------------------------------------------- #
 def _reference_views(simulator: Simulator) -> Dict[int, JobView]:
     """The pre-tuple ``Simulator._build_context`` loop, verbatim (minus the
-    deleted ``backoff_count`` field)."""
+    deleted ``backoff_count`` and ``flow_time`` fields): every active job's
+    view rebuilt from the live job, whatever it did since the last event."""
     self = simulator
     clairvoyant = bool(getattr(self.scheduler, "requires_runtime_estimates", False))
     views: Dict[int, JobView] = {}
@@ -58,7 +70,6 @@ def _reference_views(simulator: Simulator) -> Dict[int, JobView]:
             submit_time=job.spec.submit_time,
             state=job.state,
             virtual_time=job.virtual_time,
-            flow_time=job.flow_time(self._now),
             assignment=job.assignment,
             current_yield=job.current_yield,
             last_assignment=job.last_assignment,
@@ -73,6 +84,44 @@ def _reference_views(simulator: Simulator) -> Dict[int, JobView]:
 def _bits(value):
     """Floats by bit pattern (tells 0.0 from -0.0), everything else as is."""
     return value.hex() if isinstance(value, float) else value
+
+
+def _typed_bits(view: JobView) -> list:
+    return [(type(value), _bits(value)) for value in view]
+
+
+_STATES = (JobState.RUNNING, JobState.PAUSED, JobState.PENDING)
+
+
+def check_snapshot(simulator: Simulator, context: SchedulingContext) -> List[JobView]:
+    """The engine's ``jobs`` and its three partitions against the full
+    rebuild: the same ids in the same order with the same bits, and each
+    partition the per-state filter of ``jobs`` (the very views, in ``jobs``
+    order) — which a context built by hand computes lazily to the same lists.
+    Returns the reference views."""
+    expected = _reference_views(simulator)
+    assert context.time == simulator.online_now()
+    assert list(context.jobs) == list(expected)  # same ids, same order
+    for job_id, view in context.jobs.items():
+        assert type(view) is JobView
+        assert _typed_bits(view) == _typed_bits(expected[job_id]), job_id
+    assert context._partition is not None  # filled by the engine, not on demand
+    views = list(context.jobs.values())
+    for accessor, part, state in zip(
+        (context.running_jobs, context.paused_jobs, context.pending_jobs),
+        context._partition,
+        _STATES,
+    ):
+        want = [view for view in views if view.state is state]
+        assert len(part) == len(want), state
+        assert all(a is b for a, b in zip(part, want)), state
+        assert accessor() == part and accessor() is not accessor()  # fresh lists
+    by_hand = SchedulingContext(
+        time=context.time, cluster=context.cluster, jobs=dict(context.jobs)
+    )
+    assert by_hand._partition is None
+    assert by_hand._by_state() == context._by_state()
+    return list(expected.values())
 
 
 class _Spy:
@@ -96,111 +145,239 @@ class _Spy:
 
 
 def _lublin_run(
-    algorithm: str, on_context, *, nodes: int = 16, num_jobs: int = 40, **config
+    algorithm, on_context, *, nodes: int = 16, num_jobs: int = 40, **config
 ) -> None:
+    """Run a registry name (or a scheduler instance) over a Lublin trace."""
     cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
     workload = LublinWorkloadGenerator(cluster).generate(num_jobs, seed=23)
+    scheduler = create_scheduler(algorithm) if isinstance(algorithm, str) else algorithm
     simulator = Simulator(
         cluster,
-        _Spy(create_scheduler(algorithm), lambda context: on_context(simulator, context)),
+        _Spy(scheduler, lambda context: on_context(simulator, context)),
         SimulationConfig(penalty_model=ReschedulingPenaltyModel(300.0), **config),
     )
     assert simulator.run(workload.jobs).num_jobs == num_jobs
 
 
-@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
+class _Seen:
+    """Checks every snapshot; remembers the reference views it saw."""
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.views: List[JobView] = []
+
+    def __call__(self, simulator, context) -> None:
+        self.events += 1
+        self.views.extend(check_snapshot(simulator, context))
+
+    @property
+    def states(self) -> set:
+        return {view.state for view in self.views}
+
+
+@pytest.mark.parametrize("algorithm", [*PAPER_ALGORITHMS, "conservative", "gang"])
 def test_snapshot_equals_the_field_by_field_rule_at_every_event(algorithm):
     clairvoyant = create_scheduler(algorithm).requires_runtime_estimates
-    events = 0
+    seen = _Seen()
+    _lublin_run(algorithm, seen)
+    assert seen.events >= 40
+    assert {JobState.RUNNING, JobState.PENDING} <= seen.states
+    for view in seen.views:
+        assert (view.runtime_estimate is None) == (not clairvoyant)
+        assert (view.remaining_runtime_estimate is None) == (not clairvoyant)
+
+
+def _failure_trace(nodes: int) -> TraceNodeEventSource:
+    return TraceNodeEventSource(
+        events_list=tuple(
+            event
+            for node in range(nodes)
+            for event in [
+                (3000.0 * (node + 1), node, "down"),
+                (3000.0 * (node + 1) + 2000.0, node, "up"),
+            ]
+        )
+    )
+
+
+@pytest.mark.parametrize("repack_on_failure", [False, True])
+@pytest.mark.parametrize(
+    "algorithm, failure_policy",
+    [
+        ("easy", "resubmit"),  # batch schedulers never resume a checkpointed job
+        *[
+            (algorithm, policy)
+            for algorithm in ["greedy-pmtn-migr", "dynmcb8-per-600"]
+            for policy in ["resubmit", "migrate"]
+        ],
+    ],
+)
+def test_snapshot_under_a_failure_trace(algorithm, failure_policy, repack_on_failure):
+    seen = _Seen()
+    _lublin_run(
+        algorithm,
+        seen,
+        node_events=_failure_trace(8),
+        failure_policy=failure_policy,
+        repack_on_failure=repack_on_failure,
+    )
+    stopped = JobState.PAUSED if failure_policy == "migrate" else JobState.PENDING
+    assert stopped in seen.states
+    # A failure-killed job waits again from scratch (and out of arrival order).
+    assert any(view.state is stopped and view.last_assignment for view in seen.views)
+
+
+class _ClairvoyantGreedyPmtnMigr(GreedyPmtnMigrScheduler):
+    """GREEDY-PMTN-MIGR handed remaining-runtime estimates (no registered
+    clairvoyant scheduler resumes paused jobs)."""
+
+    requires_runtime_estimates = True
+
+
+def test_checkpoint_charges_move_a_paused_jobs_clairvoyant_estimate():
+    """A checkpoint or preemption charged on the way to PAUSED must be in
+    the remaining-runtime estimate of the view the job gets while it waits."""
+    seen = _Seen()
+    _lublin_run(
+        _ClairvoyantGreedyPmtnMigr(),
+        seen,
+        node_events=_failure_trace(8),
+        failure_policy="migrate",
+        overhead_model=ConstantOverheadModel(
+            preemption_seconds=30.0, checkpoint_seconds=450.0, resume_seconds=7.0
+        ),
+    )
+    paused = [view for view in seen.views if view.state is JobState.PAUSED]
+    assert paused and all(view.remaining_runtime_estimate is not None for view in paused)
+
+
+def test_two_jobs_reenter_pending_out_of_arrival_order_at_one_event():
+    """Jobs 0 and 1 share node 0 while job 2, submitted later, waits for
+    memory; node 0 fails and both are killed and requeued at one event: the
+    PENDING partition is 0, 1, 2 (arrival order), not 2, 0, 1."""
+    cluster = Cluster(num_nodes=1, cores_per_node=4, node_memory_gb=8.0)
+    specs = [
+        JobSpec(0, 0.0, 1, 0.5, 0.3, 500.0),
+        JobSpec(1, 0.0, 1, 0.5, 0.3, 500.0),
+        JobSpec(2, 10.0, 1, 0.5, 0.5, 500.0),
+    ]
+    pending_orders = []
 
     def check(simulator, context):
-        nonlocal events
-        events += 1
-        expected = _reference_views(simulator)
-        assert list(context.jobs) == list(expected)  # same ids, same order
-        for job_id, view in context.jobs.items():
-            reference = expected[job_id]
-            assert type(view) is JobView
-            for name in JobView._fields:
-                got, want = getattr(view, name), getattr(reference, name)
-                assert type(got) is type(want), (job_id, name)
-                assert _bits(got) == _bits(want), (job_id, name)
-            assert (view.runtime_estimate is None) == (not clairvoyant)
-            assert (view.remaining_runtime_estimate is None) == (not clairvoyant)
-        assert context.time == simulator.online_now()
+        check_snapshot(simulator, context)
+        pending_orders.append([view.job_id for view in context.pending_jobs()])
 
-    _lublin_run(algorithm, check)
-    assert events >= 40
-
-
-# --------------------------------------------------------------------------- #
-# (b) the partition the engine hands over against the per-state filter         #
-# --------------------------------------------------------------------------- #
-def _check_partition(_simulator, context: SchedulingContext) -> set:
-    assert context._partition is not None  # filled by the engine, not on demand
-    views = list(context.jobs.values())
-    for accessor, state in [
-        (context.running_jobs, JobState.RUNNING),
-        (context.paused_jobs, JobState.PAUSED),
-        (context.pending_jobs, JobState.PENDING),
-    ]:
-        got = accessor()
-        want = [view for view in views if view.state is state]
-        assert len(got) == len(want)
-        assert all(a is b for a, b in zip(got, want))  # same views, same order
-        assert accessor() is not got  # still a fresh list per call
-    # The same views in a context built by hand partition lazily, as before,
-    # and to the same three lists.
-    by_hand = SchedulingContext(
-        time=context.time, cluster=context.cluster, jobs=dict(context.jobs)
-    )
-    assert by_hand._partition is None
-    assert by_hand._by_state() == context._by_state()
-    assert by_hand._partition is not None
-    return {view.state for view in views}
-
-
-@pytest.mark.parametrize("algorithm", PAPER_ALGORITHMS)
-def test_engine_filled_partition_is_the_per_state_filter_at_every_event(algorithm):
-    seen: set = set()
-    _lublin_run(algorithm, lambda sim, context: seen.update(_check_partition(sim, context)))
-    assert JobState.RUNNING in seen and JobState.PENDING in seen
-
-
-def test_engine_filled_partition_under_a_failure_trace():
-    seen: set = set()
-    _lublin_run(
-        "greedy-pmtn-migr",
-        lambda sim, context: seen.update(_check_partition(sim, context)),
-        node_events=TraceNodeEventSource(
-            events_list=tuple(
-                event
-                for node in range(8)
-                for event in [
-                    (3000.0 * (node + 1), node, "down"),
-                    (3000.0 * (node + 1) + 2000.0, node, "up"),
-                ]
-            )
+    simulator = Simulator(
+        cluster,
+        _Spy(create_scheduler("greedy"), lambda context: check(simulator, context)),
+        SimulationConfig(
+            node_events=TraceNodeEventSource(events_list=((100.0, 0, "down"), (200.0, 0, "up"))),
+            failure_policy="resubmit",
         ),
-        failure_policy="migrate",
     )
-    assert seen == {JobState.RUNNING, JobState.PAUSED, JobState.PENDING}
+    assert simulator.run(specs).num_jobs == 3
+    assert [2] in pending_orders and [0, 1, 2] in pending_orders
 
 
-@pytest.mark.parametrize(
-    "now, submit",
-    [(-0.0, 0.0), (0.0, 0.0), (float("nan"), 0.0), (5.0, 2.0), (1.0, 3.0)],
-)
-def test_inline_flow_time_clamp_is_max_zero(now, submit):
-    """``flow if flow > 0.0 else 0.0`` in ``_build_context`` against the
-    ``max(0.0, flow)`` it replaced: -0.0 and NaN both clamp to +0.0."""
-    simulator = Simulator(_CLUSTER, create_scheduler("fcfs"))
+def test_online_cancel_in_each_state():
+    """An online drive cancels a PENDING, a PAUSED and a RUNNING job (one per
+    step, as each state shows up) and a not-yet-arrived one; every snapshot
+    after a cancel is the full rebuild, so none of them lingers in a table."""
+    cluster = Cluster(num_nodes=2, cores_per_node=4, node_memory_gb=8.0)
+    specs = [
+        JobSpec(0, 0.0, 1, 1.0, 0.6, 1000.0),
+        JobSpec(1, 0.0, 1, 1.0, 0.6, 1000.0),
+        JobSpec(2, 10.0, 2, 1.0, 0.6, 500.0),
+        JobSpec(3, 10.0, 2, 1.0, 0.6, 500.0),
+        JobSpec(4, 20.0, 1, 0.5, 0.2, 100.0),
+        JobSpec(5, 5000.0, 1, 0.5, 0.2, 100.0),
+    ]
+    seen = _Seen()
+    simulator = Simulator(
+        cluster, _Spy(create_scheduler("greedy-pmtn"), lambda context: seen(simulator, context))
+    )
+    simulator.online_begin(0.0)
+    for spec in specs:
+        simulator.online_submit(spec)
+    assert simulator.online_cancel(5)  # withdrawn before it arrives
+    cancelled: Dict[JobState, int] = {}
+    while not math.isinf(simulator.online_step()):
+        for job_id, job in simulator._active.items():
+            if job.state in _STATES and job.state not in cancelled:
+                cancelled[job.state] = job_id
+                assert simulator.online_cancel(job_id)
+                break
+    simulator.online_finalize()
+    assert set(cancelled) == set(_STATES)
+    assert not simulator._views and not simulator._pending_views and not simulator._paused_views
+
+
+# --------------------------------------------------------------------------- #
+# (b) flow time: derived from the context, bit for bit what the field held     #
+# --------------------------------------------------------------------------- #
+_NAN = float("nan")
+_FLOW_GRID = [(-0.0, 0.0), (0.0, 0.0), (_NAN, 0.0), (5.0, 2.0), (1.0, 3.0), (0.0, -0.0)]
+
+
+def _waiting_view(job_id: int, submit: float, vt: float = 0.0) -> JobView:
+    return JobView(job_id, 1, 0.5, 0.5, submit, JobState.PENDING, vt, None, 0.0, None)
+
+
+@pytest.mark.parametrize("now, submit", _FLOW_GRID)
+def test_context_flow_time_clamp_is_max_zero(now, submit):
+    """``SchedulingContext.flow_time`` against ``Job.flow_time`` (the
+    ``max(0.0, flow)`` the engine's inline clamp replaced): -0.0 and NaN
+    both clamp to +0.0."""
     job = Job(spec=JobSpec(0, submit, 1, 0.5, 0.5, 10.0))
-    simulator._active[0] = job
-    simulator._now = now
-    view = simulator._build_context([], [], False).jobs[0]
-    assert view.flow_time.hex() == max(0.0, now - submit).hex()
-    assert view.flow_time.hex() == job.flow_time(now).hex()
+    context = SchedulingContext(time=now, cluster=_CLUSTER, jobs={})
+    flow = context.flow_time(_waiting_view(0, submit))
+    assert flow.hex() == max(0.0, now - submit).hex() == job.flow_time(now).hex()
+
+
+@pytest.mark.parametrize("now, submit", _FLOW_GRID)
+def test_dynmcb8_packing_jobs_carry_the_context_flow_time(now, submit):
+    """``_search_evicting`` inlines ``context.flow_time`` into each
+    ``PackingJob``; the inline form must give the same bits."""
+    view = _waiting_view(0, submit)
+    context = SchedulingContext(time=now, cluster=_CLUSTER, jobs={0: view})
+    packed = []
+
+    def search(jobs, num_nodes, *, capacities):
+        packed.extend(jobs)
+        return SimpleNamespace(success=True)
+
+    DynMcb8Scheduler._search_evicting(context, [view], search)
+    assert [job.flow_time.hex() for job in packed] == [context.flow_time(view).hex()]
+
+
+class _FieldRuleContext(SchedulingContext):
+    """A context whose flow time is the rule the ``flow_time`` field was
+    filled with (``Job.flow_time``)."""
+
+    def flow_time(self, view: JobView) -> float:
+        return max(0.0, self.time - view.submit_time)
+
+
+@pytest.mark.parametrize("now", [0.0, 350.0, 900.0, _NAN])
+def test_stretch_per_estimate_equals_the_field_rule(now):
+    """DYNMCB8-STRETCH-PER's average-stretch improvement gives every job the
+    same yield, bit for bit, whether the flow time comes from the context or
+    from the rule that filled the old field; submit times straddle ``now``."""
+    views = {
+        i: JobView(i, 1, 0.4 + 0.1 * i, 0.2, 300.0 * i, JobState.RUNNING, 20.0 * i, (i % 2,), 0.3, None)
+        for i in range(4)
+    }
+    placements = {i: view.assignment for i, view in views.items()}
+    yields = {i: 0.1 for i in views}
+    scheduler = DynMcb8StretchPeriodicScheduler(600.0)
+    results = [
+        scheduler._improve_average_stretch(
+            placements, yields, context_type(time=now, cluster=_CLUSTER, jobs=views)
+        )
+        for context_type in (SchedulingContext, _FieldRuleContext)
+    ]
+    live, field_rule = ([value.hex() for value in result.values()] for result in results)
+    assert live == field_rule
 
 
 # --------------------------------------------------------------------------- #
@@ -231,6 +408,41 @@ def test_captured_contexts_read_the_same_after_the_run(algorithm):
         states.update(view.state for view in context.jobs.values())
     # The run is over and every job completed, yet no captured view says so.
     assert JobState.RUNNING in states and JobState.COMPLETED not in states
+
+
+@pytest.mark.parametrize("algorithm", ["fcfs", "greedy-pmtn-migr", "dynmcb8-per-600"])
+def test_a_kept_context_equals_its_deep_copy_after_the_run(algorithm):
+    """A scheduler keeps every context; after the run each one's ``jobs``,
+    partitions and views equal the deep copy taken when it was handed over.
+    A waiting job's view may be the same object at several events (views are
+    immutable); a ``jobs`` dict or a partition list may not."""
+    kept = []
+
+    def keep(_simulator, context):
+        kept.append((context, copy.deepcopy((context.jobs, context._partition))))
+
+    config = {} if algorithm == "fcfs" else {
+        "node_events": _failure_trace(8), "failure_policy": "migrate"
+    }
+    _lublin_run(algorithm, keep, **config)
+
+    def bits(jobs, partition):
+        return (
+            [(job_id, _typed_bits(view)) for job_id, view in jobs.items()],
+            [[_typed_bits(view) for view in part] for part in partition],
+        )
+
+    for context, (jobs, partition) in kept:
+        assert bits(context.jobs, context._partition) == bits(jobs, partition)
+    containers = [id(c) for context, _ in kept for c in (context.jobs, *context._partition)]
+    assert len(set(containers)) == len(containers)  # nothing shared across events
+    reused = [
+        view
+        for (before, _), (after, _) in zip(kept, kept[1:])
+        for job_id, view in before.jobs.items()
+        if after.jobs.get(job_id) is view
+    ]
+    assert reused and all(view.state is not JobState.RUNNING for view in reused)
 
 
 # --------------------------------------------------------------------------- #

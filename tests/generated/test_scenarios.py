@@ -1,11 +1,13 @@
 """One property over generated scenarios, three oracles on every draw.
 
 (i)   ``InvariantCheckingObserver`` at every event of a checked ``run``, whose
-      engine re-checks every decision it kept without validating and re-derives
-      its RUNNING index, node refcounts, live usage and down set, while every
-      yield-search probe refused by arithmetic is packed to prove it
-      infeasible; conservation of jobs and costs; an online run with drawn
-      cancels; a replay through the drawn admission policy.
+      engine re-checks every decision it kept without validating, re-derives
+      its RUNNING index, node refcounts, live usage and down set, and holds
+      every scheduler snapshot (reused waiting views included) to the full
+      field-by-field rebuild, while every yield-search probe refused by
+      arithmetic is packed to prove it infeasible; conservation of jobs and
+      costs; a checked online run with drawn cancels; a replay through the
+      drawn admission policy.
 (ii)  ``run`` of the shuffled specs ≡ ``run_stream`` ≡ service replay on
       the whole observer event stream (every field, floats by ``hex``),
       cost bits and job records; every view (placement log, flight ring,
@@ -80,6 +82,7 @@ from repro.traces import (
 from repro.traces.source import WorkloadTraceSource
 from repro.traces.transforms import Head, RescaleLoad, TransformedSource
 
+from ..core.test_engine_snapshots import check_snapshot
 from ..schedulers.reference_repack import reference_scheduler, uses_repack_memo
 from .strategies import MAX_JOBS, REGISTRY_STRATEGIES, Draw, draws
 
@@ -134,6 +137,11 @@ class CheckedSimulator(Simulator):
             usage = self.cluster.usage(self._down_nodes)
             validate_decision(decision, specs, self.cluster, usage=usage)
         return kept
+
+    def _build_context(self, submitted, completed, is_wakeup):
+        context = super()._build_context(submitted, completed, is_wakeup)
+        check_snapshot(self, context)
+        return context
 
     def _collect_triggers(self, now):
         ranks = {job_id: job.arrival_rank for job_id, job in self._running.items()}
@@ -238,7 +246,7 @@ class EventLog(list):
 
 
 def online_with_cancels(draw, cluster, specs):
-    engine = Simulator(
+    engine = CheckedSimulator(
         cluster,
         create_scheduler(draw.algorithm),
         explicit_config(draw),

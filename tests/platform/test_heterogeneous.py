@@ -32,7 +32,6 @@ def _view(job_id=0, num_tasks=1, cpu_need=0.5, mem_requirement=0.4):
         submit_time=0.0,
         state=JobState.PENDING,
         virtual_time=0.0,
-        flow_time=0.0,
         assignment=None,
         current_yield=0.0,
         last_assignment=None,

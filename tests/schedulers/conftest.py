@@ -20,13 +20,13 @@ def view(
     submit: float = 0.0,
     state: JobState = JobState.PENDING,
     vt: float = 0.0,
-    flow: float = 0.0,
     assignment: Optional[Tuple[int, ...]] = None,
     current_yield: float = 0.0,
     runtime_estimate: Optional[float] = None,
     remaining_estimate: Optional[float] = None,
 ) -> JobView:
-    """Terse JobView builder for hand-written scheduling scenarios."""
+    """Terse JobView builder for hand-written scheduling scenarios (a view's
+    flow time is its context's ``time`` minus ``submit``)."""
     return JobView(
         job_id=job_id,
         num_tasks=tasks,
@@ -35,7 +35,6 @@ def view(
         submit_time=submit,
         state=state,
         virtual_time=vt,
-        flow_time=flow,
         assignment=assignment,
         current_yield=current_yield,
         last_assignment=assignment,

@@ -14,7 +14,9 @@ old way while everything else about it stays live.  ``_search_evicting`` is
 copied too, so a change that moved the memo into it — where
 DYNMCB8-STRETCH-PER would reach it — is caught by the stretch class built
 with this mixin.  Do not optimise or tidy this file: being slow and obviously
-right is its job.
+right is its job.  One edit since it was copied: the flow time and the
+priority sort's ``now`` come from the context, since ``JobView`` no longer
+carries a ``flow_time`` field.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ class ReferenceRepack:
                 num_tasks=view.num_tasks,
                 cpu_need=view.cpu_need,
                 mem_requirement=view.mem_requirement,
-                flow_time=view.flow_time,
+                flow_time=context.flow_time(view),
                 virtual_time=view.virtual_time,
             )
-            for view in reversed(sort_by_increasing_priority(candidates))
+            for view in reversed(sort_by_increasing_priority(candidates, context.time))
         ]
         num_nodes = context.cluster.num_nodes
         # None on homogeneous, fully-up clusters (the unit-bin fast path);

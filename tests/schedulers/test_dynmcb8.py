@@ -45,11 +45,12 @@ class TestDynMcb8:
         scheduler.start(cluster, 0.0)
         ctx = context(
             [
-                view(0, cpu=0.5, mem=0.8, vt=1000.0, flow=2000.0,
+                view(0, cpu=0.5, mem=0.8, vt=1000.0,
                      state=JobState.RUNNING, assignment=(0,), current_yield=1.0),
-                view(1, cpu=0.5, mem=0.8, vt=0.0, flow=0.0),
+                view(1, cpu=0.5, mem=0.8, vt=0.0, submit=2000.0),
             ],
             cluster=cluster,
+            time=2000.0,
         )
         decision = scheduler.schedule(ctx)
         # Only one of the two memory-hungry jobs fits; the never-run job has
@@ -62,11 +63,12 @@ class TestDynMcb8:
         scheduler.start(cluster, 0.0)
         ctx = context(
             [
-                view(0, cpu=1.0, mem=0.2, state=JobState.PAUSED, vt=5.0, flow=100.0),
+                view(0, cpu=1.0, mem=0.2, state=JobState.PAUSED, vt=5.0),
                 view(1, cpu=1.0, mem=0.2, state=JobState.RUNNING, assignment=(3,),
-                     current_yield=0.5, vt=50.0, flow=100.0),
+                     current_yield=0.5, vt=50.0),
             ],
             cluster=cluster,
+            time=100.0,
         )
         decision = scheduler.schedule(ctx)
         assert set(decision.running) == {0, 1}
@@ -131,9 +133,9 @@ class TestPeriodicVariants:
         scheduler.start(cluster, 0.0)
         scheduler.schedule(context([view(0, cpu=0.5, mem=0.2)], cluster=cluster, time=0.0))
         running = view(0, cpu=0.5, mem=0.2, state=JobState.RUNNING,
-                       assignment=(0,), current_yield=1.0, vt=600.0, flow=600.0)
+                       assignment=(0,), current_yield=1.0, vt=600.0)
         tick = context(
-            [running, view(1, cpu=0.5, mem=0.2, flow=500.0)],
+            [running, view(1, cpu=0.5, mem=0.2, submit=100.0)],
             cluster=cluster, time=600.0, is_wakeup=True,
         )
         decision = scheduler.schedule(tick)
@@ -173,10 +175,10 @@ class TestStretchPeriodic:
         ctx = context(
             [
                 # Far behind: almost no virtual time despite a long flow time.
-                view(0, cpu=1.0, mem=0.3, vt=30.0, flow=3000.0,
+                view(0, cpu=1.0, mem=0.3, vt=30.0,
                      state=JobState.RUNNING, assignment=(0,), current_yield=0.5),
                 # Comfortably ahead.
-                view(1, cpu=1.0, mem=0.3, vt=2900.0, flow=3000.0,
+                view(1, cpu=1.0, mem=0.3, vt=2900.0,
                      state=JobState.RUNNING, assignment=(0,), current_yield=0.5),
             ],
             cluster=cluster,
@@ -194,7 +196,7 @@ class TestStretchPeriodic:
         cluster = Cluster(1)
         scheduler.start(cluster, 0.0)
         ctx = context(
-            [view(i, cpu=1.0, mem=0.2, flow=100.0, vt=10.0) for i in range(3)],
+            [view(i, cpu=1.0, mem=0.2, vt=10.0) for i in range(3)],
             cluster=cluster,
             time=100.0,
         )

@@ -38,10 +38,10 @@ class TestLongJobThrottling:
         ctx = context(
             [
                 # Long runner: two days of virtual time.
-                view(0, cpu=1.0, mem=0.2, vt=2 * 86400.0, flow=3 * 86400.0,
+                view(0, cpu=1.0, mem=0.2, vt=2 * 86400.0,
                      state=JobState.RUNNING, assignment=(0,), current_yield=1.0),
                 # Fresh short job.
-                view(1, cpu=1.0, mem=0.2, vt=0.0, flow=0.0),
+                view(1, cpu=1.0, mem=0.2, vt=0.0, submit=3 * 86400.0),
             ],
             cluster=cluster,
             time=3 * 86400.0,
@@ -55,8 +55,9 @@ class TestLongJobThrottling:
         cluster = Cluster(4)
         scheduler.start(cluster, 0.0)
         ctx = context(
-            [view(i, cpu=0.5, mem=0.1, vt=100.0, flow=200.0) for i in range(3)],
+            [view(i, cpu=0.5, mem=0.1, vt=100.0) for i in range(3)],
             cluster=cluster,
+            time=200.0,
         )
         decision = scheduler.schedule(ctx)
         for alloc in decision.running.values():
@@ -69,7 +70,7 @@ class TestLongJobThrottling:
         cluster = Cluster(1)
         scheduler.start(cluster, 0.0)
         ctx = context(
-            [view(0, cpu=1.0, mem=0.2, vt=100.0, flow=200.0,
+            [view(0, cpu=1.0, mem=0.2, vt=100.0,
                   state=JobState.RUNNING, assignment=(0,), current_yield=1.0)],
             cluster=cluster,
             time=200.0,

@@ -108,7 +108,7 @@ class TestGreedyPmtn:
         # The running job has accumulated a lot of virtual time (low priority).
         running = view(
             0, cpu=1.0, mem=0.9, state=JobState.RUNNING, assignment=(0,),
-            current_yield=1.0, vt=5000.0, flow=5000.0,
+            current_yield=1.0, vt=5000.0,
         )
         incoming = view(1, cpu=1.0, mem=0.5, submit=5000.0)
         ctx = context([running, incoming], cluster=cluster, time=5000.0)
@@ -122,9 +122,9 @@ class TestGreedyPmtn:
         scheduler.start(cluster, 0.0)
         views = [
             view(0, cpu=0.5, mem=0.9, state=JobState.RUNNING, assignment=(0,),
-                 current_yield=1.0, vt=100.0, flow=200.0),
+                 current_yield=1.0, vt=100.0, submit=100.0),
             view(1, cpu=0.5, mem=0.9, state=JobState.RUNNING, assignment=(1,),
-                 current_yield=1.0, vt=5000.0, flow=5000.0),
+                 current_yield=1.0, vt=5000.0),
             view(2, cpu=0.5, mem=0.5, submit=300.0),
         ]
         ctx = context(views, cluster=cluster, time=300.0)
@@ -138,7 +138,7 @@ class TestGreedyPmtn:
         scheduler = GreedyPmtnScheduler()
         cluster = Cluster(1)
         scheduler.start(cluster, 0.0)
-        paused = view(0, cpu=1.0, mem=0.5, state=JobState.PAUSED, vt=10.0, flow=500.0)
+        paused = view(0, cpu=1.0, mem=0.5, state=JobState.PAUSED, vt=10.0, submit=500.0)
         ctx = context([paused], cluster=cluster, time=1000.0, completed=[7])
         decision = scheduler.schedule(ctx)
         assert 0 in decision.running
@@ -149,7 +149,7 @@ class TestGreedyPmtn:
         scheduler.start(cluster, 0.0)
         running = view(
             0, cpu=1.0, mem=0.5, state=JobState.RUNNING, assignment=(0,),
-            current_yield=1.0, vt=10.0, flow=20.0,
+            current_yield=1.0, vt=10.0,
         )
         incoming = view(1, cpu=1.0, mem=0.5, submit=20.0)
         ctx = context([running, incoming], cluster=cluster, time=20.0)
@@ -164,9 +164,9 @@ class TestGreedyPmtn:
         scheduler.start(cluster, 0.0)
         views = [
             view(0, cpu=1.0, mem=1.0, state=JobState.RUNNING, assignment=(0,),
-                 current_yield=1.0, vt=900.0, flow=1000.0),
+                 current_yield=1.0, vt=900.0),
             view(1, cpu=1.0, mem=1.0, state=JobState.RUNNING, assignment=(1,),
-                 current_yield=1.0, vt=10.0, flow=1000.0),
+                 current_yield=1.0, vt=10.0),
             # Needs a full node of memory: one of the running jobs must pause.
             view(2, cpu=1.0, mem=1.0, submit=1000.0),
         ]
@@ -187,11 +187,11 @@ class TestGreedyPmtnMigr:
             # Low-priority job occupying the only node with enough memory for
             # the incoming job.
             view(0, cpu=1.0, mem=0.6, state=JobState.RUNNING, assignment=(0,),
-                 current_yield=1.0, vt=900.0, flow=1000.0),
+                 current_yield=1.0, vt=900.0),
             view(1, cpu=1.0, mem=0.9, state=JobState.RUNNING, assignment=(1,),
-                 current_yield=1.0, vt=10.0, flow=1000.0),
+                 current_yield=1.0, vt=10.0),
             view(2, cpu=1.0, mem=0.9, state=JobState.RUNNING, assignment=(2,),
-                 current_yield=1.0, vt=10.0, flow=1000.0),
+                 current_yield=1.0, vt=10.0),
             view(3, cpu=1.0, mem=1.0, submit=1000.0),
         ]
         ctx = context(views, cluster=cluster, time=1000.0)
@@ -209,7 +209,7 @@ class TestGreedyPmtnMigr:
         scheduler.start(cluster, 0.0)
         views = [
             view(0, cpu=1.0, mem=0.3, state=JobState.RUNNING, assignment=(0,),
-                 current_yield=1.0, vt=900.0, flow=1000.0),
+                 current_yield=1.0, vt=900.0),
             # Incoming job needs 0.8 memory: fits on node 1 directly, no pause.
             view(1, cpu=1.0, mem=0.8, submit=1000.0),
         ]

@@ -7,8 +7,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.job import Job, JobSpec
 from repro.schedulers.dfrs.priority import (
     job_priority,
+    priority_of_view,
     sort_by_decreasing_priority,
     sort_by_increasing_priority,
 )
@@ -63,23 +65,42 @@ class TestJobPriority:
 class TestPriorityOrdering:
     def test_increasing_order_puts_long_runners_first(self):
         views = [
-            view(0, vt=1000.0, flow=2000.0),
-            view(1, vt=10.0, flow=2000.0),
-            view(2, vt=0.0, flow=100.0),
+            view(0, vt=1000.0),
+            view(1, vt=10.0),
+            view(2, vt=0.0, submit=1900.0),
         ]
-        ordered = sort_by_increasing_priority(views)
+        ordered = sort_by_increasing_priority(views, 2000.0)
         # Job 0 ran the longest (lowest priority) and is paused first; job 2
         # never ran (infinite priority) and is paused last.
         assert [v.job_id for v in ordered] == [0, 1, 2]
 
     def test_decreasing_is_reverse_of_increasing(self):
-        views = [view(0, vt=5.0, flow=50.0), view(1, vt=100.0, flow=50.0)]
-        inc = [v.job_id for v in sort_by_increasing_priority(views)]
-        dec = [v.job_id for v in sort_by_decreasing_priority(views)]
+        views = [view(0, vt=5.0), view(1, vt=100.0)]
+        inc = [v.job_id for v in sort_by_increasing_priority(views, 50.0)]
+        dec = [v.job_id for v in sort_by_decreasing_priority(views, 50.0)]
         assert dec == list(reversed(inc))
 
     def test_deterministic_tie_break(self):
-        views = [view(2, vt=10.0, flow=50.0), view(1, vt=10.0, flow=50.0)]
-        first = [v.job_id for v in sort_by_increasing_priority(views)]
-        second = [v.job_id for v in sort_by_increasing_priority(list(reversed(views)))]
+        views = [view(2, vt=10.0), view(1, vt=10.0)]
+        first = [v.job_id for v in sort_by_increasing_priority(views, 50.0)]
+        second = [v.job_id for v in sort_by_increasing_priority(list(reversed(views)), 50.0)]
         assert first == second
+
+    def test_flow_time_comes_from_now(self):
+        """Flow is ``now - submit``: the later submission has waited less."""
+        views = [view(0, vt=100.0), view(1, vt=100.0, submit=5000.0)]
+        assert [v.job_id for v in sort_by_increasing_priority(views, 6000.0)] == [1, 0]
+        assert priority_of_view(views[1], 6000.0) == job_priority(1000.0, 100.0)
+        assert priority_of_view(views[1], 4000.0) == job_priority(0.0, 100.0)
+
+
+@pytest.mark.parametrize("now", [-0.0, 0.0, float("nan"), 5.0, 1.0, 1e7, math.inf])
+@pytest.mark.parametrize("submit", [0.0, 2.0, 3.0])
+@pytest.mark.parametrize("vt", [0.0, 0.5, 40.0])
+def test_priority_of_view_equals_the_flow_time_field_rule(now, submit, vt):
+    """What ``priority_of_view`` returned when views carried ``flow_time``:
+    ``job_priority(Job.flow_time(now), vt)``, bit for bit."""
+    job = Job(spec=JobSpec(0, submit, 1, 0.5, 0.5, 10.0))
+    old = job_priority(job.flow_time(now), vt)
+    new = priority_of_view(view(0, vt=vt, submit=submit), now)
+    assert new.hex() == old.hex()

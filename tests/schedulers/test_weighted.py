@@ -27,7 +27,6 @@ def _view(job_id, tasks=1, cpu=0.5, mem=0.2):
         submit_time=0.0,
         state=JobState.PENDING,
         virtual_time=0.0,
-        flow_time=0.0,
         assignment=None,
         current_yield=0.0,
         last_assignment=None,
