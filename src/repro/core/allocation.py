@@ -10,7 +10,7 @@ decisions to detect starts, preemptions, resumes, and migrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
 from .cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
@@ -110,29 +110,34 @@ def validate_decision(
     passes its :class:`~repro.core.context.JobView` snapshots).
     """
     tally = usage if usage is not None else cluster.usage()
-    #: The job whose tasks the tally is working on; None while the checks
-    #: below, whose errors carry their own text, look at the next one.
-    current: Optional[int] = None
-
-    def entries() -> Iterator[Tuple[Tuple[int, ...], float, float, float]]:
-        nonlocal current
-        for job_id, alloc in decision.running.items():
-            current = None
-            if job_id not in specs:
-                raise AllocationError(f"decision references unknown job {job_id}")
-            spec = specs[job_id]
-            if len(alloc.nodes) != spec.num_tasks:
-                raise AllocationError(
-                    f"job {job_id}: allocation places {len(alloc.nodes)} tasks but "
-                    f"the job has {spec.num_tasks}"
-                )
-            current = job_id
-            yield alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value
-
+    entries: List[Tuple[Tuple[int, ...], float, float, float]] = []
+    refusal: Optional[AllocationError] = None
+    for job_id, alloc in decision.running.items():
+        if job_id not in specs:
+            refusal = AllocationError(f"decision references unknown job {job_id}")
+            break
+        spec = specs[job_id]
+        if len(alloc.nodes) != spec.num_tasks:
+            refusal = AllocationError(
+                f"job {job_id}: allocation places {len(alloc.nodes)} tasks but "
+                f"the job has {spec.num_tasks}"
+            )
+            break
+        entries.append((alloc.nodes, spec.cpu_need, spec.mem_requirement, alloc.yield_value))
+    # The jobs before a structural refusal are tallied first, so a capacity
+    # error among them is the one raised.
+    before = tally.task_vector()
     try:
-        tally.add_jobs(entries())
+        tally.add_jobs(entries)
     except AllocationError as exc:
-        if current is None:
-            raise
-        raise type(exc)(f"job {current}: {exc}") from exc
+        # The tally stores task by task, in order, and stops inside the job
+        # it refuses: count the tasks it kept to find that job.
+        stored = int((tally.task_vector() - before).sum())
+        for owner, entry in zip(decision.running, entries):
+            stored -= len(entry[0])
+            if stored < 0:
+                break
+        raise type(exc)(f"job {owner}: {exc}") from exc
+    if refusal is not None:
+        raise refusal
     return tally

@@ -30,7 +30,8 @@ placements and are never candidates for the least-loaded node choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from itertools import chain
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,12 @@ __all__ = ["Cluster", "ClusterUsage", "CAPACITY_EPSILON"]
 #: Tolerance used when checking capacity constraints, to absorb the
 #: floating-point error accumulated by yield binary searches.
 CAPACITY_EPSILON = 1e-6
+
+#: Smallest list of tasks :meth:`ClusterUsage.add_jobs` tallies with
+#: ``np.add.at`` rather than its scalar loop.  On 128 nodes (2-vCPU x86-64,
+#: CPython 3.11, numpy 2.4) the vector pass costs ~20 µs plus ~0.08 µs a
+#: task and the loop ~0.4 µs a task: they cross at 50–65 tasks.
+BULK_MIN_TASKS = 64
 
 
 def _canonical_capacities(
@@ -245,14 +252,13 @@ class ClusterUsage:
         # the same doubles as Python floats, without numpy's scalar boxing,
         # so the vector operations see every write.  The arrays are only ever
         # assigned in place (``copy_from``), which keeps the views valid.
-        self._views = (
-            self._memory.data,
-            self._cpu_alloc.data,
-            self._cpu_load.data,
-            self._tasks.data,
+        self._views = self._vector_views() + (
             None if self._mem_cap is None else self._mem_cap.data,
             None if self._cpu_cap is None else self._cpu_cap.data,
         )
+
+    def _vector_views(self) -> tuple:
+        return (self._memory.data, self._cpu_alloc.data, self._cpu_load.data, self._tasks.data)
 
     # -- inspection -----------------------------------------------------------
     def cpu_allocated(self, node: int) -> float:
@@ -336,6 +342,10 @@ class ClusterUsage:
         """Copy of the per-node allocated CPU fraction vector."""
         return self._cpu_alloc.copy()
 
+    def task_vector(self) -> np.ndarray:
+        """Copy of the per-node task count vector."""
+        return self._tasks.copy()
+
     # -- placement queries ---------------------------------------------------
     def _memory_fits(self, memory: np.ndarray, mem_requirement: float) -> np.ndarray:
         """Mask of available nodes whose ``memory`` leaves room for one task.
@@ -350,20 +360,44 @@ class ClusterUsage:
             fits[sorted(self._down)] = False
         return fits
 
-    def least_loaded_fitting(self, mem_requirement: float) -> int:
-        """Least CPU-loaded available node with room for one task, else ``-1``.
+    def place_least_loaded(
+        self, num_tasks: int, cpu_need: float, mem_requirement: float
+    ) -> Optional[List[int]]:
+        """Place ``num_tasks`` tasks, each on the least CPU-loaded available
+        node with room for it, with yield 0, and return the nodes; when a
+        task finds no room, remove the placed ones one by one, return None.
 
         Ties go to the lowest node index.  On heterogeneous clusters the key
         is the *speed-normalised* load (``load / cpu_capacity``), so a fast
         node half as loaded per unit of capacity wins over a slow node — the
         natural generalisation of the paper's least-loaded rule — and memory
         is checked against each node's own capacity.  Down nodes never fit
-        anything.
+        anything.  The fit mask and the keys are built once: a task changes
+        only its own node's key — its new load, or ``inf`` once full.
         """
         fits = self._memory_fits(self._memory, mem_requirement)
-        keys = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
-        node = int(np.where(fits, keys, np.inf).argmin())
-        return node if fits[node] else -1
+        loads = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
+        keys = np.where(fits, loads, np.inf)
+        fit, key = fits.data, keys.data
+        memory, _, cpu_load, _, mem_cap, cpu_cap = self._views
+        placed: List[int] = []
+        for _ in range(num_tasks):
+            node = int(keys.argmin())
+            if not fit[node]:
+                # Task-by-task removal, not a restore: later tie-breaks see the
+                # (a + b) - b rounding this leaves, and the pinned placement
+                # logs were produced with it.
+                for node in placed:
+                    self.remove_task(node, cpu_need, mem_requirement, 0.0)
+                return None
+            self.add_task(node, cpu_need, mem_requirement, 0.0)
+            placed.append(node)
+            limit = 1.0 if mem_cap is None else mem_cap[node]
+            if memory[node] + mem_requirement <= limit + CAPACITY_EPSILON:
+                key[node] = cpu_load[node] if cpu_cap is None else cpu_load[node] / cpu_cap[node]
+            else:
+                fit[node], key[node] = False, np.inf
+        return placed
 
     def memory_slots(self, mem_requirement: float, limit: int) -> int:
         """How many tasks of ``mem_requirement`` the available nodes can
@@ -445,7 +479,13 @@ class ClusterUsage:
         refused and the error text are those of the task-by-task calls.  Node
         indices are range-checked per entry, before any of its tasks is
         stored.  Tasks stored before an error stay stored.
+
+        A list of at least :data:`BULK_MIN_TASKS` tasks is first tried as one
+        vector pass (:meth:`_add_bulk`), which refuses whatever the loop
+        would; the loop then runs, so errors and partial tallies are its own.
         """
+        if isinstance(entries, list) and self._add_bulk(entries, check):
+            return
         memory, cpu_alloc, cpu_load, tasks, mem_cap, cpu_cap = self._views
         down = self._down
         num_nodes = self.cluster.num_nodes
@@ -473,13 +513,61 @@ class ClusterUsage:
                 cpu_load[node] += cpu_need
                 tasks[node] += 1
 
+    def _add_bulk(self, entries: List[Tuple[Sequence[int], float, float, float]], check: bool) -> bool:
+        """Tally ``entries`` with ``np.add.at`` and return True, or store
+        nothing and return False: too few tasks, a node out of range, or
+        (``check``) a task the loop would refuse.
+
+        ``np.add.at`` adds unbuffered, in index order: each node sees the
+        loop's additions in the loop's order, the same bits from any tally.
+        With non-negative addends a node's partial sums never decrease, so
+        its final sum is within the limit exactly when every per-task check
+        along the way passes.
+        """
+        counts = [len(entry[0]) for entry in entries]
+        total = sum(counts)
+        if total < BULK_MIN_TASKS or not total:
+            return False
+        nodes_per_job, *values = zip(*entries)
+        nodes = np.fromiter(chain.from_iterable(nodes_per_job), np.intp, total)
+        if nodes.min() < 0 or nodes.max() >= self.cluster.num_nodes:
+            return False
+        # One row per addend, one column per job: CPU need, memory, and the
+        # CPU fraction ``cpu_need * yield_value`` — the loop's own product.
+        columns = np.array(values, dtype=float)
+        columns[2] *= columns[0]
+        if check and not columns[1:].min() >= 0.0:  # a negative addend, or NaN
+            return False
+        cpu, memory, fraction = np.repeat(columns, counts, axis=1)
+        new_memory, new_alloc = self._memory.copy(), self._cpu_alloc.copy()
+        np.add.at(new_memory, nodes, memory)
+        np.add.at(new_alloc, nodes, fraction)
+        if check:
+            mem_limit = 1.0 if self._mem_cap is None else self._mem_cap
+            cpu_limit = 1.0 if self._cpu_cap is None else self._cpu_cap
+            refused = new_memory > mem_limit + CAPACITY_EPSILON
+            refused |= new_alloc > cpu_limit + CAPACITY_EPSILON
+            if self._down is not None:
+                refused[sorted(self._down)] = True
+            if refused[nodes].any():
+                return False
+        self._memory[:], self._cpu_alloc[:] = new_memory, new_alloc
+        np.add.at(self._cpu_load, nodes, cpu)
+        np.add.at(self._tasks, nodes, 1)
+        return True
+
     def remove_task(
         self, node: int, cpu_need: float, mem_requirement: float, yield_value: float
     ) -> None:
-        """Remove one previously placed task from ``node``."""
+        """Remove one previously placed task from ``node``; a node hosting no
+        task refuses before anything is debited."""
         if not 0 <= node < self.cluster.num_nodes:
             raise self._out_of_range((node,))
         memory, cpu_alloc, cpu_load, tasks, _, _ = self._views
+        if tasks[node] < 1:
+            raise InfeasibleAllocationError(
+                f"node {node}: removed more tasks than were placed"
+            )
         memory[node] -= mem_requirement
         cpu_alloc[node] -= cpu_need * yield_value
         cpu_load[node] -= cpu_need
@@ -491,10 +579,6 @@ class ClusterUsage:
             cpu_alloc[node] = 0.0
         if -1e-9 < cpu_load[node] < 0.0:
             cpu_load[node] = 0.0
-        if tasks[node] < 0:
-            raise InfeasibleAllocationError(
-                f"node {node}: removed more tasks than were placed"
-            )
 
     def add_job(
         self,
@@ -516,9 +600,14 @@ class ClusterUsage:
             raise
 
     def snapshot(self) -> "ClusterUsage":
-        """Deep copy of this usage tally."""
-        clone = ClusterUsage(self.cluster)
-        clone.copy_from(self)
+        """Deep copy of this usage tally (the capacity vectors, which nothing
+        writes, are shared)."""
+        clone = ClusterUsage.__new__(ClusterUsage)
+        clone.cluster, clone._down = self.cluster, self._down
+        clone._cpu_cap, clone._mem_cap = self._cpu_cap, self._mem_cap
+        clone._memory, clone._cpu_alloc = self._memory.copy(), self._cpu_alloc.copy()
+        clone._cpu_load, clone._tasks = self._cpu_load.copy(), self._tasks.copy()
+        clone._views = clone._vector_views() + self._views[4:]
         return clone
 
     def copy_from(self, other: "ClusterUsage") -> None:

@@ -7,9 +7,10 @@ out of consideration automatically.  The helper operates on a scratch
 :class:`~repro.core.cluster.ClusterUsage` so callers can chain placements of
 several jobs and roll back on failure.
 
-Cost: each task is a handful of O(nodes) vector operations inside
-:meth:`ClusterUsage.least_loaded_fitting` (no per-node Python work); the
-"would it fit?" question of :func:`can_place_job` looks at memory only.
+Cost: one job builds its memory-fit mask and masked load keys once, in
+:meth:`ClusterUsage.place_least_loaded`; each task is then one ``argmin``
+plus a scalar update of the chosen node's key (no per-node Python work).
+The "would it fit?" question of :func:`can_place_job` looks at memory only.
 """
 
 from __future__ import annotations
@@ -23,31 +24,15 @@ __all__ = ["greedy_place_job", "usage_from_placements", "can_place_job"]
 
 
 def greedy_place_job(view: JobView, usage: ClusterUsage) -> Optional[List[int]]:
-    """Place every task of ``view`` on the least loaded memory-feasible node.
+    """Place every task of ``view`` on the least loaded memory-feasible node,
+    by :meth:`ClusterUsage.place_least_loaded`, which holds the rule.
 
     On success the placement is committed to ``usage`` (CPU load and memory
     are updated; no CPU fraction is reserved since yields are decided later)
     and the list of node indices is returned.  On failure the tasks placed so
     far are removed again and ``None`` is returned.
-
-    Capacity and availability awareness live entirely in the usage tally:
-    ``least_loaded_fitting`` compares speed-normalised loads, checks memory
-    against each node's own capacity and never returns a down node — on a
-    homogeneous, fully-up cluster it is the paper's original rule exactly.
     """
-    placed: List[int] = []
-    for _ in range(view.num_tasks):
-        node = usage.least_loaded_fitting(view.mem_requirement)
-        if node < 0:
-            # Task-by-task removal, not a restore: later tie-breaks see the
-            # (a + b) - b rounding this leaves, and the pinned placement logs
-            # were produced with it.
-            for node in placed:
-                usage.remove_task(node, view.cpu_need, view.mem_requirement, 0.0)
-            return None
-        usage.add_task(node, view.cpu_need, view.mem_requirement, 0.0)
-        placed.append(node)
-    return placed
+    return usage.place_least_loaded(view.num_tasks, view.cpu_need, view.mem_requirement)
 
 
 def can_place_job(view: JobView, usage: ClusterUsage) -> bool:
@@ -73,10 +58,10 @@ def usage_from_placements(
     """
     usage = cluster.usage(unavailable)
     usage.add_jobs(
-        (
+        [
             (nodes, jobs[job_id].cpu_need, jobs[job_id].mem_requirement, 0.0)
             for job_id, nodes in placements.items()
-        ),
+        ],
         check=False,
     )
     return usage

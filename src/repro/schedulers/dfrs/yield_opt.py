@@ -71,7 +71,9 @@ def improve_average_yield(
     every node's allocated CPU fraction within capacity.
     """
     improved: Dict[int, float] = dict(yields)
-    if not placements:
+    # The loop below raises only jobs below this yield; with none, it would
+    # change nothing.
+    if not any(improved[job_id] < 1.0 - 1e-9 for job_id in placements):
         return improved
 
     # Allocated CPU fraction per node under the current yields, and each

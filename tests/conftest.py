@@ -60,3 +60,11 @@ def make_job(
         mem_requirement=mem,
         execution_time=runtime,
     )
+
+
+def least_loaded(usage, mem_requirement: float) -> int:
+    """The node GREEDY would give one task of ``mem_requirement``, else -1.
+
+    The task is placed on a snapshot, so ``usage`` is not touched."""
+    placed = usage.snapshot().place_least_loaded(1, 0.0, mem_requirement)
+    return -1 if placed is None else placed[0]

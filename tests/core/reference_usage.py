@@ -8,6 +8,11 @@ checked method call per task), of ``usage_from_placements`` and of
 in all four vectors on every decision the oracle accepts, and to raise the same
 exception type with the same text on every one it refuses.
 
+GREEDY's placement as it stood before the one-mask-per-job method is kept
+too: the scalar ``least_loaded_fitting`` query (four numpy calls per task)
+and the per-task ``greedy_place_job`` loop over it, both verbatim.
+``tests/schedulers/test_placement.py`` holds the live placement to them.
+
 :class:`ReferenceUsage` subclasses the live tally so the arrays, the capacity
 vectors, the down set and every query are the live ones; only the mutators
 are the old ones.  The two functions differ from the parent's in one place
@@ -19,6 +24,8 @@ obviously right is its job.
 from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.allocation import AllocationDecision
 from repro.core.cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
@@ -83,6 +90,21 @@ class ReferenceUsage(ClusterUsage):
                 f"node {node}: removed more tasks than were placed"
             )
 
+    def least_loaded_fitting(self, mem_requirement: float) -> int:
+        """Least CPU-loaded available node with room for one task, else ``-1``.
+
+        Ties go to the lowest node index.  On heterogeneous clusters the key
+        is the *speed-normalised* load (``load / cpu_capacity``), so a fast
+        node half as loaded per unit of capacity wins over a slow node — the
+        natural generalisation of the paper's least-loaded rule — and memory
+        is checked against each node's own capacity.  Down nodes never fit
+        anything.
+        """
+        fits = self._memory_fits(self._memory, mem_requirement)
+        keys = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
+        node = int(np.where(fits, keys, np.inf).argmin())
+        return node if fits[node] else -1
+
     def add_job(
         self,
         assignment: Sequence[int],
@@ -101,6 +123,22 @@ class ReferenceUsage(ClusterUsage):
             for node in placed:
                 self.remove_task(node, cpu_need, mem_requirement, yield_value)
             raise
+
+
+def greedy_place_job(view: JobView, usage: ReferenceUsage) -> Optional[List[int]]:
+    placed: List[int] = []
+    for _ in range(view.num_tasks):
+        node = usage.least_loaded_fitting(view.mem_requirement)
+        if node < 0:
+            # Task-by-task removal, not a restore: later tie-breaks see the
+            # (a + b) - b rounding this leaves, and the pinned placement logs
+            # were produced with it.
+            for node in placed:
+                usage.remove_task(node, view.cpu_need, view.mem_requirement, 0.0)
+            return None
+        usage.add_task(node, view.cpu_need, view.mem_requirement, 0.0)
+        placed.append(node)
+    return placed
 
 
 def usage_from_placements(

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
 from repro.exceptions import ConfigurationError, InfeasibleAllocationError
 
+from ..conftest import least_loaded
+
 
 class TestCluster:
     def test_defaults(self):
@@ -80,15 +82,15 @@ class TestClusterUsage:
     def test_least_loaded_fitting_breaks_ties_by_index(self, small_cluster):
         usage = small_cluster.usage()
         usage.add_task(3, 0.5, 0.1, 1.0)
-        assert usage.least_loaded_fitting(0.1) == 0
+        assert least_loaded(usage, 0.1) == 0
         usage.add_task(0, 0.5, 0.1, 1.0)
-        assert usage.least_loaded_fitting(0.1) == 1
+        assert least_loaded(usage, 0.1) == 1
         # The loaded nodes come last: 3 only once every other node is full.
         for node in (1, 2, 4, 5, 6, 7):
             usage.add_task(node, 0.1, 0.9, 0.0)
-        assert usage.least_loaded_fitting(0.2) == 0
+        assert least_loaded(usage, 0.2) == 0
         usage.add_task(0, 0.1, 0.8, 0.0)
-        assert usage.least_loaded_fitting(0.2) == 3
+        assert least_loaded(usage, 0.2) == 3
 
     def test_snapshot_is_independent(self, small_cluster):
         usage = small_cluster.usage()
@@ -97,6 +99,42 @@ class TestClusterUsage:
         clone.add_task(0, 0.1, 0.1, 1.0)
         assert usage.task_count(0) == 1
         assert clone.task_count(0) == 2
+
+    def test_snapshot_shares_only_the_capacity_vectors(self):
+        cluster = Cluster(3, cpu_capacities=(2.0, 1.0, 0.5), mem_capacities=(1.0, 0.5, 2.0))
+        usage = cluster.usage(unavailable=(2,))
+        usage.add_task(0, 0.5, 0.25, 1.0)
+        clone = usage.snapshot()
+        assert clone._cpu_cap is usage._cpu_cap and clone._mem_cap is usage._mem_cap
+        # the four tallies and the down set are the clone's own
+        clone.add_task(1, 0.25, 0.25, 1.0)
+        clone.set_unavailable({0})
+        usage.add_task(0, 0.25, 0.25, 1.0)
+        assert [usage.task_count(node) for node in range(3)] == [2, 0, 0]
+        assert [clone.task_count(node) for node in range(3)] == [1, 1, 0]
+        assert usage.memory_vector().tolist() == [0.5, 0.0, 0.0]
+        assert clone.memory_vector().tolist() == [0.25, 0.25, 0.0]
+        assert usage.cpu_load_vector().tolist() == [0.75, 0.0, 0.0]
+        assert clone.cpu_alloc_vector().tolist() == [0.5, 0.25, 0.0]
+        assert usage.unavailable_nodes() == {2} and clone.unavailable_nodes() == {0}
+        # ... and the clone checks against the node-class limits
+        with pytest.raises(InfeasibleAllocationError, match="^node 1: memory 0.2500"):
+            clone.add_task(1, 0.1, 0.3, 0.0)
+        with pytest.raises(InfeasibleAllocationError, match="^node 0 is unavailable"):
+            clone.add_task(0, 0.1, 0.1, 0.0)
+
+    def test_remove_task_from_an_empty_node_refuses_and_debits_nothing(self):
+        usage, untouched = Cluster(2).usage(), Cluster(2).usage()
+        for each in (usage, untouched):
+            each.add_task(1, 0.5, 0.3, 1.0)
+        with pytest.raises(
+            InfeasibleAllocationError, match="^node 0: removed more tasks than were placed$"
+        ):
+            usage.remove_task(0, 0.5, 0.3, 1.0)
+        assert usage.memory_vector().tobytes() == untouched.memory_vector().tobytes()
+        assert usage.cpu_load_vector().tobytes() == untouched.cpu_load_vector().tobytes()
+        assert usage.cpu_alloc_vector().tobytes() == untouched.cpu_alloc_vector().tobytes()
+        assert [usage.task_count(node) for node in range(2)] == [0, 1]
 
     def test_copy_from_adopts_the_other_tally(self, small_cluster):
         source = small_cluster.usage(unavailable=(2,))
@@ -116,9 +154,9 @@ class TestClusterUsage:
             usage.add_task(node, 0.5, 0.1, 0.0)
         usage.add_task(0, 0.1, 0.95, 1.0)
         # Node 0 is the least loaded but has no room for 10% more memory.
-        assert usage.least_loaded_fitting(0.1) == 1
-        assert usage.least_loaded_fitting(0.05) == 0
-        assert usage.least_loaded_fitting(0.95) == -1
+        assert least_loaded(usage, 0.1) == 1
+        assert least_loaded(usage, 0.05) == 0
+        assert least_loaded(usage, 0.95) == -1
 
     def test_memory_slots_counts_up_to_the_limit(self, small_cluster):
         usage = small_cluster.usage(unavailable=(7,))
@@ -164,7 +202,7 @@ class TestClusterUsage:
 
 
 def _reference_least_loaded_fitting(usage: ClusterUsage, mem_requirement: float) -> int:
-    """The rule ``least_loaded_fitting`` replaced: sort every node by
+    """The least-loaded rule as a sort: order every node by
     (load, index), drop down and full nodes one scalar check at a time, keep
     the first."""
     cluster = usage.cluster
@@ -225,12 +263,12 @@ class TestLeastLoadedFittingMatchesTheSortedScan:
         usage, mem_requirement = case
         before = (usage.memory_vector(), usage.cpu_load_vector())
         expected = _reference_least_loaded_fitting(usage, mem_requirement)
-        assert usage.least_loaded_fitting(mem_requirement) == expected
+        assert least_loaded(usage, mem_requirement) == expected
         assert (usage.memory_vector() == before[0]).all()
         assert (usage.cpu_load_vector() == before[1]).all()
 
     def test_all_nodes_down_is_minus_one(self):
         usage = Cluster(3).usage(unavailable=(0, 1, 2))
-        assert usage.least_loaded_fitting(0.0) == -1
+        assert least_loaded(usage, 0.0) == -1
         assert _reference_least_loaded_fitting(usage, 0.0) == -1
         assert usage.memory_slots(0.0, 4) == 0

@@ -13,11 +13,20 @@ short grid that includes per-node sums of exactly ``1 + CAPACITY_EPSILON`` and
 one ulp above, repeated nodes within a job, down nodes, node-class capacity
 vectors, pre-filled tallies passed as ``usage=``, unknown jobs, wrong arities
 and out-of-range nodes on either side of a capacity violation.
+
+``add_jobs`` takes a list of at least ``BULK_MIN_TASKS`` tasks through a
+vector pass (``np.add.at`` plus a verdict on the final vectors) and falls back
+to its loop on any refusal.  Every property that reaches ``add_jobs`` runs on
+both sides — ``_tally_path("loop")`` never takes the vector pass,
+``_tally_path("vector")`` takes it for every list — and the two must leave the
+same bytes and raise the same error; the large draws cross the real constant.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Tuple
 
@@ -26,11 +35,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.core.cluster as cluster_module
 from repro.core.allocation import AllocationDecision, JobAllocation, validate_decision
 from repro.core.cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
 from repro.exceptions import AllocationError, InfeasibleAllocationError
 from repro.schedulers.dfrs.placement import greedy_place_job, usage_from_placements
 
+from ..conftest import least_loaded
 from . import reference_usage
 from .reference_usage import ReferenceUsage
 
@@ -48,6 +59,17 @@ _YIELDS = [0.01, 0.1, 0.3, 0.5, EDGE, OVER, 1.0]
 _CAPACITIES = [0.5, 1.0, 2.0]
 
 Task = Tuple[int, float, float, float]
+
+
+@contextmanager
+def _tally_path(path: str):
+    """Move ``BULK_MIN_TASKS`` so that ``add_jobs`` takes ``path``."""
+    saved = cluster_module.BULK_MIN_TASKS
+    cluster_module.BULK_MIN_TASKS = {"loop": 2**62, "vector": 1}[path]
+    try:
+        yield
+    finally:
+        cluster_module.BULK_MIN_TASKS = saved
 
 
 def test_the_edge_values_straddle_the_limit():
@@ -108,15 +130,17 @@ def _outcome(call: Callable[[], ClusterUsage]):
 @st.composite
 def decisions(draw):
     """A cluster, a down set, a pre-fill, a decision and the specs it is
-    checked against — wrong in every way the validator knows, often."""
+    checked against — wrong in every way the validator knows, often.  Some
+    decisions are large enough to cross ``BULK_MIN_TASKS`` unpatched."""
     cluster = draw(clusters())
+    max_jobs, max_tasks = draw(st.sampled_from([(6, 4), (40, 6)]))
     n = cluster.num_nodes
     # Mostly in range; -1 and n are the wrap-around and one-past-the-end cases.
     node = st.one_of(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, n))
     running: Dict[int, JobAllocation] = {}
     specs: Dict[int, SimpleNamespace] = {}
-    for job_id in draw(st.permutations(range(draw(st.integers(1, 6))))):
-        nodes = tuple(draw(st.lists(node, min_size=1, max_size=4)))
+    for job_id in draw(st.permutations(range(draw(st.integers(1, max_jobs))))):
+        nodes = tuple(draw(st.lists(node, min_size=1, max_size=max_tasks)))
         running[job_id] = JobAllocation(nodes, draw(st.sampled_from(_YIELDS)))
         if draw(st.integers(0, 11)) == 0:
             continue  # unknown job
@@ -132,14 +156,18 @@ def decisions(draw):
 
 @given(decisions(), st.booleans())
 def test_validate_decision_matches_the_scalar_oracle(drawn, pass_usage):
+    """The vector pass gives the loop's verdict, text and — on a tally
+    passed in — partial vectors; the verdict and text are the oracle's."""
     cluster, down, prefill, decision, specs = drawn
-    if pass_usage:
-        live, oracle = _pair(cluster, down, prefill)
-    else:
-        live = oracle = None
-    assert _outcome(
-        lambda: validate_decision(decision, specs, cluster, usage=live)
-    ) == _outcome(
+    results = []
+    for path in ("loop", "vector"):
+        live = _pair(cluster, down, prefill)[0] if pass_usage else None
+        with _tally_path(path):
+            outcome = _outcome(lambda: validate_decision(decision, specs, cluster, usage=live))
+        results.append((outcome, None if live is None else _vectors(live)))
+    assert results[0] == results[1]
+    oracle = _pair(cluster, down, prefill)[1] if pass_usage else None
+    assert results[0][0] == _outcome(
         lambda: reference_usage.validate_decision(decision, specs, cluster, usage=oracle)
     )
 
@@ -206,22 +234,30 @@ def test_named_decisions(name):
     decision = AllocationDecision(
         {job_id: JobAllocation(nodes, y) for job_id, (nodes, y) in running.items()}
     )
-    live = _outcome(lambda: validate_decision(decision, specs, cluster))
-    assert live == _outcome(
-        lambda: reference_usage.validate_decision(decision, specs, cluster)
-    )
-    if expected is not None:
-        assert live == expected
-    else:
-        assert isinstance(live[0], bytes)
+    for path in ("loop", "vector"):
+        with _tally_path(path):
+            live = _outcome(lambda: validate_decision(decision, specs, cluster))
+        assert live == _outcome(
+            lambda: reference_usage.validate_decision(decision, specs, cluster)
+        )
+        if expected is not None:
+            assert live == expected
+        else:
+            assert isinstance(live[0], bytes)
 
 
 def test_a_down_node_is_refused_by_name():
     cluster = Cluster(4)
     decision = AllocationDecision({7: JobAllocation((1, 2), 1.0)})
     specs = _specs(j7=(2, 0.1, 0.1))
-    with pytest.raises(InfeasibleAllocationError, match=r"^job 7: node 2 is unavailable \(down\)$"):
-        validate_decision(decision, specs, cluster, usage=cluster.usage({2}))
+    for path in ("loop", "vector"):
+        usage = cluster.usage({2})
+        with _tally_path(path), pytest.raises(
+            InfeasibleAllocationError, match=r"^job 7: node 2 is unavailable \(down\)$"
+        ):
+            validate_decision(decision, specs, cluster, usage=usage)
+        # the task on node 1 came first and stays
+        assert [usage.task_count(node) for node in range(4)] == [0, 1, 0, 0]
 
 
 # --------------------------------------------------------------------------- #
@@ -289,8 +325,9 @@ def test_add_and_remove_task_match_the_scalar_oracle(data):
 def test_usage_from_placements_matches_the_scalar_oracle(data):
     cluster = data.draw(clusters())
     down = data.draw(down_sets(cluster))
-    nodes = st.lists(st.integers(0, cluster.num_nodes - 1), min_size=1, max_size=5)
-    placements = data.draw(st.dictionaries(st.integers(0, 9), nodes.map(tuple), max_size=6))
+    nodes = st.lists(st.integers(0, cluster.num_nodes - 1), min_size=1, max_size=8)
+    job_ids = st.integers(0, 60)
+    placements = data.draw(st.dictionaries(job_ids, nodes.map(tuple), max_size=30))
     jobs = {
         job_id: SimpleNamespace(
             cpu_need=data.draw(st.sampled_from(_AMOUNTS)),
@@ -298,10 +335,80 @@ def test_usage_from_placements_matches_the_scalar_oracle(data):
         )
         for job_id in placements
     }
-    live = usage_from_placements(placements, jobs, cluster, unavailable=down)
     oracle = reference_usage.usage_from_placements(placements, jobs, cluster, unavailable=down)
-    assert _vectors(live) == _vectors(oracle)
-    assert live.unavailable_nodes() == oracle.unavailable_nodes() == frozenset(down)
+    for path in ("loop", "vector"):
+        with _tally_path(path):
+            live = usage_from_placements(placements, jobs, cluster, unavailable=down)
+        assert _vectors(live) == _vectors(oracle)
+        assert live.unavailable_nodes() == oracle.unavailable_nodes() == frozenset(down)
+
+
+#: ``add_jobs`` addends: the shared grid plus a negative one, which the
+#: vector verdict cannot judge from the final sums (the loop must run).
+_ADDENDS = _AMOUNTS + [-0.25]
+
+
+@given(st.data())
+def test_add_jobs_matches_the_scalar_oracle_on_both_paths(data):
+    """Any pre-fill (over capacity too), checked or not: the tally and the
+    first error are the task-by-task oracle's on both sides of the size
+    switch, refusals included."""
+    cluster = data.draw(clusters())
+    down = data.draw(down_sets(cluster))
+    prefill = data.draw(st.lists(tasks(cluster), max_size=2 * cluster.num_nodes))
+    nodes = st.lists(st.integers(0, cluster.num_nodes - 1), min_size=0, max_size=8)
+    amount = st.sampled_from(_ADDENDS)
+    entries = data.draw(
+        st.lists(st.tuples(nodes.map(tuple), amount, amount, st.sampled_from(_YIELDS)), max_size=24)
+    )
+    check = data.draw(st.booleans())
+    outcomes = []
+    for path in ("loop", "vector", "oracle"):
+        live, oracle = _pair(cluster, down, prefill)
+        try:
+            if path == "oracle":
+                for nodes_of_job, cpu, mem, yield_value in entries:
+                    for node in nodes_of_job:
+                        oracle.add_task(node, cpu, mem, yield_value, check=check)
+            else:
+                with _tally_path(path):
+                    live.add_jobs(entries, check=check)
+            error = None
+        except InfeasibleAllocationError as exc:
+            error = str(exc)
+        outcomes.append((error, _vectors(oracle if path == "oracle" else live)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_the_vector_pass_adds_onto_the_tally_in_order():
+    """``np.add.at`` continues from the tally's own sums: a per-node sum of
+    the new tasks added on at the end would round differently."""
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    entries = [((0,), 0.2, 0.2, 1.0), ((0,), 0.3, 0.3, 1.0)]
+    for path in ("loop", "vector"):
+        live, oracle = _pair(Cluster(2), (), [(0, 0.1, 0.1, 1.0)])
+        with _tally_path(path):
+            live.add_jobs(entries)
+        for entry in entries:
+            oracle.add_job(*entry)
+        assert _vectors(live) == _vectors(oracle)
+        assert live.memory_used(0) == (0.1 + 0.2) + 0.3
+
+
+def test_a_refused_vector_pass_leaves_the_loops_partial_tally():
+    """The vector pass is undone and the loop re-runs: the tasks before the
+    refused one stay, the rest are not stored."""
+    entries = [((0, 1), 0.5, 0.4, 1.0), ((1, 0), 0.5, 0.4, 1.0), ((0,), 0.5, 0.4, 1.0)]
+    results = []
+    for path in ("loop", "vector"):
+        usage = Cluster(2).usage()
+        with _tally_path(path), pytest.raises(
+            InfeasibleAllocationError, match="^node 0: memory 0.8000 [+] 0.4000 exceeds capacity$"
+        ):
+            usage.add_jobs(entries)
+        assert [usage.task_count(node) for node in range(2)] == [2, 2]
+        results.append(_vectors(usage))
+    assert results[0] == results[1]
 
 
 def test_tasks_are_tallied_in_the_order_given():
@@ -309,20 +416,23 @@ def test_tasks_are_tallied_in_the_order_given():
     loop keeps the caller's job order and task order."""
     amounts = [0.1, 0.2, 0.3]
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
-    for order in (amounts, amounts[::-1]):
+    for order, path in product((amounts, amounts[::-1]), ("loop", "vector")):
         live, oracle = _pair(Cluster(2), (), [])
         entries = [((1, 0), amount, amount, 1.0) for amount in order]
-        live.add_jobs(entries, check=False)
+        with _tally_path(path):
+            live.add_jobs(entries, check=False)
         for entry in entries:
             oracle.add_job(*entry, check=False)
         assert _vectors(live) == _vectors(oracle)
     # ... and a job's own tasks in tuple order: the first task refused is the
     # first one in the tuple that does not fit.
-    usage = Cluster(3).usage()
-    usage.add_task(2, 0.1, 0.9, 0.0)
-    usage.add_task(0, 0.1, 0.9, 0.0)
-    with pytest.raises(InfeasibleAllocationError, match="^node 2: memory"):
-        usage.add_jobs([((1, 2, 0), 0.1, 0.5, 0.0)])
+    for path in ("loop", "vector"):
+        usage = Cluster(3).usage()
+        usage.add_task(2, 0.1, 0.9, 0.0)
+        usage.add_task(0, 0.1, 0.9, 0.0)
+        with _tally_path(path), pytest.raises(InfeasibleAllocationError, match="^node 2: memory"):
+            usage.add_jobs([((1, 2, 0), 0.1, 0.5, 0.0)])
+        assert [usage.task_count(node) for node in range(3)] == [1, 1, 1]
 
 
 # --------------------------------------------------------------------------- #
@@ -357,11 +467,16 @@ class TestNodeRange:
         assert _vectors(usage) == _vectors(Cluster(4).usage())
 
     def test_add_jobs_names_the_first_offender_of_the_first_bad_entry(self):
-        usage = Cluster(4).usage()
-        with pytest.raises(AllocationError, match=r"^node index -2 out of range \[0, 4\)$"):
-            usage.add_jobs([((0, 1), 0.1, 0.1, 1.0), ((3, -2, 9), 0.1, 0.1, 1.0)], check=False)
-        # the entry before it is tallied, the bad one not at all
-        assert [usage.task_count(node) for node in range(4)] == [1, 1, 0, 0]
+        for path, check in product(("loop", "vector"), (True, False)):
+            usage = Cluster(4).usage()
+            with _tally_path(path), pytest.raises(
+                AllocationError, match=r"^node index -2 out of range \[0, 4\)$"
+            ):
+                usage.add_jobs(
+                    [((0, 1), 0.1, 0.1, 1.0), ((3, -2, 9), 0.1, 0.1, 1.0)], check=check
+                )
+            # the entry before it is tallied, the bad one not at all
+            assert [usage.task_count(node) for node in range(4)] == [1, 1, 0, 0]
 
     def test_numpy_indices_are_accepted(self):
         usage = Cluster(4).usage()
@@ -396,14 +511,14 @@ class TestAliasing:
         assert usage.cpu_alloc_vector().tolist() == [0.5, 0.25, 0.0]
         assert usage.busy_nodes() == 2 and usage.max_cpu_load() == 0.5
         # node 2 is the least loaded; once it is full node 1 is; node 0 never fits
-        assert usage.least_loaded_fitting(0.5) == 2
+        assert least_loaded(usage, 0.5) == 2
         usage.add_task(2, 0.1, 0.9, 0.0)
-        assert usage.least_loaded_fitting(0.5) == 1
+        assert least_loaded(usage, 0.5) == 1
         clone = usage.snapshot()
         assert _vectors(clone) == _vectors(usage)
         usage.remove_task(2, 0.1, 0.9, 0.0)
-        assert usage.least_loaded_fitting(0.5) == 2
-        assert clone.least_loaded_fitting(0.5) == 1
+        assert least_loaded(usage, 0.5) == 2
+        assert least_loaded(clone, 0.5) == 1
 
     def test_copy_from_keeps_the_views_valid(self):
         source, target = Cluster(3).usage(), Cluster(3).usage()
@@ -453,7 +568,7 @@ def test_failed_greedy_placement_leaves_the_oracle_residue(data):
             cpu_need=data.draw(st.sampled_from(_AMOUNTS)),
             mem_requirement=data.draw(st.sampled_from(_AMOUNTS)),
         )
-        assert greedy_place_job(view, live) == greedy_place_job(view, oracle)
+        assert greedy_place_job(view, live) == reference_usage.greedy_place_job(view, oracle)
         assert _vectors(live) == _vectors(oracle)
 
 
@@ -462,6 +577,6 @@ def test_a_failed_placement_does_leave_a_residue():
     live, oracle = _pair(Cluster(2), (), [(0, 0.1, 0.6, 0.0), (1, 0.1, 0.6, 0.0)])
     view = SimpleNamespace(num_tasks=3, cpu_need=0.2, mem_requirement=0.3)
     assert greedy_place_job(view, live) is None
-    assert greedy_place_job(view, oracle) is None
+    assert reference_usage.greedy_place_job(view, oracle) is None
     assert live.cpu_load(0) == (0.1 + 0.2) - 0.2 != 0.1
     assert _vectors(live) == _vectors(oracle)

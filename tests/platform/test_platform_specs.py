@@ -19,6 +19,8 @@ from repro.platform import (
     register_platform,
 )
 
+from ..conftest import least_loaded
+
 
 class TestClusterCapacities:
     def test_all_ones_vectors_canonicalise_to_none(self):
@@ -48,21 +50,21 @@ class TestClusterCapacities:
         cluster = Cluster(2, mem_capacities=(1.0, 0.5))
         usage = cluster.usage()
         # Only node 0 is big enough for an 80% task; both take a 40% one.
-        assert usage.least_loaded_fitting(0.8) == 0
+        assert least_loaded(usage, 0.8) == 0
         assert usage.memory_slots(0.8, 4) == 1
         assert usage.memory_slots(0.4, 4) == 3
         usage.add_task(0, 0.5, 0.1, 0.0)
-        assert usage.least_loaded_fitting(0.4) == 1
-        assert usage.least_loaded_fitting(0.8) == 0
+        assert least_loaded(usage, 0.4) == 1
+        assert least_loaded(usage, 0.8) == 0
         assert usage.memory_free(1) == 0.5
 
     def test_usage_unavailable_nodes(self):
         usage = Cluster(3).usage(unavailable=(1,))
         # Down node 1 is never chosen, however lightly loaded it is.
         usage.add_task(0, 0.5, 0.1, 0.0)
-        assert usage.least_loaded_fitting(0.1) == 2
+        assert least_loaded(usage, 0.1) == 2
         usage.add_task(2, 0.7, 0.1, 0.0)
-        assert usage.least_loaded_fitting(0.1) == 0
+        assert least_loaded(usage, 0.1) == 0
         assert usage.memory_slots(0.5, 10) == 2
         snapshot = usage.snapshot()
         assert snapshot.unavailable_nodes() == frozenset({1})
@@ -73,13 +75,13 @@ class TestClusterCapacities:
         # Same absolute load, but node 0 is twice as fast: it sorts first.
         usage.add_task(0, 0.5, 0.1, 0.0, check=False)
         usage.add_task(1, 0.5, 0.1, 0.0, check=False)
-        assert usage.least_loaded_fitting(0.1) == 0
+        assert least_loaded(usage, 0.1) == 0
         assert usage.max_cpu_load() == 0.5  # normalised by speed
         # Node 0 stays ahead until its load per unit of speed passes node 1's.
         usage.add_task(0, 0.4, 0.1, 0.0, check=False)
-        assert usage.least_loaded_fitting(0.1) == 0
+        assert least_loaded(usage, 0.1) == 0
         usage.add_task(0, 0.2, 0.1, 0.0, check=False)
-        assert usage.least_loaded_fitting(0.1) == 1
+        assert least_loaded(usage, 0.1) == 1
 
 
 class TestHomogeneousPlatform:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.cluster import Cluster
+from repro.core.cluster import CAPACITY_EPSILON, Cluster
 from repro.core.job import JobState
 from repro.schedulers.dfrs.placement import (
     can_place_job,
@@ -13,6 +13,8 @@ from repro.schedulers.dfrs.placement import (
     usage_from_placements,
 )
 
+from ..core import reference_usage
+from ..core.reference_usage import ReferenceUsage
 from .conftest import view
 
 
@@ -136,3 +138,96 @@ class TestCanPlaceMatchesARealPlacement:
         job = view(9, tasks=50, cpu=0.1, mem=0.0)
         assert can_place_job(job, Cluster(2).usage(unavailable=(0,)))
         assert not can_place_job(job, Cluster(2).usage(unavailable=(0, 1)))
+
+
+# --------------------------------------------------------------------------- #
+# One mask per job against the per-task scan it replaced
+# --------------------------------------------------------------------------- #
+#: Few distinct loads, so equal keys (ties) are common.
+_NEEDS = [0.0, 0.1, 0.25, 0.1 + 0.2, 0.3, 0.5, 1.0]
+_MEMS = [0.0, 0.1, 0.2, 0.25, 1.0 / 3.0, 0.5, 1.0]
+#: Distance from "exactly full" once one more task of the first job lands.
+_EDGE_OFFSETS = [-2e-6, -CAPACITY_EPSILON, 0.0, 5e-7, CAPACITY_EPSILON, 2e-6]
+
+
+@st.composite
+def _placement_runs(draw):
+    """A homogeneous or node-class cluster, a down set (sometimes every
+    node), a pre-fill that leaves some nodes within ±epsilon of full for the
+    first job, and a run of jobs — many of which cannot be placed."""
+    num_nodes = draw(st.integers(min_value=1, max_value=10))
+    classes = st.lists(
+        st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=num_nodes, max_size=num_nodes
+    )
+    if draw(st.booleans()):
+        cluster = Cluster(num_nodes)
+    else:
+        cluster = Cluster(num_nodes, cpu_capacities=draw(classes), mem_capacities=draw(classes))
+    down = draw(
+        st.sets(st.integers(min_value=0, max_value=num_nodes - 1), max_size=num_nodes // 2)
+        | st.just(set(range(num_nodes)))
+    )
+    job = st.tuples(
+        st.integers(min_value=1, max_value=2 * num_nodes + 2),
+        st.sampled_from(_NEEDS),
+        st.sampled_from(_MEMS),
+    )
+    jobs = draw(st.lists(job, min_size=1, max_size=6))
+    prefill = []
+    for node in range(num_nodes):
+        if draw(st.booleans()):
+            memory = cluster.mem_capacity(node) - jobs[0][2] + draw(st.sampled_from(_EDGE_OFFSETS))
+        else:
+            memory = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+        prefill.append((node, draw(st.sampled_from(_NEEDS)), max(0.0, memory)))
+    return cluster, down, prefill, jobs
+
+
+def _vectors(usage):
+    return (
+        usage.memory_vector().tobytes(),
+        usage.cpu_alloc_vector().tobytes(),
+        usage.cpu_load_vector().tobytes(),
+        usage._tasks.tobytes(),
+    )
+
+
+class TestOneMaskPerJobMatchesThePerTaskScan:
+    @given(run=_placement_runs())
+    @example(  # a failed job leaves the (a + b) - b residue on both sides
+        run=(Cluster(2), set(), [(0, 0.1, 0.6), (1, 0.1, 0.6)], [(3, 0.2, 0.3), (1, 0.25, 0.3)])
+    )
+    @example(  # node classes: node 0 is exactly full after one task, node 1 is faster
+        run=(
+            Cluster(3, cpu_capacities=[1.0, 2.0, 0.5], mem_capacities=[0.5, 1.0, 2.0]),
+            {2},
+            [(0, 0.0, 0.5 - 0.25 + CAPACITY_EPSILON), (1, 0.5, 0.5), (2, 0.0, 0.0)],
+            [(2, 0.25, 0.25), (4, 0.5, 0.25)],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_nodes_and_same_bytes(self, run):
+        """The returned nodes and all four vectors, byte for byte, after
+        every job — rollback residues included."""
+        cluster, down, prefill, jobs = run
+        live, oracle = cluster.usage(down), ReferenceUsage(cluster, down)
+        for usage in (live, oracle):
+            for node, load, memory in prefill:
+                usage.add_task(node, load, memory, 0.0, check=False)
+        for job_id, (tasks, cpu, mem) in enumerate(jobs):
+            job = view(job_id, tasks=tasks, cpu=cpu, mem=mem)
+            expected = reference_usage.greedy_place_job(job, oracle)
+            assert greedy_place_job(job, live) == expected
+            assert _vectors(live) == _vectors(oracle)
+
+    def test_the_examples_fail_and_fill_exactly(self):
+        """Non-vacuity for the examples above."""
+        usage = Cluster(2).usage()
+        usage.add_task(0, 0.1, 0.6, 0.0)
+        usage.add_task(1, 0.1, 0.6, 0.0)
+        assert greedy_place_job(view(0, tasks=3, cpu=0.2, mem=0.3), usage) is None
+        assert usage.cpu_load(0) == (0.1 + 0.2) - 0.2 != 0.1
+        edge = Cluster(1, mem_capacities=[0.5]).usage()
+        edge.add_task(0, 0.0, 0.5 - 0.25 + CAPACITY_EPSILON, 0.0)
+        assert greedy_place_job(view(0, tasks=1, mem=0.25), edge.snapshot()) == [0]
+        assert greedy_place_job(view(0, tasks=2, mem=0.25), edge) is None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,21 @@ class TestImproveAverageYield:
         # takes what is left of the node: 1 - 0.4 = 0.6 of CPU for a 0.7 need.
         assert improved[1] == pytest.approx(1.0)
         assert improved[0] == pytest.approx(0.6 / 0.7)
+
+    def test_saturated_yields_come_back_at_once(self):
+        """No placed job below ``1 - 1e-9``: the pass would raise nothing, so
+        the copy is returned before any job view is read."""
+        cluster = Cluster(2)
+        placements = {0: (0,), 1: (0, 1)}
+        yields = {0: 1.0, 1: 1.0 - 1e-9, 5: 0.2}  # job 5 is not placed
+        improved = improve_average_yield(placements, yields, {}, cluster)
+        assert improved == yields and improved is not yields
+        # One ulp below the bar and the pass runs, as in the oracle.
+        yields[1] = math.nextafter(1.0 - 1e-9, 0.0)
+        jobs = {0: view(0, cpu=0.5), 1: view(1, tasks=2, cpu=0.25)}
+        improved = improve_average_yield(placements, yields, jobs, cluster)
+        assert improved == _reference_improve_average_yield(placements, yields, jobs, cluster)
+        assert improved[1] > yields[1]
 
     @given(
         num_jobs=st.integers(min_value=1, max_value=6),
