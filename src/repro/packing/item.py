@@ -42,7 +42,7 @@ class PackingItem(_ItemFields):
     def __new__(
         cls, job_id: int, task_index: int, cpu: float, memory: float
     ) -> "PackingItem":
-        if cpu < 0 or memory < 0:
+        if not (cpu >= 0 and memory >= 0):  # NaN fails both
             raise AllocationError(
                 f"item ({job_id}, {task_index}): requirements must be >= 0"
             )
@@ -169,8 +169,10 @@ class PackingJob:
     def items(self, yield_value: float) -> List[PackingItem]:
         """Items of this job when each task requires ``cpu_need × yield``."""
         return job_items(
-            self.job_id,
-            self.num_tasks,
-            min(1.0, self.cpu_need * yield_value),
-            self.mem_requirement,
+            self.job_id, self.num_tasks, self.cpu_requirement(yield_value), self.mem_requirement
         )
+
+    def cpu_requirement(self, yield_value: float) -> float:
+        """Each task's CPU need × ``yield_value``, capped at 1.0 (a NaN stays NaN)."""
+        cpu = self.cpu_need * yield_value
+        return 1.0 if cpu > 1.0 else cpu

@@ -34,11 +34,12 @@ the shortcut exact, not approximate:
   a bin it stays false.  Each list keeps one cursor per bin and never rescans
   the runs the bin already refused.
 
-One fill then costs O(bins × runs + items) fit tests instead of
-O(bins × items) *per placed item*, each a comparison of local floats, and an
-item's bin is written down as it is placed;
-:func:`repro.packing.variants.mcb_family_pack` runs the same loop under other
-sort values.
+A placed run's consecutive tasks go in one step while the scan would pick
+the run again.  One fill then costs O(bins × runs) fit tests plus one float
+sum and fit test per item instead of O(bins × items) *per placed item*.
+:func:`mcb8_pack` cuts items into runs; :func:`mcb8_pack_jobs`, the yield
+searches' entry, takes one per job and builds no item;
+:func:`repro.packing.variants.mcb_family_pack` runs the same fill.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
 from ..obs.telemetry import current_telemetry, timed_phase
-from .item import BIN_EPSILON, Bin, PackingItem, PackingResult
+from .item import BIN_EPSILON, Bin, PackingItem, PackingJob, PackingResult
 
-__all__ = ["mcb8_pack"]
+__all__ = ["mcb8_pack", "mcb8_pack_jobs"]
 
 #: Per-bin ``(cpu, memory)`` capacities for heterogeneous packing.
 BinCapacities = Optional[Sequence[Tuple[float, float]]]
@@ -117,8 +118,18 @@ def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
     return runs
 
 
-def _counted(result: PackingResult, num_items: int, num_runs: int) -> PackingResult:
-    """Tell the telemetry sink, when one is installed, what one pack did."""
+def _pack(
+    lists: Tuple[List[list], ...], num_items: int, num_bins: int, capacities: BinCapacities
+) -> PackingResult:
+    """Fill both entries' sorted lists, and tell the telemetry sink what one pack did."""
+    num_runs = len(lists[0]) + len(lists[1])
+    if not num_items:
+        result, num_runs = PackingResult(success=True, assignments={}, bins_used=0), 0
+    elif num_bins <= 0:
+        result, num_runs = PackingResult.failure(), 0
+    else:
+        _check_capacities(capacities, num_bins)
+        result = _fill(lists, num_bins, capacities)
     telemetry = current_telemetry()
     if telemetry is not None:
         telemetry.count("packing.packs")
@@ -140,12 +151,6 @@ def _mcb_pack(
     ``sort_value`` — a function of an item's ``(cpu, memory)`` — orders the
     two lists (non-increasing) and ranks the seed candidates.
     """
-    if not items:
-        return _counted(PackingResult(success=True, assignments={}, bins_used=0), 0, 0)
-    if num_bins <= 0:
-        return _counted(PackingResult.failure(), len(items), 0)
-    _check_capacities(capacities, num_bins)
-
     # Both lists in non-increasing sort value; ties broken by job/task id so
     # that packing is fully deterministic.
     key = lambda item: (-sort_value(item), item.job_id, item.task_index)
@@ -164,7 +169,7 @@ def _mcb_pack(
         lists[0 if head.cpu_dominant else 1].append(
             [cpu, memory, job_id, task_index, len(run), sort_value(head)]
         )
-    return _counted(_fill(lists, num_bins, capacities), len(items), len(runs))
+    return _pack(lists, len(items), num_bins, capacities)
 
 
 def _fill(
@@ -179,7 +184,8 @@ def _fill(
     sums, so every comparison has the operands it would have there.
     """
     cpu_runs, mem_runs = lists
-    per_job: Dict[int, Dict[int, int]] = {}
+    # One (job_id, first task_index, tasks, bin) per placing step.
+    steps: List[Tuple[int, int, int, int]] = []
     bins_used = 0
     cpu_capacity = memory_capacity = 1.0
     bin_index = -1
@@ -228,27 +234,36 @@ def _fill(
 
         while True:
             # ``record`` heads the run at ``cursors[which]`` of ``lists[which]``
-            # and has just passed the fit test: place its next task here.
-            cpu_used += record[0]
-            mem_used += record[1]
-            job_id = record[2]
-            if job_id in per_job:
-                per_job[job_id][record[3]] = bin_index
-            else:
-                per_job[job_id] = {record[3]: bin_index}
-            record[3] += 1
-            record[4] -= 1
-            if not record[4]:
+            # and has just passed the fit test: place its next task here.  The
+            # scan below would pick the run again while it has tasks left, the
+            # next task fits, and the balance rule favours its list or the
+            # other list has nothing left for this bin (that cursor stays put
+            # meanwhile): its next tasks are placed in the same step.
+            cpu, memory, job_id, task_index, left = record[:5]
+            alone = cursors[1 - which] >= len(lists[1 - which])
+            placed = 0
+            while True:
+                cpu_used += cpu
+                mem_used += memory
+                placed += 1
+                favour_memory = memory_capacity - mem_used > cpu_capacity - cpu_used
+                if (
+                    placed == left
+                    or (favour_memory != which and not alone)
+                    or not (cpu_used + cpu <= cpu_limit and mem_used + memory <= mem_limit)
+                ):
+                    break
+            steps.append((job_id, task_index, placed, bin_index))
+            if placed == left:
                 del lists[which][cursors[which]]
+            else:
+                record[3] = task_index + placed
+                record[4] = left - placed
 
             # Balance the two dimensions: next comes the first fitting item of
             # the list that goes against the node's imbalance, else of the
             # other list; the node is done when neither has one.
-            if memory_capacity - mem_used > cpu_capacity - cpu_used:
-                order = (1, 0)
-            else:
-                order = (0, 1)
-            for which in order:
+            for which in (1, 0) if favour_memory else (0, 1):
                 runs = lists[which]
                 index = cursors[which]
                 count = len(runs)
@@ -266,10 +281,35 @@ def _fill(
             else:
                 break
 
-    assignments = _assemble_assignments(per_job)
+    assignments = _assemble_steps(steps)
     if assignments is None:
         return PackingResult.failure()
     return PackingResult(success=True, assignments=assignments, bins_used=bins_used)
+
+
+def _assemble_steps(
+    steps: Iterable[Tuple[int, int, int, int]],
+) -> Optional[Dict[int, Tuple[int, ...]]]:
+    """Per-job bin tuples in task order from ``(job_id, first task_index, count,
+    bin)`` steps, None unless each job's indices run 0..n-1.  Steps out of
+    task order (the item entry's) go task by task, the later winning a repeat."""
+    per_job: Dict[int, List[int]] = {}
+    for job_id, task_index, count, bin_index in steps:
+        bins = per_job.setdefault(job_id, [])
+        if task_index != len(bins):
+            break
+        bins += [bin_index] * count
+    else:
+        return {job_id: tuple(bins) for job_id, bins in per_job.items()}
+    per_task: Dict[int, Dict[int, int]] = {}
+    for job_id, task_index, count, bin_index in steps:
+        mapping = per_task.setdefault(job_id, {})
+        for offset in range(count):
+            mapping[task_index + offset] = bin_index
+    if any(len(mapping) != max(mapping) + 1 for mapping in per_task.values()):
+        return None
+    return {job_id: tuple(mapping[i] for i in range(len(mapping)))
+            for job_id, mapping in per_task.items()}
 
 
 def _max_requirement(item: PackingItem) -> float:
@@ -300,25 +340,30 @@ def mcb8_pack(
     return _mcb_pack(items, num_bins, _max_requirement, capacities)
 
 
+@timed_phase("packing.mcb8")
+def mcb8_pack_jobs(
+    jobs: Sequence[PackingJob], cpus: Sequence[float], num_bins: int, capacities: BinCapacities = None
+) -> PackingResult:
+    """:func:`mcb8_pack` of the items of ``jobs`` (distinct ids), each task of
+    ``jobs[k]`` needing ``cpus[k]``: one run record per job, and no item."""
+    lists: Tuple[List[list], List[list]] = ([], [])
+    num_items = 0
+    for job, cpu in zip(jobs, cpus):
+        if job.num_tasks < 1:
+            raise AllocationError(f"job {job.job_id}: num_tasks must be >= 1")
+        head = PackingItem(job.job_id, 0, cpu, job.mem_requirement)  # validates
+        record = [cpu, head.memory, job.job_id, 0, job.num_tasks, head.max_requirement]
+        lists[0 if head.cpu_dominant else 1].append(record)
+        num_items += job.num_tasks
+    for runs in lists:
+        runs.sort(key=lambda record: (-record[5], record[2]))
+    return _pack(lists, num_items, num_bins, capacities)
+
+
 def _collect_assignments(
     bins: Sequence[Bin],
 ) -> Optional[Dict[int, Tuple[int, ...]]]:
     """Rebuild per-job assignments from filled bins."""
-    per_job: Dict[int, Dict[int, int]] = {}
-    for bin_ in bins:
-        for item in bin_.items:
-            per_job.setdefault(item.job_id, {})[item.task_index] = bin_.index
-    return _assemble_assignments(per_job)
-
-
-def _assemble_assignments(
-    per_job: Dict[int, Dict[int, int]],
-) -> Optional[Dict[int, Tuple[int, ...]]]:
-    """Per-job bin tuples in task order; None unless indices run 0..n-1."""
-    assignments: Dict[int, Tuple[int, ...]] = {}
-    for job_id, mapping in per_job.items():
-        num_tasks = max(mapping) + 1
-        if len(mapping) != num_tasks:
-            return None
-        assignments[job_id] = tuple(mapping[i] for i in range(num_tasks))
-    return assignments
+    return _assemble_steps(
+        [(item.job_id, item.task_index, 1, bin_.index) for bin_ in bins for item in bin_.items]
+    )

@@ -25,7 +25,7 @@ from ..core.job import MINIMUM_YIELD
 from ..obs.telemetry import current_telemetry
 from .bounds import cpu_volume_exceeded
 from .item import PackingItem, PackingJob, PackingResult
-from .mcb8 import BinCapacities, mcb8_pack
+from .mcb8 import BinCapacities, mcb8_pack, mcb8_pack_jobs
 
 __all__ = [
     "PackingJob",
@@ -73,11 +73,13 @@ def _probe(
     capacities: BinCapacities,
 ) -> PackingResult:
     """Pack every job at ``yields[job_id]`` — unless arithmetic refuses first."""
+    cpus: List[float] = []
     demand = 0.0
     tasks = 0
     for job in jobs:
-        # The CPU requirement PackingJob.items gives each task, clamp included.
-        demand += job.num_tasks * min(1.0, job.cpu_need * yields[job.job_id])
+        cpu = job.cpu_requirement(yields[job.job_id])
+        cpus.append(cpu)
+        demand += job.num_tasks * cpu
         tasks += job.num_tasks
     pruned = cpu_volume_exceeded(demand, tasks, num_nodes, capacities)
     telemetry = current_telemetry()
@@ -86,6 +88,8 @@ def _probe(
         telemetry.count("packing.probes_pruned", int(pruned))
     if pruned:
         return PackingResult.failure()
+    if packer is mcb8_pack:
+        return mcb8_pack_jobs(jobs, cpus, num_nodes, capacities)
     items: List[PackingItem] = []
     for job in jobs:
         items.extend(job.items(yields[job.job_id]))

@@ -12,11 +12,12 @@ This is the most aggressive DFRS algorithm: with no rescheduling penalty it
 is nearly optimal, but its heavy use of preemption and migration makes it
 lose to the periodic variants once a realistic penalty is charged.
 
-A repack reuses the previous repack's search of an eviction round whose job
-*set* (``job_id``, ``num_tasks``, ``cpu_need``, ``mem_requirement``), node
-count and bin capacities are unchanged.  The set suffices although the jobs
-come in priority order: the search reads nothing else, its pruning test is a
-proof whatever the order of additions, and MCB8 sorts runs by a total order.
+A repack reuses the previous repack's search — and allocations, for the round
+that succeeds — of an eviction round whose job *set* (``job_id``,
+``num_tasks``, ``cpu_need``, ``mem_requirement``), node count and bin
+capacities are unchanged.  The set suffices although the jobs come in priority
+order: nothing else is read, the pruning test is a proof whatever the order of
+additions, and MCB8 sorts runs by a total order.
 """
 
 from __future__ import annotations
@@ -43,21 +44,38 @@ class DynMcb8Scheduler(Scheduler):
     name = "dynmcb8"
 
     def __init__(self) -> None:
-        #: The last repack's yield searches, one per eviction round it searched.
-        self._searches: Dict[Any, YieldSearchResult] = {}
+        #: The last repack's rounds, ``[search, allocations or None]`` each,
+        #: and this repack's successful one.
+        self._searches: Dict[Any, list] = {}
+        self._round: Optional[list] = None
 
     def start(self, cluster, start_time: float) -> None:
         super().start(cluster, start_time)
-        self._searches = {}
+        self._searches, self._round = {}, None
 
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
-        decision = AllocationDecision()
+        return self._repack_all(context, AllocationDecision())
+
+    def _repack_all(
+        self, context: SchedulingContext, decision: AllocationDecision
+    ) -> AllocationDecision:
+        """Repack at the best common yield and share spare CPU — as the
+        previous repack did, if its successful round is this one's."""
         placements, yield_value = self.repack(context, list(context.jobs.values()))
-        yields = {job_id: yield_value for job_id in placements}
-        yields = improve_average_yield(
-            placements, yields, context.jobs, context.cluster
-        )
-        decision.running = build_allocations(placements, yields)
+        entry = self._round
+        if entry is not None and entry[1] is not None:
+            allocations = entry[1]
+            telemetry = current_telemetry()
+            if telemetry is not None:
+                telemetry.count("packing.yields_reused")
+        else:
+            yields = dict.fromkeys(placements, yield_value)
+            yields = improve_average_yield(placements, yields, context.jobs, context.cluster)
+            allocations = build_allocations(placements, yields)
+            if entry is not None:
+                entry[1] = allocations
+        # The memo keeps its own dict, whatever the engine does to this one.
+        decision.running = dict(allocations)
         return decision
 
     def repack(
@@ -69,7 +87,7 @@ class DynMcb8Scheduler(Scheduler):
         becomes feasible.  Returns the per-job placements and the achieved
         minimum yield.  A round the previous repack searched is reused.
         """
-        previous, self._searches = self._searches, {}
+        previous, self._searches, self._round = self._searches, {}, None
         search = partial(self._reused_search, previous)
         result = self._search_evicting(context, candidates, search)
         if result is None:
@@ -77,21 +95,23 @@ class DynMcb8Scheduler(Scheduler):
         return dict(result.assignments), result.yield_value
 
     def _reused_search(
-        self, previous: Dict[Any, YieldSearchResult], jobs: Sequence[PackingJob],
+        self, previous: Dict[Any, list], jobs: Sequence[PackingJob],
         num_nodes: int, *, capacities: BinCapacities,
     ) -> YieldSearchResult:
         """``maximize_min_yield``, or the previous repack's answer for this job set."""
         job_set = frozenset((j.job_id, j.num_tasks, j.cpu_need, j.mem_requirement) for j in jobs)
         key = (job_set, num_nodes, capacities)
-        result = previous.get(key)
-        if result is None:
-            result = maximize_min_yield(jobs, num_nodes, capacities=capacities)
+        entry = previous.get(key)
+        if entry is None:
+            entry = [maximize_min_yield(jobs, num_nodes, capacities=capacities), None]
         else:
             telemetry = current_telemetry()
             if telemetry is not None:
                 telemetry.count("packing.searches_reused")
-        self._searches[key] = result
-        return result
+        self._searches[key] = entry
+        if entry[0].success:
+            self._round = entry
+        return entry[0]
 
     @staticmethod
     def _search_evicting(

@@ -69,17 +69,6 @@ class DynMcb8PeriodicScheduler(DynMcb8Scheduler):
         self._next_tick = context.time + self.period
         decision.request_wakeup(self._next_tick)
 
-    def _repack_all(
-        self, context: SchedulingContext, decision: AllocationDecision
-    ) -> AllocationDecision:
-        placements, yield_value = self.repack(context, list(context.jobs.values()))
-        yields = {job_id: yield_value for job_id in placements}
-        yields = improve_average_yield(
-            placements, yields, context.jobs, context.cluster
-        )
-        decision.running = build_allocations(placements, yields)
-        return decision
-
     def _between_ticks(
         self, context: SchedulingContext, decision: AllocationDecision
     ) -> AllocationDecision:

@@ -45,7 +45,10 @@ class TestPackingItem:
 class TestPackingItemContract:
     """Tuple-backed, but still the validated immutable value it always was."""
 
-    BAD_SHAPES = [(-0.1, 0.1), (0.1, -0.1), (0.1, 1.5), (0.1, 1.0 + 2e-9)]
+    BAD_SHAPES = [
+        (-0.1, 0.1), (0.1, -0.1), (0.1, 1.5), (0.1, 1.0 + 2e-9),
+        (float("nan"), 0.5), (0.5, float("nan")),
+    ]
 
     @pytest.mark.parametrize("cpu, memory", BAD_SHAPES)
     def test_bad_requirements_rejected_on_both_paths(self, cpu, memory):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.job import MINIMUM_YIELD
+from repro.exceptions import AllocationError
 from repro.obs.telemetry import Telemetry, push_telemetry
 from repro.packing.mcb8 import mcb8_pack
+from repro.packing.variants import mcb_family_pack
 from repro.packing.yield_search import (
     PackingJob,
     YIELD_SEARCH_ACCURACY,
@@ -196,3 +198,24 @@ class TestProbeCounters:
         assert sink.counters["packing.pack_failures"] == 1
         assert sink.counters["packing.items"] == 3
         assert sink.counters["packing.runs"] == sink.counters["packing.bins_used"] == 0
+
+
+class TestNanRequirements:
+    """``min(1.0, nan)`` is 1.0: a NaN CPU need used to pack as a full-CPU task,
+    and a NaN memory requirement as an item that fits no bin."""
+
+    @pytest.mark.parametrize("need, memory", [(float("nan"), 0.3), (0.5, float("nan"))])
+    def test_the_searches_refuse_a_nan_requirement(self, need, memory):
+        jobs = [job(0, tasks=2, cpu=0.25, mem=0.25), job(1, tasks=2, cpu=need, mem=memory)]
+        with pytest.raises(AllocationError):
+            maximize_min_yield(jobs, 4)
+        with pytest.raises(AllocationError):
+            maximize_min_yield(jobs, 4, packer=mcb_family_pack)  # the item entry
+        with pytest.raises(AllocationError):
+            minimize_estimated_stretch(jobs, 4, 600.0)
+
+    def test_the_clamp_gives_min_bits_for_every_other_value(self):
+        for need in (-0.0, 0.0, 0.3, 0.999, 1.0, 1.7, float("inf")):
+            for yield_value in (MINIMUM_YIELD, 0.5, 1.0):
+                clamped = job(0, cpu=need).cpu_requirement(yield_value)
+                assert clamped.hex() == min(1.0, need * yield_value).hex()

@@ -90,6 +90,25 @@ class TestDynMcb8:
         assert sink.counters["packing.searches_reused"] == 1
         assert again == want and second_yield == first_yield
 
+    def test_unchanged_job_set_reuses_the_allocations_as_a_copy(self):
+        scheduler = DynMcb8Scheduler()
+        cluster = Cluster(4)
+        scheduler.start(cluster, 0.0)
+        ctx = context([view(i, cpu=0.5, mem=0.2) for i in range(10)], cluster=cluster)
+        sink = Telemetry()
+        previous = push_telemetry(sink)
+        try:
+            first = scheduler.schedule(ctx).running
+            assert "packing.yields_reused" not in sink.counters
+            want = dict(first)
+            first.clear()  # the engine owns what a decision carries
+            second = scheduler.schedule(ctx).running
+        finally:
+            push_telemetry(previous)
+        assert sink.counters["packing.yields_reused"] == 1
+        assert second == want and list(second) == list(want)
+        assert any(alloc.yield_value < 1.0 for alloc in want.values())
+
 
 class TestPeriodicVariants:
     def test_invalid_period_rejected(self):

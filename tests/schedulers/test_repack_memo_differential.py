@@ -3,11 +3,15 @@
 ``reference_repack.py`` keeps the parent commit's ``repack``, one fresh
 ``maximize_min_yield`` per eviction round, as a mixin.  The live ``repack``
 answers a round from the previous repack's searches when the round's job set,
-node count and bin capacities are unchanged.  That is only an optimisation if
-nothing can tell: on every case below the two schedulers produce the same
-placement-log bytes, the same cost floats and the same observer events, every
-field, in the same order, and the live one must really have reused searches
-for a periodic case to count.
+node count and bin capacities are unchanged, and ``_repack_all`` then reuses
+the allocations it made of that round last time.  The mixin never marks a
+round reused, so its ``_repack_all`` runs ``improve_average_yield`` and
+``build_allocations`` at every repack: it is the oracle for both memos.  That
+is only an optimisation if nothing can tell: on every case below the two
+schedulers produce the same placement-log bytes, the same cost floats and the
+same observer events, every field, in the same order, and the live one must
+really have reused searches — and, where ``_repack_all`` is not overridden,
+allocations — for a periodic case to count.
 
 Cases: the five memo-capable algorithms on Lublin traces with and without the
 rescheduling penalty, plus DYNMCB8-STRETCH-PER, which must never reach the
@@ -16,7 +20,8 @@ where capacities change while the job set does not; a three-class cluster;
 ``run_stream``; an online drive that cancels jobs between ticks.  Then the
 memo's own contracts: a service replay never holds more than one repack's
 rounds, and one instance reused across runs and clusters behaves like fresh
-ones.
+ones; and the packing tallies still read what they read before the yield
+search packed jobs instead of items.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ MEMO_ALGORITHMS = [
     "dynmcb8-asap-weighted-per-600",
 ]
 REUSED = "packing.searches_reused"
+YIELDS_REUSED = "packing.yields_reused"
+#: The memo-capable algorithms whose ``_repack_all`` shares CPU its own way.
+OWN_YIELDS = {"dynmcb8-asap-throttled-per-600", "dynmcb8-asap-weighted-per-600"}
 
 
 def _observe(scheduler, cluster, specs, *, driver=_run, **config) -> Tuple[Dict, Dict]:
@@ -82,13 +90,23 @@ def _observe(scheduler, cluster, specs, *, driver=_run, **config) -> Tuple[Dict,
 
 
 def _differential(algorithm, cluster, specs, **kwargs) -> Tuple[Dict, int]:
-    """Run the live and the reference scheduler; the live one must be indistinguishable."""
+    """Run the live and the reference scheduler; the live one must be indistinguishable.
+
+    Returns what was seen and how many searches the live one reused.
+    """
     want, reference_counters = _observe(reference_scheduler(algorithm), cluster, specs, **kwargs)
     got, counters = _observe(create_scheduler(algorithm), cluster, specs, **kwargs)
     for key in want:
         assert got[key] == want[key], key
-    assert REUSED not in reference_counters
-    return got, counters.get(REUSED, 0)
+    assert REUSED not in reference_counters and YIELDS_REUSED not in reference_counters
+    reused, yields_reused = counters.get(REUSED, 0), counters.get(YIELDS_REUSED, 0)
+    # Only a reused successful round has allocations to reuse.
+    assert yields_reused <= reused
+    if algorithm in OWN_YIELDS:
+        assert yields_reused == 0
+    else:
+        assert (yields_reused > 0) == (reused > 0)
+    return got, reused
 
 
 def _actions(seen: Dict[str, Any]) -> set:
@@ -205,7 +223,11 @@ def _held_results(scheduler) -> int:
         len(value)
         for value in vars(scheduler).values()
         if isinstance(value, dict)
-        and any(isinstance(entry, YieldSearchResult) for entry in value.values())
+        and any(
+            isinstance(entry, YieldSearchResult)
+            or isinstance(entry, list) and isinstance(entry[0], YieldSearchResult)
+            for entry in value.values()
+        )
     )
 
 
@@ -251,3 +273,53 @@ def test_one_instance_across_runs_and_clusters_equals_fresh_ones():
         got = _observe(reused_instance, cluster, specs, penalty_model=penalty)
         assert got == want  # events, costs, placement log and every counter
         assert got[1][REUSED] > 0
+
+
+#: What the packing tallies read at the commit before the yield search packed
+#: whole jobs (``_probe`` then built one item per task): DYNMCB8-ASAP-PER on 36
+#: Lublin jobs with a 300 s penalty, on 16 nodes (seed 11) and on 12 failing
+#: nodes (seed 7, the capacity route).  The job-level entry tallies the items
+#: and the runs a pack is offered, so nothing here may move.
+PARENT_PACKING_TALLIES = {
+    "16-nodes": {
+        "packing.packs": 156, "packing.items": 6873, "packing.runs": 833,
+        "packing.bins_used": 1467, "packing.pack_failures": 39, "packing.probes": 199,
+        "packing.probes_pruned": 43, "packing.searches_reused": 67, "packing.mcb8": 156,
+    },
+    "12-failing-nodes": {
+        "packing.packs": 696, "packing.items": 24420, "packing.runs": 3256,
+        "packing.bins_used": 5786, "packing.pack_failures": 128, "packing.probes": 932,
+        "packing.probes_pruned": 236, "packing.searches_reused": 56, "packing.mcb8": 696,
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", list(PARENT_PACKING_TALLIES))
+def test_packing_tallies_equal_the_item_entrys(fixture):
+    nodes, seed, extra = 16, 11, {}
+    if fixture == "12-failing-nodes":
+        nodes, seed = 12, 7
+    cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
+    specs = _lublin(cluster, 36, seed)
+    if fixture == "12-failing-nodes":
+        horizon = max(spec.submit_time for spec in specs) + 20_000.0
+        extra = dict(
+            node_events=ExponentialFailureSource(
+                mtbf_seconds=horizon / 3.0, mttr_seconds=1800.0, horizon_seconds=horizon, seed=5
+            ),
+            failure_policy="migrate",
+            repack_on_failure=True,
+        )
+    simulator = Simulator(
+        cluster,
+        create_scheduler("dynmcb8-asap-per-600"),
+        SimulationConfig(
+            telemetry={"type": "stats"}, penalty_model=ReschedulingPenaltyModel(300.0), **extra
+        ),
+    )
+    simulator.run(specs)
+    counters = dict(simulator.telemetry.counters)
+    counters["packing.mcb8"] = simulator.telemetry.phases()["packing.mcb8"].count
+    want = PARENT_PACKING_TALLIES[fixture]
+    assert {name: counters.get(name) for name in want} == want
+    assert 0 < counters[YIELDS_REUSED] <= counters[REUSED]
