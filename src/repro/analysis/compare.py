@@ -45,11 +45,6 @@ class AlgorithmComparison:
         self._check_algorithm(algorithm)
         return [mapping[algorithm] for mapping in self.per_instance_degradation]
 
-    def stretch_values(self, algorithm: str) -> List[float]:
-        """Maximum stretches of one algorithm across all instances."""
-        self._check_algorithm(algorithm)
-        return [mapping[algorithm] for mapping in self.per_instance_stretch]
-
     def degradation_summary(self, algorithm: str) -> SummaryStatistics:
         """Summary statistics of an algorithm's degradation factors."""
         return summarize(self.degradation_values(algorithm))

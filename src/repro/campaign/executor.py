@@ -737,11 +737,7 @@ class Campaign:
             ]
             pending = [row for row in row_keys if row[0] not in cached]
             if pending:
-                config = plan.configure(
-                    scenario.simulation_config(
-                        platform=platform, models=scenario.resolved_models(params)
-                    )
-                )
+                config = plan.configure(scenario.simulation_config(params))
                 tasks = [
                     plan.task(instance, algorithm, cluster, load, config)
                     for _, _, members, algorithm in pending

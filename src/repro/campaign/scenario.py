@@ -34,6 +34,7 @@ from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
+from ..platform import Platform, node_event_source_from_dict, platform_from_dict
 from ..registry import Registry
 from ..traces import (
     Hpc2nLikeTraceSource,
@@ -503,55 +504,76 @@ class Cell:
 
 
 # --------------------------------------------------------------------------- #
-# Platform templating                                                          #
+# Sweep templating                                                             #
 # --------------------------------------------------------------------------- #
 _PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
-def _platform_template_axes(value: Any) -> set:
+def _template_axes(value: Any) -> set:
     """Sweep-axis names referenced by ``{axis}`` placeholders in a spec."""
     if isinstance(value, str):
         return set(_PLACEHOLDER.findall(value))
     if isinstance(value, Mapping):
-        axes: set = set()
-        for key, item in value.items():
-            axes |= _platform_template_axes(item)
-        return axes
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
-        axes = set()
-        for item in value:
-            axes |= _platform_template_axes(item)
-        return axes
+        return set().union(*map(_template_axes, value))
     return set()
 
 
-def _substitute_templates(value: Any, params: Mapping[str, Any]) -> Any:
-    """Fill ``{axis}`` placeholders in a platform spec with cell parameters.
+def _substitute_templates(value: Any, params: Mapping[str, Any], name: str) -> Any:
+    """Fill ``{axis}`` placeholders in a ``name`` spec with cell parameters.
 
     A string that *is* a single placeholder (``"{mtbf}"``) is replaced by the
     raw axis value, so numeric sweep values stay numbers; placeholders inside
     longer strings are formatted textually.
     """
     if isinstance(value, str):
+        if "{" not in value:
+            return value
         whole = _PLACEHOLDER.fullmatch(value)
         try:
-            if whole:
-                return params[whole.group(1)]
-            if "{" in value:
-                return value.format(**dict(params))
+            return params[whole.group(1)] if whole else value.format(**params)
         except (KeyError, IndexError, ValueError) as error:
             raise ConfigurationError(
-                f"platform template {value!r} cannot be formatted with cell "
+                f"{name} template {value!r} cannot be formatted with cell "
                 f"parameters {dict(params)!r}: {error}"
             ) from None
-        return value
     if isinstance(value, Mapping):
         return {
-            key: _substitute_templates(item, params) for key, item in value.items()
+            key: _substitute_templates(item, params, name)
+            for key, item in value.items()
         }
     if isinstance(value, (list, tuple)):
-        return [_substitute_templates(item, params) for item in value]
+        return [_substitute_templates(item, params, name) for item in value]
     return value
+
+
+def _build_platform(spec: Any) -> Platform:
+    return spec if isinstance(spec, Platform) else platform_from_dict(spec)
+
+
+_MODEL_KEYS = ("overhead", "execution_time")
+
+
+def _build_models(spec: Mapping[str, Any]) -> Tuple[Any, Any]:
+    """Build the ``(overhead, execution_time)`` models of one cell.
+
+    Default models (``none`` / ``exact``) come back as ``None`` — the
+    engine's byte-identical fast path.
+    """
+    # Imported on first use, like in ``_init_models``: a model-free campaign
+    # never loads ``repro.models``.
+    from ..models import execution_time_model_from_dict, overhead_model_from_dict
+
+    overhead, execution = (spec.get(key) for key in _MODEL_KEYS)
+    if overhead is not None:
+        overhead = overhead_model_from_dict(overhead)
+    if execution is not None:
+        execution = execution_time_model_from_dict(execution)
+    return (
+        None if overhead is None or overhead.kind == "none" else overhead,
+        None if execution is None or execution.kind == "exact" else execution,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -563,9 +585,9 @@ class Scenario:
 
     ``sweep`` maps axis names to value tuples; cells are the cross-product in
     axis order.  The ``load`` axis is special-cased by the executor (instances
-    are rescaled to that offered load); every other axis is free-form and is
-    available to algorithm-name templates — an algorithm entry containing
-    ``{axis}`` placeholders is formatted with the cell parameters, so e.g.
+    are rescaled to that offered load); every axis can fill ``{axis}``
+    placeholders in algorithm names and in the ``platform`` and ``models``
+    blocks, all through one rule (``_substitute_templates``), so e.g.
     ``"dynmcb8-asap-per-{period}"`` crossed with ``sweep={"period": (60,
     600)}`` evaluates two periodic variants with zero driver code.
     """
@@ -652,17 +674,57 @@ class Scenario:
         self._init_models()
         self._init_telemetry()
 
+    def _init_block(self, name: str, spec: Any, build: Callable[[Any], Any]) -> Any:
+        """Check, validate and cache the sweep-templatable ``name`` block.
+
+        The one templating rule of the ``platform`` and ``models`` blocks:
+        every ``{axis}`` placeholder must name a sweep axis.  A templated spec
+        is kept verbatim and validated by building it with the first value of
+        each axis, so a bad spec fails at build time, not mid-campaign;
+        ``_static_<name>`` stays ``None`` and every cell builds its own block
+        (:meth:`_resolve_block`).  A static spec is built once and cached as
+        ``_static_<name>``.  Returns the built (or representative) block.
+        """
+        referenced = _template_axes(spec)
+        missing = referenced - {axis for axis, _ in self.sweep}
+        if missing:
+            raise ConfigurationError(
+                f"{name} spec references sweep axes that do not exist: "
+                f"{', '.join(sorted(missing))}"
+            )
+        object.__setattr__(self, name, spec)
+        if referenced:
+            first = {axis: values[0] for axis, values in self.sweep}
+            object.__setattr__(self, f"_static_{name}", None)
+            return build(_substitute_templates(spec, first, name))
+        built = build(spec)
+        object.__setattr__(self, f"_static_{name}", built)
+        return built
+
+    def _resolve_block(
+        self, name: str, params: Mapping[str, Any], build: Callable[[Any], Any]
+    ) -> Any:
+        """The ``name`` block of the cell with parameters ``params``: the
+        cached static block, or the template filled and built."""
+        static = getattr(self, f"_static_{name}")
+        template = getattr(self, name)
+        if static is not None or template is None:
+            return static
+        return build(_substitute_templates(template, dict(params), name))
+
     def _init_platform(self) -> None:
         """Normalise the ``platform`` field and derive the cluster from it.
 
-        ``_static_platform`` caches the resolved platform when the spec has
-        no ``{axis}`` templates (one platform for every cell); a templated
-        spec is validated by resolving it with the first value of each
-        referenced axis, and ``_static_platform`` stays ``None``.
+        A static platform that adds nothing over a bare cluster — no
+        availability events, no node-class names, no power draw, homogeneous
+        nodes — *is* the legacy cluster path: it is demoted, making the
+        scenario's spec dictionary, hash, cache keys and artifact names
+        byte-identical to one built with ``cluster=...`` directly.  Class
+        names (class-keyed overhead models and energy reports read them) and
+        power vectors only reach the engine through the platform.
         """
-        from ..platform import Platform, platform_from_dict
-
         platform = self.platform
+        object.__setattr__(self, "_static_platform", None)
         if platform is None:
             if self.cluster.is_heterogeneous:
                 raise ConfigurationError(
@@ -670,82 +732,39 @@ class Scenario:
                     "platform (see repro.platform.NodeClassesPlatform) so "
                     "the scenario spec can express them"
                 )
-            object.__setattr__(self, "_static_platform", None)
             return
-        if isinstance(platform, Platform):
-            if self._demote_platform(platform):
-                return
-            object.__setattr__(self, "_static_platform", platform)
-            object.__setattr__(self, "cluster", platform.build_cluster())
-            return
-        if not isinstance(platform, Mapping):
+        if not isinstance(platform, (Platform, Mapping)):
             raise ConfigurationError(
                 "platform must be a repro.platform.Platform or its spec "
                 f"mapping, got {type(platform).__name__}"
             )
-        spec = dict(platform)
-        object.__setattr__(self, "platform", spec)
-        referenced = _platform_template_axes(spec)
-        axes = {axis for axis, _ in self.sweep}
-        missing = referenced - axes
-        if missing:
-            raise ConfigurationError(
-                f"platform spec references sweep axes that do not exist: "
-                f"{', '.join(sorted(missing))}"
-            )
-        if referenced:
-            # Validate the template eagerly with a representative cell (the
-            # first value of each axis) so bad specs fail at build time, not
-            # mid-campaign; the representative also provides the cluster for
-            # informational uses (the executor resolves per cell regardless).
-            first = {axis: values[0] for axis, values in self.sweep}
-            representative = platform_from_dict(_substitute_templates(spec, first))
-            object.__setattr__(self, "_static_platform", None)
-            object.__setattr__(self, "cluster", representative.build_cluster())
-        else:
-            resolved = platform_from_dict(spec)
-            if self._demote_platform(resolved):
-                return
-            object.__setattr__(self, "_static_platform", resolved)
-            object.__setattr__(self, "cluster", resolved.build_cluster())
-
-    def _demote_platform(self, resolved: Any) -> bool:
-        """Collapse a platform that adds nothing over a bare cluster.
-
-        A static platform with no availability events whose cluster is
-        homogeneous *is* the legacy cluster path; dropping the platform field
-        makes the scenario — spec dictionary, hash, cache keys, artifact
-        names — byte-identical to one built with ``cluster=...`` directly.
-        A platform declaring per-class power draw is never demoted: the
-        power vectors (and the node-class names energy reports key on) only
-        reach the engine through the platform.
-        """
-        built = resolved.build_cluster()
+        if isinstance(platform, Mapping):
+            platform = dict(platform)
+        built = self._init_block("platform", platform, _build_platform)
+        cluster = built.build_cluster()
+        object.__setattr__(self, "cluster", cluster)
         if (
-            resolved.events is None
-            and not built.is_heterogeneous
-            and resolved.power_vectors() is None
+            self._static_platform is not None
+            and built.events is None
+            and built.node_class_names() is None
+            and built.power_vectors() is None
+            and not cluster.is_heterogeneous
         ):
             object.__setattr__(self, "platform", None)
             object.__setattr__(self, "_static_platform", None)
-            object.__setattr__(self, "cluster", built)
-            return True
-        return False
 
     def _init_models(self) -> None:
         """Normalise the ``models`` field into its canonical spec form.
 
-        Mirrors ``_init_platform``: ``_static_models`` caches the resolved
-        ``(overhead_model, execution_time_model)`` pair when the spec has no
-        ``{axis}`` templates; a templated spec is validated by resolving it
-        with the first value of each referenced axis, and ``_static_models``
-        stays ``None``.  Default models (``none`` / ``exact``) are demoted,
-        and a block carrying only defaults is dropped entirely, pinning the
-        scenario byte-identical to a model-free one.
+        Model objects are coerced to their spec form first, so the scenario
+        stays pure data (serialisable, stably hashable).  A static block is
+        canonicalised through the built models: defaults (``none`` /
+        ``exact``) are demoted, and a block carrying only defaults is dropped
+        entirely, pinning the scenario byte-identical to a model-free one.
         """
         models = self.models
+        object.__setattr__(self, "_static_models", (None, None))
         if models is None:
-            object.__setattr__(self, "_static_models", None)
             return
         from ..models import ExecutionTimeModel, OverheadModel
 
@@ -755,50 +774,23 @@ class Scenario:
                 f"'execution_time' entries, got {type(models).__name__}"
             )
         spec = dict(models)
-        unknown = set(spec) - {"overhead", "execution_time"}
+        unknown = set(spec) - set(_MODEL_KEYS)
         if unknown:
             raise ConfigurationError(
                 f"unknown models spec fields: {', '.join(sorted(unknown))} "
                 "(known: overhead, execution_time)"
             )
-        # Model objects are coerced to their canonical spec form so the
-        # scenario stays pure data (serialisable, stably hashable).
-        overhead = spec.get("overhead")
-        if isinstance(overhead, OverheadModel):
-            spec["overhead"] = overhead.to_dict()
-        execution = spec.get("execution_time")
-        if isinstance(execution, ExecutionTimeModel):
-            spec["execution_time"] = execution.to_dict()
-        referenced = _platform_template_axes(spec)
-        axes = {axis for axis, _ in self.sweep}
-        missing = referenced - axes
-        if missing:
-            raise ConfigurationError(
-                f"models spec references sweep axes that do not exist: "
-                f"{', '.join(sorted(missing))}"
-            )
-        if referenced:
-            # Validate the template eagerly with a representative cell so
-            # bad specs fail at build time, not mid-campaign; the executor
-            # resolves per cell regardless.
-            first = {axis: values[0] for axis, values in self.sweep}
-            self._build_models(_substitute_templates(spec, first))
-            object.__setattr__(self, "models", spec)
-            object.__setattr__(self, "_static_models", None)
-            return
-        built = self._build_models(spec)
-        if built == (None, None):
-            object.__setattr__(self, "models", None)
-            object.__setattr__(self, "_static_models", None)
-            return
-        canonical: Dict[str, Any] = {}
-        overhead_model, execution_model = built
-        if overhead_model is not None:
-            canonical["overhead"] = overhead_model.to_dict()
-        if execution_model is not None:
-            canonical["execution_time"] = execution_model.to_dict()
-        object.__setattr__(self, "models", canonical)
-        object.__setattr__(self, "_static_models", built)
+        for key, kind in zip(_MODEL_KEYS, (OverheadModel, ExecutionTimeModel)):
+            if isinstance(spec.get(key), kind):
+                spec[key] = spec[key].to_dict()
+        built = self._init_block("models", spec, _build_models)
+        if self._static_models is not None:
+            canonical = {
+                key: model.to_dict()
+                for key, model in zip(_MODEL_KEYS, built)
+                if model is not None
+            }
+            object.__setattr__(self, "models", canonical or None)
 
     def _init_telemetry(self) -> None:
         """Normalise the ``telemetry`` field into its canonical spec form.
@@ -838,74 +830,19 @@ class Scenario:
             return
         object.__setattr__(self, "telemetry", spec)
 
-    @staticmethod
-    def _build_models(spec: Mapping[str, Any]) -> Tuple[Any, Any]:
-        """Build the ``(overhead, execution_time)`` models of one cell.
-
-        Default models (``none`` / ``exact``) come back as ``None`` — the
-        engine's byte-identical fast path.
-        """
-        from ..models import (
-            execution_time_model_from_dict,
-            overhead_model_from_dict,
-        )
-
-        overhead_spec = spec.get("overhead")
-        overhead_model = None
-        if overhead_spec is not None:
-            overhead_model = overhead_model_from_dict(overhead_spec)
-            if overhead_model.kind == "none":
-                overhead_model = None
-        execution_spec = spec.get("execution_time")
-        execution_model = None
-        if execution_spec is not None:
-            execution_model = execution_time_model_from_dict(execution_spec)
-            if execution_model.kind == "exact":
-                execution_model = None
-        return (overhead_model, execution_model)
-
     @property
     def has_platform_template(self) -> bool:
         """True when the platform spec varies with the sweep cell."""
         return self.platform is not None and self._static_platform is None
 
-    @property
-    def has_models_template(self) -> bool:
-        """True when the models spec varies with the sweep cell."""
-        return self.models is not None and self._static_models is None
+    def resolved_platform(self, params: Mapping[str, Any] = ()) -> Optional[Any]:
+        """The platform of the cell with parameters ``params`` (or ``None``)."""
+        return self._resolve_block("platform", params, _build_platform)
 
     def resolved_models(self, params: Mapping[str, Any] = ()) -> Tuple[Any, Any]:
-        """The ``(overhead, execution_time)`` models of one cell.
-
-        Static models (no templates) resolve to the same pair for every
-        cell; templated specs are filled with the cell parameters and built
-        through the model registries.  Either element is ``None`` when the
-        cell uses the engine's default.
-        """
-        if self.models is None:
-            return (None, None)
-        if self._static_models is not None:
-            return self._static_models
-        return self._build_models(
-            _substitute_templates(self.models, dict(params))
-        )
-
-    def resolved_platform(self, params: Mapping[str, Any] = ()) -> Optional[Any]:
-        """The platform of the cell with parameters ``params`` (or ``None``).
-
-        Static platforms (no templates) resolve to the same object for every
-        cell; templated specs are filled with the cell parameters and built
-        through the platform registry.
-        """
-        from ..platform import platform_from_dict
-
-        if self.platform is None:
-            return None
-        if self._static_platform is not None:
-            return self._static_platform
-        return platform_from_dict(
-            _substitute_templates(self.platform, dict(params))
-        )
+        """The ``(overhead, execution_time)`` models of one cell; either is
+        ``None`` when the cell uses the engine's default."""
+        return self._resolve_block("models", params, _build_models)
 
     # -- grid expansion --------------------------------------------------------
     def expand(self) -> List[Cell]:
@@ -928,39 +865,24 @@ class Scenario:
         per ``(instance, algorithm)`` pair, as the legacy drivers' per-name
         result dictionaries guaranteed.
         """
-        names: Dict[str, None] = {}
-        for template in self.algorithms:
-            if "{" in template:
-                try:
-                    names.setdefault(template.format(**dict(params)), None)
-                except (KeyError, IndexError, ValueError) as error:
-                    raise ConfigurationError(
-                        f"algorithm template {template!r} cannot be formatted "
-                        f"with cell parameters {dict(params)!r}: {error}"
-                    ) from None
-            else:
-                names.setdefault(template, None)
-        return list(names)
+        params = dict(params)
+        return list(
+            dict.fromkeys(
+                str(_substitute_templates(template, params, "algorithm"))
+                for template in self.algorithms
+            )
+        )
 
-    def simulation_config(
-        self,
-        platform: Optional[Any] = None,
-        models: Optional[Tuple[Any, Any]] = None,
-    ) -> SimulationConfig:
-        """Engine configuration for one run of this scenario.
+    def simulation_config(self, params: Mapping[str, Any] = ()) -> SimulationConfig:
+        """Engine configuration for one run in the cell with parameters ``params``.
 
-        ``platform`` is the cell's resolved platform when the scenario's
-        platform spec is sweep-templated; by default the scenario's static
-        platform (if any) supplies the node availability events and failure
-        policy.  ``models`` is the cell's resolved ``(overhead,
-        execution_time)`` pair when the models block is templated; static
-        models apply by default.  Scenarios without a platform or models get
-        the exact configuration of previous releases.
+        The cell's platform supplies the node availability events, failure
+        policy, node-class names and power draw, its models block the
+        overhead and execution-time models.  Scenarios without a platform or
+        models get the exact configuration of previous releases.
         """
-        if platform is None:
-            platform = self._static_platform
-        if models is None:
-            models = self._static_models or (None, None)
+        platform = self.resolved_platform(params)
+        overhead_model, execution_model = self.resolved_models(params)
         extra: Dict[str, Any] = {}
         if platform is not None and platform.events is not None:
             extra["node_events"] = platform.events
@@ -972,7 +894,6 @@ class Scenario:
             power = platform.power_vectors()
             if power is not None:
                 extra["node_power"] = power
-        overhead_model, execution_model = models
         if overhead_model is not None:
             extra["overhead_model"] = overhead_model
         if execution_model is not None:
@@ -1017,9 +938,7 @@ class Scenario:
             # caches exactly like on the static path).
             template = copy.deepcopy(self.platform)
             events = template.get("events")
-            if isinstance(events, Mapping) and not _platform_template_axes(events):
-                from ..platform import node_event_source_from_dict
-
+            if isinstance(events, Mapping) and not _template_axes(events):
                 template["events"] = node_event_source_from_dict(events).to_dict()
             data["platform"] = template
         # The models block is emitted only when it survived demotion — a

@@ -156,12 +156,6 @@ class Cluster:
             return np.ones(self.num_nodes, dtype=float)
         return np.array(self.cpu_capacities, dtype=float)
 
-    def mem_capacity_vector(self) -> np.ndarray:
-        """Per-node memory capacities as an array (ones when homogeneous)."""
-        if self.mem_capacities is None:
-            return np.ones(self.num_nodes, dtype=float)
-        return np.array(self.mem_capacities, dtype=float)
-
     def total_cpu_capacity(self) -> float:
         """Sum of per-node CPU capacities (``num_nodes`` when homogeneous)."""
         if self.cpu_capacities is None:

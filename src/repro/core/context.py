@@ -158,10 +158,6 @@ class SchedulingContext:
         flow = self.time - view.submit_time
         return flow if flow > 0.0 else 0.0
 
-    def scratch_usage(self) -> ClusterUsage:
-        """Fresh, empty usage tally with the down nodes already marked."""
-        return self.cluster.usage(self.down_nodes)
-
     def packing_capacities(self) -> Optional[Tuple[Tuple[float, float], ...]]:
         """Per-node ``(cpu, memory)`` bin capacities for vector packing.
 

@@ -62,9 +62,6 @@ class Event:
     job_id: Optional[int] = None
     node: Optional[int] = None
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, _TYPE_ORDER[self.event_type], self.job_id or -1)
-
 
 class EventQueue:
     """Min-heap of future events keyed by (time, type order, insertion order)."""

@@ -209,10 +209,7 @@ def _resolve_cell(
 def _profiled_config(
     scenario: Scenario, params: Dict[str, Any], telemetry: Telemetry
 ) -> SimulationConfig:
-    config = scenario.simulation_config(
-        scenario.resolved_platform(params), scenario.resolved_models(params)
-    )
-    return dataclasses_replace(config, telemetry=telemetry)
+    return dataclasses_replace(scenario.simulation_config(params), telemetry=telemetry)
 
 
 def _pick_workload(scenario: Scenario, cluster: Cluster, instance: int) -> Any:

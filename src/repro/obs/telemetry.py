@@ -91,24 +91,6 @@ DEFAULT_MAX_SPANS = 1_000_000
 _FLUSH_THRESHOLD = 2048
 
 
-class _Span:
-    """Reusable context manager returned by :meth:`Telemetry.span`."""
-
-    __slots__ = ("_telemetry", "_name", "_start")
-
-    def __init__(self, telemetry: "Telemetry", name: str) -> None:
-        self._telemetry = telemetry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._telemetry.record_phase(self._name, self._start, perf_counter())
-
-
 class Telemetry:
     """In-process telemetry sink; see the module docstring.
 
@@ -178,10 +160,6 @@ class Telemetry:
                 self._spans.append((name, start, end - start))
             else:
                 self.dropped_spans += 1
-
-    def span(self, name: str) -> _Span:
-        """Context manager timing its body as one occurrence of ``name``."""
-        return _Span(self, name)
 
     # -- read-out --------------------------------------------------------------
     def _flush_phase(self, name: str) -> None:

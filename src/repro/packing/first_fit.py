@@ -35,6 +35,8 @@ def _pack(
     choose_bin: Callable[[List[Bin], PackingItem], Optional[Bin]],
     capacities: BinCapacities = None,
 ) -> PackingResult:
+    """The decreasing-order loop of the first-, best- and worst-fit baselines:
+    ``choose_bin`` picks an open bin the item fits, or ``None`` to open one."""
     if not items:
         return PackingResult(success=True, assignments={}, bins_used=0)
     if num_bins <= 0:

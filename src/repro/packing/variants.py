@@ -18,18 +18,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..obs.telemetry import timed_phase
-from .first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
+from .first_fit import _pack, best_fit_decreasing_pack, first_fit_decreasing_pack
 from .item import Bin, PackingItem, PackingResult
-from .mcb8 import (
-    BinCapacities,
-    _check_capacities,
-    _collect_assignments,
-    _count_used_bins,
-    _max_requirement,
-    _mcb_pack,
-    _open_until_fits,
-    mcb8_pack,
-)
+from .mcb8 import BinCapacities, _max_requirement, _mcb_pack, mcb8_pack
 
 __all__ = [
     "mcb_family_pack",
@@ -91,17 +82,8 @@ def worst_fit_decreasing_pack(
     tends to use more bins than MCB8 but keeps per-node contention low; it is
     included as an ablation endpoint, not as a recommended policy.
     """
-    if not items:
-        return PackingResult(success=True, assignments={}, bins_used=0)
-    if num_bins <= 0:
-        return PackingResult.failure()
-    _check_capacities(capacities, num_bins)
 
-    ordered = sorted(
-        items, key=lambda item: (-item.max_requirement, item.job_id, item.task_index)
-    )
-    bins: List[Bin] = []
-    for item in ordered:
+    def choose(bins: List[Bin], item: PackingItem) -> Optional[Bin]:
         best: Optional[Bin] = None
         best_slack = -1.0
         for bin_ in bins:
@@ -111,25 +93,9 @@ def worst_fit_decreasing_pack(
             if slack > best_slack:
                 best_slack = slack
                 best = bin_
-        if best is None:
-            if capacities is None:
-                if len(bins) >= num_bins:
-                    return PackingResult.failure()
-                best = Bin(len(bins))
-                bins.append(best)
-                if not best.fits(item):
-                    return PackingResult.failure()
-            else:
-                best = _open_until_fits(bins, item, num_bins, capacities)
-                if best is None:
-                    return PackingResult.failure()
-        best.add(item)
-    assignments = _collect_assignments(bins)
-    if assignments is None:
-        return PackingResult.failure()
-    return PackingResult(
-        success=True, assignments=assignments, bins_used=_count_used_bins(bins)
-    )
+        return best
+
+    return _pack(items, num_bins, choose, capacities)
 
 
 #: Registry of named packers usable by the ablation experiments and by the

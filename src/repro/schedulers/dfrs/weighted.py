@@ -80,8 +80,10 @@ def weighted_fair_yields(
     """Weighted max–min yields for fixed placements.
 
     Finds (by bisection) the largest ``z`` such that yields
-    ``min(1, weight_j × z)`` keep the allocated CPU of every node within
-    capacity, then returns those yields clamped to ``[MINIMUM_YIELD, 1]``.
+    ``min(1, max(MINIMUM_YIELD, weight_j × z))`` keep the allocated CPU of
+    every node within capacity, and returns those yields.  The floor is part
+    of the feasibility test: lifting a light job to it afterwards could
+    overcommit a node that the search left exactly full.
     """
     if not placements:
         return {}
@@ -101,7 +103,7 @@ def weighted_fair_yields(
         allocated = np.zeros(cluster.num_nodes, dtype=float)
         for job_id, per_node in counts.items():
             view = jobs[job_id]
-            value = min(1.0, weights[job_id] * z)
+            value = min(1.0, max(MINIMUM_YIELD, weights[job_id] * z))
             for node, count in per_node.items():
                 allocated[node] += count * view.cpu_need * value
         return bool(np.all(allocated <= capacity + CAPACITY_EPSILON))

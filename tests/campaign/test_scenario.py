@@ -72,7 +72,44 @@ class TestExpansion:
             tiny_scenario(sweep=(("load", (0.3,)), ("load", (0.7,))))
 
 
+#: One ``{x}``-templated spec per sweep-templatable block, and the value a
+#: cell's engine configuration reads back from it.
+_TEMPLATED_BLOCKS = {
+    "platform": (
+        {
+            "type": "homogeneous",
+            "nodes": 16,
+            "events": {"type": "exponential", "mtbf_seconds": "{x}",
+                       "mttr_seconds": 600.0, "horizon_seconds": 86400.0,
+                       "seed": 3},
+            "failure_policy": "resubmit",
+        },
+        lambda config: config.node_events.mtbf_seconds,
+    ),
+    "models": (
+        {"overhead": {"type": "memory-linear", "seconds_per_gb": "{x}"}},
+        lambda config: config.overhead_model.seconds_per_gb,
+    ),
+}
+
+
 class TestTemplating:
+    @pytest.mark.parametrize("block", sorted(_TEMPLATED_BLOCKS))
+    def test_template_must_reference_a_swept_axis(self, block):
+        spec, _ = _TEMPLATED_BLOCKS[block]
+        with pytest.raises(ConfigurationError, match=f"{block} spec .* not exist: x"):
+            tiny_scenario(**{block: spec})
+
+    @pytest.mark.parametrize("block", sorted(_TEMPLATED_BLOCKS))
+    def test_template_resolves_per_cell(self, block):
+        spec, read = _TEMPLATED_BLOCKS[block]
+        scenario = tiny_scenario(**{block: spec}, sweep={"x": (3600.0, 86400.0)})
+        assert scenario.to_dict()[block] == spec
+        assert [
+            read(scenario.simulation_config(cell.params_dict()))
+            for cell in scenario.expand()
+        ] == [3600.0, 86400.0]
+
     def test_plain_names_untouched(self):
         scenario = tiny_scenario()
         assert scenario.resolved_algorithms({"load": 0.3}) == ["fcfs", "greedy"]

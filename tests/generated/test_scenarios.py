@@ -59,6 +59,7 @@ from repro.core.job import JobSpec, JobState
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.metrics import accumulator_from_dict
+from repro.models import CheckpointBandwidthOverheadModel
 from repro.obs import telemetry_config_from_dict
 from repro.packing import yield_search
 from repro.platform import (
@@ -313,6 +314,16 @@ _SIXTY = LublinTraceSource(num_jobs=60, seed=2010)
 @example(draw=Draw(_TWO_RUNNING, HomogeneousPlatform(nodes=4), "fcfs", cancels=((1, 1),)))
 @example(draw=Draw(
     _TWO_RUNNING, HomogeneousPlatform(nodes=4), "greedy-pmtn-migr", cancels=((1, 1),)
+))
+# A one-class platform keeps its class names on every leg, so the class-keyed
+# overhead model charges c0's bandwidth in ``run`` as in ``run_stream``.
+@example(draw=Draw(
+    LublinTraceSource(num_jobs=5, seed=1),
+    NodeClassesPlatform(classes=(NodeClass("c0", 2, 1.0, 1.0),)),
+    "dynmcb8",
+    overhead=CheckpointBandwidthOverheadModel(
+        bandwidth_gb_per_sec=2.0, class_bandwidth={"c0": 0.5}
+    ),
 ))
 def test_generated_scenario(draw):
     check_scenario(draw)

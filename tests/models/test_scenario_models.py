@@ -113,24 +113,12 @@ class TestSweepTemplating:
             },
             sweep=(("cost", (0.0, 2.0)),),
         )
-        assert scenario.has_models_template
         overhead, _ = scenario.resolved_models({"cost": 2.0})
         assert overhead == MemoryLinearOverheadModel(seconds_per_gb=2.0)
         # Demotion is by *kind* ("none"/"exact"), not by parameter value: a
         # zero-cost memory-linear cell keeps its model (which charges 0 s).
         zero_overhead, _ = scenario.resolved_models({"cost": 0.0})
         assert zero_overhead == MemoryLinearOverheadModel(seconds_per_gb=0.0)
-
-    def test_template_must_reference_a_swept_axis(self):
-        with pytest.raises(ConfigurationError, match="cost"):
-            _scenario(
-                models={
-                    "overhead": {
-                        "type": "memory-linear",
-                        "seconds_per_gb": "{cost}",
-                    }
-                }
-            )
 
     def test_bad_axis_value_fails_at_construction(self):
         # Eager first-cell validation: a sweep value the model rejects is a

@@ -17,6 +17,7 @@ from repro.campaign.scenario import (
 from repro.cli import main
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
+from repro.models import CheckpointBandwidthOverheadModel
 from repro.platform import (
     HomogeneousPlatform,
     NodeClass,
@@ -91,6 +92,20 @@ class TestScenarioPlatformField:
         assert "platform" not in scenario.to_dict()
         assert scenario.cluster == Cluster(32)
 
+    def test_one_class_platform_keeps_its_class_names(self):
+        # Not demoted to its (homogeneous) cluster: a class-keyed overhead
+        # model reads the names through the engine configuration.
+        scenario = Scenario(
+            name="one-class",
+            source=LublinSource(num_traces=1, num_jobs=10),
+            algorithms=("greedy",),
+            platform=NodeClassesPlatform((NodeClass("c0", 2, 1.0, 1.0),)),
+            models={"overhead": CheckpointBandwidthOverheadModel(
+                bandwidth_gb_per_sec=2.0, class_bandwidth={"c0": 0.5}
+            )},
+        )
+        assert scenario.simulation_config().node_class_names == ("c0", "c0")
+
 
 class TestPlatformTemplating:
     def _templated_spec(self):
@@ -109,20 +124,6 @@ class TestPlatformTemplating:
             "algorithms": ["greedy"],
             "sweep": {"mtbf": [3600.0, 86400.0]},
         }
-
-    def test_template_resolves_per_cell(self):
-        scenario = scenario_from_dict(self._templated_spec())
-        assert scenario.has_platform_template
-        fast = scenario.resolved_platform({"mtbf": 3600.0})
-        slow = scenario.resolved_platform({"mtbf": 86400.0})
-        assert fast.events.mtbf_seconds == 3600.0
-        assert slow.events.mtbf_seconds == 86400.0
-
-    def test_unknown_axis_rejected(self):
-        spec = self._templated_spec()
-        spec["sweep"] = {"load": [0.5]}
-        with pytest.raises(ConfigurationError, match="mtbf"):
-            scenario_from_dict(spec)
 
     def test_template_round_trips_verbatim(self):
         scenario = scenario_from_dict(self._templated_spec())

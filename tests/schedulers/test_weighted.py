@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Cluster, JobSpec, SimulationConfig, Simulator
+from repro.core.cluster import CAPACITY_EPSILON
 from repro.core.context import JobView
 from repro.core.job import JobState, MINIMUM_YIELD
 from repro.exceptions import ConfigurationError
@@ -81,6 +82,16 @@ class TestWeightedFairYields:
             for node in nodes:
                 allocated[node] += jobs[job_id].cpu_need * yields[job_id]
         assert all(total <= 1.0 + 1e-6 for total in allocated)
+
+    def test_the_yield_floor_does_not_overcommit_a_node(self):
+        # The wide light job bisects to a yield just under MINIMUM_YIELD; lifted
+        # to the floor after the search, it overcommitted node 0 by 1e-4.
+        cluster = Cluster(100, 4, 8.0)
+        jobs = {1: _view(1, cpu=1.0), 2: _view(2, tasks=100, cpu=1.0)}
+        placements = {1: (0,), 2: tuple(range(100))}
+        yields = weighted_fair_yields(placements, jobs, cluster, {1: 1.0, 2: 0.01})
+        assert yields[2] == MINIMUM_YIELD
+        assert yields[1] + yields[2] <= 1.0 + CAPACITY_EPSILON
 
     def test_uncontended_jobs_reach_full_yield(self):
         jobs = {0: _view(0, cpu=0.3), 1: _view(1, cpu=0.3)}
