@@ -10,9 +10,9 @@ value for which the induced CPU requirements can be packed by MCB8; jobs are
 evicted by priority when even the most permissive target is infeasible.
 
 Where the other algorithms finish with the average-*yield* improvement
-heuristic, this one improves the average *estimated stretch*: leftover CPU is
-repeatedly given to the job whose estimated stretch at the next event is the
-worst among those that can still be sped up.
+heuristic, this one improves the average *estimated stretch*: the same
+one-pass :func:`~.yield_opt.raise_yields_in_order` hands leftover CPU out,
+worst estimated stretch at the next event first.
 """
 
 from __future__ import annotations
@@ -20,23 +20,17 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from ...core.allocation import AllocationDecision
-from ...core.cluster import CAPACITY_EPSILON
 from ...core.context import JobView, SchedulingContext
 from ...packing.yield_search import minimize_estimated_stretch
-from .periodic import DEFAULT_PERIOD, DynMcb8PeriodicScheduler
-from .yield_opt import build_allocations
+from .periodic import DynMcb8PeriodicScheduler
+from .yield_opt import build_allocations, raise_yields_in_order
 
 __all__ = ["DynMcb8StretchPeriodicScheduler"]
 
 
 class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
     """The paper's DYNMCB8-STRETCH-PER algorithm."""
-
-    def __init__(self, period: float = DEFAULT_PERIOD) -> None:
-        super().__init__(period)
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -70,56 +64,14 @@ class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
         yields: Dict[int, float],
         context: SchedulingContext,
     ) -> Dict[int, float]:
-        """Give leftover CPU to the jobs with the worst estimated stretch."""
-        improved = dict(yields)
-        if not placements:
-            return improved
-        cluster = context.cluster
-        allocated = np.zeros(cluster.num_nodes, dtype=float)
-        capacity = cluster.cpu_capacity_vector()
-        tasks_per_node: Dict[int, Dict[int, int]] = {}
-        for job_id, nodes in placements.items():
-            need = context.jobs[job_id].cpu_need
-            counts: Dict[int, int] = {}
-            for node in nodes:
-                counts[node] = counts.get(node, 0) + 1
-            tasks_per_node[job_id] = counts
-            for node, count in counts.items():
-                allocated[node] += count * need * improved[job_id]
+        """Give leftover CPU to the jobs with the worst estimated stretch,
+        ``(flow + T) / (vt + y T)`` at the input yields, first."""
 
-        def estimated_stretch(job_id: int) -> float:
+        def worst_stretch_first(job_id: int) -> float:
             view = context.jobs[job_id]
-            denominator = view.virtual_time + improved[job_id] * self.period
-            return (context.flow_time(view) + self.period) / max(denominator, 1e-9)
+            denominator = view.virtual_time + yields[job_id] * self.period
+            return -((context.flow_time(view) + self.period) / max(denominator, 1e-9))
 
-        while True:
-            best_job = None
-            worst_stretch = -1.0
-            for job_id in placements:
-                if improved[job_id] >= 1.0 - 1e-9:
-                    continue
-                counts = tasks_per_node[job_id]
-                if all(
-                    allocated[node] < capacity[node] - CAPACITY_EPSILON
-                    for node in counts
-                ):
-                    stretch = estimated_stretch(job_id)
-                    if stretch > worst_stretch:
-                        worst_stretch = stretch
-                        best_job = job_id
-            if best_job is None:
-                break
-            counts = tasks_per_node[best_job]
-            need = context.jobs[best_job].cpu_need
-            delta = min(
-                (capacity[node] - allocated[node]) / (count * need)
-                for node, count in counts.items()
-            )
-            delta = min(delta, 1.0 - improved[best_job])
-            if delta <= 1e-9:
-                improved[best_job] = min(1.0, improved[best_job] + 1e-9)
-                continue
-            improved[best_job] += delta
-            for node, count in counts.items():
-                allocated[node] += count * need * delta
-        return improved
+        return raise_yields_in_order(
+            placements, yields, context.jobs, context.cluster, worst_stretch_first
+        )

@@ -12,8 +12,8 @@ This module provides that mechanism on top of DYNMCB8-ASAP-PER:
   ``z`` such that giving every job the yield ``min(1, weight × z)`` keeps
   every node's allocated CPU within capacity, for the placements chosen by
   the MCB8 packing;
-* leftover CPU is then handed out in decreasing weight order (ties broken by
-  the usual smallest-total-need rule).
+* leftover CPU then goes out heaviest weight first, ties to the smaller
+  total CPU need, then to placement order.
 
 With all weights equal to 1 the behaviour reduces exactly to
 DYNMCB8-ASAP-PER.  Weighted sharing only changes CPU shares, never
@@ -32,7 +32,7 @@ from ...core.context import JobView, SchedulingContext
 from ...core.job import MINIMUM_YIELD
 from ...exceptions import ConfigurationError
 from .periodic import DEFAULT_PERIOD, DynMcb8AsapPeriodicScheduler
-from .yield_opt import build_allocations
+from .yield_opt import build_allocations, raise_yields_in_order, task_counts
 
 __all__ = [
     "WeightFunction",
@@ -45,6 +45,9 @@ __all__ = [
 
 #: A weight function maps a job view to a strictly positive weight.
 WeightFunction = Callable[[JobView], float]
+
+#: Bisection steps of :func:`weighted_fair_yields` once ``z`` is bracketed.
+_BISECTION_STEPS = 40
 
 
 def uniform_weight(view: JobView) -> float:
@@ -74,8 +77,6 @@ def weighted_fair_yields(
     jobs: Mapping[int, JobView],
     cluster: Cluster,
     weights: Mapping[int, float],
-    *,
-    iterations: int = 40,
 ) -> Dict[int, float]:
     """Weighted max–min yields for fixed placements.
 
@@ -89,14 +90,7 @@ def weighted_fair_yields(
         return {}
     _check_weights({job_id: weights[job_id] for job_id in placements})
 
-    # Per-node task counts per job, reused by every feasibility probe.
-    counts: Dict[int, Dict[int, int]] = {}
-    for job_id, nodes in placements.items():
-        per_node: Dict[int, int] = {}
-        for node in nodes:
-            per_node[node] = per_node.get(node, 0) + 1
-        counts[job_id] = per_node
-
+    counts = task_counts(placements)  # reused by every feasibility probe
     capacity = cluster.cpu_capacity_vector()
 
     def feasible(z: float) -> bool:
@@ -116,7 +110,7 @@ def weighted_fair_yields(
         high *= 2.0
     if feasible(high):
         low = high
-    for _ in range(iterations):
+    for _ in range(_BISECTION_STEPS):
         mid = (low + high) / 2.0
         if feasible(mid):
             low = mid
@@ -135,59 +129,12 @@ def weighted_improve_yield(
     cluster: Cluster,
     weights: Mapping[int, float],
 ) -> Dict[int, float]:
-    """Hand leftover CPU to jobs in decreasing weight order.
-
-    Like the paper's average-yield heuristic, this never decreases a yield
-    and never violates node capacities; the only difference is the order in
-    which candidate jobs are considered.
-    """
-    improved: Dict[int, float] = dict(yields)
-    if not placements:
-        return improved
+    """The average-yield pass, heaviest weight first: ties go to the smaller
+    total CPU need, then to placement order."""
     _check_weights({job_id: weights[job_id] for job_id in placements})
-
-    allocated = np.zeros(cluster.num_nodes, dtype=float)
-    capacity = cluster.cpu_capacity_vector()
-    counts: Dict[int, Dict[int, int]] = {}
-    for job_id, nodes in placements.items():
-        need = jobs[job_id].cpu_need
-        per_node: Dict[int, int] = {}
-        for node in nodes:
-            per_node[node] = per_node.get(node, 0) + 1
-        counts[job_id] = per_node
-        for node, count in per_node.items():
-            allocated[node] += count * need * improved[job_id]
-
-    while True:
-        best_job = None
-        best_key: Tuple[float, float] = (0.0, 0.0)
-        for job_id, per_node in counts.items():
-            if improved[job_id] >= 1.0 - 1e-9:
-                continue
-            if all(
-                allocated[node] < capacity[node] - CAPACITY_EPSILON
-                for node in per_node
-            ):
-                key = (weights[job_id], -jobs[job_id].total_cpu_need)
-                if best_job is None or key > best_key:
-                    best_key = key
-                    best_job = job_id
-        if best_job is None:
-            break
-        per_node = counts[best_job]
-        need = jobs[best_job].cpu_need
-        delta = min(
-            (capacity[node] - allocated[node]) / (count * need)
-            for node, count in per_node.items()
-        )
-        delta = min(delta, 1.0 - improved[best_job])
-        if delta <= 1e-9:
-            improved[best_job] = min(1.0, improved[best_job] + 1e-9)
-            continue
-        improved[best_job] += delta
-        for node, count in per_node.items():
-            allocated[node] += count * need * delta
-    return improved
+    return raise_yields_in_order(
+        placements, yields, jobs, cluster, lambda job: (-weights[job], jobs[job].total_cpu_need)
+    )
 
 
 class WeightedYieldScheduler(DynMcb8AsapPeriodicScheduler):

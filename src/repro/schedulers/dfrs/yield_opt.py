@@ -1,17 +1,15 @@
 """Yield assignment helpers shared by the DFRS schedulers.
 
-Two steps are composed by every DFRS algorithm except DYNMCB8-STRETCH-PER
-(paper §III-A):
+Every DFRS algorithm shares CPU among fixed placements in two steps:
 
-1. :func:`fair_yields` — given fixed placements, give every job the same
-   yield ``1 / max(1, Λ)`` where Λ is the maximum CPU load (sum of CPU
-   *needs*) over all nodes.  This maximizes the minimum yield for the given
-   placement.
-2. :func:`improve_average_yield` — repeatedly pick, among the jobs whose
-   nodes all have spare CPU capacity, the one with the smallest total CPU
-   need (best improvement of the average yield per unit of CPU consumed) and
-   raise its yield as much as possible.  This never decreases any yield, so
-   it is a single pass over the jobs in increasing total CPU need.
+1. A starting yield: :func:`fair_yields` gives every job ``1 / max(1, Λ)``,
+   where Λ is the maximum CPU load (sum of CPU *needs*) over all nodes — the
+   largest minimum yield for the placement (paper §III-A).
+   ``weighted_fair_yields`` and DYNMCB8-STRETCH-PER's search are the others.
+2. Leftover CPU goes out in one ordered pass, :func:`raise_yields_in_order`:
+   smallest total CPU need first (:func:`improve_average_yield`, the paper's
+   average-yield heuristic), heaviest weight first (``-weighted``), or worst
+   estimated stretch first (DYNMCB8-STRETCH-PER, paper §III-B).
 
 Placements are expressed as a mapping ``job_id -> tuple of node indices`` and
 job characteristics are read from :class:`~repro.core.context.JobView`
@@ -21,14 +19,14 @@ hypothetical packings.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ...core.allocation import JobAllocation
 from ...core.cluster import CAPACITY_EPSILON, Cluster
 from ...core.context import JobView
 from ...core.job import MINIMUM_YIELD
 
-__all__ = ["fair_yields", "improve_average_yield", "build_allocations"]
+__all__ = ["fair_yields", "raise_yields_in_order", "improve_average_yield", "build_allocations"]
 
 
 def fair_yields(
@@ -46,7 +44,7 @@ def fair_yields(
         return {}
     # Per-node sum of CPU needs in placement order.  Only its maximum is
     # wanted, so it is summed in a plain list (the same IEEE doubles, see
-    # ``improve_average_yield``) and not in a four-vector ``ClusterUsage``.
+    # ``raise_yields_in_order``) and not in a four-vector ``ClusterUsage``.
     loads = [0.0] * cluster.num_nodes
     for job_id, nodes in placements.items():
         need = jobs[job_id].cpu_need
@@ -59,47 +57,57 @@ def fair_yields(
     return {job_id: value for job_id in placements}
 
 
-def improve_average_yield(
+def task_counts(placements: Mapping[int, Tuple[int, ...]]) -> Dict[int, Dict[int, int]]:
+    """Per placed job, its task count on each hosting node, in first-use order."""
+    counts: Dict[int, Dict[int, int]] = {}
+    for job_id, nodes in placements.items():
+        counts[job_id] = per_node = {}
+        for node in nodes:
+            per_node[node] = per_node.get(node, 0) + 1
+    return counts
+
+
+def raise_yields_in_order(
     placements: Mapping[int, Tuple[int, ...]],
     yields: Mapping[int, float],
     jobs: Mapping[int, JobView],
     cluster: Cluster,
+    key: Callable[[int], Any],
 ) -> Dict[int, float]:
-    """Greedy average-yield improvement (paper §III-A).
+    """Raise each placed job, in increasing ``key`` order, as far as its nodes allow.
 
-    Returns a new yield mapping that is point-wise ``>=`` the input and keeps
-    every node's allocated CPU fraction within capacity.
+    Returns new yields, point-wise ``>=`` the input, within every node's CPU
+    capacity.  ``key`` is read once per job before any raise, and the stable
+    sort lets placement order break ties.  This equals "repeatedly raise the
+    eligible job (yield below ``1 - 1e-9``, more than ``CAPACITY_EPSILON``
+    spare on each of its nodes) with the smallest key, the first placed on a
+    tie": an unraised job's key reads only static view fields and its own
+    unchanged input yield, a raised job ends saturated, and eligibility only
+    shrinks.  The exception is the nudge branch (an increase ``<= 1e-9``
+    while eligible, so ``count × need > 1000`` on a node, so a node CPU
+    capacity above 10): the pass steps that job's yield by 1e-9, nodes
+    uncharged, up to ``1 - 1e-9`` before the next job, where a rescan on a
+    key that reads the yield (the stretch) could switch after one step.
+    Only the stepped job's yield can differ.
     """
     improved: Dict[int, float] = dict(yields)
-    # The loop below raises only jobs below this yield; with none, it would
-    # change nothing.
+    # The pass raises only jobs below this yield; with none, it changes nothing.
     if not any(improved[job_id] < 1.0 - 1e-9 for job_id in placements):
         return improved
 
-    # Allocated CPU fraction per node under the current yields, and each
-    # node's CPU capacity (the literal 1.0 of the paper's model on
-    # homogeneous clusters; the per-node vector otherwise).  Plain Python
-    # floats: the same IEEE doubles as numpy's, without the scalar boxing.
+    # Allocated CPU and CPU capacity per node, as plain Python floats: the
+    # same IEEE doubles as numpy's, without the scalar boxing.
     allocated = [0.0] * cluster.num_nodes
     capacity = cluster.cpu_capacity_vector().tolist()
-    tasks_per_node: Dict[int, Dict[int, int]] = {}
-    for job_id, nodes in placements.items():
+    tasks_per_node = task_counts(placements)
+    for job_id, counts in tasks_per_node.items():
         need = jobs[job_id].cpu_need
-        counts: Dict[int, int] = {}
-        for node in nodes:
-            counts[node] = counts.get(node, 0) + 1
-        tasks_per_node[job_id] = counts
         for node, count in counts.items():
             allocated[node] += count * need * improved[job_id]
 
-    # Allocations and yields only grow, so a job that cannot be raised now
-    # never can be later, and a raised job ends saturated.  "Repeatedly pick
-    # the eligible job with the smallest total CPU need" is therefore one
-    # pass in that order; the stable sort keeps placement order among equals.
-    for job_id in sorted(placements, key=lambda job_id: jobs[job_id].total_cpu_need):
+    for job_id in sorted(placements, key=key):
         counts = tasks_per_node[job_id]
         need = jobs[job_id].cpu_need
-        # Eligible: yield below 1 and spare CPU on every node hosting the job.
         while improved[job_id] < 1.0 - 1e-9 and all(
             allocated[node] < capacity[node] - CAPACITY_EPSILON for node in counts
         ):
@@ -117,6 +125,18 @@ def improve_average_yield(
             for node, count in counts.items():
                 allocated[node] += count * need * delta
     return improved
+
+
+def improve_average_yield(
+    placements: Mapping[int, Tuple[int, ...]],
+    yields: Mapping[int, float],
+    jobs: Mapping[int, JobView],
+    cluster: Cluster,
+) -> Dict[int, float]:
+    """Paper §III-A: leftover CPU to the smallest total CPU need first."""
+    return raise_yields_in_order(
+        placements, yields, jobs, cluster, lambda job_id: jobs[job_id].total_cpu_need
+    )
 
 
 def build_allocations(

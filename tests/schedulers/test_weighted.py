@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core import Cluster, JobSpec, SimulationConfig, Simulator
 from repro.core.cluster import CAPACITY_EPSILON
 from repro.core.context import JobView
 from repro.core.job import JobState, MINIMUM_YIELD
+from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import ConfigurationError
 from repro.schedulers import WeightedYieldScheduler, create_scheduler
 from repro.schedulers.dfrs.weighted import (
@@ -17,6 +20,8 @@ from repro.schedulers.dfrs.weighted import (
     weighted_improve_yield,
 )
 from repro.schedulers.dfrs.yield_opt import fair_yields, improve_average_yield
+from repro.serve import PlacementLogObserver
+from repro.traces.lublin import LublinWorkloadGenerator
 
 
 def _view(job_id, tasks=1, cpu=0.5, mem=0.2):
@@ -118,6 +123,12 @@ class TestWeightedFairYields:
 
 
 class TestWeightedImproveYield:
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_weight_rejected(self, weight):
+        """Checked before the pass, also when every yield is saturated."""
+        with pytest.raises(ConfigurationError):
+            weighted_improve_yield({0: (0,)}, {0: 1.0}, {0: _view(0)}, CLUSTER, {0: weight})
+
     def test_never_decreases_yields(self):
         jobs = {0: _view(0, cpu=0.4), 1: _view(1, cpu=0.4)}
         placements = {0: (0,), 1: (0,)}
@@ -213,3 +224,29 @@ class TestWeightedYieldScheduler:
         )
         small_plain = max(plain.record_for(1).stretch, plain.record_for(2).stretch)
         assert small_weighted <= small_plain + 1e-6
+
+
+#: sha256 of the placement log of ``dynmcb8-asap-weighted-per-600`` (the
+#: default inverse-size weights) on small Lublin runs, keyed by (nodes, jobs,
+#: seed, penalty seconds).  Written at commit bbb506a, while the weighted
+#: improver was still its own rescan; there is no regeneration script.
+WEIGHTED_PLACEMENT_LOGS = {
+    (16, 40, 11, 300.0): "1c80e570fa16a5e0dd6b3e8630bc10074cc896e009f75b564e412bd96ddccc18",
+    (8, 40, 7, 0.0): "d9b44e8f2745c95946fee4a40722cbee69aebb727ecaac5e692a8dfb6e5b32be",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTED_PLACEMENT_LOGS))
+def test_weighted_placement_log_pin(case):
+    nodes, num_jobs, seed, penalty = case
+    cluster = Cluster(num_nodes=nodes, cores_per_node=4, node_memory_gb=8.0)
+    specs = list(LublinWorkloadGenerator(cluster).generate(num_jobs, seed=seed).jobs)
+    observer = PlacementLogObserver()
+    Simulator(
+        cluster,
+        create_scheduler("dynmcb8-asap-weighted-per-600"),
+        SimulationConfig(penalty_model=ReschedulingPenaltyModel(penalty)),
+        observers=[observer],
+    ).run(specs)
+    digest = hashlib.sha256(observer.to_json_bytes()).hexdigest()
+    assert digest == WEIGHTED_PLACEMENT_LOGS[case]
