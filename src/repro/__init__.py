@@ -53,9 +53,6 @@ from .exceptions import (
 from .campaign.executor import run_algorithm, run_instance
 from .campaign.studies import (
     ExperimentConfig,
-    default_scale,
-    paper_scale,
-    quick_scale,
     run_extensions_comparison,
     run_figure1,
     run_packing_ablation,
@@ -117,9 +114,6 @@ __all__ = [
     "WorkloadError",
     # campaign studies and single-workload helpers
     "ExperimentConfig",
-    "default_scale",
-    "paper_scale",
-    "quick_scale",
     "run_algorithm",
     "run_extensions_comparison",
     "run_figure1",

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
@@ -969,9 +969,6 @@ class Scenario:
         if self.repack_on_failure:
             data["engine"]["repack_on_failure"] = True
         return data
-
-    def with_penalty(self, penalty_seconds: float) -> "Scenario":
-        return replace(self, penalty_seconds=penalty_seconds)
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:

@@ -16,18 +16,15 @@ options).  The CLI builds its study subcommands and dispatches from it, and
 the golden-output tests and their regeneration script iterate it: a new
 study is one entry here plus one golden file.
 
-The paper's full campaign (100 traces × 1,000 jobs × 9 load levels × 9
-algorithms × 2 penalty settings, plus 182 HPC2N weeks) takes CPU-days; the
-:class:`ExperimentConfig` defaults are deliberately small so that the whole
-benchmark suite runs in minutes on a laptop, while :func:`paper_scale`
-returns the full-size configuration for users who want to spend the time.
-The reproduced claims are about *relative* behaviour (who wins, by how much,
-where crossovers fall), which is already visible at reduced scale.
+The :class:`ExperimentConfig` defaults are deliberately small so that every
+study runs in minutes on a laptop.  The paper's own grid (128 nodes, Lublin
+traces of 1,000 jobs, load 0.1–0.9, penalty 0 and 300 s) is a scenario file,
+``examples/scenarios/paper_grid.json``, run with ``repro-dfrs run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,9 +54,6 @@ from .scenario import (
 
 __all__ = [
     "ExperimentConfig",
-    "quick_scale",
-    "default_scale",
-    "paper_scale",
     "lublin_source",
     "scaled_scenario",
     "unscaled_scenario",
@@ -139,43 +133,6 @@ class ExperimentConfig:
             raise ConfigurationError("hpc2n_weeks must be >= 1")
         if self.hpc2n_jobs_per_week < 2:
             raise ConfigurationError("hpc2n_jobs_per_week must be >= 2")
-
-    def with_penalty(self, penalty_seconds: float) -> ExperimentConfig:
-        """Copy of this configuration with a different rescheduling penalty."""
-        return replace(self, penalty_seconds=penalty_seconds)
-
-    def with_algorithms(self, algorithms: Sequence[str]) -> ExperimentConfig:
-        """Copy of this configuration evaluating a different algorithm set."""
-        return replace(self, algorithms=tuple(algorithms))
-
-
-def quick_scale() -> ExperimentConfig:
-    """Tiny configuration used by CI-style smoke tests (< 1 minute)."""
-    return ExperimentConfig(
-        cluster=Cluster(32, 4, 8.0),
-        num_traces=2,
-        num_jobs=60,
-        load_levels=(0.3, 0.7),
-        hpc2n_weeks=1,
-        hpc2n_jobs_per_week=80,
-    )
-
-
-def default_scale() -> ExperimentConfig:
-    """Default laptop-scale configuration used by the benchmark harness."""
-    return ExperimentConfig()
-
-
-def paper_scale() -> ExperimentConfig:
-    """The full experimental campaign of the paper (very long running)."""
-    return ExperimentConfig(
-        cluster=Cluster(128, 4, 8.0),
-        num_traces=100,
-        num_jobs=1000,
-        load_levels=tuple(round(0.1 * i, 1) for i in range(1, 10)),
-        hpc2n_weeks=182,
-        hpc2n_jobs_per_week=1100,
-    )
 
 
 _STRETCH = (CollectorSpec("stretch"),)

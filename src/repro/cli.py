@@ -27,7 +27,8 @@ Ablation and extension studies beyond the paper's artifacts:
 Campaign-layer subcommands:
 
 * ``run``        — execute any scenario described in a JSON/TOML spec file
-  (see :mod:`repro.campaign.spec`) with zero new driver code;
+  (see :mod:`repro.campaign.spec`) with zero new driver code; the file sets
+  the size, so ``run`` refuses the sizing flags (``_SCALE_FLAGS``);
 * ``algorithms`` — list the scheduler registry with its name grammar.
 
 Platform subcommands (``repro-dfrs platform <command>``, see
@@ -77,7 +78,7 @@ from .analysis.report import format_table
 from .campaign.executor import Campaign, export_campaign_artifacts
 from .campaign.result import CampaignResult
 from .campaign.spec import load_scenario
-from .campaign.studies import STUDIES, ExperimentConfig, default_scale, lublin_source
+from .campaign.studies import STUDIES, ExperimentConfig, lublin_source
 from .core.cluster import Cluster
 from .devtools.cli import add_dev_subparser, run_dev_command
 from .obs.cli import (
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = default_scale()
+    config = ExperimentConfig()
     if args.nodes is not None:
         config = replace(config, cluster=Cluster(args.nodes, 4, 8.0))
     if args.num_traces is not None:
@@ -624,6 +625,10 @@ def _format_algorithms() -> str:
 #: silently change the estimator, so they refuse the flag instead.
 _STREAMING_COMMANDS = ("run", "compare")
 
+#: Global flags that size an experiment.  ``run`` refuses them: the spec file
+#: sets its own cluster, traces, loads, algorithms, penalty and seeds.
+_SCALE_FLAGS = ("nodes", "num_traces", "num_jobs", "loads", "algorithms", "penalty", "seed")
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-dfrs`` console script."""
@@ -655,6 +660,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "factors, which the merged per-cell streaming rows would "
             "silently change"
         )
+    given = [
+        f"--{flag.replace('_', '-')}" for flag in _SCALE_FLAGS if getattr(args, flag) is not None
+    ]
+    if args.command == "run" and given:
+        parser.error(f"run takes its size from the spec file; drop {', '.join(given)}")
     config = _config_from_args(args)
     campaign = _campaign_from_args(args, config)
 

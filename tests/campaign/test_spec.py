@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.campaign.scenario import scenario_from_dict, scenario_hash, source_from_dict
 from repro.campaign.spec import load_scenario, scenario_from_spec_text
 from repro.cli import main
 from repro.exceptions import ConfigurationError
@@ -61,34 +63,6 @@ class TestSpecParsing:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError):
             scenario_from_spec_text("{}", format="ini")
-
-    def test_shipped_example_spec_parses(self):
-        import pathlib
-
-        example = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "examples" / "scenarios" / "load_period_cross.json"
-        )
-        scenario = load_scenario(example)
-        assert scenario.name == "load-period-cross"
-        assert len(scenario.expand()) == 9
-
-    def test_shipped_generated_transform_spec_parses(self):
-        import pathlib
-
-        example = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "examples" / "scenarios" / "generated_transform.json"
-        )
-        scenario = load_scenario(example)
-        assert scenario.name == "generated-transform-chain"
-        assert scenario.source.kind == "transform"
-        # The chain round-trips through the canonical spec form.
-        from repro.campaign.scenario import source_from_dict
-
-        assert source_from_dict(scenario.source.to_dict()).to_dict() == (
-            scenario.source.to_dict()
-        )
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="tomllib needs Python 3.11+"
@@ -159,3 +133,42 @@ class TestRunSubcommand:
         )
         assert code == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--nodes", "16"], ["--num-traces", "3", "--num-jobs", "20"], ["--loads", "0.5"],
+         ["--algorithms", "fcfs"], ["--penalty", "0"], ["--seed", "1"]],
+    )
+    def test_run_refuses_the_sizing_flags_by_name(self, spec_path, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, "run", str(spec_path)])
+        error = capsys.readouterr().err
+        assert exit_info.value.code == 2 and all(flag in error for flag in flags[::2])
+
+    def test_run_keeps_the_execution_flags(self, spec_path, tmp_path, capsys):
+        argv = ["--workers", "1", "--streaming-metrics", "--cache-dir", str(tmp_path)]
+        assert main([*argv, "run", str(spec_path)]) == 0
+        assert "load-period-cross" in capsys.readouterr().out
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+
+#: Every shipped scenario file: the name it declares and its cell count.
+SHIPPED_SCENARIOS = {
+    "generated_transform.json": ("generated-transform-chain", 1),
+    "heterogeneous_failures.json": ("heterogeneous-failures", 2),
+    "load_period_cross.json": ("load-period-cross", 9),
+    "overhead_sweep.json": ("overhead-sweep", 3),
+    "paper_grid.json": ("paper-grid", 18),
+    "streaming_metrics.json": ("million-job-streaming", 1),
+}
+
+
+@pytest.mark.parametrize("file_name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_shipped_scenario_file_loads_and_keeps_its_hash(file_name):
+    scenario = load_scenario(SCENARIO_DIR / file_name)
+    assert (scenario.name, len(scenario.expand())) == SHIPPED_SCENARIOS[file_name]
+    assert scenario_hash(scenario_from_dict(scenario.to_dict())) == scenario_hash(scenario)
+    # A transform chain round-trips through the canonical spec form too.
+    source = scenario.source.to_dict()
+    assert source_from_dict(source).to_dict() == source

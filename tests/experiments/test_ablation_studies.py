@@ -128,6 +128,15 @@ class TestPackingAblation:
         mean = ablation.outcome.aggregate("min_yield")
         assert mean["mcb8"] >= mean["first-fit"] - 0.05
 
+    def test_mcb8_keeps_pace_with_first_and_best_fit(self):
+        packers = ("mcb8", "first-fit", "best-fit")
+        ablation = run_packing_ablation(
+            num_nodes=16, num_instances=25, jobs_per_instance=24, seed=9, packers=packers
+        )
+        mean = ablation.outcome.aggregate("min_yield")
+        assert mean["mcb8"] >= mean["first-fit"] - 0.02
+        assert mean["mcb8"] >= mean["best-fit"] - 0.02
+
     def test_format_lists_packers(self, ablation):
         text = ablation.format()
         for name in ("mcb8", "first-fit", "worst-fit"):
@@ -171,8 +180,10 @@ class TestUtilizationStudy:
             assert 0 <= row.metric("peak_busy_nodes") <= 16
 
     def test_energy_savings_fraction_valid(self, study):
+        # At load 0.5 a sizeable share of node-hours is idle, so powering idle
+        # nodes down saves a non-trivial share under every algorithm.
         for row in study.outcome.rows:
-            assert 0.0 <= row.metric("energy_savings_fraction") <= 1.0
+            assert 0.05 < row.metric("energy_savings_fraction") <= 1.0
 
     def test_fairness_index_valid(self, study):
         for row in study.outcome.rows:
@@ -199,11 +210,7 @@ class TestExtensionsComparison:
             hpc2n_weeks=1,
             hpc2n_jobs_per_week=30,
         )
-        return run_extensions_comparison(
-            config,
-            algorithms=("easy", "dynmcb8-asap-per-600", "dynmcb8-asap-weighted-per-600"),
-            penalty_seconds=300.0,
-        )
+        return run_extensions_comparison(config, penalty_seconds=300.0)
 
     def test_default_algorithm_set_contains_extensions(self):
         assert "dynmcb8-asap-throttled-per-600" in EXTENSION_ALGORITHMS
@@ -212,14 +219,19 @@ class TestExtensionsComparison:
 
     def test_stats_per_algorithm(self, outcome):
         stats = outcome.outcome.degradation_stats()
-        assert set(stats) == {
-            "easy",
-            "dynmcb8-asap-per-600",
-            "dynmcb8-asap-weighted-per-600",
-        }
+        assert set(stats) == set(EXTENSION_ALGORITHMS)
         for entry in stats.values():
             assert entry.average >= 1.0
             assert entry.maximum >= entry.average
+
+    def test_extensions_stay_in_the_winners_league(self, outcome):
+        # Throttling and weights change CPU shares, not placements: both stay
+        # within 10x of the paper's winner, and EASY never beats it.
+        stats = outcome.outcome.degradation_stats()
+        winner = stats["dynmcb8-asap-per-600"].average
+        assert stats["dynmcb8-asap-throttled-per-600"].average <= 10 * winner
+        assert stats["dynmcb8-asap-weighted-per-600"].average <= 10 * winner
+        assert stats["easy"].average >= winner
 
     @staticmethod
     def _best(outcome):

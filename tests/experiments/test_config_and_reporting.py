@@ -5,32 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_figure_series, format_table
-from repro.campaign.studies import (
-    ExperimentConfig,
-    default_scale,
-    paper_scale,
-    quick_scale,
-)
-from repro.core.cluster import Cluster
+from repro.campaign.studies import ExperimentConfig
 from repro.exceptions import ConfigurationError
 
 
 class TestExperimentConfig:
-    def test_presets(self):
-        quick = quick_scale()
-        default = default_scale()
-        paper = paper_scale()
-        assert quick.num_jobs < default.num_jobs < paper.num_jobs
-        assert paper.num_traces == 100
-        assert paper.load_levels == tuple(round(0.1 * i, 1) for i in range(1, 10))
-        assert paper.cluster.num_nodes == 128
-        assert len(paper.algorithms) == 9
-
-    def test_with_penalty_and_algorithms(self):
-        config = quick_scale().with_penalty(0.0).with_algorithms(["fcfs", "greedy"])
-        assert config.penalty_seconds == 0.0
-        assert config.algorithms == ("fcfs", "greedy")
-
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -47,6 +48,18 @@ class TestJobPriority:
         linear = job_priority(1000.0, 10.0, exponent=1.0)
         assert squared == pytest.approx(10.0)
         assert linear == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("exponent", [2.0, 1.0])
+    def test_greedy_pmtn_runs_under_either_exponent(self, monkeypatch, exponent):
+        import repro.schedulers.dfrs.greedy_pmtn as greedy_pmtn
+        from repro import Cluster, LublinWorkloadGenerator, run_algorithm, scale_to_load
+
+        for name in ("sort_by_increasing_priority", "sort_by_decreasing_priority"):
+            sort = functools.partial(globals()[name], exponent=exponent)
+            monkeypatch.setattr(greedy_pmtn, name, sort)
+        workload = LublinWorkloadGenerator(Cluster(16, 4, 8.0)).generate(40, seed=2010)
+        result = run_algorithm(scale_to_load(workload, 0.7), "greedy-pmtn", penalty_seconds=300.0)
+        assert result.num_jobs == 40 and result.max_stretch >= 1.0
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
