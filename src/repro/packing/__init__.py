@@ -5,6 +5,7 @@ from .bounds import (
     cpu_volume_exceeded,
     infeasibility_reasons,
     memory_feasible,
+    memory_feasible_prefixes,
     memory_lower_bound_bins,
     total_cpu_need,
     total_memory_requirement,
@@ -32,6 +33,7 @@ __all__ = [
     "cpu_volume_exceeded",
     "infeasibility_reasons",
     "memory_feasible",
+    "memory_feasible_prefixes",
     "memory_lower_bound_bins",
     "total_cpu_need",
     "total_memory_requirement",

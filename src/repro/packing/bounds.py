@@ -28,7 +28,8 @@ reporting, not such a test.)
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from .item import BIN_EPSILON, PackingItem, PackingJob
@@ -39,6 +40,7 @@ __all__ = [
     "cpu_capacity_yield_bound",
     "memory_lower_bound_bins",
     "memory_feasible",
+    "memory_feasible_prefixes",
     "infeasibility_reasons",
     "cpu_volume_exceeded",
 ]
@@ -136,6 +138,60 @@ def memory_feasible(
     exists, but a ``False`` answer proves that none does, whatever the yield.
     """
     return not infeasibility_reasons(jobs, num_nodes, capacities=capacities)
+
+
+def memory_feasible_prefixes(
+    jobs: Sequence[PackingJob],
+    num_nodes: int,
+    *,
+    capacities: Optional[Sequence[Tuple[float, float]]] = None,
+) -> List[bool]:
+    """``memory_feasible(jobs[:k])`` for every ``k`` from 0 to ``len(jobs)``, in one pass.
+
+    The running memory volume and task count, the first oversized job, and
+    the big tasks' count and smallest requirement are all prefix sums or
+    prefix extrema; the pairing slot count is one term per distinct node
+    capacity.  A running total is ``sum()``'s left-to-right order, so the
+    verdicts equal :func:`memory_feasible`'s wherever ``sum()`` is not
+    compensated (CPython <= 3.11); elsewhere a volume verdict can differ only
+    within the rounding allowance, where every ``False`` is still a proof.
+    """
+    if num_nodes < 1:
+        raise ReproError(f"num_nodes must be >= 1, got {num_nodes}")
+    mem_caps = (
+        [1.0] * num_nodes
+        if capacities is None
+        else [memory for _, memory in capacities]
+    )
+    largest_node = max(mem_caps)
+    total_memory_capacity = sum(mem_caps)
+    cap_counts = Counter(mem_caps).items()
+    verdicts = [True]
+    volume = 0.0
+    tasks = big_tasks = 0
+    smallest = math.inf
+    pairing_ok = True
+    for job in jobs:
+        if job.mem_requirement > largest_node + BIN_EPSILON:
+            # Every longer prefix holds this oversized job too.
+            verdicts += [False] * (len(jobs) + 1 - len(verdicts))
+            break
+        volume += job.num_tasks * job.mem_requirement
+        tasks += job.num_tasks
+        if job.mem_requirement > 0.5 + 1e-9:
+            big_tasks += job.num_tasks
+            smallest = min(smallest, job.mem_requirement)
+            allowance = _rounding_allowance(big_tasks)
+            hosting_slots = sum(
+                count * int((cap + BIN_EPSILON) / smallest * allowance)
+                for cap, count in cap_counts
+            )
+            pairing_ok = big_tasks <= hosting_slots
+        verdicts.append(
+            pairing_ok
+            and not _volume_exceeded(volume, tasks, total_memory_capacity, num_nodes)
+        )
+    return verdicts
 
 
 def cpu_volume_exceeded(

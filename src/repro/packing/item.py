@@ -106,9 +106,14 @@ class Bin:
         return self.memory_capacity - self.memory_used
 
     def fits(self, item: PackingItem) -> bool:
-        """True if the item fits in the remaining capacity of this bin."""
+        """True if the item fits in the remaining capacity of this bin.
+
+        A zero-capacity bin (a down node) admits nothing, not even what the
+        epsilon would let in.
+        """
         return (
-            self.cpu_used + item.cpu <= self.cpu_capacity + self.epsilon
+            (self.cpu_capacity > 0.0 or self.memory_capacity > 0.0)
+            and self.cpu_used + item.cpu <= self.cpu_capacity + self.epsilon
             and self.memory_used + item.memory <= self.memory_capacity + self.epsilon
         )
 

@@ -35,8 +35,12 @@ the shortcut exact, not approximate:
   the runs the bin already refused.
 
 A placed run's consecutive tasks go in one step while the scan would pick
-the run again.  One fill then costs O(bins × runs) fit tests plus one float
-sum and fit test per item instead of O(bins × items) *per placed item*.
+the run again.  A bin that empties no run is copied, steps shifted, into the
+next bins of equal capacity while every run it used keeps a task beyond the
+copies: nothing the fill reads differs in a copy.  One fill then costs
+O(distinct bins × runs) fit tests plus one float sum and fit test per item
+placed in a distinct bin, and one step record per copied step, instead of
+O(bins × items) *per placed item*.
 :func:`mcb8_pack` cuts items into runs; :func:`mcb8_pack_jobs`, the yield
 searches' entry, takes one per job and builds no item;
 :func:`repro.packing.variants.mcb_family_pack` runs the same fill.
@@ -123,13 +127,14 @@ def _pack(
 ) -> PackingResult:
     """Fill both entries' sorted lists, and tell the telemetry sink what one pack did."""
     num_runs = len(lists[0]) + len(lists[1])
+    repeated = 0
     if not num_items:
         result, num_runs = PackingResult(success=True, assignments={}, bins_used=0), 0
     elif num_bins <= 0:
         result, num_runs = PackingResult.failure(), 0
     else:
         _check_capacities(capacities, num_bins)
-        result = _fill(lists, num_bins, capacities)
+        result, repeated = _fill(lists, num_bins, capacities)
     telemetry = current_telemetry()
     if telemetry is not None:
         telemetry.count("packing.packs")
@@ -137,6 +142,7 @@ def _pack(
         telemetry.count("packing.items", num_items)
         telemetry.count("packing.runs", num_runs)
         telemetry.count("packing.bins_used", result.bins_used)
+        telemetry.count("packing.bins_repeated", repeated)
     return result
 
 
@@ -174,27 +180,33 @@ def _mcb_pack(
 
 def _fill(
     lists: Tuple[List[list], List[list]], num_bins: int, capacities: BinCapacities
-) -> PackingResult:
+) -> Tuple[PackingResult, int]:
     """Fill bins in index order from the (CPU-dominant, memory-dominant) lists.
 
     The bin being filled is a few local floats, and ``cursors[which]`` is its
     scan position in ``lists[which]``: every run before it has been refused.
     A run's head is stored only straight after ``used + requirement <=
     capacity + epsilon`` held in both dimensions — :meth:`Bin.fits`' own two
-    sums, so every comparison has the operands it would have there.
+    sums, so every comparison has the operands it would have there.  A bin
+    that empties no run is copied into the next bins while that is exact
+    (:func:`_repeat_bin`).  Returns the result and how many bins were copies.
     """
     cpu_runs, mem_runs = lists
     # One (job_id, first task_index, tasks, bin) per placing step.
     steps: List[Tuple[int, int, int, int]] = []
-    bins_used = 0
+    bins_used = repeated = 0
     cpu_capacity = memory_capacity = 1.0
     bin_index = -1
     while cpu_runs or mem_runs:
         bin_index += 1
         if bin_index >= num_bins:
-            return PackingResult.failure()
+            return PackingResult.failure(), repeated
         if capacities is not None:
             cpu_capacity, memory_capacity = capacities[bin_index]
+            if not (cpu_capacity > 0.0 or memory_capacity > 0.0):
+                # A zero-capacity bin (a down node) hosts nothing, not even
+                # what its epsilon would let in.
+                continue
         cpu_limit = cpu_capacity + BIN_EPSILON
         mem_limit = memory_capacity + BIN_EPSILON
         cpu_used = mem_used = 0.0
@@ -215,7 +227,7 @@ def _fill(
                         break
         has_cpu, has_mem = cursors[0] < len(cpu_runs), cursors[1] < len(mem_runs)
         if not (has_cpu or has_mem):
-            # Nothing fits this (possibly zero-capacity) bin; try the next.
+            # Nothing fits this bin; try the next.
             continue
         if has_cpu and (
             not has_mem or cpu_runs[cursors[0]][5] >= mem_runs[cursors[1]][5]
@@ -229,8 +241,11 @@ def _fill(
         ):
             # Unit bins only (a sought seed fits): an item that does not fit
             # in an empty node can never be placed.
-            return PackingResult.failure()
+            return PackingResult.failure(), repeated
         bins_used += 1
+        first_step = len(steps)
+        # The record of each of this bin's steps, while no run has emptied.
+        placed_runs: Optional[List[list]] = []
 
         while True:
             # ``record`` heads the run at ``cursors[which]`` of ``lists[which]``
@@ -256,9 +271,12 @@ def _fill(
             steps.append((job_id, task_index, placed, bin_index))
             if placed == left:
                 del lists[which][cursors[which]]
+                placed_runs = None
             else:
                 record[3] = task_index + placed
                 record[4] = left - placed
+                if placed_runs is not None:
+                    placed_runs.append(record)
 
             # Balance the two dimensions: next comes the first fitting item of
             # the list that goes against the node's imbalance, else of the
@@ -281,10 +299,69 @@ def _fill(
             else:
                 break
 
+        if placed_runs is not None:
+            copies = _repeat_bin(steps, first_step, placed_runs, bin_index, num_bins, capacities)
+            bin_index += copies
+            bins_used += copies
+            repeated += copies
+
     assignments = _assemble_steps(steps)
     if assignments is None:
-        return PackingResult.failure()
-    return PackingResult(success=True, assignments=assignments, bins_used=bins_used)
+        return PackingResult.failure(), repeated
+    return PackingResult(success=True, assignments=assignments, bins_used=bins_used), repeated
+
+
+def _repeat_bin(
+    steps: List[Tuple[int, int, int, int]],
+    first_step: int,
+    placed_runs: List[list],
+    bin_index: int,
+    num_bins: int,
+    capacities: BinCapacities,
+) -> int:
+    """Copy the bin just filled into the next bins while the fill would repeat it.
+
+    The bin emptied no run (``placed_runs[i]`` is the record of its step
+    ``first_step + i``), so the lists are what it started from minus the
+    tasks it took.  The seed choice, the fit tests, the balance rule and the
+    ``alone`` flag read only the records' ``(cpu, memory, sort value)``, the
+    list lengths and the bin's own float sums, so the next bin of equal
+    capacity takes the same steps — while every run it uses has a task left
+    beyond them.  Appends the copies' steps, moves the runs' cursors and
+    returns the number of copies.
+    """
+    bin_steps = steps[first_step:]
+    # A run's cursor minus the first task a step of it placed here is what
+    # the bin took of the run at its first step, less at a later one: the
+    # minimum over the steps is the minimum over the runs.
+    copies = num_bins - 1 - bin_index
+    for record, step in zip(placed_runs, bin_steps):
+        fit = (record[4] - 1) // (record[3] - step[1])
+        if fit < copies:
+            copies = fit
+    if capacities is not None:
+        capacity = capacities[bin_index]
+        stretch = 0
+        while stretch < copies and capacities[bin_index + 1 + stretch] == capacity:
+            stretch += 1
+        copies = stretch
+    if copies <= 0:
+        return 0
+    # Move each run by one bin's take, step by step: every step of a run
+    # then reads the run's whole take as its shift.  Then by the rest.
+    shifts = []
+    for record, step in zip(placed_runs, bin_steps):
+        shifts.append(record[3] - step[1])
+        record[3] += step[2]
+    for record, step in zip(placed_runs, bin_steps):
+        record[3] += (copies - 1) * step[2]
+        record[4] -= copies * step[2]
+    steps += [
+        (job_id, task_index + copy * shift, count, bin_index + copy)
+        for copy in range(1, copies + 1)
+        for (job_id, task_index, count, _), shift in zip(bin_steps, shifts)
+    ]
+    return copies
 
 
 def _assemble_steps(

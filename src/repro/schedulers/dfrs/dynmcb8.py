@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ...core.allocation import AllocationDecision
 from ...core.context import JobView, SchedulingContext
 from ...obs.telemetry import current_telemetry
-from ...packing.bounds import memory_feasible
+from ...packing.bounds import memory_feasible_prefixes
 from ...packing.mcb8 import BinCapacities
 from ...packing.yield_search import PackingJob, YieldSearchResult, maximize_min_yield
 from ..base import Scheduler
@@ -123,7 +123,9 @@ class DynMcb8Scheduler(Scheduler):
 
         ``search(jobs, num_nodes, capacities=...)`` is one of the binary
         searches of :mod:`repro.packing.yield_search`.  Rounds whose memory
-        footprint provably cannot fit are skipped without packing.
+        footprint provably cannot fit are skipped without packing: the rounds
+        are prefixes of one priority order, so their verdicts come from one
+        pass.
         """
         # Evict lowest-priority jobs first, so process a mutable list sorted
         # from most to least deserving (we pop from the end).  The flow time
@@ -145,8 +147,9 @@ class DynMcb8Scheduler(Scheduler):
         # per-node (cpu, mem) capacities otherwise, with down nodes as
         # zero-capacity bins no packing can land on.
         capacities = context.packing_capacities()
+        feasible = memory_feasible_prefixes(packing_jobs, num_nodes, capacities=capacities)
         while packing_jobs:
-            if memory_feasible(packing_jobs, num_nodes, capacities=capacities):
+            if feasible[len(packing_jobs)]:
                 result = search(packing_jobs, num_nodes, capacities=capacities)
                 if result.success:
                     return result

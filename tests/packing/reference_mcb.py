@@ -4,8 +4,10 @@ Verbatim copies of the parent commit's ``mcb8_pack`` (with ``_first_fitting``,
 the per-item all-list scan) and of ``mcb_family_pack``'s fork of the same
 loop, minus the ``timed_phase`` decorators.  ``test_mcb_differential.py``
 requires the live kernel to return the same :class:`PackingResult` on every
-generated instance.  Do not optimise or tidy this file: being slow and
-obviously right is its job.
+generated instance.  :func:`_fill` is the run-grouped fill as it stood before
+it repeated bins; ``test_bin_repeat_differential.py`` feeds it and the live
+fill the same record lists.  Do not optimise or tidy this file: being slow
+and obviously right is its job.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.packing.item import Bin, PackingItem, PackingResult
+from repro.packing.item import BIN_EPSILON, Bin, PackingItem, PackingResult
 from repro.packing.mcb8 import (
     BinCapacities,
+    _assemble_steps,
     _check_capacities,
     _collect_assignments,
     _make_bin,
@@ -281,3 +284,124 @@ def _first_fitting_index(bin_: Bin, items: List[PackingItem]) -> Optional[int]:
         if bin_.fits(item):
             return index
     return None
+
+
+def _fill(
+    lists: Tuple[List[list], List[list]], num_bins: int, capacities: BinCapacities
+) -> PackingResult:
+    """Fill bins in index order from the (CPU-dominant, memory-dominant) lists.
+
+    The bin being filled is a few local floats, and ``cursors[which]`` is its
+    scan position in ``lists[which]``: every run before it has been refused.
+    A run's head is stored only straight after ``used + requirement <=
+    capacity + epsilon`` held in both dimensions — :meth:`Bin.fits`' own two
+    sums, so every comparison has the operands it would have there.
+
+    The run-grouped fill as it stood before bins were repeated, verbatim but
+    for one edit: a zero-capacity bin (a down node) is skipped before the
+    seed search instead of granting its epsilon — the live rule.
+    """
+    cpu_runs, mem_runs = lists
+    # One (job_id, first task_index, tasks, bin) per placing step.
+    steps: List[Tuple[int, int, int, int]] = []
+    bins_used = 0
+    cpu_capacity = memory_capacity = 1.0
+    bin_index = -1
+    while cpu_runs or mem_runs:
+        bin_index += 1
+        if bin_index >= num_bins:
+            return PackingResult.failure()
+        if capacities is not None:
+            cpu_capacity, memory_capacity = capacities[bin_index]
+            if not (cpu_capacity > 0.0 or memory_capacity > 0.0):
+                continue
+        cpu_limit = cpu_capacity + BIN_EPSILON
+        mem_limit = memory_capacity + BIN_EPSILON
+        cpu_used = mem_used = 0.0
+        cursors = [0, 0]
+
+        # Seed the fresh node with the largest remaining item (CPU-heavy wins
+        # ties): overall on unit bins, where it fits any empty node or none
+        # ever; among those the node can host on variable-capacity bins.
+        if capacities is not None:
+            for which in (0, 1):
+                cursors[which] = len(lists[which])
+                for index, record in enumerate(lists[which]):
+                    if (
+                        cpu_used + record[0] <= cpu_limit
+                        and mem_used + record[1] <= mem_limit
+                    ):
+                        cursors[which] = index
+                        break
+        has_cpu, has_mem = cursors[0] < len(cpu_runs), cursors[1] < len(mem_runs)
+        if not (has_cpu or has_mem):
+            # Nothing fits this (possibly zero-capacity) bin; try the next.
+            continue
+        if has_cpu and (
+            not has_mem or cpu_runs[cursors[0]][5] >= mem_runs[cursors[1]][5]
+        ):
+            which = 0
+        else:
+            which = 1
+        record = lists[which][cursors[which]]
+        if not (
+            cpu_used + record[0] <= cpu_limit and mem_used + record[1] <= mem_limit
+        ):
+            # Unit bins only (a sought seed fits): an item that does not fit
+            # in an empty node can never be placed.
+            return PackingResult.failure()
+        bins_used += 1
+
+        while True:
+            # ``record`` heads the run at ``cursors[which]`` of ``lists[which]``
+            # and has just passed the fit test: place its next task here.  The
+            # scan below would pick the run again while it has tasks left, the
+            # next task fits, and the balance rule favours its list or the
+            # other list has nothing left for this bin (that cursor stays put
+            # meanwhile): its next tasks are placed in the same step.
+            cpu, memory, job_id, task_index, left = record[:5]
+            alone = cursors[1 - which] >= len(lists[1 - which])
+            placed = 0
+            while True:
+                cpu_used += cpu
+                mem_used += memory
+                placed += 1
+                favour_memory = memory_capacity - mem_used > cpu_capacity - cpu_used
+                if (
+                    placed == left
+                    or (favour_memory != which and not alone)
+                    or not (cpu_used + cpu <= cpu_limit and mem_used + memory <= mem_limit)
+                ):
+                    break
+            steps.append((job_id, task_index, placed, bin_index))
+            if placed == left:
+                del lists[which][cursors[which]]
+            else:
+                record[3] = task_index + placed
+                record[4] = left - placed
+
+            # Balance the two dimensions: next comes the first fitting item of
+            # the list that goes against the node's imbalance, else of the
+            # other list; the node is done when neither has one.
+            for which in (1, 0) if favour_memory else (0, 1):
+                runs = lists[which]
+                index = cursors[which]
+                count = len(runs)
+                while index < count:
+                    record = runs[index]
+                    if (
+                        cpu_used + record[0] <= cpu_limit
+                        and mem_used + record[1] <= mem_limit
+                    ):
+                        break
+                    index += 1
+                cursors[which] = index
+                if index < count:
+                    break
+            else:
+                break
+
+    assignments = _assemble_steps(steps)
+    if assignments is None:
+        return PackingResult.failure()
+    return PackingResult(success=True, assignments=assignments, bins_used=bins_used)

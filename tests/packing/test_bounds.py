@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,13 @@ from repro.packing import (
     job_items,
     maximize_min_yield,
     memory_feasible,
+    memory_feasible_prefixes,
     memory_lower_bound_bins,
     mcb8_pack,
     total_cpu_need,
     total_memory_requirement,
 )
-from repro.packing.bounds import BIN_EPSILON, _rounding_allowance
+from repro.packing.bounds import BIN_EPSILON, _rounding_allowance, _volume_exceeded
 
 
 def _job(job_id, tasks=1, cpu=0.5, mem=0.2):
@@ -263,3 +265,110 @@ class TestBoundsAreProofsAgainstTheBinTolerance:
         assert cpu_capacity_yield_bound(jobs, 2) < 1.0
         assert maximize_min_yield(jobs, 2).yield_value == 1.0
         assert not cpu_volume_exceeded(total_cpu_need(jobs), 4, 2)
+
+
+#: Memory requirements around the pairing threshold (0.5 + 1e-9), the unit
+#: node, and oversized for unit nodes; 2.5 is oversized for every platform.
+_HALF = 0.5 + 1e-9
+_PREFIX_MEMORIES = [
+    0.0, 0.125, 0.25, 0.4, 0.5 - 1e-9, 0.5, _HALF, math.nextafter(_HALF, math.inf),
+    0.5 + 2e-9, 0.6, 0.75, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.5, 2.5,
+]
+
+
+@st.composite
+def prefix_instances(draw):
+    """Jobs and a platform; sometimes a last job fills the memory volume to
+    within a few ulps of the padded limit."""
+    if draw(st.booleans()):
+        num_nodes, capacities = draw(st.integers(1, 8)), None
+        mem_caps = [1.0] * num_nodes
+    else:
+        capacities = draw(st.lists(
+            st.sampled_from([(0.0, 0.0), (1.0, 0.5), (1.0, 1.0), (2.0, 2.0), (1.0, 0.75)]),
+            min_size=1, max_size=8,
+        ))
+        num_nodes, mem_caps = len(capacities), [memory for _, memory in capacities]
+    jobs = [
+        PackingJob(job_id, draw(st.integers(1, 6)), 0.5, draw(st.sampled_from(_PREFIX_MEMORIES)))
+        for job_id in range(draw(st.integers(0, 10)))
+    ]
+    if draw(st.booleans()) and max(mem_caps) > 0.0:
+        volume = sum(job.num_tasks * job.mem_requirement for job in jobs)
+        tasks = sum(job.num_tasks for job in jobs)
+        filler_tasks = draw(st.integers(1, 4)) * num_nodes
+        accepted = sum(mem_caps) + num_nodes * BIN_EPSILON
+        limit = accepted * _rounding_allowance(tasks + filler_tasks + num_nodes)
+        memory = (limit - volume) / filler_tasks
+        for _ in range(draw(st.integers(0, 3))):
+            memory = math.nextafter(memory, draw(st.sampled_from([-math.inf, math.inf])))
+        if 0.0 <= memory <= max(mem_caps):
+            jobs.append(PackingJob(len(jobs), filler_tasks, 0.5, memory))
+    return jobs, num_nodes, capacities
+
+
+def _near_the_volume_limit(jobs, num_nodes, capacities) -> bool:
+    """Whether a rounding-level change of the volume could flip its verdict."""
+    mem_caps = [1.0] * num_nodes if capacities is None else [m for _, m in capacities]
+    volume = math.fsum(job.num_tasks * job.mem_requirement for job in jobs)
+    tasks = sum(job.num_tasks for job in jobs)
+    slack = volume * (_rounding_allowance(tasks) - 1.0)
+    total = sum(mem_caps)
+    return _volume_exceeded(volume + slack, tasks, total, num_nodes) != _volume_exceeded(
+        max(0.0, volume - slack), tasks, total, num_nodes
+    )
+
+
+class TestPrefixVerdicts:
+    """``memory_feasible_prefixes`` against ``infeasibility_reasons`` of each prefix."""
+
+    @given(prefix_instances())
+    @settings(max_examples=600, deadline=None)
+    def test_every_prefix_matches_the_reasons(self, instance):
+        jobs, num_nodes, capacities = instance
+        verdicts = memory_feasible_prefixes(jobs, num_nodes, capacities=capacities)
+        assert len(verdicts) == len(jobs) + 1
+        for k, verdict in enumerate(verdicts):
+            prefix = jobs[:k]
+            if sys.version_info >= (3, 12) and _near_the_volume_limit(prefix, num_nodes, capacities):
+                # ``sum()`` is compensated there, a running total is not.
+                continue
+            assert verdict == (not infeasibility_reasons(prefix, num_nodes, capacities=capacities)), k
+
+    def test_each_condition_fails_the_prefixes_from_its_job_on(self):
+        oversized = [_job(0, tasks=2, mem=0.25), _job(1, mem=0.6), _job(2, mem=1.5), _job(3)]
+        assert memory_feasible_prefixes(oversized, 2) == [True, True, True, False, False]
+        pairing = [_job(0, mem=0.75), _job(1, mem=0.6), _job(2, mem=0.0), _job(3, mem=0.6)]
+        assert memory_feasible_prefixes(pairing, 2) == [True, True, True, True, False]
+        volume = [_job(0, tasks=3, mem=0.5), _job(1, tasks=2, mem=0.5)]
+        assert memory_feasible_prefixes(volume, 2) == [True, True, False]
+
+    def test_a_smaller_big_requirement_raises_the_slots(self):
+        # A 2.0-memory node hosts one 1.1 task, but three 0.6 tasks.
+        wide = [(1.0, 2.0)]
+        jobs = [_job(0, mem=1.1), _job(1, mem=0.6)]
+        assert memory_feasible_prefixes(jobs, 1, capacities=wide) == [True, True, True]
+        assert not infeasibility_reasons(jobs, 1, capacities=wide)
+
+    def test_a_growing_allowance_alone_raises_the_slots(self):
+        # Eight unit nodes and one 2.0 node; ``smallest`` sits just above
+        # what a unit node grants, so the unit nodes count only once the big
+        # tasks' rounding allowance has grown.  The requirement never changes.
+        nodes = 8
+        wide = [(1.0, 2.0)] + [(1.0, 1.0)] * nodes
+
+        def unit_slots(smallest, big_tasks):
+            return int((1.0 + BIN_EPSILON) / smallest * _rounding_allowance(big_tasks))
+
+        smallest = 1.0 + BIN_EPSILON
+        while unit_slots(smallest, 1):
+            smallest = math.nextafter(smallest, math.inf)
+        assert unit_slots(smallest, 1 + nodes) == 1
+        jobs = [_job(0, mem=smallest), _job(1, tasks=nodes, mem=smallest)]
+        verdicts = memory_feasible_prefixes(jobs, 1 + nodes, capacities=wide)
+        assert verdicts == [True, True, True]
+        assert not infeasibility_reasons(jobs, 1 + nodes, capacities=wide)
+
+    def test_no_nodes_is_refused(self):
+        with pytest.raises(ReproError):
+            memory_feasible_prefixes([], 0)

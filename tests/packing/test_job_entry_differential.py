@@ -32,7 +32,7 @@ from .test_mcb_differential import _engine_scale_instances, bin_capacities, requ
 
 #: What one pack tallies; ``packing.mcb8`` is the phase's call count.
 TALLY = ("packing.packs", "packing.pack_failures", "packing.items", "packing.runs",
-         "packing.bins_used", "packing.mcb8")
+         "packing.bins_used", "packing.bins_repeated", "packing.mcb8")
 
 
 def _fields(result: PackingResult) -> Tuple:
@@ -139,12 +139,16 @@ class TestDrawnInstances:
 def test_engine_scale_sweep():
     """What a DYNMCB8 repack packs: 20-40 jobs of 1-32 tasks on 16-128 nodes."""
     outcomes = set()
+    repeated = 0
     for jobs, num_bins, capacities in _engine_scale_instances(120):
         for yield_value in (0.01, 0.5, 1.0):
             cpus = [job.cpu_requirement(yield_value) for job in jobs]
             result = assert_entries_agree(jobs, cpus, num_bins, capacities)
             outcomes.add((result.success, capacities is None))
+            _, tally = _tallied(mcb8_pack_jobs, jobs, cpus, num_bins, capacities)
+            repeated += tally["packing.bins_repeated"]
     assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+    assert repeated > 0  # the fills copied bins, and both entries tallied them alike
 
 
 def _job(job_id: int, num_tasks: int, cpu: float, memory: float) -> PackingJob:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cluster import Cluster
-from repro.core.job import JobState, MINIMUM_YIELD
+from repro.core.engine import SimulationConfig, Simulator
+from repro.core.job import JobSpec, JobState, MINIMUM_YIELD
+from repro.packing import Bin, PackingItem, PackingJob
+from repro.packing.mcb8 import mcb8_pack_jobs
+from repro.platform import TraceNodeEventSource
+from repro.schedulers.registry import create_scheduler
+from repro.serve import PlacementLogObserver
 from repro.schedulers.dfrs.dynmcb8 import DynMcb8Scheduler
 from repro.schedulers.dfrs.periodic import (
     DynMcb8AsapPeriodicScheduler,
@@ -222,3 +228,31 @@ class TestStretchPeriodic:
         decision = scheduler.schedule(ctx)
         total = sum(a.yield_value for a in decision.running.values())
         assert total <= 1.0 + 0.05
+
+
+class TestADownNodeHostsNothing:
+    """A down node is a ``(0, 0)`` bin; the bins' epsilon must not let a tiny
+    task in, or the engine refuses the decision (the node is down)."""
+
+    @pytest.mark.parametrize(
+        "algorithm", ["dynmcb8", "dynmcb8-per-600", "dynmcb8-stretch-per-600", "greedy-pmtn-migr"]
+    )
+    def test_tiny_tasks_avoid_a_node_down_from_the_start(self, algorithm):
+        simulator = Simulator(
+            Cluster(3, 4, 8.0),
+            create_scheduler(algorithm),
+            SimulationConfig(node_events=TraceNodeEventSource(events_list=((0.0, 0, "down"),))),
+            observers=[log := PlacementLogObserver()],
+        )
+        result = simulator.run([JobSpec(0, 10.0, 2, 1e-10, 1e-10, 100.0)])
+        assert result.num_jobs == 1
+        placed = [nodes for _, _, _, nodes, _ in log.entries if nodes is not None]
+        assert placed and all(0 not in nodes for nodes in placed)
+
+    def test_the_zero_capacity_bin_is_skipped(self):
+        job = PackingJob(1, 2, 1e-10, 1e-10)
+        result = mcb8_pack_jobs([job], [1e-10], 3, [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])
+        assert result.assignments == {1: (1, 1)}
+        assert not Bin(0, cpu_capacity=0.0, memory_capacity=0.0).fits(
+            PackingItem(1, 0, 1e-10, 1e-10)
+        )

@@ -36,6 +36,7 @@ from repro.core.engine import SimulationConfig, Simulator
 from repro.core.penalties import ReschedulingPenaltyModel
 from repro.packing.yield_search import YieldSearchResult
 from repro.platform import ExponentialFailureSource, NodeClass, NodeClassesPlatform
+from repro.schedulers.dfrs.dynmcb8 import DynMcb8Scheduler
 from repro.schedulers.registry import create_scheduler
 from repro.serve import PlacementLogObserver, SchedulerService
 from repro.traces import DiurnalPoissonTraceSource
@@ -48,6 +49,7 @@ from ..core.test_engine_index_differential import (
     _run,
     _run_stream,
 )
+from . import reference_repack
 from .reference_repack import reference_scheduler
 
 #: Every algorithm whose yield searches go through ``DynMcb8Scheduler.repack``.
@@ -212,6 +214,49 @@ def test_online_drive_cancelling_between_ticks(algorithm):
     )
     assert cancelled[0] == cancelled[1] and len(cancelled[0]) == 4
     assert "cancel" in _actions(seen) and reused > 0
+
+
+@pytest.mark.parametrize("algorithm, most_rounds", [("dynmcb8", 15), ("dynmcb8-per-600", 16)])
+def test_repacks_with_many_eviction_rounds(algorithm, most_rounds, monkeypatch):
+    """Four nodes for 36 jobs: memory alone evicts jobs round after round.
+    The live repack reads each round's verdict from one prefix pass; the
+    oracle re-sums ``memory_feasible`` per round, which is what is counted.
+    A verdict that let a hopeless round through would move no decision, so
+    the rounds each side searches are counted too."""
+    rounds: List[int] = []
+    searched = {"reference": 0, "live": 0}
+    memory_feasible = reference_repack.memory_feasible
+    search_evicting = reference_repack.ReferenceRepack._search_evicting
+    reference_search = reference_repack.maximize_min_yield
+    live_search = DynMcb8Scheduler._reused_search
+
+    def counted_feasible(*args, **kwargs):
+        rounds[-1] += 1
+        return memory_feasible(*args, **kwargs)
+
+    def counted_search_evicting(*args):
+        rounds.append(0)
+        return search_evicting(*args)
+
+    def counted_reference_search(*args, **kwargs):
+        searched["reference"] += 1
+        return reference_search(*args, **kwargs)
+
+    def counted_live_search(*args, **kwargs):
+        searched["live"] += 1
+        return live_search(*args, **kwargs)
+
+    monkeypatch.setattr(reference_repack, "memory_feasible", counted_feasible)
+    monkeypatch.setattr(
+        reference_repack.ReferenceRepack, "_search_evicting", staticmethod(counted_search_evicting)
+    )
+    monkeypatch.setattr(reference_repack, "maximize_min_yield", counted_reference_search)
+    monkeypatch.setattr(DynMcb8Scheduler, "_reused_search", counted_live_search)
+    cluster = Cluster(num_nodes=4, cores_per_node=4, node_memory_gb=8.0)
+    _differential(algorithm, cluster, _lublin(cluster, 36, seed=11))
+    assert max(rounds) == most_rounds
+    assert sum(count >= 5 for count in rounds) > 20
+    assert searched["live"] == searched["reference"] < sum(rounds)
 
 
 # --------------------------------------------------------------------------- #
