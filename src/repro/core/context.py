@@ -20,7 +20,10 @@ filled by whoever builds the views when it already has each state in hand —
 the engine keeps its waiting views in per-state tables — and otherwise
 (contexts built by hand: tests, replays) computed once, on first use, and
 cached on the context.  Either way ``jobs`` is not meant to be edited after a
-partition accessor has been called.
+partition accessor has been called.  The engine also hands over each
+RUNNING job's applied :class:`JobAllocation`, so
+:meth:`SchedulingContext.current_allocations` returns those objects instead
+of rebuilding one per running job.
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ class SchedulingContext:
     _partition: Optional[Tuple[List[JobView], List[JobView], List[JobView]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The RUNNING jobs' applied allocations in ``jobs`` order; filled by the
+    #: engine's snapshot pass, else rebuilt by every ``current_allocations``.
+    _allocations: Optional[Dict[int, JobAllocation]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def _by_state(self) -> Tuple[List[JobView], List[JobView], List[JobView]]:
         """Split ``jobs`` by state in one pass (cached)."""
@@ -187,7 +195,16 @@ class SchedulingContext:
         return usage
 
     def current_allocations(self) -> Dict[int, JobAllocation]:
-        """Current running allocations as :class:`JobAllocation` objects."""
+        """Current running allocations as :class:`JobAllocation` objects, in
+        ``jobs`` order, in a fresh dict.
+
+        A context the engine built hands out the live objects it applied
+        (each equal to ``JobAllocation.create(view.assignment,
+        view.current_yield)``, and immutable); one built by hand rebuilds
+        them from its running views.
+        """
+        if self._allocations is not None:
+            return dict(self._allocations)
         allocations: Dict[int, JobAllocation] = {}
         for view in self.running_jobs():
             assert view.assignment is not None

@@ -39,7 +39,9 @@ incremental state keep the per-event work bounded:
   active job in ``_active`` order, with its PENDING and PAUSED entries also
   in arrival-ordered tables: a waiting job's view is built when it arrives
   or changes state and reused until its next transition, and only RUNNING
-  views are rebuilt per event.
+  views are rebuilt per event; beside them the snapshot collects each
+  RUNNING job's applied allocation (``Job.allocation``), so a scheduler that
+  keeps allocations gets the objects back instead of rebuilding them.
 
 The engine measures only stretch outcomes, the Table II costs, idle
 node-seconds and platform energy; utilization, availability and goodput are
@@ -86,7 +88,7 @@ from ..obs.telemetry import (
     push_telemetry,
 )
 from ..obs.timing import perf_counter as _perf_counter
-from .allocation import AllocationDecision, validate_decision
+from .allocation import AllocationDecision, JobAllocation, validate_decision
 from .clock import Clock, SimulatedClock
 from .cluster import Cluster
 from .context import JobView, SchedulingContext
@@ -573,7 +575,7 @@ class Simulator:
         vacated = job.assignment or ()  # only a RUNNING job holds nodes
         self._release_nodes(vacated)
         job.state = JobState.COMPLETED
-        job.assignment = None
+        job.assignment = job.allocation = None
         job.current_yield = 0.0
         self._evict(job_id)
         self._emit("cancel", job.spec, vacated)
@@ -670,7 +672,7 @@ class Simulator:
             del self._running[job.spec.job_id]
             self._release_nodes(job.assignment)
             job.last_assignment = job.assignment
-            job.assignment = None
+            job.assignment = job.allocation = None
             job.current_yield = 0.0
             if resubmit:
                 # Kill-and-resubmit: all progress is lost, nothing is saved
@@ -961,7 +963,7 @@ class Simulator:
         self._release_nodes(vacated)
         job.state = JobState.COMPLETED
         job.completion_time = self._now
-        job.assignment = None
+        job.assignment = job.allocation = None
         job.current_yield = 0.0
         self._evict(job.job_id)
         self._last_completion = max(self._last_completion, self._now)
@@ -1018,15 +1020,19 @@ class Simulator:
         Python work follows the running set.  Their loop is kept lean: the
         view is filled positionally through ``tuple.__new__`` (no Python
         frame per view; the literal has ``len(JobView._fields)`` items) and
-        everything loop-invariant is hoisted.  The context gets its own copy
-        of the view table and of each partition, so one kept by a scheduler
-        or observer reads the same after the run moves on.
+        everything loop-invariant is hoisted.  The same loop collects each
+        RUNNING job's applied allocation (``Job.allocation``), which
+        ``current_allocations`` hands out instead of rebuilding.  The context
+        gets its own copy of the view table, of each partition and of the
+        allocations, so one kept by a scheduler or observer reads the same
+        after the run moves on.
         """
         clairvoyant = self._clairvoyant
         now = self._now
         new_view = _new_tuple
         latest = self._views
         running: List[JobView] = []
+        allocations: Dict[int, JobAllocation] = {}
         jobs: Iterable[Job] = self._running.values()
         if len(self._running) > 1:
             jobs = sorted(jobs, key=_ARRIVAL_RANK)
@@ -1041,6 +1047,7 @@ class Simulator:
                 job.remaining_work + job.penalty_remaining if clairvoyant else None,
             ))
             running.append(view)
+            allocations[job_id] = job.allocation  # type: ignore[assignment]  # set while RUNNING
         if self._unsorted:
             for table in self._unsorted:
                 entries = sorted(table.items(), key=lambda item: self._jobs[item[0]].arrival_rank)
@@ -1062,6 +1069,7 @@ class Simulator:
         context._partition = (
             running, list(self._paused_views.values()), list(self._pending_views.values())
         )
+        context._allocations = allocations
         return context
 
     def _invoke_scheduler(
@@ -1216,7 +1224,7 @@ class Simulator:
                     self._charge_overhead("preemption", job)
                     self._release_nodes(job.assignment)
                     job.last_assignment = job.assignment
-                    job.assignment = None
+                    job.assignment = job.allocation = None
                     job.current_yield = 0.0
                     job.state = JobState.PAUSED
                     del running[job_id]
@@ -1238,6 +1246,7 @@ class Simulator:
                     job.last_assignment = job.assignment
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
+                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
                     self._note_allocation_change(job)
                     self._emit(
                         "migrate", job.spec, job.assignment, job.current_yield,
@@ -1245,9 +1254,11 @@ class Simulator:
                     )
                 else:
                     # same nodes: only the CPU fraction changes, no overhead
+                    # (a reordering keeps the applied node order)
                     old_yield = job.current_yield
                     job.current_yield = new_alloc.yield_value
                     if old_yield != new_alloc.yield_value:
+                        job.allocation = JobAllocation.create(job.assignment, job.current_yield)
                         self._note_allocation_change(job)
                         self._emit(
                             "yield", job.spec, job.assignment, job.current_yield,
@@ -1259,6 +1270,7 @@ class Simulator:
                     running[job_id] = job
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
+                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
                     self._acquire_nodes(new_alloc.nodes)
                     self._note_allocation_change(job)
                     if job.first_start_time is None:
@@ -1271,6 +1283,7 @@ class Simulator:
                     job.penalty_remaining += penalty.resume_penalty(job.spec)
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
+                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
                     self._acquire_nodes(new_alloc.nodes)
                     self._charge_overhead("resume", job)
                     self._note_allocation_change(job)

@@ -23,9 +23,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..exceptions import WorkloadError
+
+if TYPE_CHECKING:  # allocation.py imports this module
+    from .allocation import JobAllocation
 
 __all__ = ["JobState", "JobSpec", "Job", "MINIMUM_YIELD"]
 
@@ -141,6 +144,12 @@ class Job:
     assignment: Optional[Tuple[int, ...]] = None
     #: Current yield while RUNNING (0.0 otherwise).
     current_yield: float = 0.0
+    #: The applied allocation while RUNNING, ``None`` otherwise: equal to
+    #: ``JobAllocation.create(assignment, current_yield)`` and kept until the
+    #: next transition, so a context hands it out instead of rebuilding it.
+    #: Engine bookkeeping derived from the two fields above: excluded from
+    #: ``==``/repr.
+    allocation: Optional["JobAllocation"] = field(default=None, compare=False, repr=False)
     #: Node assignment held the last time the job ran (for resume bookkeeping).
     last_assignment: Optional[Tuple[int, ...]] = None
     first_start_time: Optional[float] = None

@@ -12,6 +12,10 @@ here as oracles:
   every event of the paper algorithms, ``conservative`` and ``gang``, under
   failure traces, checkpoint charges, online cancels and out-of-order
   requeues; ``tests/generated`` runs it on every drawn scenario;
+* the rebuild a context made by hand does in ``current_allocations`` (one
+  ``JobAllocation.create`` per running view) is what the engine's context
+  returned before it handed out the live allocations it applied;
+  ``check_snapshot`` holds the two to the same keys, order and bits;
 * ``Job.flow_time`` is what the deleted ``JobView.flow_time`` field held;
   ``SchedulingContext.flow_time`` and its inlined copies must give its bits;
 * a plain ``validate_decision`` over the real specs is what the engine ran
@@ -93,11 +97,32 @@ def _typed_bits(view: JobView) -> list:
 _STATES = (JobState.RUNNING, JobState.PAUSED, JobState.PENDING)
 
 
+def _allocation_bits(allocations: Dict[int, JobAllocation]) -> list:
+    """Ids in order, and per allocation its types, node values and yield bits."""
+    return [
+        (job_id, type(alloc), type(alloc.nodes), [(type(n), n) for n in alloc.nodes],
+         alloc.yield_value.hex())
+        for job_id, alloc in allocations.items()
+    ]
+
+
+def check_live_allocations(context: SchedulingContext) -> None:
+    """A context's ``current_allocations`` against the rebuild a context
+    built by hand over the same views does: same ids, same order, same bits,
+    in a fresh dict."""
+    by_hand = SchedulingContext(time=context.time, cluster=context.cluster, jobs=dict(context.jobs))
+    assert by_hand._allocations is None
+    live = context.current_allocations()
+    assert live is not context.current_allocations()
+    assert _allocation_bits(live) == _allocation_bits(by_hand.current_allocations())
+
+
 def check_snapshot(simulator: Simulator, context: SchedulingContext) -> List[JobView]:
     """The engine's ``jobs`` and its three partitions against the full
     rebuild: the same ids in the same order with the same bits, and each
     partition the per-state filter of ``jobs`` (the very views, in ``jobs``
-    order) — which a context built by hand computes lazily to the same lists.
+    order) — which a context built by hand computes lazily to the same lists;
+    and its live ``current_allocations`` against the by-hand rebuild.
     Returns the reference views."""
     expected = _reference_views(simulator)
     assert context.time == simulator.online_now()
@@ -121,6 +146,10 @@ def check_snapshot(simulator: Simulator, context: SchedulingContext) -> List[Job
     )
     assert by_hand._partition is None
     assert by_hand._by_state() == context._by_state()
+    assert context._allocations is not None  # handed over by the engine
+    check_live_allocations(context)
+    for job in simulator._active.values():  # kept while RUNNING, and only then
+        assert (job.allocation is None) is (job.state is not JobState.RUNNING), job.job_id
     return list(expected.values())
 
 
@@ -277,6 +306,43 @@ def test_two_jobs_reenter_pending_out_of_arrival_order_at_one_event():
     )
     assert simulator.run(specs).num_jobs == 3
     assert [2] in pending_orders and [0, 1, 2] in pending_orders
+
+
+class _UnclampedScheduler(Scheduler):
+    """Hands the engine allocations ``JobAllocation.create`` would not make:
+    a yield below ``MINIMUM_YIELD``, one a hair above 1 (both within
+    ``JobAllocation``'s own bounds) and nodes in a list.  The engine applies
+    them as given; what a context hands back must still be the rebuild."""
+
+    name = "unclamped"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        check_live_allocations(context)
+        self.calls += 1
+        decision = AllocationDecision(running={
+            0: JobAllocation((0,), 0.005),
+            1: JobAllocation((1,), 1.0 + 5e-10),
+            2: JobAllocation([0], 0.5),  # type: ignore[arg-type]
+        })
+        decision.request_wakeup(context.time + 1.0)
+        return decision
+
+
+def test_allocations_create_would_not_make_are_handed_back_rebuilt():
+    scheduler = _UnclampedScheduler()
+    specs = [JobSpec(job_id, 0.0, 1, 0.5, 0.1, 100.0) for job_id in range(3)]
+    simulator = Simulator(Cluster(num_nodes=2, cores_per_node=4, node_memory_gb=8.0), scheduler)
+    simulator.online_begin(0.0)
+    for spec in specs:
+        simulator.online_submit(spec)
+    for _ in range(3):
+        simulator.online_step()
+    assert scheduler.calls == 3
+    assert simulator._active[0].current_yield == 0.005  # applied as given
+    assert simulator._active[0].allocation == JobAllocation((0,), 0.01)
 
 
 def test_online_cancel_in_each_state():
@@ -473,6 +539,7 @@ _KINDS = [
     "subset",
     "reverse-entries",
     "reverse-nodes",
+    "reverse-nodes-and-yield",
     "nudge-yield",
     "migrate",
     "start",
@@ -509,6 +576,10 @@ def _mutated(context: SchedulingContext, op) -> AllocationDecision:
         allocations[victim.job_id] = JobAllocation(
             victim.assignment[::-1], victim.current_yield
         )
+    elif kind == "reverse-nodes-and-yield" and victim is not None:
+        # Same nodes in another order at a new yield: the engine keeps its
+        # own order, so its live allocation must not be this one.
+        allocations[victim.job_id] = JobAllocation(victim.assignment[::-1], yield_value)
     elif kind == "nudge-yield" and victim is not None:
         allocations[victim.job_id] = JobAllocation(victim.assignment, yield_value)
     elif kind == "migrate" and victim is not None:
@@ -554,6 +625,7 @@ class _ReplayScheduler(Scheduler):
         self.last_decision: Optional[AllocationDecision] = None
 
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        check_live_allocations(context)  # the drawn reorderings reach it here
         if self.op is None:
             decision = AllocationDecision(
                 running={
