@@ -6,7 +6,8 @@ Scheduling for HPC Workloads*, IEEE IPDPS 2010.
 The package is organised in four layers:
 
 * :mod:`repro.core` — discrete-event cluster simulator, job/allocation model,
-  metrics (yield, bounded stretch, degradation factor), cost accounting;
+  cost accounting; :mod:`repro.metrics` holds the paper's metrics (bounded
+  stretch, degradation factor) beside its online statistics;
 * :mod:`repro.packing` — the MCB8 multi-capacity bin-packing heuristic and
   the binary searches on yield / estimated stretch;
 * :mod:`repro.schedulers` — the seven DFRS algorithms plus the FCFS and EASY
@@ -37,8 +38,6 @@ from .core import (
     SimulationConfig,
     SimulationResult,
     Simulator,
-    bounded_stretch,
-    degradation_factors,
 )
 from .exceptions import (
     AllocationError,
@@ -50,6 +49,7 @@ from .exceptions import (
     TraceFormatError,
     WorkloadError,
 )
+from .metrics import bounded_stretch, degradation_factors
 from .campaign.executor import run_algorithm, run_instance
 from .campaign.studies import (
     ExperimentConfig,

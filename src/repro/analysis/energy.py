@@ -101,14 +101,15 @@ class EnergyReport:
 
 def _report(
     algorithm: str,
-    cluster: Cluster,
     duration: float,
+    total_node_seconds: float,
     busy_node_seconds: float,
     model: NodePowerModel,
 ) -> EnergyReport:
+    """The one energy arithmetic: the materialized reports below and the
+    streaming ``utilization`` collector (pooled node-second totals) share it."""
     if duration < 0:
         raise ReproError(f"duration must be >= 0, got {duration}")
-    total_node_seconds = cluster.num_nodes * duration
     busy_node_seconds = min(busy_node_seconds, total_node_seconds)
     idle_node_seconds = total_node_seconds - busy_node_seconds
     always_on = busy_node_seconds * model.busy_watts + idle_node_seconds * model.idle_watts
@@ -136,7 +137,9 @@ def energy_from_recorder(
     series: StepSeries = busy_nodes_series(recorder, end=end)
     duration = series.duration
     busy_node_seconds = series.integral()
-    return _report(algorithm, cluster, duration, busy_node_seconds, model)
+    return _report(
+        algorithm, duration, cluster.num_nodes * duration, busy_node_seconds, model
+    )
 
 
 def energy_from_result(
@@ -153,4 +156,4 @@ def energy_from_result(
     duration = result.makespan
     total_node_seconds = result.cluster.num_nodes * duration
     busy_node_seconds = max(0.0, total_node_seconds - result.idle_node_seconds)
-    return _report(result.algorithm, result.cluster, duration, busy_node_seconds, model)
+    return _report(result.algorithm, duration, total_node_seconds, busy_node_seconds, model)

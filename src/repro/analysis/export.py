@@ -1,10 +1,13 @@
-"""Export simulation artifacts to CSV and JSON for external analysis.
+"""Persist campaign results as JSON and tidy CSV for external analysis.
 
-The repository deliberately has no plotting dependency; instead, every
-artifact a user might want to plot elsewhere (per-job records, allocation
-intervals, utilization samples, per-instance degradation factors) can be
-written to plain CSV or JSON with these helpers.  All writers accept either a
-path or any file-like object with a ``write`` method.
+The repository deliberately has no plotting dependency; instead, a campaign's
+rows can be written to plain JSON or CSV and read back type-faithfully.  The
+writers and readers operate on the plain-dictionary form of campaign results
+(see ``repro.campaign.result.CampaignResult.to_json_dict``) so that the
+analysis layer stays free of campaign imports; ``CampaignResult`` wraps them
+with typed ``to_json`` / ``from_json`` / ``rows_to_csv`` / ``rows_from_csv``
+methods.  Every writer accepts a path, any file-like object with a ``write``
+method, or nothing (it then returns the text).
 """
 
 from __future__ import annotations
@@ -15,16 +18,9 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, TextIO, Union
 
-from ..core.observers import AllocationTraceRecorder, UtilizationRecorder
-from ..core.records import SimulationResult
 from ..exceptions import ReproError
 
 __all__ = [
-    "job_records_to_csv",
-    "allocation_intervals_to_csv",
-    "utilization_samples_to_csv",
-    "degradation_factors_to_csv",
-    "result_summary_to_json",
     "campaign_result_to_json",
     "campaign_result_from_json",
     "campaign_rows_to_csv",
@@ -56,151 +52,6 @@ def _finish(handle, should_close: bool) -> Optional[str]:
         handle.close()
     return None
 
-
-def job_records_to_csv(
-    result: SimulationResult, destination: Optional[_Destination] = None
-) -> Optional[str]:
-    """One row per completed job: identity, resources, timing, stretch, costs."""
-    handle, should_close = _open_destination(destination)
-    writer = csv.writer(handle)
-    writer.writerow(
-        [
-            "job_id",
-            "submit_time",
-            "num_tasks",
-            "cpu_need",
-            "mem_requirement",
-            "execution_time",
-            "first_start_time",
-            "completion_time",
-            "turnaround_time",
-            "wait_time",
-            "bounded_stretch",
-            "preemptions",
-            "migrations",
-        ]
-    )
-    for record in result.jobs:
-        writer.writerow(
-            [
-                record.spec.job_id,
-                record.spec.submit_time,
-                record.spec.num_tasks,
-                record.spec.cpu_need,
-                record.spec.mem_requirement,
-                record.spec.execution_time,
-                record.first_start_time,
-                record.completion_time,
-                record.turnaround_time,
-                record.wait_time,
-                record.stretch,
-                record.preemptions,
-                record.migrations,
-            ]
-        )
-    return _finish(handle, should_close)
-
-
-def allocation_intervals_to_csv(
-    trace: AllocationTraceRecorder, destination: Optional[_Destination] = None
-) -> Optional[str]:
-    """One row per allocation interval: job, start, end, yield, nodes."""
-    handle, should_close = _open_destination(destination)
-    writer = csv.writer(handle)
-    writer.writerow(["job_id", "start", "end", "duration", "yield", "nodes"])
-    for interval in sorted(trace.intervals, key=lambda iv: (iv.start, iv.job_id)):
-        writer.writerow(
-            [
-                interval.job_id,
-                interval.start,
-                interval.end,
-                interval.duration,
-                interval.yield_value,
-                " ".join(str(node) for node in interval.nodes),
-            ]
-        )
-    return _finish(handle, should_close)
-
-
-def utilization_samples_to_csv(
-    recorder: UtilizationRecorder, destination: Optional[_Destination] = None
-) -> Optional[str]:
-    """One row per utilization sample (cluster-wide counters after each event)."""
-    handle, should_close = _open_destination(destination)
-    writer = csv.writer(handle)
-    writer.writerow(
-        ["time", "busy_nodes", "cpu_allocated", "memory_used", "running_jobs", "min_yield"]
-    )
-    for sample in recorder.samples:
-        writer.writerow(
-            [
-                sample.time,
-                sample.busy_nodes,
-                sample.cpu_allocated,
-                sample.memory_used,
-                sample.running_jobs,
-                sample.min_yield,
-            ]
-        )
-    return _finish(handle, should_close)
-
-
-def degradation_factors_to_csv(
-    per_instance: Sequence[Mapping[str, float]],
-    destination: Optional[_Destination] = None,
-) -> Optional[str]:
-    """One row per instance, one column per algorithm (degradation factors)."""
-    if not per_instance:
-        raise ReproError("need at least one instance to export degradation factors")
-    algorithms = sorted(per_instance[0])
-    for index, mapping in enumerate(per_instance):
-        if sorted(mapping) != algorithms:
-            raise ReproError(
-                f"instance {index} reports a different algorithm set than instance 0"
-            )
-    handle, should_close = _open_destination(destination)
-    writer = csv.writer(handle)
-    writer.writerow(["instance"] + algorithms)
-    for index, mapping in enumerate(per_instance):
-        writer.writerow([index] + [mapping[name] for name in algorithms])
-    return _finish(handle, should_close)
-
-
-def result_summary_to_json(
-    results: Mapping[str, SimulationResult],
-    destination: Optional[_Destination] = None,
-    *,
-    indent: int = 2,
-) -> Optional[str]:
-    """Per-algorithm summary (stretch, turnaround, costs) as a JSON document."""
-    payload: Dict[str, Dict[str, float]] = {}
-    for name, result in results.items():
-        payload[name] = {
-            "max_stretch": result.max_stretch,
-            "mean_stretch": result.mean_stretch,
-            "mean_turnaround": result.mean_turnaround,
-            "makespan": result.makespan,
-            "num_jobs": float(result.num_jobs),
-            "preemptions_per_job": result.preemptions_per_job(),
-            "migrations_per_job": result.migrations_per_job(),
-            "preemption_bandwidth_gb_per_sec": result.preemption_bandwidth_gb_per_sec(),
-            "migration_bandwidth_gb_per_sec": result.migration_bandwidth_gb_per_sec(),
-            "mean_idle_nodes": result.mean_idle_nodes(),
-        }
-    text = json.dumps(payload, indent=indent, sort_keys=True)
-    handle, should_close = _open_destination(destination)
-    handle.write(text + "\n")
-    return _finish(handle, should_close)
-
-
-# --------------------------------------------------------------------------- #
-# Campaign persistence                                                         #
-#                                                                              #
-# These writers/readers operate on the plain-dictionary form of campaign      #
-# results (see repro.campaign.result.CampaignResult.to_json_dict) so that     #
-# the analysis layer stays free of campaign imports; CampaignResult wraps     #
-# them with typed to_json/from_json/rows_to_csv/rows_from_csv methods.        #
-# --------------------------------------------------------------------------- #
 
 def campaign_result_to_json(
     payload: Mapping, destination: Optional[_Destination] = None, *, indent: int = 2

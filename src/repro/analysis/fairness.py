@@ -3,9 +3,8 @@
 The paper motivates maximum-stretch minimization as a metric that couples
 performance with fairness (§II-B2).  This module quantifies that coupling on
 finished simulations: Jain's fairness index and the Gini coefficient over the
-per-job bounded stretches (or any other per-job quantity), plus helpers to
-extract per-job stretch and yield distributions from simulation results and
-allocation traces.
+per-job bounded stretches (or any other per-job quantity), from a finished
+simulation result or from a streaming run's stretch accumulators.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..core.observers import AllocationTraceRecorder
 from ..core.records import SimulationResult
 from ..exceptions import ReproError
 
@@ -27,7 +25,6 @@ __all__ = [
     "FairnessReport",
     "stretch_fairness",
     "streaming_stretch_fairness",
-    "mean_yields_from_trace",
 ]
 
 
@@ -197,25 +194,4 @@ def streaming_stretch_fairness(job_stats) -> Dict[str, float]:
         "jain_stretch": jain_index_from_moments(job_stats.stretch),
         "gini_stretch": gini_from_masses(sketch.bucket_masses()),
         "p95_stretch": sketch.percentile(95),
-    }
-
-
-def mean_yields_from_trace(trace: AllocationTraceRecorder) -> Dict[int, float]:
-    """Duration-weighted mean yield of every job in an allocation trace.
-
-    Jobs appear only for the time during which they actually held an
-    allocation; pauses do not count towards the average (they show up instead
-    in the stretch).
-    """
-    totals: Dict[int, float] = {}
-    durations: Dict[int, float] = {}
-    for interval in trace.intervals:
-        totals[interval.job_id] = (
-            totals.get(interval.job_id, 0.0) + interval.yield_value * interval.duration
-        )
-        durations[interval.job_id] = durations.get(interval.job_id, 0.0) + interval.duration
-    return {
-        job_id: totals[job_id] / durations[job_id]
-        for job_id in totals
-        if durations[job_id] > 0
     }

@@ -3,17 +3,16 @@
 The repository is usable on machines without any plotting stack, so every
 analysis artifact can be rendered as a Markdown table or a fixed-width text
 block.  These helpers are shared by the CLI, the studies
-(:mod:`repro.campaign.studies`), the benchmark harness and the examples;
-keeping the formatting in one place lets tests assert on structure without
-caring about alignment details.
+(:mod:`repro.campaign.studies`), ``CampaignResult``'s summary, the
+``benchmarks/`` suite and the examples; keeping the formatting in one place
+lets tests assert on structure without caring about alignment details.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..exceptions import ReproError
-from .compare import AlgorithmComparison
 from .energy import EnergyReport
 from .fairness import FairnessReport
 
@@ -21,7 +20,6 @@ __all__ = [
     "format_table",
     "format_figure_series",
     "markdown_table",
-    "comparison_report",
     "fairness_report_table",
     "energy_report_table",
 ]
@@ -108,46 +106,6 @@ def markdown_table(
     for row in rows:
         lines.append("| " + " | ".join(render(cell) for cell in row) + " |")
     return "\n".join(lines)
-
-
-def comparison_report(
-    comparison: AlgorithmComparison,
-    *,
-    title: Optional[str] = None,
-    reference_algorithm: Optional[str] = None,
-) -> str:
-    """Markdown report of an :class:`AlgorithmComparison`.
-
-    One row per algorithm: mean / std / max degradation factor, win fraction,
-    and (if ``reference_algorithm`` is given) the geometric-mean factor by
-    which the reference outperforms it.
-    """
-    headers: List[str] = [
-        "algorithm",
-        "deg. avg",
-        "deg. std",
-        "deg. max",
-        "wins",
-    ]
-    if reference_algorithm is not None:
-        headers.append(f"x vs {reference_algorithm}")
-    rows: List[List[object]] = []
-    for algorithm, _ in comparison.ranking():
-        summary = comparison.degradation_summary(algorithm)
-        row: List[object] = [
-            algorithm,
-            summary.mean,
-            summary.std,
-            summary.maximum,
-            f"{100.0 * comparison.win_fraction(algorithm):.0f}%",
-        ]
-        if reference_algorithm is not None:
-            row.append(comparison.dominance_ratio(reference_algorithm, algorithm))
-        rows.append(row)
-    table = markdown_table(headers, rows)
-    if title:
-        return f"### {title}\n\n{table}"
-    return table
 
 
 def fairness_report_table(reports: Sequence[FairnessReport]) -> str:

@@ -469,31 +469,26 @@ class UtilizationCollector(MetricCollector):
         }
 
     def stream_finalize(self, merged: Mapping[str, Any]) -> Dict[str, Any]:
+        from ..analysis.energy import _report
         from ..analysis.fairness import streaming_stretch_fairness
 
-        model = self._power_model()
         busy = merged["busy"]
-        total_node_seconds = merged["node_seconds"].total
-        busy_node_seconds = min(busy.integral, total_node_seconds)
-        idle_node_seconds = total_node_seconds - busy_node_seconds
-        always_on = (
-            busy_node_seconds * model.busy_watts
-            + idle_node_seconds * model.idle_watts
+        energy = _report(
+            "merged",
+            busy.duration,
+            merged["node_seconds"].total,
+            busy.integral,
+            self._power_model(),
         )
-        power_down = (
-            busy_node_seconds * model.busy_watts
-            + idle_node_seconds * model.off_watts
-        )
-        savings = (always_on - power_down) / always_on if always_on > 0 else 0.0
         row: Dict[str, Any] = {
             "mean_busy_nodes": busy.mean,
             "peak_busy_nodes": busy.maximum if busy.n else 0.0,
-            "energy_duration_seconds": busy.duration,
-            "energy_busy_node_seconds": busy_node_seconds,
-            "energy_idle_node_seconds": idle_node_seconds,
-            "energy_always_on_joules": always_on,
-            "energy_power_down_joules": power_down,
-            "energy_savings_fraction": savings,
+            "energy_duration_seconds": energy.duration_seconds,
+            "energy_busy_node_seconds": energy.busy_node_seconds,
+            "energy_idle_node_seconds": energy.idle_node_seconds,
+            "energy_always_on_joules": energy.always_on_joules,
+            "energy_power_down_joules": energy.power_down_joules,
+            "energy_savings_fraction": energy.savings_fraction,
         }
         row.update(streaming_stretch_fairness(merged["jobs"]))
         row["platform_energy_joules"] = merged["platform_energy"].total

@@ -57,12 +57,11 @@ from typing import (
 
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig, Simulator
-from ..core.metrics import degradation_factors
 from ..core.observers import SimulationObserver
 from ..core.penalties import ReschedulingPenaltyModel
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError, ReproError
-from ..metrics import bundle_from_dict, bundle_to_dict, merge_bundles
+from ..metrics import bundle_from_dict, bundle_to_dict, degradation_factors, merge_bundles
 from ..obs.telemetry import merge_telemetry_bundles, summarize_bundle
 from ..schedulers.registry import create_scheduler
 from ..traces import (

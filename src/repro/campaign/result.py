@@ -28,8 +28,8 @@ from typing import (
 import numpy as np
 
 from ..analysis.report import format_table
-from ..core.metrics import DegradationStats, aggregate_degradation, degradation_factors
 from ..exceptions import ConfigurationError, ReproError
+from ..metrics import DegradationStats, aggregate_degradation, degradation_factors
 
 __all__ = ["RunRecord", "CampaignResult"]
 

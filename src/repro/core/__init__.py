@@ -1,4 +1,4 @@
-"""Core simulation substrate: cluster model, jobs, allocations, engine, metrics."""
+"""Core simulation substrate: cluster model, jobs, allocations, engine, records."""
 
 from .allocation import AllocationDecision, JobAllocation, validate_decision
 from .clock import Clock, SimulatedClock, WallClock
@@ -7,15 +7,6 @@ from .context import JobView, SchedulingContext
 from .engine import EngineLoad, SimulationConfig, Simulator
 from .events import Event, EventQueue, EventType
 from .job import MINIMUM_YIELD, Job, JobSpec, JobState
-from .metrics import (
-    STRETCH_BOUND_SECONDS,
-    DegradationStats,
-    aggregate_degradation,
-    bounded_stretch,
-    degradation_factors,
-    job_yield,
-    raw_stretch,
-)
 from .invariants import InvariantCheckingObserver
 from .observers import (
     AllocationInterval,
@@ -51,13 +42,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "JobState",
-    "STRETCH_BOUND_SECONDS",
-    "DegradationStats",
-    "aggregate_degradation",
-    "bounded_stretch",
-    "degradation_factors",
-    "job_yield",
-    "raw_stretch",
     "InvariantCheckingObserver",
     "AllocationInterval",
     "AllocationTraceRecorder",

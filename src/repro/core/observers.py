@@ -29,15 +29,17 @@ Within one engine event the order is: completions, then the queued
 arrivals and node events, then the decision's transitions in arrival order,
 then ``applied``.  An online cancel emits ``cancel`` between events.
 
-Three ready-made recorders cover the needs of :mod:`repro.analysis`:
+Three ready-made recorders:
 
 * :class:`AllocationTraceRecorder` — per-job allocation intervals (who ran
-  where, at which yield, from when to when), the raw material of Gantt-style
-  analyses and per-job yield profiles;
+  where, at which yield, from when to when); the engine tests add them up
+  against each job's execution time;
 * :class:`UtilizationRecorder` — per-decision samples of cluster-wide CPU,
-  memory, and job-population counters, the raw material of utilization and
-  energy studies (paper §II-B2's "turn off idle nodes" remark);
-* :class:`AvailabilityRecorder` — delivered vs. nominal CPU capacity.
+  memory, and job-population counters, the raw material of the
+  :mod:`repro.analysis` utilization and energy series (paper §II-B2's "turn
+  off idle nodes" remark) and of the ``utilization`` collector;
+* :class:`AvailabilityRecorder` — delivered vs. nominal CPU capacity, read
+  by the ``availability`` collector.
 """
 
 from __future__ import annotations

@@ -18,17 +18,14 @@ present, so analysis code works unchanged in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..exceptions import ReproError
+from ..metrics import JobMetricsAccumulator, Moments, bounded_stretch, nearest_rank
 from .cluster import Cluster
 from .job import JobSpec
-from .metrics import bounded_stretch
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..metrics import JobMetricsAccumulator, Moments
 
 __all__ = ["JobRecord", "CostSummary", "SimulationResult"]
 
@@ -117,9 +114,9 @@ class SimulationResult:
     idle_node_seconds: float = 0.0
     #: Streaming-metrics summaries (replace ``jobs`` when the engine ran
     #: with ``streaming_metrics=True``; None in the default mode).
-    job_stats: Optional["JobMetricsAccumulator"] = None
-    scheduler_time_stats: Optional["Moments"] = None
-    scheduler_job_count_stats: Optional["Moments"] = None
+    job_stats: Optional[JobMetricsAccumulator] = None
+    scheduler_time_stats: Optional[Moments] = None
+    scheduler_job_count_stats: Optional[Moments] = None
     #: Energy consumed over the run under the platform's per-node-class
     #: power draw (0.0 unless the platform declares node power).
     energy_joules: float = 0.0
@@ -173,8 +170,6 @@ class SimulationResult:
             raise ReproError(f"quantile q must be in [0, 1], got {q}")
         if self.is_streaming and not self.jobs:
             return self.job_stats.stretch_quantile(q)
-        from ..metrics import nearest_rank
-
         values = np.sort(self.stretches())
         if not values.size:
             raise ReproError("run finished no jobs; no stretch quantiles")

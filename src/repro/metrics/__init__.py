@@ -18,7 +18,10 @@ per-job records for million-job traces:
 * :mod:`~repro.metrics.jobs` — :class:`JobMetricsAccumulator`, the composite
   the engine feeds in ``SimulationConfig(streaming_metrics=True)`` mode, and
   the bundle helpers streaming metric collectors use to ship partials across
-  the multiprocessing pool.
+  the multiprocessing pool;
+* :mod:`~repro.metrics.stretch` — the paper's per-job and per-instance
+  metrics themselves: the 30-second bounded stretch (§II-B2) and the
+  degradation factor from best with its Table I aggregate (§V).
 
 Everything merges associatively, so ``merge(worker_1, merge(worker_2,
 worker_3))`` equals ``merge(merge(worker_1, worker_2), worker_3)`` — the
@@ -46,6 +49,13 @@ from .jobs import (
     merge_bundles,
 )
 from .quantiles import DEFAULT_RELATIVE_ERROR, QuantileSketch, nearest_rank
+from .stretch import (
+    STRETCH_BOUND_SECONDS,
+    DegradationStats,
+    aggregate_degradation,
+    bounded_stretch,
+    degradation_factors,
+)
 
 __all__ = [
     "Accumulator",
@@ -67,4 +77,9 @@ __all__ = [
     "accumulator_from_dict",
     "available_accumulators",
     "merge_accumulators",
+    "STRETCH_BOUND_SECONDS",
+    "bounded_stretch",
+    "degradation_factors",
+    "DegradationStats",
+    "aggregate_degradation",
 ]

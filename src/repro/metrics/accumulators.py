@@ -295,10 +295,10 @@ class SumAccumulator(Accumulator):
 class ExactDistribution(Accumulator):
     """Keeps every value — exact percentiles, O(observations) memory.
 
-    This is the *exact mode* backing :func:`repro.analysis.stats.summarize`
-    and friends: it computes with the same NumPy operations as the historical
-    ad-hoc code, so routing existing call sites through it keeps their
-    outputs byte-identical.  ``values`` accepts a list or an ndarray — an
+    This is the *exact mode* behind
+    :func:`repro.analysis.fairness.stretch_fairness`'s tail percentile: it
+    computes with the same NumPy operations as the historical ad-hoc code,
+    so routing call sites through it keeps their outputs byte-identical.  ``values`` accepts a list or an ndarray — an
     ndarray is wrapped zero-copy (query-only call sites pay nothing) and is
     normalised to a list only when a mutation (``add``/``merge``) needs
     one.  Use it when the sample is known to be small; use
@@ -328,7 +328,7 @@ class ExactDistribution(Accumulator):
         return self
 
     def as_array(self) -> np.ndarray:
-        # Cached so repeated percentile queries (summarize asks for four)
+        # Cached so repeated percentile queries (and ``summary``)
         # convert the sample once; every intake path appends, so a length
         # check is a sufficient invalidation rule.
         cached = getattr(self, "_array_cache", None)

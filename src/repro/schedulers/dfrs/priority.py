@@ -22,7 +22,7 @@ import math
 from typing import Iterable, List, Sequence
 
 from ...core.context import JobView
-from ...core.metrics import STRETCH_BOUND_SECONDS
+from ...metrics import STRETCH_BOUND_SECONDS
 
 __all__ = [
     "job_priority",

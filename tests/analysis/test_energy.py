@@ -9,6 +9,7 @@ from repro.analysis import (
     energy_from_recorder,
     energy_from_result,
 )
+from repro.analysis.energy import _report
 from repro.core import (
     Cluster,
     JobSpec,
@@ -16,7 +17,7 @@ from repro.core import (
     Simulator,
     UtilizationRecorder,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.schedulers import create_scheduler
 
 
@@ -103,3 +104,61 @@ class TestEnergyReports:
         assert from_recorder.busy_node_seconds == pytest.approx(
             from_result.busy_node_seconds, rel=0.2, abs=200.0
         )
+
+
+class TestPowerModelBoundaries:
+    def test_equal_states_accepted(self):
+        model = NodePowerModel(busy_watts=100.0, idle_watts=100.0, off_watts=100.0)
+        assert model.off_watts == model.busy_watts
+
+    def test_negative_off_power_rejected(self):
+        with pytest.raises(ConfigurationError):
+            NodePowerModel(off_watts=-1.0)
+
+
+class TestEnergyArithmetic:
+    """The shared ``_report`` arithmetic, on hand-computed totals."""
+
+    MODEL = NodePowerModel(busy_watts=300.0, idle_watts=100.0, off_watts=10.0)
+
+    def test_joules_from_busy_and_idle_node_seconds(self):
+        report = _report("x", 100.0, 1000.0, 400.0, self.MODEL)
+        assert report.idle_node_seconds == pytest.approx(600.0)
+        assert report.always_on_joules == pytest.approx(400 * 300 + 600 * 100)
+        assert report.power_down_joules == pytest.approx(400 * 300 + 600 * 10)
+        assert report.savings_joules == pytest.approx(600 * 90)
+        assert report.savings_fraction == pytest.approx(54000 / 180000)
+
+    def test_busy_seconds_capped_at_the_node_seconds(self):
+        report = _report("x", 10.0, 80.0, 95.0, self.MODEL)
+        assert report.busy_node_seconds == pytest.approx(80.0)
+        assert report.idle_node_seconds == 0.0
+        assert report.savings_fraction == 0.0
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ReproError):
+            _report("x", -1.0, 0.0, 0.0, self.MODEL)
+
+    def test_empty_run_saves_nothing(self):
+        report = _report("x", 0.0, 0.0, 0.0, self.MODEL)
+        assert report.always_on_joules == 0.0
+        assert report.savings_fraction == 0.0
+
+    def test_as_dict_values(self):
+        report = _report("x", 3600.0, 7200.0, 3600.0, self.MODEL)
+        assert report.as_dict() == pytest.approx(
+            {
+                "duration_seconds": 3600.0,
+                "busy_node_seconds": 3600.0,
+                "idle_node_seconds": 3600.0,
+                "always_on_kwh": 0.4,
+                "power_down_kwh": 0.31,
+                "savings_fraction": 0.09 / 0.4,
+            }
+        )
+
+    def test_result_report_uses_the_makespan_and_algorithm(self):
+        result, _, _ = _run()
+        report = energy_from_result(result)
+        assert report.algorithm == result.algorithm
+        assert report.duration_seconds == result.makespan

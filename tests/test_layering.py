@@ -6,6 +6,12 @@ removed package, at any nesting (``ast.walk`` sees function-level and
 ``TYPE_CHECKING`` imports too), and neither directory may come back.  (The
 dotted names are never spelled out here, so grepping the tree for one finds
 offenders only.)
+
+Three import contracts between live packages are pinned the same way:
+``repro.analysis`` never imports ``repro.campaign``; ``repro.metrics`` imports
+nothing from ``repro`` but ``repro.exceptions`` and ``repro.registry`` (so
+``repro.core`` can import it with no cycle); and the stretch metrics have one
+home, ``repro.metrics.stretch``, with nothing left at their old core path.
 """
 
 from __future__ import annotations
@@ -69,11 +75,55 @@ def test_traces_defers_no_import_of_its_own_generators():
     ]
 
 
-def test_every_traces_def_is_fully_annotated():
-    """``repro.traces.*`` is on mypy's strict list and mypy is not installed
-    where the moved modules were checked; this is ``disallow_untyped_defs``."""
+def _package_imports(package: str) -> Iterator[Tuple[str, int, str]]:
+    """``(file, line, module)`` of every import in one ``repro`` package."""
+    for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
+        for line, module in imported_modules(path):
+            yield path.name, line, module
+
+
+def test_analysis_imports_nothing_from_campaign():
+    """The campaign layer builds on ``repro.analysis``, never the reverse."""
+    offenders = [
+        entry
+        for entry in _package_imports("analysis")
+        if entry[2] == "repro.campaign" or entry[2].startswith("repro.campaign.")
+    ]
+    assert offenders == []
+
+
+def test_metrics_imports_only_exceptions_and_registry_from_repro():
+    """``repro.core`` imports ``repro.metrics``; anything more would be a cycle."""
+    allowed = ("repro.exceptions", "repro.registry", "repro.metrics")
+    offenders = [
+        entry
+        for entry in _package_imports("metrics")
+        if entry[2].startswith("repro.")
+        and not any(entry[2] == name or entry[2].startswith(name + ".") for name in allowed)
+    ]
+    assert offenders == []
+
+
+def test_stretch_metrics_live_only_in_repro_metrics():
+    """The stretch metrics moved to ``repro.metrics.stretch``; no old path is left."""
+    old = "repro.core." + "metrics"
+    assert not (PACKAGE_ROOT / "core" / "metrics.py").exists()
     offenders = []
-    for path in sorted((PACKAGE_ROOT / "traces").glob("*.py")):
+    for top in ("src", "tests", "benchmarks", "examples", "bench"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            for line, module in imported_modules(path):
+                if module == old or module.startswith(old + "."):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{line} imports {module}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("package", ["traces", "metrics"])
+def test_every_def_is_fully_annotated(package):
+    """``repro.traces.*`` and ``repro.metrics.*`` are on mypy's strict list and
+    mypy is not installed where the moved modules were checked; this is
+    ``disallow_untyped_defs``."""
+    offenders = []
+    for path in sorted((PACKAGE_ROOT / package).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
