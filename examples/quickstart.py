@@ -23,6 +23,7 @@ import argparse
 
 from repro import Cluster, LublinWorkloadGenerator, run_instance, scale_to_load
 from repro.analysis.report import format_table
+from repro.traces import characterize_stream
 
 
 def main() -> None:
@@ -39,11 +40,11 @@ def main() -> None:
     # 2-3. A synthetic workload, rescaled to the requested offered load.
     workload = LublinWorkloadGenerator(cluster).generate(args.jobs, seed=args.seed)
     workload = scale_to_load(workload, args.load)
-    stats = workload.statistics()
+    profile, _ = characterize_stream(workload.jobs, cluster)
     print(
-        f"Workload: {stats['num_jobs']} jobs, offered load {stats['load']:.2f}, "
-        f"{stats['serial_fraction']:.0%} serial, "
-        f"median runtime {stats['median_runtime']:.0f}s"
+        f"Workload: {profile.num_jobs} jobs, offered load {profile.offered_load:.2f}, "
+        f"{profile.serial_fraction:.0%} serial, "
+        f"median runtime {profile.median_runtime_seconds:.0f}s"
     )
 
     # 4. Simulate under a batch baseline and under the best DFRS algorithm.

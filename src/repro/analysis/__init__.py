@@ -5,7 +5,7 @@ Everything in this package consumes finished simulation artifacts —
 campaign row payloads — and produces derived statistics:
 
 * :mod:`repro.analysis.timeseries` — step-function series of cluster
-  utilization quantities (busy nodes, allocated CPU, memory, running jobs);
+  utilization quantities (busy nodes, allocated CPU);
 * :mod:`repro.analysis.fairness` — Jain / Gini fairness over per-job
   stretches;
 * :mod:`repro.analysis.energy` — energy consumption and idle power-down
@@ -31,9 +31,6 @@ from .timeseries import (
     StepSeries,
     busy_nodes_series,
     cpu_allocated_series,
-    memory_used_series,
-    min_yield_series,
-    running_jobs_series,
 )
 
 __all__ = [
@@ -57,7 +54,4 @@ __all__ = [
     "StepSeries",
     "busy_nodes_series",
     "cpu_allocated_series",
-    "memory_used_series",
-    "min_yield_series",
-    "running_jobs_series",
 ]

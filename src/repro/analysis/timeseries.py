@@ -4,12 +4,12 @@ Every quantity the simulator tracks between events is piecewise constant:
 the number of busy nodes, the total allocated CPU, the number of running
 jobs, the minimum yield, ...  :class:`StepSeries` models exactly that — a
 right-continuous step function defined by breakpoints and values — and
-provides the time-weighted statistics (mean, max, integral, quantiles) that
-utilization and energy studies need.
+provides the time-weighted statistics (mean, min, max, integral, time above
+a threshold) that utilization and energy studies need.
 
-The module also provides converters from the
-:class:`~repro.core.observers.UtilizationRecorder` samples into the most
-commonly used series.
+The module also provides the converters from the
+:class:`~repro.core.observers.UtilizationRecorder` samples into the two
+series those studies read: busy nodes and allocated CPU.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ __all__ = [
     "StepSeries",
     "busy_nodes_series",
     "cpu_allocated_series",
-    "memory_used_series",
-    "running_jobs_series",
-    "min_yield_series",
 ]
 
 
@@ -97,13 +94,6 @@ class StepSeries:
     def duration(self) -> float:
         return self.end - self.start
 
-    def value_at(self, time: float) -> float:
-        """Value of the step function at ``time`` (clamped to the domain)."""
-        if time <= self.times[0]:
-            return self.values[0]
-        index = int(np.searchsorted(np.asarray(self.times), time, side="right")) - 1
-        return self.values[index]
-
     # -- time-weighted statistics ------------------------------------------------
     def _segments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Durations and values of the constant segments covering the domain."""
@@ -129,20 +119,6 @@ class StepSeries:
     def min(self) -> float:
         return float(np.min(self.values))
 
-    def time_weighted_quantile(self, quantile: float) -> float:
-        """Quantile of the value distribution, weighting each value by duration."""
-        if not (0.0 <= quantile <= 1.0):
-            raise ReproError(f"quantile must be in [0, 1], got {quantile}")
-        durations, values = self._segments()
-        if durations.sum() <= 0:
-            return float(values[-1])
-        order = np.argsort(values)
-        sorted_values = values[order]
-        cumulative = np.cumsum(durations[order]) / durations.sum()
-        index = int(np.searchsorted(cumulative, quantile, side="left"))
-        index = min(index, len(sorted_values) - 1)
-        return float(sorted_values[index])
-
     def fraction_above(self, threshold: float) -> float:
         """Fraction of the domain during which the value strictly exceeds ``threshold``."""
         durations, values = self._segments()
@@ -154,46 +130,6 @@ class StepSeries:
     def fraction_at_or_below(self, threshold: float) -> float:
         """Fraction of the domain during which the value is ≤ ``threshold``."""
         return 1.0 - self.fraction_above(threshold)
-
-    # -- transformations ---------------------------------------------------------
-    def map(self, function: Callable[[float], float]) -> "StepSeries":
-        """Apply ``function`` to every value, keeping the breakpoints."""
-        return StepSeries(self.times, tuple(function(v) for v in self.values), self.end)
-
-    def scale(self, factor: float) -> "StepSeries":
-        """Multiply every value by ``factor``."""
-        return self.map(lambda value: value * factor)
-
-    def restrict(self, start: float, end: float) -> "StepSeries":
-        """Restriction of the series to ``[start, end]``."""
-        if end <= start:
-            raise ReproError(f"restrict needs end > start, got [{start}, {end}]")
-        start = max(start, self.start)
-        end = min(end, self.end)
-        if end <= start:
-            raise ReproError("restriction interval does not intersect the domain")
-        times: List[float] = [start]
-        values: List[float] = [self.value_at(start)]
-        for time, value in zip(self.times, self.values):
-            if start < time < end:
-                if value != values[-1]:
-                    times.append(time)
-                    values.append(value)
-        return StepSeries(tuple(times), tuple(values), end)
-
-    def resample(self, step: float) -> List[Tuple[float, float]]:
-        """Sample the series every ``step`` seconds (inclusive of the start)."""
-        if step <= 0:
-            raise ReproError(f"step must be > 0, got {step}")
-        points: List[Tuple[float, float]] = []
-        time = self.start
-        while time <= self.end + 1e-9:
-            points.append((time, self.value_at(time)))
-            time += step
-        return points
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 # --------------------------------------------------------------------------- #
@@ -226,24 +162,3 @@ def cpu_allocated_series(
 ) -> StepSeries:
     """Total allocated CPU (in node units) over time."""
     return _series_from_recorder(recorder, lambda s: s.cpu_allocated, end=end)
-
-
-def memory_used_series(
-    recorder: UtilizationRecorder, *, end: Optional[float] = None
-) -> StepSeries:
-    """Total memory in use (in node units) over time."""
-    return _series_from_recorder(recorder, lambda s: s.memory_used, end=end)
-
-
-def running_jobs_series(
-    recorder: UtilizationRecorder, *, end: Optional[float] = None
-) -> StepSeries:
-    """Number of running jobs over time."""
-    return _series_from_recorder(recorder, lambda s: float(s.running_jobs), end=end)
-
-
-def min_yield_series(
-    recorder: UtilizationRecorder, *, end: Optional[float] = None
-) -> StepSeries:
-    """Minimum yield over the running jobs, over time (1.0 when idle)."""
-    return _series_from_recorder(recorder, lambda s: s.min_yield, end=end)

@@ -20,9 +20,7 @@ Ablation and extension studies beyond the paper's artifacts:
 * ``packing-ablation`` — MCB8 vs. the other registered packing heuristics;
 * ``utilization``      — busy nodes, energy, and fairness per algorithm;
 * ``extensions``       — throttled / weighted / conservative extensions vs.
-  the paper's best algorithm;
-* ``characterize``     — the §I workload statistics (memory/CPU under-use,
-  width histogram) for a synthetic trace or any SWF file.
+  the paper's best algorithm.
 
 Campaign-layer subcommands:
 
@@ -44,10 +42,11 @@ Platform subcommands (``repro-dfrs platform <command>``, see
 Trace subcommands (``repro-dfrs trace <command>``, see :mod:`repro.traces`):
 
 * ``trace inspect``       — SWF header directives and stream statistics;
-* ``trace characterize``  — the §I workload statistics for any trace file or
-  trace-source spec (synthetic generators and transform chains included),
-  computed in one bounded-memory streaming pass so gzipped million-job
-  archives profile without blowing RAM;
+* ``trace characterize``  — the §I workload statistics (memory/CPU under-use,
+  width histogram) for any trace file or trace-source spec (synthetic
+  generators and transform chains included).  Both commands read an SWF
+  file or a spec's trace in one bounded-memory streaming pass, so gzipped
+  million-job archives profile without blowing RAM;
 * ``trace transform``     — materialize a trace-source spec (e.g. a
   transform chain over a generator) to an SWF or internal JSON trace file;
 * ``trace convert``       — convert between SWF and the internal JSON trace
@@ -68,6 +67,7 @@ rows would change their per-instance aggregation semantics.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -78,7 +78,7 @@ from .analysis.report import format_table
 from .campaign.executor import Campaign, export_campaign_artifacts
 from .campaign.result import CampaignResult
 from .campaign.spec import load_scenario
-from .campaign.studies import STUDIES, ExperimentConfig, lublin_source
+from .campaign.studies import STUDIES, ExperimentConfig
 from .core.cluster import Cluster
 from .devtools.cli import add_dev_subparser, run_dev_command
 from .obs.cli import (
@@ -100,14 +100,9 @@ from .traces import (
     SwfTraceSource,
     WorkloadTraceSource,
     characterization_table,
-    characterize,
     characterize_stream,
     open_trace_text,
-    parse_swf,
     read_swf_header,
-    scale_to_load,
-    size_histogram,
-    swf_to_dfrs_jobs,
     trace_json_payload_to_workload,
     trace_source_from_dict,
     write_trace_json,
@@ -204,17 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
             study_parser.add_argument(
                 option.flag, type=option.type, default=option.default, help=option.help
             )
-
-    profile = subparsers.add_parser(
-        "characterize",
-        help="profile a workload (synthetic by default, or an SWF file) with the §I statistics",
-    )
-    profile.add_argument(
-        "--swf", type=str, default=None, help="path to an SWF trace to profile instead"
-    )
-    profile.add_argument(
-        "--load", type=float, default=None, help="rescale the synthetic trace to this load"
-    )
 
     run = subparsers.add_parser(
         "run", help="execute a scenario described in a JSON/TOML spec file"
@@ -330,29 +314,6 @@ def _campaign_from_args(
     )
 
 
-def _run_characterize(
-    config: ExperimentConfig, swf_path: Optional[str], load: Optional[float]
-):
-    """Profile either an SWF trace or a generated synthetic trace.
-
-    Returns ``(text, workload)`` so the export path reuses the workload
-    instead of parsing/generating it a second time.
-    """
-    if swf_path is not None:
-        workload = swf_to_dfrs_jobs(parse_swf(swf_path), HPC2N_CLUSTER)
-    else:
-        (workload,) = lublin_source(config, num_traces=1).workloads(config.cluster)
-        if load is not None:
-            workload = scale_to_load(workload, load)
-    profile = characterize(workload)
-    lines = [characterization_table([profile]), "", "job width histogram:"]
-    total = profile.num_jobs
-    for label, count in size_histogram(workload):
-        bar = "#" * max(1, round(40 * count / total))
-        lines.append(f"  {label:>9s} tasks  {count:6d}  {bar}")
-    return "\n".join(lines), workload
-
-
 def _trace_cluster(args: argparse.Namespace, default: Cluster) -> Cluster:
     """Cluster for trace operations: ``--nodes`` wins, then the default."""
     if args.nodes is not None:
@@ -409,23 +370,28 @@ def _run_trace_inspect(args: argparse.Namespace) -> None:
             lines.append("header directives: (none)")
     source, default_cluster = _load_trace_source(args.path)
     cluster = _trace_cluster(args, default_cluster)
-    workload = source.materialize(cluster)
-    stats = workload.statistics()
     lines.append(
         f"cluster: {cluster.num_nodes} nodes x {cluster.cores_per_node} cores, "
         f"{cluster.node_memory_gb:g} GB"
     )
-    lines.append(f"usable jobs: {stats['num_jobs']}")
-    if stats["num_jobs"]:
-        lines.append(f"span: {stats['span_seconds'] / 3600.0:.1f} hours")
-        lines.append(f"offered load: {stats['load']:.3f}")
+    jobs = iter(source.jobs(cluster))
+    first = next(jobs, None)
+    if first is None:
+        # characterize_stream refuses an empty stream; a trace with no usable
+        # record is still inspectable.
+        lines.append("usable jobs: 0")
+    else:
+        profile, _ = characterize_stream(itertools.chain((first,), jobs), cluster)
+        lines.append(f"usable jobs: {profile.num_jobs}")
+        lines.append(f"span: {profile.span_seconds / 3600.0:.1f} hours")
+        lines.append(f"offered load: {profile.offered_load:.3f}")
         lines.append(
-            f"widths: mean {stats['mean_tasks']:.1f}, max {stats['max_tasks']}, "
-            f"serial fraction {stats['serial_fraction']:.2f}"
+            f"widths: mean {profile.mean_tasks:.1f}, max {profile.max_tasks}, "
+            f"serial fraction {profile.serial_fraction:.2f}"
         )
         lines.append(
-            f"runtimes: mean {stats['mean_runtime']:.0f} s, "
-            f"median {stats['median_runtime']:.0f} s"
+            f"runtimes: mean {profile.mean_runtime_seconds:.0f} s, "
+            f"median {profile.median_runtime_seconds:.0f} s"
         )
     print("\n".join(lines))
 
@@ -464,11 +430,7 @@ def _run_trace_transform(args: argparse.Namespace, source_path: str, output: str
     source, default_cluster = _load_trace_source(source_path)
     workload = source.materialize(_trace_cluster(args, default_cluster))
     written = _write_trace(workload, output)
-    stats = workload.statistics()
-    print(
-        f"wrote {written} ({stats['num_jobs']} jobs, "
-        f"load {stats.get('load', 0.0):.3f})"
-    )
+    print(f"wrote {written} ({workload.num_jobs} jobs, load {workload.load():.3f})")
 
 
 def _load_platform_spec(path_text: str):
@@ -680,24 +642,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = study.run(config, campaign=campaign, **options)
         print(report.format())
         campaigns = report.campaigns
-    elif args.command == "characterize":
-        text, workload = _run_characterize(config, args.swf, args.load)
-        print(text)
-        if args.export_dir is not None:
-            target = Path(args.export_dir)
-            target.mkdir(parents=True, exist_ok=True)
-            if args.swf is not None:
-                # Key the artifact to the trace so profiling two traces into
-                # the same directory does not silently overwrite.
-                workload_label = f"swf-{Path(args.swf).stem}"
-            else:
-                workload_label = "synthetic"
-            profile_path = target / f"characterize-{workload_label}.json"
-            profile_path.write_text(
-                json.dumps(workload.statistics(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"wrote {profile_path}")
     elif args.command == "run":
         scenario = load_scenario(args.spec)
         outcome = campaign.run(scenario)

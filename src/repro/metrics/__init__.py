@@ -8,10 +8,10 @@ per-job records for million-job traces:
 * :mod:`~repro.metrics.accumulators` — the :class:`Accumulator` contract
   (O(1) ``add``, associative ``merge``, canonical ``to_dict``/``from_dict``
   via a registry) and the standard set: Welford :class:`Moments`, exact
-  :class:`SumAccumulator` tallies, :class:`FixedHistogram`,
-  :class:`TopK` trackers, mergeable bottom-k :class:`ReservoirSample`
-  exemplars, and the O(observations) :class:`ExactDistribution` reference
-  mode that keeps legacy outputs byte-identical;
+  :class:`SumAccumulator` tallies, :class:`TopK` trackers, mergeable
+  bottom-k :class:`ReservoirSample` exemplars, and the O(observations)
+  :class:`ExactDistribution` reference mode that keeps legacy outputs
+  byte-identical;
 * :mod:`~repro.metrics.quantiles` — :class:`QuantileSketch`, a log-binned
   DDSketch-style quantile sketch with a proven relative-error bound and an
   exactly associative merge;
@@ -31,7 +31,6 @@ property that makes campaign fan-out exact.
 from .accumulators import (
     Accumulator,
     ExactDistribution,
-    FixedHistogram,
     Moments,
     ReservoirSample,
     SumAccumulator,
@@ -62,7 +61,6 @@ __all__ = [
     "Moments",
     "SumAccumulator",
     "ExactDistribution",
-    "FixedHistogram",
     "TopK",
     "ReservoirSample",
     "TimeWeightedValue",

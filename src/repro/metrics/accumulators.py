@@ -38,7 +38,6 @@ __all__ = [
     "Moments",
     "SumAccumulator",
     "ExactDistribution",
-    "FixedHistogram",
     "TopK",
     "ReservoirSample",
     "TimeWeightedValue",
@@ -371,106 +370,6 @@ class ExactDistribution(Accumulator):
 
 
 # --------------------------------------------------------------------------- #
-# Fixed-bin streaming histogram                                                #
-# --------------------------------------------------------------------------- #
-@dataclass
-class FixedHistogram(Accumulator):
-    """Streaming histogram with a fixed number of equal-width bins.
-
-    Values below ``low`` and at-or-above ``high`` are tallied in dedicated
-    underflow/overflow counters, so the configuration (and therefore exact
-    mergeability) never depends on the data.  Bin ``i`` covers
-    ``[low + i·w, low + (i+1)·w)`` with ``w = (high - low) / bins``.
-    """
-
-    low: float = 0.0
-    high: float = 1.0
-    bins: int = 10
-    counts: List[int] = field(default_factory=list)
-    underflow: int = 0
-    overflow: int = 0
-
-    kind = "histogram"
-
-    def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ConfigurationError(f"bins must be >= 1, got {self.bins}")
-        if not self.high > self.low:
-            raise ConfigurationError(
-                f"high ({self.high}) must be > low ({self.low})"
-            )
-        if not self.counts:
-            self.counts = [0] * self.bins
-        elif len(self.counts) != self.bins:
-            raise ConfigurationError(
-                f"counts length {len(self.counts)} != bins {self.bins}"
-            )
-
-    @property
-    def count(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        if value < self.low:
-            self.underflow += 1
-        elif value >= self.high:
-            self.overflow += 1
-        else:
-            width = (self.high - self.low) / self.bins
-            index = min(self.bins - 1, int((value - self.low) / width))
-            self.counts[index] += 1
-
-    def merge(self, other: Accumulator) -> "FixedHistogram":
-        self._require_same_type(other)
-        assert isinstance(other, FixedHistogram)
-        if (other.low, other.high, other.bins) != (self.low, self.high, self.bins):
-            raise ReproError(
-                "cannot merge histograms with different bin configurations: "
-                f"({self.low}, {self.high}, {self.bins}) vs "
-                f"({other.low}, {other.high}, {other.bins})"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.underflow += other.underflow
-        self.overflow += other.overflow
-        return self
-
-    def edges(self) -> List[float]:
-        """The ``bins + 1`` bin edges, ``low`` through ``high``."""
-        width = (self.high - self.low) / self.bins
-        return [self.low + index * width for index in range(self.bins)] + [self.high]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": self.kind,
-            "low": self.low,
-            "high": self.high,
-            "bins": self.bins,
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FixedHistogram":
-        return cls(
-            low=float(data["low"]),
-            high=float(data["high"]),
-            bins=int(data["bins"]),
-            counts=[int(value) for value in data.get("counts", ())],
-            underflow=int(data.get("underflow", 0)),
-            overflow=int(data.get("overflow", 0)),
-        )
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "count": float(self.count),
-            "underflow": float(self.underflow),
-            "overflow": float(self.overflow),
-        }
-
-
-# --------------------------------------------------------------------------- #
 # Top-k tracker                                                                #
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -760,7 +659,6 @@ class TimeWeightedValue(Accumulator):
 register_accumulator("moments", Moments.from_dict)
 register_accumulator("sum", SumAccumulator.from_dict)
 register_accumulator("exact", ExactDistribution.from_dict)
-register_accumulator("histogram", FixedHistogram.from_dict)
 register_accumulator("top-k", TopK.from_dict)
 register_accumulator("reservoir", ReservoirSample.from_dict)
 register_accumulator("time-weighted", TimeWeightedValue.from_dict)

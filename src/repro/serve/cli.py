@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.clock import WallClock
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
+from ..traces import DiurnalPoissonTraceSource, JobSource, LublinTraceSource
 from .admission import AdmissionPolicy, admission_policy_from_dict
 from .loadtest import bench_payload, run_loadtest
 from .protocol import ServiceServer
@@ -257,21 +258,46 @@ def _parse_admission(text: Optional[str]) -> Optional[AdmissionPolicy]:
     return admission_policy_from_dict(payload)
 
 
-def _serve_cluster_config(
-    args: argparse.Namespace,
-) -> Tuple[Cluster, SimulationConfig]:
+def _serve_cluster(args: argparse.Namespace) -> Cluster:
     nodes = args.nodes if args.nodes is not None else _DEFAULT_NODES
-    cluster = Cluster(nodes, 4, 8.0)
+    return Cluster(nodes, 4, 8.0)
+
+
+def _engine_config(args: argparse.Namespace) -> SimulationConfig:
     penalty = args.penalty if args.penalty is not None else 0.0
-    config = SimulationConfig(
+    return SimulationConfig(
         penalty_model=ReschedulingPenaltyModel(penalty),
         streaming_metrics=True,
     )
-    return cluster, config
+
+
+def _trace_source(
+    args: argparse.Namespace, default: Callable[..., JobSource], default_jobs: int
+) -> Tuple[JobSource, Cluster]:
+    """Resolve the trace to replay and the cluster to replay it on.
+
+    ``--trace`` names a trace file or spec, replayed on its own cluster unless
+    ``--nodes`` is given; without it, a ``default`` generator trace of
+    ``--num-jobs`` (``default_jobs``) jobs and ``--seed`` (2010) runs on the
+    serve cluster.
+    """
+    if args.trace is not None:
+        # Deferred: repro.cli imports this module at startup; by the time a
+        # command runs, the parent module is fully initialized.
+        from ..cli import _load_trace_source
+
+        source, cluster = _load_trace_source(args.trace)
+        if args.nodes is None:
+            return source, cluster
+    else:
+        num_jobs = args.num_jobs if args.num_jobs is not None else default_jobs
+        seed = args.seed if args.seed is not None else 2010
+        source = default(num_jobs=num_jobs, seed=seed)
+    return source, _serve_cluster(args)
 
 
 async def _serve_async(args: argparse.Namespace) -> int:
-    cluster, config = _serve_cluster_config(args)
+    cluster, config = _serve_cluster(args), _engine_config(args)
     service = SchedulerService(
         cluster,
         args.algorithm,
@@ -310,25 +336,6 @@ def run_serve_command(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("interrupted; shutting down")
         return 0
-
-
-def _loadtest_source(args: argparse.Namespace) -> Tuple[Any, Cluster]:
-    """Resolve the trace under test and the cluster to replay it on."""
-    if args.trace is not None:
-        # Deferred: repro.cli imports this module at startup; by the time a
-        # command runs, the parent module is fully initialized.
-        from ..cli import _load_trace_source
-
-        source, default_cluster = _load_trace_source(args.trace)
-        if args.nodes is not None:
-            return source, Cluster(args.nodes, 4, 8.0)
-        return source, default_cluster
-    from ..traces.source import LublinTraceSource
-
-    num_jobs = args.num_jobs if args.num_jobs is not None else 10_000
-    seed = args.seed if args.seed is not None else 2010
-    nodes = args.nodes if args.nodes is not None else _DEFAULT_NODES
-    return LublinTraceSource(num_jobs=num_jobs, seed=seed), Cluster(nodes, 4, 8.0)
 
 
 def _format_report(report_dict: Dict[str, Any]) -> str:
@@ -376,19 +383,14 @@ def _format_report(report_dict: Dict[str, Any]) -> str:
 
 def run_loadtest_command(args: argparse.Namespace) -> int:
     """Entry point of ``repro-dfrs loadtest``."""
-    source, cluster = _loadtest_source(args)
-    penalty = args.penalty if args.penalty is not None else 0.0
-    config = SimulationConfig(
-        penalty_model=ReschedulingPenaltyModel(penalty),
-        streaming_metrics=True,
-    )
+    source, cluster = _trace_source(args, LublinTraceSource, 10_000)
     report = run_loadtest(
         cluster,
         args.algorithm,
         source,
         acceleration=args.acceleration,
         admission=_parse_admission(args.admission),
-        config=config,
+        config=_engine_config(args),
         slo_factor=args.slo_factor,
         telemetry=({"type": "stats"} if args.prom_out is not None else None),
     )
@@ -409,34 +411,12 @@ def run_loadtest_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _soak_source(args: argparse.Namespace) -> Tuple[Any, Cluster]:
-    """Resolve the soak trace; default is an effectively endless diurnal feed."""
-    if args.trace is not None:
-        from ..cli import _load_trace_source
-
-        source, default_cluster = _load_trace_source(args.trace)
-        if args.nodes is not None:
-            return source, Cluster(args.nodes, 4, 8.0)
-        return source, default_cluster
-    from ..traces.generators import DiurnalPoissonTraceSource
-
-    num_jobs = args.num_jobs if args.num_jobs is not None else 100_000
-    seed = args.seed if args.seed is not None else 2010
-    nodes = args.nodes if args.nodes is not None else _DEFAULT_NODES
-    source = DiurnalPoissonTraceSource(num_jobs=num_jobs, seed=seed)
-    return source, Cluster(nodes, 4, 8.0)
-
-
 def run_soak_command(args: argparse.Namespace) -> int:
     """Entry point of ``repro-dfrs soak``."""
     from ..obs.soak import SoakConfig, run_soak
 
-    source, cluster = _soak_source(args)
-    penalty = args.penalty if args.penalty is not None else 0.0
-    engine_config = SimulationConfig(
-        penalty_model=ReschedulingPenaltyModel(penalty),
-        streaming_metrics=True,
-    )
+    # Default: an effectively endless diurnal feed.
+    source, cluster = _trace_source(args, DiurnalPoissonTraceSource, 100_000)
     soak_config = SoakConfig(
         acceleration=args.acceleration,
         wall_seconds=args.wall_seconds,
@@ -469,7 +449,7 @@ def run_soak_command(args: argparse.Namespace) -> int:
         args.algorithm,
         source,
         config=soak_config,
-        engine_config=engine_config,
+        engine_config=_engine_config(args),
         health_log=args.health_log,
         on_sample=None if args.quiet else _progress,
     )

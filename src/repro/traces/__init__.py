@@ -27,7 +27,7 @@ SWF / HPC2N intake and the offered-load rescale exist once, here:
 * :mod:`~repro.traces.io` — the internal JSON trace format and (lossy)
   SWF export;
 * :mod:`~repro.traces.characterization` — the workload profile of the
-  paper's motivation (exact, and a bounded-memory streaming form).
+  paper's motivation, computed in one bounded-memory streaming pass.
 
 Sources plug into the campaign layer through the ``generator`` and
 ``transform`` scenario source types (:mod:`repro.campaign.scenario`), into
@@ -39,9 +39,7 @@ peak resident state is O(active jobs) even on million-job traces.
 from .characterization import (
     WorkloadCharacterization,
     characterization_table,
-    characterize,
     characterize_stream,
-    size_histogram,
 )
 from .cpu import CpuNeedModel
 from .generators import DiurnalPoissonTraceSource, DowneyTraceSource
@@ -132,9 +130,7 @@ __all__ = [
     "write_swf",
     "WorkloadCharacterization",
     "characterization_table",
-    "characterize",
     "characterize_stream",
-    "size_histogram",
     "JobSource",
     "LublinTraceSource",
     "Hpc2nLikeTraceSource",

@@ -3,10 +3,12 @@
 The paper's introduction justifies DFRS with observations about real HPC
 workloads: "more than 95% of the jobs use under 40% of a node's memory, and
 more than 27% of the jobs effectively use less than 50% of the node's CPU
-resource".  This module computes exactly those quantities (and a few more)
-for any :class:`~repro.traces.model.Workload`, so that synthetic traces
-can be checked against the assumptions they are supposed to embody and real
-SWF traces can be profiled before being fed to the simulator.
+resource".  :func:`characterize_stream` computes exactly those quantities
+(and a few more) for any job stream — a :class:`~repro.traces.JobSource`'s
+``jobs(cluster)`` or a materialized workload's ``jobs`` list — in one
+bounded-memory pass, so that synthetic traces can be checked against the
+assumptions they are supposed to embody and real SWF archives can be
+profiled before being fed to the simulator.
 """
 
 from __future__ import annotations
@@ -14,19 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import WorkloadError
 from ..metrics import Moments, QuantileSketch
-from .model import Workload
 
 __all__ = [
     "WorkloadCharacterization",
-    "characterize",
     "characterize_stream",
-    "size_histogram",
     "characterization_table",
 ]
 
@@ -54,67 +51,6 @@ class WorkloadCharacterization:
     #: Total node-seconds of work requested (Σ tasks × runtime).
     total_demand_node_seconds: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "num_jobs": float(self.num_jobs),
-            "offered_load": self.offered_load,
-            "span_seconds": self.span_seconds,
-            "serial_fraction": self.serial_fraction,
-            "fraction_memory_under_40pct": self.fraction_memory_under_40pct,
-            "fraction_cpu_under_50pct": self.fraction_cpu_under_50pct,
-            "mean_tasks": self.mean_tasks,
-            "max_tasks": float(self.max_tasks),
-            "mean_runtime_seconds": self.mean_runtime_seconds,
-            "median_runtime_seconds": self.median_runtime_seconds,
-            "p95_runtime_seconds": self.p95_runtime_seconds,
-            "mean_interarrival_seconds": self.mean_interarrival_seconds,
-            "total_demand_node_seconds": self.total_demand_node_seconds,
-        }
-
-
-def characterize(
-    workload: Workload,
-    *,
-    memory_threshold: float = 0.4,
-    cpu_threshold: float = 0.5,
-) -> WorkloadCharacterization:
-    """Profile a workload with the paper's motivating statistics.
-
-    ``memory_threshold`` and ``cpu_threshold`` default to the §I thresholds
-    (40 % of node memory, 50 % of node CPU) but can be changed to study other
-    cut-offs.
-    """
-    if not workload.jobs:
-        raise WorkloadError(f"workload {workload.name!r} is empty")
-    if not (0.0 < memory_threshold <= 1.0):
-        raise WorkloadError(f"memory_threshold must be in (0, 1], got {memory_threshold}")
-    if not (0.0 < cpu_threshold <= 1.0):
-        raise WorkloadError(f"cpu_threshold must be in (0, 1], got {cpu_threshold}")
-
-    tasks = np.array([spec.num_tasks for spec in workload.jobs], dtype=float)
-    runtimes = np.array([spec.execution_time for spec in workload.jobs], dtype=float)
-    memory = np.array([spec.mem_requirement for spec in workload.jobs], dtype=float)
-    cpu = np.array([spec.cpu_need for spec in workload.jobs], dtype=float)
-    submits = np.array(sorted(spec.submit_time for spec in workload.jobs), dtype=float)
-    interarrivals = np.diff(submits) if submits.size > 1 else np.array([0.0])
-
-    return WorkloadCharacterization(
-        name=workload.name,
-        num_jobs=len(workload.jobs),
-        offered_load=workload.load(),
-        span_seconds=workload.span_seconds,
-        serial_fraction=float(np.mean(tasks == 1)),
-        fraction_memory_under_40pct=float(np.mean(memory < memory_threshold)),
-        fraction_cpu_under_50pct=float(np.mean(cpu < cpu_threshold)),
-        mean_tasks=float(tasks.mean()),
-        max_tasks=int(tasks.max()),
-        mean_runtime_seconds=float(runtimes.mean()),
-        median_runtime_seconds=float(np.median(runtimes)),
-        p95_runtime_seconds=float(np.percentile(runtimes, 95)),
-        mean_interarrival_seconds=float(interarrivals.mean()),
-        total_demand_node_seconds=float(np.dot(tasks, runtimes)),
-    )
-
 
 def characterize_stream(
     specs: Iterable[JobSpec],
@@ -125,16 +61,19 @@ def characterize_stream(
     cpu_threshold: float = 0.5,
     quantile_relative_error: float = 0.001,
 ) -> Tuple[WorkloadCharacterization, List[Tuple[str, int]]]:
-    """Profile an arrival-ordered job stream in a single bounded-memory pass.
+    """Profile a job stream with the paper's §I statistics in one bounded-memory pass.
 
-    The streaming twin of :func:`characterize` + :func:`size_histogram`:
-    every statistic is accumulated online (:mod:`repro.metrics`), so a
+    Every statistic is accumulated online (:mod:`repro.metrics`), so a
     multi-million-job SWF archive is profiled without ever being resident.
-    The runtime median/p95 come from a
-    :class:`~repro.metrics.QuantileSketch` and are within
+    ``memory_threshold`` and ``cpu_threshold`` default to the §I cut-offs
+    (40 % of node memory, 50 % of node CPU).  The runtime median/p95 come
+    from a :class:`~repro.metrics.QuantileSketch` and are within
     ``quantile_relative_error`` (default 0.1 %) of the exact nearest-rank
-    values; everything else is exact.  Returns the characterization together
-    with the power-of-two width histogram (``size_histogram``'s shape).
+    values; everything else is exact, and submit order does not matter.
+    Returns the characterization together with the job-width histogram:
+    ``(label, count)`` pairs in power-of-two buckets, in increasing width
+    order (e.g. ``[("1", 120), ("2-3", 18), ("4-7", 30), ...]``), empty
+    buckets omitted.  An empty stream raises :class:`WorkloadError`.
     """
     if not (0.0 < memory_threshold <= 1.0):
         raise WorkloadError(f"memory_threshold must be in (0, 1], got {memory_threshold}")
@@ -165,8 +104,8 @@ def characterize_stream(
         demand += spec.num_tasks * spec.execution_time
         # Track the extremes rather than first/last so that a stray
         # out-of-order record (archive traces are submit-ordered only by
-        # convention) yields the same span/load as the sorted materialized
-        # path instead of a silently wrong one.
+        # convention) yields the span/load of the sorted trace instead of a
+        # silently wrong one.
         if first_submit is None or spec.submit_time < first_submit:
             first_submit = spec.submit_time
         if spec.submit_time > last_submit:
@@ -183,7 +122,12 @@ def characterize_stream(
     mean_interarrival = span / (num_jobs - 1) if num_jobs > 1 else 0.0
     load = demand / (cluster.num_nodes * span) if span > 0 else float("inf")
 
-    histogram = _labeled_width_histogram(width_buckets)
+    histogram: List[Tuple[str, int]] = []
+    for bucket in sorted(width_buckets):
+        low = 2**bucket
+        high = 2 ** (bucket + 1) - 1
+        label = str(low) if low == high else f"{low}-{high}"
+        histogram.append((label, width_buckets[bucket]))
 
     profile = WorkloadCharacterization(
         name=name,
@@ -202,38 +146,6 @@ def characterize_stream(
         total_demand_node_seconds=demand,
     )
     return profile, histogram
-
-
-def _labeled_width_histogram(counts: Dict[int, int]) -> List[Tuple[str, int]]:
-    """Power-of-two bucket counts → ``(label, count)`` pairs, width order.
-
-    The single source of the histogram's label format, shared by the
-    materialized :func:`size_histogram` and :func:`characterize_stream` so
-    the two CLI paths cannot silently diverge.
-    """
-    histogram: List[Tuple[str, int]] = []
-    for bucket in sorted(counts):
-        low = 2**bucket
-        high = 2 ** (bucket + 1) - 1
-        label = str(low) if low == high else f"{low}-{high}"
-        histogram.append((label, counts[bucket]))
-    return histogram
-
-
-def size_histogram(workload: Workload) -> List[Tuple[str, int]]:
-    """Histogram of job widths in power-of-two buckets.
-
-    Returns ``(label, count)`` pairs in increasing width order, e.g.
-    ``[("1", 120), ("2-3", 18), ("4-7", 30), ...]``.  Buckets with zero jobs
-    are omitted.
-    """
-    if not workload.jobs:
-        raise WorkloadError(f"workload {workload.name!r} is empty")
-    counts: Dict[int, int] = {}
-    for spec in workload.jobs:
-        bucket = spec.num_tasks.bit_length() - 1
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return _labeled_width_histogram(counts)
 
 
 def characterization_table(

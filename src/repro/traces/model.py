@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List
 
-import numpy as np
-
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import WorkloadError
@@ -115,22 +113,3 @@ class Workload:
                 Workload(f"{self.name}-week{index:03d}", self.cluster, rebased)
             )
         return segments
-
-    def statistics(self) -> dict:
-        """Descriptive statistics used by reports and sanity tests."""
-        if not self.jobs:
-            return {"num_jobs": 0}
-        sizes = np.array([spec.num_tasks for spec in self.jobs], dtype=float)
-        runtimes = np.array([spec.execution_time for spec in self.jobs], dtype=float)
-        memory = np.array([spec.mem_requirement for spec in self.jobs], dtype=float)
-        return {
-            "num_jobs": len(self.jobs),
-            "load": self.load(),
-            "span_seconds": self.span_seconds,
-            "mean_tasks": float(sizes.mean()),
-            "max_tasks": int(sizes.max()),
-            "serial_fraction": float(np.mean(sizes == 1)),
-            "mean_runtime": float(runtimes.mean()),
-            "median_runtime": float(np.median(runtimes)),
-            "mean_memory": float(memory.mean()),
-        }

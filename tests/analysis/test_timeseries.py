@@ -10,9 +10,6 @@ from repro.analysis import (
     StepSeries,
     busy_nodes_series,
     cpu_allocated_series,
-    memory_used_series,
-    min_yield_series,
-    running_jobs_series,
 )
 from repro.core import (
     Cluster,
@@ -44,12 +41,13 @@ class TestStepSeriesConstruction:
 
     def test_from_samples_merges_duplicate_times(self):
         series = StepSeries.from_samples([(0.0, 1.0), (0.0, 3.0), (2.0, 5.0)], end=4.0)
-        assert series.value_at(0.0) == 3.0
-        assert series.value_at(3.0) == 5.0
+        assert series.times == (0.0, 2.0)
+        assert series.values == (3.0, 5.0)
 
     def test_from_samples_merges_equal_consecutive_values(self):
         series = StepSeries.from_samples([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0)], end=3.0)
-        assert len(series) == 2
+        assert series.times == (0.0, 2.0)
+        assert series.values == (1.0, 2.0)
 
     def test_from_samples_rejects_empty(self):
         with pytest.raises(ReproError):
@@ -58,8 +56,17 @@ class TestStepSeriesConstruction:
     def test_from_samples_sorts_input(self):
         series = StepSeries.from_samples([(2.0, 5.0), (0.0, 1.0)], end=3.0)
         assert series.start == 0.0
-        assert series.value_at(0.5) == 1.0
-        assert series.value_at(2.5) == 5.0
+        assert series.times == (0.0, 2.0)
+        assert series.values == (1.0, 5.0)
+
+    def test_from_samples_end_defaults_to_the_last_sample(self):
+        series = StepSeries.from_samples([(0.0, 1.0), (5.0, 2.0)])
+        assert series.end == 5.0
+        assert series.duration == 5.0
+
+    def test_from_samples_end_never_precedes_the_last_breakpoint(self):
+        series = StepSeries.from_samples([(0.0, 1.0), (5.0, 2.0)], end=3.0)
+        assert series.end == 5.0
 
 
 class TestStepSeriesStatistics:
@@ -84,69 +91,17 @@ class TestStepSeriesStatistics:
         assert series.max() == 5.0
         assert series.min() == -1.0
 
-    def test_value_at_before_start_clamps(self):
-        series = StepSeries((10.0,), (7.0,), 20.0)
-        assert series.value_at(0.0) == 7.0
-
-    def test_value_at_breakpoint_is_right_continuous(self):
-        series = StepSeries((0.0, 5.0), (1.0, 9.0), 10.0)
-        assert series.value_at(5.0) == 9.0
-        assert series.value_at(4.999) == 1.0
-
     def test_fraction_above(self):
         series = StepSeries((0.0, 4.0), (0.0, 2.0), 10.0)
         assert series.fraction_above(1.0) == pytest.approx(0.6)
         assert series.fraction_at_or_below(1.0) == pytest.approx(0.4)
 
-    def test_time_weighted_quantile(self):
-        series = StepSeries((0.0, 9.0), (1.0, 100.0), 10.0)
-        # value 1 covers 90% of the time, so the median is 1.
-        assert series.time_weighted_quantile(0.5) == 1.0
-        assert series.time_weighted_quantile(0.99) == 100.0
-
-    def test_quantile_out_of_range_rejected(self):
-        series = StepSeries((0.0,), (1.0,), 1.0)
-        with pytest.raises(ReproError):
-            series.time_weighted_quantile(1.5)
-
-
-class TestStepSeriesTransformations:
-    def test_scale(self):
-        series = StepSeries((0.0, 1.0), (1.0, 2.0), 2.0).scale(10.0)
-        assert series.values == (10.0, 20.0)
-
-    def test_map(self):
-        series = StepSeries((0.0, 1.0), (1.0, 4.0), 2.0).map(lambda v: v * v)
-        assert series.values == (1.0, 16.0)
-
-    def test_restrict_inside_domain(self):
-        series = StepSeries((0.0, 10.0, 20.0), (1.0, 2.0, 3.0), 30.0)
-        restricted = series.restrict(5.0, 25.0)
-        assert restricted.start == 5.0
-        assert restricted.end == 25.0
-        assert restricted.value_at(5.0) == 1.0
-        assert restricted.value_at(15.0) == 2.0
-        assert restricted.value_at(22.0) == 3.0
-
-    def test_restrict_rejects_disjoint_interval(self):
-        series = StepSeries((0.0,), (1.0,), 10.0)
-        with pytest.raises(ReproError):
-            series.restrict(20.0, 30.0)
-
-    def test_restrict_rejects_empty_interval(self):
-        series = StepSeries((0.0,), (1.0,), 10.0)
-        with pytest.raises(ReproError):
-            series.restrict(5.0, 5.0)
-
-    def test_resample(self):
-        series = StepSeries((0.0, 5.0), (1.0, 2.0), 10.0)
-        points = series.resample(2.5)
-        assert points == [(0.0, 1.0), (2.5, 1.0), (5.0, 2.0), (7.5, 2.0), (10.0, 2.0)]
-
-    def test_resample_rejects_non_positive_step(self):
-        series = StepSeries((0.0,), (1.0,), 10.0)
-        with pytest.raises(ReproError):
-            series.resample(0.0)
+    def test_zero_length_domain(self):
+        point = StepSeries((3.0,), (4.0,), 3.0)
+        assert point.mean() == 4.0
+        assert point.integral() == 0.0
+        assert point.fraction_above(0.0) == 0.0
+        assert point.fraction_at_or_below(0.0) == 1.0
 
 
 @st.composite
@@ -190,12 +145,15 @@ class TestStepSeriesProperties:
         fraction = series.fraction_above(threshold)
         assert 0.0 <= fraction <= 1.0
 
-    @given(step_series(), st.floats(min_value=0.1, max_value=5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_scaling_scales_the_integral(self, series, factor):
-        assert series.scale(factor).integral() == pytest.approx(
-            series.integral() * factor, rel=1e-9, abs=1e-6
+    @given(step_series())
+    @settings(max_examples=60, deadline=None)
+    def test_integral_is_the_sum_over_segments(self, series):
+        bounds = series.times + (series.end,)
+        expected = sum(
+            value * (later - earlier)
+            for value, earlier, later in zip(series.values, bounds, bounds[1:])
         )
+        assert series.integral() == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
 
 class TestRecorderConversions:
@@ -225,22 +183,20 @@ class TestRecorderConversions:
         series = cpu_allocated_series(recorder)
         assert series.max() <= cluster.num_nodes + 1e-6
 
-    def test_memory_series_bounded_by_cluster(self, recorder_and_cluster):
-        recorder, cluster = recorder_and_cluster
-        series = memory_used_series(recorder)
-        assert series.max() <= cluster.num_nodes + 1e-6
-
-    def test_running_jobs_series_counts_jobs(self, recorder_and_cluster):
+    def test_series_follow_the_recorded_samples(self, recorder_and_cluster):
         recorder, _ = recorder_and_cluster
-        series = running_jobs_series(recorder)
-        assert series.max() >= 1
-        assert series.min() >= 0
-
-    def test_min_yield_series_in_unit_interval(self, recorder_and_cluster):
-        recorder, _ = recorder_and_cluster
-        series = min_yield_series(recorder)
-        assert 0.0 < series.min() <= 1.0
-        assert series.max() <= 1.0 + 1e-9
+        samples = recorder.samples
+        end = samples[-1].time + 100.0
+        for series, read in (
+            (busy_nodes_series(recorder, end=end), lambda s: float(s.busy_nodes)),
+            (cpu_allocated_series(recorder, end=end), lambda s: s.cpu_allocated),
+        ):
+            assert series.start == samples[0].time
+            assert series.end == end
+            # The last sample at each time is the state right after the event.
+            latest = {sample.time: read(sample) for sample in samples}
+            for time, value in zip(series.times, series.values):
+                assert latest[time] == value
 
     def test_empty_recorder_rejected(self):
         with pytest.raises(ReproError):

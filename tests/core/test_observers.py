@@ -210,6 +210,14 @@ class TestUtilizationRecorder:
         for sample in recorder.samples:
             assert 0.0 < sample.min_yield <= 1.0 + 1e-9
 
+    def test_running_jobs_bounded_by_submitted_jobs(self):
+        recorder = UtilizationRecorder()
+        specs = [_spec(i, i * 1.0, tasks=2, runtime=100.0) for i in range(6)]
+        _run(specs, nodes=4, observers=[recorder])
+        counts = [sample.running_jobs for sample in recorder.samples]
+        assert 2 <= max(counts) <= len(specs)
+        assert min(counts) >= 0
+
     def test_times_non_decreasing(self):
         recorder = UtilizationRecorder()
         specs = [_spec(i, i * 7.0, runtime=60.0) for i in range(5)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import pathlib
 
@@ -9,6 +10,25 @@ import pytest
 
 from repro.campaign.studies import STUDIES
 from repro.cli import build_parser, main
+
+
+def _subcommands(parser):
+    """``{name: subparser}`` of ``parser``'s subcommands (empty if it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def _quick_reference():
+    """The command lines of README's CLI quick reference, comments cut."""
+    readme = pathlib.Path(__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI quick reference")[1]
+    lines = block.split("```")[1].splitlines()[1:]  # [0] is the "sh" tag
+    return [text.split("#")[0].split() for text in lines if text.strip()]
+
+
+COMMANDS = _subcommands(build_parser())
 
 
 class TestParser:
@@ -47,6 +67,20 @@ class TestStudyTable:
                 text for text in lines if text.split("#")[0].split()[:2] == ["repro-dfrs", name]
             ]
             assert entry.split("#", 1)[1].strip() == study.help
+
+    def test_readme_quick_reference_names_only_real_commands(self):
+        lines = _quick_reference()
+        assert lines
+        for words in lines:
+            assert words[0] == "repro-dfrs"
+            assert words[1] in COMMANDS
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_readme_quick_reference_lists_command(self, name):
+        (words,) = [words for words in _quick_reference() if words[1] == name]
+        nested = _subcommands(COMMANDS[name])
+        if nested:
+            assert words[2].split("|") == list(nested)
 
 
 class TestMain:

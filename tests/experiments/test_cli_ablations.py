@@ -78,22 +78,3 @@ class TestMain:
         assert exit_code == 0
         assert "Extensions vs. paper algorithms" in output
         assert "conservative" in output
-
-    def test_characterize_synthetic_trace(self, capsys):
-        exit_code = main(_COMMON + ["characterize", "--load", "0.5"])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "mem<40%" in output
-        assert "job width histogram" in output
-
-    def test_characterize_swf_trace(self, capsys, tmp_path):
-        from repro.traces import Hpc2nLikeTraceGenerator, write_swf
-
-        path = tmp_path / "trace.swf"
-        records = Hpc2nLikeTraceGenerator(jobs_per_week=60).iter_records(1, seed=3)
-        write_swf(records, path)
-        exit_code = main(["characterize", "--swf", str(path)])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "hpc2n" in output
-        assert "job width histogram" in output

@@ -238,7 +238,6 @@ ACCUMULATORS = {
     kind: st.builds(_fed, st.builds(factory), st.lists(st.floats(0.0, 1e4), max_size=6))
     for kind, factory in {
         "exact": metrics.ExactDistribution,
-        "histogram": lambda: metrics.FixedHistogram(low=0.0, high=1e4, bins=4),
         "job-metrics": metrics.JobMetricsAccumulator,
         "moments": metrics.Moments,
         "quantile-sketch": metrics.QuantileSketch,

@@ -11,7 +11,6 @@ import pytest
 from repro.exceptions import ConfigurationError, ReproError
 from repro.metrics import (
     ExactDistribution,
-    FixedHistogram,
     Moments,
     QuantileSketch,
     ReservoirSample,
@@ -34,7 +33,6 @@ def _fresh_accumulators():
         "moments": Moments(),
         "sum": SumAccumulator(),
         "exact": ExactDistribution(),
-        "histogram": FixedHistogram(low=0.0, high=50.0, bins=8),
         "top-k": TopK(k=5),
         "reservoir": ReservoirSample(k=7, seed=11),
         "quantile-sketch": QuantileSketch(relative_error=0.01),
@@ -54,7 +52,7 @@ class TestRegistry:
     def test_every_standard_type_registered(self):
         names = available_accumulators()
         for kind in (
-            "moments", "sum", "exact", "histogram", "top-k", "reservoir",
+            "moments", "sum", "exact", "top-k", "reservoir",
             "quantile-sketch", "job-metrics",
         ):
             assert kind in names
@@ -115,7 +113,7 @@ class TestMergeAssociativity:
             assert a == b
 
     @pytest.mark.parametrize(
-        "kind", ["histogram", "top-k", "reservoir", "quantile-sketch"]
+        "kind", ["top-k", "reservoir", "quantile-sketch"]
     )
     def test_merged_partials_equal_single_pass(self, kind):
         values = _sample_values(11, 250)
@@ -181,27 +179,6 @@ class TestExactDistribution:
     def test_empty_percentile_rejected(self):
         with pytest.raises(ReproError):
             ExactDistribution().percentile(50)
-
-
-class TestFixedHistogram:
-    def test_under_over_flow(self):
-        histogram = FixedHistogram(low=0.0, high=10.0, bins=5)
-        histogram.update([-1.0, 0.0, 9.999, 10.0, 25.0, 5.0])
-        assert histogram.underflow == 1
-        assert histogram.overflow == 2
-        assert sum(histogram.counts) == 3
-        assert histogram.count == 6
-        assert len(histogram.edges()) == 6
-
-    def test_config_mismatch_rejected(self):
-        with pytest.raises(ReproError, match="bin configurations"):
-            FixedHistogram(0, 1, 4).merge(FixedHistogram(0, 1, 5))
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FixedHistogram(low=1.0, high=1.0, bins=4)
-        with pytest.raises(ConfigurationError):
-            FixedHistogram(low=0.0, high=1.0, bins=0)
 
 
 class TestTopK:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
+from repro.traces import characterize_stream
 from repro.traces.cpu import CpuNeedModel
 from repro.traces.lublin import LublinModelParameters, LublinWorkloadGenerator
 from repro.traces.memory import MemoryRequirementModel
@@ -102,8 +103,8 @@ class TestLublinGenerator:
             assert round(spec.mem_requirement, 6) in support
 
     def test_serial_fraction_plausible(self, workload):
-        stats = workload.statistics()
-        assert 0.10 <= stats["serial_fraction"] <= 0.45
+        profile, _ = characterize_stream(workload.jobs, workload.cluster)
+        assert 0.10 <= profile.serial_fraction <= 0.45
 
     def test_power_of_two_bias(self, workload):
         parallel = [spec.num_tasks for spec in workload if spec.num_tasks > 1]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.exceptions import WorkloadError
+from repro.traces import characterize_stream
 from repro.traces.model import Workload, offered_load
 
 from ..conftest import make_job
@@ -63,8 +64,8 @@ class TestWorkload:
             workload.segments(0.0)
 
     def test_statistics(self, small_workload):
-        stats = small_workload.statistics()
-        assert stats["num_jobs"] == 30
-        assert stats["max_tasks"] <= small_workload.cluster.num_nodes
-        assert 0.0 <= stats["serial_fraction"] <= 1.0
-        assert stats["load"] > 0.0
+        profile, _ = characterize_stream(small_workload.jobs, small_workload.cluster)
+        assert profile.num_jobs == 30
+        assert profile.max_tasks <= small_workload.cluster.num_nodes
+        assert 0.0 <= profile.serial_fraction <= 1.0
+        assert profile.offered_load == small_workload.load() > 0.0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, TraceFormatError, WorkloadError
-from repro.traces import scale_to_load
+from repro.traces import characterize_stream, scale_to_load
 from repro.traces.hpc2n import (
     HPC2N_CLUSTER,
     Hpc2nLikeTraceGenerator,
@@ -185,10 +185,10 @@ class TestHpc2nLikeGenerator:
         workload = generator.generate_workload(1, seed=5)
         assert workload.cluster.num_nodes == 120
         assert workload.num_jobs > 150
-        stats = workload.statistics()
+        profile, _ = characterize_stream(workload.jobs, workload.cluster)
         # The defining trait: a large majority of short serial jobs.
-        assert stats["serial_fraction"] >= 0.6
-        assert stats["median_runtime"] < stats["mean_runtime"]
+        assert profile.serial_fraction >= 0.6
+        assert profile.median_runtime_seconds < profile.mean_runtime_seconds
 
     def test_records_are_valid_swf(self):
         generator = Hpc2nLikeTraceGenerator(jobs_per_week=100)

@@ -8,7 +8,20 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.cluster import Cluster
-from repro.traces import Hpc2nLikeTraceGenerator, load_trace_json, parse_swf, write_swf
+from repro.traces import (
+    HPC2N_CLUSTER,
+    Hpc2nLikeTraceGenerator,
+    JobSource,
+    LublinWorkloadGenerator,
+    characterization_table,
+    load_trace_json,
+    parse_swf,
+    scale_to_load,
+    swf_to_dfrs_jobs,
+    write_swf,
+)
+
+from . import reference_characterization as reference
 
 
 @pytest.fixture()
@@ -66,6 +79,32 @@ class TestInspect:
         assert main(["trace", "inspect", str(chain_spec)]) == 0
         assert "usable jobs: 40" in capsys.readouterr().out
 
+    def test_swf_without_usable_records(self, tmp_path, capsys):
+        # The one record has no runtime, so the stream is empty; the trace
+        # is still inspectable.
+        path = tmp_path / "empty.swf"
+        path.write_text(
+            "; Computer: x\n1 0 0 -1 4 -1 -1 4 -1 -1 0 -1 -1 -1 -1 -1 -1 -1\n",
+            encoding="utf-8",
+        )
+        assert main(["trace", "inspect", str(path)]) == 0
+        output = capsys.readouterr().out
+        assert output.splitlines()[-1] == "usable jobs: 0"
+        assert "Computer: x" in output
+
+
+@pytest.mark.parametrize("command", ["inspect", "characterize"])
+@pytest.mark.parametrize("trace", ["swf_file", "chain_spec"])
+def test_profiles_without_materializing(command, trace, request, monkeypatch, capsys):
+    # Both commands profile the trace in one streaming pass; collecting it
+    # into a Workload would make them O(jobs) in memory.
+    def refuse(self, cluster, *, name=None):
+        raise AssertionError(f"trace {command} materialized {self.default_name()}")
+
+    monkeypatch.setattr(JobSource, "materialize", refuse)
+    assert main(["trace", command, str(request.getfixturevalue(trace))]) == 0
+    assert "jobs" in capsys.readouterr().out
+
 
 class TestCharacterize:
     def test_chain_spec(self, chain_spec, capsys):
@@ -73,6 +112,44 @@ class TestCharacterize:
         output = capsys.readouterr().out
         assert "job width histogram:" in output
         assert "downey-seed5" in output
+
+    @staticmethod
+    def _row(table):
+        return table.splitlines()[2].split()
+
+    def test_old_synthetic_default_migrates(self, tmp_path, capsys):
+        # The former top-level ``characterize --load 0.5`` profiled the
+        # default 150-job Lublin trace (seed 2010, 128 nodes) rescaled to
+        # load 0.5.  This spec is the same trace; every column but the name
+        # and the median (nearest-rank, not interpolated) is unchanged.
+        spec = tmp_path / "old-default.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "type": "transform",
+                    "base": {"type": "lublin", "num_jobs": 150, "seed": 2010},
+                    "steps": [{"type": "rescale-load", "target_load": 0.5}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert main(["trace", "characterize", str(spec)]) == 0
+        output = capsys.readouterr().out
+        workload = LublinWorkloadGenerator(Cluster(128, 4, 8.0)).generate(150, seed=2010)
+        old = reference.characterize(scale_to_load(workload, 0.5))
+        assert self._row(output)[1:-1] == self._row(characterization_table([old]))[1:-1]
+        assert "job width histogram:" in output
+
+    def test_swf_profile_named_by_file(self, swf_file, capsys):
+        # ``characterize --swf F`` became ``trace characterize F``: the same
+        # HPC2N conversion and cluster, with the file stem as the name.
+        assert main(["trace", "characterize", str(swf_file)]) == 0
+        output = capsys.readouterr().out
+        old = reference.characterize(swf_to_dfrs_jobs(parse_swf(swf_file), HPC2N_CLUSTER))
+        row = self._row(output)
+        assert row[0] == "sample"
+        assert row[1:-1] == self._row(characterization_table([old]))[1:-1]
+        assert "job width histogram:" in output
 
 
 class TestTransformAndConvert:
