@@ -95,16 +95,10 @@ from .serve.cli import (
     run_soak_command,
 )
 from .traces import (
-    HPC2N_CLUSTER,
-    TRACE_JSON_FORMAT,
-    SwfTraceSource,
-    WorkloadTraceSource,
     characterization_table,
     characterize_stream,
-    open_trace_text,
+    load_trace_source,
     read_swf_header,
-    trace_json_payload_to_workload,
-    trace_source_from_dict,
     write_trace_json,
     write_workload_swf,
 )
@@ -321,42 +315,6 @@ def _trace_cluster(args: argparse.Namespace, default: Cluster) -> Cluster:
     return default
 
 
-def _load_trace_source(path_text: str):
-    """Resolve a CLI trace argument to ``(JobSource, default_cluster)``.
-
-    Accepts SWF files (``.swf``/``.swf.gz``), internal JSON traces (the
-    ``repro-dfrs-trace-v1`` format), and trace-source spec dictionaries
-    (``{"type": ...}`` JSON files, e.g. a transform chain).  JSON files are
-    read and parsed exactly once — internal-format payloads are turned into
-    an in-memory source directly instead of being re-read from disk.
-    """
-    from .exceptions import ConfigurationError
-
-    path = Path(path_text)
-    if not path.exists():
-        raise ConfigurationError(f"trace file not found: {path}")
-    name = path.name.lower()
-    if name.endswith((".swf", ".swf.gz")):
-        return SwfTraceSource(path=str(path)), HPC2N_CLUSTER
-    if not name.endswith((".json", ".json.gz")):
-        raise ConfigurationError(
-            f"cannot interpret {path}: expected .swf[.gz], .json[.gz], or a "
-            "trace-source spec JSON file"
-        )
-    with open_trace_text(path, "rt") as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict) and payload.get("format") == TRACE_JSON_FORMAT:
-        workload = trace_json_payload_to_workload(
-            payload, origin=str(path), name_fallback=path.stem
-        )
-        return WorkloadTraceSource(workload=workload), workload.cluster
-    if isinstance(payload, dict):
-        return trace_source_from_dict(payload), Cluster(128, 4, 8.0)
-    raise ConfigurationError(
-        f"{path}: expected a trace-source spec object, got {type(payload).__name__}"
-    )
-
-
 def _run_trace_inspect(args: argparse.Namespace) -> None:
     path = Path(args.path)
     lines: List[str] = [f"trace: {path}"]
@@ -368,7 +326,7 @@ def _run_trace_inspect(args: argparse.Namespace) -> None:
                 lines.append(f"  {key}: {value}")
         else:
             lines.append("header directives: (none)")
-    source, default_cluster = _load_trace_source(args.path)
+    source, default_cluster = load_trace_source(args.path)
     cluster = _trace_cluster(args, default_cluster)
     lines.append(
         f"cluster: {cluster.num_nodes} nodes x {cluster.cores_per_node} cores, "
@@ -397,7 +355,7 @@ def _run_trace_inspect(args: argparse.Namespace) -> None:
 
 
 def _run_trace_characterize(args: argparse.Namespace) -> None:
-    source, default_cluster = _load_trace_source(args.path)
+    source, default_cluster = load_trace_source(args.path)
     cluster = _trace_cluster(args, default_cluster)
     # Single streaming pass: statistics and the width histogram accumulate
     # online, so a gzipped million-job archive trace never needs to be
@@ -427,7 +385,7 @@ def _write_trace(workload, output: str) -> Path:
 
 
 def _run_trace_transform(args: argparse.Namespace, source_path: str, output: str) -> None:
-    source, default_cluster = _load_trace_source(source_path)
+    source, default_cluster = load_trace_source(source_path)
     workload = source.materialize(_trace_cluster(args, default_cluster))
     written = _write_trace(workload, output)
     print(f"wrote {written} ({workload.num_jobs} jobs, load {workload.load():.3f})")

@@ -54,13 +54,6 @@ class JobAllocation:
         """Copy of this allocation with a different yield."""
         return JobAllocation.create(self.nodes, yield_value)
 
-    def node_multiset(self) -> Dict[int, int]:
-        """Mapping node -> number of tasks of this job hosted on it."""
-        counts: Dict[int, int] = {}
-        for node in self.nodes:
-            counts[node] = counts.get(node, 0) + 1
-        return counts
-
 
 @dataclass
 class AllocationDecision:

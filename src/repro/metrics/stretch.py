@@ -80,8 +80,11 @@ class DegradationStats:
 
 
 def aggregate_degradation(values: Sequence[float]) -> DegradationStats:
-    """Aggregate per-instance degradation factors as in Table I."""
-    if not values:
+    """Aggregate per-instance degradation factors as in Table I.
+
+    ``values`` may be any sized sequence, a NumPy array included (its truth
+    value is ambiguous, so the empty test reads the length)."""
+    if len(values) == 0:
         return DegradationStats(0.0, 0.0, 0.0, 0)
     array = np.asarray(values, dtype=float)
     return DegradationStats(

@@ -9,8 +9,8 @@ that may land on the same or different bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..exceptions import AllocationError
 
@@ -129,16 +129,54 @@ class Bin:
         self.items.append(item)
 
 
-@dataclass
 class PackingResult:
-    """Outcome of a packing attempt."""
+    """Outcome of a packing attempt.
 
-    success: bool
-    #: For each job id, the node index assigned to each of its tasks, in task
-    #: order.  Only meaningful when ``success`` is True.
-    assignments: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    #: Number of bins that received at least one item.
-    bins_used: int = 0
+    ``assignments`` maps each job id to the node index assigned to each of
+    its tasks, in task order; it is only meaningful when ``success`` is True.
+    ``bins_used`` counts the bins that received at least one item.
+
+    A packer that knows it succeeded before it has the mapping passes
+    ``assemble`` instead: a zero-argument callable that builds the mapping on
+    the first read of ``assignments``.  A yield search reads only the probe
+    it returns, so the probes it discards never build one.
+    """
+
+    __slots__ = ("success", "bins_used", "_assignments", "_assemble")
+
+    def __init__(
+        self,
+        success: bool,
+        assignments: Optional[Dict[int, Tuple[int, ...]]] = None,
+        bins_used: int = 0,
+        *,
+        assemble: Optional[Callable[[], Dict[int, Tuple[int, ...]]]] = None,
+    ) -> None:
+        self.success = success
+        self.bins_used = bins_used
+        self._assignments = {} if assignments is None else assignments
+        self._assemble = assemble
+
+    @property
+    def assignments(self) -> Dict[int, Tuple[int, ...]]:
+        if self._assemble is not None:
+            self._assignments, self._assemble = self._assemble(), None
+        return self._assignments
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackingResult):
+            return NotImplemented
+        return (self.success, self.assignments, self.bins_used) == (
+            other.success, other.assignments, other.bins_used
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"PackingResult(success={self.success!r}, "
+            f"assignments={self.assignments!r}, bins_used={self.bins_used!r})"
+        )
 
     @staticmethod
     def failure() -> "PackingResult":

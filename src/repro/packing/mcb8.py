@@ -48,6 +48,7 @@ searches' entry, takes one per job and builds no item;
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
@@ -123,7 +124,11 @@ def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
 
 
 def _pack(
-    lists: Tuple[List[list], ...], num_items: int, num_bins: int, capacities: BinCapacities
+    lists: Tuple[List[list], ...],
+    num_items: int,
+    num_bins: int,
+    capacities: BinCapacities,
+    whole_jobs: bool = False,
 ) -> PackingResult:
     """Fill both entries' sorted lists, and tell the telemetry sink what one pack did."""
     num_runs = len(lists[0]) + len(lists[1])
@@ -134,7 +139,7 @@ def _pack(
         result, num_runs = PackingResult.failure(), 0
     else:
         _check_capacities(capacities, num_bins)
-        result, repeated = _fill(lists, num_bins, capacities)
+        result, repeated = _fill(lists, num_bins, capacities, whole_jobs)
     telemetry = current_telemetry()
     if telemetry is not None:
         telemetry.count("packing.packs")
@@ -179,7 +184,10 @@ def _mcb_pack(
 
 
 def _fill(
-    lists: Tuple[List[list], List[list]], num_bins: int, capacities: BinCapacities
+    lists: Tuple[List[list], List[list]],
+    num_bins: int,
+    capacities: BinCapacities,
+    whole_jobs: bool = False,
 ) -> Tuple[PackingResult, int]:
     """Fill bins in index order from the (CPU-dominant, memory-dominant) lists.
 
@@ -190,6 +198,10 @@ def _fill(
     sums, so every comparison has the operands it would have there.  A bin
     that empties no run is copied into the next bins while that is exact
     (:func:`_repeat_bin`).  Returns the result and how many bins were copies.
+
+    With ``whole_jobs`` (the job entry: each run is a job's tasks from task
+    0) a fill that places every run is a success before its per-job tuples
+    exist, so the result builds them on its first read of ``assignments``.
     """
     cpu_runs, mem_runs = lists
     # One (job_id, first task_index, tasks, bin) per placing step.
@@ -305,6 +317,9 @@ def _fill(
             bins_used += copies
             repeated += copies
 
+    if whole_jobs:
+        assemble = partial(_assemble_steps, steps)
+        return PackingResult(success=True, bins_used=bins_used, assemble=assemble), repeated
     assignments = _assemble_steps(steps)
     if assignments is None:
         return PackingResult.failure(), repeated
@@ -368,8 +383,9 @@ def _assemble_steps(
     steps: Iterable[Tuple[int, int, int, int]],
 ) -> Optional[Dict[int, Tuple[int, ...]]]:
     """Per-job bin tuples in task order from ``(job_id, first task_index, count,
-    bin)`` steps, None unless each job's indices run 0..n-1.  Steps out of
-    task order (the item entry's) go task by task, the later winning a repeat."""
+    bin)`` steps, None unless each job's indices run 0..n-1.  Steps out of task
+    order (the item entry's) go task by task, the later winning a repeat.  The
+    job entry's steps never give None: each run counts up from task 0."""
     per_job: Dict[int, List[int]] = {}
     for job_id, task_index, count, bin_index in steps:
         bins = per_job.setdefault(job_id, [])
@@ -434,7 +450,7 @@ def mcb8_pack_jobs(
         num_items += job.num_tasks
     for runs in lists:
         runs.sort(key=lambda record: (-record[5], record[2]))
-    return _pack(lists, num_items, num_bins, capacities)
+    return _pack(lists, num_items, num_bins, capacities, whole_jobs=True)
 
 
 def _collect_assignments(

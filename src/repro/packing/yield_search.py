@@ -14,6 +14,8 @@ Both searches probe through :func:`_probe`, which fails a probe without
 packing it when :func:`repro.packing.bounds.cpu_volume_exceeded` proves no
 packer could succeed.  The probe *sequence* is untouched, so results are the
 same as packing every probe, for every packer that honours bin capacities.
+Each search reads ``assignments`` of the probe it returns and of no other,
+so MCB8's job entry turns only that probe's steps into per-job tuples.
 """
 
 from __future__ import annotations
@@ -133,17 +135,19 @@ def maximize_min_yield(
     if full.success:
         return YieldSearchResult(True, 1.0, full.assignments)
 
+    # Keep the best probe, not its assignments: only the one returned is
+    # read, so the job entry builds per-job tuples for it alone.
     low, high = min_yield, 1.0
-    best_yield, best_assignments = min_yield, baseline.assignments
+    best_yield, best = min_yield, baseline
     while high - low > accuracy:
         mid = (low + high) / 2.0
         attempt = probe(mid)
         if attempt.success:
             low = mid
-            best_yield, best_assignments = mid, attempt.assignments
+            best_yield, best = mid, attempt
         else:
             high = mid
-    return YieldSearchResult(True, best_yield, best_assignments)
+    return YieldSearchResult(True, best_yield, best.assignments)
 
 
 def stretch_target_yields(

@@ -33,7 +33,7 @@ from ...packing.mcb8 import BinCapacities
 from ...packing.yield_search import PackingJob, YieldSearchResult, maximize_min_yield
 from ..base import Scheduler
 from .priority import sort_by_increasing_priority
-from .yield_opt import build_allocations, improve_average_yield
+from .yield_opt import CarriedLoads, build_allocations, improve_average_yield
 
 __all__ = ["DynMcb8Scheduler"]
 
@@ -48,10 +48,12 @@ class DynMcb8Scheduler(Scheduler):
         #: and this repack's successful one.
         self._searches: Dict[Any, list] = {}
         self._round: Optional[list] = None
+        self._loads = CarriedLoads()
 
     def start(self, cluster, start_time: float) -> None:
         super().start(cluster, start_time)
         self._searches, self._round = {}, None
+        self._loads = CarriedLoads()
 
     def schedule(self, context: SchedulingContext) -> AllocationDecision:
         return self._repack_all(context, AllocationDecision())
@@ -70,8 +72,10 @@ class DynMcb8Scheduler(Scheduler):
                 telemetry.count("packing.yields_reused")
         else:
             yields = dict.fromkeys(placements, yield_value)
-            yields = improve_average_yield(placements, yields, context.jobs, context.cluster)
-            allocations = build_allocations(placements, yields)
+            yields = improve_average_yield(
+                placements, yields, context.jobs, context.cluster, self._loads
+            )
+            allocations = build_allocations(placements, yields, context.current_allocations())
             if entry is not None:
                 entry[1] = allocations
         # The memo keeps its own dict, whatever the engine does to this one.

@@ -83,9 +83,9 @@ class LongJobThrottlingScheduler(DynMcb8AsapPeriodicScheduler):
         }
         if short_jobs:
             improved = improve_average_yield(
-                placements, yields, context.jobs, context.cluster
+                placements, yields, context.jobs, context.cluster, self._loads
             )
             for job_id in sorted(short_jobs):
                 yields[job_id] = improved[job_id]
-        decision.running = build_allocations(placements, yields)
+        decision.running = build_allocations(placements, yields, context.current_allocations())
         return decision

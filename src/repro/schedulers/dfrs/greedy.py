@@ -20,7 +20,7 @@ from ...core.allocation import AllocationDecision
 from ...core.context import JobView, SchedulingContext
 from ..base import Scheduler
 from .placement import greedy_place_job, usage_from_placements
-from .yield_opt import build_allocations, fair_yields, improve_average_yield
+from .yield_opt import CarriedLoads, build_allocations, fair_yields, improve_average_yield
 
 __all__ = ["GreedyScheduler", "MAX_BACKOFF_SECONDS"]
 
@@ -39,11 +39,13 @@ class GreedyScheduler(Scheduler):
     def __init__(self) -> None:
         self._retry_counts: Dict[int, int] = {}
         self._retry_times: Dict[int, float] = {}
+        self._loads = CarriedLoads()
 
     def start(self, cluster, start_time: float) -> None:
         super().start(cluster, start_time)
         self._retry_counts.clear()
         self._retry_times.clear()
+        self._loads = CarriedLoads()
 
     # -- helpers ---------------------------------------------------------------
     def _eligible_pending(self, context: SchedulingContext) -> List[JobView]:
@@ -86,9 +88,11 @@ class GreedyScheduler(Scheduler):
         """Assign fair yields, improve the average yield, emit the decision."""
         yields = fair_yields(placements, context.jobs, context.cluster)
         yields = improve_average_yield(
-            placements, yields, context.jobs, context.cluster
+            placements, yields, context.jobs, context.cluster, self._loads
         )
-        decision.running = build_allocations(placements, yields)
+        decision.running = build_allocations(
+            placements, yields, context.current_allocations()
+        )
         return decision
 
     # -- policy ----------------------------------------------------------------

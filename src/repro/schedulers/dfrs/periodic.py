@@ -129,7 +129,9 @@ class DynMcb8AsapPeriodicScheduler(DynMcb8PeriodicScheduler):
         # free); leftover capacity is redistributed as usual.
         yields = fair_yields(placements, context.jobs, context.cluster)
         yields = improve_average_yield(
-            placements, yields, context.jobs, context.cluster
+            placements, yields, context.jobs, context.cluster, self._loads
         )
-        decision.running = build_allocations(placements, yields)
+        decision.running = build_allocations(
+            placements, yields, context.current_allocations()
+        )
         return decision

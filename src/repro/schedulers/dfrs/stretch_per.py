@@ -44,7 +44,7 @@ class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
             context, list(context.jobs.values())
         )
         yields = self._improve_average_stretch(placements, yields, context)
-        decision.running = build_allocations(placements, yields)
+        decision.running = build_allocations(placements, yields, context.current_allocations())
         return decision
 
     def _stretch_repack(
@@ -73,5 +73,5 @@ class DynMcb8StretchPeriodicScheduler(DynMcb8PeriodicScheduler):
             return -((context.flow_time(view) + self.period) / max(denominator, 1e-9))
 
         return raise_yields_in_order(
-            placements, yields, context.jobs, context.cluster, worst_stretch_first
+            placements, yields, context.jobs, context.cluster, worst_stretch_first, self._loads
         )

@@ -22,7 +22,7 @@ placements, so the preemption/migration profile is unchanged.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from ...core.context import JobView, SchedulingContext
 from ...core.job import MINIMUM_YIELD
 from ...exceptions import ConfigurationError
 from .periodic import DEFAULT_PERIOD, DynMcb8AsapPeriodicScheduler
-from .yield_opt import build_allocations, raise_yields_in_order, task_counts
+from .yield_opt import CarriedLoads, build_allocations, job_loads, raise_yields_in_order
 
 __all__ = [
     "WeightFunction",
@@ -77,6 +77,7 @@ def weighted_fair_yields(
     jobs: Mapping[int, JobView],
     cluster: Cluster,
     weights: Mapping[int, float],
+    carried: Optional[CarriedLoads] = None,
 ) -> Dict[int, float]:
     """Weighted max–min yields for fixed placements.
 
@@ -90,16 +91,16 @@ def weighted_fair_yields(
         return {}
     _check_weights({job_id: weights[job_id] for job_id in placements})
 
-    counts = task_counts(placements)  # reused by every feasibility probe
+    # Reused by every feasibility probe.
+    loads = job_loads(placements, jobs) if carried is None else carried(placements, jobs)
     capacity = cluster.cpu_capacity_vector()
 
     def feasible(z: float) -> bool:
         allocated = np.zeros(cluster.num_nodes, dtype=float)
-        for job_id, per_node in counts.items():
-            view = jobs[job_id]
+        for job_id in placements:
             value = min(1.0, max(MINIMUM_YIELD, weights[job_id] * z))
-            for node, count in per_node.items():
-                allocated[node] += count * view.cpu_need * value
+            for node, load in loads[job_id]:
+                allocated[node] += load * value
         return bool(np.all(allocated <= capacity + CAPACITY_EPSILON))
 
     max_weight = max(weights[job_id] for job_id in placements)
@@ -128,12 +129,14 @@ def weighted_improve_yield(
     jobs: Mapping[int, JobView],
     cluster: Cluster,
     weights: Mapping[int, float],
+    carried: Optional[CarriedLoads] = None,
 ) -> Dict[int, float]:
     """The average-yield pass, heaviest weight first: ties go to the smaller
     total CPU need, then to placement order."""
     _check_weights({job_id: weights[job_id] for job_id in placements})
     return raise_yields_in_order(
-        placements, yields, jobs, cluster, lambda job: (-weights[job], jobs[job].total_cpu_need)
+        placements, yields, jobs, cluster,
+        lambda job: (-weights[job], jobs[job].total_cpu_need), carried,
     )
 
 
@@ -166,9 +169,11 @@ class WeightedYieldScheduler(DynMcb8AsapPeriodicScheduler):
     ) -> AllocationDecision:
         placements, _ = self.repack(context, list(context.jobs.values()))
         weights = self._weights(context, placements)
-        yields = weighted_fair_yields(placements, context.jobs, context.cluster, weights)
-        yields = weighted_improve_yield(
-            placements, yields, context.jobs, context.cluster, weights
+        yields = weighted_fair_yields(
+            placements, context.jobs, context.cluster, weights, self._loads
         )
-        decision.running = build_allocations(placements, yields)
+        yields = weighted_improve_yield(
+            placements, yields, context.jobs, context.cluster, weights, self._loads
+        )
+        decision.running = build_allocations(placements, yields, context.current_allocations())
         return decision

@@ -24,7 +24,7 @@ from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
-from ..traces import DiurnalPoissonTraceSource, JobSource, LublinTraceSource
+from ..traces import DiurnalPoissonTraceSource, JobSource, LublinTraceSource, load_trace_source
 from .admission import AdmissionPolicy, admission_policy_from_dict
 from .loadtest import bench_payload, run_loadtest
 from .protocol import ServiceServer
@@ -282,11 +282,7 @@ def _trace_source(
     serve cluster.
     """
     if args.trace is not None:
-        # Deferred: repro.cli imports this module at startup; by the time a
-        # command runs, the parent module is fully initialized.
-        from ..cli import _load_trace_source
-
-        source, cluster = _load_trace_source(args.trace)
+        source, cluster = load_trace_source(args.trace)
         if args.nodes is None:
             return source, cluster
     else:

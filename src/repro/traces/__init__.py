@@ -15,7 +15,8 @@ SWF / HPC2N intake and the offered-load rescale exist once, here:
   (arrival-ordered, bounded-memory iterators of job specs with a canonical
   ``to_dict``/``from_dict`` spec form) plus its adapters: Lublin,
   HPC2N-like, SWF files, internal JSON traces, in-memory workloads,
-  arbitrary callables, and sequential splicing;
+  arbitrary callables, and sequential splicing — and
+  :func:`load_trace_source`, which resolves a trace path for the CLIs;
 * :mod:`~repro.traces.generators` — synthetic models beyond the paper:
   a Feitelson/Downey-style log-uniform runtime + parallelism model
   (``"downey"``) and a diurnal/bursty Markov-modulated Poisson arrival
@@ -72,6 +73,7 @@ from .source import (
     SwfTraceSource,
     WorkloadTraceSource,
     available_trace_sources,
+    load_trace_source,
     register_trace_source,
     trace_source_from_dict,
 )
@@ -141,6 +143,7 @@ __all__ = [
     "ConcatTraceSource",
     "register_trace_source",
     "trace_source_from_dict",
+    "load_trace_source",
     "available_trace_sources",
     "DowneyTraceSource",
     "DiurnalPoissonTraceSource",

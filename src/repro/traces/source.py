@@ -32,6 +32,7 @@ and sequential splicing); the new synthetic models are in
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -45,17 +46,18 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 from ..core.cluster import Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
 from ..registry import Registry
-from .hpc2n import Hpc2nLikeTraceGenerator, records_to_jobspecs
-from .io import load_trace_json
+from .hpc2n import HPC2N_CLUSTER, Hpc2nLikeTraceGenerator, records_to_jobspecs
+from .io import TRACE_JSON_FORMAT, load_trace_json, trace_json_payload_to_workload
 from .lublin import LublinWorkloadGenerator
 from .model import Workload
-from .swf import iter_swf_records
+from .swf import iter_swf_records, open_trace_text
 
 if TYPE_CHECKING:  # circular at runtime: transforms imports this module
     from .transforms import TraceTransform
@@ -73,6 +75,7 @@ __all__ = [
     "register_trace_source",
     "trace_source_from_dict",
     "available_trace_sources",
+    "load_trace_source",
 ]
 
 
@@ -395,3 +398,38 @@ register_trace_source("hpc2n-like", Hpc2nLikeTraceSource)
 register_trace_source("swf", SwfTraceSource)
 register_trace_source("json", JsonTraceSource)
 register_trace_source("concat", _concat_from_spec)
+
+
+def load_trace_source(path_text: Union[str, Path]) -> Tuple[JobSource, Cluster]:
+    """Resolve a trace path to ``(JobSource, default_cluster)``.
+
+    Accepts SWF files (``.swf``/``.swf.gz``), internal JSON traces (the
+    ``repro-dfrs-trace-v1`` format), and trace-source spec dictionaries
+    (``{"type": ...}`` JSON files, e.g. a transform chain).  JSON files are
+    read and parsed exactly once — internal-format payloads are turned into
+    an in-memory source directly instead of being re-read from disk, so an
+    internal trace is resident whole, where SWF files and specs stream.
+    """
+    path = Path(path_text)
+    if not path.exists():
+        raise ConfigurationError(f"trace file not found: {path}")
+    name = path.name.lower()
+    if name.endswith((".swf", ".swf.gz")):
+        return SwfTraceSource(path=str(path)), HPC2N_CLUSTER
+    if not name.endswith((".json", ".json.gz")):
+        raise ConfigurationError(
+            f"cannot interpret {path}: expected .swf[.gz], .json[.gz], or a "
+            "trace-source spec JSON file"
+        )
+    with open_trace_text(path, "rt") as handle:
+        payload = json.load(handle)
+    if isinstance(payload, dict) and payload.get("format") == TRACE_JSON_FORMAT:
+        workload = trace_json_payload_to_workload(
+            payload, origin=str(path), name_fallback=path.stem
+        )
+        return WorkloadTraceSource(workload=workload), workload.cluster
+    if isinstance(payload, dict):
+        return trace_source_from_dict(payload), Cluster(128, 4, 8.0)
+    raise ConfigurationError(
+        f"{path}: expected a trace-source spec object, got {type(payload).__name__}"
+    )

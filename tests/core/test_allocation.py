@@ -50,10 +50,6 @@ class TestJobAllocation:
         assert new.yield_value == pytest.approx(0.7)
         assert alloc.yield_value == pytest.approx(0.5)
 
-    def test_node_multiset(self):
-        alloc = JobAllocation((2, 2, 5), 1.0)
-        assert alloc.node_multiset() == {2: 2, 5: 1}
-
 
 class TestAllocationDecision:
     def test_set_and_wakeups(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -210,6 +211,12 @@ class TestAggregateDegradationCases:
         assert stats.count == 3
         assert stats.maximum == pytest.approx(4.0)
         assert isinstance(stats.average, float)
+
+    @pytest.mark.parametrize("values", [[], [1.7], [1.0, 3.0], [1.0, 1.5, 4.0]])
+    def test_accepts_a_numpy_array(self, values):
+        """An array's truth value is ambiguous from two elements on: the
+        empty test must read the length, and the stats match the list's."""
+        assert aggregate_degradation(np.array(values)) == aggregate_degradation(values)
 
     def test_stats_are_frozen(self):
         stats = aggregate_degradation([1.0, 2.0])

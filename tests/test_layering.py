@@ -7,11 +7,13 @@ removed package, at any nesting (``ast.walk`` sees function-level and
 dotted names are never spelled out here, so grepping the tree for one finds
 offenders only.)
 
-Three import contracts between live packages are pinned the same way:
+Four import contracts between live packages are pinned the same way:
 ``repro.analysis`` never imports ``repro.campaign``; ``repro.metrics`` imports
 nothing from ``repro`` but ``repro.exceptions`` and ``repro.registry`` (so
-``repro.core`` can import it with no cycle); and the stretch metrics have one
-home, ``repro.metrics.stretch``, with nothing left at their old core path.
+``repro.core`` can import it with no cycle); ``repro.serve`` never imports the
+top-level CLI (trace paths resolve in ``repro.traces``); and the stretch
+metrics have one home, ``repro.metrics.stretch``, with nothing left at their
+old core path.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def test_metrics_imports_only_exceptions_and_registry_from_repro():
         for entry in _package_imports("metrics")
         if entry[2].startswith("repro.")
         and not any(entry[2] == name or entry[2].startswith(name + ".") for name in allowed)
+    ]
+    assert offenders == []
+
+
+def test_serve_imports_nothing_from_the_top_level_cli():
+    """``repro.cli`` builds on ``repro.serve``; the serve commands resolve trace
+    paths through ``repro.traces.load_trace_source``, never through the CLI."""
+    offenders = [
+        entry
+        for entry in _package_imports("serve")
+        if entry[2] == "repro.cli" or entry[2].startswith("repro.cli.")
     ]
     assert offenders == []
 
