@@ -45,8 +45,9 @@ def _open_destination(destination: Optional[_Destination]):
     raise ReproError(f"unsupported destination {destination!r}")
 
 
-def _finish(handle, should_close: bool) -> Optional[str]:
-    if isinstance(handle, io.StringIO):
+def _finish(handle, destination: Optional[_Destination], should_close: bool) -> Optional[str]:
+    """The text for ``destination=None``; close a file the writer opened."""
+    if destination is None:
         return handle.getvalue()
     if should_close:
         handle.close()
@@ -60,7 +61,7 @@ def campaign_result_to_json(
     text = json.dumps(payload, indent=indent, sort_keys=True)
     handle, should_close = _open_destination(destination)
     handle.write(text + "\n")
-    return _finish(handle, should_close)
+    return _finish(handle, destination, should_close)
 
 
 def _read_source(source: Union[str, Path, TextIO], looks_like_content) -> str:
@@ -143,7 +144,7 @@ def campaign_rows_to_csv(
                 for name in metric_names
             ]
         )
-    return _finish(handle, should_close)
+    return _finish(handle, destination, should_close)
 
 
 def campaign_rows_from_csv(source: Union[str, Path, TextIO]) -> List[Dict]:

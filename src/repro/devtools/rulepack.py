@@ -335,7 +335,7 @@ class FloatEqualityRule(Rule):
     name = "raw-float-equality"
     rationale = (
         "core/ and packing/ compare capacities and yields with the epsilon "
-        "helpers (CAPACITY_EPSILON, Bin.epsilon): a raw ==/!= between "
+        "helpers (CAPACITY_EPSILON, BIN_EPSILON): a raw ==/!= between "
         "computed float expressions silently flips on the last ulp and "
         "breaks packing decisions across platforms.  Exact comparisons "
         "against the 0.0/1.0 sentinels are the pinned fast-path idiom and "

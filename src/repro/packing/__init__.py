@@ -10,15 +10,14 @@ from .bounds import (
     total_cpu_need,
     total_memory_requirement,
 )
-from .first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
-from .item import Bin, PackingItem, PackingJob, PackingResult, job_items
-from .mcb8 import mcb8_pack
-from .variants import (
-    PACKER_NAMES,
-    get_packer,
-    mcb_family_pack,
+from .first_fit import (
+    best_fit_decreasing_pack,
+    first_fit_decreasing_pack,
     worst_fit_decreasing_pack,
 )
+from .item import PackingItem, PackingJob, PackingResult, job_items
+from .mcb8 import mcb8_pack
+from .variants import PACKER_NAMES, get_packer, mcb_family_pack
 from .yield_search import (
     YIELD_SEARCH_ACCURACY,
     StretchSearchResult,
@@ -39,7 +38,7 @@ __all__ = [
     "total_memory_requirement",
     "best_fit_decreasing_pack",
     "first_fit_decreasing_pack",
-    "Bin",
+    "worst_fit_decreasing_pack",
     "PackingItem",
     "PackingResult",
     "job_items",
@@ -47,7 +46,6 @@ __all__ = [
     "PACKER_NAMES",
     "get_packer",
     "mcb_family_pack",
-    "worst_fit_decreasing_pack",
     "YIELD_SEARCH_ACCURACY",
     "PackingJob",
     "StretchSearchResult",

@@ -1,4 +1,4 @@
-"""Items and bins for two-dimensional (CPU × memory) vector packing.
+"""Items and results of two-dimensional (CPU × memory) vector packing.
 
 The DFRS allocation problem reduces to vector packing once a target yield is
 fixed (paper §III-B): every task becomes an item with a *CPU requirement*
@@ -14,9 +14,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..exceptions import AllocationError
 
-__all__ = ["PackingItem", "Bin", "PackingResult", "job_items", "PackingJob"]
+__all__ = ["PackingItem", "PackingResult", "job_items", "PackingJob"]
 
-#: What a bin accepts beyond its nominal capacity, per dimension.
+#: What a bin accepts beyond its nominal capacity, per dimension: a task fits
+#: when ``used + requirement <= capacity + BIN_EPSILON`` in both.
 #: :mod:`repro.packing.bounds` pads its proofs by the same amount per bin.
 BIN_EPSILON = 1e-9
 
@@ -62,71 +63,6 @@ class PackingItem(_ItemFields):
     def cpu_dominant(self) -> bool:
         """True when the CPU requirement is at least the memory requirement."""
         return self.cpu >= self.memory
-
-
-class Bin:
-    """One node being filled during packing.
-
-    Bins default to the paper's 1.0 × 1.0 unit capacity; heterogeneous
-    platforms (:mod:`repro.platform`) pass per-node ``(cpu, memory)``
-    capacities instead, and a zero-capacity bin (a down node) fits nothing.
-    """
-
-    __slots__ = (
-        "index",
-        "cpu_used",
-        "memory_used",
-        "items",
-        "epsilon",
-        "cpu_capacity",
-        "memory_capacity",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        epsilon: float = BIN_EPSILON,
-        cpu_capacity: float = 1.0,
-        memory_capacity: float = 1.0,
-    ) -> None:
-        self.index = index
-        self.cpu_used = 0.0
-        self.memory_used = 0.0
-        self.items: List[PackingItem] = []
-        self.epsilon = epsilon
-        self.cpu_capacity = cpu_capacity
-        self.memory_capacity = memory_capacity
-
-    @property
-    def cpu_free(self) -> float:
-        return self.cpu_capacity - self.cpu_used
-
-    @property
-    def memory_free(self) -> float:
-        return self.memory_capacity - self.memory_used
-
-    def fits(self, item: PackingItem) -> bool:
-        """True if the item fits in the remaining capacity of this bin.
-
-        A zero-capacity bin (a down node) admits nothing, not even what the
-        epsilon would let in.
-        """
-        return (
-            (self.cpu_capacity > 0.0 or self.memory_capacity > 0.0)
-            and self.cpu_used + item.cpu <= self.cpu_capacity + self.epsilon
-            and self.memory_used + item.memory <= self.memory_capacity + self.epsilon
-        )
-
-    def add(self, item: PackingItem) -> None:
-        """Place ``item`` in this bin (caller must have checked :meth:`fits`)."""
-        if not self.fits(item):
-            raise AllocationError(
-                f"item ({item.job_id}, {item.task_index}) does not fit in bin "
-                f"{self.index}"
-            )
-        self.cpu_used += item.cpu
-        self.memory_used += item.memory
-        self.items.append(item)
 
 
 class PackingResult:

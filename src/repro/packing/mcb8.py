@@ -42,8 +42,8 @@ O(distinct bins × runs) fit tests plus one float sum and fit test per item
 placed in a distinct bin, and one step record per copied step, instead of
 O(bins × items) *per placed item*.
 :func:`mcb8_pack` cuts items into runs; :func:`mcb8_pack_jobs`, the yield
-searches' entry, takes one per job and builds no item;
-:func:`repro.packing.variants.mcb_family_pack` runs the same fill.
+searches' entry, and :func:`repro.packing.variants.mcb_family_pack` take one
+per job and build no item.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
 from ..obs.telemetry import current_telemetry, timed_phase
-from .item import BIN_EPSILON, Bin, PackingItem, PackingJob, PackingResult
+from .item import BIN_EPSILON, PackingItem, PackingJob, PackingResult
 
 __all__ = ["mcb8_pack", "mcb8_pack_jobs"]
 
@@ -69,35 +69,12 @@ def _check_capacities(capacities: BinCapacities, num_bins: int) -> None:
         )
 
 
-def _make_bin(index: int, capacities: BinCapacities) -> Bin:
-    if capacities is None:
-        return Bin(index)
-    cpu_capacity, memory_capacity = capacities[index]
-    return Bin(index, cpu_capacity=cpu_capacity, memory_capacity=memory_capacity)
-
-
-def _open_until_fits(
-    bins: List[Bin], item: PackingItem, num_bins: int, capacities: BinCapacities
-) -> Optional[Bin]:
-    """Open variable-capacity bins in index order until one hosts ``item``.
-
-    Shared by the decreasing-fit packers: unlike unit bins (where a fresh
-    bin either hosts the item or nothing ever will), a too-small bin is kept
-    open — later, smaller items may still land in it.  Returns ``None`` when
-    the bin budget runs out before a fitting bin appears.
-    """
-    while True:
-        if len(bins) >= num_bins:
-            return None
-        fresh = _make_bin(len(bins), capacities)
-        bins.append(fresh)
-        if fresh.fits(item):
-            return fresh
-
-
-def _count_used_bins(bins: List[Bin]) -> int:
-    """Bins that actually host items (capacity-skipped bins stay empty)."""
-    return sum(1 for bin_ in bins if bin_.items)
+def _task_memory(job: PackingJob, cpu: float) -> float:
+    """The memory requirement of each of ``job``'s tasks when each needs
+    ``cpu``, once ``job`` has a task and such a task is a valid item."""
+    if job.num_tasks < 1:
+        raise AllocationError(f"job {job.job_id}: num_tasks must be >= 1")
+    return PackingItem(job.job_id, 0, cpu, job.mem_requirement).memory
 
 
 def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
@@ -151,38 +128,6 @@ def _pack(
     return result
 
 
-def _mcb_pack(
-    items: Sequence[PackingItem],
-    num_bins: int,
-    sort_value: Callable[[PackingItem], float],
-    capacities: BinCapacities,
-) -> PackingResult:
-    """The MCB packer, shared by MCB8 and the rest of the family.
-
-    ``sort_value`` — a function of an item's ``(cpu, memory)`` — orders the
-    two lists (non-increasing) and ranks the seed candidates.
-    """
-    # Both lists in non-increasing sort value; ties broken by job/task id so
-    # that packing is fully deterministic.
-    key = lambda item: (-sort_value(item), item.job_id, item.task_index)
-    # Sorting whole runs of the input sorts the items whenever the result is
-    # strictly increasing (always, for distinct task ids); otherwise sort item
-    # by item and cut the runs afterwards.
-    runs = _runs(items)
-    runs.sort(key=lambda run: key(run[0]))
-    if any(key(a[-1]) >= key(b[0]) for a, b in zip(runs, runs[1:])):
-        runs = _runs(sorted(items, key=key))
-    # The fill reads and writes one record per run and no item:
-    # [cpu, memory, job_id, next task_index, items left, sort value].
-    lists: Tuple[List[list], List[list]] = ([], [])
-    for run in runs:
-        job_id, task_index, cpu, memory = head = run[0]
-        lists[0 if head.cpu_dominant else 1].append(
-            [cpu, memory, job_id, task_index, len(run), sort_value(head)]
-        )
-    return _pack(lists, len(items), num_bins, capacities)
-
-
 def _fill(
     lists: Tuple[List[list], List[list]],
     num_bins: int,
@@ -194,10 +139,11 @@ def _fill(
     The bin being filled is a few local floats, and ``cursors[which]`` is its
     scan position in ``lists[which]``: every run before it has been refused.
     A run's head is stored only straight after ``used + requirement <=
-    capacity + epsilon`` held in both dimensions — :meth:`Bin.fits`' own two
-    sums, so every comparison has the operands it would have there.  A bin
-    that empties no run is copied into the next bins while that is exact
-    (:func:`_repeat_bin`).  Returns the result and how many bins were copies.
+    capacity + epsilon`` held in both dimensions — the two sums of the
+    item-by-item fit test, so every comparison has the operands it would have
+    there.  A bin that empties no run is copied into the next bins while that
+    is exact (:func:`_repeat_bin`).  Returns the result and how many bins were
+    copies.
 
     With ``whole_jobs`` (the job entry: each run is a job's tasks from task
     0) a fill that places every run is a success before its per-job tuples
@@ -405,10 +351,6 @@ def _assemble_steps(
             for job_id, mapping in per_task.items()}
 
 
-def _max_requirement(item: PackingItem) -> float:
-    return item.max_requirement
-
-
 @timed_phase("packing.mcb8")
 def mcb8_pack(
     items: Sequence[PackingItem],
@@ -430,7 +372,51 @@ def mcb8_pack(
     id to the tuple of bin (node) indices assigned to its tasks in task-index
     order.
     """
-    return _mcb_pack(items, num_bins, _max_requirement, capacities)
+    # Both lists in non-increasing largest requirement; ties broken by
+    # job/task id so that packing is fully deterministic.
+    key = lambda item: (-item.max_requirement, item.job_id, item.task_index)
+    # Sorting whole runs of the input sorts the items whenever the result is
+    # strictly increasing (always, for distinct task ids); otherwise sort item
+    # by item and cut the runs afterwards.
+    runs = _runs(items)
+    runs.sort(key=lambda run: key(run[0]))
+    if any(key(a[-1]) >= key(b[0]) for a, b in zip(runs, runs[1:])):
+        runs = _runs(sorted(items, key=key))
+    # The fill reads and writes one record per run and no item:
+    # [cpu, memory, job_id, next task_index, items left, sort value].
+    lists: Tuple[List[list], List[list]] = ([], [])
+    for run in runs:
+        job_id, task_index, cpu, memory = head = run[0]
+        lists[0 if head.cpu_dominant else 1].append(
+            [cpu, memory, job_id, task_index, len(run), head.max_requirement]
+        )
+    return _pack(lists, len(items), num_bins, capacities)
+
+
+def _pack_jobs(
+    jobs: Sequence[PackingJob],
+    cpus: Sequence[float],
+    num_bins: int,
+    capacities: BinCapacities,
+    sort_value: Callable[[float, float], float],
+) -> PackingResult:
+    """The MCB job entry, shared by MCB8 and the rest of the family: the items
+    of ``jobs`` (distinct ids), each task of ``jobs[k]`` needing ``cpus[k]``,
+    as one run record per job and no item.
+
+    ``sort_value`` — a function of a task's ``(cpu, memory)`` — orders the
+    two lists (non-increasing, ties by job id) and ranks the seed candidates.
+    """
+    lists: Tuple[List[list], List[list]] = ([], [])
+    num_items = 0
+    for job, cpu in zip(jobs, cpus):
+        memory = _task_memory(job, cpu)
+        record = [cpu, memory, job.job_id, 0, job.num_tasks, sort_value(cpu, memory)]
+        lists[0 if cpu >= memory else 1].append(record)
+        num_items += job.num_tasks
+    for runs in lists:
+        runs.sort(key=lambda record: (-record[5], record[2]))
+    return _pack(lists, num_items, num_bins, capacities, whole_jobs=True)
 
 
 @timed_phase("packing.mcb8")
@@ -439,24 +425,4 @@ def mcb8_pack_jobs(
 ) -> PackingResult:
     """:func:`mcb8_pack` of the items of ``jobs`` (distinct ids), each task of
     ``jobs[k]`` needing ``cpus[k]``: one run record per job, and no item."""
-    lists: Tuple[List[list], List[list]] = ([], [])
-    num_items = 0
-    for job, cpu in zip(jobs, cpus):
-        if job.num_tasks < 1:
-            raise AllocationError(f"job {job.job_id}: num_tasks must be >= 1")
-        head = PackingItem(job.job_id, 0, cpu, job.mem_requirement)  # validates
-        record = [cpu, head.memory, job.job_id, 0, job.num_tasks, head.max_requirement]
-        lists[0 if head.cpu_dominant else 1].append(record)
-        num_items += job.num_tasks
-    for runs in lists:
-        runs.sort(key=lambda record: (-record[5], record[2]))
-    return _pack(lists, num_items, num_bins, capacities, whole_jobs=True)
-
-
-def _collect_assignments(
-    bins: Sequence[Bin],
-) -> Optional[Dict[int, Tuple[int, ...]]]:
-    """Rebuild per-job assignments from filled bins."""
-    return _assemble_steps(
-        [(item.job_id, item.task_index, 1, bin_.index) for bin_ in bins for item in bin_.items]
-    )
+    return _pack_jobs(jobs, cpus, num_bins, capacities, max)

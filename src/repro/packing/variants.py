@@ -1,60 +1,68 @@
-"""Alternative vector-packing heuristics and the packer registry.
+"""The MCB family of vector-packing heuristics and the packer registry.
 
 The paper uses the two-resource MCB8 heuristic of Leinberger et al.; the
 original MCB family differs in how items are ordered within each list (by
 largest component for MCB8, by sum of components, by a single component, ...).
-This module implements that family in a parameterised form, adds a
-load-balancing worst-fit baseline, and exposes a registry used by the packing
-ablation experiment and by scheduler construction (``dynmcb8`` can be asked to
-pack with any registered heuristic).
+This module implements that family in a parameterised form and exposes a
+registry of it and the decreasing-fit baselines of
+:mod:`repro.packing.first_fit`, used by the packing ablation study.
 
-Every packer shares the signature ``(items, num_bins) -> PackingResult`` of
-:func:`repro.packing.mcb8.mcb8_pack`.
+Every packer shares the signature ``(jobs, cpus, num_bins, capacities=None)
+-> PackingResult`` of :func:`repro.packing.mcb8.mcb8_pack_jobs`: each task of
+``jobs[k]`` needs ``cpus[k]``, and ``capacities`` carries per-bin ``(cpu,
+memory)`` capacities on heterogeneous platforms (None means the paper's unit
+bins).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..obs.telemetry import timed_phase
-from .first_fit import _pack, best_fit_decreasing_pack, first_fit_decreasing_pack
-from .item import Bin, PackingItem, PackingResult
-from .mcb8 import BinCapacities, _max_requirement, _mcb_pack, mcb8_pack
+from .first_fit import (
+    best_fit_decreasing_pack,
+    first_fit_decreasing_pack,
+    worst_fit_decreasing_pack,
+)
+from .item import PackingJob, PackingResult
+from .mcb8 import BinCapacities, _pack_jobs, mcb8_pack_jobs
 
 __all__ = [
     "mcb_family_pack",
-    "worst_fit_decreasing_pack",
     "PACKER_NAMES",
     "get_packer",
 ]
 
-#: Ordering keys of the MCB family.  Each maps an item to a sort value; items
-#: are considered in non-increasing order of that value.
-_ORDERINGS: Dict[str, Callable[[PackingItem], float]] = {
+#: Ordering keys of the MCB family.  Each maps a task's ``(cpu, memory)``
+#: requirements to a sort value; tasks are considered in non-increasing order
+#: of that value.
+_ORDERINGS: Dict[str, Callable[[float, float], float]] = {
     # MCB8: order by the largest of the two requirements (the paper's choice).
-    "max": _max_requirement,
+    "max": max,
     # MCB6-style: order by the sum of the requirements.
-    "sum": lambda item: item.cpu + item.memory,
+    "sum": lambda cpu, memory: cpu + memory,
     # Single-dimension orderings (MCB2/MCB4-style degenerate variants).
-    "cpu": lambda item: item.cpu,
-    "memory": lambda item: item.memory,
+    "cpu": lambda cpu, memory: cpu,
+    "memory": lambda cpu, memory: memory,
     # Order by the imbalance between the two requirements.
-    "difference": lambda item: abs(item.cpu - item.memory),
+    "difference": lambda cpu, memory: abs(cpu - memory),
 }
 
 
 @timed_phase("packing.mcb_family")
 def mcb_family_pack(
-    items: Sequence[PackingItem],
+    jobs: Sequence[PackingJob],
+    cpus: Sequence[float],
     num_bins: int,
+    capacities: BinCapacities = None,
     *,
     ordering: str = "max",
-    capacities: BinCapacities = None,
 ) -> PackingResult:
     """Multi-capacity balancing pack with a configurable item ordering.
 
-    The same fill loop as :func:`repro.packing.mcb8.mcb8_pack` — split items
+    The same fill as :func:`repro.packing.mcb8.mcb8_pack_jobs` — split tasks
     into CPU-heavy and memory-heavy lists, fill one node at a time, always
     drawing from the list that goes against the node's current imbalance —
     with the two lists sorted by the requested ``ordering`` key instead of
@@ -65,57 +73,16 @@ def mcb_family_pack(
             f"unknown MCB ordering {ordering!r}; known orderings: "
             f"{', '.join(sorted(_ORDERINGS))}"
         )
-    return _mcb_pack(items, num_bins, _ORDERINGS[ordering], capacities)
+    return _pack_jobs(jobs, cpus, num_bins, capacities, _ORDERINGS[ordering])
 
 
-@timed_phase("packing.worst_fit_decreasing")
-def worst_fit_decreasing_pack(
-    items: Sequence[PackingItem],
-    num_bins: int,
-    *,
-    capacities: BinCapacities = None,
-) -> PackingResult:
-    """Worst-fit decreasing: place each item in the *emptiest* open bin.
-
-    "Emptiest" is measured by the remaining capacity in the item's dominant
-    dimension.  This load-balancing flavour spreads items across nodes, which
-    tends to use more bins than MCB8 but keeps per-node contention low; it is
-    included as an ablation endpoint, not as a recommended policy.
-    """
-
-    def choose(bins: List[Bin], item: PackingItem) -> Optional[Bin]:
-        best: Optional[Bin] = None
-        best_slack = -1.0
-        for bin_ in bins:
-            if not bin_.fits(item):
-                continue
-            slack = bin_.cpu_free if item.cpu_dominant else bin_.memory_free
-            if slack > best_slack:
-                best_slack = slack
-                best = bin_
-        return best
-
-    return _pack(items, num_bins, choose, capacities)
-
-
-#: Registry of named packers usable by the ablation experiments and by the
-#: scheduler factory.  All share the ``(items, num_bins, *, capacities=None)
-#: -> PackingResult`` signature (``capacities`` carries per-bin capacities on
-#: heterogeneous platforms; None means the paper's unit bins).
+#: Registry of named packers usable by the ablation experiments.
 _PACKERS: Dict[str, Callable[..., PackingResult]] = {
-    "mcb8": mcb8_pack,
-    "mcb-sum": lambda items, bins, **kw: mcb_family_pack(
-        items, bins, ordering="sum", **kw
-    ),
-    "mcb-cpu": lambda items, bins, **kw: mcb_family_pack(
-        items, bins, ordering="cpu", **kw
-    ),
-    "mcb-memory": lambda items, bins, **kw: mcb_family_pack(
-        items, bins, ordering="memory", **kw
-    ),
-    "mcb-difference": lambda items, bins, **kw: mcb_family_pack(
-        items, bins, ordering="difference", **kw
-    ),
+    "mcb8": mcb8_pack_jobs,
+    "mcb-sum": partial(mcb_family_pack, ordering="sum"),
+    "mcb-cpu": partial(mcb_family_pack, ordering="cpu"),
+    "mcb-memory": partial(mcb_family_pack, ordering="memory"),
+    "mcb-difference": partial(mcb_family_pack, ordering="difference"),
     "first-fit": first_fit_decreasing_pack,
     "best-fit": best_fit_decreasing_pack,
     "worst-fit": worst_fit_decreasing_pack,

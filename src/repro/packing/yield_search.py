@@ -15,7 +15,7 @@ packing it when :func:`repro.packing.bounds.cpu_volume_exceeded` proves no
 packer could succeed.  The probe *sequence* is untouched, so results are the
 same as packing every probe, for every packer that honours bin capacities.
 Each search reads ``assignments`` of the probe it returns and of no other,
-so MCB8's job entry turns only that probe's steps into per-job tuples.
+so MCB8 turns only that probe's steps into per-job tuples.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.job import MINIMUM_YIELD
 from ..obs.telemetry import current_telemetry
 from .bounds import cpu_volume_exceeded
-from .item import PackingItem, PackingJob, PackingResult
-from .mcb8 import BinCapacities, mcb8_pack, mcb8_pack_jobs
+from .item import PackingJob, PackingResult
+from .mcb8 import BinCapacities, mcb8_pack_jobs
 
 __all__ = [
     "PackingJob",
@@ -42,9 +42,9 @@ __all__ = [
 #: Accuracy threshold of the binary searches (paper §III-B).
 YIELD_SEARCH_ACCURACY = 0.01
 
-#: A packing routine: ``(items, num_bins, *, capacities=None) ->
-#: PackingResult`` (``capacities`` is only passed when set, so plain
-#: two-argument packers keep working on homogeneous clusters).
+#: A packing routine: ``(jobs, cpus, num_bins, capacities) -> PackingResult``,
+#: each task of ``jobs[k]`` needing ``cpus[k]`` (see
+#: :mod:`repro.packing.variants`).
 Packer = Callable[..., PackingResult]
 
 
@@ -90,21 +90,14 @@ def _probe(
         telemetry.count("packing.probes_pruned", int(pruned))
     if pruned:
         return PackingResult.failure()
-    if packer is mcb8_pack:
-        return mcb8_pack_jobs(jobs, cpus, num_nodes, capacities)
-    items: List[PackingItem] = []
-    for job in jobs:
-        items.extend(job.items(yields[job.job_id]))
-    if capacities is None:
-        return packer(items, num_nodes)
-    return packer(items, num_nodes, capacities=capacities)
+    return packer(jobs, cpus, num_nodes, capacities)
 
 
 def maximize_min_yield(
     jobs: Sequence[PackingJob],
     num_nodes: int,
     *,
-    packer: Packer = mcb8_pack,
+    packer: Packer = mcb8_pack_jobs,
     accuracy: float = YIELD_SEARCH_ACCURACY,
     min_yield: float = MINIMUM_YIELD,
     capacities: BinCapacities = None,
@@ -181,7 +174,7 @@ def minimize_estimated_stretch(
     num_nodes: int,
     period: float,
     *,
-    packer: Packer = mcb8_pack,
+    packer: Packer = mcb8_pack_jobs,
     accuracy: float = YIELD_SEARCH_ACCURACY,
     min_yield: float = MINIMUM_YIELD,
     max_stretch_bound: float = 1e9,

@@ -10,16 +10,14 @@ time so far).  A job that has never received CPU has infinite priority, which
 forces its admission; the flow-time numerator guarantees that paused jobs are
 eventually resumed (no starvation); the square gives short-running jobs an
 edge.  Jobs are considered for pausing in *increasing* priority order and for
-resuming in *decreasing* priority order.
-
-The exponent is exposed for the ablation benchmark discussed in DESIGN.md §4
-(the paper reports that exponent 1 gives markedly inferior results).
+resuming in *decreasing* priority order.  The paper reports that exponent 1
+gives markedly inferior results, so the square is fixed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from ...core.context import JobView
 from ...metrics import STRETCH_BOUND_SECONDS
@@ -32,13 +30,7 @@ __all__ = [
 ]
 
 
-def job_priority(
-    flow_time: float,
-    virtual_time: float,
-    *,
-    bound: float = STRETCH_BOUND_SECONDS,
-    exponent: float = 2.0,
-) -> float:
+def job_priority(flow_time: float, virtual_time: float) -> float:
     """Priority value of a job; ``inf`` for jobs with zero virtual time."""
     if flow_time < 0:
         raise ValueError(f"flow_time must be >= 0, got {flow_time}")
@@ -46,37 +38,28 @@ def job_priority(
         raise ValueError(f"virtual_time must be >= 0, got {virtual_time}")
     if virtual_time == 0.0:
         return math.inf
-    return max(bound, flow_time) / (virtual_time ** exponent)
+    return max(STRETCH_BOUND_SECONDS, flow_time) / (virtual_time ** 2.0)
 
 
-def priority_of_view(view: JobView, now: float, *, exponent: float = 2.0) -> float:
+def priority_of_view(view: JobView, now: float) -> float:
     """Priority of a job view at time ``now`` (see :func:`job_priority`); the
     flow time is clamped as by :meth:`SchedulingContext.flow_time
     <repro.core.context.SchedulingContext.flow_time>`."""
     flow = now - view.submit_time
-    return job_priority(flow if flow > 0.0 else 0.0, view.virtual_time, exponent=exponent)
+    return job_priority(flow if flow > 0.0 else 0.0, view.virtual_time)
 
 
-def sort_by_increasing_priority(
-    views: Iterable[JobView], now: float, *, exponent: float = 2.0
-) -> List[JobView]:
+def sort_by_increasing_priority(views: Iterable[JobView], now: float) -> List[JobView]:
     """Jobs ordered from first-to-pause to last-to-pause at time ``now``.
 
     Ties are broken by submission time (earlier submissions are paused later)
     and then by job id, so the ordering is deterministic.
     """
     return sorted(
-        views,
-        key=lambda v: (
-            priority_of_view(v, now, exponent=exponent),
-            -v.submit_time,
-            -v.job_id,
-        ),
+        views, key=lambda v: (priority_of_view(v, now), -v.submit_time, -v.job_id)
     )
 
 
-def sort_by_decreasing_priority(
-    views: Iterable[JobView], now: float, *, exponent: float = 2.0
-) -> List[JobView]:
+def sort_by_decreasing_priority(views: Iterable[JobView], now: float) -> List[JobView]:
     """Jobs ordered from first-to-resume to last-to-resume at time ``now``."""
-    return list(reversed(sort_by_increasing_priority(views, now, exponent=exponent)))
+    return list(reversed(sort_by_increasing_priority(views, now)))

@@ -19,8 +19,7 @@ with 2 GB of memory per node.  Two pieces are implemented here:
 * :class:`Hpc2nLikeTraceGenerator` produces a *synthetic HPC2N-like* SWF
   trace with the characteristics the paper relies on (many short serial
   jobs, nearly complete memory information, 120 dual-core nodes), for use
-  when the real log cannot be redistributed.  DESIGN.md documents this
-  substitution.
+  when the real log cannot be redistributed.
 """
 
 from __future__ import annotations

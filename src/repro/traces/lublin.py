@@ -19,7 +19,7 @@ figure quoted in the paper.
 This is a faithful re-implementation in spirit; the original C program
 (``lublin99.c``) has a few additional refinements (separate interactive/batch
 classes, weekend modelling) that do not affect the scheduling comparison and
-are documented as out of scope in DESIGN.md.
+are left out.
 """
 
 from __future__ import annotations

@@ -288,3 +288,23 @@ class TestJsonPayload:
     def test_unsupported_source_rejected(self):
         with pytest.raises(ReproError):
             campaign_result_from_json(None)
+
+
+class TestCallerBuffers:
+    """A writer returns the text only when it made the buffer itself
+    (``destination=None``); a caller's ``StringIO`` is a destination like a
+    file: it gets the text, and the writer returns None."""
+
+    def test_module_writers(self, outcome):
+        rows = [row.to_dict() for row in outcome.rows]
+        payload = outcome.to_json_dict()
+        for write, data in ((campaign_rows_to_csv, rows), (campaign_result_to_json, payload)):
+            buffer = io.StringIO()
+            assert write(data, buffer) is None
+            assert buffer.getvalue() == write(data)
+
+    def test_campaign_result_methods(self, outcome):
+        for write in (outcome.rows_to_csv, outcome.to_json):
+            buffer = io.StringIO()
+            assert write(buffer) is None
+            assert buffer.getvalue() == write()

@@ -179,9 +179,10 @@ def refused_probes_fail_on_the_packer():
     def probe(jobs, yields, num_nodes, packer, capacities):
         result = original_probe(jobs, yields, num_nodes, packer, capacities)
         if verdicts.pop():
-            items = [item for job in jobs for item in job.items(yields[job.job_id])]
-            extra = {} if capacities is None else {"capacities": capacities}
-            assert not packer(items, num_nodes, **extra).success, "a feasible probe was refused"
+            cpus = [job.cpu_requirement(yields[job.job_id]) for job in jobs]
+            assert not packer(jobs, cpus, num_nodes, capacities).success, (
+                "a feasible probe was refused"
+            )
         return result
 
     with patch.object(yield_search, "cpu_volume_exceeded", volume):

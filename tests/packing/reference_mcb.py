@@ -15,14 +15,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.packing.item import BIN_EPSILON, Bin, PackingItem, PackingResult
-from repro.packing.mcb8 import (
-    BinCapacities,
-    _assemble_steps,
-    _check_capacities,
-    _collect_assignments,
-    _make_bin,
-)
+from repro.packing.item import BIN_EPSILON, PackingItem, PackingResult
+from repro.packing.mcb8 import BinCapacities, _assemble_steps, _check_capacities
+
+from .reference_baselines import Bin, _collect_assignments, _make_bin
 
 
 def _pop_largest_fitting_by(

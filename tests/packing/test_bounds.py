@@ -207,8 +207,9 @@ class TestBoundsAreProofsAgainstTheBinTolerance:
         ]
         kwargs = {} if capacities is None else {"capacities": capacities}
         items = [item for job in jobs for item in job.items(0.01)]
+        cpus = [job.cpu_requirement(0.01) for job in jobs]
         for name in PACKER_NAMES:
-            result = get_packer(name)(items, num_nodes, **kwargs)
+            result = get_packer(name)(jobs, cpus, num_nodes, capacities)
             if result.success:
                 assert memory_feasible(jobs, num_nodes, **kwargs), name
                 if capacities is None:
@@ -240,12 +241,12 @@ class TestBoundsAreProofsAgainstTheBinTolerance:
             _job(job_id, tasks=tasks, cpu=cpu + nudge, mem=0.01)
             for job_id, (tasks, cpu, nudge) in enumerate(shapes)
         ]
-        kwargs = {} if capacities is None else {"capacities": capacities}
-        items = [item for job in jobs for item in job.items(1.0)]
+        cpus = [job.cpu_requirement(1.0) for job in jobs]
+        tasks = sum(job.num_tasks for job in jobs)
         demand = sum(job.num_tasks * min(1.0, job.cpu_need) for job in jobs)
-        if cpu_volume_exceeded(demand, len(items), num_nodes, capacities):
+        if cpu_volume_exceeded(demand, tasks, num_nodes, capacities):
             for name in PACKER_NAMES:
-                assert not get_packer(name)(items, num_nodes, **kwargs).success, name
+                assert not get_packer(name)(jobs, cpus, num_nodes, capacities).success, name
 
     def test_cpu_volume_limit_is_the_padded_capacity_exactly(self):
         # 3 nodes, 7 tasks: the limit itself still fits (strict comparison),

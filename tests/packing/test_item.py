@@ -9,7 +9,7 @@ import pytest
 
 import repro.packing.item as item_module
 from repro.exceptions import AllocationError
-from repro.packing.item import Bin, PackingItem, PackingResult, job_items
+from repro.packing.item import PackingItem, PackingResult, job_items
 
 
 class TestPackingItem:
@@ -93,26 +93,6 @@ class TestPackingItemContract:
     def test_module_parses_under_the_python_3_9_grammar(self):
         with open(item_module.__file__, encoding="utf-8") as handle:
             ast.parse(handle.read(), feature_version=(3, 9))
-
-
-class TestBin:
-    def test_fits_and_add(self):
-        bin_ = Bin(0)
-        item = PackingItem(1, 0, cpu=0.7, memory=0.4)
-        assert bin_.fits(item)
-        bin_.add(item)
-        assert bin_.cpu_used == pytest.approx(0.7)
-        assert bin_.memory_used == pytest.approx(0.4)
-        assert bin_.cpu_free == pytest.approx(0.3)
-        assert bin_.memory_free == pytest.approx(0.6)
-        assert not bin_.fits(PackingItem(2, 0, cpu=0.5, memory=0.1))
-        assert bin_.fits(PackingItem(2, 0, cpu=0.3, memory=0.1))
-
-    def test_add_rejects_overflow(self):
-        bin_ = Bin(0)
-        bin_.add(PackingItem(1, 0, cpu=0.9, memory=0.9))
-        with pytest.raises(AllocationError):
-            bin_.add(PackingItem(2, 0, cpu=0.2, memory=0.01))
 
 
 class TestPackingResult:

@@ -16,8 +16,8 @@ search:
 
 from __future__ import annotations
 
+import inspect
 from typing import List, Tuple
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,9 +58,10 @@ def _eager(jobs, cpus, num_bins, capacities) -> PackingResult:
 
 
 def _check_search(search, reference, jobs, *args, capacities=None) -> int:
+    # The searches pack with ``mcb8_pack_jobs`` unless told otherwise.
+    assert inspect.signature(search).parameters["packer"].default is mcb8.mcb8_pack_jobs
     recorder = _Recorder()
-    with mock.patch.object(yield_search, "mcb8_pack_jobs", recorder):
-        result = search(jobs, *args, capacities=capacities)
+    result = search(jobs, *args, packer=recorder, capacities=capacities)
     successes = [probe[-1] for probe in recorder.probes if probe[-1].success]
     assembled = [packed for packed in successes if _assembled(packed)]
     if result.success and successes:

@@ -8,8 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.packing.first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack
-from repro.packing.item import PackingItem, job_items
+from repro.packing.item import PackingItem, PackingJob, job_items
 from repro.packing.mcb8 import mcb8_pack
+
+
+def _records(items: List[PackingItem]) -> Tuple[List[PackingJob], List[float]]:
+    """The ``(jobs, cpus)`` of items built job by job with :func:`job_items`."""
+    heads = [item for item in items if item.task_index == 0]
+    jobs = [
+        PackingJob(head.job_id, sum(item.job_id == head.job_id for item in items), 1.0, head.memory)
+        for head in heads
+    ]
+    return jobs, [head.cpu for head in heads]
 
 
 def _validate_packing(items: List[PackingItem], assignments: Dict[int, Tuple[int, ...]], num_bins: int):
@@ -133,7 +143,7 @@ class TestMcb8Properties:
     def test_baselines_agree_on_validity(self, instance):
         items, num_bins = instance
         for packer in (first_fit_decreasing_pack, best_fit_decreasing_pack):
-            result = packer(items, num_bins)
+            result = packer(*_records(items), num_bins)
             if result.success:
                 _validate_packing(items, result.assignments, num_bins)
 
@@ -141,7 +151,7 @@ class TestMcb8Properties:
 class TestBaselinePackers:
     def test_first_fit_simple(self):
         items = job_items(0, 2, cpu=0.5, memory=0.5)
-        result = first_fit_decreasing_pack(items, 2)
+        result = first_fit_decreasing_pack(*_records(items), 2)
         assert result.success
 
     def test_best_fit_prefers_fuller_bin(self):
@@ -150,10 +160,10 @@ class TestBaselinePackers:
             + job_items(1, 1, cpu=0.3, memory=0.1)
             + job_items(2, 1, cpu=0.35, memory=0.1)
         )
-        result = best_fit_decreasing_pack(items, 2)
+        result = best_fit_decreasing_pack(*_records(items), 2)
         assert result.success
 
     def test_failure_on_too_few_bins(self):
         items = job_items(0, 3, cpu=0.9, memory=0.9)
-        assert not first_fit_decreasing_pack(items, 2).success
-        assert not best_fit_decreasing_pack(items, 2).success
+        assert not first_fit_decreasing_pack(*_records(items), 2).success
+        assert not best_fit_decreasing_pack(*_records(items), 2).success

@@ -1,14 +1,17 @@
 """The run-grouped MCB kernel against the per-item scan it replaced.
 
 ``reference_mcb.py`` keeps the parent commit's packers verbatim; every test
-here requires the live ones to return the *same* ``PackingResult`` —
-``success``, ``assignments`` and ``bins_used`` — or the same search result
-when the oracle is injected through ``packer=``.  The generators aim at what
+here requires the live ones — ``mcb8_pack`` on items, ``mcb8_pack_jobs`` and
+``mcb_family_pack`` on job records — to return the *same* ``PackingResult``
+— ``success``, ``assignments`` and ``bins_used`` — as the oracle on the same
+items, or the same search result as ``reference_search.py`` packing with the
+oracle.  The generators aim at what
 the shortcut could get wrong: identical ``(cpu, memory)`` across different
 jobs, equal sort values, bins filled to within ``epsilon`` of full, zero-CPU
 items, one job carrying differently-shaped tasks, shuffled input, gaps and
 duplicates in the task indices, and variable capacities with zero-capacity
-and too-small bins.  Results are compared with ``==`` *and* by the order of
+and too-small bins (the item disorders reach ``mcb8_pack`` alone: a job
+record has none).  Results are compared with ``==`` *and* by the order of
 their ``assignments`` keys, which the schedulers turn into decision order.
 """
 
@@ -27,13 +30,15 @@ from repro.packing import (
     PackingItem,
     PackingJob,
     PackingResult,
+    job_items,
     maximize_min_yield,
     mcb8_pack,
     mcb_family_pack,
     minimize_estimated_stretch,
 )
+from repro.packing.mcb8 import mcb8_pack_jobs
 
-from . import reference_mcb
+from . import reference_mcb, reference_search
 
 ORDERINGS = ("max", "sum", "cpu", "memory", "difference")
 
@@ -81,6 +86,53 @@ def item_lists(draw) -> List[PackingItem]:
     return list(items)
 
 
+def items_of(jobs: Sequence[PackingJob], cpus: Sequence[float]) -> List[PackingItem]:
+    """The items a packer of job records stands for, job by job."""
+    return [
+        item
+        for job, cpu in zip(jobs, cpus)
+        for item in job_items(job.job_id, job.num_tasks, cpu, job.mem_requirement)
+    ]
+
+
+def records_of(items: Sequence[PackingItem]) -> Tuple[List[PackingJob], List[float]]:
+    """The ``(jobs, cpus)`` of items built job by job with :func:`job_items`."""
+    heads = [item for item in items if item.task_index == 0]
+    jobs = [
+        PackingJob(head.job_id, sum(item.job_id == head.job_id for item in items), 1.0, head.memory)
+        for head in heads
+    ]
+    return jobs, [head.cpu for head in heads]
+
+
+@st.composite
+def job_records(draw) -> Tuple[List[PackingJob], List[float]]:
+    """Up to seven jobs (none in one draw of ten) with distinct ids in any
+    order, and each one's task CPU.
+
+    The jobs take their ``(cpu, memory)`` from a palette of up to four
+    shapes and have up to eight tasks, so equal bins and equal slacks recur;
+    a shape is now and then all zero (it fits any epsilon, but no down node)
+    or more CPU than a whole node."""
+    palette = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["grid"] * 8 + ["zero", "big"]))
+        if kind == "zero":
+            palette.append((0.0, 0.0))
+        else:
+            cpu = draw(st.sampled_from([1.5, 2.0])) if kind == "big" else draw(requirements())
+            palette.append((cpu, draw(requirements())))
+    ids: List[int] = []
+    if draw(st.integers(0, 9)):
+        ids = draw(st.lists(st.integers(0, 40), unique=True, min_size=1, max_size=7))
+    shapes = [draw(st.sampled_from(palette)) for _ in ids]
+    jobs = [
+        PackingJob(job_id, draw(st.integers(1, 8)), 1.0, memory)
+        for job_id, (_, memory) in zip(ids, shapes)
+    ]
+    return jobs, [cpu for cpu, _ in shapes]
+
+
 @st.composite
 def bin_capacities(draw) -> Optional[List[Tuple[float, float]]]:
     """None (unit bins) or per-bin capacities: down, tiny, unit and large nodes."""
@@ -111,17 +163,18 @@ class TestPackersMatchTheOracle:
         _assert_same(mcb8_pack(items, num_bins, **kwargs), expected)
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
-    @given(item_lists(), st.integers(0, 12), bin_capacities())
+    @given(job_records(), st.integers(0, 12), bin_capacities())
     @settings(max_examples=300, deadline=None)
-    def test_family(self, ordering, items, num_bins, capacities):
+    def test_family(self, ordering, records, num_bins, capacities):
+        jobs, cpus = records
         if capacities is not None:
             num_bins = len(capacities)
         kwargs = _pack_kwargs(capacities)
         expected = reference_mcb.mcb_family_pack(
-            list(items), num_bins, ordering=ordering, **kwargs
+            items_of(jobs, cpus), num_bins, ordering=ordering, **kwargs
         )
         _assert_same(
-            mcb_family_pack(items, num_bins, ordering=ordering, **kwargs), expected
+            mcb_family_pack(jobs, cpus, num_bins, capacities, ordering=ordering), expected
         )
 
     @pytest.mark.parametrize(
@@ -130,9 +183,9 @@ class TestPackersMatchTheOracle:
             # A (job, task) id repeated *before* the run that ends on it, with
             # an equal sort value: run order and item order part ways, so the
             # kernel must notice the tie and sort item by item.
-            ([(0, 2, 0.4, 0.4), (0, 0, 0.6, 0.3), (0, 1, 0.5, 0.4), (0, 2, 0.5, 0.4)], 2),
+            ([(0, 2, 0.3, 0.5), (0, 0, 0.6, 0.3), (0, 1, 0.5, 0.4), (0, 2, 0.5, 0.4)], 2),
             (
-                [(1, 1, 0.4, 0.3), (0, 0, 0.1, 0.2), (0, 1, 0.1, 0.2),
+                [(1, 1, 0.3, 0.2), (0, 0, 0.1, 0.2), (0, 1, 0.1, 0.2),
                  (1, 0, 0.3, 0.3), (1, 1, 0.3, 0.3)],
                 4,
             ),
@@ -140,8 +193,8 @@ class TestPackersMatchTheOracle:
     )
     def test_twin_ids_before_their_run(self, shapes, num_bins):
         items = [PackingItem(*shape) for shape in shapes]
-        expected = reference_mcb.mcb_family_pack(list(items), num_bins, ordering="memory")
-        _assert_same(mcb_family_pack(items, num_bins, ordering="memory"), expected)
+        expected = reference_mcb.mcb8_pack(list(items), num_bins)
+        _assert_same(mcb8_pack(items, num_bins), expected)
 
     @given(item_lists(), st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
@@ -179,7 +232,7 @@ class TestEngineScale:
     property tests above shrink towards a handful of items and bins)."""
 
     @staticmethod
-    def _sweep(count: int, live, oracle) -> set:
+    def _sweep(count: int, oracle, item_packer=None, job_packer=None) -> set:
         """Compare on ``count`` instances at three yields; the outcomes seen."""
         outcomes = set()
         for jobs, num_bins, capacities in _engine_scale_instances(count):
@@ -187,12 +240,16 @@ class TestEngineScale:
             for yield_value in (0.01, 0.5, 1.0):
                 items = [item for job in jobs for item in job.items(yield_value)]
                 expected = oracle(list(items), num_bins, **kwargs)
-                _assert_same(live(items, num_bins, **kwargs), expected)
+                if item_packer is not None:
+                    _assert_same(item_packer(items, num_bins, **kwargs), expected)
+                if job_packer is not None:
+                    cpus = [job.cpu_requirement(yield_value) for job in jobs]
+                    _assert_same(job_packer(jobs, cpus, num_bins, capacities), expected)
                 outcomes.add((expected.success, capacities is None, yield_value))
         return outcomes
 
     def test_sweep_matches_the_oracle(self):
-        outcomes = self._sweep(210, mcb8_pack, reference_mcb.mcb8_pack)
+        outcomes = self._sweep(210, reference_mcb.mcb8_pack, item_packer=mcb8_pack)
         # not 630 easy successes: both outcomes, on both kinds of bins
         assert {outcome[:2] for outcome in outcomes} == {
             (True, True), (False, True), (True, False), (False, False)
@@ -203,8 +260,8 @@ class TestEngineScale:
     def test_family_sweep_matches_the_oracle(self, ordering):
         self._sweep(
             30,
-            partial(mcb_family_pack, ordering=ordering),
             partial(reference_mcb.mcb_family_pack, ordering=ordering),
+            job_packer=partial(mcb_family_pack, ordering=ordering),
         )
 
 
@@ -227,10 +284,12 @@ class TestNamedFills:
         expected = reference_mcb.mcb_family_pack(
             list(items), num_bins, ordering=ordering, **kwargs
         )
-        actual = mcb_family_pack(items, num_bins, ordering=ordering, **kwargs)
+        jobs, cpus = records_of(items)
+        actual = mcb_family_pack(jobs, cpus, num_bins, capacities, ordering=ordering)
         _assert_same(actual, expected)
         if ordering == "max":
             _assert_same(mcb8_pack(items, num_bins, **kwargs), expected)
+            _assert_same(mcb8_pack_jobs(jobs, cpus, num_bins, capacities), expected)
         return actual
 
     def test_run_exhausted_mid_bin_with_the_other_cursor_past_its_start(self):
@@ -319,7 +378,7 @@ class TestSearchesMatchTheOracle:
     def test_maximize_min_yield(self, jobs, num_nodes, capacities):
         if capacities is not None:
             num_nodes = len(capacities)
-        expected = maximize_min_yield(
+        expected = reference_search.maximize_min_yield(
             jobs, num_nodes, packer=reference_mcb.mcb8_pack, capacities=capacities
         )
         assert maximize_min_yield(jobs, num_nodes, capacities=capacities) == expected
@@ -329,7 +388,7 @@ class TestSearchesMatchTheOracle:
     def test_minimize_estimated_stretch(self, jobs, num_nodes, capacities):
         if capacities is not None:
             num_nodes = len(capacities)
-        expected = minimize_estimated_stretch(
+        expected = reference_search.minimize_estimated_stretch(
             jobs, num_nodes, 600.0, packer=reference_mcb.mcb8_pack, capacities=capacities
         )
         actual = minimize_estimated_stretch(jobs, num_nodes, 600.0, capacities=capacities)

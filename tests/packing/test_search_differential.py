@@ -1,11 +1,13 @@
 """The pruning yield searches against the pack-every-probe searches they replaced.
 
 ``reference_search.py`` keeps the parent commit's two searches verbatim; every
-test here requires the live ones to return the *same* result object for every
-registered packer and for the per-item MCB8 oracle.  Probe pruning is only an
-optimisation if it is invisible, so beside equality a recording packer checks
-*soundness* (each probe the live search did not pack fails on the packer it
-was kept from) and *non-vacuity* (overloaded instances really are pruned).
+test here requires the live ones, packing job records with a registered
+packer, to return the *same* result object as the reference packing that
+packer's item-route oracle (``ITEM_ROUTE`` of
+``test_baseline_differential.py``).  Probe pruning is only an optimisation if
+it is invisible, so beside equality a recording packer checks *soundness*
+(each probe the live search did not pack fails on the packer it was kept
+from) and *non-vacuity* (overloaded instances really are pruned).
 
 The generators are the colliding ``_GRID``/``_NUDGES`` requirements and the
 down / tiny / unit / large bin lists of ``test_mcb_differential.py``, plus CPU
@@ -29,11 +31,9 @@ from repro.packing import (
     minimize_estimated_stretch,
 )
 
-from . import reference_mcb, reference_search
-from .test_mcb_differential import _NUDGES, bin_capacities, requirements
-
-PACKERS = {name: get_packer(name) for name in PACKER_NAMES}
-PACKERS["reference-mcb8"] = reference_mcb.mcb8_pack
+from . import reference_search
+from .test_baseline_differential import ITEM_ROUTE
+from .test_mcb_differential import _NUDGES, bin_capacities, items_of, requirements
 
 _CPU_NEEDS = [0.0, 0.05, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
 
@@ -75,7 +75,7 @@ def overloaded_jobs(draw) -> Tuple[List[PackingJob], int]:
 
 
 class _Recorder:
-    """A packer that remembers every probe it was asked to pack."""
+    """An item-route packer that remembers every probe it was asked to pack."""
 
     def __init__(self, packer) -> None:
         self.packer = packer
@@ -84,6 +84,15 @@ class _Recorder:
     def __call__(self, items, num_bins, **kwargs):
         result = self.packer(items, num_bins, **kwargs)
         self.calls.append((tuple(items), result.success))
+        return result
+
+
+class _JobRecorder(_Recorder):
+    """The same for a packer of job records: a probe is recorded as its items."""
+
+    def __call__(self, jobs, cpus, num_bins, capacities=None):
+        result = self.packer(jobs, cpus, num_bins, capacities)
+        self.calls.append((tuple(items_of(jobs, cpus)), result.success))
         return result
 
 
@@ -101,21 +110,22 @@ def _skipped(reference_calls, live_calls):
     return skipped
 
 
-def _run_both(search, reference, jobs, packer, *args, **kwargs):
-    live_packer, reference_packer = _Recorder(packer), _Recorder(packer)
+def _run_both(search, reference, jobs, name, *args, **kwargs):
+    live_packer = _JobRecorder(get_packer(name))
+    reference_packer = _Recorder(ITEM_ROUTE[name])
     actual = search(jobs, *args, packer=live_packer, **kwargs)
     expected = reference(jobs, *args, packer=reference_packer, **kwargs)
     assert actual == expected
     return _skipped(reference_packer.calls, live_packer.calls)
 
 
-def _both_searches(jobs, packer, num_nodes, capacities=None):
+def _both_searches(jobs, name, num_nodes, capacities=None):
     """Skipped probes of the two live searches; results must equal the reference's."""
     yield_skips = _run_both(
         maximize_min_yield,
         reference_search.maximize_min_yield,
         jobs,
-        packer,
+        name,
         num_nodes,
         capacities=capacities,
     )
@@ -123,7 +133,7 @@ def _both_searches(jobs, packer, num_nodes, capacities=None):
         minimize_estimated_stretch,
         reference_search.minimize_estimated_stretch,
         jobs,
-        packer,
+        name,
         num_nodes,
         600.0,
         capacities=capacities,
@@ -132,20 +142,20 @@ def _both_searches(jobs, packer, num_nodes, capacities=None):
 
 
 class TestSearchesMatchTheReference:
-    @pytest.mark.parametrize("name", sorted(PACKERS))
+    @pytest.mark.parametrize("name", PACKER_NAMES)
     @given(packing_jobs(), st.integers(1, 10), bin_capacities())
     def test_same_results_and_only_failing_probes_skipped(
         self, name, jobs, num_nodes, capacities
     ):
         if capacities is not None:
             num_nodes = len(capacities)
-        for skipped in _both_searches(jobs, PACKERS[name], num_nodes, capacities):
+        for skipped in _both_searches(jobs, name, num_nodes, capacities):
             assert not any(success for _, success in skipped)
 
     @given(overloaded_jobs())
     def test_overload_is_pruned(self, instance):
         jobs, num_nodes = instance
-        for skipped in _both_searches(jobs, reference_mcb.mcb8_pack, num_nodes):
+        for skipped in _both_searches(jobs, "mcb8", num_nodes):
             assert skipped and not any(success for _, success in skipped)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.job import MINIMUM_YIELD
 from repro.exceptions import AllocationError
 from repro.obs.telemetry import Telemetry, push_telemetry
-from repro.packing.mcb8 import mcb8_pack
+from repro.packing.mcb8 import mcb8_pack, mcb8_pack_jobs
 from repro.packing.variants import mcb_family_pack
 from repro.packing.yield_search import (
     PackingJob,
@@ -157,8 +157,8 @@ class TestProbeCounters:
         jobs = [job(i, tasks=3, cpu=1.0, mem=0.05, flow=100.0 * i) for i in range(4)]
         packs = []
 
-        def counting(items, num_bins, **kwargs):
-            result = mcb8_pack(items, num_bins, **kwargs)
+        def counting(jobs, cpus, num_bins, capacities=None):
+            result = mcb8_pack_jobs(jobs, cpus, num_bins, capacities)
             packs.append(result)
             return result
 
@@ -210,7 +210,7 @@ class TestNanRequirements:
         with pytest.raises(AllocationError):
             maximize_min_yield(jobs, 4)
         with pytest.raises(AllocationError):
-            maximize_min_yield(jobs, 4, packer=mcb_family_pack)  # the item entry
+            maximize_min_yield(jobs, 4, packer=mcb_family_pack)  # another MCB ordering
         with pytest.raises(AllocationError):
             minimize_estimated_stretch(jobs, 4, 600.0)
 

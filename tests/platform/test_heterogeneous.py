@@ -96,9 +96,8 @@ class TestCapacityAwarePacking:
         assert not result.success
 
     def test_first_fit_opens_past_small_bins(self):
-        items = job_items(0, 1, cpu=0.9, memory=0.9)
         result = first_fit_decreasing_pack(
-            items, 2, capacities=((0.5, 0.5), (1.0, 1.0))
+            [PackingJob(0, 1, 1.0, 0.9)], [0.9], 2, ((0.5, 0.5), (1.0, 1.0))
         )
         assert result.success
         assert result.assignments[0] == (1,)

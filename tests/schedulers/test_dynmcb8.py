@@ -7,7 +7,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.core.job import JobSpec, JobState, MINIMUM_YIELD
-from repro.packing import Bin, PackingItem, PackingJob
+from repro.packing import PACKER_NAMES, PackingJob, get_packer
 from repro.packing.mcb8 import mcb8_pack_jobs
 from repro.platform import TraceNodeEventSource
 from repro.schedulers.registry import create_scheduler
@@ -253,6 +253,6 @@ class TestADownNodeHostsNothing:
         job = PackingJob(1, 2, 1e-10, 1e-10)
         result = mcb8_pack_jobs([job], [1e-10], 3, [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])
         assert result.assignments == {1: (1, 1)}
-        assert not Bin(0, cpu_capacity=0.0, memory_capacity=0.0).fits(
-            PackingItem(1, 0, 1e-10, 1e-10)
-        )
+        for name in PACKER_NAMES:
+            packer = get_packer(name)
+            assert packer([job], [1e-10], 3, [(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)]) == result

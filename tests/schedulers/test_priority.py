@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import pytest
@@ -43,20 +42,12 @@ class TestJobPriority:
         much_later = job_priority(1e6, 200.0)
         assert much_later > early
 
-    def test_exponent_ablation(self):
-        squared = job_priority(1000.0, 10.0, exponent=2.0)
-        linear = job_priority(1000.0, 10.0, exponent=1.0)
-        assert squared == pytest.approx(10.0)
-        assert linear == pytest.approx(100.0)
+    def test_virtual_time_is_squared(self):
+        assert job_priority(1000.0, 10.0) == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("exponent", [2.0, 1.0])
-    def test_greedy_pmtn_runs_under_either_exponent(self, monkeypatch, exponent):
-        import repro.schedulers.dfrs.greedy_pmtn as greedy_pmtn
+    def test_greedy_pmtn_runs_under_the_squared_priority(self):
         from repro import Cluster, LublinWorkloadGenerator, run_algorithm, scale_to_load
 
-        for name in ("sort_by_increasing_priority", "sort_by_decreasing_priority"):
-            sort = functools.partial(globals()[name], exponent=exponent)
-            monkeypatch.setattr(greedy_pmtn, name, sort)
         workload = LublinWorkloadGenerator(Cluster(16, 4, 8.0)).generate(40, seed=2010)
         result = run_algorithm(scale_to_load(workload, 0.7), "greedy-pmtn", penalty_seconds=300.0)
         assert result.num_jobs == 40 and result.max_stretch >= 1.0

@@ -7,10 +7,13 @@ removed package, at any nesting (``ast.walk`` sees function-level and
 dotted names are never spelled out here, so grepping the tree for one finds
 offenders only.)
 
-Four import contracts between live packages are pinned the same way:
+Five import contracts between live packages are pinned the same way:
 ``repro.analysis`` never imports ``repro.campaign``; ``repro.metrics`` imports
 nothing from ``repro`` but ``repro.exceptions`` and ``repro.registry`` (so
-``repro.core`` can import it with no cycle); ``repro.serve`` never imports the
+``repro.core`` can import it with no cycle); ``repro.packing`` imports nothing
+from ``repro`` but ``repro.exceptions``, ``repro.obs.telemetry`` and
+``repro.core.job`` (a leaf kernel under the schedulers and the studies);
+``repro.serve`` never imports the
 top-level CLI (trace paths resolve in ``repro.traces``); and the stretch
 metrics have one home, ``repro.metrics.stretch``, with nothing left at their
 old core path.
@@ -100,6 +103,19 @@ def test_metrics_imports_only_exceptions_and_registry_from_repro():
     offenders = [
         entry
         for entry in _package_imports("metrics")
+        if entry[2].startswith("repro.")
+        and not any(entry[2] == name or entry[2].startswith(name + ".") for name in allowed)
+    ]
+    assert offenders == []
+
+
+def test_packing_imports_only_exceptions_telemetry_and_job_from_repro():
+    """The packing kernel sits under the schedulers and the studies: it may
+    not reach back into them, nor into the engine beyond the job constants."""
+    allowed = ("repro.exceptions", "repro.obs.telemetry", "repro.core.job", "repro.packing")
+    offenders = [
+        entry
+        for entry in _package_imports("packing")
         if entry[2].startswith("repro.")
         and not any(entry[2] == name or entry[2].startswith(name + ".") for name in allowed)
     ]
