@@ -33,8 +33,8 @@ pytestmark = pytest.mark.bench
 CLUSTER = Cluster(64, 4, 8.0)
 ALGORITHMS = ("fcfs", "greedy-pmtn-migr", "dynmcb8-asap-per-600")
 
-#: Where the committed placements/sec artifact lives (repo root, next to
-#: ``devtools-baseline.json`` — ``benchmarks/results/`` is gitignored).
+#: Where the committed placements/sec artifact lives (repo root —
+#: ``benchmarks/results/`` is gitignored).
 ARTIFACT_PATH = Path(__file__).parent.parent / "BENCH_serve.json"
 
 

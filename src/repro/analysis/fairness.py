@@ -10,7 +10,7 @@ simulation result or from a streaming run's stretch accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -412,9 +412,7 @@ class _StreamingPlan(_Plan):
     group of one (``merge_bundles`` of one bundle is the identity).
     """
 
-    def __init__(
-        self, scenario: Scenario, metrics_relative_error: float, merged: bool
-    ) -> None:
+    def __init__(self, scenario: Scenario, merged: bool) -> None:
         if scenario.has_platform_template:
             raise ConfigurationError(
                 "platform sweep templating resolves one platform per cell, "
@@ -453,10 +451,6 @@ class _StreamingPlan(_Plan):
         self.worker = _execute_streaming_run
         self._sources = sources
         self._collectors = collectors
-        self._engine_options: Dict[str, Any] = {
-            "streaming_metrics": True,
-            "metrics_relative_error": metrics_relative_error,
-        }
         # Offered load is a per-instance constant: measured lazily, once per
         # instance, with a single O(1)-memory pass — not once per
         # (cell × algorithm × load) worker task.
@@ -464,7 +458,7 @@ class _StreamingPlan(_Plan):
         self._order_checked = False
 
     def configure(self, config: SimulationConfig) -> SimulationConfig:
-        return dataclasses_replace(config, **self._engine_options)
+        return dataclasses_replace(config, streaming_metrics=True)
 
     def count(self, cluster: Cluster) -> int:
         return len(self._sources)
@@ -561,9 +555,6 @@ class Campaign:
         back one per ``(cell, algorithm)`` with ``instance_index = -1``.
         Requires a source with ``streaming_sources`` and collectors with
         ``streaming_capable``.
-    metrics_relative_error:
-        Accuracy of the streaming quantile sketches (see
-        :class:`repro.metrics.QuantileSketch`); only read when ``streaming``.
     merge_instances:
         Streaming campaigns merge each cell's per-instance accumulator
         bundles into **one row per (cell, algorithm)** with
@@ -580,13 +571,11 @@ class Campaign:
         workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         streaming: bool = False,
-        metrics_relative_error: float = 0.01,
         merge_instances: bool = True,
     ) -> None:
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.streaming = streaming
-        self.metrics_relative_error = metrics_relative_error
         self.merge_instances = merge_instances
 
     # -- cache -----------------------------------------------------------------
@@ -682,9 +671,7 @@ class Campaign:
         """
         plan: _Plan
         if self.streaming and not self._must_materialize_stream(scenario):
-            plan = _StreamingPlan(
-                scenario, self.metrics_relative_error, self.merge_instances
-            )
+            plan = _StreamingPlan(scenario, self.merge_instances)
             digest = self._streaming_digest(scenario)
         else:
             plan = _MaterializedPlan(scenario)
@@ -810,13 +797,14 @@ class Campaign:
         # The streaming rows are a different shape (merged per cell, sketched
         # quantile columns), so the cache must never be shared with the
         # materialized path: fold the execution mode into the digest.  The
-        # sketch accuracy changes the computed quantiles, so it is part of
-        # the key too — rows cached at 1 % must not serve a 0.1 % run.
-        # Per-instance mode changes the row shape again; folded in only when
-        # non-default so pre-existing merged-mode digests are unchanged.
+        # sketch accuracy entry is the constant every streaming run has used
+        # (``DEFAULT_RELATIVE_ERROR``), kept literal so existing streaming
+        # caches still hit.  Per-instance mode changes the row shape again;
+        # folded in only when non-default so pre-existing merged-mode digests
+        # are unchanged.
         digest_payload: Dict[str, Any] = {
             "execution": "streaming-metrics",
-            "metrics_relative_error": self.metrics_relative_error,
+            "metrics_relative_error": 0.01,
             "scenario": scenario.to_dict(),
         }
         if not self.merge_instances:

@@ -19,7 +19,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     TextIO,
     Tuple,
     Union,
@@ -28,7 +27,7 @@ from typing import (
 import numpy as np
 
 from ..analysis.report import format_table
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ConfigurationError
 from ..metrics import DegradationStats, aggregate_degradation, degradation_factors
 
 __all__ = ["RunRecord", "CampaignResult"]

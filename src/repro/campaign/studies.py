@@ -24,12 +24,11 @@ traces of 1,000 jobs, load 0.1–0.9, penalty 0 and 300 s) is a scenario file,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.energy import NodePowerModel
 from ..analysis.report import format_figure_series, format_table
 from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
@@ -299,15 +298,11 @@ def utilization_scenario(
     load: float,
     penalty_seconds: float,
     algorithms: Optional[Sequence[str]] = None,
-    power_options: Optional[Dict[str, float]] = None,
 ) -> Scenario:
     """The utilization/energy/fairness study on one synthetic trace."""
     names = tuple(algorithms if algorithms is not None else config.algorithms)
     if not names:
         raise ConfigurationError("algorithms must not be empty")
-    utilization = CollectorSpec(
-        "utilization", options=tuple(sorted((power_options or {}).items()))
-    )
     return Scenario(
         name="utilization",
         source=lublin_source(config, num_traces=1),
@@ -315,7 +310,7 @@ def utilization_scenario(
         algorithms=names,
         penalty_seconds=penalty_seconds,
         sweep=(("load", (load,)),),
-        collectors=(CollectorSpec("stretch"), utilization),
+        collectors=(CollectorSpec("stretch"), CollectorSpec("utilization")),
     )
 
 
@@ -493,12 +488,15 @@ def run_table2(
     return StudyReport(text, (outcome,))
 
 
+#: §V's claim: allocations for 10 or fewer jobs in under a millisecond.
+_SMALL_JOB_THRESHOLD = 10
+_FAST_THRESHOLD_SECONDS = 0.001
+
+
 def run_timing_study(
     config: ExperimentConfig,
     *,
     algorithm: str = "dynmcb8",
-    small_job_threshold: int = 10,
-    fast_threshold_seconds: float = 0.001,
     campaign: Optional[Campaign] = None,
 ) -> StudyReport:
     """The §V scheduling-time study on the unscaled synthetic traces.
@@ -528,15 +526,15 @@ def run_timing_study(
         return float(values.mean()) if values.size else 0.0
 
     times = pooled("scheduler_times")
-    small = times[pooled("scheduler_job_counts") <= small_job_threshold]
+    small = times[pooled("scheduler_job_counts") <= _SMALL_JOB_THRESHOLD]
     rows = [
         ["observations", int(times.size)],
         ["mean scheduling time (s)", mean(times)],
         ["max scheduling time (s)", float(times.max()) if times.size else 0.0],
         [
-            f"fraction of <= {small_job_threshold}-job events under "
-            f"{fast_threshold_seconds * 1000:.0f} ms",
-            mean(small <= fast_threshold_seconds),
+            f"fraction of <= {_SMALL_JOB_THRESHOLD}-job events under "
+            f"{_FAST_THRESHOLD_SECONDS * 1000:.0f} ms",
+            mean(small <= _FAST_THRESHOLD_SECONDS),
         ],
         ["mean job inter-arrival time (s)", mean(pooled("interarrivals"))],
     ]
@@ -760,7 +758,6 @@ def run_utilization_study(
     load: float = 0.5,
     penalty_seconds: Optional[float] = None,
     algorithms: Optional[Sequence[str]] = None,
-    power_model: Optional[NodePowerModel] = None,
     campaign: Optional[Campaign] = None,
 ) -> StudyReport:
     """Utilization, energy and fairness per algorithm (paper §II-B2 remark).
@@ -769,8 +766,8 @@ def run_utilization_study(
     average yield or — on an under-subscribed cluster — lets idle nodes be
     powered down.  One synthetic trace (the first of the configuration) is
     scaled to ``load`` and run under every algorithm with the ``utilization``
-    collector attached (``power_model`` overrides its node power model);
-    each printed row is one run's metrics.
+    collector attached (at its default node power model); each printed row
+    is one run's metrics.
     """
     penalty = _penalty(config, penalty_seconds)
     scenario = utilization_scenario(
@@ -778,7 +775,6 @@ def run_utilization_study(
         load=load,
         penalty_seconds=penalty,
         algorithms=algorithms,
-        power_options=asdict(power_model) if power_model is not None else None,
     )
     outcome = _run(config, campaign, scenario)
     rows = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
-from .cluster import CAPACITY_EPSILON, Cluster, ClusterUsage
+from .cluster import Cluster, ClusterUsage
 from .job import MINIMUM_YIELD, JobSpec
 
 __all__ = ["JobAllocation", "AllocationDecision", "validate_decision"]

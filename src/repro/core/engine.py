@@ -93,7 +93,7 @@ from .clock import Clock, SimulatedClock
 from .cluster import Cluster
 from .context import JobView, SchedulingContext
 from .events import Event, EventQueue, EventType
-from .job import Job, JobSpec, JobState
+from .job import MINIMUM_YIELD, Job, JobSpec, JobState
 from .observers import SimEvent, SimulationObserver
 from .penalties import ReschedulingPenaltyModel
 from .records import CostSummary, JobRecord, SimulationResult
@@ -108,6 +108,9 @@ _ARRIVAL_RANK = attrgetter("arrival_rank")
 
 #: Fills an observer event or a job view from one complete field tuple.
 _new_tuple = tuple.__new__
+
+#: The element-type set of a node tuple ``JobAllocation.create`` leaves as is.
+_PLAIN_INT = frozenset({int})
 
 #: Hard cap on the number of processed events, as a runaway guard.
 _DEFAULT_MAX_EVENTS = 50_000_000
@@ -130,10 +133,6 @@ class SimulationConfig:
     #: likewise reduced to moments.  Off by default — the default mode is
     #: byte-identical to previous releases.
     streaming_metrics: bool = False
-    #: Relative-error bound of the streaming quantile sketches (see
-    #: :class:`repro.metrics.QuantileSketch`); only read when
-    #: ``streaming_metrics`` is on.
-    metrics_relative_error: float = 0.01
     #: Optional :class:`repro.platform.NodeEventSource` of timed node
     #: failures/repairs.  None (the default) keeps every node up for the
     #: whole run — the original static platform, byte-identical.
@@ -260,9 +259,7 @@ class Simulator:
         if self.config.streaming_metrics:
             from ..metrics import JobMetricsAccumulator, Moments
 
-            self._job_stats = JobMetricsAccumulator(
-                relative_error=self.config.metrics_relative_error
-            )
+            self._job_stats = JobMetricsAccumulator()
             self._scheduler_time_stats = Moments()
             self._scheduler_job_count_stats = Moments()
         #: Latest completion instant (streaming metrics makespan baseline).
@@ -1246,7 +1243,7 @@ class Simulator:
                     job.last_assignment = job.assignment
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
-                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
+                    job.allocation = _applied(new_alloc)
                     self._note_allocation_change(job)
                     self._emit(
                         "migrate", job.spec, job.assignment, job.current_yield,
@@ -1270,7 +1267,7 @@ class Simulator:
                     running[job_id] = job
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
-                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
+                    job.allocation = _applied(new_alloc)
                     self._acquire_nodes(new_alloc.nodes)
                     self._note_allocation_change(job)
                     if job.first_start_time is None:
@@ -1283,7 +1280,7 @@ class Simulator:
                     job.penalty_remaining += penalty.resume_penalty(job.spec)
                     job.assignment = new_alloc.nodes
                     job.current_yield = new_alloc.yield_value
-                    job.allocation = JobAllocation.create(job.assignment, job.current_yield)
+                    job.allocation = _applied(new_alloc)
                     self._acquire_nodes(new_alloc.nodes)
                     self._charge_overhead("resume", job)
                     self._note_allocation_change(job)
@@ -1326,6 +1323,20 @@ class Simulator:
             return 0.0
         last_completion = max(record.completion_time for record in self._records)
         return max(0.0, last_completion - self._first_submit)
+
+
+def _applied(allocation: JobAllocation) -> JobAllocation:
+    """``allocation`` itself when ``JobAllocation.create`` would rebuild an
+    equal one (yield already in ``[MINIMUM_YIELD, 1]``, nodes a tuple of
+    plain ints); otherwise the clamped, int-cast copy ``create`` builds."""
+    nodes = allocation.nodes
+    if (
+        MINIMUM_YIELD <= allocation.yield_value <= 1.0
+        and type(nodes) is tuple
+        and set(map(type, nodes)) == _PLAIN_INT
+    ):
+        return allocation
+    return JobAllocation.create(nodes, allocation.yield_value)
 
 
 def _is_batch(scheduler) -> bool:

@@ -14,7 +14,7 @@ import enum
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 __all__ = ["EventType", "Event", "EventQueue"]

@@ -17,13 +17,13 @@ pass catches the whole class at commit time instead of as a flaky
 golden-test failure.  The engine mirrors the project's ``type``-registry
 idiom: each rule has a stable code (``DET101`` …), registers itself in a
 rule registry, and emits :class:`~repro.devtools.findings.Finding` records.
-Suppression is per-line (``# repro: noqa[DET101]``) or via a committed
-baseline file so adoption stays incremental.
+Suppression is per-line (``# repro: noqa[DET101]``); any other finding
+fails the check.
 
-Run it as ``repro-dfrs dev check [--fix-baseline] [PATHS]``.
+Run it as ``repro-dfrs dev check [PATHS]``.
 """
 
-from .findings import Finding, fingerprint_findings
+from .findings import Finding
 from .rules import (
     Rule,
     available_rules,
@@ -31,7 +31,6 @@ from .rules import (
     register_rule,
     rule_catalog,
 )
-from .baseline import load_baseline, write_baseline
 from .engine import CheckResult, check_paths
 
 # Importing the packs registers the built-in rules.
@@ -40,14 +39,11 @@ from . import registry_audit as _registry_audit  # noqa: F401
 
 __all__ = [
     "Finding",
-    "fingerprint_findings",
     "Rule",
     "register_rule",
     "available_rules",
     "rule_catalog",
     "create_rules",
-    "load_baseline",
-    "write_baseline",
     "CheckResult",
     "check_paths",
 ]

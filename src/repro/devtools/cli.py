@@ -1,7 +1,7 @@
 """``repro-dfrs dev`` — the developer-facing static-analysis commands.
 
-Exit codes (``dev check``): 0 clean, 1 findings or stale baseline entries,
-2 usage/configuration errors (argparse's convention).
+Exit codes (``dev check``): 0 clean, 1 findings, 2 usage/configuration
+errors (argparse's convention).
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from ..exceptions import ConfigurationError
 from .engine import check_paths
 from .rules import rule_catalog
 
-__all__ = ["add_dev_subparser", "run_dev_command", "DEFAULT_BASELINE"]
-
-#: The committed baseline file at the repo root (empty by policy today).
-DEFAULT_BASELINE = "devtools-baseline.json"
+__all__ = ["add_dev_subparser", "run_dev_command"]
 
 
 def add_dev_subparser(subparsers: "argparse._SubParsersAction") -> None:
@@ -31,29 +28,13 @@ def add_dev_subparser(subparsers: "argparse._SubParsersAction") -> None:
 
     check = dev_sub.add_parser(
         "check",
-        help="run the rule pack; exit 1 on new findings or stale baseline entries",
+        help="run the rule pack; exit 1 on any finding",
     )
     check.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to check (default: src)",
-    )
-    check.add_argument(
-        "--baseline",
-        type=str,
-        default=DEFAULT_BASELINE,
-        help=f"baseline file grandfathering known findings (default: {DEFAULT_BASELINE})",
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline entirely (report every finding)",
-    )
-    check.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="rewrite the baseline to exactly the current findings and exit 0",
     )
     check.add_argument(
         "--select",
@@ -87,31 +68,20 @@ def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    baseline_path = None if args.no_baseline else args.baseline
     try:
         result = check_paths(
             args.paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            baseline_path=baseline_path,
-            fix_baseline=args.fix_baseline and baseline_path is not None,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.fix_baseline:
-        print(
-            f"baseline {args.baseline}: recorded {len(result.baselined)} "
-            f"finding(s) from {result.checked_files} file(s)"
-        )
-        return 0
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "findings": [finding.to_dict() for finding in result.findings],
-                    "baselined": len(result.baselined),
-                    "stale_baseline_fingerprints": result.stale_fingerprints,
                     "suppressed": result.suppressed,
                     "checked_files": result.checked_files,
                 },
@@ -122,22 +92,12 @@ def _run_check(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
     for finding in result.findings:
         print(finding.format())
-    for fingerprint in result.stale_fingerprints:
-        print(
-            f"stale baseline entry {fingerprint}: the violation it "
-            f"grandfathered is gone — run `repro-dfrs dev check "
-            f"--fix-baseline` to drop it"
-        )
     summary = (
         f"{result.checked_files} file(s) checked: "
         f"{len(result.findings)} finding(s)"
     )
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     if result.suppressed:
         summary += f", {result.suppressed} noqa-suppressed"
-    if result.stale_fingerprints:
-        summary += f", {len(result.stale_fingerprints)} stale baseline entr(y/ies)"
     print(summary)
     return 0 if result.ok else 1
 

@@ -1,4 +1,4 @@
-"""The check driver: collect files, run rules, apply pragmas and baseline."""
+"""The check driver: collect files, run rules, apply pragmas."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
 from .astutils import noqa_codes
-from .baseline import load_baseline, partition_findings, write_baseline
 from .findings import Finding
 from .rules import FileContext, Rule, create_rules
 
@@ -23,21 +22,15 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", "build", "dist", ".eggs"})
 class CheckResult:
     """Outcome of one ``dev check`` invocation."""
 
-    #: Violations not covered by the baseline — these fail the check.
+    #: Violations not suppressed by a pragma — any one fails the check.
     findings: List[Finding] = field(default_factory=list)
-    #: Violations grandfathered by the baseline.
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline fingerprints no current finding matches (fixed violations
-    #: whose entries must be removed — also fails the check, so the
-    #: baseline can only shrink).
-    stale_fingerprints: List[str] = field(default_factory=list)
     #: Count of findings suppressed by ``# repro: noqa`` pragmas.
     suppressed: int = 0
     checked_files: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_fingerprints
+        return not self.findings
 
 
 def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -77,7 +70,6 @@ def _parse(path: Path, root: Path) -> Union[FileContext, Finding]:
             col=(error.offset or 0) + 1,
             code="E999",
             message=f"syntax error: {error.msg}",
-            line_text=(error.text or "").strip(),
         )
     return FileContext(
         path=path,
@@ -112,8 +104,6 @@ def check_paths(
     project_root: Optional[Union[str, Path]] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Union[str, Path]] = None,
-    fix_baseline: bool = False,
     rules: Optional[Sequence[Rule]] = None,
 ) -> CheckResult:
     """Run the rule pack over ``paths``.
@@ -142,15 +132,6 @@ def check_paths(
 
     by_path = {context.relpath: context for context in contexts}
     kept, suppressed = _apply_noqa(sorted(raw_findings), by_path)
-
-    result = CheckResult(suppressed=suppressed, checked_files=len(contexts))
-    if baseline_path is not None and fix_baseline:
-        write_baseline(baseline_path, kept)
-        result.baselined = list(kept)
-        return result
-    baseline = load_baseline(baseline_path) if baseline_path is not None else {}
-    new, matched, stale = partition_findings(kept, baseline)
-    result.findings = new
-    result.baselined = matched
-    result.stale_fingerprints = stale
-    return result
+    return CheckResult(
+        findings=kept, suppressed=suppressed, checked_files=len(contexts)
+    )

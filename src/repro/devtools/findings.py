@@ -1,21 +1,19 @@
-"""Finding records and their baseline fingerprints."""
+"""Finding records: one rule violation each."""
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["Finding", "fingerprint_findings"]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, order=True)
 class Finding:
     """One rule violation at a specific source location.
 
-    ``path`` is stored POSIX-relative to the project root so findings (and
-    the fingerprints derived from them) are stable across machines and
-    checkouts.
+    ``path`` is stored POSIX-relative to the project root so findings are
+    stable across machines and checkouts.
     """
 
     path: str
@@ -23,17 +21,13 @@ class Finding:
     col: int
     code: str
     message: str
-    #: Stripped text of the offending source line; drives the baseline
-    #: fingerprint so unrelated edits shifting line numbers do not churn
-    #: the baseline.  Excluded from ordering/equality.
-    line_text: str = field(default="", compare=False)
 
     def format(self) -> str:
         """``path:line:col: CODE message`` — the one-line text rendering."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical dictionary form (JSON output and baseline entries)."""
+        """Canonical dictionary form (the JSON output)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -41,30 +35,3 @@ class Finding:
             "code": self.code,
             "message": self.message,
         }
-
-
-def fingerprint_findings(findings: Sequence[Finding]) -> List[str]:
-    """Stable content fingerprints, parallel to ``findings``.
-
-    A fingerprint hashes ``path``, rule ``code``, the stripped offending
-    line text, and an occurrence ordinal (so two identical violations on
-    different lines of one file stay distinct) — but *not* the line number,
-    so inserting unrelated lines above a baselined violation does not
-    invalidate the baseline.
-    """
-    ordinals: Dict[str, int] = {}
-    fingerprints: List[str] = []
-    for finding in sorted(findings):
-        key = f"{finding.path}\x1f{finding.code}\x1f{finding.line_text}"
-        ordinal = ordinals.get(key, 0)
-        ordinals[key] = ordinal + 1
-        digest = hashlib.sha256(f"{key}\x1f{ordinal}".encode("utf-8")).hexdigest()
-        fingerprints.append(digest[:20])
-    # Re-align to the caller's ordering.
-    by_finding: Dict[Finding, List[str]] = {}
-    for finding, fingerprint in zip(sorted(findings), fingerprints):
-        by_finding.setdefault(finding, []).append(fingerprint)
-    aligned: List[str] = []
-    for finding in findings:
-        aligned.append(by_finding[finding].pop(0))
-    return aligned

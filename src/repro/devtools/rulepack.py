@@ -31,6 +31,7 @@ __all__ = [
     "SwallowedExceptionRule",
     "DirectTimeInCoreRule",
     "BarePrintRule",
+    "UnusedImportRule",
 ]
 
 #: Packages whose code can reach simulated results; the determinism and
@@ -557,3 +558,93 @@ class BarePrintRule(Rule):
                     )
                 )
         return findings
+
+
+@register_rule
+class UnusedImportRule(Rule):
+    code = "IMP801"
+    name = "unused-import"
+    rationale = (
+        "An import nothing reads misstates a module's dependencies and "
+        "outlives the code that needed it.  A name counts as used when the module reads it, lists it in __all__, or "
+        "names it in a string annotation; relative imports in __init__.py, "
+        "`import x as x` re-exports and `if TYPE_CHECKING:` imports are "
+        "exempt."
+    )
+
+    def check_file(self, context: FileContext) -> List[Finding]:
+        tree = context.tree
+        reexports = context.path.name == "__init__.py"
+        exempt = {
+            id(child)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and dotted_name(node.test) in _TYPE_CHECKING
+            for statement in node.body
+            for child in ast.walk(statement)
+        }
+        used = _used_names(tree)
+        findings: List[Finding] = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or id(node) in exempt:
+                continue
+            if isinstance(node, ast.ImportFrom) and (
+                node.module == "__future__" or (reexports and node.level)
+            ):
+                continue
+            for alias in node.names:
+                if alias.name == "*" or alias.asname == alias.name:
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    findings.append(
+                        context.finding(
+                            node,
+                            self.code,
+                            f"{alias.name!r} is imported but never used; "
+                            "delete the import (or list the name in __all__)",
+                        )
+                    )
+        return findings
+
+
+_TYPE_CHECKING = frozenset({"TYPE_CHECKING", "typing.TYPE_CHECKING"})
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, lists in ``__all__`` or names in a string
+    annotation."""
+    used: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        if (
+            isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and node.value is not None
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            )
+        ):
+            used.update(
+                element.value
+                for element in ast.walk(node.value)
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            )
+    for annotation in annotations:
+        for element in ast.walk(annotation):
+            if isinstance(element, ast.Constant) and isinstance(element.value, str):
+                try:
+                    parsed = ast.parse(element.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    name.id for name in ast.walk(parsed) if isinstance(name, ast.Name)
+                )
+    return used

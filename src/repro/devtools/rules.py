@@ -61,7 +61,6 @@ class FileContext:
             col=col + 1,
             code=code,
             message=message,
-            line_text=self.line_text(lineno),
         )
 
     def package_parts(self) -> Tuple[str, ...]:

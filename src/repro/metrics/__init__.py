@@ -8,10 +8,9 @@ per-job records for million-job traces:
 * :mod:`~repro.metrics.accumulators` — the :class:`Accumulator` contract
   (O(1) ``add``, associative ``merge``, canonical ``to_dict``/``from_dict``
   via a registry) and the standard set: Welford :class:`Moments`, exact
-  :class:`SumAccumulator` tallies, :class:`TopK` trackers, mergeable
-  bottom-k :class:`ReservoirSample` exemplars, and the O(observations)
-  :class:`ExactDistribution` reference mode that keeps legacy outputs
-  byte-identical;
+  :class:`SumAccumulator` tallies, :class:`TopK` trackers, and the
+  O(observations) :class:`ExactDistribution` reference mode that keeps
+  legacy outputs byte-identical;
 * :mod:`~repro.metrics.quantiles` — :class:`QuantileSketch`, a log-binned
   DDSketch-style quantile sketch with a proven relative-error bound and an
   exactly associative merge;
@@ -32,7 +31,6 @@ from .accumulators import (
     Accumulator,
     ExactDistribution,
     Moments,
-    ReservoirSample,
     SumAccumulator,
     TimeWeightedValue,
     TopK,
@@ -62,7 +60,6 @@ __all__ = [
     "SumAccumulator",
     "ExactDistribution",
     "TopK",
-    "ReservoirSample",
     "TimeWeightedValue",
     "QuantileSketch",
     "DEFAULT_RELATIVE_ERROR",

@@ -23,10 +23,9 @@ enough to deserve its own module) and registers itself here on import.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "SumAccumulator",
     "ExactDistribution",
     "TopK",
-    "ReservoirSample",
     "TimeWeightedValue",
     "register_accumulator",
     "accumulator_from_dict",
@@ -455,113 +453,6 @@ class TopK(Accumulator):
 
 
 # --------------------------------------------------------------------------- #
-# Mergeable uniform reservoir (bottom-k priority sample)                       #
-# --------------------------------------------------------------------------- #
-def _priority(seed: int, key: Any) -> int:
-    """Deterministic pseudo-random priority of one keyed observation."""
-    digest = hashlib.blake2b(
-        f"{seed}:{key!r}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
-@dataclass
-class ReservoirSample(Accumulator):
-    """Uniform sample of ``k`` keyed observations, exactly mergeable.
-
-    Implemented as a *bottom-k priority sample*: each observation's priority
-    is a deterministic hash of ``(seed, key)`` and the ``k`` smallest
-    priorities are retained.  Because selection depends only on the per-item
-    priorities, merging partial reservoirs in any grouping retains exactly
-    the same items as a single pass — unlike the classic algorithm-R
-    reservoir, which is neither deterministic nor mergeable.  Keys must be
-    unique across the stream (job ids are); the sampled ``value`` travels
-    with the key and may be any JSON-serialisable payload.
-    """
-
-    k: int = 16
-    seed: int = 2010
-    n: int = 0
-    # Kept sorted ascending by priority: List[(priority, key, value)].
-    _items: List[Tuple[int, Any, Any]] = field(default_factory=list)
-
-    kind = "reservoir"
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
-
-    @property
-    def count(self) -> int:
-        return self.n
-
-    @staticmethod
-    def _sort_key(item: Tuple[int, Any, Any]) -> Tuple[int, str]:
-        # Priorities are 64-bit hashes, so collisions are vanishingly rare;
-        # the stringified key makes the order total even then.
-        return (item[0], str(item[1]))
-
-    def add(self, value: Any, key: Any = None) -> None:  # type: ignore[override]
-        if key is None:
-            raise ReproError(
-                "ReservoirSample.add needs a unique key per observation "
-                "(e.g. the job id)"
-            )
-        self.n += 1
-        entry = (_priority(self.seed, key), key, value)
-        if len(self._items) >= self.k and self._sort_key(entry) >= self._sort_key(self._items[-1]):
-            return
-        self._items.append(entry)
-        self._items.sort(key=self._sort_key)
-        del self._items[self.k:]
-
-    def merge(self, other: Accumulator) -> "ReservoirSample":
-        self._require_same_type(other)
-        assert isinstance(other, ReservoirSample)
-        if (other.k, other.seed) != (self.k, self.seed):
-            raise ReproError(
-                "cannot merge reservoirs with different (k, seed): "
-                f"({self.k}, {self.seed}) vs ({other.k}, {other.seed})"
-            )
-        self.n += other.n
-        combined = {item[1]: item for item in self._items}
-        for item in other._items:
-            combined.setdefault(item[1], item)
-        self._items = sorted(combined.values(), key=self._sort_key)
-        del self._items[self.k:]
-        return self
-
-    def sample(self) -> List[Any]:
-        """The retained values, in priority order (stable across merges)."""
-        return [value for _, _, value in self._items]
-
-    def keys(self) -> List[Any]:
-        return [key for _, key, _ in self._items]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": self.kind,
-            "k": self.k,
-            "seed": self.seed,
-            "n": self.n,
-            "items": [[key, value] for _, key, value in self._items],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReservoirSample":
-        out = cls(k=int(data["k"]), seed=int(data.get("seed", 2010)), n=int(data.get("n", 0)))
-        out._items = sorted(
-            ((_priority(out.seed, key), key, value) for key, value in data.get("items", ())),
-            key=cls._sort_key,
-        )
-        del out._items[out.k:]
-        return out
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": float(self.n), "sampled": float(len(self._items))}
-
-
-# --------------------------------------------------------------------------- #
 # Time-weighted value (piecewise-constant signal statistics)                   #
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -660,5 +551,4 @@ register_accumulator("moments", Moments.from_dict)
 register_accumulator("sum", SumAccumulator.from_dict)
 register_accumulator("exact", ExactDistribution.from_dict)
 register_accumulator("top-k", TopK.from_dict)
-register_accumulator("reservoir", ReservoirSample.from_dict)
 register_accumulator("time-weighted", TimeWeightedValue.from_dict)

@@ -4,11 +4,10 @@
 mode (``SimulationConfig(streaming_metrics=True)``) instead of materialising
 one :class:`~repro.core.records.JobRecord` per job: Welford moments over
 stretch / turnaround / wait time, a mergeable quantile sketch over stretch
-and turnaround, a top-k tracker of the worst-stretch jobs, and a mergeable
-reservoir of exemplar jobs.  It is itself an :class:`Accumulator` — it
-merges field-wise, serialises to a JSON dictionary, and registers under the
-``"job-metrics"`` type — so per-worker partials from a campaign combine
-exactly into per-cell summaries.
+and turnaround, and a top-k tracker of the worst-stretch jobs.  It is itself
+an :class:`Accumulator` — it merges field-wise, serialises to a JSON
+dictionary, and registers under the ``"job-metrics"`` type — so per-worker
+partials from a campaign combine exactly into per-cell summaries.
 
 The module also provides the *bundle* helpers used by streaming metric
 collectors: a bundle is a plain ``{name: Accumulator}`` mapping, merged
@@ -19,18 +18,17 @@ name-wise across workers and serialised with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from ..exceptions import ReproError
 from .accumulators import (
     Accumulator,
     Moments,
-    ReservoirSample,
     TopK,
     accumulator_from_dict,
     register_accumulator,
 )
-from .quantiles import DEFAULT_RELATIVE_ERROR, QuantileSketch
+from .quantiles import QuantileSketch
 
 __all__ = [
     "JobMetricsAccumulator",
@@ -39,43 +37,28 @@ __all__ = [
     "merge_bundles",
 ]
 
-#: Streaming defaults: worst-job tracker depth and exemplar-reservoir size.
+#: Worst-job tracker depth.
 _DEFAULT_TOP_K = 10
-_DEFAULT_RESERVOIR_K = 32
 
 
 @dataclass
 class JobMetricsAccumulator(Accumulator):
     """Bounded-memory summary of every completed job of a simulation.
 
-    Beyond the flat :meth:`summary`, two drill-down structures ride along:
-    ``worst_stretch.items()`` names the worst-stretch job ids (surfaced as
-    the ``worst_job_id`` column of streaming campaign rows) and
-    ``exemplars.sample()`` is a uniform reservoir of per-job payloads for
-    eyeballing.  Job ids are unique within one simulation; when cells merge
-    several instances, colliding ids across instances are deduplicated
-    deterministically in the exemplar reservoir (it keys on the id), so
-    treat merged exemplars as per-instance-ambiguous debugging aids.
+    Beyond the flat :meth:`summary`, ``worst_stretch.items()`` names the
+    worst-stretch job ids (surfaced as the ``worst_job_id`` column of
+    streaming campaign rows).  Both sketches run at
+    :data:`~repro.metrics.quantiles.DEFAULT_RELATIVE_ERROR`.
     """
 
-    relative_error: float = DEFAULT_RELATIVE_ERROR
     stretch: Moments = field(default_factory=Moments)
     turnaround: Moments = field(default_factory=Moments)
     wait: Moments = field(default_factory=Moments)
-    stretch_sketch: QuantileSketch = None  # type: ignore[assignment]
-    turnaround_sketch: QuantileSketch = None  # type: ignore[assignment]
+    stretch_sketch: QuantileSketch = field(default_factory=QuantileSketch)
+    turnaround_sketch: QuantileSketch = field(default_factory=QuantileSketch)
     worst_stretch: TopK = field(default_factory=lambda: TopK(k=_DEFAULT_TOP_K))
-    exemplars: ReservoirSample = field(
-        default_factory=lambda: ReservoirSample(k=_DEFAULT_RESERVOIR_K)
-    )
 
     kind = "job-metrics"
-
-    def __post_init__(self) -> None:
-        if self.stretch_sketch is None:
-            self.stretch_sketch = QuantileSketch(relative_error=self.relative_error)
-        if self.turnaround_sketch is None:
-            self.turnaround_sketch = QuantileSketch(relative_error=self.relative_error)
 
     @property
     def count(self) -> int:
@@ -92,10 +75,6 @@ class JobMetricsAccumulator(Accumulator):
         self.stretch_sketch.add(stretch)
         self.turnaround_sketch.add(turnaround)
         self.worst_stretch.add(stretch, key=job_id)
-        self.exemplars.add(
-            {"job_id": job_id, "stretch": stretch, "turnaround": turnaround},
-            key=job_id,
-        )
 
     def add(self, value: float) -> None:  # pragma: no cover - composite intake
         raise ReproError("JobMetricsAccumulator consumes jobs via observe(), not add()")
@@ -110,7 +89,6 @@ class JobMetricsAccumulator(Accumulator):
         self.stretch_sketch.merge(other.stretch_sketch)
         self.turnaround_sketch.merge(other.turnaround_sketch)
         self.worst_stretch.merge(other.worst_stretch)
-        self.exemplars.merge(other.exemplars)
         return self
 
     # -- queries ---------------------------------------------------------------
@@ -122,27 +100,23 @@ class JobMetricsAccumulator(Accumulator):
     def to_dict(self) -> Dict[str, Any]:
         return {
             "type": self.kind,
-            "relative_error": self.relative_error,
             "stretch": self.stretch.to_dict(),
             "turnaround": self.turnaround.to_dict(),
             "wait": self.wait.to_dict(),
             "stretch_sketch": self.stretch_sketch.to_dict(),
             "turnaround_sketch": self.turnaround_sketch.to_dict(),
             "worst_stretch": self.worst_stretch.to_dict(),
-            "exemplars": self.exemplars.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobMetricsAccumulator":
         return cls(
-            relative_error=float(data.get("relative_error", DEFAULT_RELATIVE_ERROR)),
             stretch=Moments.from_dict(data["stretch"]),
             turnaround=Moments.from_dict(data["turnaround"]),
             wait=Moments.from_dict(data["wait"]),
             stretch_sketch=QuantileSketch.from_dict(data["stretch_sketch"]),
             turnaround_sketch=QuantileSketch.from_dict(data["turnaround_sketch"]),
             worst_stretch=TopK.from_dict(data["worst_stretch"]),
-            exemplars=ReservoirSample.from_dict(data["exemplars"]),
         )
 
     def summary(self) -> Dict[str, float]:

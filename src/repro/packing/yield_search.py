@@ -42,6 +42,9 @@ __all__ = [
 #: Accuracy threshold of the binary searches (paper §III-B).
 YIELD_SEARCH_ACCURACY = 0.01
 
+#: Upper end of the stretch search's target interval.
+MAX_STRETCH_BOUND = 1e9
+
 #: A packing routine: ``(jobs, cpus, num_bins, capacities) -> PackingResult``,
 #: each task of ``jobs[k]`` needing ``cpus[k]`` (see
 #: :mod:`repro.packing.variants`).
@@ -98,7 +101,6 @@ def maximize_min_yield(
     num_nodes: int,
     *,
     packer: Packer = mcb8_pack_jobs,
-    accuracy: float = YIELD_SEARCH_ACCURACY,
     min_yield: float = MINIMUM_YIELD,
     capacities: BinCapacities = None,
 ) -> YieldSearchResult:
@@ -132,7 +134,7 @@ def maximize_min_yield(
     # read, so the job entry builds per-job tuples for it alone.
     low, high = min_yield, 1.0
     best_yield, best = min_yield, baseline
-    while high - low > accuracy:
+    while high - low > YIELD_SEARCH_ACCURACY:
         mid = (low + high) / 2.0
         attempt = probe(mid)
         if attempt.success:
@@ -175,9 +177,7 @@ def minimize_estimated_stretch(
     period: float,
     *,
     packer: Packer = mcb8_pack_jobs,
-    accuracy: float = YIELD_SEARCH_ACCURACY,
     min_yield: float = MINIMUM_YIELD,
-    max_stretch_bound: float = 1e9,
     capacities: BinCapacities = None,
 ) -> StretchSearchResult:
     """Smallest feasible maximum estimated stretch at the next event.
@@ -197,7 +197,7 @@ def minimize_estimated_stretch(
         return (yields, result) if result.success else None
 
     # The most permissive target: every job at the minimum yield.
-    ceiling = attempt(max_stretch_bound)
+    ceiling = attempt(MAX_STRETCH_BOUND)
     if ceiling is None:
         return StretchSearchResult(False, float("inf"), {}, {})
 
@@ -207,9 +207,9 @@ def minimize_estimated_stretch(
         yields, result = floor
         return StretchSearchResult(True, 1.0, yields, result.assignments)
 
-    low, high = 1.0, max_stretch_bound
+    low, high = 1.0, MAX_STRETCH_BOUND
     best_yields, best_result = ceiling
-    best_target = max_stretch_bound
+    best_target = MAX_STRETCH_BOUND
     # Bisect in log-ish fashion: the feasible region is [some S*, inf), so a
     # plain bisection on the huge interval converges too slowly; first shrink
     # the upper bound geometrically, then bisect.
@@ -223,7 +223,7 @@ def minimize_estimated_stretch(
             break
         low = probe
         probe *= 4.0
-    while high - low > accuracy * max(1.0, low):
+    while high - low > YIELD_SEARCH_ACCURACY * max(1.0, low):
         mid = (low + high) / 2.0
         outcome = attempt(mid)
         if outcome is not None:

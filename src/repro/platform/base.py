@@ -34,7 +34,7 @@ the tasks of a failed node:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cluster import Cluster

@@ -19,7 +19,6 @@ Class attributes communicate a scheduler's nature to the engine:
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from ..core.allocation import AllocationDecision
 from ..core.cluster import Cluster

@@ -23,7 +23,7 @@ started immediately.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ...core.allocation import AllocationDecision
 from ...core.context import SchedulingContext

@@ -16,7 +16,6 @@ in the job views because ``requires_runtime_estimates`` is True.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from ...core.allocation import AllocationDecision

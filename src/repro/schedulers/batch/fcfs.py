@@ -9,7 +9,7 @@ the queue, which is what EASY backfilling later relaxes.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from ...core.allocation import AllocationDecision
 from ...core.cluster import CAPACITY_EPSILON

@@ -24,7 +24,7 @@ FCFS order.  The scheduler is non-clairvoyant, like the DFRS algorithms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...core.allocation import AllocationDecision
 from ...core.cluster import Cluster

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from ..core.cluster import Cluster
 from ..core.engine import SimulationConfig
 from ..core.observers import SimEvent, SimulationObserver
-from ..metrics import DEFAULT_RELATIVE_ERROR
 from ..traces.source import JobSource
 from .admission import AdmissionPolicy
 from .service import ReplayReport, SchedulerService
@@ -96,7 +95,6 @@ def run_loadtest(
     acceleration: Optional[float] = None,
     admission: Optional[Union[AdmissionPolicy, Mapping[str, Any]]] = None,
     config: Optional[SimulationConfig] = None,
-    relative_error: float = DEFAULT_RELATIVE_ERROR,
     slo_factor: float = 10.0,
     keep_result: bool = False,
     telemetry: Optional[Mapping[str, Any]] = None,
@@ -110,15 +108,11 @@ def run_loadtest(
     instruments the service and engine; the report then carries the final
     Prometheus page in :attr:`~repro.serve.service.ReplayReport.prometheus`.
     """
-    engine_config = config or SimulationConfig(
-        streaming_metrics=True, metrics_relative_error=relative_error
-    )
     service = SchedulerService(
         cluster,
         scheduler,
-        config=engine_config,
+        config=config or SimulationConfig(streaming_metrics=True),
         admission=admission,
-        relative_error=relative_error,
         slo_factor=slo_factor,
         telemetry=telemetry,
     )
@@ -132,16 +126,15 @@ def bench_payload(
     *,
     workload: str,
     nodes: int,
-    rss_mb: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Shape one load-test report as a ``BENCH_serve.json`` entry.
 
-    ``rss_mb`` defaults to a fresh :func:`peak_rss_mb` sample, so soak runs
-    track the replay's memory high-water mark next to its latency
+    ``peak_rss_mb`` is a fresh :func:`peak_rss_mb` sample, so the entry
+    tracks the replay's memory high-water mark next to its latency
     quantiles.
     """
     return {
-        "peak_rss_mb": rss_mb if rss_mb is not None else peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(),
         "benchmark": "serve-loadtest",
         "workload": workload,
         "nodes": nodes,

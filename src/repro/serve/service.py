@@ -40,7 +40,7 @@ from ..core.job import JobSpec
 from ..core.observers import SimEvent, SimulationObserver
 from ..core.records import SimulationResult
 from ..exceptions import ConfigurationError, ReproError, SimulationError
-from ..metrics import DEFAULT_RELATIVE_ERROR, Moments, QuantileSketch, SumAccumulator
+from ..metrics import Moments, QuantileSketch, SumAccumulator
 from ..metrics.accumulators import Accumulator
 from ..metrics.jobs import bundle_to_dict
 from ..obs.prometheus import render_prometheus
@@ -63,6 +63,10 @@ __all__ = [
 
 #: Terminal ledger states kept for ``status`` queries until trimmed.
 _TERMINAL_STATES = ("completed", "cancelled", "rejected", "shed")
+
+#: Terminal job records kept for ``status`` queries (live mode); the oldest
+#: are forgotten beyond this, keeping service memory bounded.
+_LEDGER_LIMIT = 10_000
 
 
 @dataclass
@@ -95,29 +99,24 @@ class ServiceMetrics:
     """Live service counters plus mergeable latency accumulators.
 
     Queue latency (submission → first placement) goes into a
-    :class:`~repro.metrics.QuantileSketch` and :class:`~repro.metrics.Moments`
-    pair; everything else is exact counters.  :meth:`bundle` exports the
+    :class:`~repro.metrics.QuantileSketch` (at the default accuracy) and
+    :class:`~repro.metrics.Moments` pair; everything else is exact counters.  :meth:`bundle` exports the
     whole thing as a named accumulator bundle — the same shape streaming
     campaigns ship across the worker pool — so snapshots from several
     services merge associatively.
     """
 
-    def __init__(
-        self,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
-        slo_factor: float = 10.0,
-    ) -> None:
+    def __init__(self, slo_factor: float = 10.0) -> None:
         if not math.isfinite(slo_factor) or slo_factor <= 0.0:
             raise ConfigurationError(
                 f"slo_factor must be positive and finite, got {slo_factor!r}"
             )
-        self.relative_error = relative_error
         self.slo_factor = slo_factor
-        self.queue_latency = QuantileSketch(relative_error=relative_error)
+        self.queue_latency = QuantileSketch()
         self.queue_latency_moments = Moments()
         #: JCT (submission → completion) sketch/moments pair, mirroring the
         #: queue-latency pair; fed by every completion.
-        self.jct = QuantileSketch(relative_error=relative_error)
+        self.jct = QuantileSketch()
         self.jct_moments = Moments()
         self.slo_attained = 0
         self.submitted = 0
@@ -370,15 +369,10 @@ class SchedulerService:
     admission:
         An :class:`~repro.serve.admission.AdmissionPolicy`, its spec
         dictionary, or None for ``accept-all``.
-    relative_error:
-        Accuracy of the queue-latency and JCT quantile sketches.
     slo_factor:
         SLO deadline multiplier: a job attains its SLO iff it completes
         within ``slo_factor`` × its nominal runtime of submission (drives
         the ``slo_*`` snapshot fields and Prometheus series).
-    ledger_limit:
-        Terminal job records kept for ``status`` queries (live mode); the
-        oldest are forgotten beyond this, keeping service memory bounded.
     observers:
         Extra :class:`~repro.core.observers.SimulationObserver` instances
         attached to the engine (e.g. a
@@ -402,14 +396,10 @@ class SchedulerService:
         *,
         config: Optional[SimulationConfig] = None,
         admission: Optional[Union[AdmissionPolicy, Mapping[str, Any]]] = None,
-        relative_error: float = DEFAULT_RELATIVE_ERROR,
         slo_factor: float = 10.0,
-        ledger_limit: int = 10_000,
         observers: Optional[List[SimulationObserver]] = None,
         telemetry: Optional[Union[Telemetry, Mapping[str, Any]]] = None,
     ) -> None:
-        if ledger_limit < 1:
-            raise ConfigurationError(f"ledger_limit must be >= 1, got {ledger_limit}")
         self.cluster = cluster
         self.scheduler = (
             create_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
@@ -428,11 +418,8 @@ class SchedulerService:
             self.admission = AcceptAllPolicy()
         else:
             self.admission = admission_policy_from_dict(admission)
-        self.metrics = ServiceMetrics(
-            relative_error=relative_error, slo_factor=slo_factor
-        )
+        self.metrics = ServiceMetrics(slo_factor=slo_factor)
         self._extra_observers: List[SimulationObserver] = list(observers or [])
-        self._ledger_limit = ledger_limit
         self._ledger: Dict[int, ServiceJobRecord] = {}
         self._terminal_order: Deque[int] = deque()
         self._total_cpu_capacity = sum(
@@ -473,7 +460,7 @@ class SchedulerService:
         if job_id not in self._ledger:
             return
         self._terminal_order.append(job_id)
-        while len(self._terminal_order) > self._ledger_limit:
+        while len(self._terminal_order) > _LEDGER_LIMIT:
             oldest = self._terminal_order.popleft()
             self._ledger.pop(oldest, None)
 

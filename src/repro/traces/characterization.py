@@ -27,6 +27,10 @@ __all__ = [
     "characterization_table",
 ]
 
+#: Accuracy of the runtime median/p95 sketch: within 0.1 % of the exact
+#: nearest-rank values.
+_RUNTIME_RELATIVE_ERROR = 0.001
+
 
 @dataclass(frozen=True)
 class WorkloadCharacterization:
@@ -59,7 +63,6 @@ def characterize_stream(
     name: str = "stream",
     memory_threshold: float = 0.4,
     cpu_threshold: float = 0.5,
-    quantile_relative_error: float = 0.001,
 ) -> Tuple[WorkloadCharacterization, List[Tuple[str, int]]]:
     """Profile a job stream with the paper's §I statistics in one bounded-memory pass.
 
@@ -67,9 +70,8 @@ def characterize_stream(
     multi-million-job SWF archive is profiled without ever being resident.
     ``memory_threshold`` and ``cpu_threshold`` default to the §I cut-offs
     (40 % of node memory, 50 % of node CPU).  The runtime median/p95 come
-    from a :class:`~repro.metrics.QuantileSketch` and are within
-    ``quantile_relative_error`` (default 0.1 %) of the exact nearest-rank
-    values; everything else is exact, and submit order does not matter.
+    from a :class:`~repro.metrics.QuantileSketch` and are within 0.1 % of
+    the exact nearest-rank values; everything else is exact, and submit order does not matter.
     Returns the characterization together with the job-width histogram:
     ``(label, count)`` pairs in power-of-two buckets, in increasing width
     order (e.g. ``[("1", 120), ("2-3", 18), ("4-7", 30), ...]``), empty
@@ -82,7 +84,7 @@ def characterize_stream(
 
     tasks = Moments()
     runtimes = Moments()
-    runtime_sketch = QuantileSketch(relative_error=quantile_relative_error)
+    runtime_sketch = QuantileSketch(relative_error=_RUNTIME_RELATIVE_ERROR)
     serial = 0
     memory_under = 0
     cpu_under = 0

@@ -25,8 +25,8 @@ are left out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 

@@ -26,7 +26,7 @@ Field reference (1-based, as in the SWF specification):
 from __future__ import annotations
 
 import gzip
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,

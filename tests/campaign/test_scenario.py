@@ -10,7 +10,6 @@ import sys
 import pytest
 
 from repro.campaign.scenario import (
-    CollectorSpec,
     CustomSource,
     Hpc2nLikeSource,
     LublinSource,

@@ -264,12 +264,6 @@ class TestStreamingExecution:
         assert materialized.scenario_hash != first.scenario_hash
         assert len(materialized.rows) == 2  # per-instance rows, not merged
 
-    def test_custom_relative_error(self):
-        outcome = Campaign(streaming=True, metrics_relative_error=0.05).run(
-            _scenario()
-        )
-        assert outcome.rows[0].metric("stretch_p99") > 0
-
     def test_load_measured_once_per_instance(self):
         # The offered-load measurement pass must run once per instance in
         # the parent, not once per (cell x algorithm) worker task.
@@ -308,14 +302,14 @@ class TestStreamingExecution:
         # (the pre-fix behaviour measured inside every task: 8 passes).
         assert passes["count"] == 5
 
-    def test_cache_keyed_by_sketch_accuracy(self, tmp_path):
+    def test_streaming_digest_is_pinned(self):
+        # The digest still folds in the sketch accuracy (0.01) every
+        # streaming run has used, so cache files written before it became a
+        # constant keep hitting: these are the digests they were stored under.
         scenario = _scenario()
-        default = Campaign(streaming=True, cache_dir=tmp_path).run(scenario)
-        finer = Campaign(
-            streaming=True, cache_dir=tmp_path, metrics_relative_error=0.001
-        ).run(scenario)
-        # Different accuracies must never share cache entries.
-        assert default.scenario_hash != finer.scenario_hash
+        assert Campaign(streaming=True)._streaming_digest(scenario) == "46d7b3fa12151cd5"
+        per_instance = Campaign(streaming=True, merge_instances=False)
+        assert per_instance._streaming_digest(scenario) == "6582203ccd00d23a"
 
 
 class TestMergeInstances:

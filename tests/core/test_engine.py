@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional
 
 import pytest

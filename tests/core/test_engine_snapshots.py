@@ -345,6 +345,60 @@ def test_allocations_create_would_not_make_are_handed_back_rebuilt():
     assert simulator._active[0].allocation == JobAllocation((0,), 0.01)
 
 
+class _ScriptedDecisions(Scheduler):
+    """Hands the engine one scripted ``{job_id: JobAllocation}`` per call."""
+
+    name = "scripted-decisions"
+
+    def __init__(self, decisions: List[Dict[int, JobAllocation]]) -> None:
+        self.decisions = decisions
+        self.calls = 0
+
+    def schedule(self, context: SchedulingContext) -> AllocationDecision:
+        decision = AllocationDecision(running=dict(self.decisions[self.calls]))
+        self.calls += 1
+        decision.request_wakeup(context.time + 1.0)
+        return decision
+
+
+def test_start_migration_and_resume_store_the_decisions_allocation():
+    """A start, migration or resume stores the decision's own allocation
+    when ``JobAllocation.create`` would rebuild an equal one; a yield of
+    ``1 + 5e-10`` is still clamped and numpy-int nodes still int-cast."""
+    np = pytest.importorskip("numpy")
+    started = JobAllocation((0,), 0.5)
+    hair = JobAllocation((1,), 1.0 + 5e-10)
+    moved = JobAllocation((1,), 0.5)
+    numpy_nodes = JobAllocation((np.int64(0),), 0.5)
+    resumed = JobAllocation((0,), 0.25)
+    scheduler = _ScriptedDecisions([
+        {0: started, 1: hair},
+        {0: moved, 2: numpy_nodes},
+        {0: moved, 1: resumed, 2: numpy_nodes},
+    ])
+    simulator = Simulator(Cluster(num_nodes=2, cores_per_node=4, node_memory_gb=8.0), scheduler)
+    simulator.online_begin(0.0)
+    for job_id in range(3):
+        simulator.online_submit(JobSpec(job_id, 0.0, 1, 0.5, 0.1, 100.0))
+    jobs = simulator._active
+
+    simulator.online_step()
+    assert jobs[0].allocation is started
+    assert jobs[1].current_yield == 1.0 + 5e-10  # applied as given
+    assert jobs[1].allocation == JobAllocation((1,), 1.0)
+
+    simulator.online_step()
+    assert jobs[0].allocation is moved
+    assert jobs[1].allocation is None
+    assert jobs[2].allocation == JobAllocation((0,), 0.5)
+    assert type(jobs[2].allocation.nodes[0]) is int
+
+    simulator.online_step()
+    assert scheduler.calls == 3
+    assert jobs[1].allocation is resumed
+    assert jobs[0].allocation is moved
+
+
 def test_online_cancel_in_each_state():
     """An online drive cancels a PENDING, a PAUSED and a RUNNING job (one per
     step, as each state shows up) and a not-yet-arrived one; every snapshot

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.exceptions import SimulationError
 from repro.platform import ExponentialFailureSource
-from repro.schedulers import PAPER_ALGORITHMS, create_scheduler
+from repro.schedulers import create_scheduler
 from repro.traces import LublinWorkloadGenerator, scale_to_load
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig, Simulator
 from repro.exceptions import ReproError
+from repro.metrics import DEFAULT_RELATIVE_ERROR
 from repro.schedulers.registry import create_scheduler
 from repro.traces import DiurnalPoissonTraceSource
 
@@ -114,11 +114,12 @@ class TestStreamingResult:
         assert summary["algorithm_max_stretch"] == streamed.max_stretch
         assert math.isfinite(summary["mean_turnaround"])
 
-    def test_custom_relative_error_is_honoured(self):
-        config = SimulationConfig(streaming_metrics=True, metrics_relative_error=0.05)
+    def test_sketches_run_at_the_default_relative_error(self):
+        config = SimulationConfig(streaming_metrics=True)
         simulator = Simulator(CLUSTER, create_scheduler("fcfs"), config)
         result = simulator.run_stream(_source(300).jobs(CLUSTER))
-        assert result.job_stats.stretch_sketch.relative_error == 0.05
+        assert result.job_stats.stretch_sketch.relative_error == DEFAULT_RELATIVE_ERROR
+        assert result.job_stats.turnaround_sketch.relative_error == DEFAULT_RELATIVE_ERROR
 
     def test_default_mode_unchanged(self, materialized_run):
         _, materialized = materialized_run

@@ -1,19 +1,10 @@
-"""Engine behavior: file collection, syntax errors, selection, pragmas,
-fingerprints, and the shrink-only baseline lifecycle."""
+"""Engine behavior: file collection, syntax errors, selection and pragmas."""
 
-import json
 import textwrap
 
 import pytest
 
-from repro.devtools import (
-    Finding,
-    check_paths,
-    create_rules,
-    fingerprint_findings,
-    load_baseline,
-    write_baseline,
-)
+from repro.devtools import check_paths, create_rules
 from repro.devtools.astutils import noqa_codes
 from repro.devtools.engine import collect_files
 from repro.exceptions import ConfigurationError
@@ -106,118 +97,13 @@ def test_noqa_with_wrong_code_does_not_suppress(tmp_path):
     assert result.suppressed == 0
 
 
-# --------------------------------------------------------------------------- #
-# Fingerprints                                                                 #
-# --------------------------------------------------------------------------- #
-def test_fingerprints_stable_under_line_shifts(tmp_path):
+def test_every_unsuppressed_finding_fails(tmp_path):
     path = write_module(tmp_path, BAD_SOURCE)
-    before = check_paths([path], project_root=tmp_path)
-    path.write_text("# a comment\n# another\n" + BAD_SOURCE)
-    after = check_paths([path], project_root=tmp_path)
-    assert [f.line for f in before.findings] != [f.line for f in after.findings]
-    assert fingerprint_findings(before.findings) == fingerprint_findings(
-        after.findings
-    )
-
-
-def test_fingerprints_distinguish_identical_violations():
-    twins = [
-        Finding("a.py", 3, 1, "DET101", "msg", line_text="rng = default_rng()"),
-        Finding("a.py", 9, 1, "DET101", "msg", line_text="rng = default_rng()"),
-    ]
-    prints = fingerprint_findings(twins)
-    assert len(set(prints)) == 2
-    # Parallel to input order, independent of sort order.
-    assert fingerprint_findings(list(reversed(twins))) == list(reversed(prints))
-
-
-# --------------------------------------------------------------------------- #
-# Baseline lifecycle                                                           #
-# --------------------------------------------------------------------------- #
-def test_baseline_grandfathers_then_goes_stale(tmp_path):
-    path = write_module(tmp_path, BAD_SOURCE)
-    baseline = tmp_path / "baseline.json"
-
-    # --fix-baseline records the two findings and the check passes.
-    fixed = check_paths(
-        [path], project_root=tmp_path, baseline_path=baseline, fix_baseline=True
-    )
-    assert len(fixed.baselined) == 2
-    payload = json.loads(baseline.read_text())
-    assert payload["version"] == 1 and len(payload["findings"]) == 2
-
-    grandfathered = check_paths([path], project_root=tmp_path, baseline_path=baseline)
-    assert grandfathered.ok
-    assert grandfathered.findings == [] and len(grandfathered.baselined) == 2
-
-    # Unrelated edits shifting lines do not churn the baseline.
-    path.write_text("# header comment\n" + BAD_SOURCE)
-    shifted = check_paths([path], project_root=tmp_path, baseline_path=baseline)
-    assert shifted.ok and len(shifted.baselined) == 2
-
-    # Fixing one violation turns its entry stale — and stale entries FAIL,
-    # so the baseline can only shrink.
-    path.write_text(
-        textwrap.dedent(
-            """
-            import numpy as np
-            rng = np.random.default_rng()
-            other = np.random.default_rng(42)
-            """
-        )
-    )
-    stale = check_paths([path], project_root=tmp_path, baseline_path=baseline)
-    assert not stale.ok
-    assert stale.findings == [] and len(stale.baselined) == 1
-    assert len(stale.stale_fingerprints) == 1
-
-    # --fix-baseline drops the stale entry.
-    check_paths(
-        [path], project_root=tmp_path, baseline_path=baseline, fix_baseline=True
-    )
-    assert len(json.loads(baseline.read_text())["findings"]) == 1
-    assert check_paths([path], project_root=tmp_path, baseline_path=baseline).ok
-
-
-def test_new_violation_fails_despite_baseline(tmp_path):
-    path = write_module(tmp_path, BAD_SOURCE)
-    baseline = tmp_path / "baseline.json"
-    check_paths(
-        [path], project_root=tmp_path, baseline_path=baseline, fix_baseline=True
-    )
-    path.write_text(BAD_SOURCE + "third = np.random.default_rng()\n")
-    result = check_paths([path], project_root=tmp_path, baseline_path=baseline)
+    result = check_paths([path], project_root=tmp_path)
     assert not result.ok
-    assert len(result.findings) == 1 and len(result.baselined) == 2
-
-
-def test_load_baseline_missing_and_invalid(tmp_path):
-    assert load_baseline(tmp_path / "absent.json") == {}
-    garbled = tmp_path / "bad.json"
-    garbled.write_text("{not json")
-    with pytest.raises(ConfigurationError):
-        load_baseline(garbled)
-    wrong_version = tmp_path / "old.json"
-    wrong_version.write_text(json.dumps({"version": 99, "findings": {}}))
-    with pytest.raises(ConfigurationError):
-        load_baseline(wrong_version)
-
-
-def test_write_baseline_is_diff_stable(tmp_path):
-    findings = [
-        Finding("b.py", 2, 1, "DET101", "msg", line_text="y"),
-        Finding("a.py", 1, 1, "DET101", "msg", line_text="x"),
-    ]
-    first = tmp_path / "one.json"
-    second = tmp_path / "two.json"
-    write_baseline(first, findings)
-    write_baseline(second, list(reversed(findings)))
-    assert first.read_text() == second.read_text()
-
-
-def test_committed_repo_baseline_is_empty():
-    # Policy pinned by ISSUE: in-tree violations were fixed, not baselined.
-    from pathlib import Path
-
-    repo_baseline = Path(__file__).resolve().parents[2] / "devtools-baseline.json"
-    assert json.loads(repo_baseline.read_text())["findings"] == {}
+    assert [f.line for f in result.findings] == [3, 4]
+    suppressed = "other = np.random.default_rng()  # repro: noqa[DET101]"
+    path.write_text(BAD_SOURCE.replace("other = np.random.default_rng()", suppressed))
+    result = check_paths([path], project_root=tmp_path)
+    assert not result.ok
+    assert [f.line for f in result.findings] == [3] and result.suppressed == 1

@@ -4,8 +4,6 @@ idiomatic form, and respects ``# repro: noqa`` pragmas."""
 import pathlib
 import textwrap
 
-import pytest
-
 from repro.devtools import check_paths
 from repro.devtools.rulepack import (
     DirectTimeInCoreRule,
@@ -16,6 +14,7 @@ from repro.devtools.rulepack import (
     SwallowedExceptionRule,
     UnpicklableTaskRule,
     UnseededDefaultRngRule,
+    UnusedImportRule,
     WallClockRule,
 )
 
@@ -501,6 +500,7 @@ def test_full_pack_reports_sorted_findings(tmp_path):
     assert result.findings == sorted(result.findings)
     assert result.checked_files == 1
 
+
 # --------------------------------------------------------------------------- #
 # OBS702 — bare print() outside the CLI layers                                 #
 # --------------------------------------------------------------------------- #
@@ -557,3 +557,113 @@ def test_obs702_noqa_suppresses(tmp_path):
     assert codes(result) == []
     assert result.suppressed == 1
 
+
+
+# --------------------------------------------------------------------------- #
+# IMP801 — unused imports                                                      #
+# --------------------------------------------------------------------------- #
+def test_imp801_flags_each_unused_name(tmp_path):
+    result = run_rule(
+        tmp_path,
+        UnusedImportRule(),
+        """
+        import math
+        import os.path
+        from dataclasses import dataclass, field
+        from typing import List
+
+        def helper():
+            import json
+            return dataclass
+        """,
+        relfile=TESTFILE,
+    )
+    assert codes(result) == ["IMP801"] * 5
+    assert [finding.line for finding in result.findings] == [2, 3, 4, 5, 8]
+    assert "'field'" in result.findings[2].message
+
+
+def test_imp801_counts_reads_all_and_string_annotations(tmp_path):
+    result = run_rule(
+        tmp_path,
+        UnusedImportRule(),
+        """
+        from __future__ import annotations
+
+        import os.path
+        import numpy as np
+        from typing import Any, Dict, TYPE_CHECKING
+        from .sibling import exported
+
+        if TYPE_CHECKING:
+            from .engine import Simulator
+
+        __all__ = ["exported"]
+
+        def f(x: "np.ndarray[Any, Any]") -> "Dict[str, int]":
+            return os.path.join(x)
+        """,
+    )
+    assert codes(result) == []
+
+
+def test_imp801_exempts_both_type_checking_spellings(tmp_path):
+    result = run_rule(
+        tmp_path,
+        UnusedImportRule(),
+        """
+        import typing
+        from typing import TYPE_CHECKING
+
+        if typing.TYPE_CHECKING:
+            from .engine import Simulator
+        if TYPE_CHECKING:
+            import numpy as np
+        if typing.TYPE_CHECKING or True:
+            import json
+        """,
+    )
+    assert [finding.line for finding in result.findings] == [10]
+
+
+def test_imp801_reads_an_annotated_all(tmp_path):
+    result = run_rule(
+        tmp_path,
+        UnusedImportRule(),
+        """
+        from typing import List
+        from .sibling import exported, dropped
+
+        __all__: List[str]
+        __all__: List[str] = ["exported"]
+        """,
+    )
+    assert ["dropped" in finding.message for finding in result.findings] == [True]
+
+
+def test_imp801_exempts_reexports(tmp_path):
+    source = """
+    from .sibling import exported
+    from ..other import also_exported
+    from json import loads as loads
+    import json
+    """
+    in_init = run_rule(
+        tmp_path, UnusedImportRule(), source, relfile="src/repro/core/__init__.py"
+    )
+    assert [finding.message.split("'")[1] for finding in in_init.findings] == ["json"]
+    elsewhere = run_rule(tmp_path, UnusedImportRule(), source)
+    assert [finding.line for finding in elsewhere.findings] == [2, 3, 5]
+
+
+def test_imp801_noqa_suppresses(tmp_path):
+    result = run_rule(
+        tmp_path,
+        UnusedImportRule(),
+        """
+        import math  # repro: noqa[IMP801]
+        import json  # repro: noqa[IMP]
+        """,
+    )
+    assert codes(result) == []
+    assert result.suppressed == 2

@@ -8,7 +8,6 @@ from repro.core.records import CostSummary, SimulationResult
 from repro.core.cluster import Cluster
 from repro.campaign.executor import InstanceResult
 
-from ..conftest import make_job
 from ..core.test_records import record
 
 

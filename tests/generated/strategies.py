@@ -223,7 +223,7 @@ TELEMETRY_CONFIGS = {
 def _fed(accumulator, values):
     """``accumulator`` after ingesting ``values`` through its own feed method."""
     for index, value in enumerate(values):
-        if isinstance(accumulator, (metrics.ReservoirSample, metrics.TopK)):
+        if isinstance(accumulator, metrics.TopK):
             accumulator.add(value, index)
         elif isinstance(accumulator, metrics.TimeWeightedValue):
             accumulator.add_segment(value, duration=10.0)
@@ -241,7 +241,6 @@ ACCUMULATORS = {
         "job-metrics": metrics.JobMetricsAccumulator,
         "moments": metrics.Moments,
         "quantile-sketch": metrics.QuantileSketch,
-        "reservoir": lambda: metrics.ReservoirSample(k=4, seed=9),
         "sum": metrics.SumAccumulator,
         "time-weighted": metrics.TimeWeightedValue,
         "top-k": lambda: metrics.TopK(k=3),

@@ -11,10 +11,11 @@ import pytest
 from repro.exceptions import ConfigurationError, ReproError
 from repro.metrics import (
     ExactDistribution,
+    JobMetricsAccumulator,
     Moments,
     QuantileSketch,
-    ReservoirSample,
     SumAccumulator,
+    TimeWeightedValue,
     TopK,
     accumulator_from_dict,
     available_accumulators,
@@ -34,26 +35,47 @@ def _fresh_accumulators():
         "sum": SumAccumulator(),
         "exact": ExactDistribution(),
         "top-k": TopK(k=5),
-        "reservoir": ReservoirSample(k=7, seed=11),
         "quantile-sketch": QuantileSketch(relative_error=0.01),
+        "time-weighted": TimeWeightedValue(),
+        "job-metrics": JobMetricsAccumulator(),
     }
 
 
 def _fill(accumulator, values, key_offset=0):
     for index, value in enumerate(values):
-        if isinstance(accumulator, (TopK, ReservoirSample)):
+        if isinstance(accumulator, TopK):
             accumulator.add(float(value), key=key_offset + index)
+        elif isinstance(accumulator, TimeWeightedValue):
+            accumulator.add_segment(float(value), duration=10.0)
+        elif isinstance(accumulator, JobMetricsAccumulator):
+            accumulator.observe(
+                job_id=key_offset + index,
+                stretch=1.0 + float(value),
+                turnaround=float(value),
+                wait=float(value) / 2.0,
+            )
         else:
             accumulator.add(float(value))
     return accumulator
+
+
+def _close(value):
+    """``value`` with every float wrapped in ``pytest.approx`` (nested)."""
+    if isinstance(value, dict):
+        return {key: _close(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_close(item) for item in value]
+    if isinstance(value, float):
+        return pytest.approx(value, rel=1e-9)
+    return value
 
 
 class TestRegistry:
     def test_every_standard_type_registered(self):
         names = available_accumulators()
         for kind in (
-            "moments", "sum", "exact", "top-k", "reservoir",
-            "quantile-sketch", "job-metrics",
+            "moments", "sum", "exact", "top-k", "quantile-sketch",
+            "time-weighted", "job-metrics",
         ):
             assert kind in names
 
@@ -109,12 +131,14 @@ class TestMergeAssociativity:
             # (the production use) are exact — see the dedicated test below.
             assert a["n"] == b["n"]
             assert a["total"] == pytest.approx(b["total"], rel=1e-12)
+        elif kind in ("time-weighted", "job-metrics"):
+            # Float sums (and job-metrics' Welford moments) round; every
+            # count, sketch bin and top-k entry merges exactly.
+            assert a == _close(b)
         else:
             assert a == b
 
-    @pytest.mark.parametrize(
-        "kind", ["top-k", "reservoir", "quantile-sketch"]
-    )
+    @pytest.mark.parametrize("kind", ["top-k", "quantile-sketch"])
     def test_merged_partials_equal_single_pass(self, kind):
         values = _sample_values(11, 250)
         single = _fill(_fresh_accumulators()[kind], values)
@@ -199,35 +223,3 @@ class TestTopK:
     def test_k_mismatch_rejected(self):
         with pytest.raises(ReproError):
             TopK(k=2).merge(TopK(k=3))
-
-
-class TestReservoirSample:
-    def test_uniform_coverage(self):
-        # Every key should be selectable: with many disjoint streams of the
-        # same size, each key's inclusion frequency should be near k/n.
-        hits = {}
-        for seed_key in range(200):
-            reservoir = ReservoirSample(k=4, seed=seed_key)
-            for key in range(20):
-                reservoir.add(key, key=key)
-            for key in reservoir.keys():
-                hits[key] = hits.get(key, 0) + 1
-        frequencies = [hits.get(key, 0) / 200 for key in range(20)]
-        assert all(0.05 < frequency < 0.45 for frequency in frequencies), frequencies
-
-    def test_merge_equals_single_pass(self):
-        single = ReservoirSample(k=5, seed=3)
-        first = ReservoirSample(k=5, seed=3)
-        second = ReservoirSample(k=5, seed=3)
-        for key in range(60):
-            single.add(key * 1.5, key=key)
-            (first if key < 30 else second).add(key * 1.5, key=key)
-        assert first.merge(second).to_dict() == single.to_dict()
-
-    def test_needs_key(self):
-        with pytest.raises(ReproError, match="unique key"):
-            ReservoirSample(k=2).add(1.0)
-
-    def test_seed_mismatch_rejected(self):
-        with pytest.raises(ReproError):
-            ReservoirSample(k=2, seed=1).merge(ReservoirSample(k=2, seed=2))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     Telemetry,

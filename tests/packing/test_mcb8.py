@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.packing.first_fit import best_fit_decreasing_pack, first_fit_decreasing_pack

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import pytest
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.cluster import Cluster
 from repro.core.context import JobView, SchedulingContext

@@ -21,6 +21,7 @@ from repro.core.engine import SimulationConfig
 from repro.core.job import JobSpec
 from repro.core.observers import SimEvent
 from repro.exceptions import ConfigurationError, ReproError
+from repro.metrics import DEFAULT_RELATIVE_ERROR
 from repro.platform import TraceNodeEventSource
 from repro.serve import (
     BoundedQueuePolicy,
@@ -152,6 +153,28 @@ class TestLiveLifecycle:
         assert status["state"] == "cancelled"
         assert service.metrics.cancelled == 1
         assert service.metrics.completions == 2
+
+    def test_latency_sketches_run_at_the_default_relative_error(self):
+        metrics = _service().metrics
+        assert metrics.queue_latency.relative_error == DEFAULT_RELATIVE_ERROR
+        assert metrics.jct.relative_error == DEFAULT_RELATIVE_ERROR
+
+    def test_ledger_forgets_the_oldest_terminal_jobs(self, monkeypatch):
+        import repro.serve.service as service_module
+
+        monkeypatch.setattr(service_module, "_LEDGER_LIMIT", 2)
+
+        async def scenario():
+            service = _service()
+            await service.start(clock=SimulatedClock())
+            for _ in range(4):
+                await service.submit(submit_time=0.0, **JOB)
+            await service.drain()
+            states = [(await service.status(job_id))["state"] for job_id in range(4)]
+            await service.shutdown()
+            return states
+
+        assert asyncio.run(scenario()) == ["unknown", "unknown", "completed", "completed"]
 
     def test_status_of_never_seen_job(self):
         async def scenario():

@@ -9,12 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, TraceFormatError, WorkloadError
 from repro.traces import characterize_stream, scale_to_load
-from repro.traces.hpc2n import (
-    HPC2N_CLUSTER,
-    Hpc2nLikeTraceGenerator,
-    Hpc2nPreprocessingOptions,
-    swf_to_dfrs_jobs,
-)
+from repro.traces.hpc2n import Hpc2nLikeTraceGenerator, swf_to_dfrs_jobs
 from repro.traces.swf import (
     SwfHeader,
     SwfRecord,
