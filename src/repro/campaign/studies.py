@@ -237,14 +237,14 @@ def table2_scenario(
     *,
     penalty_seconds: float,
     algorithms: Sequence[str],
-    high_load_threshold: float,
 ) -> Scenario:
-    """The Table II study: preemption/migration costs under high load."""
-    loads = [load for load in config.load_levels if load >= high_load_threshold]
+    """The Table II study: preemption/migration costs under high load
+    (offered load at least :data:`HIGH_LOAD_THRESHOLD`)."""
+    loads = [load for load in config.load_levels if load >= HIGH_LOAD_THRESHOLD]
     if not loads:
         raise ValueError(
             "Table II needs at least one load level >= "
-            f"{high_load_threshold}; got {config.load_levels}"
+            f"{HIGH_LOAD_THRESHOLD}; got {config.load_levels}"
         )
     return scaled_scenario(
         "table2",
@@ -462,12 +462,7 @@ def run_table2(
     ``outcome.aggregate(metric, statistic="mean" | "max")``.
     """
     penalty = _penalty(config, penalty_seconds)
-    scenario = table2_scenario(
-        config,
-        penalty_seconds=penalty,
-        algorithms=algorithms,
-        high_load_threshold=HIGH_LOAD_THRESHOLD,
-    )
+    scenario = table2_scenario(config, penalty_seconds=penalty, algorithms=algorithms)
     outcome = _run(config, campaign, scenario)
     cells = [
         (outcome.aggregate(metric), outcome.aggregate(metric, statistic="max"))

@@ -1255,7 +1255,10 @@ class Simulator:
                     old_yield = job.current_yield
                     job.current_yield = new_alloc.yield_value
                     if old_yield != new_alloc.yield_value:
-                        job.allocation = JobAllocation.create(job.assignment, job.current_yield)
+                        if new_alloc.nodes == job.assignment:
+                            job.allocation = _applied(new_alloc)
+                        else:
+                            job.allocation = JobAllocation.create(job.assignment, job.current_yield)
                         self._note_allocation_change(job)
                         self._emit(
                             "yield", job.spec, job.assignment, job.current_yield,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
 from .item import BIN_EPSILON, PackingItem, PackingJob
@@ -158,14 +158,15 @@ def memory_feasible_prefixes(
     """
     if num_nodes < 1:
         raise ReproError(f"num_nodes must be >= 1, got {num_nodes}")
-    mem_caps = (
-        [1.0] * num_nodes
-        if capacities is None
-        else [memory for _, memory in capacities]
-    )
-    largest_node = max(mem_caps)
-    total_memory_capacity = sum(mem_caps)
-    cap_counts = Counter(mem_caps).items()
+    if capacities is None:
+        # Unit bins: what the capacity list would give, without one per node.
+        largest_node, total_memory_capacity = 1.0, float(num_nodes)
+        cap_counts: Iterable[Tuple[float, int]] = ((1.0, num_nodes),)
+    else:
+        mem_caps = [memory for _, memory in capacities]
+        largest_node = max(mem_caps)
+        total_memory_capacity = sum(mem_caps)
+        cap_counts = Counter(mem_caps).items()
     verdicts = [True]
     volume = 0.0
     tasks = big_tasks = 0

@@ -9,7 +9,6 @@ that may land on the same or different bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..exceptions import AllocationError
@@ -132,9 +131,13 @@ def job_items(
     ]
 
 
-@dataclass(frozen=True)
-class PackingJob:
-    """Job description used by the binary searches (no execution time!)."""
+class PackingJob(NamedTuple):
+    """Job description used by the binary searches (no execution time!).
+
+    Tuple-backed like :class:`PackingItem` (a DYNMCB8 repack builds one per
+    candidate job); fields are read by name, and keyword construction works
+    as for a dataclass.
+    """
 
     job_id: int
     num_tasks: int

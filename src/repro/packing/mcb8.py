@@ -39,8 +39,9 @@ the run again.  A bin that empties no run is copied, steps shifted, into the
 next bins of equal capacity while every run it used keeps a task beyond the
 copies: nothing the fill reads differs in a copy.  One fill then costs
 O(distinct bins × runs) fit tests plus one float sum and fit test per item
-placed in a distinct bin, and one step record per copied step, instead of
-O(bins × items) *per placed item*.
+placed in a distinct bin, and one record per stretch of copied bins, instead
+of O(bins × items) *per placed item*; a record is expanded only when the
+per-job tuples are assembled.
 :func:`mcb8_pack` cuts items into runs; :func:`mcb8_pack_jobs`, the yield
 searches' entry, and :func:`repro.packing.variants.mcb_family_pack` take one
 per job and build no item.
@@ -49,7 +50,7 @@ per job and build no item.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
 from ..obs.telemetry import current_telemetry, timed_phase
@@ -71,10 +72,16 @@ def _check_capacities(capacities: BinCapacities, num_bins: int) -> None:
 
 def _task_memory(job: PackingJob, cpu: float) -> float:
     """The memory requirement of each of ``job``'s tasks when each needs
-    ``cpu``, once ``job`` has a task and such a task is a valid item."""
+    ``cpu``, once ``job`` has a task and such a task is a valid item.
+
+    :class:`PackingItem`'s checks, in its order, without building one; a
+    value they refuse goes to ``PackingItem`` for its error."""
     if job.num_tasks < 1:
         raise AllocationError(f"job {job.job_id}: num_tasks must be >= 1")
-    return PackingItem(job.job_id, 0, cpu, job.mem_requirement).memory
+    memory = job.mem_requirement
+    if cpu >= 0 and memory >= 0 and memory <= 1.0 + 1e-9:  # NaN fails
+        return memory
+    return PackingItem(job.job_id, 0, cpu, memory).memory
 
 
 def _runs(items: Iterable[PackingItem]) -> List[List[PackingItem]]:
@@ -150,8 +157,9 @@ def _fill(
     exist, so the result builds them on its first read of ``assignments``.
     """
     cpu_runs, mem_runs = lists
-    # One (job_id, first task_index, tasks, bin) per placing step.
-    steps: List[Tuple[int, int, int, int]] = []
+    # One (job_id, first task_index, tasks, bin) per placing step, and one
+    # _Copies record per stretch of copied bins.
+    steps: List[Any] = []
     bins_used = repeated = 0
     cpu_capacity = memory_capacity = 1.0
     bin_index = -1
@@ -272,8 +280,20 @@ def _fill(
     return PackingResult(success=True, assignments=assignments, bins_used=bins_used), repeated
 
 
+class _Copies(NamedTuple):
+    """Bins ``bin_index + 1`` to ``bin_index + copies`` of a fill, each a copy
+    of bin ``bin_index``: copy ``c`` takes every step ``(job_id, task_index,
+    count, bin_index)`` of ``bin_steps`` as ``(job_id, task_index + c ×
+    shift, count, bin_index + c)``, ``shifts`` holding each step's shift."""
+
+    bin_steps: List[Tuple[int, int, int, int]]
+    shifts: List[int]
+    bin_index: int
+    copies: int
+
+
 def _repeat_bin(
-    steps: List[Tuple[int, int, int, int]],
+    steps: List[Any],
     first_step: int,
     placed_runs: List[list],
     bin_index: int,
@@ -288,8 +308,8 @@ def _repeat_bin(
     ``alone`` flag read only the records' ``(cpu, memory, sort value)``, the
     list lengths and the bin's own float sums, so the next bin of equal
     capacity takes the same steps — while every run it uses has a task left
-    beyond them.  Appends the copies' steps, moves the runs' cursors and
-    returns the number of copies.
+    beyond them.  Appends one :class:`_Copies` record for all the copies,
+    moves the runs' cursors and returns the number of copies.
     """
     bin_steps = steps[first_step:]
     # A run's cursor minus the first task a step of it placed here is what
@@ -317,23 +337,63 @@ def _repeat_bin(
     for record, step in zip(placed_runs, bin_steps):
         record[3] += (copies - 1) * step[2]
         record[4] -= copies * step[2]
-    steps += [
-        (job_id, task_index + copy * shift, count, bin_index + copy)
-        for copy in range(1, copies + 1)
-        for (job_id, task_index, count, _), shift in zip(bin_steps, shifts)
-    ]
+    steps.append(_Copies(bin_steps, shifts, bin_index, copies))
     return copies
 
 
-def _assemble_steps(
-    steps: Iterable[Tuple[int, int, int, int]],
-) -> Optional[Dict[int, Tuple[int, ...]]]:
+def _written_out(steps: Sequence[Any]) -> List[Tuple[int, int, int, int]]:
+    """``steps`` with each :class:`_Copies` record replaced by its copies'
+    steps, copy by copy, each copy's steps in its bin's order."""
+    flat: List[Tuple[int, int, int, int]] = []
+    for step in steps:
+        if type(step) is not _Copies:
+            flat.append(step)
+            continue
+        bin_steps, shifts, bin_index, copies = step
+        flat += [
+            (job_id, task_index + copy * shift, count, bin_index + copy)
+            for copy in range(1, copies + 1)
+            for (job_id, task_index, count, _), shift in zip(bin_steps, shifts)
+        ]
+    return flat
+
+
+def _extend_by_copies(per_job: Dict[int, List[int]], record: _Copies) -> bool:
+    """Extend the per-job bin lists by ``record``'s copies; False where the
+    in-order pass over :func:`_written_out`'s steps would stop.
+
+    The bin's own steps have passed that pass, so each job's list ends with
+    its take of the bin.  Copy ``c`` of a step starts ``c × shift`` tasks past
+    the step, which is where its job's list ends exactly when the shift is
+    the job's whole take of the bin.  Then each copy gives each job its take
+    of tasks on the copy's bin.
+    """
+    bin_steps, shifts, bin_index, copies = record
+    takes: Dict[int, int] = {}
+    for job_id, _, count, _ in bin_steps:
+        takes[job_id] = takes.get(job_id, 0) + count
+    for (job_id, _, _, _), shift in zip(bin_steps, shifts):
+        if shift != takes[job_id]:
+            return False
+    copied = list(range(bin_index + 1, bin_index + copies + 1))
+    for job_id, take in takes.items():
+        per_job[job_id] += sorted(copied * take)
+    return True
+
+
+def _assemble_steps(steps: Sequence[Any]) -> Optional[Dict[int, Tuple[int, ...]]]:
     """Per-job bin tuples in task order from ``(job_id, first task_index, count,
-    bin)`` steps, None unless each job's indices run 0..n-1.  Steps out of task
-    order (the item entry's) go task by task, the later winning a repeat.  The
-    job entry's steps never give None: each run counts up from task 0."""
+    bin)`` steps and :class:`_Copies` records, None unless each job's indices
+    run 0..n-1.  Steps out of task order (the item entry's) go task by task,
+    the later winning a repeat.  The job entry's steps never give None: each
+    run counts up from task 0."""
     per_job: Dict[int, List[int]] = {}
-    for job_id, task_index, count, bin_index in steps:
+    for step in steps:
+        if type(step) is _Copies:
+            if not _extend_by_copies(per_job, step):
+                break
+            continue
+        job_id, task_index, count, bin_index = step
         bins = per_job.setdefault(job_id, [])
         if task_index != len(bins):
             break
@@ -341,7 +401,7 @@ def _assemble_steps(
     else:
         return {job_id: tuple(bins) for job_id, bins in per_job.items()}
     per_task: Dict[int, Dict[int, int]] = {}
-    for job_id, task_index, count, bin_index in steps:
+    for job_id, task_index, count, bin_index in _written_out(steps):
         mapping = per_task.setdefault(job_id, {})
         for offset in range(count):
             mapping[task_index + offset] = bin_index

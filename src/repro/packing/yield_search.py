@@ -101,7 +101,6 @@ def maximize_min_yield(
     num_nodes: int,
     *,
     packer: Packer = mcb8_pack_jobs,
-    min_yield: float = MINIMUM_YIELD,
     capacities: BinCapacities = None,
 ) -> YieldSearchResult:
     """Largest yield for which all jobs can be packed onto ``num_nodes``.
@@ -121,7 +120,7 @@ def maximize_min_yield(
         common = dict.fromkeys(job_ids, yield_value)
         return _probe(jobs, common, num_nodes, packer, capacities)
 
-    baseline = probe(min_yield)
+    baseline = probe(MINIMUM_YIELD)
     if not baseline.success:
         return YieldSearchResult(False, 0.0, {})
 
@@ -132,8 +131,8 @@ def maximize_min_yield(
 
     # Keep the best probe, not its assignments: only the one returned is
     # read, so the job entry builds per-job tuples for it alone.
-    low, high = min_yield, 1.0
-    best_yield, best = min_yield, baseline
+    low, high = MINIMUM_YIELD, 1.0
+    best_yield, best = MINIMUM_YIELD, baseline
     while high - low > YIELD_SEARCH_ACCURACY:
         mid = (low + high) / 2.0
         attempt = probe(mid)
@@ -149,8 +148,6 @@ def stretch_target_yields(
     jobs: Sequence[PackingJob],
     target_stretch: float,
     period: float,
-    *,
-    min_yield: float = MINIMUM_YIELD,
 ) -> Dict[int, float]:
     """Per-job yields required to reach ``target_stretch`` at the next event.
 
@@ -167,7 +164,7 @@ def stretch_target_yields(
     yields: Dict[int, float] = {}
     for job in jobs:
         needed = ((job.flow_time + period) / target_stretch - job.virtual_time) / period
-        yields[job.job_id] = min(1.0, max(min_yield, needed))
+        yields[job.job_id] = min(1.0, max(MINIMUM_YIELD, needed))
     return yields
 
 
@@ -177,7 +174,6 @@ def minimize_estimated_stretch(
     period: float,
     *,
     packer: Packer = mcb8_pack_jobs,
-    min_yield: float = MINIMUM_YIELD,
     capacities: BinCapacities = None,
 ) -> StretchSearchResult:
     """Smallest feasible maximum estimated stretch at the next event.
@@ -192,7 +188,7 @@ def minimize_estimated_stretch(
         return StretchSearchResult(True, 1.0, {}, {})
 
     def attempt(target: float) -> Optional[Tuple[Dict[int, float], PackingResult]]:
-        yields = stretch_target_yields(jobs, target, period, min_yield=min_yield)
+        yields = stretch_target_yields(jobs, target, period)
         result = _probe(jobs, yields, num_nodes, packer, capacities)
         return (yields, result) if result.success else None
 

@@ -137,12 +137,12 @@ class DynMcb8Scheduler(Scheduler):
         now = context.time
         packing_jobs = [
             PackingJob(
-                job_id=view.job_id,
-                num_tasks=view.num_tasks,
-                cpu_need=view.cpu_need,
-                mem_requirement=view.mem_requirement,
-                flow_time=now - view.submit_time if now > view.submit_time else 0.0,
-                virtual_time=view.virtual_time,
+                view.job_id,
+                view.num_tasks,
+                view.cpu_need,
+                view.mem_requirement,
+                now - view.submit_time if now > view.submit_time else 0.0,
+                view.virtual_time,
             )
             for view in reversed(sort_by_increasing_priority(candidates, now))
         ]

@@ -31,6 +31,11 @@ __all__ = [
 #: nearest-rank values.
 _RUNTIME_RELATIVE_ERROR = 0.001
 
+#: The §I cut-offs: a job's per-task memory requirement below 40 % of a node,
+#: its per-task CPU need below 50 % of a node.
+MEMORY_THRESHOLD = 0.4
+CPU_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class WorkloadCharacterization:
@@ -61,27 +66,21 @@ def characterize_stream(
     cluster: Cluster,
     *,
     name: str = "stream",
-    memory_threshold: float = 0.4,
-    cpu_threshold: float = 0.5,
 ) -> Tuple[WorkloadCharacterization, List[Tuple[str, int]]]:
     """Profile a job stream with the paper's §I statistics in one bounded-memory pass.
 
     Every statistic is accumulated online (:mod:`repro.metrics`), so a
     multi-million-job SWF archive is profiled without ever being resident.
-    ``memory_threshold`` and ``cpu_threshold`` default to the §I cut-offs
-    (40 % of node memory, 50 % of node CPU).  The runtime median/p95 come
-    from a :class:`~repro.metrics.QuantileSketch` and are within 0.1 % of
-    the exact nearest-rank values; everything else is exact, and submit order does not matter.
+    The memory and CPU fractions count jobs below the §I cut-offs,
+    :data:`MEMORY_THRESHOLD` and :data:`CPU_THRESHOLD`.  The runtime
+    median/p95 come from a :class:`~repro.metrics.QuantileSketch` and are
+    within 0.1 % of the exact nearest-rank values; everything else is exact,
+    and submit order does not matter.
     Returns the characterization together with the job-width histogram:
     ``(label, count)`` pairs in power-of-two buckets, in increasing width
     order (e.g. ``[("1", 120), ("2-3", 18), ("4-7", 30), ...]``), empty
     buckets omitted.  An empty stream raises :class:`WorkloadError`.
     """
-    if not (0.0 < memory_threshold <= 1.0):
-        raise WorkloadError(f"memory_threshold must be in (0, 1], got {memory_threshold}")
-    if not (0.0 < cpu_threshold <= 1.0):
-        raise WorkloadError(f"cpu_threshold must be in (0, 1], got {cpu_threshold}")
-
     tasks = Moments()
     runtimes = Moments()
     runtime_sketch = QuantileSketch(relative_error=_RUNTIME_RELATIVE_ERROR)
@@ -99,9 +98,9 @@ def characterize_stream(
         runtime_sketch.add(spec.execution_time)
         if spec.num_tasks == 1:
             serial += 1
-        if spec.mem_requirement < memory_threshold:
+        if spec.mem_requirement < MEMORY_THRESHOLD:
             memory_under += 1
-        if spec.cpu_need < cpu_threshold:
+        if spec.cpu_need < CPU_THRESHOLD:
             cpu_under += 1
         demand += spec.num_tasks * spec.execution_time
         # Track the extremes rather than first/last so that a stray

@@ -362,24 +362,32 @@ class _ScriptedDecisions(Scheduler):
 
 
 def test_start_migration_and_resume_store_the_decisions_allocation():
-    """A start, migration or resume stores the decision's own allocation
-    when ``JobAllocation.create`` would rebuild an equal one; a yield of
-    ``1 + 5e-10`` is still clamped and numpy-int nodes still int-cast."""
+    """A start, migration, resume or yield change on the same nodes in the
+    same order stores the decision's own allocation when
+    ``JobAllocation.create`` would rebuild an equal one; a yield of
+    ``1 + 5e-10`` is still clamped and numpy-int nodes still int-cast, and a
+    yield change that reorders the nodes keeps the applied order."""
     np = pytest.importorskip("numpy")
     started = JobAllocation((0,), 0.5)
     hair = JobAllocation((1,), 1.0 + 5e-10)
     moved = JobAllocation((1,), 0.5)
     numpy_nodes = JobAllocation((np.int64(0),), 0.5)
     resumed = JobAllocation((0,), 0.25)
+    raised = JobAllocation((1,), 0.75)
+    wide = JobAllocation((0, 1), 0.25)
+    reordered = JobAllocation((1, 0), 0.5)
     scheduler = _ScriptedDecisions([
         {0: started, 1: hair},
         {0: moved, 2: numpy_nodes},
         {0: moved, 1: resumed, 2: numpy_nodes},
+        {0: raised, 1: resumed, 2: numpy_nodes, 3: wide},
+        {0: hair, 1: resumed, 2: numpy_nodes, 3: reordered},
     ])
     simulator = Simulator(Cluster(num_nodes=2, cores_per_node=4, node_memory_gb=8.0), scheduler)
     simulator.online_begin(0.0)
     for job_id in range(3):
         simulator.online_submit(JobSpec(job_id, 0.0, 1, 0.5, 0.1, 100.0))
+    simulator.online_submit(JobSpec(3, 0.0, 2, 0.5, 0.1, 100.0))
     jobs = simulator._active
 
     simulator.online_step()
@@ -397,6 +405,21 @@ def test_start_migration_and_resume_store_the_decisions_allocation():
     assert scheduler.calls == 3
     assert jobs[1].allocation is resumed
     assert jobs[0].allocation is moved
+
+    # Yield-only changes: same nodes in the same order store the decision's
+    # allocation, clamped when ``create`` would clamp it.
+    simulator.online_step()
+    assert jobs[0].allocation is raised
+    assert jobs[3].allocation is wide
+
+    simulator.online_step()
+    assert scheduler.calls == 5
+    assert jobs[0].current_yield == 1.0 + 5e-10
+    assert jobs[0].allocation == JobAllocation((1,), 1.0)
+    # A reordering of the same nodes keeps the applied node order.
+    assert jobs[3].assignment == (0, 1)
+    assert jobs[3].allocation == JobAllocation((0, 1), 0.5)
+    assert jobs[3].migration_count == 0
 
 
 def test_online_cancel_in_each_state():

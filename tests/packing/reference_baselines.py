@@ -4,7 +4,10 @@ packer took job records — test oracle.
 Verbatim copies of the parent commit's :class:`Bin`, the bin helpers of
 ``repro.packing.mcb8`` (``_make_bin``, ``_open_until_fits``,
 ``_count_used_bins``, ``_collect_assignments``), ``first_fit.py``'s packers
-and ``worst_fit_decreasing_pack``, minus the ``timed_phase`` decorators.  Each
+and ``worst_fit_decreasing_pack``, minus the ``timed_phase`` decorators.
+:func:`_assemble_steps` is ``repro.packing.mcb8``'s as it stood before a
+copied bin became one record: it reads plain steps only, so the oracles here
+and in ``reference_mcb.py`` never run the live assembler.  Each
 packer takes one :class:`PackingItem` per task.
 ``test_baseline_differential.py`` requires every registry packer to return the
 same :class:`PackingResult` as its item-route oracle on every generated
@@ -14,11 +17,37 @@ optimise or tidy this file: being slow and obviously right is its job.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import AllocationError
 from repro.packing.item import BIN_EPSILON, PackingItem, PackingResult
-from repro.packing.mcb8 import BinCapacities, _assemble_steps, _check_capacities
+from repro.packing.mcb8 import BinCapacities, _check_capacities
+
+
+def _assemble_steps(
+    steps: Iterable[Tuple[int, int, int, int]],
+) -> Optional[Dict[int, Tuple[int, ...]]]:
+    """Per-job bin tuples in task order from ``(job_id, first task_index, count,
+    bin)`` steps, None unless each job's indices run 0..n-1.  Steps out of task
+    order (the item entry's) go task by task, the later winning a repeat.  The
+    job entry's steps never give None: each run counts up from task 0."""
+    per_job: Dict[int, List[int]] = {}
+    for job_id, task_index, count, bin_index in steps:
+        bins = per_job.setdefault(job_id, [])
+        if task_index != len(bins):
+            break
+        bins += [bin_index] * count
+    else:
+        return {job_id: tuple(bins) for job_id, bins in per_job.items()}
+    per_task: Dict[int, Dict[int, int]] = {}
+    for job_id, task_index, count, bin_index in steps:
+        mapping = per_task.setdefault(job_id, {})
+        for offset in range(count):
+            mapping[task_index + offset] = bin_index
+    if any(len(mapping) != max(mapping) + 1 for mapping in per_task.values()):
+        return None
+    return {job_id: tuple(mapping[i] for i in range(len(mapping)))
+            for job_id, mapping in per_task.items()}
 
 
 class Bin:

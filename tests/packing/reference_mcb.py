@@ -6,8 +6,9 @@ loop, minus the ``timed_phase`` decorators.  ``test_mcb_differential.py``
 requires the live kernel to return the same :class:`PackingResult` on every
 generated instance.  :func:`_fill` is the run-grouped fill as it stood before
 it repeated bins; ``test_bin_repeat_differential.py`` feeds it and the live
-fill the same record lists.  Do not optimise or tidy this file: being slow
-and obviously right is its job.
+fill the same record lists.  Steps are joined into per-job tuples by the
+parent's assembler, kept in ``reference_baselines.py``.  Do not optimise or
+tidy this file: being slow and obviously right is its job.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.packing.item import BIN_EPSILON, PackingItem, PackingResult
-from repro.packing.mcb8 import BinCapacities, _assemble_steps, _check_capacities
+from repro.packing.mcb8 import BinCapacities, _check_capacities
 
-from .reference_baselines import Bin, _collect_assignments, _make_bin
+from .reference_baselines import Bin, _assemble_steps, _collect_assignments, _make_bin
 
 
 def _pop_largest_fitting_by(

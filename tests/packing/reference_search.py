@@ -4,10 +4,10 @@ Verbatim copies of the parent commit's ``maximize_min_yield`` (with
 ``_pack_at_yield``) and ``minimize_estimated_stretch`` (with its private
 ``attempt`` loop): every probe builds every item and calls the packer.
 ``test_search_differential.py`` requires the live searches to return the same
-result on every generated instance, for every packer.  The result classes,
-``PackingJob`` and ``stretch_target_yields`` are the live ones, so results
-compare with ``==``.  Do not optimise or tidy this file: being slow and
-obviously right is its job.
+result on every generated instance, for every packer.  The result classes
+and ``PackingJob`` are the live ones, so results compare with ``==``;
+``stretch_target_yields`` is the parent's, with its ``min_yield`` option.  Do
+not optimise or tidy this file: being slow and obviously right is its job.
 """
 
 from __future__ import annotations
@@ -21,10 +21,35 @@ from repro.packing.yield_search import (
     YIELD_SEARCH_ACCURACY,
     StretchSearchResult,
     YieldSearchResult,
-    stretch_target_yields,
 )
 
 Packer = Callable[..., PackingResult]
+
+
+def stretch_target_yields(
+    jobs: Sequence[PackingJob],
+    target_stretch: float,
+    period: float,
+    *,
+    min_yield: float = MINIMUM_YIELD,
+) -> Dict[int, float]:
+    """Per-job yields required to reach ``target_stretch`` at the next event.
+
+    The estimated stretch of job *j* at the next scheduling event (one period
+    ``T`` away) is ``(flow_j + T) / (vt_j + y_j * T)``; solving for the yield
+    gives ``y_j = ((flow_j + T) / S - vt_j) / T``.  Negative values are
+    clamped to the minimum yield ("so that no job consumes memory without
+    making progress") and values above one are clamped to one.
+    """
+    if target_stretch <= 0:
+        raise ValueError(f"target_stretch must be > 0, got {target_stretch}")
+    if period <= 0:
+        raise ValueError(f"period must be > 0, got {period}")
+    yields: Dict[int, float] = {}
+    for job in jobs:
+        needed = ((job.flow_time + period) / target_stretch - job.virtual_time) / period
+        yields[job.job_id] = min(1.0, max(min_yield, needed))
+    return yields
 
 
 def _pack_at_yield(

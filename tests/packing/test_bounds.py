@@ -329,6 +329,10 @@ class TestPrefixVerdicts:
         jobs, num_nodes, capacities = instance
         verdicts = memory_feasible_prefixes(jobs, num_nodes, capacities=capacities)
         assert len(verdicts) == len(jobs) + 1
+        if capacities is None:
+            # Unit bins skip the capacity list; listing them changes nothing.
+            unit = [(1.0, 1.0)] * num_nodes
+            assert verdicts == memory_feasible_prefixes(jobs, num_nodes, capacities=unit)
         for k, verdict in enumerate(verdicts):
             prefix = jobs[:k]
             if sys.version_info >= (3, 12) and _near_the_volume_limit(prefix, num_nodes, capacities):

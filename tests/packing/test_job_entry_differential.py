@@ -10,7 +10,11 @@ the same key order — and the two live entries to leave the same per-pack
 tally.  The draws aim at what placing a run in one step could get wrong:
 unit and variable-capacity bins with zero-capacity (down) bins, equal sort
 values across jobs, ``cpu == memory``, a CPU requirement clamped at 1.0 and
-``-0.0``, single-task jobs, and runs long enough to straddle bins.
+``-0.0``, single-task jobs, and runs long enough to straddle bins.  Jobs of
+many tile-sized tasks make bins repeat, and a bin budget that ends
+mid-repeat or a down node inside a stretch of unit bins puts a copy record
+mid-list: the lazy job entry and the eager item entry both expand it
+between the steps around it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.packing import PackingJob, PackingResult, job_items, mcb8_pack
 from repro.packing.mcb8 import mcb8_pack_jobs
 
 from . import reference_mcb
+from .test_bin_repeat_differential import _lists, job_shapes
 from .test_mcb_differential import _engine_scale_instances, bin_capacities, requirements
 
 #: What one pack tallies; ``packing.mcb8`` is the phase's call count.
@@ -134,6 +139,26 @@ class TestDrawnInstances:
         before = (list(jobs), list(cpus))
         mcb8_pack_jobs(jobs, cpus, num_bins)
         assert (jobs, cpus) == before
+
+
+def _shaped_jobs(shapes) -> Tuple[List[PackingJob], List[float]]:
+    jobs = [PackingJob(job_id, *shape) for job_id, shape in enumerate(shapes)]
+    return jobs, [job.cpu_need for job in jobs]
+
+
+class TestCopyRecordsMidList:
+    @given(job_shapes(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_a_budget_that_ends_mid_repeat(self, shapes, short):
+        roomy = reference_mcb._fill(_lists(shapes), 400, None)
+        if roomy.success:
+            assert_entries_agree(*_shaped_jobs(shapes), max(0, roomy.bins_used - short))
+
+    @given(job_shapes(), st.integers(1, 12), st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_a_down_node_breaks_a_stretch(self, shapes, before, after):
+        capacities = [(1.0, 1.0)] * before + [(0.0, 0.0)] + [(1.0, 1.0)] * after
+        assert_entries_agree(*_shaped_jobs(shapes), len(capacities), capacities)
 
 
 def test_engine_scale_sweep():

@@ -17,6 +17,7 @@ from repro.traces import (
     characterization_table,
     characterize_stream,
 )
+from repro.traces.characterization import CPU_THRESHOLD, MEMORY_THRESHOLD
 
 from . import reference_characterization as reference
 
@@ -74,17 +75,12 @@ class TestCharacterize:
         profile = _profile(specs)
         assert profile.fraction_cpu_under_50pct == pytest.approx(0.5)
 
-    def test_custom_thresholds(self):
-        specs = [_spec(0, mem=0.2), _spec(1, mem=0.6)]
-        profile = _profile(specs, memory_threshold=0.7)
-        assert profile.fraction_memory_under_40pct == pytest.approx(1.0)
-
-    def test_invalid_thresholds_rejected(self):
-        specs = [_spec(0)]
-        with pytest.raises(WorkloadError):
-            _profile(specs, memory_threshold=0.0)
-        with pytest.raises(WorkloadError):
-            _profile(specs, cpu_threshold=1.5)
+    def test_a_job_at_a_cutoff_is_not_under_it(self):
+        assert (MEMORY_THRESHOLD, CPU_THRESHOLD) == (0.4, 0.5)
+        specs = [_spec(0, mem=0.4, cpu=0.5), _spec(1, mem=0.39, cpu=0.49)]
+        profile = _profile(specs)
+        assert profile.fraction_memory_under_40pct == 0.5
+        assert profile.fraction_cpu_under_50pct == 0.5
 
     def test_demand_and_runtime_statistics(self):
         specs = [_spec(0, tasks=2, runtime=100.0), _spec(1, tasks=4, runtime=50.0, submit=60.0)]
