@@ -17,7 +17,6 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -29,12 +28,12 @@ from typing import (
     Union,
 )
 
-from ..core.cluster import Cluster
+from ..core.cluster import PAPER_CLUSTER, Cluster
 from ..core.engine import SimulationConfig
 from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
 from ..platform import Platform, node_event_source_from_dict, platform_from_dict
-from ..registry import Registry
+from ..registry import Registry, content_fingerprint
 from ..traces import (
     Hpc2nLikeTraceSource,
     JobSource,
@@ -64,10 +63,6 @@ __all__ = [
     "scenario_from_dict",
     "source_from_dict",
 ]
-
-#: Default cluster of the paper's synthetic experiments.
-_DEFAULT_CLUSTER = Cluster(128, 4, 8.0)
-
 
 # --------------------------------------------------------------------------- #
 # Workload sources                                                             #
@@ -261,34 +256,13 @@ class SwfSource(WorkloadSource):
             "split)"
         )
 
-    def _content_fingerprint(self) -> Optional[str]:
-        """Digest of the trace file, hashed once per source object.
-
-        Memoised because the executor serialises the scenario once per
-        finished cell; the file cannot meaningfully change mid-run, and a
-        rerun constructs a fresh source (fresh fingerprint) anyway.
-        """
-        cached = getattr(self, "_content_cache", None)
-        if cached is None:
-            try:
-                cached = hashlib.sha256(
-                    Path(self.path).read_bytes()
-                ).hexdigest()[:16]
-            except OSError:
-                cached = ""
-            object.__setattr__(self, "_content_cache", cached)
-        return cached or None
-
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
             "type": self.kind,
             "path": self.path,
             "segment_seconds": self.segment_seconds,
         }
-        # Fold a content fingerprint into the canonical form (and therefore
-        # into the scenario hash) so that editing the trace file in place
-        # invalidates the run cache instead of silently serving stale rows.
-        fingerprint = self._content_fingerprint()
+        fingerprint = content_fingerprint(self)
         if fingerprint is not None:
             data["content"] = fingerprint
         return data
@@ -594,7 +568,7 @@ class Scenario:
     name: str
     source: WorkloadSource
     algorithms: Tuple[str, ...]
-    cluster: Cluster = _DEFAULT_CLUSTER
+    cluster: Cluster = PAPER_CLUSTER
     penalty_seconds: float = 0.0
     sweep: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     collectors: Tuple[CollectorSpec, ...] = (CollectorSpec("stretch"),)
@@ -1001,12 +975,12 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
             "(known: nodes, cores_per_node, node_memory_gb)"
         )
     cluster = Cluster(
-        num_nodes=int(cluster_spec.get("nodes", _DEFAULT_CLUSTER.num_nodes)),
+        num_nodes=int(cluster_spec.get("nodes", PAPER_CLUSTER.num_nodes)),
         cores_per_node=int(
-            cluster_spec.get("cores_per_node", _DEFAULT_CLUSTER.cores_per_node)
+            cluster_spec.get("cores_per_node", PAPER_CLUSTER.cores_per_node)
         ),
         node_memory_gb=float(
-            cluster_spec.get("node_memory_gb", _DEFAULT_CLUSTER.node_memory_gb)
+            cluster_spec.get("node_memory_gb", PAPER_CLUSTER.node_memory_gb)
         ),
     )
     sweep_spec = payload.get("sweep", ())

@@ -19,18 +19,20 @@ study is one entry here plus one golden file.
 The :class:`ExperimentConfig` defaults are deliberately small so that every
 study runs in minutes on a laptop.  The paper's own grid (128 nodes, Lublin
 traces of 1,000 jobs, load 0.1–0.9, penalty 0 and 300 s) is a scenario file,
-``examples/scenarios/paper_grid.json``, run with ``repro-dfrs run``.
+``examples/scenarios/paper_grid.json``, run with ``repro-dfrs run``; its
+committed result is rendered by :func:`render_paper_grid` through the same
+Figure 1 / Table I / Table II sections the three studies print.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.report import format_figure_series, format_table
-from ..core.cluster import Cluster
+from ..core.cluster import PAPER_CLUSTER, Cluster
 from ..exceptions import ConfigurationError
 from ..packing import (
     PACKER_NAMES,
@@ -39,7 +41,7 @@ from ..packing import (
     get_packer,
     maximize_min_yield,
 )
-from ..schedulers.registry import PAPER_ALGORITHMS
+from ..schedulers.registry import BATCH_ALGORITHMS, PAPER_ALGORITHMS
 from ..traces import HPC2N_CLUSTER, MemoryRequirementModel
 from .executor import Campaign, map_tasks
 from .result import CampaignResult, RunRecord
@@ -69,6 +71,10 @@ __all__ = [
     "run_figure1",
     "run_table1",
     "run_table2",
+    "figure1_section",
+    "table1_section",
+    "table2_section",
+    "render_paper_grid",
     "run_timing_study",
     "run_compare",
     "run_period_sweep",
@@ -93,7 +99,7 @@ class ExperimentConfig:
     """Scale and content of a reproduction campaign."""
 
     #: Cluster simulated for the synthetic (Lublin) experiments.
-    cluster: Cluster = field(default_factory=lambda: Cluster(128, 4, 8.0))
+    cluster: Cluster = PAPER_CLUSTER
     #: Number of independent synthetic traces per load level.
     num_traces: int = 3
     #: Number of jobs per synthetic trace.
@@ -383,13 +389,19 @@ def run_figure1(
     """
     penalty = _penalty(config, penalty_seconds)
     outcome = _run(config, campaign, figure1_scenario(config, penalty_seconds=penalty))
+    return StudyReport(figure1_section(outcome, penalty), (outcome,))
+
+
+def figure1_section(outcome: CampaignResult, penalty_seconds: float, **filters: Any) -> str:
+    """Figure 1's text over the rows of ``outcome`` that match ``filters``
+    (``penalty=`` picks one panel of a grid that sweeps the penalty)."""
     series: Dict[str, Dict[float, float]] = {}
-    for load in config.load_levels:
-        for algorithm, average in outcome.degradation_averages(load=load).items():
+    for load in dict.fromkeys(row.params_dict()["load"] for row in outcome.select(**filters)):
+        for algorithm, average in outcome.degradation_averages(load=load, **filters).items():
             series.setdefault(algorithm, {})[load] = average
-    label = "no" if penalty == 0 else f"{penalty:.0f}-second"
+    label = "no" if penalty_seconds == 0 else f"{penalty_seconds:.0f}-second"
     title = f"Figure 1: average stretch degradation factor vs. load ({label} rescheduling penalty)"
-    return StudyReport(format_figure_series(series, title=title), (outcome,))
+    return format_figure_series(series, title=title)
 
 
 #: Table I workload families, in column (and ``report.campaigns``) order.
@@ -411,16 +423,28 @@ def run_table1(
     penalty = _penalty(config, penalty_seconds)
     scenarios = table1_scenarios(config, penalty_seconds=penalty)
     outcomes = [_run(config, campaign, scenarios[column]) for column in TABLE1_COLUMNS]
-    columns = [outcome.degradation_stats() for outcome in outcomes]
+    text = table1_section(dict(zip(TABLE1_COLUMNS, outcomes)), penalty)
+    return StudyReport(text, tuple(outcomes))
+
+
+def table1_section(
+    columns: Mapping[str, CampaignResult], penalty_seconds: float, **filters: Any
+) -> str:
+    """Table I's text: one avg/std/max column group per ``columns`` entry,
+    each over that campaign's rows matching ``filters``."""
+    stats = [outcome.degradation_stats(**filters) for outcome in columns.values()]
     headers = ["algorithm"]
-    for column in TABLE1_COLUMNS:
+    for column in columns:
         headers += [f"{column}.avg", f"{column}.std", f"{column}.max"]
     rows = [
-        [algorithm] + [value for stats in columns for value in stats[algorithm].as_row()]
-        for algorithm in columns[0]
+        [algorithm] + [value for column in stats for value in column[algorithm].as_row()]
+        for algorithm in stats[0]
     ]
-    title = f"Table I: degradation factor (avg/std/max), {penalty:.0f}-second rescheduling penalty"
-    return StudyReport(format_table(headers, rows, title=title), tuple(outcomes))
+    title = (
+        "Table I: degradation factor (avg/std/max), "
+        f"{penalty_seconds:.0f}-second rescheduling penalty"
+    )
+    return format_table(headers, rows, title=title)
 
 
 #: Algorithms reported in Table II (those that preempt and/or migrate).
@@ -464,23 +488,105 @@ def run_table2(
     penalty = _penalty(config, penalty_seconds)
     scenario = table2_scenario(config, penalty_seconds=penalty, algorithms=algorithms)
     outcome = _run(config, campaign, scenario)
+    return StudyReport(table2_section(outcome, penalty, algorithms), (outcome,))
+
+
+def _high_load(row: RunRecord) -> bool:
+    return bool(row.params_dict()["load"] >= HIGH_LOAD_THRESHOLD)
+
+
+def table2_section(
+    outcome: CampaignResult,
+    penalty_seconds: float,
+    algorithms: Sequence[str] = TABLE2_ALGORITHMS,
+    **filters: Any,
+) -> str:
+    """Table II's text: ``algorithms``' costs over the rows of ``outcome`` that
+    match ``filters`` and have offered load at least :data:`HIGH_LOAD_THRESHOLD`."""
     cells = [
-        (outcome.aggregate(metric), outcome.aggregate(metric, statistic="max"))
+        (
+            outcome.aggregate(metric, where=_high_load, **filters),
+            outcome.aggregate(metric, statistic="max", where=_high_load, **filters),
+        )
         for metric in TABLE2_METRICS
     ]
     rows = [
         [name] + [f"{mean[name]:.2f} ({worst[name]:.2f})" for mean, worst in cells]
         for name in outcome.algorithms()
+        if name in algorithms
     ]
-    text = format_table(
+    return format_table(
         ["algorithm"] + [f"{metric} (avg/max)" for metric in TABLE2_METRICS],
         rows,
         title=(
             "Table II: preemption and migration costs, scaled synthetic traces "
-            f"with load >= {HIGH_LOAD_THRESHOLD}, {penalty:.0f}-second penalty"
+            f"with load >= {HIGH_LOAD_THRESHOLD}, {penalty_seconds:.0f}-second penalty"
         ),
     )
-    return StudyReport(text, (outcome,))
+
+
+def render_paper_grid(payload: Mapping[str, Any]) -> str:
+    """``results/paper_grid.md`` from ``results/paper_grid.json`` alone.
+
+    The JSON is the export of ``repro-dfrs run examples/scenarios/paper_grid.json``
+    plus a ``measured`` block (``wall_seconds``, ``command``, ``host``).  Per
+    penalty: the best batch over best preemptive DFRS max-stretch ratios, the
+    most memory one run moves, then :func:`figure1_section`,
+    :func:`table1_section` (the grid is Table I's scaled column) and
+    :func:`table2_section` over that penalty's rows.
+    """
+    result = CampaignResult.from_json_dict(payload)
+    if any(row.instance_index < 0 for row in result.rows):
+        raise ValueError(
+            "rows merged across instances (instance_index -1, from "
+            "--streaming-metrics) carry no per-trace degradation from best"
+        )
+    measured, wall = payload["measured"], payload["measured"]["wall_seconds"]
+    source, cluster = result.scenario["source"], result.scenario["cluster"]
+    sweep = dict(result.scenario["sweep"])
+    text = (
+        f"# The paper grid\n\n`examples/scenarios/paper_grid.json` (scenario hash "
+        f"`{result.scenario_hash}`): {len(result.algorithms())} algorithms on "
+        f"{cluster['nodes']} nodes × {cluster['cores_per_node']} cores, "
+        f"{source['num_traces']} Lublin traces of {source['num_jobs']} jobs (seeds from "
+        f"{source['seed_base']}), loads {min(sweep['load'])}–{max(sweep['load'])}, "
+        f"penalty {' and '.join(f'{p} s' for p in sweep['penalty'])}.\n\n"
+        f"{len(result.rows)} cells (one algorithm on one trace at one load and penalty) "
+        f"in {wall:.0f} s wall, {len(result.rows) / wall:.3f} cells/s: "
+        f"`{measured['command']}` on {measured['host']}.\n\n"
+        "Each penalty's sections are the `figure1`, `table1` and `table2` studies' own "
+        "renderings of that penalty's rows.  Degradation from best is an algorithm's "
+        "maximum bounded stretch over the best one's on the same trace, load and "
+        "penalty: Figure 1 averages it over the traces at each load, Table I pools all "
+        "loads.  Table II averages (worst run in parentheses) over the runs at high "
+        "load the preemptions and migrations per hour of makespan and per job, and the "
+        "memory they move per second of makespan (GB/s).\n"
+    )
+    for penalty in sweep["penalty"]:
+        ratios = []
+        for group in result.instances(penalty=penalty):
+            stretch = {name: row.metric("max_stretch") for name, row in group.items()}
+            ratios.append(
+                min(stretch[name] for name in BATCH_ALGORITHMS)
+                / min(stretch[name] for name in TABLE2_ALGORITHMS)
+            )
+        moved = max(
+            row.metric("pmtn_bandwidth_gb_per_sec") + row.metric("migr_bandwidth_gb_per_sec")
+            for row in result.select(penalty=penalty)
+        )
+        sections = (
+            figure1_section(result, penalty, penalty=penalty),
+            table1_section({"scaled": result}, penalty, penalty=penalty),
+            table2_section(result, penalty, penalty=penalty),
+        )
+        text += (
+            f"\n## Penalty {penalty} s\n\nBest batch (FCFS/EASY) max stretch over best "
+            "preemptive DFRS (GREEDY-PMTN, -MIGR, the DYNMCB8 family) max stretch, per "
+            f"trace and load: min {min(ratios):.2f}, median {float(np.median(ratios)):.2f}, "
+            f"max {max(ratios):.2f}.  The most one run moves is {moved:.2f} GB/s.\n"
+            + "".join(f"\n```text\n{section}\n```\n" for section in sections)
+        )
+    return text
 
 
 #: §V's claim: allocations for 10 or fewer jobs in under a millisecond.

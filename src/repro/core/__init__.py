@@ -9,8 +9,6 @@ from .events import Event, EventQueue, EventType
 from .job import MINIMUM_YIELD, Job, JobSpec, JobState
 from .invariants import InvariantCheckingObserver
 from .observers import (
-    AllocationInterval,
-    AllocationTraceRecorder,
     AvailabilityRecorder,
     SimEvent,
     SimulationObserver,
@@ -43,8 +41,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "InvariantCheckingObserver",
-    "AllocationInterval",
-    "AllocationTraceRecorder",
     "AvailabilityRecorder",
     "SimEvent",
     "SimulationObserver",

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..exceptions import AllocationError, ConfigurationError, InfeasibleAllocationError
 
-__all__ = ["Cluster", "ClusterUsage", "CAPACITY_EPSILON"]
+__all__ = ["Cluster", "ClusterUsage", "CAPACITY_EPSILON", "PAPER_CLUSTER"]
 
 #: Tolerance used when checking capacity constraints, to absorb the
 #: floating-point error accumulated by yield binary searches.
@@ -187,6 +187,10 @@ class Cluster:
         placement candidates.
         """
         return ClusterUsage(self, unavailable)
+
+
+#: The paper's synthetic-trace cluster: 128 quad-core nodes of 8 GB.
+PAPER_CLUSTER = Cluster(128, 4, 8.0)
 
 
 def _node_down(node: int) -> InfeasibleAllocationError:

@@ -29,11 +29,8 @@ Within one engine event the order is: completions, then the queued
 arrivals and node events, then the decision's transitions in arrival order,
 then ``applied``.  An online cancel emits ``cancel`` between events.
 
-Three ready-made recorders:
+Two ready-made recorders:
 
-* :class:`AllocationTraceRecorder` — per-job allocation intervals (who ran
-  where, at which yield, from when to when); the engine tests add them up
-  against each job's execution time;
 * :class:`UtilizationRecorder` — per-decision samples of cluster-wide CPU,
   memory, and job-population counters, the raw material of the
   :mod:`repro.analysis` utilization and energy series (paper §II-B2's "turn
@@ -57,8 +54,6 @@ __all__ = [
     "CLOSING_KINDS",
     "SimEvent",
     "SimulationObserver",
-    "AllocationInterval",
-    "AllocationTraceRecorder",
     "UtilizationSample",
     "UtilizationRecorder",
     "AvailabilityRecorder",
@@ -122,90 +117,6 @@ class SimulationObserver:
 
     def on_event(self, event: SimEvent) -> None:
         """Called once per engine transition, in emission order."""
-
-
-# --------------------------------------------------------------------------- #
-# Allocation trace                                                             #
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class AllocationInterval:
-    """A maximal interval during which one job kept one placement and yield."""
-
-    job_id: int
-    start: float
-    end: float
-    nodes: Tuple[int, ...]
-    yield_value: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def virtual_time(self) -> float:
-        """Virtual time accrued during this interval (duration × yield).
-
-        This slightly overestimates the true virtual time of intervals during
-        which the job was paying a rescheduling penalty (zero progress); the
-        engine's own accounting remains authoritative.
-        """
-        return self.duration * self.yield_value
-
-
-class AllocationTraceRecorder(SimulationObserver):
-    """Record per-job allocation intervals over the whole simulation.
-
-    After the run, :attr:`intervals` holds one :class:`AllocationInterval` per
-    maximal period during which a job's placement and yield were constant.
-    """
-
-    def __init__(self) -> None:
-        self.intervals: List[AllocationInterval] = []
-        self._open: Dict[int, Tuple[float, Tuple[int, ...], float]] = {}
-
-    def on_event(self, event: SimEvent) -> None:
-        kind = event.kind
-        if kind in _ALLOCATING_KINDS:
-            job_id = event.spec.job_id
-            if job_id in self._open:
-                self._close(job_id, event.time)
-            self._open[job_id] = (event.time, event.nodes, event.yield_value)
-        elif kind in CLOSING_KINDS:
-            if event.spec.job_id in self._open:
-                self._close(event.spec.job_id, event.time)
-        elif kind == "run-start":
-            self.intervals = []
-            self._open = {}
-        elif kind == "run-end":
-            for job_id in list(self._open):
-                self._close(job_id, event.time)
-
-    def _close(self, job_id: int, end: float) -> None:
-        start, nodes, yield_value = self._open.pop(job_id)
-        if end > start:
-            self.intervals.append(
-                AllocationInterval(
-                    job_id=job_id,
-                    start=start,
-                    end=end,
-                    nodes=nodes,
-                    yield_value=yield_value,
-                )
-            )
-
-    # -- queries ---------------------------------------------------------------
-    def intervals_of_job(self, job_id: int) -> List[AllocationInterval]:
-        """Intervals of one job, sorted by start time."""
-        selected = [iv for iv in self.intervals if iv.job_id == job_id]
-        return sorted(selected, key=lambda iv: iv.start)
-
-    def job_ids(self) -> List[int]:
-        """All job ids that ever held an allocation."""
-        return sorted({iv.job_id for iv in self.intervals})
-
-    def busy_node_seconds(self) -> float:
-        """Sum over intervals of (number of distinct nodes used × duration)."""
-        return sum(len(set(iv.nodes)) * iv.duration for iv in self.intervals)
 
 
 # --------------------------------------------------------------------------- #

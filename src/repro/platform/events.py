@@ -30,7 +30,6 @@ SWF workload files are).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -53,7 +51,7 @@ import numpy as np
 
 from ..core.cluster import Cluster
 from ..exceptions import ConfigurationError
-from ..registry import Registry
+from ..registry import Registry, content_fingerprint
 
 __all__ = [
     "NodeEvent",
@@ -384,21 +382,9 @@ class JsonNodeEventSource(NodeEventSource):
         )
         return _check_stream(stream, cluster, f"{self.kind}:{self.path}")
 
-    def _content_fingerprint(self) -> Optional[str]:
-        cached = getattr(self, "_content_cache", None)
-        if cached is None:
-            try:
-                cached = hashlib.sha256(
-                    Path(self.path).read_bytes()
-                ).hexdigest()[:16]
-            except OSError:
-                cached = ""
-            object.__setattr__(self, "_content_cache", cached)
-        return cached or None
-
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"type": self.kind, "path": self.path}
-        fingerprint = self._content_fingerprint()
+        fingerprint = content_fingerprint(self)
         if fingerprint is not None:
             data["content"] = fingerprint
         return data

@@ -21,11 +21,13 @@ grammar (``dynmcb8-per-<seconds>``) rather than looking a name up, and
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
 from typing import Any, Callable, Dict, Generic, List, Mapping, Optional, Tuple, TypeVar
 
 from .exceptions import ConfigurationError
 
-__all__ = ["Registry", "all_registries"]
+__all__ = ["Registry", "all_registries", "content_fingerprint"]
 
 T = TypeVar("T")
 F = TypeVar("F", bound=Callable[..., Any])
@@ -36,6 +38,26 @@ _REGISTRIES: List["Registry[Any]"] = []
 def all_registries() -> List["Registry[Any]"]:
     """Every :class:`Registry` created so far, in creation order."""
     return list(_REGISTRIES)
+
+
+def content_fingerprint(source: Any) -> Optional[str]:
+    """Digest of the file at ``source.path``, hashed once per source object.
+
+    A file-backed spec's ``to_dict`` emits it as the ``content`` derived key,
+    so editing the file in place changes the spec (and the scenario hash)
+    instead of silently serving stale cached rows.  Memoised on the (frozen)
+    source because the executor serialises the scenario once per finished
+    cell; the file cannot meaningfully change mid-run, and a rerun constructs
+    a fresh source anyway.  ``None`` when the file cannot be read.
+    """
+    cached = getattr(source, "_content_cache", None)
+    if cached is None:
+        try:
+            cached = hashlib.sha256(Path(source.path).read_bytes()).hexdigest()[:16]
+        except OSError:
+            cached = ""
+        object.__setattr__(source, "_content_cache", cached)
+    return cached or None
 
 
 class Registry(Generic[T]):

@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 from typing import Any, List, Mapping, Optional, Union
 
-from ..core.cluster import Cluster
+from ..core.cluster import PAPER_CLUSTER, Cluster
 from ..core.job import JobSpec
 from ..exceptions import TraceFormatError
 from .model import Workload
@@ -128,9 +128,9 @@ def trace_json_payload_to_workload(
         )
     cluster_spec = payload.get("cluster", {})
     stored_cluster = Cluster(
-        num_nodes=int(cluster_spec.get("nodes", 128)),
-        cores_per_node=int(cluster_spec.get("cores_per_node", 4)),
-        node_memory_gb=float(cluster_spec.get("node_memory_gb", 8.0)),
+        num_nodes=int(cluster_spec.get("nodes", PAPER_CLUSTER.num_nodes)),
+        cores_per_node=int(cluster_spec.get("cores_per_node", PAPER_CLUSTER.cores_per_node)),
+        node_memory_gb=float(cluster_spec.get("node_memory_gb", PAPER_CLUSTER.node_memory_gb)),
     )
     jobs: List[JobSpec] = []
     for entry in payload.get("jobs", []):

@@ -49,7 +49,7 @@ from typing import (
     Union,
 )
 
-from ..core.cluster import Cluster
+from ..core.cluster import PAPER_CLUSTER, Cluster
 from ..core.job import JobSpec
 from ..exceptions import ConfigurationError
 from ..registry import Registry
@@ -429,7 +429,7 @@ def load_trace_source(path_text: Union[str, Path]) -> Tuple[JobSource, Cluster]:
         )
         return WorkloadTraceSource(workload=workload), workload.cluster
     if isinstance(payload, dict):
-        return trace_source_from_dict(payload), Cluster(128, 4, 8.0)
+        return trace_source_from_dict(payload), PAPER_CLUSTER
     raise ConfigurationError(
         f"{path}: expected a trace-source spec object, got {type(payload).__name__}"
     )

@@ -1,8 +1,9 @@
 """The shipped paper grid: a smoke run of the file and its committed result.
 
 The smoke tests shrink ``examples/scenarios/paper_grid.json`` with
-``dataclasses.replace`` (one trace of 40 jobs, loads 0.3 and 0.9) and hold it
-to the paper's claims; the committed-result test simulates nothing.
+``dataclasses.replace`` (one trace of 40 jobs, loads 0.3 and 0.9), hold it to
+the paper's claims and hold its rendering to the ``figure1`` / ``table1`` /
+``table2`` studies' own; the committed-result test simulates nothing.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -22,10 +24,17 @@ import repro
 from repro.campaign.executor import Campaign
 from repro.campaign.scenario import scenario_from_dict, scenario_hash
 from repro.campaign.spec import load_scenario
+from repro.campaign.studies import (
+    TABLE2_ALGORITHMS,
+    TABLE2_METRICS,
+    ExperimentConfig,
+    render_paper_grid,
+    run_figure1,
+    run_table2,
+    table1_section,
+)
 from repro.cli import main
-from repro.schedulers.registry import PAPER_ALGORITHMS
-
-from .paper_grid_report import BATCH, NON_PREEMPTIVE, RENDERED_METRICS, render
+from repro.schedulers.registry import BATCH_ALGORITHMS, PAPER_ALGORITHMS
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 GRID_FILE = REPO / "examples" / "scenarios" / "paper_grid.json"
@@ -54,11 +63,39 @@ def test_the_penalty_axis_equals_penalty_seconds(smoke, penalty):
         replace(smoke_scenario(), models=None, penalty_seconds=float(penalty),
                 sweep=(("load", SMOKE_LOADS),))
     )
+    rendered = ("max_stretch",) + TABLE2_METRICS
     for row in direct.rows:
         (twin,) = smoke.select(algorithm=row.algorithm, penalty=penalty, **row.params_dict())
-        assert [twin.metric(m) for m in RENDERED_METRICS] == [
-            row.metric(m) for m in RENDERED_METRICS
-        ], row.algorithm
+        assert [twin.metric(m) for m in rendered] == [row.metric(m) for m in rendered], (
+            row.algorithm
+        )
+
+
+@pytest.mark.parametrize("penalty", [0, 300])
+def test_the_grid_renders_through_the_studies_own_sections(smoke, penalty):
+    """One renderer: a penalty's Figure 1 and Table II sections are what
+    ``run_figure1`` / ``run_table2`` print for the same traces, loads and
+    algorithms at that ``penalty_seconds``, and its Table I section is the
+    scaled column of that same Figure 1 campaign."""
+    payload = {**smoke.to_json_dict(), "measured": {
+        "wall_seconds": 1.0, "command": "smoke", "host": "this test"}}
+    heading = f"\n## Penalty {penalty} s\n"
+    body = render_paper_grid(payload).split(heading, 1)[1].split("\n## ", 1)[0]
+    figure, table1, table2 = re.findall(r"```text\n(.*?)\n```", body, re.S)
+    scenario = smoke_scenario()
+    config = ExperimentConfig(
+        cluster=scenario.cluster,
+        num_traces=scenario.source.num_traces,
+        num_jobs=scenario.source.num_jobs,
+        load_levels=SMOKE_LOADS,
+        algorithms=scenario.algorithms,
+        penalty_seconds=float(penalty),
+        seed_base=scenario.source.seed_base,
+    )
+    report = run_figure1(config)
+    assert figure == report.text
+    assert table1 == table1_section({"scaled": report.outcome}, penalty)
+    assert table2 == run_table2(config).text
 
 
 @pytest.mark.parametrize("penalty", [0, 300])
@@ -66,8 +103,8 @@ def test_dfrs_best_beats_batch_best_in_every_smoke_cell(smoke, penalty):
     """Figure 1 (a) and (b), Table I's scaled column."""
     for load in SMOKE_LOADS:
         averages = smoke.degradation_averages(penalty=penalty, load=load)
-        dfrs = min(v for name, v in averages.items() if name not in NON_PREEMPTIVE)
-        assert dfrs <= min(averages[name] for name in BATCH), load
+        dfrs = min(averages[name] for name in TABLE2_ALGORITHMS)
+        assert dfrs <= min(averages[name] for name in BATCH_ALGORITHMS), load
 
 
 def test_a_periodic_mcb8_keeps_pace_with_dynmcb8_under_the_penalty(smoke):
@@ -85,7 +122,7 @@ def test_the_rendering_refuses_merged_rows(smoke):
     payload = smoke.to_json_dict()
     payload["rows"][0]["instance_index"] = -1
     with pytest.raises(ValueError, match="instance_index -1"):
-        render(payload)
+        render_paper_grid(payload)
 
 
 def test_a_killed_parallel_run_resumes_to_the_serial_bytes(smoke, tmp_path):
@@ -121,4 +158,6 @@ def test_the_committed_result_ran_the_shipped_file_and_renders_to_its_table():
     assert len(committed["rows"]) == (
         len(shipped.expand()) * shipped.source.num_traces * len(shipped.algorithms)
     )
-    assert render(committed) == (REPO / "results" / "paper_grid.md").read_text(encoding="utf-8")
+    assert render_paper_grid(committed) == (
+        REPO / "results" / "paper_grid.md"
+    ).read_text(encoding="utf-8")

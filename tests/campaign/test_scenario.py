@@ -20,8 +20,11 @@ from repro.campaign.scenario import (
     scenario_hash,
     source_from_dict,
 )
-from repro.core.cluster import Cluster
+from repro.campaign.studies import ExperimentConfig
+from repro.core.cluster import PAPER_CLUSTER, Cluster
 from repro.exceptions import ConfigurationError
+from repro.traces import load_trace_source
+from repro.traces.io import TRACE_JSON_FORMAT, trace_json_payload_to_workload
 from repro.traces.model import Workload
 
 
@@ -210,14 +213,6 @@ class TestSources:
         rebuilt = scenario_from_dict(after_scenario.to_dict())
         assert rebuilt.source == after_scenario.source
 
-    def test_swf_source_fingerprint_hashed_once_per_object(self, tmp_path):
-        path = tmp_path / "trace.swf"
-        path.write_text("1 0 -1 100 1 -1 -1 1 -1 -1 1 -1 -1 -1 -1 -1 -1 -1\n")
-        source = SwfSource(path=str(path))
-        first = source.to_dict()["content"]
-        path.unlink()  # file gone: a memoised fingerprint still serves
-        assert source.to_dict()["content"] == first
-
     def test_custom_source_calls_factory(self):
         def factory(cluster):
             return [Workload("custom-0", cluster, [])]
@@ -364,3 +359,17 @@ class TestHash:
             check=True,
         )
         assert completed.stdout.strip() == scenario_hash(scenario)
+
+
+def test_every_unsized_spec_gets_the_paper_cluster(tmp_path):
+    """A scenario, an ``ExperimentConfig``, a trace-source spec file and an
+    internal trace with no cluster block all default to one cluster."""
+    spec = tmp_path / "lublin.json"
+    spec.write_text(json.dumps({"type": "lublin", "num_jobs": 5}), encoding="utf-8")
+    unsized_scenario = {k: v for k, v in tiny_scenario().to_dict().items() if k != "cluster"}
+    assert PAPER_CLUSTER == Cluster(128, 4, 8.0)
+    assert scenario_from_dict(unsized_scenario).cluster == PAPER_CLUSTER
+    assert ExperimentConfig().cluster == PAPER_CLUSTER
+    assert load_trace_source(spec)[1] == PAPER_CLUSTER
+    unsized_trace = {"format": TRACE_JSON_FORMAT, "jobs": []}
+    assert trace_json_payload_to_workload(unsized_trace).cluster == PAPER_CLUSTER

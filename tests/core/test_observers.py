@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    AllocationTraceRecorder,
     Cluster,
     JobSpec,
     ReschedulingPenaltyModel,
@@ -129,53 +128,6 @@ class TestEventStream:
         assert not held and "preempt" in log.kinds()
 
 
-class TestAllocationTraceRecorder:
-    def test_single_job_yields_one_interval(self):
-        trace = AllocationTraceRecorder()
-        _run([_spec(0, 0.0, runtime=60.0)], observers=[trace])
-        intervals = trace.intervals_of_job(0)
-        assert len(intervals) >= 1
-        assert intervals[0].start == pytest.approx(0.0)
-        assert intervals[-1].end >= 60.0 - 1e-6
-
-    def test_intervals_do_not_overlap_per_job(self):
-        trace = AllocationTraceRecorder()
-        specs = [_spec(i, i * 4.0, cpu=1.0, mem=0.5, runtime=200.0) for i in range(6)]
-        _run(specs, algorithm="dynmcb8", nodes=2, observers=[trace])
-        for job_id in trace.job_ids():
-            intervals = trace.intervals_of_job(job_id)
-            for earlier, later in zip(intervals, intervals[1:]):
-                assert earlier.end <= later.start + 1e-9
-
-    def test_interval_durations_are_positive(self):
-        trace = AllocationTraceRecorder()
-        specs = [_spec(i, i * 3.0, runtime=50.0) for i in range(5)]
-        _run(specs, observers=[trace])
-        assert all(interval.duration > 0 for interval in trace.intervals)
-
-    def test_virtual_time_reconstruction_close_to_execution_time(self):
-        # With no penalty, the sum of duration x yield over a job's intervals
-        # must equal its dedicated execution time.
-        trace = AllocationTraceRecorder()
-        specs = [_spec(i, i * 10.0, cpu=0.8, mem=0.3, runtime=120.0) for i in range(4)]
-        _run(specs, algorithm="dynmcb8-per-600", nodes=2, observers=[trace])
-        for job_id in trace.job_ids():
-            accrued = sum(iv.virtual_time for iv in trace.intervals_of_job(job_id))
-            assert accrued == pytest.approx(120.0, rel=1e-6)
-
-    def test_nodes_are_within_cluster_range(self):
-        trace = AllocationTraceRecorder()
-        specs = [_spec(i, i * 2.0, tasks=2, runtime=80.0) for i in range(4)]
-        _run(specs, nodes=4, observers=[trace])
-        for interval in trace.intervals:
-            assert all(0 <= node < 4 for node in interval.nodes)
-
-    def test_busy_node_seconds_positive(self):
-        trace = AllocationTraceRecorder()
-        _run([_spec(0, 0.0, runtime=100.0)], observers=[trace])
-        assert trace.busy_node_seconds() >= 100.0 - 1e-6
-
-
 class TestUtilizationRecorder:
     def test_samples_are_recorded_for_every_event(self):
         recorder = UtilizationRecorder()
@@ -232,22 +184,21 @@ class TestUtilizationRecorder:
 
 class TestMultipleObservers:
     def test_all_observers_receive_callbacks(self):
-        log = EventList()
-        trace = AllocationTraceRecorder()
+        log, twin = EventList(), EventList()
         util = UtilizationRecorder()
         specs = [_spec(i, i * 5.0, runtime=50.0) for i in range(4)]
-        _run(specs, observers=[log, trace, util])
+        _run(specs, observers=[log, twin, util])
         assert len(log.kinds("complete")) == 4
-        assert len(trace.intervals) >= 4
+        assert twin == log
         assert len(util.samples) >= 4
 
     def test_observer_state_reset_between_runs(self):
         specs = [_spec(0, 0.0, runtime=40.0)]
-        trace = AllocationTraceRecorder()
-        _run(specs, observers=[trace])
-        first = list(trace.intervals)
-        _run(specs, observers=[trace])
-        assert trace.intervals == first
+        util = UtilizationRecorder()
+        _run(specs, observers=[util])
+        first = list(util.samples)
+        _run(specs, observers=[util])
+        assert util.samples == first
 
     def test_custom_observer_subclass_receives_lifecycle(self):
         class Counter(SimulationObserver):

@@ -12,11 +12,12 @@ import pkgutil
 import pytest
 
 import repro
-from repro.campaign.scenario import scenario_from_dict
+from repro.campaign.scenario import SwfSource, scenario_from_dict
 from repro.exceptions import ConfigurationError
 from repro.metrics import accumulator_from_dict
 from repro.obs import telemetry_config_from_dict
-from repro.registry import all_registries
+from repro.platform.events import JsonNodeEventSource
+from repro.registry import all_registries, content_fingerprint
 
 # Registries exist once their module is imported; import all of them.
 for _info in pkgutil.walk_packages(repro.__path__, "repro."):
@@ -103,3 +104,33 @@ def test_whole_mapping_loaders_share_the_validation(loader, label, spec):
 def test_run_spec_with_a_bare_string_source_gets_a_configuration_error():
     with pytest.raises(ConfigurationError, match="workload source spec must be an object"):
         scenario_from_dict({"source": "lublin", "algorithms": ["fcfs"]})
+
+
+FILE_BACKED_SPECS = pytest.mark.parametrize(
+    "make", [SwfSource, JsonNodeEventSource], ids=["swf-source", "node-events"]
+)
+
+
+@FILE_BACKED_SPECS
+def test_a_file_backed_spec_carries_the_files_pinned_digest(make, tmp_path):
+    path = tmp_path / "trace"
+    path.write_bytes(b"abc")
+    assert make(path=str(path)).to_dict()["content"] == "ba7816bf8f01cfea"
+
+
+@FILE_BACKED_SPECS
+def test_the_digest_is_read_once_per_source(make, tmp_path):
+    path = tmp_path / "trace"
+    path.write_bytes(b"abc")
+    source = make(path=str(path))
+    assert content_fingerprint(source) == "ba7816bf8f01cfea"
+    path.write_bytes(b"abd")  # a memoised fingerprint still serves
+    assert source.to_dict()["content"] == "ba7816bf8f01cfea"
+    assert make(path=str(path)).to_dict()["content"] != "ba7816bf8f01cfea"
+
+
+@FILE_BACKED_SPECS
+def test_an_unreadable_file_has_no_content_key(make, tmp_path):
+    source = make(path=str(tmp_path / "missing"))
+    assert content_fingerprint(source) is None
+    assert "content" not in source.to_dict()
