@@ -120,7 +120,20 @@ class CampaignResult:
         where: Optional[Callable[[RunRecord], bool]] = None,
         **params: Any,
     ) -> List[RunRecord]:
-        """Rows matching an algorithm, arbitrary predicate, and/or axis values."""
+        """Rows matching an algorithm, arbitrary predicate, and/or axis values.
+
+        An axis no row carries (a misspelling, or a value the scenario fixed
+        rather than swept) is refused, not read as "matches nothing"; an
+        empty result selects nothing.
+        """
+        if params and self.rows:
+            axes = self.axes()
+            unknown = [axis for axis in params if axis not in axes]
+            if unknown:
+                raise ConfigurationError(
+                    f"no row carries the axis filter {', '.join(map(repr, unknown))}; "
+                    f"the rows carry: {', '.join(axes) or 'no axis'}"
+                )
         selected = []
         for row in self.rows:
             if algorithm is not None and row.algorithm != algorithm:

@@ -75,17 +75,6 @@ class GreedyPmtnScheduler(GreedyScheduler):
         return self._finalize(placements, context, decision)
 
     # -- internals ---------------------------------------------------------
-    def _remove_from_usage(
-        self, view: JobView, nodes: Tuple[int, ...], usage: ClusterUsage
-    ) -> None:
-        for node in nodes:
-            usage.remove_task(node, view.cpu_need, view.mem_requirement, 0.0)
-
-    def _add_to_usage(
-        self, view: JobView, nodes: Tuple[int, ...], usage: ClusterUsage
-    ) -> None:
-        usage.add_jobs(((nodes, view.cpu_need, view.mem_requirement, 0.0),), check=False)
-
     def _admit(
         self,
         view: JobView,
@@ -116,7 +105,8 @@ class GreedyPmtnScheduler(GreedyScheduler):
         scratch = usage.snapshot()
         feasible = False
         for candidate in sort_by_increasing_priority(pausable, context.time):
-            self._remove_from_usage(candidate, placements[candidate.job_id], scratch)
+            held = placements[candidate.job_id]
+            scratch.remove_tasks(held, candidate.cpu_need, candidate.mem_requirement, 0.0)
             marked.append(candidate)
             if can_place_job(view, scratch):
                 feasible = True
@@ -129,7 +119,8 @@ class GreedyPmtnScheduler(GreedyScheduler):
         kept: Set[int] = set()
         for candidate in sort_by_decreasing_priority(marked, context.time):
             probe = scratch.snapshot()
-            self._add_to_usage(candidate, placements[candidate.job_id], probe)
+            held = placements[candidate.job_id]
+            probe.add_jobs(((held, candidate.cpu_need, candidate.mem_requirement, 0.0),), check=False)
             if can_place_job(view, probe):
                 scratch = probe
                 kept.add(candidate.job_id)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.result import CampaignResult, RunRecord
+from repro.campaign.studies import figure1_section, table1_section
 from repro.exceptions import ConfigurationError
 
 
@@ -59,6 +60,32 @@ class TestSelection:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ConfigurationError):
             build_result().rows[0].metric("nonexistent")
+
+    def test_an_axis_no_row_carries_is_refused(self):
+        with pytest.raises(ConfigurationError, match=r"axis filter 'laod'; the rows carry: load$"):
+            build_result().select(laod=0.5)
+        with pytest.raises(ConfigurationError, match=r"'penalty', 'seed'"):
+            build_result().select(algorithm="a", load=0.3, penalty=300, seed=1)
+
+    def test_an_empty_result_selects_nothing(self):
+        empty = CampaignResult(scenario={"name": "e"}, scenario_hash="0" * 16)
+        assert empty.select(laod=0.5) == []
+        assert empty.degradation_stats(penalty=300) == {}
+
+    def test_the_queries_refuse_it_too(self):
+        result = build_result()
+        with pytest.raises(ConfigurationError, match="'laod'"):
+            result.degradation_stats(laod=0.3)
+        with pytest.raises(ConfigurationError, match="'laod'"):
+            result.aggregate("max_stretch", laod=0.3)
+
+    def test_the_section_renderers_refuse_a_scenario_level_penalty(self):
+        """``penalty`` picks a panel of a grid that sweeps it; on a result
+        that fixed it, Figure 1 and Table I refuse instead of printing no rows."""
+        with pytest.raises(ConfigurationError, match="'penalty'.*carry: load"):
+            figure1_section(build_result(), 300, penalty=300)
+        with pytest.raises(ConfigurationError, match="'penalty'"):
+            table1_section({"scaled": build_result()}, 300, penalty=300)
 
 
 class TestDegradation:

@@ -12,6 +12,10 @@ GREEDY's placement as it stood before the one-mask-per-job method is kept
 too: the scalar ``least_loaded_fitting`` query (four numpy calls per task)
 and the per-task ``greedy_place_job`` loop over it, both verbatim.
 ``tests/schedulers/test_placement.py`` holds the live placement to them.
+So is the one-mask-per-job ``place_least_loaded`` as it stood before a
+placement that cannot succeed stopped placing (it places every slot and
+removes each task again), verbatim; ``test_usage_differential.py`` holds the
+live one to it.
 
 :class:`ReferenceUsage` subclasses the live tally so the arrays, the capacity
 vectors, the down set and every query are the live ones; only the mutators
@@ -104,6 +108,45 @@ class ReferenceUsage(ClusterUsage):
         keys = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
         node = int(np.where(fits, keys, np.inf).argmin())
         return node if fits[node] else -1
+
+    def place_least_loaded(
+        self, num_tasks: int, cpu_need: float, mem_requirement: float
+    ) -> Optional[List[int]]:
+        """Place ``num_tasks`` tasks, each on the least CPU-loaded available
+        node with room for it, with yield 0, and return the nodes; when a
+        task finds no room, remove the placed ones one by one, return None.
+
+        Ties go to the lowest node index.  On heterogeneous clusters the key
+        is the *speed-normalised* load (``load / cpu_capacity``), so a fast
+        node half as loaded per unit of capacity wins over a slow node — the
+        natural generalisation of the paper's least-loaded rule — and memory
+        is checked against each node's own capacity.  Down nodes never fit
+        anything.  The fit mask and the keys are built once: a task changes
+        only its own node's key — its new load, or ``inf`` once full.
+        """
+        fits = self._memory_fits(self._memory, mem_requirement)
+        loads = self._cpu_load if self._cpu_cap is None else self._cpu_load / self._cpu_cap
+        keys = np.where(fits, loads, np.inf)
+        fit, key = fits.data, keys.data
+        memory, _, cpu_load, _, mem_cap, cpu_cap = self._views
+        placed: List[int] = []
+        for _ in range(num_tasks):
+            node = int(keys.argmin())
+            if not fit[node]:
+                # Task-by-task removal, not a restore: later tie-breaks see the
+                # (a + b) - b rounding this leaves, and the pinned placement
+                # logs were produced with it.
+                for node in placed:
+                    self.remove_task(node, cpu_need, mem_requirement, 0.0)
+                return None
+            self.add_task(node, cpu_need, mem_requirement, 0.0)
+            placed.append(node)
+            limit = 1.0 if mem_cap is None else mem_cap[node]
+            if memory[node] + mem_requirement <= limit + CAPACITY_EPSILON:
+                key[node] = cpu_load[node] if cpu_cap is None else cpu_load[node] / cpu_cap[node]
+            else:
+                fit[node], key[node] = False, np.inf
+        return placed
 
     def add_job(
         self,
