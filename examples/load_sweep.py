@@ -2,10 +2,11 @@
 """Load sweep: a miniature Figure 1 on your terminal.
 
 Generates a handful of synthetic traces, scales each of them to a range of
-offered loads, runs every algorithm of the paper, and prints the average
-stretch degradation factor per (algorithm, load) — the quantity plotted in
-Figure 1 — together with a crude ASCII rendering of the two regimes the paper
-discusses (with and without the 5-minute rescheduling penalty).
+offered loads, runs every algorithm of the paper, and prints the ``paper``
+study at each of the two regimes the paper discusses (with and without the
+5-minute rescheduling penalty): Figure 1's average stretch degradation
+factor per (algorithm, load), Tables I and II, and a crude ASCII rendering
+of the Figure 1 series.
 
 Run with::
 
@@ -15,8 +16,9 @@ Run with::
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
-from repro import PAPER_ALGORITHMS, Cluster, ExperimentConfig, run_figure1
+from repro import PAPER_ALGORITHMS, Cluster, ExperimentConfig, run_paper
 
 
 def ascii_series(points, loads, width: int = 40) -> str:
@@ -52,6 +54,8 @@ def main() -> None:
         num_jobs=args.jobs,
         load_levels=loads,
         algorithms=tuple(PAPER_ALGORITHMS),
+        hpc2n_weeks=args.traces,
+        hpc2n_jobs_per_week=args.jobs,
     )
 
     for penalty, label in ((0.0, "Figure 1(a): no rescheduling penalty"),
@@ -59,10 +63,11 @@ def main() -> None:
         print("=" * 72)
         print(label)
         print("=" * 72)
-        result = run_figure1(config, penalty_seconds=penalty)
+        result = run_paper(replace(config, penalty_seconds=penalty))
         print(result.format())
         print()
-        points = {load: result.outcome.degradation_averages(load=load) for load in loads}
+        scaled = result.campaigns[0]
+        points = {load: scaled.degradation_averages(load=load) for load in loads}
         print(ascii_series(points, loads))
         print()
 

@@ -54,11 +54,9 @@ from .campaign.executor import run_algorithm, run_instance
 from .campaign.studies import (
     ExperimentConfig,
     run_extensions_comparison,
-    run_figure1,
     run_packing_ablation,
+    run_paper,
     run_period_sweep,
-    run_table1,
-    run_table2,
     run_timing_study,
     run_utilization_study,
 )
@@ -116,12 +114,10 @@ __all__ = [
     "ExperimentConfig",
     "run_algorithm",
     "run_extensions_comparison",
-    "run_figure1",
     "run_instance",
     "run_packing_ablation",
+    "run_paper",
     "run_period_sweep",
-    "run_table1",
-    "run_table2",
     "run_timing_study",
     "run_utilization_study",
     # platform

@@ -189,8 +189,8 @@ class Hpc2nLikeSource(_SeededReplicas):
 
     The trace mimics the HPC2N machine, so scenarios reproducing the paper
     should set the scenario cluster to
-    :data:`repro.traces.hpc2n.HPC2N_CLUSTER` (the
-    :func:`~repro.campaign.studies.hpc2n_scenario` builder does); the source
+    :data:`repro.traces.hpc2n.HPC2N_CLUSTER` (the ``real`` column of
+    :func:`~repro.campaign.studies.paper_scenarios` does); the source
     honours whatever cluster the scenario declares.
     """
 

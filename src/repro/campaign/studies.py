@@ -1,15 +1,16 @@
 """The repository's standard studies: scenario builders, reports, one table.
 
-The paper's evaluation is four artifacts (Figure 1, Table I, Table II, the
-§V timing study); this repository adds four ablation / extension studies and
-an exploratory single-trace comparison.  Each study is a scenario builder
-(``*_scenario``: an :class:`ExperimentConfig` in, a frozen
-:class:`~repro.campaign.scenario.Scenario` out) plus one ``run_*`` function
-that runs it through a :class:`~repro.campaign.executor.Campaign` and renders
+The paper's evaluation is Figure 1, Tables I and II, and the §V timing
+study; this repository adds four ablation / extension studies and an
+exploratory single-trace comparison.  Each study is a scenario builder (an
+:class:`ExperimentConfig` in, frozen :class:`~repro.campaign.scenario.Scenario`
+objects out) plus one ``run_*`` function that runs them through a
+:class:`~repro.campaign.executor.Campaign` and renders
 the printed table straight from :class:`~repro.campaign.result.CampaignResult`
 queries.  Every ``run_*`` returns the same :class:`StudyReport` — the text and
 the campaigns behind it — so a number that is not in the text is one
-``report.outcome.degradation_stats()`` / ``aggregate()`` / ``select()`` away.
+``report.campaigns[0].degradation_stats()`` / ``aggregate()`` / ``select()``
+away.
 
 :data:`STUDIES` is the one table of them (name → help text, runner, CLI
 options).  The CLI builds its study subcommands and dispatches from it, and
@@ -17,11 +18,13 @@ the golden-output tests and their regeneration script iterate it: a new
 study is one entry here plus one golden file.
 
 The :class:`ExperimentConfig` defaults are deliberately small so that every
-study runs in minutes on a laptop.  The paper's own grid (128 nodes, Lublin
-traces of 1,000 jobs, load 0.1–0.9, penalty 0 and 300 s) is a scenario file,
-``examples/scenarios/paper_grid.json``, run with ``repro-dfrs run``; its
-committed result is rendered by :func:`render_paper_grid` through the same
-Figure 1 / Table I / Table II sections the three studies print.
+study runs in minutes on a laptop.  The ``paper`` study's scenarios
+(:func:`paper_scenarios`) have the shape of the paper's own grid, the
+scenario file ``examples/scenarios/paper_grid.json`` (128 nodes, Lublin
+traces of 1,000 jobs, load 0.1–0.9, penalty 0 and 300 s, run with
+``repro-dfrs run``), and both print through one per-penalty section,
+:func:`paper_section`: :func:`run_paper` at any size, and
+:func:`render_paper_grid` for the committed result of that file.
 """
 
 from __future__ import annotations
@@ -56,24 +59,18 @@ from .scenario import (
 __all__ = [
     "ExperimentConfig",
     "lublin_source",
-    "scaled_scenario",
-    "unscaled_scenario",
-    "hpc2n_scenario",
-    "figure1_scenario",
-    "table1_scenarios",
-    "table2_scenario",
+    "paper_scenarios",
     "extensions_scenario",
     "period_sweep_scenario",
     "utilization_scenario",
     "timing_scenario",
     "compare_scenario",
     "StudyReport",
-    "run_figure1",
-    "run_table1",
-    "run_table2",
+    "run_paper",
     "figure1_section",
     "table1_section",
     "table2_section",
+    "paper_section",
     "render_paper_grid",
     "run_timing_study",
     "run_compare",
@@ -82,7 +79,6 @@ __all__ = [
     "run_packing_ablation",
     "run_utilization_study",
     "run_extensions_comparison",
-    "TABLE1_COLUMNS",
     "TABLE2_ALGORITHMS",
     "TABLE2_METRICS",
     "HIGH_LOAD_THRESHOLD",
@@ -140,7 +136,6 @@ class ExperimentConfig:
             raise ConfigurationError("hpc2n_jobs_per_week must be >= 2")
 
 
-_STRETCH = (CollectorSpec("stretch"),)
 _STRETCH_AND_COSTS = (CollectorSpec("stretch"), CollectorSpec("costs"))
 
 
@@ -153,113 +148,43 @@ def lublin_source(config: ExperimentConfig, *, num_traces: Optional[int] = None)
     )
 
 
-def scaled_scenario(
-    name: str,
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: float,
-    algorithms: Optional[Sequence[str]] = None,
-    collectors: Tuple[CollectorSpec, ...] = _STRETCH,
-    loads: Optional[Sequence[float]] = None,
-) -> Scenario:
-    """Synthetic traces swept over offered-load levels."""
-    return Scenario(
-        name=name,
-        source=lublin_source(config),
-        cluster=config.cluster,
-        algorithms=tuple(algorithms if algorithms is not None else config.algorithms),
-        penalty_seconds=penalty_seconds,
-        sweep=(("load", tuple(loads if loads is not None else config.load_levels)),),
-        collectors=collectors,
-    )
+def paper_scenarios(config: ExperimentConfig) -> Dict[str, Scenario]:
+    """The paper's evaluation in the shape of ``examples/scenarios/paper_grid.json``:
+    Table I's three workload families, keyed by column name.
 
-
-def unscaled_scenario(
-    name: str,
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: float,
-    algorithms: Optional[Sequence[str]] = None,
-    collectors: Tuple[CollectorSpec, ...] = _STRETCH,
-) -> Scenario:
-    """Synthetic traces straight out of the Lublin model (no load scaling)."""
-    return Scenario(
-        name=name,
-        source=lublin_source(config),
-        cluster=config.cluster,
-        algorithms=tuple(algorithms if algorithms is not None else config.algorithms),
-        penalty_seconds=penalty_seconds,
-        collectors=collectors,
-    )
-
-
-def hpc2n_scenario(
-    name: str,
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: float,
-    algorithms: Optional[Sequence[str]] = None,
-) -> Scenario:
-    """HPC2N-like 1-week segments (the real-world Table I column).
-
-    The scenario cluster is the HPC2N machine itself, not ``config.cluster``
-    — the paper's real-world column simulates the traced system.
+    ``scaled`` sweeps the Lublin traces over ``config.load_levels`` (it is
+    also Figure 1's and Table II's campaign), ``unscaled`` runs the same
+    traces at their own load, and ``real`` the HPC2N-like 1-week segments on
+    the HPC2N machine itself.  Each sweeps a one-value ``penalty`` axis,
+    charged through a constant overhead model, as the grid file does.
     """
-    return Scenario(
-        name=name,
-        source=Hpc2nLikeSource(
-            weeks=config.hpc2n_weeks,
-            jobs_per_week=config.hpc2n_jobs_per_week,
-            seed_base=config.seed_base,
-        ),
-        cluster=HPC2N_CLUSTER,
-        algorithms=tuple(algorithms if algorithms is not None else config.algorithms),
-        penalty_seconds=penalty_seconds,
+    penalty = ("penalty", (config.penalty_seconds,))
+    hpc2n = Hpc2nLikeSource(
+        weeks=config.hpc2n_weeks,
+        jobs_per_week=config.hpc2n_jobs_per_week,
+        seed_base=config.seed_base,
     )
-
-
-def figure1_scenario(config: ExperimentConfig, *, penalty_seconds: float) -> Scenario:
-    """The Figure 1 sweep: degradation factor vs. offered load."""
-    return scaled_scenario("figure1", config, penalty_seconds=penalty_seconds)
-
-
-def table1_scenarios(config: ExperimentConfig, *, penalty_seconds: float) -> Dict[str, Scenario]:
-    """The three Table I workload families, keyed by column name."""
-    return {
-        "scaled": scaled_scenario(
-            "table1-scaled", config, penalty_seconds=penalty_seconds
-        ),
-        "unscaled": unscaled_scenario(
-            "table1-unscaled", config, penalty_seconds=penalty_seconds
-        ),
-        "real": hpc2n_scenario(
-            "table1-real", config, penalty_seconds=penalty_seconds
-        ),
+    columns = {
+        "scaled": (lublin_source(config), config.cluster, (penalty, ("load", config.load_levels))),
+        "unscaled": (lublin_source(config), config.cluster, (penalty,)),
+        "real": (hpc2n, HPC2N_CLUSTER, (penalty,)),
     }
-
-
-def table2_scenario(
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: float,
-    algorithms: Sequence[str],
-) -> Scenario:
-    """The Table II study: preemption/migration costs under high load
-    (offered load at least :data:`HIGH_LOAD_THRESHOLD`)."""
-    loads = [load for load in config.load_levels if load >= HIGH_LOAD_THRESHOLD]
-    if not loads:
-        raise ValueError(
-            "Table II needs at least one load level >= "
-            f"{HIGH_LOAD_THRESHOLD}; got {config.load_levels}"
+    return {
+        column: Scenario(
+            name=f"paper-{column}",
+            source=source,
+            cluster=cluster,
+            models={"overhead": {
+                "type": "constant",
+                "resume_seconds": "{penalty}",
+                "migration_seconds": "{penalty}",
+            }},
+            algorithms=config.algorithms,
+            sweep=sweep,
+            collectors=_STRETCH_AND_COSTS,
         )
-    return scaled_scenario(
-        "table2",
-        config,
-        penalty_seconds=penalty_seconds,
-        algorithms=algorithms,
-        collectors=(CollectorSpec("costs"),),
-        loads=loads,
-    )
+        for column, (source, cluster, sweep) in columns.items()
+    }
 
 
 def extensions_scenario(
@@ -268,8 +193,13 @@ def extensions_scenario(
     """The extension-scheduler comparison over the scaled synthetic traces."""
     if not algorithms:
         raise ConfigurationError("algorithms must not be empty")
-    return scaled_scenario(
-        "extensions", config, penalty_seconds=penalty_seconds, algorithms=algorithms
+    return Scenario(
+        name="extensions",
+        source=lublin_source(config),
+        cluster=config.cluster,
+        algorithms=algorithms,
+        penalty_seconds=penalty_seconds,
+        sweep=(("load", config.load_levels),),
     )
 
 
@@ -351,8 +281,8 @@ class StudyReport:
     """What every study returns: the printed table and the campaigns behind it."""
 
     text: str
-    #: What the text was rendered from (``--export-dir`` persists them; Table I
-    #: has three, every other study one).
+    #: What the text was rendered from (``--export-dir`` persists them; the
+    #: ``paper`` study has three, Table I's columns, every other study one).
     campaigns: Tuple[CampaignResult, ...]
 
     def format(self) -> str:
@@ -375,23 +305,6 @@ def _run(
     return (campaign or Campaign(workers=config.workers)).run(scenario)
 
 
-def run_figure1(
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: Optional[float] = None,
-    campaign: Optional[Campaign] = None,
-) -> StudyReport:
-    """Figure 1: average degradation factor vs. offered load.
-
-    Panel (a) charges no rescheduling penalty, panel (b) the 5-minute one.
-    Each point is ``outcome.degradation_averages(load=...)``: the average,
-    over the instances at one load level, of the per-instance factor.
-    """
-    penalty = _penalty(config, penalty_seconds)
-    outcome = _run(config, campaign, figure1_scenario(config, penalty_seconds=penalty))
-    return StudyReport(figure1_section(outcome, penalty), (outcome,))
-
-
 def figure1_section(outcome: CampaignResult, penalty_seconds: float, **filters: Any) -> str:
     """Figure 1's text over the rows of ``outcome`` that match ``filters``
     (``penalty=`` picks one panel of a grid that sweeps the penalty)."""
@@ -402,29 +315,6 @@ def figure1_section(outcome: CampaignResult, penalty_seconds: float, **filters: 
     label = "no" if penalty_seconds == 0 else f"{penalty_seconds:.0f}-second"
     title = f"Figure 1: average stretch degradation factor vs. load ({label} rescheduling penalty)"
     return format_figure_series(series, title=title)
-
-
-#: Table I workload families, in column (and ``report.campaigns``) order.
-TABLE1_COLUMNS = ("scaled", "unscaled", "real")
-
-
-def run_table1(
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: Optional[float] = None,
-    campaign: Optional[Campaign] = None,
-) -> StudyReport:
-    """Table I: avg / std / max degradation factor on three workload families.
-
-    The scaled synthetic traces (all load levels pooled), the unscaled ones,
-    and the HPC2N-like 1-week segments: one campaign per family, each column
-    its ``degradation_stats()``.
-    """
-    penalty = _penalty(config, penalty_seconds)
-    scenarios = table1_scenarios(config, penalty_seconds=penalty)
-    outcomes = [_run(config, campaign, scenarios[column]) for column in TABLE1_COLUMNS]
-    text = table1_section(dict(zip(TABLE1_COLUMNS, outcomes)), penalty)
-    return StudyReport(text, tuple(outcomes))
 
 
 def table1_section(
@@ -471,38 +361,14 @@ TABLE2_METRICS = (
 )
 
 
-def run_table2(
-    config: ExperimentConfig,
-    *,
-    penalty_seconds: Optional[float] = None,
-    algorithms: Sequence[str] = TABLE2_ALGORITHMS,
-    campaign: Optional[Campaign] = None,
-) -> StudyReport:
-    """Table II: preemption and migration costs under high load.
-
-    Bandwidth (GB/s), occurrences per hour and per job, each as the average
-    (and worst-trace maximum) over the scaled synthetic traces with offered
-    load at least :data:`HIGH_LOAD_THRESHOLD`:
-    ``outcome.aggregate(metric, statistic="mean" | "max")``.
-    """
-    penalty = _penalty(config, penalty_seconds)
-    scenario = table2_scenario(config, penalty_seconds=penalty, algorithms=algorithms)
-    outcome = _run(config, campaign, scenario)
-    return StudyReport(table2_section(outcome, penalty, algorithms), (outcome,))
-
-
 def _high_load(row: RunRecord) -> bool:
     return bool(row.params_dict()["load"] >= HIGH_LOAD_THRESHOLD)
 
 
-def table2_section(
-    outcome: CampaignResult,
-    penalty_seconds: float,
-    algorithms: Sequence[str] = TABLE2_ALGORITHMS,
-    **filters: Any,
-) -> str:
-    """Table II's text: ``algorithms``' costs over the rows of ``outcome`` that
-    match ``filters`` and have offered load at least :data:`HIGH_LOAD_THRESHOLD`."""
+def table2_section(outcome: CampaignResult, penalty_seconds: float, **filters: Any) -> str:
+    """Table II's text: the :data:`TABLE2_ALGORITHMS`' costs over the rows of
+    ``outcome`` that match ``filters`` and have offered load at least
+    :data:`HIGH_LOAD_THRESHOLD`."""
     cells = [
         (
             outcome.aggregate(metric, where=_high_load, **filters),
@@ -513,7 +379,7 @@ def table2_section(
     rows = [
         [name] + [f"{mean[name]:.2f} ({worst[name]:.2f})" for mean, worst in cells]
         for name in outcome.algorithms()
-        if name in algorithms
+        if name in TABLE2_ALGORITHMS
     ]
     return format_table(
         ["algorithm"] + [f"{metric} (avg/max)" for metric in TABLE2_METRICS],
@@ -525,15 +391,77 @@ def table2_section(
     )
 
 
+_FENCE = "```text\n{}\n```"
+
+
+def paper_section(columns: Mapping[str, CampaignResult], penalty: Any) -> str:
+    """The paper's evaluation at one penalty, over the rows of ``columns``
+    (Table I's columns by name; Figure 1 and Table II read ``scaled``) that
+    carry ``penalty=penalty``.
+
+    The best batch over best preemptive DFRS max-stretch ratios and the most
+    memory one run moves, then :func:`figure1_section`,
+    :func:`table1_section` and :func:`table2_section`.  The ratios cover the
+    algorithms the rows have (the line is left out when they have no batch
+    or no preemptive DFRS algorithm), and a run without a load of at least
+    :data:`HIGH_LOAD_THRESHOLD` gets one line instead of Table II.
+    """
+    scaled = columns["scaled"]
+    batch = [name for name in scaled.algorithms() if name in BATCH_ALGORITHMS]
+    dfrs = [name for name in scaled.algorithms() if name in TABLE2_ALGORITHMS]
+    summary = ""
+    if batch and dfrs:
+        ratios = [
+            min(group[name].metric("max_stretch") for name in batch)
+            / min(group[name].metric("max_stretch") for name in dfrs)
+            for group in scaled.instances(penalty=penalty)
+        ]
+        summary = (
+            "Best batch (FCFS/EASY) max stretch over best preemptive DFRS (GREEDY-PMTN, "
+            "-MIGR, the DYNMCB8 family) max stretch, per trace and load: min "
+            f"{min(ratios):.2f}, median {float(np.median(ratios)):.2f}, max {max(ratios):.2f}.  "
+        )
+    rows = scaled.select(penalty=penalty)
+    moved = max(
+        row.metric("pmtn_bandwidth_gb_per_sec") + row.metric("migr_bandwidth_gb_per_sec")
+        for row in rows
+    )
+    parts = [
+        f"## Penalty {penalty:g} s",
+        f"{summary}The most one run moves is {moved:.2f} GB/s.",
+        _FENCE.format(figure1_section(scaled, penalty, penalty=penalty)),
+        _FENCE.format(table1_section(columns, penalty, penalty=penalty)),
+    ]
+    if any(_high_load(row) for row in rows):
+        parts.append(_FENCE.format(table2_section(scaled, penalty, penalty=penalty)))
+    else:
+        loads = dict.fromkeys(f"{row.params_dict()['load']:g}" for row in rows)
+        parts.append(
+            f"Table II needs a load of at least {HIGH_LOAD_THRESHOLD}; "
+            f"this run's loads are {', '.join(loads)}."
+        )
+    return "\n\n".join(parts)
+
+
+def run_paper(config: ExperimentConfig, *, campaign: Optional[Campaign] = None) -> StudyReport:
+    """Figure 1, Table I and Table II at ``config.penalty_seconds``: the
+    :func:`paper_scenarios` campaigns, printed by :func:`paper_section`."""
+    columns = {
+        column: _run(config, campaign, scenario)
+        for column, scenario in paper_scenarios(config).items()
+    }
+    return StudyReport(
+        paper_section(columns, config.penalty_seconds), tuple(columns.values())
+    )
+
+
 def render_paper_grid(payload: Mapping[str, Any]) -> str:
     """``results/paper_grid.md`` from ``results/paper_grid.json`` alone.
 
     The JSON is the export of ``repro-dfrs run examples/scenarios/paper_grid.json``
-    plus a ``measured`` block (``wall_seconds``, ``command``, ``host``).  Per
-    penalty: the best batch over best preemptive DFRS max-stretch ratios, the
-    most memory one run moves, then :func:`figure1_section`,
-    :func:`table1_section` (the grid is Table I's scaled column) and
-    :func:`table2_section` over that penalty's rows.
+    plus a ``measured`` block (``wall_seconds``, ``command``, ``host``): a
+    provenance header, then :func:`paper_section` per penalty, the grid
+    being Table I's scaled column.
     """
     result = CampaignResult.from_json_dict(payload)
     if any(row.instance_index < 0 for row in result.rows):
@@ -562,31 +490,9 @@ def render_paper_grid(payload: Mapping[str, Any]) -> str:
         "load the preemptions and migrations per hour of makespan and per job, and the "
         "memory they move per second of makespan (GB/s).\n"
     )
-    for penalty in sweep["penalty"]:
-        ratios = []
-        for group in result.instances(penalty=penalty):
-            stretch = {name: row.metric("max_stretch") for name, row in group.items()}
-            ratios.append(
-                min(stretch[name] for name in BATCH_ALGORITHMS)
-                / min(stretch[name] for name in TABLE2_ALGORITHMS)
-            )
-        moved = max(
-            row.metric("pmtn_bandwidth_gb_per_sec") + row.metric("migr_bandwidth_gb_per_sec")
-            for row in result.select(penalty=penalty)
-        )
-        sections = (
-            figure1_section(result, penalty, penalty=penalty),
-            table1_section({"scaled": result}, penalty, penalty=penalty),
-            table2_section(result, penalty, penalty=penalty),
-        )
-        text += (
-            f"\n## Penalty {penalty} s\n\nBest batch (FCFS/EASY) max stretch over best "
-            "preemptive DFRS (GREEDY-PMTN, -MIGR, the DYNMCB8 family) max stretch, per "
-            f"trace and load: min {min(ratios):.2f}, median {float(np.median(ratios)):.2f}, "
-            f"max {max(ratios):.2f}.  The most one run moves is {moved:.2f} GB/s.\n"
-            + "".join(f"\n```text\n{section}\n```\n" for section in sections)
-        )
-    return text
+    return text + "".join(
+        f"\n{paper_section({'scaled': result}, penalty)}\n" for penalty in sweep["penalty"]
+    )
 
 
 #: §V's claim: allocations for 10 or fewer jobs in under a millisecond.
@@ -974,9 +880,7 @@ def _load_option(default: float) -> StudyOption:
 
 #: Every study of the repository by CLI name, in ``--help`` order.
 STUDIES: Dict[str, Study] = {
-    "figure1": Study("degradation factor vs. load", run_figure1),
-    "table1": Study("degradation statistics per workload family", run_table1),
-    "table2": Study("preemption and migration costs", run_table2),
+    "paper": Study("Figure 1, Table I and Table II at one penalty", run_paper),
     "timing": Study("scheduling computation time study", run_timing_study),
     "compare": Study(
         "run one synthetic trace under several algorithms",

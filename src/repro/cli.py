@@ -5,11 +5,10 @@ configurable scale and print the corresponding table or figure series (the
 study subcommands, their help texts and their options are the entries of
 :data:`repro.campaign.studies.STUDIES`; nothing here names one):
 
-* ``figure1`` — average degradation factor vs. load (``--penalty`` selects
-  panel (a) with 0 or panel (b) with 300 seconds);
-* ``table1``  — degradation statistics on scaled / unscaled / HPC2N-like
-  workloads;
-* ``table2``  — preemption and migration costs under high load;
+* ``paper``   — Figure 1 (degradation factor vs. load), Table I
+  (degradation statistics on scaled / unscaled / HPC2N-like workloads) and
+  Table II (preemption and migration costs under high load) at one penalty
+  (``--penalty`` 0 for Figure 1 (a), 300 seconds for (b));
 * ``timing``  — scheduling-decision computation time (§V);
 * ``compare`` — run a single generated trace under chosen algorithms and
   print per-algorithm stretch statistics (useful for quick exploration).
@@ -540,9 +539,9 @@ def _format_algorithms() -> str:
 
 
 #: Subcommands whose output semantics are well-defined for merged streaming
-#: rows.  The paper-artifact studies (figure1/table1/...) aggregate
-#: *per-instance* degradation factors; a merged pseudo-instance row would
-#: silently change the estimator, so they refuse the flag instead.
+#: rows.  The studies (``paper`` and the others) aggregate *per-instance*
+#: degradation factors; a merged pseudo-instance row would silently change
+#: the estimator, so they refuse the flag instead.
 _STREAMING_COMMANDS = ("run", "compare")
 
 #: Global flags that size an experiment.  ``run`` refuses them: the spec file
@@ -576,7 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "streaming_metrics", False) and args.command not in _STREAMING_COMMANDS:
         parser.error(
             f"--streaming-metrics only applies to {' / '.join(_STREAMING_COMMANDS)}: "
-            "the paper-artifact drivers average per-instance degradation "
+            "paper and the other studies average per-instance degradation "
             "factors, which the merged per-cell streaming rows would "
             "silently change"
         )

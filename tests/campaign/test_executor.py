@@ -226,18 +226,19 @@ class TestDriverWiring:
         assert self.CONFIG.workers == 1
         assert replace(self.CONFIG, workers=4).workers == 4
 
-    def test_figure1_parallel_matches_serial(self):
-        from repro.campaign.studies import run_figure1
+    def test_paper_parallel_matches_serial(self):
+        from repro.campaign.studies import run_paper
 
-        serial = run_figure1(self.CONFIG)
-        parallel = run_figure1(replace(self.CONFIG, workers=2))
-        assert parallel.outcome.rows == serial.outcome.rows
+        serial = run_paper(self.CONFIG)
+        parallel = run_paper(replace(self.CONFIG, workers=2))
+        for ours, theirs in zip(parallel.campaigns, serial.campaigns):
+            assert ours.rows == theirs.rows
         assert parallel.format() == serial.format()
 
     def test_cli_exposes_workers_flag(self):
         from repro.cli import _config_from_args, build_parser
 
-        args = build_parser().parse_args(["--workers", "3", "figure1"])
+        args = build_parser().parse_args(["--workers", "3", "paper"])
         assert args.workers == 3
         assert _config_from_args(args).workers == 3
 

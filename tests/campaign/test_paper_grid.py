@@ -1,9 +1,10 @@
 """The shipped paper grid: a smoke run of the file and its committed result.
 
-The smoke tests shrink ``examples/scenarios/paper_grid.json`` with
-``dataclasses.replace`` (one trace of 40 jobs, loads 0.3 and 0.9), hold it to
-the paper's claims and hold its rendering to the ``figure1`` / ``table1`` /
-``table2`` studies' own; the committed-result test simulates nothing.
+The file is the ``paper`` study's scaled column at paper size (the drift
+test holds the two together), so the smoke tests build it from
+:func:`~repro.campaign.studies.paper_scenarios` at a smoke size (one trace
+of 40 jobs, loads 0.3 and 0.9, both of the file's penalties) and hold it to
+the paper's claims; the committed-result test simulates nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import re
 import signal
 import subprocess
 import sys
@@ -28,10 +28,8 @@ from repro.campaign.studies import (
     TABLE2_ALGORITHMS,
     TABLE2_METRICS,
     ExperimentConfig,
+    paper_scenarios,
     render_paper_grid,
-    run_figure1,
-    run_table2,
-    table1_section,
 )
 from repro.cli import main
 from repro.schedulers.registry import BATCH_ALGORITHMS, PAPER_ALGORITHMS
@@ -39,15 +37,30 @@ from repro.schedulers.registry import BATCH_ALGORITHMS, PAPER_ALGORITHMS
 REPO = pathlib.Path(__file__).resolve().parents[2]
 GRID_FILE = REPO / "examples" / "scenarios" / "paper_grid.json"
 SMOKE_LOADS = (0.3, 0.9)
+PAPER_SIZE = ExperimentConfig(
+    num_traces=12, num_jobs=1000, load_levels=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+)
 
 
-def smoke_scenario():
-    scenario = load_scenario(GRID_FILE)
-    return replace(
-        scenario,
-        source=replace(scenario.source, num_traces=1, num_jobs=40),
-        sweep=tuple((axis, SMOKE_LOADS if axis == "load" else v) for axis, v in scenario.sweep),
+def smoke_scenario(algorithms=tuple(PAPER_ALGORITHMS)):
+    """The file at smoke size: its name and both of its penalties."""
+    config = ExperimentConfig(
+        num_traces=1, num_jobs=40, load_levels=SMOKE_LOADS, algorithms=algorithms
     )
+    scenario = paper_scenarios(config)["scaled"]
+    return replace(scenario, name="paper-grid", sweep=(("penalty", (0, 300)), ("load", SMOKE_LOADS)))
+
+
+def drop_name_and_penalties(scenario):
+    spec = scenario.to_dict()
+    del spec["name"]
+    spec["sweep"] = [[axis, None if axis == "penalty" else values] for axis, values in spec["sweep"]]
+    return spec
+
+
+def smoke_payload(result):
+    return {**result.to_json_dict(), "measured": {
+        "wall_seconds": 1.0, "command": "smoke", "host": "this test"}}
 
 
 @pytest.fixture(scope="module")
@@ -71,31 +84,23 @@ def test_the_penalty_axis_equals_penalty_seconds(smoke, penalty):
         )
 
 
-@pytest.mark.parametrize("penalty", [0, 300])
-def test_the_grid_renders_through_the_studies_own_sections(smoke, penalty):
-    """One renderer: a penalty's Figure 1 and Table II sections are what
-    ``run_figure1`` / ``run_table2`` print for the same traces, loads and
-    algorithms at that ``penalty_seconds``, and its Table I section is the
-    scaled column of that same Figure 1 campaign."""
-    payload = {**smoke.to_json_dict(), "measured": {
-        "wall_seconds": 1.0, "command": "smoke", "host": "this test"}}
-    heading = f"\n## Penalty {penalty} s\n"
-    body = render_paper_grid(payload).split(heading, 1)[1].split("\n## ", 1)[0]
-    figure, table1, table2 = re.findall(r"```text\n(.*?)\n```", body, re.S)
-    scenario = smoke_scenario()
-    config = ExperimentConfig(
-        cluster=scenario.cluster,
-        num_traces=scenario.source.num_traces,
-        num_jobs=scenario.source.num_jobs,
-        load_levels=SMOKE_LOADS,
-        algorithms=scenario.algorithms,
-        penalty_seconds=float(penalty),
-        seed_base=scenario.source.seed_base,
+def test_the_grid_file_is_the_paper_studys_scaled_column_at_paper_size():
+    """One definition of the paper: the committed file differs from the
+    study's scaled column only in its name and its two penalties."""
+    shipped = load_scenario(GRID_FILE)
+    assert drop_name_and_penalties(shipped) == drop_name_and_penalties(
+        paper_scenarios(PAPER_SIZE)["scaled"]
     )
-    report = run_figure1(config)
-    assert figure == report.text
-    assert table1 == table1_section({"scaled": report.outcome}, penalty)
-    assert table2 == run_table2(config).text
+    assert dict(shipped.sweep)["penalty"] == (0, 300)
+
+
+def test_the_ratio_line_needs_a_batch_and_a_dfrs_algorithm():
+    """A result without a batch algorithm renders without the ratio line."""
+    result = Campaign().run(smoke_scenario(algorithms=("greedy-pmtn", "dynmcb8")))
+    text = render_paper_grid(smoke_payload(result))
+    assert "Best batch" not in text
+    assert text.count("The most one run moves is") == 2
+    assert text.count("Table II: preemption and migration costs") == 2
 
 
 @pytest.mark.parametrize("penalty", [0, 300])
@@ -116,6 +121,25 @@ def test_a_periodic_mcb8_keeps_pace_with_dynmcb8_under_the_penalty(smoke):
 
     periodic = [name for name in PAPER_ALGORITHMS if name.startswith("dynmcb8-")]
     assert min(mean(name) for name in periodic) <= 1.5 * mean("dynmcb8")
+
+
+def test_the_ratio_line_reads_the_minimum_over_the_algorithms_the_rows_have(smoke):
+    """Dropping every algorithm that is never the best of its set leaves
+    each penalty's ratio line as it was."""
+    full = render_paper_grid(smoke_payload(smoke))
+    keep = set()
+    for group in smoke.instances():
+        for names in (BATCH_ALGORITHMS, TABLE2_ALGORITHMS):
+            keep.add(min(names, key=lambda name: group[name].metric("max_stretch")))
+    payload = smoke_payload(smoke)
+    payload["rows"] = [row for row in payload["rows"] if row["algorithm"] in keep]
+    subset = render_paper_grid(payload)
+
+    def ratio_lines(text):
+        return [line.split(".  ")[0] for line in text.splitlines() if line.startswith("Best batch")]
+
+    assert len(ratio_lines(full)) == 2
+    assert ratio_lines(subset) == ratio_lines(full)
 
 
 def test_the_rendering_refuses_merged_rows(smoke):

@@ -466,5 +466,5 @@ class TestStreamingCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--streaming-metrics", "figure1"])
+            main(["--streaming-metrics", "paper"])
         assert "per-instance degradation" in capsys.readouterr().err

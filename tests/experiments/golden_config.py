@@ -3,8 +3,9 @@
 These configurations pin down the exact workloads behind the golden files in
 ``tests/experiments/golden/`` (one ``<study name>.txt`` per entry of
 :data:`repro.campaign.studies.STUDIES`, dashes as underscores); regenerate the
-files with ``python tests/experiments/regen_golden.py`` (only legitimate when
-the *formatting* intentionally changes — the simulated numbers must not move).
+files, and ``results/paper_grid.md``, with ``python
+tests/experiments/regen_golden.py`` (only legitimate when the *formatting*
+intentionally changes — the simulated numbers must not move).
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ GOLDEN_CONFIG = ExperimentConfig(
 #: Keyword arguments each study's golden run adds to ``GOLDEN_CONFIG``; a
 #: study missing here (or missing its golden file) fails the suite.
 GOLDEN_KWARGS: Dict[str, Dict[str, Any]] = {
-    "figure1": {},
-    "table1": {},
-    "table2": {"algorithms": ("greedy-pmtn", "greedy-pmtn-migr", "dynmcb8-per-600")},
+    "paper": {},
     "timing": {"algorithm": "dynmcb8"},
     "compare": {"load": 0.5},
     "period-sweep": {"periods": (300.0, 1200.0), "load": 0.5},

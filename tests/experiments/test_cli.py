@@ -41,11 +41,11 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(
             ["--nodes", "16", "--num-jobs", "50", "--loads", "0.2,0.6",
-             "--algorithms", "fcfs,greedy", "--penalty", "0", "figure1"]
+             "--algorithms", "fcfs,greedy", "--penalty", "0", "paper"]
         )
         assert args.nodes == 16
         assert args.num_jobs == 50
-        assert args.command == "figure1"
+        assert args.command == "paper"
 
     def test_compare_load_option(self):
         parser = build_parser()
@@ -100,10 +100,25 @@ class TestMain:
         assert "easy" in output and "greedy-pmtn" in output
         assert "max stretch" in output
 
-    def test_figure1_command(self, capsys):
-        code = main(self._common() + ["--loads", "0.5", "figure1"])
+    def test_paper_command(self, capsys):
+        code = main(self._common() + ["--loads", "0.5,0.8", "paper"])
         assert code == 0
-        assert "Figure 1" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        for title in ("Figure 1", "Table I", "Table II", "Best batch"):
+            assert title in output
+
+    def test_paper_command_without_a_high_load(self, capsys):
+        code = main(self._common() + ["--loads", "0.5", "paper"])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "Figure 1" in output and "Table I" in output
+        assert "Table II needs a load of at least 0.7; this run's loads are 0.5." in output
+
+    def test_paper_command_without_a_batch_algorithm(self, capsys):
+        code = main(self._common() + ["--algorithms", "greedy-pmtn,dynmcb8", "paper"])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "Best batch" not in output and "Table II:" in output
 
     def test_timing_command(self, capsys):
         code = main(self._common() + ["--algorithms", "dynmcb8", "timing"])
@@ -126,23 +141,23 @@ class TestMain:
         export_dir = tmp_path / "artifacts"
         code = main(
             self._common()
-            + ["--loads", "0.5", "--export-dir", str(export_dir), "figure1"]
+            + ["--loads", "0.5", "--export-dir", str(export_dir), "paper"]
         )
         assert code == 0
-        json_files = list(export_dir.glob("figure1-*.json"))
-        csv_files = list(export_dir.glob("figure1-*.rows.csv"))
+        json_files = list(export_dir.glob("paper-scaled-*.json"))
+        csv_files = list(export_dir.glob("paper-scaled-*.rows.csv"))
         assert len(json_files) == 1 and len(csv_files) == 1
         output = capsys.readouterr().out
         assert str(json_files[0]) in output
 
-    def test_export_dir_table1_writes_all_three_campaigns(self, tmp_path):
+    def test_export_dir_paper_writes_all_three_campaigns(self, tmp_path):
         export_dir = tmp_path / "artifacts"
         code = main(
             self._common()
-            + ["--loads", "0.5", "--export-dir", str(export_dir), "table1"]
+            + ["--loads", "0.5", "--export-dir", str(export_dir), "paper"]
         )
         assert code == 0
-        stems = {path.name.split("-", 2)[1] for path in export_dir.glob("table1-*")}
+        stems = {path.name.split("-", 2)[1] for path in export_dir.glob("paper-*")}
         assert stems == {"scaled", "unscaled", "real"}
 
     def test_export_dir_packing_ablation(self, tmp_path):

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import run_algorithm, run_figure1, run_instance, run_table1, run_table2
-from repro import run_timing_study
+from dataclasses import replace
+
+from repro import run_algorithm, run_instance, run_paper, run_timing_study
+from repro.campaign.executor import Campaign
 from repro.campaign.studies import (
-    TABLE1_COLUMNS,
+    HIGH_LOAD_THRESHOLD,
     TABLE2_ALGORITHMS,
     TABLE2_METRICS,
     ExperimentConfig,
     lublin_source,
+    paper_scenarios,
 )
 from repro.core.cluster import Cluster
 from repro.traces import scale_to_load
@@ -56,34 +59,39 @@ class TestRunner:
         assert min(factors.values()) == pytest.approx(1.0)
 
 
+@pytest.fixture(scope="module")
+def paper_report():
+    return run_paper(replace(TINY, penalty_seconds=0.0))
+
+
 class TestArtifacts:
-    def test_figure1_structure(self):
-        report = run_figure1(TINY, penalty_seconds=0.0)
+    def test_figure1_structure(self, paper_report):
+        scaled = paper_report.campaigns[0]
         for load in TINY.load_levels:
-            values = report.outcome.degradation_averages(load=load)
+            values = scaled.degradation_averages(load=load)
             assert set(values) == set(TINY.algorithms)
             assert min(values.values()) >= 1.0 - 1e-9
-        text = report.format()
-        assert "Figure 1" in text
+        text = paper_report.format()
+        assert "Figure 1" in text and "no rescheduling penalty" in text
         for algorithm in TINY.algorithms:
             assert algorithm in text
 
-    def test_table1_structure(self):
-        report = run_table1(TINY)
-        assert [outcome.name for outcome in report.campaigns] == [
-            f"table1-{column}" for column in TABLE1_COLUMNS
+    def test_table1_structure(self, paper_report):
+        assert [outcome.name for outcome in paper_report.campaigns] == [
+            "paper-scaled", "paper-unscaled", "paper-real"
         ]
-        for outcome in report.campaigns:
-            column = outcome.degradation_stats()
+        for outcome in paper_report.campaigns:
+            assert outcome.axes()[0] == "penalty"
+            column = outcome.degradation_stats(penalty=0.0)
             assert set(column) == set(TINY.algorithms)
             for stats in column.values():
                 assert stats.average >= 1.0 - 1e-9
                 assert stats.maximum >= stats.average - 1e-9
-        assert "Table I" in report.format()
+        assert "Table I" in paper_report.format()
 
     def test_table2_structure(self):
-        report = run_table2(TINY)
-        outcome = report.outcome
+        config = replace(TINY, algorithms=TABLE2_ALGORITHMS)
+        outcome = Campaign().run(paper_scenarios(config)["scaled"])
         assert outcome.algorithms() == list(TABLE2_ALGORITHMS)
         worst = {name: outcome.aggregate(name, statistic="max") for name in TABLE2_METRICS}
         for name in TABLE2_METRICS:
@@ -96,18 +104,23 @@ class TestArtifacts:
         # much per job as its periodic variant.
         migrations = outcome.aggregate("migr_per_job")
         assert migrations["dynmcb8"] >= 0.5 * migrations["dynmcb8-per-600"]
-        assert "Table II" in report.format()
 
-    def test_table2_requires_high_load_level(self):
+    def test_table2_gives_way_to_its_reason_without_a_high_load(self):
         config = ExperimentConfig(
             cluster=Cluster(8),
             num_traces=1,
             num_jobs=10,
-            load_levels=(0.3,),
-            algorithms=("greedy-pmtn",),
+            load_levels=(0.3, 0.5),
+            algorithms=("easy", "greedy-pmtn"),
+            hpc2n_jobs_per_week=10,
         )
-        with pytest.raises(ValueError):
-            run_table2(config, algorithms=("greedy-pmtn",))
+        text = run_paper(config).format()
+        assert "Figure 1" in text and "Table I" in text
+        assert "Table II:" not in text
+        assert text.endswith(
+            f"\n\nTable II needs a load of at least {HIGH_LOAD_THRESHOLD}; "
+            "this run's loads are 0.3, 0.5."
+        )
 
     def test_timing_study(self):
         report = run_timing_study(TINY, algorithm="dynmcb8")
