@@ -1,14 +1,15 @@
-"""Benchmark: core engine event-loop throughput (``BENCH_engine.json``).
+"""Benchmark: core engine event-loop throughput and telemetry overhead.
 
 Drives :meth:`~repro.core.engine.Simulator.run` over a materialized
 sub-critical diurnal-Poisson workload and records sustained events/sec for
 a representative algorithm spread (rigid batch, event-driven DFRS, periodic
-DFRS), once with telemetry disabled and once with the ``stats`` sink, so
-the committed artifact pins both raw engine speed and the cost of turning
-instrumentation on.  The disabled/enabled ratio is asserted against
-``OVERHEAD_BOUND`` at the best-of-repeats scale — the observability seam
-must stay effectively free.  The committed ``BENCH_engine.json`` at the
-repo root is the perf trajectory artifact: regenerate it with
+DFRS), once with telemetry disabled and once with the ``stats`` sink.
+Telemetry must not change the simulated results, and the enabled/disabled
+wall-time ratio is asserted against ``OVERHEAD_BOUND`` at the
+best-of-repeats scale — the observability seam must stay effectively free.
+The table goes to ``benchmarks/results/engine_throughput.txt``; throughput
+across changes is compared by ``bench/run.py``'s interleaved pairs.  Run it
+with
 
     REPRO_BENCH_SCALE=default PYTHONPATH=src python -m pytest \\
         benchmarks/test_bench_engine_throughput.py -m bench -q
@@ -19,9 +20,7 @@ Scale knob: ``REPRO_BENCH_SCALE=quick`` runs 10k jobs only (CI-friendly);
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -40,10 +39,6 @@ ALGORITHMS = ("fcfs", "greedy-pmtn-migr", "dynmcb8-asap-per-600")
 #: Telemetry may cost at most 10% of the disabled-path wall time (asserted
 #: on best-of-repeats timings, which damp scheduler-noise spikes).
 OVERHEAD_BOUND = 1.10
-
-#: Where the committed events/sec artifact lives (repo root, next to
-#: ``BENCH_serve.json`` — ``benchmarks/results/`` is gitignored).
-ARTIFACT_PATH = Path(__file__).parent.parent / "BENCH_engine.json"
 
 
 def _scales() -> tuple:
@@ -111,7 +106,6 @@ def _measure(algorithm, jobs, repeats):
 
 @pytest.mark.benchmark(group="engine-throughput")
 def test_engine_throughput(report_artifact):
-    entries = []
     rows = []
     for num_jobs in _scales():
         jobs = list(_trace(num_jobs).jobs(CLUSTER))
@@ -130,20 +124,6 @@ def test_engine_throughput(report_artifact):
                     f"{overhead:.3f}x exceeds {OVERHEAD_BOUND}x"
                 )
             events_per_sec = off["events"] / off["wall_seconds"]
-            entries.append(
-                {
-                    "workload": workload,
-                    "algorithm": algorithm,
-                    "nodes": CLUSTER.num_nodes,
-                    "num_jobs": num_jobs,
-                    "events": off["events"],
-                    "wall_seconds": round(off["wall_seconds"], 3),
-                    "events_per_wall_sec": round(events_per_sec, 1),
-                    "telemetry_wall_seconds": round(on["wall_seconds"], 3),
-                    "telemetry_overhead": round(overhead, 3),
-                    "repeats": repeats,
-                }
-            )
             rows.append(
                 [
                     workload,
@@ -154,15 +134,6 @@ def test_engine_throughput(report_artifact):
                     f"{overhead:.3f}",
                 ]
             )
-    artifact = {
-        "benchmark": "engine-throughput",
-        "overhead_bound": OVERHEAD_BOUND,
-        "scale": os.environ.get("REPRO_BENCH_SCALE", "default").lower(),
-        "entries": entries,
-    }
-    ARTIFACT_PATH.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     report_artifact(
         "engine_throughput",
         format_table(

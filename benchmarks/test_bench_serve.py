@@ -1,12 +1,13 @@
-"""Benchmark: scheduler-as-a-service replay throughput (``BENCH_serve.json``).
+"""Benchmark: scheduler-as-a-service replay throughput.
 
 Replays a sub-critical diurnal-Poisson trace through a
 :class:`~repro.serve.service.SchedulerService` under the max-throughput
 :class:`~repro.core.clock.SimulatedClock` and records sustained
 placements/sec, admission outcomes, and queue-latency quantiles for a
 representative algorithm spread (rigid batch, event-driven DFRS, periodic
-DFRS).  The committed ``BENCH_serve.json`` at the repo root is the perf
-trajectory artifact: regenerate it with
+DFRS); every job must be accepted and complete.  The table goes to
+``benchmarks/results/serve_loadtest.txt``; throughput across changes is
+compared by ``bench/run.py``'s ``serve-socket-fcfs`` pairs.  Run it with
 
     REPRO_BENCH_SCALE=default PYTHONPATH=src python -m pytest \\
         benchmarks/test_bench_serve.py -m bench -q
@@ -17,25 +18,19 @@ Scale knob: ``REPRO_BENCH_SCALE=quick`` replays 2k jobs (CI-friendly);
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
-from repro.serve import bench_payload, run_loadtest
+from repro.serve import run_loadtest
 from repro.traces import DiurnalPoissonTraceSource
 
 pytestmark = pytest.mark.bench
 
 CLUSTER = Cluster(64, 4, 8.0)
 ALGORITHMS = ("fcfs", "greedy-pmtn-migr", "dynmcb8-asap-per-600")
-
-#: Where the committed placements/sec artifact lives (repo root —
-#: ``benchmarks/results/`` is gitignored).
-ARTIFACT_PATH = Path(__file__).parent.parent / "BENCH_serve.json"
 
 
 def _num_jobs() -> int:
@@ -67,16 +62,12 @@ def test_serve_replay_throughput(report_artifact):
     num_jobs = _num_jobs()
     trace = _trace(num_jobs)
     workload = f"diurnal-poisson-{num_jobs}"
-    entries = []
     rows = []
     for algorithm in ALGORITHMS:
         report = run_loadtest(CLUSTER, algorithm, trace)
         assert report.submitted == report.accepted == num_jobs
         assert report.completions == num_jobs
         assert report.placements_per_wall_sec > 0.0
-        entries.append(
-            bench_payload(report, workload=workload, nodes=CLUSTER.num_nodes)
-        )
         rows.append(
             [
                 algorithm,
@@ -87,14 +78,6 @@ def test_serve_replay_throughput(report_artifact):
                 f"{report.queue_latency.get('p99', 0.0):.1f}",
             ]
         )
-    artifact = {
-        "benchmark": "serve-loadtest",
-        "scale": os.environ.get("REPRO_BENCH_SCALE", "default").lower(),
-        "entries": entries,
-    }
-    ARTIFACT_PATH.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     report_artifact(
         "serve_loadtest",
         format_table(

@@ -1,11 +1,12 @@
-"""Benchmark: long-haul serve soak (``BENCH_soak.json``).
+"""Benchmark: long-haul serve soak health.
 
 Runs the :mod:`repro.obs.soak` harness — live service, real socket,
 accelerated wall clock, periodic ``metrics``/``metrics-prom`` scrapes —
 against a sub-critical diurnal-Poisson feed and asserts the health
 invariants hold: flat RSS, sustained placement rate, bounded queue depth.
-The committed ``BENCH_soak.json`` at the repo root is the soak-health
-artifact: regenerate it with
+The table goes to ``benchmarks/results/serve_soak.txt``.  Its placement
+rate is set by the clock acceleration and the trace's arrival rate, so it is
+a health floor, not a throughput figure.  Run it with
 
     REPRO_BENCH_SCALE=default PYTHONPATH=src python -m pytest \\
         benchmarks/test_bench_soak.py -m bench -q
@@ -16,9 +17,7 @@ Scale knob: ``REPRO_BENCH_SCALE=quick`` soaks ~15 wall seconds
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
 
@@ -32,8 +31,6 @@ pytestmark = pytest.mark.bench
 
 CLUSTER = Cluster(64, 4, 8.0)
 ALGORITHM = "greedy-pmtn-migr"
-
-ARTIFACT_PATH = Path(__file__).parent.parent / "BENCH_soak.json"
 
 
 def _wall_seconds() -> float:
@@ -83,11 +80,6 @@ def test_serve_soak_health(report_artifact):
     assert report.prometheus is not None and "repro_serve_" in report.prometheus
     assert report.submitted > 0 and report.placements > 0
     assert report.healthy, f"soak unhealthy: {report.violations}"
-    payload = report.bench_payload()
-    payload["scale"] = os.environ.get("REPRO_BENCH_SCALE", "default").lower()
-    ARTIFACT_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     rows = [
         [
             report.algorithm,

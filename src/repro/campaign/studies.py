@@ -482,8 +482,8 @@ def render_paper_grid(payload: Mapping[str, Any]) -> str:
         f"{len(result.rows)} cells (one algorithm on one trace at one load and penalty) "
         f"in {wall:.0f} s wall, {len(result.rows) / wall:.3f} cells/s: "
         f"`{measured['command']}` on {measured['host']}.\n\n"
-        "Each penalty's sections are the `figure1`, `table1` and `table2` studies' own "
-        "renderings of that penalty's rows.  Degradation from best is an algorithm's "
+        "Each penalty's sections are `paper_section`'s rendering of that penalty's rows, "
+        "as the `paper` study prints them.  Degradation from best is an algorithm's "
         "maximum bounded stretch over the best one's on the same trace, load and "
         "penalty: Figure 1 averages it over the traces at each load, Table I pools all "
         "loads.  Table II averages (worst run in parentheses) over the runs at high "

@@ -80,12 +80,7 @@ from .campaign.spec import load_scenario
 from .campaign.studies import STUDIES, ExperimentConfig
 from .core.cluster import Cluster
 from .devtools.cli import add_dev_subparser, run_dev_command
-from .obs.cli import (
-    add_obs_subparser,
-    add_profile_subparser,
-    run_obs_command,
-    run_profile_command,
-)
+from .obs.cli import add_profile_subparser, run_profile_command
 from .schedulers.registry import algorithm_catalog
 from .serve.cli import (
     add_serve_subparsers,
@@ -270,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_dev_subparser(subparsers)
     add_serve_subparsers(subparsers)
     add_profile_subparser(subparsers)
-    add_obs_subparser(subparsers)
     return parser
 
 
@@ -565,9 +559,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "soak":
         # The soak harness drives the live serve stack directly.
         return run_soak_command(args)
-    if args.command == "obs":
-        # Bench gating reads artifacts only; no engine or campaign involved.
-        return run_obs_command(args)
     if args.command == "profile":
         # Profiling drives one engine run directly from the scenario spec;
         # the experiment-config and campaign machinery never enter the path.

@@ -21,8 +21,7 @@ The second observability layer builds on that seam:
 * **SLO / goodput collectors** (:mod:`repro.obs.slo`) — streaming-capable
   campaign collectors for JCT, SLO attainment, and windowed goodput;
 * the **soak harness** (:mod:`repro.obs.soak`) — a long-haul accelerated
-  serve driver with scraped health samples and invariant checks, and the
-  bench-regression differ (:mod:`repro.obs.benchdiff`).
+  serve driver with scraped health samples and invariant checks.
 
 Declarative spec forms (``{"type": "off" | "stats" | "tracing"}``) travel
 in scenario specs and :class:`~repro.core.engine.SimulationConfig`; the
@@ -42,7 +41,6 @@ from .flight import (
 from .prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
-    render_summary_dict,
     render_telemetry,
 )
 from .telemetry import (
@@ -82,7 +80,6 @@ __all__ = [
     "push_telemetry",
     "register_telemetry_config",
     "render_prometheus",
-    "render_summary_dict",
     "render_telemetry",
     "summarize_bundle",
     "telemetry_config_from_dict",

@@ -46,86 +46,7 @@ from .telemetry import Telemetry
 from .timing import perf_counter
 from .tracing import write_chrome_trace
 
-__all__ = [
-    "add_obs_subparser",
-    "add_profile_subparser",
-    "run_obs_command",
-    "run_profile_command",
-]
-
-
-def add_obs_subparser(subparsers: "argparse._SubParsersAction") -> None:
-    """Wire ``obs bench-diff`` into the main CLI parser."""
-    obs = subparsers.add_parser(
-        "obs",
-        help="observability utilities (benchmark regression gating)",
-    )
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    diff = obs_sub.add_parser(
-        "bench-diff",
-        help=(
-            "compare a fresh BENCH_*.json payload against a committed "
-            "baseline and fail on throughput regressions"
-        ),
-    )
-    diff.add_argument("fresh", help="freshly generated bench payload")
-    diff.add_argument("committed", help="committed baseline bench payload")
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help=(
-            "maximum tolerated rate drop as a fraction "
-            "(default 0.25 = fail below 75%% of the baseline)"
-        ),
-    )
-    diff.add_argument(
-        "--key",
-        action="append",
-        default=None,
-        help=(
-            "identity field used to pair entries (repeatable; default "
-            "benchmark/algorithm/workload/num_jobs, intersected with the "
-            "fields each entry actually has)"
-        ),
-    )
-
-
-def run_obs_command(args: argparse.Namespace) -> int:
-    """Entry point of ``repro-dfrs obs``."""
-    from .benchdiff import (
-        DEFAULT_KEY_FIELDS,
-        DEFAULT_THRESHOLD,
-        diff_bench_files,
-    )
-
-    assert args.obs_command == "bench-diff"
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    )
-    key_fields = tuple(args.key) if args.key else DEFAULT_KEY_FIELDS
-    comparisons, regressed, notes = diff_bench_files(
-        args.fresh,
-        args.committed,
-        threshold=threshold,
-        key_fields=key_fields,
-    )
-    for note in notes:
-        print(note)
-    for comparison in comparisons:
-        marker = "REGRESSED" if comparison in regressed else "ok"
-        print(f"{marker:9s} {comparison.describe()}")
-    if regressed:
-        print(
-            f"{len(regressed)}/{len(comparisons)} benchmarks regressed "
-            f"more than {threshold * 100.0:.0f}%"
-        )
-        return 1
-    print(
-        f"{len(comparisons)} benchmarks within {threshold * 100.0:.0f}% "
-        "of the committed baseline"
-    )
-    return 0
+__all__ = ["add_profile_subparser", "run_profile_command"]
 
 
 def add_profile_subparser(subparsers: "argparse._SubParsersAction") -> None:

@@ -16,14 +16,13 @@ in sorted order so the output is deterministic for a given snapshot.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from .telemetry import Telemetry
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",
-    "render_summary_dict",
     "render_telemetry",
 ]
 
@@ -212,46 +211,3 @@ def render_prometheus(
         lines.extend(render_telemetry(telemetry, prefix="repro_engine"))
     return "\n".join(lines) + "\n" if lines else ""
 
-
-def render_summary_dict(
-    summary: Mapping[str, Any], *, prefix: str = "repro"
-) -> str:
-    """Exposition of a telemetry *summary* dict (merged campaign rows).
-
-    The summary shape is :meth:`repro.obs.Telemetry.summary` /
-    :func:`repro.obs.summarize_bundle` output; useful for exporting a
-    campaign cell's merged telemetry without a live sink.
-    """
-    lines: List[str] = []
-    counters: Dict[str, Any] = dict(summary.get("counters", {}))
-    for name in sorted(counters):
-        _sample(
-            lines, _metric_name(prefix, name) + "_total", "counter",
-            f"Telemetry counter {name}", [("", float(counters[name]))],
-        )
-    phases: Dict[str, Any] = dict(summary.get("phases", {}))
-    if phases:
-        base = _metric_name(prefix, "phase")
-        _sample(
-            lines, base + "_seconds_total", "counter",
-            "Cumulative wall-clock seconds per telemetry phase",
-            [
-                (
-                    f'{{phase="{_escape_label(name)}"}}',
-                    float(phases[name].get("total_seconds", 0.0)),
-                )
-                for name in sorted(phases)
-            ],
-        )
-        _sample(
-            lines, base + "_count", "counter",
-            "Occurrences per telemetry phase",
-            [
-                (
-                    f'{{phase="{_escape_label(name)}"}}',
-                    float(phases[name].get("count", 0)),
-                )
-                for name in sorted(phases)
-            ],
-        )
-    return "\n".join(lines) + "\n" if lines else ""

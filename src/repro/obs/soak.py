@@ -21,9 +21,7 @@ hold:
   ``max_queue_depth`` (admission plus capacity keep up with offered load).
 
 The result is a :class:`SoakReport`: every sample, every violation, and a
-``BENCH_soak.json``-shaped payload (written by
-``benchmarks/test_bench_soak.py`` and compared across PRs by
-``repro-dfrs obs bench-diff``).
+JSON payload (written by ``repro-dfrs soak --bench-json``).
 """
 
 from __future__ import annotations
@@ -152,7 +150,7 @@ class SoakReport:
         return not self.violations
 
     def bench_payload(self) -> Dict[str, Any]:
-        """The committed ``BENCH_soak.json`` shape."""
+        """The ``soak --bench-json`` entry."""
         return {
             "benchmark": "serve-soak",
             "algorithm": self.algorithm,

@@ -20,7 +20,7 @@ Pieces:
   the live streaming-metrics endpoint;
 * :mod:`~repro.serve.loadtest` — ``repro-dfrs loadtest``: trace replay at a
   configurable acceleration, reporting sustained placements/sec and
-  queue-latency quantiles (the ``BENCH_serve.json`` numbers).
+  queue-latency quantiles.
 
 The replay path is pinned byte-identical to ``Simulator.run_stream``
 (``tests/serve/test_replay_determinism.py``): the serving layer changes when

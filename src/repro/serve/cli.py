@@ -5,7 +5,7 @@ the JSON-lines socket front end until a client sends ``{"op": "shutdown"}``
 (or Ctrl-C).  ``loadtest`` replays a trace through the service layer at a
 configurable acceleration and prints sustained placements/sec, admission
 outcomes, and queue-latency quantiles; ``--bench-json`` writes the same
-numbers as the ``BENCH_serve.json`` artifact.  ``soak`` is the long-haul
+numbers as a JSON file.  ``soak`` is the long-haul
 variant: it runs the full serve stack (live service, real socket, wall
 clock) for a wall-time budget while scraping health samples, and asserts
 the :mod:`repro.obs.soak` invariants — flat RSS, sustained placement rate,
@@ -133,7 +133,7 @@ def add_serve_subparsers(subparsers: "argparse._SubParsersAction") -> None:
     loadtest.add_argument(
         "--bench-json",
         default=None,
-        help="write the report as a BENCH_serve.json-style artifact here",
+        help="write the report as a JSON bench entry here",
     )
     loadtest.add_argument(
         "--prom-out",
@@ -224,7 +224,7 @@ def add_serve_subparsers(subparsers: "argparse._SubParsersAction") -> None:
     soak.add_argument(
         "--bench-json",
         default=None,
-        help="write the report as a BENCH_soak.json-style artifact here",
+        help="write the report as a JSON bench entry here",
     )
     soak.add_argument(
         "--quiet",

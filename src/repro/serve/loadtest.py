@@ -4,7 +4,7 @@
 a :class:`~repro.serve.service.SchedulerService` at a configurable
 acceleration (or flat out, under a :class:`~repro.core.clock.SimulatedClock`)
 and reports sustained placements/sec, admission outcomes, and queue-latency
-quantiles — the numbers ``BENCH_serve.json`` tracks across PRs.
+quantiles.
 
 :class:`PlacementLogObserver` records every placement action the engine
 applies as a canonical JSON log; the replay-determinism tests byte-compare
@@ -127,7 +127,7 @@ def bench_payload(
     workload: str,
     nodes: int,
 ) -> Dict[str, Any]:
-    """Shape one load-test report as a ``BENCH_serve.json`` entry.
+    """Shape one load-test report as a ``loadtest --bench-json`` entry.
 
     ``peak_rss_mb`` is a fresh :func:`peak_rss_mb` sample, so the entry
     tracks the replay's memory high-water mark next to its latency

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -21,10 +22,12 @@ from dataclasses import replace
 import pytest
 
 import repro
+from repro.campaign import studies
 from repro.campaign.executor import Campaign
 from repro.campaign.scenario import scenario_from_dict, scenario_hash
 from repro.campaign.spec import load_scenario
 from repro.campaign.studies import (
+    STUDIES,
     TABLE2_ALGORITHMS,
     TABLE2_METRICS,
     ExperimentConfig,
@@ -140,6 +143,15 @@ def test_the_ratio_line_reads_the_minimum_over_the_algorithms_the_rows_have(smok
 
     assert len(ratio_lines(full)) == 2
     assert ratio_lines(subset) == ratio_lines(full)
+
+
+def test_the_header_names_only_studies_and_functions_that_exist(smoke):
+    header = render_paper_grid(smoke_payload(smoke)).split("\n## ")[0]
+    (sentence,) = [s for s in re.split(r"(?<=\.)\s+", header) if "sections" in s]
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert names
+    for name in names:
+        assert name in STUDIES or hasattr(studies, name), name
 
 
 def test_the_rendering_refuses_merged_rows(smoke):

@@ -169,9 +169,9 @@ class TestValidationAndSerialisation:
 
 
 class TestZeroHeavyStreams:
-    """Regression pin for the BENCH_serve queue-latency quantiles.
+    """Regression pin for the serve bench's queue-latency quantiles.
 
-    The committed serve bench shows ``p50 = p90 = 0.0`` with a non-zero
+    A serve replay's report shows ``p50 = p90 = 0.0`` with a non-zero
     mean — suspicious at first sight, but correct: most jobs in a
     sub-critical replay are placed at their submit instant and record a
     queue latency of exactly ``0.0``.  These tests pin the sketch's exact

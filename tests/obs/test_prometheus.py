@@ -8,7 +8,6 @@ from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     Telemetry,
     render_prometheus,
-    render_summary_dict,
     render_telemetry,
 )
 
@@ -132,18 +131,3 @@ class TestRenderTelemetry:
         text = "\n".join(render_telemetry(telemetry))
         assert "repro_weird_name_with_space_total 1" in text
 
-
-class TestRenderSummaryDict:
-    def test_renders_merged_summary_without_live_sink(self):
-        summary = instrumented_sink().summary()
-        text = render_summary_dict(summary, prefix="repro_cell")
-        blocks = parse_blocks(text)
-        assert blocks["repro_cell_engine_events_total"]["samples"] == [
-            "repro_cell_engine_events_total 100"
-        ]
-        seconds = blocks["repro_cell_phase_seconds_total"]["samples"]
-        assert any('phase="engine.schedule"' in line for line in seconds)
-        assert any("0.25" in line for line in seconds)
-
-    def test_empty_summary_renders_empty(self):
-        assert render_summary_dict({"counters": {}, "phases": {}}) == ""
