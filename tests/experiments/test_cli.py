@@ -75,6 +75,12 @@ class TestStudyTable:
             assert words[0] == "repro-dfrs"
             assert words[1] in COMMANDS
 
+    def test_obs_is_not_a_command(self):
+        assert "obs" not in COMMANDS
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["obs", "bench-diff", "fresh.json", "old.json"])
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_readme_quick_reference_lists_command(self, name):
         (words,) = [words for words in _quick_reference() if words[1] == name]

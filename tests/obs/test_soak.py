@@ -111,6 +111,11 @@ class TestInvariantChecking:
         assert not report.healthy
         assert report.bench_payload()["healthy"] is False
 
+    def test_payload_violations_are_a_copy(self):
+        report = self._report(violations=["queue depth 9 exceeds bound"])
+        report.bench_payload()["violations"].append("written by a reader")
+        assert report.violations == ["queue depth 9 exceeds bound"]
+
 
 class TestEndToEndSoak:
     @pytest.fixture(scope="class")
