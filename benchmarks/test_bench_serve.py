@@ -24,7 +24,8 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.cluster import Cluster
-from repro.serve import run_loadtest
+from repro.core.engine import SimulationConfig
+from repro.serve import SchedulerService
 from repro.traces import DiurnalPoissonTraceSource
 
 pytestmark = pytest.mark.bench
@@ -64,7 +65,10 @@ def test_serve_replay_throughput(report_artifact):
     workload = f"diurnal-poisson-{num_jobs}"
     rows = []
     for algorithm in ALGORITHMS:
-        report = run_loadtest(CLUSTER, algorithm, trace)
+        service = SchedulerService(
+            CLUSTER, algorithm, config=SimulationConfig(streaming_metrics=True)
+        )
+        report = service.replay(trace, keep_result=False)
         assert report.submitted == report.accepted == num_jobs
         assert report.completions == num_jobs
         assert report.placements_per_wall_sec > 0.0

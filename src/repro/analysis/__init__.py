@@ -25,7 +25,6 @@ from .report import (
     fairness_report_table,
     format_figure_series,
     format_table,
-    markdown_table,
 )
 from .timeseries import (
     StepSeries,
@@ -49,7 +48,6 @@ __all__ = [
     "fairness_report_table",
     "format_figure_series",
     "format_table",
-    "markdown_table",
     # timeseries
     "StepSeries",
     "busy_nodes_series",

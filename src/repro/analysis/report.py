@@ -19,7 +19,6 @@ from .fairness import FairnessReport
 __all__ = [
     "format_table",
     "format_figure_series",
-    "markdown_table",
     "fairness_report_table",
     "energy_report_table",
 ]
@@ -77,30 +76,14 @@ def format_figure_series(
     return format_table(headers, rows, title=title, float_format=float_format)
 
 
-def markdown_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    *,
-    float_format: str = "{:.2f}",
+def _markdown_table(
+    headers: Sequence[str], rows: Sequence[Sequence[object]], float_format: str
 ) -> str:
-    """Render a Markdown table; floats are formatted, other cells via ``str``."""
-    if not headers:
-        raise ReproError("a table needs at least one column")
-    for index, row in enumerate(rows):
-        if len(row) != len(headers):
-            raise ReproError(
-                f"row {index} has {len(row)} cells but there are {len(headers)} headers"
-            )
-
     def render(cell: object) -> str:
-        if isinstance(cell, bool):
-            return str(cell)
-        if isinstance(cell, float):
-            return float_format.format(cell)
-        return str(cell)
+        return float_format.format(cell) if isinstance(cell, float) else str(cell)
 
     lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
+        "| " + " | ".join(headers) + " |",
         "| " + " | ".join("---" for _ in headers) + " |",
     ]
     for row in rows:
@@ -125,7 +108,7 @@ def fairness_report_table(reports: Sequence[FairnessReport]) -> str:
         ]
         for report in reports
     ]
-    return markdown_table(headers, rows, float_format="{:.3f}")
+    return _markdown_table(headers, rows, "{:.3f}")
 
 
 def energy_report_table(reports: Sequence[EnergyReport]) -> str:
@@ -153,4 +136,4 @@ def energy_report_table(reports: Sequence[EnergyReport]) -> str:
         ]
         for report in reports
     ]
-    return markdown_table(headers, rows)
+    return _markdown_table(headers, rows, "{:.2f}")

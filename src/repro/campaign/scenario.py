@@ -594,15 +594,15 @@ class Scenario:
     #: them is byte-identical — spec, hash, cache keys — to one without a
     #: ``models`` block.
     models: Any = None
-    #: Optional telemetry spec: a :class:`repro.obs.TelemetryConfig` or its
-    #: canonical ``{"type": "stats" | "tracing"}`` mapping, forwarded to the
-    #: engine of every run.  An optional ``"flight": <capacity>`` field
-    #: additionally attaches the per-job flight recorder
-    #: (:mod:`repro.obs.flight`).  The default spec (``{"type": "off"}``) is
-    #: demoted to ``None`` so a scenario carrying it is byte-identical —
-    #: spec, hash, cache keys — to one without a ``telemetry`` block.  Live
-    #: :class:`~repro.obs.Telemetry` sinks are rejected: scenarios are pure
-    #: data, and every run must get its own fresh sink.
+    #: Optional telemetry spec: a ``{"type": "stats" | "tracing"}`` mapping
+    #: (:func:`repro.obs.telemetry_spec`), forwarded to the engine of every
+    #: run.  An optional ``"flight": <capacity>`` field additionally
+    #: attaches the per-job flight recorder (:mod:`repro.obs.flight`).  The
+    #: default spec (``{"type": "off"}``) is demoted to ``None`` so a
+    #: scenario carrying it is byte-identical — spec, hash, cache keys — to
+    #: one without a ``telemetry`` block.  Live :class:`~repro.obs.Telemetry`
+    #: sinks are rejected: scenarios are pure data, and every run must get
+    #: its own fresh sink.
     telemetry: Any = None
 
     def __post_init__(self) -> None:
@@ -768,40 +768,24 @@ class Scenario:
     def _init_telemetry(self) -> None:
         """Normalise the ``telemetry`` field into its canonical spec form.
 
-        Mirrors ``_init_models``: specs are validated by round-tripping
-        through the telemetry registry, and the default (``{"type": "off"}``)
-        is dropped entirely, pinning the scenario byte-identical to a
-        telemetry-free one.  Live sinks are rejected — a scenario is pure
-        data, and sharing one sink across a campaign's runs would double
-        count; the engine builds a fresh sink per run from the spec.
+        :func:`repro.obs.telemetry_spec` validates the spec at build time,
+        not mid-campaign, and turns the default (``{"type": "off"}``) into
+        ``None``, pinning the scenario byte-identical to a telemetry-free
+        one.  Live sinks are rejected — a scenario is pure data, and sharing
+        one sink across a campaign's runs would double count; the engine
+        builds a fresh sink per run from the spec.
         """
-        telemetry = self.telemetry
-        if telemetry is None:
+        if self.telemetry is None:
             return
-        from ..obs import Telemetry, TelemetryConfig, telemetry_config_from_dict
+        from ..obs import Telemetry, telemetry_spec
 
-        if isinstance(telemetry, Telemetry):
+        if isinstance(self.telemetry, Telemetry):
             raise ConfigurationError(
-                "scenario telemetry must be a declarative spec (a "
-                "repro.obs.TelemetryConfig or its {'type': ...} mapping), "
+                "scenario telemetry must be a declarative {'type': ...} spec, "
                 "not a live Telemetry sink — each run builds its own sink "
                 "from the spec"
             )
-        if isinstance(telemetry, TelemetryConfig):
-            spec = telemetry.to_dict()
-        elif isinstance(telemetry, Mapping):
-            # Round-trip through the registry so an unknown type or a bad
-            # field fails at build time, not mid-campaign.
-            spec = telemetry_config_from_dict(telemetry).to_dict()
-        else:
-            raise ConfigurationError(
-                "telemetry must be a repro.obs.TelemetryConfig or its spec "
-                f"mapping, got {type(telemetry).__name__}"
-            )
-        if spec == {"type": "off"}:
-            object.__setattr__(self, "telemetry", None)
-            return
-        object.__setattr__(self, "telemetry", spec)
+        object.__setattr__(self, "telemetry", telemetry_spec(self.telemetry))
 
     @property
     def has_platform_template(self) -> bool:

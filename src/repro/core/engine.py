@@ -172,13 +172,15 @@ class SimulationConfig:
     #: ``SimulationResult.energy_joules`` (down nodes draw nothing).  None
     #: (the default) skips the accounting entirely.
     node_power: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Optional telemetry: a live :class:`repro.obs.Telemetry` sink, a
-    #: :class:`repro.obs.TelemetryConfig` spec, or its canonical dict form
-    #: (``{"type": "stats" | "tracing"}``).  None (the default) disables all
-    #: instrumentation — the disabled path is byte-identical to previous
-    #: releases and adds only per-event None checks.  Timings live in the
-    #: sink, never in results, so results stay a pure function of the spec
-    #: (DET103).
+    #: Optional telemetry: a live :class:`repro.obs.Telemetry` sink or a
+    #: spec dict (``{"type": "stats" | "tracing"}``, see
+    #: :func:`repro.obs.telemetry_spec`) from which each engine builds its
+    #: own sink.  A service shares its engine's sink, so this field is also
+    #: how a :class:`~repro.serve.SchedulerService` is instrumented.  None
+    #: (the default) disables all instrumentation — the disabled path is
+    #: byte-identical to previous releases and adds only per-event None
+    #: checks.  Timings live in the sink, never in results, so results stay
+    #: a pure function of the spec (DET103).
     telemetry: Optional[Any] = None
 
 

@@ -5,8 +5,8 @@ near-zero-overhead when disabled:
 
 * :class:`Telemetry` — the in-process sink of named counters, gauges, and
   phase timers, backed by the mergeable :mod:`repro.metrics` accumulators
-  so per-worker telemetry merges exactly across campaign pools
-  (:mod:`repro.obs.telemetry`);
+  so per-worker bundles merge exactly across campaign pools
+  (:func:`merge_telemetry_bundles`, :mod:`repro.obs.telemetry`);
 * :func:`trace_span` and the Chrome trace-event / Perfetto exporter
   (:mod:`repro.obs.tracing`), driven by ``repro-dfrs profile run|replay``;
 * the Prometheus text-exposition renderer (:mod:`repro.obs.prometheus`),
@@ -23,9 +23,10 @@ The second observability layer builds on that seam:
 * the **soak harness** (:mod:`repro.obs.soak`) — a long-haul accelerated
   serve driver with scraped health samples and invariant checks.
 
-Declarative spec forms (``{"type": "off" | "stats" | "tracing"}``) travel
-in scenario specs and :class:`~repro.core.engine.SimulationConfig`; the
-``type`` registry is REG601-audited like every other subsystem.  The
+Declarative specs (``{"type": "off" | "stats" | "tracing"}``) travel in
+scenario specs and :class:`~repro.core.engine.SimulationConfig`;
+:func:`telemetry_spec` is the one place they are validated and
+:func:`as_telemetry` the one place a sink is built from them.  The
 wall-clock *seam* of the engine lives in :mod:`repro.obs.timing` — the only
 module ``repro.core`` may read interval timers through (policed by OBS701).
 """
@@ -44,19 +45,13 @@ from .prometheus import (
     render_telemetry,
 )
 from .telemetry import (
-    NoTelemetry,
-    StatsTelemetry,
     Telemetry,
-    TelemetryConfig,
-    TracingTelemetry,
     as_telemetry,
-    available_telemetry_configs,
     current_telemetry,
     merge_telemetry_bundles,
     push_telemetry,
-    register_telemetry_config,
     summarize_bundle,
-    telemetry_config_from_dict,
+    telemetry_spec,
     timed_phase,
 )
 from .tracing import chrome_trace_events, trace_span, write_chrome_trace
@@ -66,23 +61,17 @@ __all__ = [
     "FlightEvent",
     "FlightObserver",
     "FlightRecorder",
-    "NoTelemetry",
-    "StatsTelemetry",
     "Telemetry",
-    "TelemetryConfig",
-    "TracingTelemetry",
     "as_telemetry",
-    "available_telemetry_configs",
     "chrome_trace_events",
     "current_telemetry",
     "flight_trace_events",
     "merge_telemetry_bundles",
     "push_telemetry",
-    "register_telemetry_config",
     "render_prometheus",
     "render_telemetry",
     "summarize_bundle",
-    "telemetry_config_from_dict",
+    "telemetry_spec",
     "timed_phase",
     "trace_span",
     "write_chrome_trace",

@@ -42,7 +42,7 @@ from .flight import (
     write_flight_jsonl,
     write_flight_trace,
 )
-from .telemetry import Telemetry
+from .telemetry import Telemetry, as_telemetry
 from .timing import perf_counter
 from .tracing import write_chrome_trace
 
@@ -192,23 +192,25 @@ def _format_profile(
     return "\n".join(lines)
 
 
-def _attach_flight(
-    telemetry: Telemetry, args: argparse.Namespace
-) -> Optional[FlightRecorder]:
-    """Attach a flight recorder to the profiled sink when requested."""
-    if args.flight_out is None:
-        if args.flight_capacity is not None:
-            raise ConfigurationError(
-                "--flight-capacity only makes sense with --flight-out"
-            )
-        return None
-    capacity = (
-        args.flight_capacity
-        if args.flight_capacity is not None
-        else DEFAULT_FLIGHT_CAPACITY
-    )
-    telemetry.flight = FlightRecorder(capacity)
-    return telemetry.flight
+def _profile_sink(args: argparse.Namespace) -> Telemetry:
+    """The profiled run's sink: tracing under ``--trace-out``, stats
+    otherwise, with a flight recorder under ``--flight-out``."""
+    spec: Dict[str, Any] = {"type": "stats"}
+    if args.trace_out is not None:
+        spec = {"type": "tracing", "max_spans": args.max_spans}
+    if args.flight_out is not None:
+        spec["flight"] = (
+            args.flight_capacity
+            if args.flight_capacity is not None
+            else DEFAULT_FLIGHT_CAPACITY
+        )
+    elif args.flight_capacity is not None:
+        raise ConfigurationError(
+            "--flight-capacity only makes sense with --flight-out"
+        )
+    telemetry = as_telemetry(spec)
+    assert telemetry is not None  # only an "off" spec builds no sink
+    return telemetry
 
 
 def _write_flight(
@@ -234,10 +236,7 @@ def _write_flight(
 
 def _profile_run(args: argparse.Namespace, scenario: Scenario) -> int:
     params, algorithm = _resolve_cell(scenario, args.algorithm)
-    telemetry = Telemetry(
-        capture_spans=args.trace_out is not None, max_spans=args.max_spans
-    )
-    flight = _attach_flight(telemetry, args)
+    telemetry = _profile_sink(args)
     cluster = scenario.cluster
     workload = _pick_workload(scenario, cluster, args.instance)
     simulator = Simulator(
@@ -263,7 +262,7 @@ def _profile_run(args: argparse.Namespace, scenario: Scenario) -> int:
     if args.trace_out is not None:
         write_chrome_trace(telemetry, args.trace_out)
         print(f"wrote {args.trace_out}")
-    _write_flight(args, flight)
+    _write_flight(args, telemetry.flight)
     return 0
 
 
@@ -272,10 +271,7 @@ def _profile_replay(args: argparse.Namespace, scenario: Scenario) -> int:
     from ..traces.source import WorkloadTraceSource
 
     params, algorithm = _resolve_cell(scenario, args.algorithm)
-    telemetry = Telemetry(
-        capture_spans=args.trace_out is not None, max_spans=args.max_spans
-    )
-    flight = _attach_flight(telemetry, args)
+    telemetry = _profile_sink(args)
     cluster = scenario.cluster
     sources = scenario.source.streaming_sources(cluster)
     if sources is not None and 0 <= args.instance < len(sources):
@@ -288,7 +284,6 @@ def _profile_replay(args: argparse.Namespace, scenario: Scenario) -> int:
         cluster,
         algorithm,
         config=_profiled_config(scenario, params, telemetry),
-        telemetry=telemetry,
     )
     report = service.replay(source, acceleration=args.acceleration)
     print(
@@ -306,7 +301,7 @@ def _profile_replay(args: argparse.Namespace, scenario: Scenario) -> int:
     if args.trace_out is not None:
         write_chrome_trace(telemetry, args.trace_out)
         print(f"wrote {args.trace_out}")
-    _write_flight(args, flight)
+    _write_flight(args, telemetry.flight)
     return 0
 
 

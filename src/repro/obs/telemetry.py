@@ -12,13 +12,13 @@ write into when a run is instrumented.  Three instrument families:
   into :class:`~repro.metrics.Moments` and optionally kept as individual
   span events for the Chrome-trace exporter (:mod:`repro.obs.tracing`).
 
-Everything merges: counters add, gauges and phases merge through the
-accumulators' associative ``merge``, so per-worker telemetry from a
-campaign pool combines into exactly the single-process sink (pinned by
-``tests/obs/test_telemetry.py``).  :meth:`Telemetry.bundle` serialises the
+Everything merges through bundles: :meth:`Telemetry.bundle` serialises the
 sink through the :mod:`repro.metrics` accumulator registry — the same
-bundle path streaming metrics use — and :func:`summarize_bundle` turns a
-(merged) bundle back into the flat JSON summary.
+bundle path streaming metrics use — :func:`merge_telemetry_bundles` folds
+per-worker bundles from a campaign pool (counters add, gauges and phases
+merge through the accumulators' associative ``merge``), and
+:func:`summarize_bundle` turns a merged bundle back into the flat JSON
+summary.
 
 The sink is deliberately cheap when hot: ``record_phase`` appends to a
 per-phase buffer and folds into the ``Moments`` in batches, so the
@@ -27,13 +27,13 @@ attached the engine skips every instrumentation site behind a single
 ``is None`` check — the disabled path is byte-identical and near-zero
 overhead (asserted by ``benchmarks/test_bench_engine_throughput.py``).
 
-Spec forms
-----------
+Spec form
+---------
 Scenario specs and :class:`~repro.core.engine.SimulationConfig` carry a
-declarative :class:`TelemetryConfig` (``off`` / ``stats`` / ``tracing``)
-rather than a live sink, so configs stay picklable, hashable, and
-registry-audited (REG601); each worker builds its own sink via
-:meth:`TelemetryConfig.create`.
+declarative ``{"type": "off" | "stats" | "tracing", ...}`` mapping rather
+than a live sink, so configs stay picklable and hashable;
+:func:`telemetry_spec` validates it into its canonical form and
+:func:`as_telemetry` builds each run's own sink from it.
 
 Wall-clock reads in schedulers and packers flow through the *ambient* sink
 (:func:`current_telemetry`), a thread-local the engine activates around
@@ -45,12 +45,10 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -60,23 +58,16 @@ from typing import (
 )
 
 from ..exceptions import ConfigurationError
-from ..registry import Registry
 from ..metrics import Accumulator, Moments, SumAccumulator, accumulator_from_dict
 from .timing import perf_counter
 
 __all__ = [
     "Telemetry",
-    "TelemetryConfig",
-    "NoTelemetry",
-    "StatsTelemetry",
-    "TracingTelemetry",
     "as_telemetry",
-    "available_telemetry_configs",
     "current_telemetry",
     "merge_telemetry_bundles",
-    "register_telemetry_config",
     "summarize_bundle",
-    "telemetry_config_from_dict",
+    "telemetry_spec",
     "timed_phase",
 ]
 
@@ -202,35 +193,6 @@ class Telemetry:
     def span_events(self) -> List[Tuple[str, float, float]]:
         """Captured ``(name, start, duration)`` span events (seconds)."""
         return list(self._spans)
-
-    # -- merging ---------------------------------------------------------------
-    def merge(self, other: "Telemetry") -> None:
-        """Fold ``other`` into this sink (associative and commutative on
-        counters, gauges, and phases; span events concatenate, subject to
-        this sink's cap — span starts are per-process timer readings, so
-        cross-process span merges are only meaningful per shard)."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, moments in other.gauges().items():
-            mine = self._gauges.get(name)
-            if mine is None:
-                self._gauges[name] = Moments().merge(moments)
-            else:
-                mine.merge(moments)
-        self._flush()
-        for name, moments in other.phases().items():
-            mine = self._phases.get(name)
-            if mine is None:
-                self._phases[name] = Moments().merge(moments)
-            else:
-                mine.merge(moments)
-        if self.capture_spans:
-            for span in other.span_events():
-                if len(self._spans) < self.max_spans:
-                    self._spans.append(span)
-                else:
-                    self.dropped_spans += 1
-        self.dropped_spans += other.dropped_spans
 
     # -- serialisation ---------------------------------------------------------
     def bundle(self) -> Dict[str, Accumulator]:
@@ -375,191 +337,98 @@ def timed_phase(name: str) -> Callable[[_F], _F]:
     return decorate
 
 
-# ------------------------------------------------------------------ spec forms
-class TelemetryConfig:
-    """Declarative telemetry spec: canonical dict form + ``create()``."""
-
-    #: Stable registry identifier; concrete configs override.
-    kind: str = "abstract"
-
-    def create(self) -> Optional[Telemetry]:
-        """Build the live sink this spec describes (None when disabled)."""
-        raise NotImplementedError
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON-serialisable spec form (``type`` = ``kind``)."""
-        raise NotImplementedError
+# ------------------------------------------------------------------- spec form
+#: Fields each telemetry ``type`` accepts besides ``type`` itself.
+_SPEC_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "off": (),
+    "stats": ("flight",),
+    "tracing": ("max_spans", "flight"),
+}
 
 
-def _validate_flight(flight: Optional[int]) -> None:
-    if flight is not None and flight <= 0:
+def _spec_integer(spec: Mapping[str, Any], field: str, kind: str) -> Optional[int]:
+    value = spec.get(field)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
         raise ConfigurationError(
-            f"flight recorder capacity must be a positive integer, got {flight}"
+            f"telemetry spec {kind!r} field {field!r} must be an integer, "
+            f"got {value!r}"
         )
+    return int(value)
 
 
-def _attach_flight(telemetry: Telemetry, flight: Optional[int]) -> Telemetry:
-    if flight is not None:
-        # Deferred import: repro.obs.flight is a leaf over repro.exceptions
-        # only, but keeping the dependency out of module scope means the
-        # telemetry seam never grows import edges the core engine (which
-        # imports this module during repro.core initialisation) could trip
-        # over.
-        from .flight import FlightRecorder
+def telemetry_spec(spec: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
+    """Validate a telemetry spec and return its canonical form.
 
-        telemetry.flight = FlightRecorder(flight)
-    return telemetry
-
-
-def _reject_unknown_fields(
-    data: Mapping[str, Any], allowed: Iterable[str], kind: str
-) -> None:
-    unknown = sorted(set(data) - {"type"} - set(allowed))
+    ``{"type": "off"}`` is None (no sink).  ``stats`` is counters, gauges and
+    phase-timer moments, O(instrument names) memory however long the run;
+    ``tracing`` adds per-occurrence span events for the Chrome-trace
+    exporter, at most ``max_spans`` of them (kept only when it is not
+    :data:`DEFAULT_MAX_SPANS`).  Either may carry ``flight``, the ring
+    capacity of a per-job flight recorder (:mod:`repro.obs.flight`), kept
+    only when set.  Scenario specs store this form, so equal specs hash
+    equally.
+    """
+    if not isinstance(spec, Mapping):
+        raise ConfigurationError(
+            "telemetry spec spec must be an object with a 'type' field, "
+            f"got {type(spec).__name__}"
+        )
+    if "type" not in spec:
+        raise ConfigurationError("telemetry spec spec needs a 'type' field")
+    kind = spec["type"]
+    fields = _SPEC_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigurationError(
+            f"unknown telemetry spec type {kind!r}; known types: "
+            f"{', '.join(_SPEC_FIELDS)}"
+        )
+    unknown = sorted(set(spec) - {"type", *fields})
     if unknown:
         raise ConfigurationError(
             f"telemetry spec {kind!r} has unknown fields: {', '.join(unknown)}"
         )
-
-
-@dataclass(frozen=True)
-class NoTelemetry(TelemetryConfig):
-    """Telemetry explicitly off — the spec form of the default path.
-
-    Scenario specs demote this to an absent block entirely, so writing
-    ``{"type": "off"}`` changes neither the scenario hash nor any artifact.
-    """
-
-    kind = "off"
-
-    def create(self) -> Optional[Telemetry]:
+    if kind == "off":
         return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"type": self.kind}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NoTelemetry":
-        _reject_unknown_fields(data, (), cls.kind)
-        return cls()
-
-
-@dataclass(frozen=True)
-class StatsTelemetry(TelemetryConfig):
-    """Counters, gauges, and phase-timer moments — no span capture.
-
-    The bounded-overhead instrumented mode: memory is O(instrument names)
-    regardless of run length, which is what campaign cells and long-haul
-    serve deployments want.
-
-    ``flight`` (optional) additionally attaches a per-job flight recorder
-    of that ring capacity (:mod:`repro.obs.flight`) — memory then grows to
-    O(capacity), still bounded.
-    """
-
-    flight: Optional[int] = None
-
-    kind = "stats"
-
-    def __post_init__(self) -> None:
-        _validate_flight(self.flight)
-
-    def create(self) -> Optional[Telemetry]:
-        return _attach_flight(Telemetry(capture_spans=False), self.flight)
-
-    def to_dict(self) -> Dict[str, Any]:
-        spec: Dict[str, Any] = {"type": self.kind}
-        if self.flight is not None:
-            spec["flight"] = self.flight
-        return spec
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StatsTelemetry":
-        _reject_unknown_fields(data, ("flight",), cls.kind)
-        flight = data.get("flight")
-        return cls(flight=None if flight is None else int(flight))
-
-
-@dataclass(frozen=True)
-class TracingTelemetry(TelemetryConfig):
-    """Stats plus per-occurrence span events for the Chrome-trace exporter.
-
-    ``flight`` behaves exactly as on :class:`StatsTelemetry`.
-    """
-
-    max_spans: int = DEFAULT_MAX_SPANS
-    flight: Optional[int] = None
-
-    kind = "tracing"
-
-    def __post_init__(self) -> None:
-        if self.max_spans < 0:
+    canonical: Dict[str, Any] = {"type": kind}
+    max_spans = _spec_integer(spec, "max_spans", kind)
+    if max_spans is not None and max_spans != DEFAULT_MAX_SPANS:
+        if max_spans < 0:
+            raise ConfigurationError(f"max_spans must be >= 0, got {max_spans}")
+        canonical["max_spans"] = max_spans
+    flight = _spec_integer(spec, "flight", kind)
+    if flight is not None:
+        if flight <= 0:
             raise ConfigurationError(
-                f"max_spans must be >= 0, got {self.max_spans}"
+                f"flight recorder capacity must be a positive integer, got {flight}"
             )
-        _validate_flight(self.flight)
-
-    def create(self) -> Optional[Telemetry]:
-        return _attach_flight(
-            Telemetry(capture_spans=True, max_spans=self.max_spans),
-            self.flight,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        spec: Dict[str, Any] = {"type": self.kind}
-        if self.max_spans != DEFAULT_MAX_SPANS:
-            spec["max_spans"] = self.max_spans
-        if self.flight is not None:
-            spec["flight"] = self.flight
-        return spec
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TracingTelemetry":
-        _reject_unknown_fields(data, ("max_spans", "flight"), cls.kind)
-        flight = data.get("flight")
-        return cls(
-            max_spans=int(data.get("max_spans", DEFAULT_MAX_SPANS)),
-            flight=None if flight is None else int(flight),
-        )
-
-
-#: kind -> spec class, built through its ``from_dict`` (which names the
-#: unknown fields it rejects).
-TELEMETRY_CONFIGS: Registry[TelemetryConfig] = Registry(
-    "telemetry spec", base=TelemetryConfig
-)
-register_telemetry_config = TELEMETRY_CONFIGS.register
-available_telemetry_configs = TELEMETRY_CONFIGS.available
-
-
-def telemetry_config_from_dict(data: Mapping[str, Any]) -> TelemetryConfig:
-    """Build a telemetry spec from its canonical dict form."""
-    loader: Any = TELEMETRY_CONFIGS.lookup(TELEMETRY_CONFIGS.kind_of(data))
-    result = loader.from_dict(data)
-    assert isinstance(result, TelemetryConfig)
-    return result
+        canonical["flight"] = flight
+    return canonical
 
 
 def as_telemetry(value: Any) -> Optional[Telemetry]:
     """Coerce a config field to a live sink (or None when disabled).
 
     Accepts None, a live :class:`Telemetry` (callers that want to read the
-    sink afterwards pass their own), a :class:`TelemetryConfig`, or a spec
-    dict.
+    sink afterwards pass their own), or a spec mapping
+    (:func:`telemetry_spec`), from which a fresh sink is built.
     """
-    if value is None:
-        return None
-    if isinstance(value, Telemetry):
+    if value is None or isinstance(value, Telemetry):
         return value
-    if isinstance(value, TelemetryConfig):
-        return value.create()
-    if isinstance(value, Mapping):
-        return telemetry_config_from_dict(value).create()
-    raise ConfigurationError(
-        "telemetry must be a Telemetry sink, a TelemetryConfig, or a spec "
-        f"dict, got {type(value).__name__}"
+    spec = telemetry_spec(value)
+    if spec is None:
+        return None
+    telemetry = Telemetry(
+        capture_spans=spec["type"] == "tracing",
+        max_spans=spec.get("max_spans", DEFAULT_MAX_SPANS),
     )
+    if "flight" in spec:
+        # Deferred: repro.core imports this module while it initialises, so
+        # the flight recorder stays out of its module-scope import edges.
+        from .flight import FlightRecorder
 
-
-register_telemetry_config(NoTelemetry.kind, NoTelemetry)
-register_telemetry_config(StatsTelemetry.kind, StatsTelemetry)
-register_telemetry_config(TracingTelemetry.kind, TracingTelemetry)
+        telemetry.flight = FlightRecorder(spec["flight"])
+    return telemetry

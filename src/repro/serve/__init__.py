@@ -40,7 +40,7 @@ from .admission import (
     available_admission_policies,
     register_admission_policy,
 )
-from .loadtest import PlacementLogObserver, bench_payload, peak_rss_mb, run_loadtest
+from .loadtest import PlacementLogObserver, bench_payload, peak_rss_mb
 from .protocol import ServiceServer
 from .service import ReplayReport, SchedulerService, ServiceJobRecord, ServiceMetrics
 
@@ -64,7 +64,6 @@ __all__ = [
     "ReplayReport",
     "ServiceServer",
     "PlacementLogObserver",
-    "run_loadtest",
     "bench_payload",
     "peak_rss_mb",
 ]

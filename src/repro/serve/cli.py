@@ -26,7 +26,7 @@ from ..core.penalties import ReschedulingPenaltyModel
 from ..exceptions import ConfigurationError
 from ..traces import DiurnalPoissonTraceSource, JobSource, LublinTraceSource, load_trace_source
 from .admission import AdmissionPolicy, admission_policy_from_dict
-from .loadtest import bench_payload, run_loadtest
+from .loadtest import bench_payload
 from .protocol import ServiceServer
 from .service import SchedulerService
 
@@ -234,12 +234,17 @@ def add_serve_subparsers(subparsers: "argparse._SubParsersAction") -> None:
 
 
 def _parse_spec_arg(text: Optional[str], flag: str) -> Optional[Dict[str, Any]]:
-    """Parse an inline-JSON-or-``@file.json`` spec argument."""
+    """Parse an inline-JSON-or-``@file.json`` spec argument into an object."""
     if text is None:
         return None
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        try:
+            with open(text[1:], "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise ConfigurationError(
+                f"{flag} cannot read spec file {text[1:]!r}: {error}"
+            ) from None
     else:
         try:
             payload = json.loads(text)
@@ -247,7 +252,10 @@ def _parse_spec_arg(text: Optional[str], flag: str) -> Optional[Dict[str, Any]]:
             raise ConfigurationError(
                 f"{flag} is neither valid JSON nor an @file: {error}"
             ) from None
-    assert isinstance(payload, dict)
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"{flag} must be a JSON object, got {type(payload).__name__}"
+        )
     return payload
 
 
@@ -263,11 +271,14 @@ def _serve_cluster(args: argparse.Namespace) -> Cluster:
     return Cluster(nodes, 4, 8.0)
 
 
-def _engine_config(args: argparse.Namespace) -> SimulationConfig:
+def _engine_config(
+    args: argparse.Namespace, telemetry: Optional[Dict[str, Any]] = None
+) -> SimulationConfig:
     penalty = args.penalty if args.penalty is not None else 0.0
     return SimulationConfig(
         penalty_model=ReschedulingPenaltyModel(penalty),
         streaming_metrics=True,
+        telemetry=telemetry,
     )
 
 
@@ -293,14 +304,14 @@ def _trace_source(
 
 
 async def _serve_async(args: argparse.Namespace) -> int:
-    cluster, config = _serve_cluster(args), _engine_config(args)
+    cluster = _serve_cluster(args)
+    telemetry = _parse_spec_arg(args.telemetry, "--telemetry")
     service = SchedulerService(
         cluster,
         args.algorithm,
-        config=config,
+        config=_engine_config(args, telemetry),
         admission=_parse_admission(args.admission),
         slo_factor=args.slo_factor,
-        telemetry=_parse_spec_arg(args.telemetry, "--telemetry"),
     )
     await service.start(clock=WallClock(args.acceleration))
     server = ServiceServer(service, host=args.host, port=args.port)
@@ -380,15 +391,16 @@ def _format_report(report_dict: Dict[str, Any]) -> str:
 def run_loadtest_command(args: argparse.Namespace) -> int:
     """Entry point of ``repro-dfrs loadtest``."""
     source, cluster = _trace_source(args, LublinTraceSource, 10_000)
-    report = run_loadtest(
+    telemetry = {"type": "stats"} if args.prom_out is not None else None
+    service = SchedulerService(
         cluster,
         args.algorithm,
-        source,
-        acceleration=args.acceleration,
+        config=_engine_config(args, telemetry),
         admission=_parse_admission(args.admission),
-        config=_engine_config(args),
         slo_factor=args.slo_factor,
-        telemetry=({"type": "stats"} if args.prom_out is not None else None),
+    )
+    report = service.replay(
+        source, acceleration=args.acceleration, keep_result=False
     )
     print(_format_report(report.to_dict()))
     if args.prom_out is not None and report.prometheus is not None:

@@ -1,10 +1,11 @@
 """Trace-replay load testing for the serving layer.
 
 ``repro-dfrs loadtest`` replays any :class:`repro.traces.JobSource` through
-a :class:`~repro.serve.service.SchedulerService` at a configurable
-acceleration (or flat out, under a :class:`~repro.core.clock.SimulatedClock`)
-and reports sustained placements/sec, admission outcomes, and queue-latency
-quantiles.
+:meth:`SchedulerService.replay <repro.serve.service.SchedulerService.replay>`
+at a configurable acceleration (or flat out, under a
+:class:`~repro.core.clock.SimulatedClock`) and reports sustained
+placements/sec, admission outcomes, and queue-latency quantiles;
+:func:`bench_payload` shapes that report as a ``--bench-json`` entry.
 
 :class:`PlacementLogObserver` records every placement action the engine
 applies as a canonical JSON log; the replay-determinism tests byte-compare
@@ -17,16 +18,12 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Optional
 
-from ..core.cluster import Cluster
-from ..core.engine import SimulationConfig
 from ..core.observers import SimEvent, SimulationObserver
-from ..traces.source import JobSource
-from .admission import AdmissionPolicy
-from .service import ReplayReport, SchedulerService
+from .service import ReplayReport
 
-__all__ = ["PlacementLogObserver", "run_loadtest", "bench_payload", "peak_rss_mb"]
+__all__ = ["PlacementLogObserver", "bench_payload", "peak_rss_mb"]
 
 
 def peak_rss_mb() -> Optional[float]:
@@ -85,40 +82,6 @@ class PlacementLogObserver(SimulationObserver):
     def to_json_bytes(self) -> bytes:
         """Canonical byte serialisation of the log (for byte-equality pins)."""
         return json.dumps(self.entries, sort_keys=True).encode("utf-8")
-
-
-def run_loadtest(
-    cluster: Cluster,
-    scheduler: Any,
-    source: JobSource,
-    *,
-    acceleration: Optional[float] = None,
-    admission: Optional[Union[AdmissionPolicy, Mapping[str, Any]]] = None,
-    config: Optional[SimulationConfig] = None,
-    slo_factor: float = 10.0,
-    keep_result: bool = False,
-    telemetry: Optional[Mapping[str, Any]] = None,
-) -> ReplayReport:
-    """Replay ``source`` through a fresh service and return the report.
-
-    ``acceleration=None`` is the max-throughput mode (no pacing);
-    ``acceleration=x`` replays at ``x`` simulated seconds per wall second.
-    Streaming metrics are forced on so arbitrarily long traces replay with
-    bounded memory.  ``telemetry`` (a spec dict like ``{"type": "stats"}``)
-    instruments the service and engine; the report then carries the final
-    Prometheus page in :attr:`~repro.serve.service.ReplayReport.prometheus`.
-    """
-    service = SchedulerService(
-        cluster,
-        scheduler,
-        config=config or SimulationConfig(streaming_metrics=True),
-        admission=admission,
-        slo_factor=slo_factor,
-        telemetry=telemetry,
-    )
-    return service.replay(
-        source, acceleration=acceleration, keep_result=keep_result
-    )
 
 
 def bench_payload(

@@ -365,7 +365,12 @@ class SchedulerService:
         :func:`repro.schedulers.create_scheduler` (``"dynmcb8-asap-per-600"``).
     config:
         Engine configuration; defaults to :class:`SimulationConfig`'s
-        defaults.
+        defaults.  Its ``telemetry`` field (a live
+        :class:`~repro.obs.telemetry.Telemetry` sink or a spec dict such as
+        ``{"type": "stats"}``) instruments the service: the service shares
+        the sink with its engine, so ``prometheus_text()`` and the
+        ``metrics-prom`` protocol op expose engine phase timings alongside
+        the service counters.
     admission:
         An :class:`~repro.serve.admission.AdmissionPolicy`, its spec
         dictionary, or None for ``accept-all``.
@@ -377,13 +382,6 @@ class SchedulerService:
         Extra :class:`~repro.core.observers.SimulationObserver` instances
         attached to the engine (e.g. a
         :class:`~repro.serve.loadtest.PlacementLogObserver`).
-    telemetry:
-        A live :class:`~repro.obs.telemetry.Telemetry` sink, a telemetry
-        spec dict (``{"type": "stats"}``), or None (the default: fully
-        uninstrumented).  The service shares the sink with its engine, so
-        ``prometheus_text()`` and the ``metrics-prom`` protocol op expose
-        engine phase timings alongside the service counters.  Overrides
-        ``config.telemetry`` when both are given.
 
     A service instance runs once: either one :meth:`replay` or one
     :meth:`start` … :meth:`shutdown` live session.
@@ -398,16 +396,13 @@ class SchedulerService:
         admission: Optional[Union[AdmissionPolicy, Mapping[str, Any]]] = None,
         slo_factor: float = 10.0,
         observers: Optional[List[SimulationObserver]] = None,
-        telemetry: Optional[Union[Telemetry, Mapping[str, Any]]] = None,
     ) -> None:
         self.cluster = cluster
         self.scheduler = (
             create_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
         )
         self.config = config or SimulationConfig()
-        self.telemetry: Optional[Telemetry] = as_telemetry(
-            telemetry if telemetry is not None else self.config.telemetry
-        )
+        self.telemetry: Optional[Telemetry] = as_telemetry(self.config.telemetry)
         if self.telemetry is not None:
             # Share one live sink between the service and its engine so a
             # single Prometheus page covers both layers.

@@ -1,4 +1,4 @@
-"""Tests for the Markdown rendering helpers."""
+"""Tests for the text and Markdown table renderers."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.analysis import (
     fairness_report_table,
     format_figure_series,
     format_table,
-    markdown_table,
     stretch_fairness,
 )
 from repro.core import Cluster, JobSpec, SimulationConfig, Simulator
@@ -23,36 +22,6 @@ def _result(algorithm="greedy-pmtn"):
     cluster = Cluster(num_nodes=4, cores_per_node=4, node_memory_gb=8.0)
     specs = [JobSpec(i, i * 5.0, 1, 0.5, 0.2, 80.0) for i in range(4)]
     return Simulator(cluster, create_scheduler(algorithm), SimulationConfig()).run(specs)
-
-
-class TestMarkdownTable:
-    def test_basic_rendering(self):
-        table = markdown_table(["name", "value"], [["a", 1.5], ["b", 2.0]])
-        lines = table.splitlines()
-        assert lines[0] == "| name | value |"
-        assert lines[1] == "| --- | --- |"
-        assert "| a | 1.50 |" in lines
-        assert "| b | 2.00 |" in lines
-
-    def test_custom_float_format(self):
-        table = markdown_table(["x"], [[3.14159]], float_format="{:.4f}")
-        assert "3.1416" in table
-
-    def test_integer_and_string_cells_passed_through(self):
-        table = markdown_table(["n", "s"], [[7, "hello"]])
-        assert "| 7 | hello |" in table
-
-    def test_mismatched_row_length_rejected(self):
-        with pytest.raises(ReproError):
-            markdown_table(["a", "b"], [[1.0]])
-
-    def test_empty_headers_rejected(self):
-        with pytest.raises(ReproError):
-            markdown_table([], [])
-
-    def test_no_rows_is_valid(self):
-        table = markdown_table(["only", "header"], [])
-        assert len(table.splitlines()) == 2
 
 
 class TestFairnessAndEnergyTables:
@@ -113,9 +82,6 @@ class TestFormatFigureSeries:
 
 
 class TestMarkdownCells:
-    def test_bool_cells_are_not_formatted_as_numbers(self):
-        assert markdown_table(["flag"], [[True]]).splitlines()[-1] == "| True |"
-
     def test_tables_have_one_column_per_field(self):
         fairness = fairness_report_table([stretch_fairness(_result())])
         energy = energy_report_table([energy_from_result(_result())])

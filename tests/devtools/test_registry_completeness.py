@@ -63,7 +63,6 @@ def test_audit_covers_every_kind_registry():
         "admission policy",
         "overhead model",
         "execution-time model",
-        "telemetry spec",
         "workload source",
     }
 

@@ -18,7 +18,7 @@ from typing import Any, Tuple
 
 from hypothesis import strategies as st
 
-from repro import metrics, models, obs, platform, serve, traces
+from repro import metrics, models, platform, serve, traces
 from repro.campaign import scenario
 from repro.campaign.collectors import available_collectors
 from repro.core.cluster import Cluster
@@ -213,11 +213,12 @@ ADMISSION_POLICIES = {
         burst=st.sampled_from([1.0, 4.0]),
     ),
 }
-TELEMETRY_CONFIGS = {
-    "off": st.just(obs.NoTelemetry()),
-    "stats": st.builds(obs.StatsTelemetry, flight=st.sampled_from([None, 64])),
-    "tracing": st.builds(obs.TracingTelemetry, max_spans=st.just(1000), flight=st.just(64)),
-}
+#: Telemetry spec forms, one branch per ``type`` (``repro.obs.telemetry_spec``).
+TELEMETRY_SPECS = st.one_of(
+    st.just({"type": "off"}),
+    st.sampled_from([{"type": "stats"}, {"type": "stats", "flight": 64}]),
+    st.just({"type": "tracing", "max_spans": 1000, "flight": 64}),
+)
 
 
 def _fed(accumulator, values):
@@ -280,7 +281,6 @@ REGISTRY_STRATEGIES = {
     "overhead model": OVERHEAD_MODELS,
     "execution-time model": EXECUTION_TIME_MODELS,
     "admission policy": ADMISSION_POLICIES,
-    "telemetry spec": TELEMETRY_CONFIGS,
     "accumulator": ACCUMULATORS,
     "workload source": WORKLOAD_SOURCES,
     "metric collector": {name: st.just(name) for name in available_collectors()},
@@ -303,7 +303,7 @@ class Draw:
     overhead: Any = models.NoOverheadModel()
     execution_time: Any = models.ExactExecutionTimeModel()
     admission: Any = serve.AcceptAllPolicy()
-    telemetry: Any = obs.NoTelemetry()
+    telemetry: Any = None
     penalty_seconds: float = 0.0
     #: Online-driver cancels: ``(step, index into the trace's job list)``.
     cancels: Tuple[Tuple[int, int], ...] = ()
@@ -330,7 +330,7 @@ def draws(draw):
         overhead=draw(one_of_kinds("overhead model")),
         execution_time=draw(one_of_kinds("execution-time model")),
         admission=draw(one_of_kinds("admission policy")),
-        telemetry=draw(one_of_kinds("telemetry spec")),
+        telemetry=draw(TELEMETRY_SPECS),
         penalty_seconds=draw(st.sampled_from([0.0, 300.0])),
         cancels=tuple(
             draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, MAX_JOBS)), max_size=3))

@@ -17,8 +17,9 @@
       A draw whose algorithm reuses yield searches across repacks is also
       streamed on the memo-free reference repack, which must emit the same
       stream: the three drivers share the memo, so (ii) alone cannot see it.
-(iii) every drawn component round-trips through its registry, and the
-      scenario through its spec with a stable hash.
+(iii) every drawn component round-trips through its registry, the telemetry
+      spec is canonical, and the scenario round-trips through its spec with
+      a stable hash.
 
 Shrunk counter-examples are kept as ``@example``s; the recipes of the
 hand-picked fixtures this property replaced run as seeded cases over their
@@ -60,7 +61,7 @@ from repro.core.penalties import ReschedulingPenaltyModel
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.metrics import accumulator_from_dict
 from repro.models import CheckpointBandwidthOverheadModel
-from repro.obs import telemetry_config_from_dict
+from repro.obs import telemetry_spec
 from repro.packing import yield_search
 from repro.platform import (
     HomogeneousPlatform,
@@ -91,7 +92,7 @@ for _info in pkgutil.walk_packages(repro.__path__, "repro."):
     importlib.import_module(_info.name)  # every registry exists once imported
 REGISTRIES = {registry.label: registry for registry in all_registries()}
 #: Seams whose loader restores state as well as options.
-LOADERS = {"accumulator": accumulator_from_dict, "telemetry spec": telemetry_config_from_dict}
+LOADERS = {"accumulator": accumulator_from_dict}
 
 
 def assert_round_trips(label, kind, value):
@@ -476,12 +477,12 @@ def check_scenario(draw):
         "overhead model": draw.overhead,
         "execution-time model": draw.execution_time,
         "admission policy": draw.admission,
-        "telemetry spec": draw.telemetry,
         "workload source": scenario.source,
     }
     for label, value in components.items():
         if value is not None:
             assert_round_trips(label, value.kind, value)
+    assert scenario.telemetry is None or telemetry_spec(scenario.telemetry) == scenario.telemetry
     if scenario.source.spec_expressible:
         spec = scenario.to_dict()
         again = scenario_from_dict(json.loads(json.dumps(spec)))

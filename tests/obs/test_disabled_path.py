@@ -58,9 +58,8 @@ def _replay_log(algorithm, telemetry):
     service = SchedulerService(
         CLUSTER,
         algorithm,
-        config=SimulationConfig(streaming_metrics=True),
+        config=SimulationConfig(streaming_metrics=True, telemetry=telemetry),
         observers=[observer],
-        telemetry=telemetry,
     )
     report = service.replay(TRACE)
     return observer.to_json_bytes(), report, service

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.cluster import Cluster
+from repro.core.engine import SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.serve import SchedulerService
 from repro.traces import LublinTraceSource
@@ -92,7 +93,8 @@ def test_reused_searches_in_profile_table_and_prometheus_page(tmp_path, capsys):
     assert counters["packing.searches_reused"] > 0
     assert counters["packing.probes"] - counters["packing.probes_pruned"] == counters["packing.packs"]
 
-    service = SchedulerService(Cluster(8), "dynmcb8-asap-per-600", telemetry={"type": "stats"})
+    config = SimulationConfig(telemetry={"type": "stats"})
+    service = SchedulerService(Cluster(8), "dynmcb8-asap-per-600", config=config)
     service.replay(LublinTraceSource(num_jobs=30, seed=2010))
     reused = service.telemetry.counters["packing.searches_reused"]
     assert reused > 0

@@ -1,4 +1,5 @@
-"""Scenario telemetry block: demotion, hashing, and campaign row wiring."""
+"""Scenario telemetry block: demotion, canonical form, hashing, and campaign
+row wiring."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from repro.campaign.scenario import (
 )
 from repro.core.cluster import Cluster
 from repro.exceptions import ConfigurationError
-from repro.obs import StatsTelemetry, Telemetry
+from repro.obs import Telemetry
 
 CLUSTER = Cluster(16, 4, 8.0)
 
@@ -50,9 +51,45 @@ class TestTelemetryBlock:
         rebuilt = scenario_from_dict(scenario.to_dict())
         assert scenario_hash(rebuilt) == scenario_hash(scenario)
 
-    def test_config_object_accepted(self):
-        scenario = tiny_scenario(telemetry=StatsTelemetry())
+    def test_unset_optional_field_is_dropped(self):
+        scenario = tiny_scenario(telemetry={"type": "stats", "flight": None})
         assert scenario.telemetry == {"type": "stats"}
+
+    #: Canonical form and scenario hash of every accepted spec form: result
+    #: caches are keyed by these hashes, so they must not move.  ``off``
+    #: hashes like no block at all.
+    @pytest.mark.parametrize(
+        "spec, canonical, digest",
+        [
+            ({"type": "off"}, None, "01081292ea7496b6"),
+            ({"type": "stats"}, {"type": "stats"}, "3f98c4e5a7cf675d"),
+            ({"type": "stats", "flight": 64}, {"type": "stats", "flight": 64}, "999c9fc5301ad12a"),
+            ({"type": "stats", "flight": 64.0}, {"type": "stats", "flight": 64}, "999c9fc5301ad12a"),
+            ({"type": "tracing"}, {"type": "tracing"}, "aaf3666fc275c1a5"),
+            ({"type": "tracing", "max_spans": 1_000_000}, {"type": "tracing"}, "aaf3666fc275c1a5"),
+            (
+                {"type": "tracing", "flight": 64},
+                {"type": "tracing", "flight": 64},
+                "8c249396ee5bb6ce",
+            ),
+            (
+                {"type": "tracing", "max_spans": 1000},
+                {"type": "tracing", "max_spans": 1000},
+                "c5ee53fead98c8f8",
+            ),
+            (
+                {"type": "tracing", "flight": 64, "max_spans": 1000},
+                {"type": "tracing", "max_spans": 1000, "flight": 64},
+                "4759c83f0aa6bbdc",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_canonical_form_and_hash_are_pinned(self, spec, canonical, digest):
+        scenario = tiny_scenario(telemetry=spec)
+        assert scenario.telemetry == canonical
+        assert list(scenario.telemetry or ()) == list(canonical or ())
+        assert scenario_hash(scenario) == digest
 
     def test_live_sink_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -10,17 +10,15 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.metrics import Moments, SumAccumulator
 from repro.metrics.jobs import bundle_to_dict
+from repro.obs.telemetry import DEFAULT_MAX_SPANS
 from repro.obs import (
-    NoTelemetry,
-    StatsTelemetry,
     Telemetry,
-    TracingTelemetry,
     as_telemetry,
     current_telemetry,
     merge_telemetry_bundles,
     push_telemetry,
     summarize_bundle,
-    telemetry_config_from_dict,
+    telemetry_spec,
     timed_phase,
 )
 
@@ -171,22 +169,63 @@ class TestSpecs:
         assert as_telemetry(sink) is sink
         stats = as_telemetry({"type": "stats"})
         assert isinstance(stats, Telemetry) and not stats.capture_spans
-        tracing = as_telemetry(TracingTelemetry(max_spans=9))
+        tracing = as_telemetry({"type": "tracing", "max_spans": 9})
         assert tracing.capture_spans and tracing.max_spans == 9
+        flight = as_telemetry({"type": "stats", "flight": 16})
+        assert not flight.capture_spans and flight.flight.capacity == 16
+        default = as_telemetry({"type": "tracing"})
+        assert default.max_spans == DEFAULT_MAX_SPANS and default.flight is None
+        assert as_telemetry({"type": "stats"}) is not as_telemetry({"type": "stats"})
 
     def test_as_telemetry_rejects_junk(self):
         with pytest.raises(ConfigurationError):
             as_telemetry(42)
 
     def test_spec_round_trips(self):
-        for spec in (NoTelemetry(), StatsTelemetry(), TracingTelemetry(max_spans=7)):
-            data = spec.to_dict()
-            assert telemetry_config_from_dict(data).to_dict() == data
+        assert telemetry_spec({"type": "off"}) is None
+        for data in ({"type": "stats"}, {"type": "tracing", "max_spans": 7}):
+            assert telemetry_spec(data) == data
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigurationError):
-            telemetry_config_from_dict({"type": "nope"})
+            telemetry_spec({"type": "nope"})
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):
-            telemetry_config_from_dict({"type": "stats", "bogus": 1})
+            telemetry_spec({"type": "stats", "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "stats", "flight": 2.7},
+            {"type": "stats", "flight": True},
+            {"type": "stats", "flight": "abc"},
+            {"type": "tracing", "flight": "64"},
+            {"type": "tracing", "max_spans": "x"},
+            {"type": "tracing", "max_spans": False},
+            {"type": "tracing", "max_spans": 1.5},
+        ],
+        ids=repr,
+    )
+    def test_integer_fields_are_checked_not_coerced(self, spec):
+        field = next(name for name in spec if name != "type")
+        with pytest.raises(ConfigurationError, match=f"{field!r} must be an integer"):
+            telemetry_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("stats", "telemetry spec spec must be an object with a 'type' field, got str"),
+            ({}, "telemetry spec spec needs a 'type' field"),
+            ({"type": ["x"]}, "unknown telemetry spec type ['x']; known types: off, stats, tracing"),
+            ({"type": "off", "flight": 8}, "telemetry spec 'off' has unknown fields: flight"),
+            ({"type": "stats", "max_spans": 8}, "telemetry spec 'stats' has unknown fields: max_spans"),
+            ({"type": "stats", "flight": 0}, "flight recorder capacity must be a positive integer, got 0"),
+            ({"type": "tracing", "max_spans": -1}, "max_spans must be >= 0, got -1"),
+        ],
+        ids=repr,
+    )
+    def test_error_messages(self, spec, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            telemetry_spec(spec)
+        assert str(excinfo.value) == message

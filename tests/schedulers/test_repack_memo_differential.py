@@ -294,7 +294,7 @@ def test_service_replay_holds_one_repacks_rounds():
 
     scheduler._reused_search, scheduler.repack = search, repack
     service = SchedulerService(
-        Cluster(16, 4, 8.0), scheduler, telemetry={"type": "stats"}
+        Cluster(16, 4, 8.0), scheduler, config=SimulationConfig(telemetry={"type": "stats"})
     )
     source = DiurnalPoissonTraceSource(
         num_jobs=500, seed=7, mean_interarrival_seconds=120.0, max_runtime_seconds=7200.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.core.cluster import Cluster
 from repro.core.engine import SimulationConfig
-from repro.serve import PlacementLogObserver, SchedulerService, run_loadtest
+from repro.serve import PlacementLogObserver, SchedulerService
 from repro.traces import DiurnalPoissonTraceSource
 
 CLUSTER = Cluster(16, 4, 8.0)
@@ -66,7 +66,8 @@ class TestReplayMatchesRunStream:
     def test_report_and_bench_payload_shape(self):
         from repro.serve import bench_payload
 
-        report = run_loadtest(CLUSTER, "greedy-pmtn-migr", TRACE)
+        service = SchedulerService(CLUSTER, "greedy-pmtn-migr", config=_config())
+        report = service.replay(TRACE, keep_result=False)
         assert report.placements > 0
         assert report.wall_seconds > 0.0
         assert report.placements_per_wall_sec > 0.0

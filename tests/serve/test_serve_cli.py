@@ -1,4 +1,5 @@
-"""How ``loadtest`` and ``soak`` resolve their trace, cluster and engine config."""
+"""How ``loadtest`` and ``soak`` resolve their trace, cluster and engine
+config, and how the serve commands refuse a bad spec argument."""
 
 from __future__ import annotations
 
@@ -6,8 +7,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core.cluster import Cluster
+from repro.exceptions import ConfigurationError
 from repro.serve.cli import _engine_config, _trace_source
 from repro.traces import (
     HPC2N_CLUSTER,
@@ -73,3 +75,34 @@ def test_engine_config(argv, penalty):
     config = _engine_config(build_parser().parse_args(argv))
     assert config.penalty_model.penalty_seconds == penalty
     assert config.streaming_metrics
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("loadtest", "--admission"), ("serve", "--admission"), ("serve", "--telemetry")],
+)
+class TestSpecArguments:
+    """A spec flag's payload must be a JSON object, inline or in an @file."""
+
+    def _refused(self, command, flag, value):
+        argv = ["--nodes", "2", "--num-jobs", "5", command, flag, value]
+        with pytest.raises(ConfigurationError, match=flag) as excinfo:
+            main(argv)
+        return str(excinfo.value)
+
+    def test_inline_non_object_is_refused(self, command, flag):
+        assert "must be a JSON object, got list" in self._refused(command, flag, "[1]")
+
+    def test_file_holding_a_non_object_is_refused(self, command, flag, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("3", encoding="utf-8")
+        assert "got int" in self._refused(command, flag, f"@{path}")
+
+    def test_missing_file_is_refused(self, command, flag, tmp_path):
+        path = tmp_path / "missing.json"
+        assert str(path) in self._refused(command, flag, f"@{path}")
+
+    def test_unparsable_file_is_refused(self, command, flag, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("{", encoding="utf-8")
+        assert "cannot read spec file" in self._refused(command, flag, f"@{path}")

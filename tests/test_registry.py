@@ -15,7 +15,7 @@ import repro
 from repro.campaign.scenario import SwfSource, scenario_from_dict
 from repro.exceptions import ConfigurationError
 from repro.metrics import accumulator_from_dict
-from repro.obs import telemetry_config_from_dict
+from repro.obs import telemetry_spec
 from repro.platform.events import JsonNodeEventSource
 from repro.registry import all_registries, content_fingerprint
 
@@ -31,7 +31,7 @@ NON_MAPPINGS = ("x", ["x"], 3)
 
 def test_every_seam_has_one_registry():
     labels = [registry.label for registry in all_registries()]
-    assert len(labels) == len(set(labels)) == 12, labels
+    assert len(labels) == len(set(labels)) == 11, labels
 
 
 @every_registry
@@ -90,7 +90,7 @@ def test_register_returns_its_factory(registry, monkeypatch):
 @pytest.mark.parametrize("spec", NON_MAPPINGS, ids=repr)
 @pytest.mark.parametrize(
     "loader, label",
-    [(accumulator_from_dict, "accumulator"), (telemetry_config_from_dict, "telemetry spec")],
+    [(accumulator_from_dict, "accumulator"), (telemetry_spec, "telemetry spec")],
 )
 def test_whole_mapping_loaders_share_the_validation(loader, label, spec):
     with pytest.raises(ConfigurationError, match=label + " spec must be an object"):
